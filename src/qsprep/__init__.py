@@ -23,6 +23,7 @@ from .errors import (
     DegreeOverflowError,
     DimensionError,
     InfeasibleError,
+    InputError,
     PhaseFindingError,
     QsprepError,
 )

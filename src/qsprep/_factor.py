@@ -1,15 +1,15 @@
 """Spectral factorization helpers for polynomial completion and phase finding.
 
 All polynomial arithmetic is in the Chebyshev basis, where bounded
-polynomials keep O(1) coefficients. Root work happens in the variable
-u = 2x^2 - 1 (every polynomial factored here is even), via colleague
-matrices; above degree 60 the roots are polished to extended precision with
-an Aberth iteration, since clustering near the unit circle is the known
-failure mode. Coefficient assembly stays in double precision throughout:
-downstream verification decides whether a result is accepted.
+polynomials keep O(1) coefficients, through ``numpy.polynomial.chebyshev``.
+Root work happens in the variable u = 2x^2 - 1 (every polynomial factored
+here is even), via colleague matrices in double precision. Downstream
+verification decides whether a result is accepted.
 
-mpmath coefficient vectors are plain Python lists of mpc; they only appear
-in the layer-stripping support routines.
+The complementary series used by layer stripping can also be assembled in
+extended precision: the same routine takes an object array of mpmath.mpc
+coefficients, works at the current ``mp.dps`` and polishes the colleague
+roots with an Aberth iteration.
 """
 from __future__ import annotations
 
@@ -19,17 +19,10 @@ import mpmath as mp
 
 from .errors import CompletionError
 
-MP_DEGREE_THRESHOLD = 60
-
 
 def strip_dps(degree: int) -> int:
     """Digits for extended-precision layer stripping; grows with the degree."""
     return max(50, 30 + int(1.2 * degree))
-
-
-def polish_dps(degree: int) -> int:
-    """Digits for extended-precision root polishing."""
-    return max(50, 30 + degree // 4)
 
 
 def trim_tail(c: np.ndarray, rel: float = 1e-15) -> np.ndarray:
@@ -122,7 +115,7 @@ def pick_conjugate_half(roots: np.ndarray, im_tol: float = 1e-7):
         )
     reps = list(upper)
     for i in range(0, len(real), 2):
-        reps.append(complex(0.5 * (real[i] + real[i + 1]), 0.0))
+        reps.append((real[i] + real[i + 1]) / 2)
     return reps
 
 
@@ -140,35 +133,36 @@ def _interleave_by_magnitude(values):
     return out
 
 
-def _u_roots(gu: np.ndarray, dps: int | None) -> np.ndarray:
-    """Roots of a u-series by colleague matrix, optionally polished in mp."""
-    scale = np.abs(gu).max()
-    roots = cheb.chebroots(gu / scale)
-    if dps is not None and len(roots):
-        with mp.workdps(dps):
-            polished = aberth_polish(to_mp_list(gu / scale), roots)
-        roots = np.array([complex(z) for z in polished])
-    return roots
+def _real_part(v: np.ndarray) -> tuple[np.ndarray, float]:
+    """Real part of a coefficient vector and the largest imaginary part dropped."""
+    if v.dtype != object:
+        return v.real, float(np.abs(v.imag).max())
+    return np.array([z.real for z in v]), float(max(abs(z.imag) for z in v))
 
 
-def complementary_q(p_cheb: np.ndarray, dps: int | None = None) -> np.ndarray:
+def complementary_q(p_cheb: np.ndarray) -> np.ndarray:
     """Complementary series Q with P P* + (1-x^2) Q Q* = 1.
 
     P is a complex Chebyshev series of exact degree d; the returned Q has
-    degree d-1. Raises CompletionError when the factorization cannot be
-    carried out.
+    degree d-1. P may be a complex array (double precision) or an object
+    array of mpmath.mpc, in which case the whole assembly runs at the current
+    ``mp.dps``, the colleague roots are Aberth-polished to that precision,
+    and Q comes back as mpc too. Raises CompletionError when the
+    factorization cannot be carried out.
     """
-    p = np.asarray(p_cheb, dtype=complex)
+    exact = np.asarray(p_cheb).dtype == object
+    p = np.asarray(p_cheb, dtype=object if exact else complex)
     d = len(p) - 1
     v = -cheb.chebmul(p, p.conj())
-    v[0] += 1.0
-    if np.abs(v.imag).max() > 1e-10:
+    v[0] += 1
+    v, dust = _real_part(v)
+    if dust > 1e-10:
         raise CompletionError("1 - P P* has a non-real coefficient")
-    v = v.real
     g, rem = divide_one_minus_x2(v)
     if rem > 1e-8 * max(1.0, np.abs(v).max()):
         raise CompletionError(f"(1 - x^2) does not divide 1 - P P* (remainder {rem:.2e})")
-    g = trim_tail(g, 1e-15)
+    # drop only what lies below the working precision's rounding noise
+    g = trim_tail(g, mp.eps if exact else 1e-15)
     odd_mass = np.abs(g[1::2]).max() if g.size > 1 else 0.0
     if odd_mass > 1e-9 * max(1.0, np.abs(g).max()):
         raise CompletionError("1 - P P* is not even")
@@ -179,18 +173,18 @@ def complementary_q(p_cheb: np.ndarray, dps: int | None = None) -> np.ndarray:
     scale = np.abs(gu).max()
     while len(gu) > 1 and abs(cheb.chebval(-1.0, gu)) < 1e-8 * scale:
         q_, _ = cheb_div_linear(list(gu), -1.0)
-        gu = np.asarray(q_)
+        gu = np.asarray(q_, dtype=gu.dtype)
         mu += 1
         if mu > d:
             raise CompletionError("runaway deflation at u = -1")
 
     reps = []
     if len(gu) > 1:
-        roots_u = _u_roots(gu, dps)
-        xs2 = (roots_u + 1.0) / 2.0
-        reps = pick_conjugate_half(xs2)
+        gu = gu / np.abs(gu).max()
+        roots_u = aberth_roots(gu) if exact else cheb.chebroots(gu)
+        reps = pick_conjugate_half((roots_u + 1) / 2)
 
-    q = np.array([1.0 + 0j])
+    q = np.array([1], dtype=p.dtype)
     for x2 in _interleave_by_magnitude(reps):
         q = cheb.chebmul(q, np.array([0.5 - x2, 0.0, 0.5]))
     for _ in range(mu):
@@ -201,17 +195,18 @@ def complementary_q(p_cheb: np.ndarray, dps: int | None = None) -> np.ndarray:
             f"complementary degree {len(q) - 1} != {d - 1}; root pairing inconsistent"
         )
 
-    # overall positive scale from a real sample point away from the roots
-    x0 = 1.37
+    # overall positive scale from a real sample point away from the roots,
+    # taken at the working precision
+    x0 = (mp.mpf if exact else float)("1.37")
     gval = cheb.chebval(x0, g)
     qval = cheb.chebval(x0, q)
     denom = abs(qval) ** 2
     if denom < 1e-280 or gval <= 0:
         raise CompletionError("degenerate sample while scaling the complementary series")
-    return q * np.sqrt(gval / denom)
+    return q * (gval / denom) ** 0.5
 
 
-def complete_real(pr_cheb: np.ndarray, dps: int | None = None) -> tuple[np.ndarray, np.ndarray]:
+def complete_real(pr_cheb: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Imaginary part and complementary series for a real bounded P_R.
 
     Solves P_R^2 + P_I^2 + (1-x^2) Q^2 = 1 with real Chebyshev series P_I, Q
@@ -234,7 +229,7 @@ def complete_real(pr_cheb: np.ndarray, dps: int | None = None) -> tuple[np.ndarr
             raise CompletionError("1 - P_R^2 is negative")
         return np.array([np.sqrt(max(val, 0.0))]), np.array([0.0])
 
-    roots_u = _u_roots(fu, dps)
+    roots_u = cheb.chebroots(fu / np.abs(fu).max())
     ws = _paired_factor_roots(roots_u)
 
     # positive scale so that |g|^2 = F on the circle
@@ -332,192 +327,29 @@ def _paired_factor_roots(roots_u: np.ndarray, im_tol: float = 1e-8) -> np.ndarra
     return np.asarray(ws)
 
 
-# ---------------------------------------------------------------------------
-# mpmath support (root polishing and layer stripping)
-# ---------------------------------------------------------------------------
-
-def to_mp_list(c) -> list:
-    out = []
-    for x in np.atleast_1d(np.asarray(c, dtype=complex)):
-        out.append(mp.mpc(x.real, x.imag))
-    return out
+def to_mp(c) -> np.ndarray:
+    """Object array of mpmath.mpc holding the given coefficients."""
+    return np.array([mp.mpc(z) for z in np.atleast_1d(c)], dtype=object)
 
 
-def from_mp_list(c) -> np.ndarray:
-    return np.array([complex(x) for x in c])
+def aberth_roots(coeffs: np.ndarray, max_iter: int = 25) -> np.ndarray:
+    """All roots of a real mpc T-series, refined simultaneously in mp precision.
 
-
-def mp_chebmul(a: list, b: list) -> list:
-    out = [mp.mpc(0)] * (len(a) + len(b) - 1)
-    for i, ai in enumerate(a):
-        if ai == 0:
-            continue
-        for j, bj in enumerate(b):
-            t = ai * bj / 2
-            out[i + j] += t
-            out[abs(i - j)] += t
-    return out
-
-
-def mp_chebmulx(a: list) -> list:
-    out = [mp.mpc(0)] * (len(a) + 1)
-    out[1] += a[0]
-    for k in range(1, len(a)):
-        out[k + 1] += a[k] / 2
-        out[k - 1] += a[k] / 2
-    return out
-
-
-def mp_cheb_one_minus_x2(a: list) -> list:
-    """(1 - x^2) * a, kept O(len a)."""
-    out = [mp.mpc(0)] * (len(a) + 2)
-    for k, ak in enumerate(a):
-        if ak == 0:
-            continue
-        out[k] += ak / 2
-        out[k + 2] -= ak / 4
-        out[abs(k - 2)] -= ak / 4
-    return out
-
-
-def mp_chebadd(a: list, b: list) -> list:
-    n = max(len(a), len(b))
-    out = [mp.mpc(0)] * n
-    for i, x in enumerate(a):
-        out[i] += x
-    for i, x in enumerate(b):
-        out[i] += x
-    return out
-
-
-def mp_chebval(coeffs: list, x):
-    """Clenshaw evaluation; works for complex mp arguments."""
-    n = len(coeffs)
-    if n == 1:
-        return coeffs[0] + 0 * x
-    b1 = mp.mpc(0)
-    b2 = mp.mpc(0)
-    two_x = 2 * x
-    for k in range(n - 1, 0, -1):
-        b1, b2 = coeffs[k] + two_x * b1 - b2, b1
-    return coeffs[0] + x * b1 - b2
-
-
-def mp_chebder(coeffs: list) -> list:
-    """Derivative of a T-series, returned as a T-series (T_k' = k U_{k-1})."""
-    n = len(coeffs) - 1
-    if n <= 0:
-        return [mp.mpc(0)]
-    ub = [k * coeffs[k] for k in range(1, n + 1)]
-    out = [mp.mpc(0)] * n
-    for j, bj in enumerate(ub):
-        if bj == 0:
-            continue
-        for i in range(j, -1, -2):
-            out[i] += bj * (2 if i > 0 else 1)
-    return out
-
-
-def complementary_q_mp(p_cheb: np.ndarray, dps: int) -> list:
-    """Extended-precision complementary series, assembled fully in mp.
-
-    Needed when the layer stripping must see a pair consistent to far below
-    double precision (its truncation errors can grow by ~2x per level).
-    Returns an mp coefficient list of length d.
+    The start is the colleague-matrix roots from the complex eigensolver: a
+    conjugate-symmetric start (the real solver's) would keep the iterates of
+    a close real pair on the real line for good. Stops at the configured
+    tolerance or once the steps stall at the rounding floor (near-multiple
+    roots cannot do better than ~sqrt of the precision).
     """
-    with mp.workdps(dps):
-        p = to_mp_list(p_cheb)
-        d = len(p) - 1
-        pstar = [mp.conj(x) for x in p]
-        v = [-x for x in mp_chebmul(p, pstar)]
-        v[0] += 1
-        q1, r1 = cheb_div_linear(v, mp.mpf(1))
-        g, r2 = cheb_div_linear(q1, mp.mpf(-1))
-        g = [-x for x in g]
-        if max(abs(r1), abs(r2)) > mp.mpf(1e-8):
-            raise CompletionError("(1 - x^2) does not divide 1 - P P* (mp)")
-        for k in range(1, len(g), 2):
-            g[k] = mp.mpc(0)
-        g = [mp.mpc(x.real, 0) for x in g]
-        gu = g[::2]
-        mu = 0
-        scale = max(abs(x) for x in gu)
-        while len(gu) > 1 and abs(mp_chebval(gu, mp.mpf(-1))) < mp.mpf(1e-8) * scale:
-            gu, _ = cheb_div_linear(gu, mp.mpf(-1))
-            mu += 1
-            if mu > d:
-                raise CompletionError("runaway deflation at u = -1 (mp)")
-
-        reps = []
-        if len(gu) > 1:
-            gu_f = from_mp_list(gu)
-            sc = np.abs(gu_f).max()
-            roots0 = cheb.chebroots(gu_f / sc)
-            roots = aberth_polish([x / sc for x in gu], roots0)
-            xs2_f = np.array([complex((u + 1) / 2) for u in roots])
-            order = pick_conjugate_half(xs2_f)
-            reps = _match_representatives(order, [(u + 1) / 2 for u in roots])
-
-        q = [mp.mpc(1)]
-        for x2 in reps:
-            q = mp_chebmul(q, [mp.mpf(1) / 2 - x2, mp.mpc(0), mp.mpc(1) / 2])
-        for _ in range(mu):
-            q = mp_chebmulx(q)
-        if len(q) - 1 != d - 1:
-            raise CompletionError(
-                f"complementary degree {len(q) - 1} != {d - 1} (mp)"
-            )
-        x0 = mp.mpf("1.37")
-        gval = mp_chebval(g, x0).real
-        qv = mp_chebval(q, x0)
-        denom = abs(qv) ** 2
-        if denom == 0 or gval <= 0:
-            raise CompletionError("degenerate sample while scaling (mp)")
-        s = mp.sqrt(gval / denom)
-        return [x * s for x in q]
-
-
-def _match_representatives(order: list, roots: list) -> list:
-    """Map double-precision representatives back onto the mp root list."""
-    reps = []
-    used = [False] * len(roots)
-    for rep in order:
-        if abs(rep.imag) > 0:
-            best, bi = None, -1
-            for i, r in enumerate(roots):
-                if used[i]:
-                    continue
-                dd = abs(complex(r) - rep)
-                if best is None or dd < best:
-                    best, bi = dd, i
-            used[bi] = True
-            reps.append(roots[bi])
-        else:
-            cands = sorted(
-                (i for i in range(len(roots)) if not used[i]),
-                key=lambda i: abs(complex(roots[i]) - rep),
-            )[:2]
-            for i in cands:
-                used[i] = True
-            reps.append(sum(roots[i] for i in cands) / len(cands))
-    return reps
-
-
-def aberth_polish(coeffs: list, roots0: np.ndarray, max_iter: int = 25) -> list:
-    """Refine all roots of a T-series simultaneously in mp precision.
-
-    Stops at the configured tolerance or once the steps stall at the rounding
-    floor (near-multiple roots cannot do better than ~sqrt of the precision).
-    """
-    der = mp_chebder(coeffs)
-    zs = [mp.mpc(complex(r)) for r in np.atleast_1d(roots0)]
+    der = cheb.chebder(coeffs)
+    zs = [mp.mpc(complex(r)) for r in cheb.chebroots(coeffs.astype(complex))]
     n = len(zs)
     tol = mp.mpf(10) ** (-(mp.mp.dps - 6))
     prev = None
     for it in range(max_iter):
         moved = mp.mpf(0)
-        vals = [mp_chebval(coeffs, z) for z in zs]
-        ders = [mp_chebval(der, z) for z in zs]
+        vals = [cheb.chebval(z, coeffs) for z in zs]
+        ders = [cheb.chebval(z, der) for z in zs]
         for i in range(n):
             if ders[i] == 0:
                 zs[i] += mp.mpf(10) ** (-mp.mp.dps // 2)
@@ -540,4 +372,4 @@ def aberth_polish(coeffs: list, roots0: np.ndarray, max_iter: int = 25) -> list:
         if it >= 6 and prev is not None and moved > prev / 2:
             break
         prev = moved
-    return zs
+    return np.array(zs, dtype=object)

@@ -12,13 +12,13 @@ once per round, so the initial state is fixed.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
 from .blockenc import BlockEncoding, qsvt_circuit
-from .errors import DegreeOverflowError, DimensionError
-from .phases import PhaseSequence, find_phases, phases_to_text, phases_from_text
+from .errors import DegreeOverflowError, DimensionError, InputError
+from .phases import PhaseSequence, find_phases, phases_from_text, phases_to_text, verify_phases
 from .polyapprox import Polynomial, complete_to_complex, evaluate, sign_approx
 from .simulator import Projector, UnitaryMatrix
 
@@ -58,13 +58,25 @@ def plan_to_text(plan: AmplificationPlan) -> str:
 
 
 def plan_from_text(text: str) -> AmplificationPlan:
+    """Read a plan; its angles must realize the plan its header describes.
+
+    The header's parameters are re-planned, and the file's angles are checked
+    with ``verify_phases`` against the re-planned polynomial, on the grid and
+    at the tolerance ``find_phases`` accepts by default. The returned plan
+    carries the file's angles; a mismatch raises InputError.
+    """
     lines = [ln for ln in text.strip().splitlines() if ln.strip()]
     sigma, delta, rounds = lines[0].split()
     phi = phases_from_text("\n".join(lines[1:]))
     plan = plan_amplification(float(sigma), float(delta))
     if plan.rounds != int(rounds) or len(phi) != plan.rounds:
-        raise ValueError("serialized plan is inconsistent with its parameters")
-    return plan
+        raise InputError("serialized plan is inconsistent with its parameters")
+    check = verify_phases(phi, plan.realized, max(4 * plan.rounds, 32))
+    if not check.passed:
+        raise InputError(
+            f"serialized angles miss the planned polynomial by {check.max_error:.3e}"
+        )
+    return replace(plan, phases=phi)
 
 
 def build_projectors(n: int, s_unitary: UnitaryMatrix, ancillas: int = 2) -> tuple[Projector, Projector]:

@@ -126,12 +126,6 @@ def principal_hamiltonian(u_data: UnitaryMatrix) -> np.ndarray:
     return np.asarray(logm / (1j * np.pi))
 
 
-def _phase_on_left(m: np.ndarray, proj: Projector, phi: float) -> np.ndarray:
-    """exp(i phi (2 P - 1)) @ m without forming the dense exponential."""
-    pm = proj.left(m)
-    return np.exp(-1j * phi) * (m - pm) + np.exp(1j * phi) * pm
-
-
 def qsvt_circuit(
     be: BlockEncoding,
     phi: PhaseSequence,

@@ -33,5 +33,9 @@ class PhaseFindingError(QsprepError):
         self.residual = residual
 
 
+class InputError(QsprepError, ValueError):
+    """An amplitude table or serialized file is malformed or out of range."""
+
+
 class InfeasibleError(QsprepError):
     """Requested parameters violate a precondition of the construction."""

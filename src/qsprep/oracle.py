@@ -13,7 +13,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import DimensionError, InfeasibleError
+from .errors import DimensionError, InfeasibleError, InputError
 from .simulator import (
     MAX_QUBITS,
     GateSpec,
@@ -45,8 +45,11 @@ class AmplitudeOracle:
         vals = np.ascontiguousarray(np.asarray(self.values, dtype=float))
         if vals.shape != (2**self.n,):
             raise DimensionError(f"expected {2**self.n} amplitudes, got {vals.shape}")
-        if vals.min() < 0 or vals.max() > 1:
-            raise ValueError("amplitudes must lie in [0, 1]")
+        bad = np.flatnonzero(~((vals >= 0) & (vals <= 1)))
+        if bad.size:
+            raise InputError(
+                f"amplitudes must be finite and lie in [0, 1]; entry {bad[0]} is {vals[bad[0]]}"
+            )
         if self.m < 1:
             raise ValueError("need at least one value bit")
         object.__setattr__(self, "values", vals)
@@ -110,8 +113,13 @@ def oracle_to_text(c: AmplitudeOracle) -> str:
 
 def oracle_from_text(text: str) -> AmplitudeOracle:
     lines = [ln for ln in text.strip().splitlines() if ln.strip()]
-    n, m = (int(t) for t in lines[0].split())
-    vals = np.array([float(ln) for ln in lines[1 : 1 + 2**n]])
+    try:
+        n, m = (int(t) for t in lines[0].split())
+        vals = np.array([float(ln) for ln in lines[1:]])
+    except (IndexError, ValueError) as exc:
+        raise InputError(f"malformed oracle table: {exc}") from exc
+    if vals.size != 2**n:
+        raise InputError(f"oracle table for n = {n} needs {2**n} amplitudes, got {vals.size}")
     return AmplitudeOracle(n, m, vals)
 
 
@@ -195,8 +203,9 @@ def target_state(c: AmplitudeOracle) -> StateVector:
 def apply_relative_phase(s: StateVector, phi: AmplitudeOracle) -> StateVector:
     """Multiply the amplitude at x by exp(i pi phi_m(x)).
 
-    Built from the same compiled construction with every ladder angle
-    doubled, so the reachable phases span the full circle.
+    The phases are multiplied in directly, one per amplitude, from the
+    quantized table phi_m. The factor is pi rather than the phase oracle's
+    pi/2, so the reachable phases span the full circle.
     """
     if s.dim != phi.size:
         raise DimensionError("state dimension does not match the phase table")

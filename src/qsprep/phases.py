@@ -7,8 +7,11 @@ The ansatz is the 2x2 product
 with R(x) = [[x, s], [s, -x]], s = sqrt(1 - x^2). Its top-left entry is a
 degree-d polynomial of parity d mod 2; ``find_phases`` inverts that map by
 layer stripping (peel phi_d off the leading coefficients, reduce the degree,
-repeat), escalating to extended precision and finally to a quasi-Newton
-least-squares fallback on Chebyshev nodes when a route degrades.
+repeat). Stripping runs in double precision at every degree. Only when it
+raises, or its residual or truncated coefficient mass shows lost digits, is
+it repeated in extended precision, and after that a quasi-Newton
+least-squares fallback on Chebyshev nodes takes over. Each such escalation
+is logged at DEBUG level on the ``qsprep.phases`` logger.
 
 Note on conventions: other codebases often parameterize the ansatz with the
 x-rotation W(x) instead of the reflection R(x); the two differ by a pi/2
@@ -17,6 +20,7 @@ native to the reflection form, so no shift is ever applied.
 """
 from __future__ import annotations
 
+import logging
 from dataclasses import dataclass
 
 import numpy as np
@@ -25,13 +29,15 @@ import mpmath as mp
 from scipy.optimize import least_squares
 
 from . import _factor
-from .errors import ConditionError, PhaseFindingError
+from .errors import CompletionError, ConditionError, PhaseFindingError
 from .polyapprox import (
     Polynomial,
     _check_qsp_conditions,
     evaluate,
     to_chebyshev,
 )
+
+log = logging.getLogger(__name__)
 
 
 def _normalize_angles(phis: np.ndarray) -> np.ndarray:
@@ -149,26 +155,30 @@ def _leading_phase_factor(p_top, q_top, level: int):
     return lam / mag
 
 
-def _strip_double(p0: np.ndarray, q0: np.ndarray) -> tuple[np.ndarray, float]:
-    """Peel angles off a (P, Q) Chebyshev pair in double precision.
+def _strip(p: np.ndarray, q: np.ndarray) -> tuple[np.ndarray, float]:
+    """Peel angles off a (P, Q) Chebyshev pair.
 
-    Returns (angles, worst relative coefficient mass dropped by truncation);
-    the latter is the degradation monitor for the fallback decision.
+    The pair is either complex arrays (double precision) or object arrays of
+    mpmath.mpc (the current ``mp.dps``); Q is first aligned with P by a
+    unimodular factor. Returns (angles, worst relative coefficient mass
+    dropped by truncation); the latter is the degradation monitor for the
+    fallback decision.
     """
-    p = np.asarray(p0, dtype=complex).copy()
-    q = np.asarray(q0, dtype=complex).copy()
+    exact = p.dtype == object
+    arg, expj = (mp.arg, mp.expj) if exact else (np.angle, lambda t: np.exp(1j * t))
     d = len(p) - 1
+    q = q * _leading_phase_factor(p[d], q[d - 1], d)
     one_minus_x2 = np.array([0.5, 0.0, -0.5])
     phis = np.zeros(d)
     worst_drop = 0.0
     for k in range(d, 1, -1):
         a_full = cheb.chebadd(cheb.chebmulx(p), cheb.chebmul(one_minus_x2, q))
         b_full = cheb.chebsub(p, cheb.chebmulx(q))
-        a_full = np.concatenate([a_full, np.zeros(max(0, k + 2 - len(a_full)), complex)])
-        b_full = np.concatenate([b_full, np.zeros(max(0, k + 1 - len(b_full)), complex)])
+        a_full = np.concatenate([a_full, np.zeros(max(0, k + 2 - len(a_full)), a_full.dtype)])
+        b_full = np.concatenate([b_full, np.zeros(max(0, k + 1 - len(b_full)), b_full.dtype)])
         scale = max(np.abs(a_full).max(), np.abs(b_full).max(), 1e-300)
         dropped = max(np.abs(a_full[k:]).max(initial=0.0), np.abs(b_full[k:]).max(initial=0.0))
-        worst_drop = max(worst_drop, dropped / scale)
+        worst_drop = max(worst_drop, float(dropped / scale))
         # degree-deficient intermediates leave dust at the top; scan down to
         # the joint leading index where the pair actually lives
         j = k - 1
@@ -180,46 +190,13 @@ def _strip_double(p0: np.ndarray, q0: np.ndarray) -> tuple[np.ndarray, float]:
             )
         a_top, b_top = a_full[j], b_full[j - 1]
         kappa = 0.5 if j >= 2 else 1.0
-        phi = 0.5 * np.angle(a_top / (b_top * kappa))
-        phis[k - 1] = phi
-        e = np.exp(1j * phi)
+        phi = arg(a_top / (b_top * kappa)) / 2
+        phis[k - 1] = float(phi)
+        e = expj(phi)
         p = a_full[:k] / e
         q = b_full[: k - 1] * e
-    phis[0] = float(np.angle(p[1]))
+    phis[0] = float(arg(p[1]))
     return phis, worst_drop
-
-
-def _strip_mp(p_cheb: np.ndarray, q_mp: list, dps: int) -> np.ndarray:
-    """Extended-precision stripping; q_mp is an mp coefficient list."""
-    with mp.workdps(dps):
-        p = _factor.to_mp_list(p_cheb)
-        q = [mp.mpc(x) for x in q_mp]
-        d = len(p) - 1
-        phis = np.zeros(d)
-        for k in range(d, 1, -1):
-            a_full = _factor.mp_chebadd(_factor.mp_chebmulx(p), _factor.mp_cheb_one_minus_x2(q))
-            b_full = _factor.mp_chebadd(p, [-x for x in _factor.mp_chebmulx(q)])
-            while len(a_full) < k + 2:
-                a_full.append(mp.mpc(0))
-            while len(b_full) < k + 1:
-                b_full.append(mp.mpc(0))
-            scale = max(max(abs(x) for x in a_full), max(abs(x) for x in b_full))
-            j = k - 1
-            while j >= 1 and max(abs(a_full[j]), abs(b_full[j - 1])) < 1e-11 * scale:
-                j -= 2
-            if j < 1:
-                raise PhaseFindingError(
-                    f"degenerate leading coefficients while stripping at degree {k} (mp)"
-                )
-            a_top, b_top = a_full[j], b_full[j - 1]
-            kappa = mp.mpf(1) / 2 if j >= 2 else mp.mpf(1)
-            phi = mp.arg(a_top / (b_top * kappa)) / 2
-            phis[k - 1] = float(phi)
-            e = mp.exp(1j * phi)
-            p = [x / e for x in a_full[:k]]
-            q = [x * e for x in b_full[: k - 1]]
-        phis[0] = float(mp.arg(p[1]))
-        return phis
 
 
 def _fix_global_phase(phis: np.ndarray, p: Polynomial) -> np.ndarray:
@@ -308,6 +285,39 @@ def _optimize(phi0: np.ndarray, p: Polynomial, seed: int, restarts: int = 4) -> 
     return best
 
 
+def _strip_extended(c: np.ndarray, q_hint, pc: Polynomial, tol: float, trigger: str):
+    """Up to three extended-precision stripping attempts at growing precision.
+
+    Returns the angles of the last attempt that did not raise (None when
+    every attempt raised); stops early once the residual meets ``tol``.
+    """
+    d = len(c) - 1
+    grid = max(4 * d, 32)
+    dps, phis = _factor.strip_dps(d), None
+    for attempt in range(3):
+        log.debug("degree %d: extended precision, attempt %d at %d digits, after %s",
+                  d, attempt + 1, dps, trigger)
+        try:
+            with mp.workdps(dps):
+                p = _factor.to_mp(c)
+                # completions produce the stable (inside-disk) factor, for
+                # which double-precision consistency suffices
+                if q_hint is not None and attempt == 0:
+                    q = _factor.to_mp(q_hint)
+                else:
+                    q = _factor.complementary_q(p)
+                phis = _fix_global_phase(_strip(p, q)[0], pc)
+        except (PhaseFindingError, CompletionError) as exc:
+            trigger = f"{type(exc).__name__}: {exc}"
+        else:
+            res = _residual(phis, pc, grid)
+            if res <= tol:
+                break
+            trigger = f"residual {res:.3e}"
+        dps = int(dps * 1.7)
+    return phis
+
+
 def find_phases(
     p: Polynomial,
     tol: float = 1e-7,
@@ -325,8 +335,9 @@ def find_phases(
         Acceptance threshold for the reconstruction residual on a Chebyshev
         grid of 4*degree points.
     method : str
-        "auto" (strip, escalate precision, then optimize), "strip", or
-        "optimize".
+        "auto" (strip in double precision, escalate to extended precision
+        and then to the optimizer while the residual exceeds
+        max(1e-9, 0.01 * tol)), "strip" (no optimizer), or "optimize".
 
     Raises PhaseFindingError with the residual when no route converges.
     """
@@ -348,48 +359,24 @@ def find_phases(
     if hint is not None and len(np.atleast_1d(hint)) == d:
         q_hint = np.asarray(hint, dtype=complex)
 
+    good = max(1e-9, 0.01 * tol)
     candidates: list[np.ndarray] = []
 
-    def try_double():
-        q = q_hint if q_hint is not None else _factor.complementary_q(c)
-        lam = _leading_phase_factor(c[d], q[d - 1], d)
-        phis, drop = _strip_double(c, q * lam)
-        return _fix_global_phase(phis, pc), drop
-
-    def try_mp():
-        dps = _factor.strip_dps(d)
-        attempts = 0
-        while True:
-            if q_hint is not None and attempts == 0:
-                # completions produce the stable (inside-disk) factor, for
-                # which double-precision consistency suffices
-                q = _factor.to_mp_list(q_hint)
-            else:
-                q = _factor.complementary_q_mp(c, dps)
-            with mp.workdps(dps):
-                kappa = mp.mpf(1) / 2 if d >= 2 else mp.mpf(1)
-                lam = mp.mpc(c[d]) / (q[d - 1] * kappa)
-                lam = lam / abs(lam)
-                q = [x * lam for x in q]
-            phis = _strip_mp(c, q, dps)
-            phis = _fix_global_phase(phis, pc)
-            if _residual(phis, pc, grid) <= tol or attempts >= 2:
-                return phis
-            dps = int(dps * 1.7)
-            attempts += 1
-
     if method in ("auto", "strip"):
-        if d <= _factor.MP_DEGREE_THRESHOLD:
-            try:
-                phis, drop = try_double()
+        try:
+            q = q_hint if q_hint is not None else _factor.complementary_q(c)
+            phis, drop = _strip(c, q)
+            candidates.append(_fix_global_phase(phis, pc))
+            res = _residual(candidates[-1], pc, grid)
+            # more than ~6 digits lost in truncation: distrust the result
+            degraded = res > good or drop > 1e-10
+            trigger = f"residual {res:.3e}, dropped mass {drop:.3e}"
+        except (PhaseFindingError, CompletionError) as exc:
+            degraded, trigger = True, f"{type(exc).__name__}: {exc}"
+        if degraded:
+            phis = _strip_extended(c, q_hint, pc, tol, trigger)
+            if phis is not None:
                 candidates.append(phis)
-                # more than ~6 digits lost in truncation: distrust the result
-                if _residual(phis, pc, grid) > max(1e-9, 0.01 * tol) or drop > 1e-10:
-                    candidates.append(try_mp())
-            except PhaseFindingError:
-                candidates.append(try_mp())
-        else:
-            candidates.append(try_mp())
 
     best, best_res = None, np.inf
     for phis in candidates:
@@ -397,10 +384,12 @@ def find_phases(
         if r < best_res:
             best, best_res = phis, r
 
-    if method == "optimize" or (method == "auto" and best_res > max(1e-9, 0.01 * tol)):
-        phi0 = best if best is not None else np.zeros(d)
+    if method == "optimize" or (method == "auto" and best_res > good):
         restarts = 0 if best_res < 1e-5 else 4
-        phis = _optimize(phi0, pc, seed, restarts=restarts)
+        if method == "auto":
+            log.debug("degree %d: optimizer with %d restarts, after residual %.3e",
+                      d, restarts, best_res)
+        phis = _optimize(best if best is not None else np.zeros(d), pc, seed, restarts=restarts)
         r = _residual(phis, pc, grid)
         if r < best_res:
             best, best_res = phis, r

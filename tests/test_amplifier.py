@@ -8,7 +8,7 @@ from qsprep.amplifier import (
     plan_from_text,
     plan_to_text,
 )
-from qsprep.errors import DegreeOverflowError
+from qsprep.errors import DegreeOverflowError, InputError
 from qsprep.polyapprox import evaluate
 from qsprep.simulator import (
     RegisterLayout,
@@ -141,6 +141,14 @@ def test_plan_serialization_round_trip():
     np.testing.assert_allclose(back.phases.phases, plan.phases.phases, atol=0)
     header = text.splitlines()[0].split()
     assert float(header[0]) == plan.sigma and int(header[2]) == plan.rounds
+    # the file's angles are what the plan carries, once they check out
+    lines = text.splitlines()
+    lines[1] = f"{plan.phases.phases[0] + 1e-10:.17g}"
+    nudged = plan_from_text("\n".join(lines) + "\n")
+    assert abs(nudged.phases.phases[0] - (plan.phases.phases[0] + 1e-10)) < 1e-14
+    lines[1] = "0.123"
+    with pytest.raises(InputError):
+        plan_from_text("\n".join(lines) + "\n")
 
 
 def test_exact_block_postselection_and_amplification():

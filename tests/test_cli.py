@@ -1,4 +1,5 @@
 import numpy as np
+import pytest
 
 from qsprep.cli import main
 from qsprep.oracle import AmplitudeOracle, oracle_to_text
@@ -95,3 +96,18 @@ def test_bound_check_failure_exit_code(tmp_path, capsys):
     out = capsys.readouterr().out
     assert rc == 1
     assert "[FAIL]" in out
+
+
+@pytest.mark.parametrize(
+    "amplitudes",
+    [["nan", "0.5", "0.25", "1"], ["1.5", "0.5", "0.25", "1"], ["0.1", "0.5", "0.25", "1", "0.3"]],
+    ids=["nan", "above-one", "extra-line"],
+)
+def test_prepare_rejects_bad_oracle_file(tmp_path, capsys, amplitudes):
+    oracle_file = tmp_path / "oracle.txt"
+    oracle_file.write_text("\n".join(["2 6", *amplitudes]) + "\n")
+    rc = main(["prepare", "--oracle", str(oracle_file)])
+    captured = capsys.readouterr()
+    assert rc == 2
+    assert captured.err.startswith("error: ")
+    assert "Traceback" not in captured.err + captured.out

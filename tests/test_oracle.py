@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from qsprep.errors import InfeasibleError
+from qsprep.errors import InfeasibleError, InputError, QsprepError
 from qsprep.oracle import (
     AmplitudeOracle,
     apply_relative_phase,
@@ -213,3 +213,15 @@ def test_phase_unitary_qubit_limit():
     big = AmplitudeOracle(4, 12, np.zeros(16))
     with pytest.raises(DimensionError):
         phase_unitary(big)
+
+
+def test_oracle_rejects_non_finite_and_out_of_range_values():
+    for bad in (np.nan, np.inf, -0.1, 1.5):
+        with pytest.raises(InputError) as info:
+            AmplitudeOracle(1, 4, np.array([0.5, bad]))
+        assert isinstance(info.value, QsprepError) and isinstance(info.value, ValueError)
+
+
+def test_oracle_text_rejects_extra_amplitudes():
+    with pytest.raises(InputError):
+        oracle_from_text("1 4\n0.5\n0.25\n0.75\n")

@@ -1,7 +1,10 @@
+import logging
+
 import numpy as np
 import pytest
 
-from qsprep.errors import ConditionError
+from qsprep._factor import complementary_q
+from qsprep.errors import CompletionError, ConditionError, PhaseFindingError
 from qsprep.phases import (
     PhaseSequence,
     conjugate_phases,
@@ -13,6 +16,7 @@ from qsprep.phases import (
     reconstruct_matrix,
     verify_phases,
 )
+from qsprep.pipeline import grover_case
 from qsprep.polyapprox import (
     Polynomial,
     arcsin_taylor,
@@ -156,14 +160,51 @@ def test_find_phases_random_valid_polynomials():
         assert err <= 1e-7
 
 
-def test_find_phases_large_completed_polynomial():
-    s = sign_approx(0.08, 0.1)
-    assert s.degree > 60  # exercises the extended-precision route
+@pytest.mark.parametrize("Delta, degree", [(0.08, 73), (0.025, 233)], ids=["d73", "d233"])
+def test_find_phases_large_completed_polynomial(Delta, degree):
+    s = sign_approx(Delta, 0.1)
+    # completion and stripping stay in double precision at these degrees
+    assert s.degree == degree
     p = complete_to_complex(s)
     phi = find_phases(p)
     xs = cheb_nodes(4 * p.degree)
     err = np.abs(reconstruct(phi, xs) - evaluate(p, xs)).max()
     assert err <= 1e-7
+
+
+def _unhinted_target():
+    """Realizable degree-24 polynomial whose double-precision complement fails.
+
+    Without a completion hint, factoring 1 - P P* in double precision finds
+    an odd number of real roots and raises CompletionError.
+    """
+    phases = np.random.default_rng(0).uniform(-np.pi, np.pi, 24)
+    return polynomial_from_phases(PhaseSequence(phases))
+
+
+def test_find_phases_escalates_after_completion_error():
+    target = _unhinted_target()
+    with pytest.raises(CompletionError):
+        complementary_q(target.coefficients[: target.degree + 1])
+    try:
+        phi = find_phases(target)
+    except PhaseFindingError as exc:
+        assert exc.residual is not None
+    else:
+        xs = cheb_nodes(4 * target.degree)
+        assert np.abs(reconstruct(phi, xs) - evaluate(target, xs)).max() <= 1e-7
+
+
+def test_escalations_are_logged(caplog):
+    caplog.set_level(logging.DEBUG, logger="qsprep")
+    grover_case(3, 5, 0.1, 0.05)
+    assert not [r for r in caplog.records if r.name.startswith("qsprep")]
+    find_phases(_unhinted_target())
+    logged = [r for r in caplog.records if r.name == "qsprep.phases"]
+    assert len(logged) == 1
+    assert logged[0].levelno == logging.DEBUG
+    msg = logged[0].getMessage()
+    assert "extended precision, attempt 1" in msg and "CompletionError" in msg
 
 
 def test_find_phases_rejects_unbounded():
