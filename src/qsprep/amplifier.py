@@ -100,7 +100,6 @@ def plan_amplification(
     delta: float,
     sigma_floor: float = 1e-3,
     max_degree: int = 10_000,
-    seed: int = 11,
 ) -> AmplificationPlan:
     """Sign-polynomial plan boosting a singular value >= sigma to 1 - delta/2.
 
@@ -128,7 +127,7 @@ def plan_amplification(
     threshold = 0.9 * sigma
     poly = sign_approx(threshold, delta, max_degree=max_degree)
     comp = complete_to_complex(poly, max_degree=max_degree)
-    phi = find_phases(comp, seed=seed)
+    phi = find_phases(comp)
     return AmplificationPlan(sigma, delta, phi, len(phi), poly, comp, threshold)
 
 

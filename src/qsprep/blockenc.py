@@ -15,7 +15,7 @@ import scipy.linalg
 
 from .errors import DimensionError, InfeasibleError
 from .phases import PhaseSequence, conjugate_phases, find_phases
-from .polyapprox import Polynomial, arcsin_taylor, chebyshev_economize, complete_to_complex, evaluate
+from .polyapprox import arcsin_taylor, chebyshev_economize, complete_to_complex
 from .simulator import (
     Projector,
     RegisterLayout,
@@ -32,8 +32,8 @@ class BlockEncoding:
     """A unitary carrying a matrix in its corner block.
 
     certified_error bounds the distance between the extracted block and the
-    intended matrix (when one is attached); errors compose additively along
-    a pipeline except through a singular value transform, where the
+    matrix the construction aims at; errors compose additively along a
+    pipeline except through a singular value transform, where the
     4 d sqrt(eps) robustness rule applies.
     """
 
@@ -42,8 +42,6 @@ class BlockEncoding:
     proj_left: Projector
     proj_right: Projector
     certified_error: float = 0.0
-    scale: float = 1.0
-    intended: np.ndarray | None = None
     info: dict = field(default_factory=dict)
 
     @property
@@ -86,10 +84,10 @@ def reflection_encoding(a: np.ndarray) -> BlockEncoding:
         raise DimensionError("matrix dimension must be a power of two")
     layout = RegisterLayout((("anc", 1), ("data", s)))
     proj = _ancilla_projectors(1, s)
-    return BlockEncoding(UnitaryMatrix(u, layout), 1, proj, proj, 0.0, intended=a.copy())
+    return BlockEncoding(UnitaryMatrix(u, layout), 1, proj, proj, 0.0)
 
 
-def sine_block_encoding(u_data: UnitaryMatrix, hamiltonian: np.ndarray | None = None) -> BlockEncoding:
+def sine_block_encoding(u_data: UnitaryMatrix) -> BlockEncoding:
     """Exact one-ancilla encoding of sin(pi H) for U = exp(i pi H).
 
     The circuit is Hadamard, controlled-U, Y, controlled-U dagger, Hadamard
@@ -106,14 +104,8 @@ def sine_block_encoding(u_data: UnitaryMatrix, hamiltonian: np.ndarray | None = 
         hadamard(0),
     ]
     u = circuit_unitary(gates, layout)
-    if hamiltonian is None:
-        hamiltonian = principal_hamiltonian(u_data)
-    evals, vecs = np.linalg.eigh(hamiltonian)
-    intended = vecs @ np.diag(np.sin(np.pi * evals)) @ vecs.conj().T
     proj = _ancilla_projectors(1, n)
-    be = BlockEncoding(u, 1, proj, proj, 0.0, intended=intended)
-    be.info["hamiltonian"] = np.asarray(hamiltonian)
-    return be
+    return BlockEncoding(u, 1, proj, proj, 0.0)
 
 
 def principal_hamiltonian(u_data: UnitaryMatrix) -> np.ndarray:
@@ -126,12 +118,7 @@ def principal_hamiltonian(u_data: UnitaryMatrix) -> np.ndarray:
     return np.asarray(logm / (1j * np.pi))
 
 
-def qsvt_circuit(
-    be: BlockEncoding,
-    phi: PhaseSequence,
-    parity: str,
-    polynomial: Polynomial | None = None,
-) -> BlockEncoding:
+def qsvt_circuit(be: BlockEncoding, phi: PhaseSequence, parity: str) -> BlockEncoding:
     """Alternating-phase product realizing a singular value transform.
 
     Odd parity interleaves left- and right-projector phases around U and its
@@ -179,32 +166,19 @@ def qsvt_circuit(
 
     out_left = left if parity == "odd" else right
     err = 4.0 * d * np.sqrt(be.certified_error) if be.certified_error > 0 else 1e-10
-    intended = None
-    if be.intended is not None and polynomial is not None:
-        evals, vecs = np.linalg.eigh(be.intended)
-        intended = vecs @ np.diag(evaluate(polynomial, evals)) @ vecs.conj().T
-    out = BlockEncoding(
-        UnitaryMatrix(acc, be.unitary.layout),
-        be.ancillas,
-        out_left,
-        be.proj_right,
-        err,
-        intended=intended,
-    )
+    out = BlockEncoding(UnitaryMatrix(acc, be.unitary.layout), be.ancillas, out_left, be.proj_right, err)
     out.info["degree"] = d
     return out
 
 
-def lcu_real_part(
-    be: BlockEncoding, phi: PhaseSequence, polynomial: Polynomial | None = None
-) -> BlockEncoding:
+def lcu_real_part(be: BlockEncoding, phi: PhaseSequence) -> BlockEncoding:
     """Encode the real-part transform (P + P*)/2 of the encoded matrix.
 
     Realizes both P (angles phi) and P* (angles -phi) and averages them with
     one extra select ancilla between Hadamards.
     """
     parity = "even" if len(phi) % 2 == 0 else "odd"
-    plus = qsvt_circuit(be, phi, parity, polynomial)
+    plus = qsvt_circuit(be, phi, parity)
     minus = qsvt_circuit(be, conjugate_phases(phi), parity)
     up, um = plus.unitary.entries, minus.unitary.entries
     half_sum = 0.5 * (up + um)
@@ -213,10 +187,7 @@ def lcu_real_part(
     layout = RegisterLayout((("lcu", 1), *be.unitary.layout.registers))
     a = be.ancillas + 1
     proj = _ancilla_projectors(a, be.data_qubits)
-    intended = None
-    if plus.intended is not None:
-        intended = 0.5 * (plus.intended + plus.intended.conj().T)
-    out = BlockEncoding(UnitaryMatrix(u, layout), a, proj, proj, plus.certified_error, intended=intended)
+    out = BlockEncoding(UnitaryMatrix(u, layout), a, proj, proj, plus.certified_error)
     out.info["degree"] = len(phi)
     return out
 
@@ -227,7 +198,6 @@ def hamiltonian_from_unitary(
     delta: float,
     hamiltonian: np.ndarray | None = None,
     max_degree: int = 10_000,
-    seed: int = 11,
 ) -> BlockEncoding:
     """Two-ancilla encoding of H given U = exp(i pi H), via sine + arcsin.
 
@@ -250,10 +220,8 @@ def hamiltonian_from_unitary(
     pr = arcsin_taylor(0.9 * epsilon, delta, max_degree=max_degree)
     pr = chebyshev_economize(pr, 0.05 * epsilon)
     comp = complete_to_complex(pr, max_degree=max_degree)
-    ang = find_phases(comp, seed=seed)
-    be = sine_block_encoding(u_data, hamiltonian=hamiltonian)
-    out = lcu_real_part(be, ang, polynomial=comp)
-    out.intended = np.asarray(hamiltonian)
+    ang = find_phases(comp)
+    out = lcu_real_part(sine_block_encoding(u_data), ang)
     out.certified_error = epsilon
     out.info.update(
         {

@@ -13,7 +13,7 @@ import json
 import sys
 from pathlib import Path
 
-from .errors import QsprepError
+from .errors import InputError, QsprepError
 from .oracle import AmplitudeOracle, oracle_from_text, oracle_to_text
 from .phases import find_phases, phases_to_text
 from .pipeline import (
@@ -46,7 +46,7 @@ def _print_report(rep: PrepReport) -> None:
 
 def _cmd_phases(args) -> int:
     poly = poly_from_text(Path(args.poly_file).read_text())
-    phi = find_phases(poly, seed=args.seed)
+    phi = find_phases(poly)
     text = phases_to_text(phi)
     if args.out:
         Path(args.out).write_text(text)
@@ -63,7 +63,6 @@ def _load_config(args) -> PrepConfig:
         delta=args.delta,
         m=args.m,
         beta=args.beta,
-        seed=args.seed,
     )
 
 
@@ -95,7 +94,11 @@ def _cmd_grover(args) -> int:
 
 
 def _cmd_sweep(args) -> int:
-    spec = SweepSpec.from_dict(json.loads(Path(args.spec).read_text()))
+    try:
+        raw = json.loads(Path(args.spec).read_text())
+    except json.JSONDecodeError as exc:
+        raise InputError(f"sweep spec {args.spec} is not valid JSON: {exc}") from exc
+    spec = SweepSpec.from_dict(raw)
     rows = sweep(spec)
     csv_text = sweep_to_csv(rows)
     Path(args.out).write_text(csv_text)
@@ -125,7 +128,6 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("phases", help="compute the phase sequence for a polynomial file")
     p.add_argument("poly_file")
     p.add_argument("--out", default=None)
-    p.add_argument("--seed", type=int, default=11)
     p.set_defaults(func=_cmd_phases)
 
     for name, fn in (("prepare", _cmd_prepare), ("verify-bounds", _cmd_verify_bounds)):
@@ -137,7 +139,6 @@ def build_parser() -> argparse.ArgumentParser:
                        help="split this budget equally between eps and delta")
         p.add_argument("--m", type=int, default=None)
         p.add_argument("--beta", type=float, default=0.5)
-        p.add_argument("--seed", type=int, default=0)
         p.set_defaults(func=fn)
 
     p = sub.add_parser("grover", help="single-marked-item search special case")

@@ -5,13 +5,22 @@ The ansatz is the 2x2 product
     M(Phi, x) = e^{i phi_1 Z} R(x) * e^{i phi_2 Z} R(x) * ... * e^{i phi_d Z} R(x)
 
 with R(x) = [[x, s], [s, -x]], s = sqrt(1 - x^2). Its top-left entry is a
-degree-d polynomial of parity d mod 2; ``find_phases`` inverts that map by
-layer stripping (peel phi_d off the leading coefficients, reduce the degree,
-repeat). Stripping runs in double precision at every degree. Only when it
-raises, or its residual or truncated coefficient mass shows lost digits, is
-it repeated in extended precision, and after that a quasi-Newton
-least-squares fallback on Chebyshev nodes takes over. Each such escalation
-is logged at DEBUG level on the ``qsprep.phases`` logger.
+degree-d polynomial of parity d mod 2. Every factor is unitary with
+determinant -1, so the top row (a, b) of a k-factor prefix fixes the whole
+prefix as [[a, b], [-D conj(b), D conj(a)]] with D = (-1)^k. One top-row
+recurrence therefore gives the reconstruction, the full matrix and the
+Jacobian of the least-squares polish.
+
+``find_phases`` inverts the map by layer stripping (peel phi_d off the
+leading coefficients, reduce the degree, repeat) in double precision. Only
+when stripping raises, or its residual or truncated coefficient mass shows
+lost digits, is it repeated in extended precision; if the best candidate
+still misses, one Levenberg-Marquardt least-squares run on Chebyshev nodes
+polishes it. The start is fixed, as in the optimization-based phase finding
+of Dong, Lin, Ni & Wang (arXiv:2002.11649), so nothing is random; scipy's
+solver can still end in different last digits from one process to the next
+(its result follows the Python hash seed and the BLAS thread count). Each
+escalation is logged at DEBUG level on the ``qsprep.phases`` logger.
 
 Note on conventions: other codebases often parameterize the ansatz with the
 x-rotation W(x) instead of the reflection R(x); the two differ by a pi/2
@@ -42,7 +51,7 @@ log = logging.getLogger(__name__)
 
 def _normalize_angles(phis: np.ndarray) -> np.ndarray:
     out = np.mod(np.asarray(phis, dtype=float) + np.pi, 2 * np.pi) - np.pi
-    out[np.isclose(out, -np.pi)] = np.pi  # ties at -pi map to +pi
+    out[out == -np.pi] = np.pi  # exact ties at -pi map to +pi
     return out
 
 
@@ -79,30 +88,41 @@ def phases_from_text(text: str) -> PhaseSequence:
     return PhaseSequence(np.asarray(vals))
 
 
-def reconstruct_matrix(phi: PhaseSequence, x: float) -> np.ndarray:
-    """The exact 2x2 ansatz product at a point."""
-    s = np.sqrt(max(0.0, 1.0 - x * x))
-    m = np.eye(2, dtype=complex)
-    for p in phi.phases:
+def _nodes(grid: int) -> np.ndarray:
+    return np.cos(np.pi * (np.arange(grid) + 0.5) / grid)
+
+
+def _prefix_rows(phases: np.ndarray, xs: np.ndarray):
+    """Yield the top rows (a_k, b_k) of the prefix products F_1 ... F_k, k = 0 .. d."""
+    ss = np.sqrt(np.clip(1.0 - xs * xs, 0.0, None))
+    a = np.ones(xs.size, dtype=complex)
+    b = np.zeros_like(a)
+    yield a, b
+    for p in phases:
         e = np.exp(1j * p)
-        f = np.array([[e * x, e * s], [s / e, -x / e]])
-        m = m @ f
-    return m
+        ec = np.conj(e)
+        a, b = a * (e * xs) + b * (ec * ss), a * (e * ss) - b * (ec * xs)
+        yield a, b
+
+
+def _top_row(phases: np.ndarray, xs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Top row (a, b) of the whole product, keeping only the running prefix."""
+    for a, b in _prefix_rows(phases, xs):
+        pass
+    return a, b
+
+
+def reconstruct_matrix(phi: PhaseSequence, x: float) -> np.ndarray:
+    """The exact 2x2 ansatz product at a point, rebuilt from its top row."""
+    a, b = _top_row(phi.phases, np.array([float(x)]))
+    a, b, det = a[0], b[0], (-1.0) ** len(phi)
+    return np.array([[a, b], [-det * np.conj(b), det * np.conj(a)]])
 
 
 def reconstruct(phi: PhaseSequence, x):
     """Top-left entry of the ansatz product; vectorized over x."""
-    xs = np.atleast_1d(np.asarray(x, dtype=float))
-    ss = np.sqrt(np.clip(1.0 - xs * xs, 0.0, None))
-    m00 = np.ones_like(xs, dtype=complex)
-    m01 = np.zeros_like(xs, dtype=complex)
-    for p in phi.phases:
-        e = np.exp(1j * p)
-        ec = np.conj(e)
-        n00 = m00 * (e * xs) + m01 * (ec * ss)
-        n01 = m00 * (e * ss) - m01 * (ec * xs)
-        m00, m01 = n00, n01
-    return m00 if np.ndim(x) else complex(m00[0])
+    top = _top_row(phi.phases, np.atleast_1d(np.asarray(x, dtype=float)))[0]
+    return top if np.ndim(x) else complex(top[0])
 
 
 def conjugate_phases(phi: PhaseSequence) -> PhaseSequence:
@@ -134,7 +154,7 @@ def verify_phases(phi: PhaseSequence, p: Polynomial, grid_size: int, tolerance: 
     d = max(len(phi), p.degree)
     if grid_size < d + 1:
         raise ValueError(f"grid_size {grid_size} < degree + 1 = {d + 1}")
-    xs = np.cos(np.pi * (np.arange(grid_size) + 0.5) / grid_size)
+    xs = _nodes(grid_size)
     err = float(np.abs(reconstruct(phi, xs) - evaluate(p, xs)).max())
     return VerificationReport(err, grid_size, tolerance, err <= tolerance)
 
@@ -206,8 +226,7 @@ def _fix_global_phase(phis: np.ndarray, p: Polynomial) -> np.ndarray:
     uniform phase mismatch (including a sign flip, and the ill-conditioned
     rotation mode a completion can carry) is corrected exactly.
     """
-    grid = max(2 * len(phis), 16)
-    xs = np.cos(np.pi * (np.arange(grid) + 0.5) / grid)
+    xs = _nodes(max(2 * len(phis), 16))
     target = np.asarray(evaluate(p, xs), dtype=complex)
     got = reconstruct(PhaseSequence(phis), xs)
     overlap = np.vdot(got, target)
@@ -218,71 +237,35 @@ def _fix_global_phase(phis: np.ndarray, p: Polynomial) -> np.ndarray:
 
 
 def _residual(phis: np.ndarray, p: Polynomial, grid: int) -> float:
-    xs = np.cos(np.pi * (np.arange(grid) + 0.5) / grid)
-    return float(np.abs(reconstruct(PhaseSequence(phis), xs) - evaluate(p, xs)).max())
+    return verify_phases(PhaseSequence(phis), p, grid).max_error
 
 
-def _optimize(phi0: np.ndarray, p: Polynomial, seed: int, restarts: int = 4) -> np.ndarray:
-    """Quasi-Newton least-squares polish with seeded random restarts."""
+def _polish(phi0: np.ndarray, p: Polynomial) -> np.ndarray:
+    """One Levenberg-Marquardt least-squares run from phi0 on Chebyshev nodes.
+
+    With (a_j, b_j) the top row and D_j = (-1)^j the determinant of the
+    j-factor prefix, the derivative of the top-left entry P in phi_{j+1} is
+    i (|a_j|^2 - |b_j|^2) P - 2i D_j a_j b_j M_10, M_10 = -(-1)^d conj(M_01).
+    """
     d = len(phi0)
-    grid = max(4 * d, 32)
-    xs = np.cos(np.pi * (np.arange(grid) + 0.5) / grid)
-    ss = np.sqrt(np.clip(1.0 - xs * xs, 0.0, None))
+    xs = _nodes(max(4 * d, 32))
     target = np.asarray(evaluate(p, xs), dtype=complex)
-
-    def matrices(phis):
-        factors = []
-        for ang in phis:
-            e = np.exp(1j * ang)
-            f = np.empty((2, 2, grid), dtype=complex)
-            f[0, 0], f[0, 1] = e * xs, e * ss
-            f[1, 0], f[1, 1] = ss / e, -xs / e
-            factors.append(f)
-        return factors
-
-    def top_left(factors):
-        pre = [np.broadcast_to(np.eye(2, dtype=complex)[..., None], (2, 2, grid)).copy()]
-        for f in factors:
-            pre.append(np.einsum("ikg,kjg->ijg", pre[-1], f))
-        return pre
+    det = (-1.0) ** np.arange(d + 1)[:, None]
 
     def resid(phis):
-        m = top_left(matrices(phis))[-1][0, 0]
-        r = m - target
+        r = _top_row(phis, xs)[0] - target
         return np.concatenate([r.real, r.imag])
 
     def jac(phis):
-        factors = matrices(phis)
-        pre = top_left(factors)
-        suf = [np.broadcast_to(np.eye(2, dtype=complex)[..., None], (2, 2, grid)).copy()]
-        for f in reversed(factors):
-            suf.append(np.einsum("ikg,kjg->ijg", f, suf[-1]))
-        suf.reverse()
-        cols = np.empty((2 * grid, len(phis)))
-        z = np.diag([1j, -1j]).astype(complex)
-        for j in range(len(phis)):
-            dfj = np.einsum("ik,kjg->ijg", z, factors[j])
-            dm = np.einsum("ikg,kjg->ijg", pre[j], np.einsum("ikg,kjg->ijg", dfj, suf[j + 1]))[0, 0]
-            cols[:grid, j] = dm.real
-            cols[grid:, j] = dm.imag
-        return cols
+        a, b = map(np.array, zip(*_prefix_rows(phis, xs)))
+        top, m10 = a[-1], -det[d] * np.conj(b[-1])
+        a, b = a[:-1], b[:-1]
+        cols = 1j * (np.abs(a) ** 2 - np.abs(b) ** 2) * top - 2j * det[:-1] * a * b * m10
+        return np.concatenate([cols.real, cols.imag], axis=1).T
 
-    rng = np.random.default_rng(seed)
-    best, best_res = phi0, _residual(phi0, p, grid)
-    starts = [phi0]
-    starts += [phi0 + rng.normal(scale=0.05, size=d) for _ in range(restarts // 2)]
-    starts += [rng.uniform(-np.pi, np.pi, size=d) for _ in range(restarts - restarts // 2)]
-    for start in starts:
-        try:
-            sol = least_squares(resid, start, jac=jac, method="lm", max_nfev=400)
-        except Exception:
-            continue
-        r = _residual(sol.x, p, grid)
-        if r < best_res:
-            best, best_res = sol.x, r
-        if best_res < 1e-11:
-            break
-    return best
+    # at 400 evaluations the run stalls just above 1e-7 on some hint-less
+    # polynomials of degree 26-37 that it solves given more steps
+    return least_squares(resid, phi0, jac=jac, method="lm", max_nfev=2000).x
 
 
 def _strip_extended(c: np.ndarray, q_hint, pc: Polynomial, tol: float, trigger: str):
@@ -318,12 +301,7 @@ def _strip_extended(c: np.ndarray, q_hint, pc: Polynomial, tol: float, trigger: 
     return phis
 
 
-def find_phases(
-    p: Polynomial,
-    tol: float = 1e-7,
-    method: str = "auto",
-    seed: int = 11,
-) -> PhaseSequence:
+def find_phases(p: Polynomial, tol: float = 1e-7) -> PhaseSequence:
     """Angles whose ansatz product realizes the polynomial.
 
     Parameters
@@ -333,13 +311,16 @@ def find_phases(
         tolerance 1e-8 before solving; violations raise ConditionError).
     tol : float
         Acceptance threshold for the reconstruction residual on a Chebyshev
-        grid of 4*degree points.
-    method : str
-        "auto" (strip in double precision, escalate to extended precision
-        and then to the optimizer while the residual exceeds
-        max(1e-9, 0.01 * tol)), "strip" (no optimizer), or "optimize".
+        grid of max(4 * degree, 32) points.
 
-    Raises PhaseFindingError with the residual when no route converges.
+    The route is fixed. Strip in double precision; if that raises, drops
+    coefficient mass above 1e-10 or leaves a residual above
+    max(1e-9, 0.01 * tol), strip in extended precision; if the best
+    candidate still exceeds that residual, polish it once by least squares
+    (from zeros when no stripping produced angles). The candidate with the
+    smallest residual is returned.
+
+    Raises PhaseFindingError with the residual when no route reaches ``tol``.
     """
     _check_qsp_conditions(p, tol=1e-8)
     pc = to_chebyshev(p)
@@ -361,22 +342,20 @@ def find_phases(
 
     good = max(1e-9, 0.01 * tol)
     candidates: list[np.ndarray] = []
-
-    if method in ("auto", "strip"):
-        try:
-            q = q_hint if q_hint is not None else _factor.complementary_q(c)
-            phis, drop = _strip(c, q)
-            candidates.append(_fix_global_phase(phis, pc))
-            res = _residual(candidates[-1], pc, grid)
-            # more than ~6 digits lost in truncation: distrust the result
-            degraded = res > good or drop > 1e-10
-            trigger = f"residual {res:.3e}, dropped mass {drop:.3e}"
-        except (PhaseFindingError, CompletionError) as exc:
-            degraded, trigger = True, f"{type(exc).__name__}: {exc}"
-        if degraded:
-            phis = _strip_extended(c, q_hint, pc, tol, trigger)
-            if phis is not None:
-                candidates.append(phis)
+    try:
+        q = q_hint if q_hint is not None else _factor.complementary_q(c)
+        phis, drop = _strip(c, q)
+        candidates.append(_fix_global_phase(phis, pc))
+        res = _residual(candidates[-1], pc, grid)
+        # more than ~6 digits lost in truncation: distrust the result
+        degraded = res > good or drop > 1e-10
+        trigger = f"residual {res:.3e}, dropped mass {drop:.3e}"
+    except (PhaseFindingError, CompletionError) as exc:
+        degraded, trigger = True, f"{type(exc).__name__}: {exc}"
+    if degraded:
+        phis = _strip_extended(c, q_hint, pc, tol, trigger)
+        if phis is not None:
+            candidates.append(phis)
 
     best, best_res = None, np.inf
     for phis in candidates:
@@ -384,12 +363,10 @@ def find_phases(
         if r < best_res:
             best, best_res = phis, r
 
-    if method == "optimize" or (method == "auto" and best_res > good):
-        restarts = 0 if best_res < 1e-5 else 4
-        if method == "auto":
-            log.debug("degree %d: optimizer with %d restarts, after residual %.3e",
-                      d, restarts, best_res)
-        phis = _optimize(best if best is not None else np.zeros(d), pc, seed, restarts=restarts)
+    if best_res > good:
+        log.debug("degree %d: least-squares polish of the best candidate, after residual %.3e",
+                  d, best_res)
+        phis = _polish(best if best is not None else np.zeros(d), pc)
         r = _residual(phis, pc, grid)
         if r < best_res:
             best, best_res = phis, r

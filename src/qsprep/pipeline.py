@@ -21,7 +21,7 @@ import numpy as np
 
 from .amplifier import AmplificationPlan, amplify, build_projectors, plan_amplification
 from .blockenc import BlockEncoding, extract_block, hamiltonian_from_unitary
-from .errors import InfeasibleError, QsprepError
+from .errors import InfeasibleError, InputError, QsprepError
 from .oracle import AmplitudeOracle, gamma, target_state
 from .simulator import (
     RegisterLayout,
@@ -67,7 +67,6 @@ class PrepConfig:
     delta: float
     m: int | None = None
     beta: float = 0.5
-    seed: int = 0
     max_degree: int = 10_000
 
     def __post_init__(self):
@@ -176,7 +175,6 @@ def _execute(cfg: PrepConfig) -> _RunResult:
         delta_margin,
         hamiltonian=h_m,
         max_degree=cfg.max_degree,
-        seed=11 + cfg.seed,
     )
 
     block = extract_block(encoding)
@@ -186,9 +184,7 @@ def _execute(cfg: PrepConfig) -> _RunResult:
     g_quant = float(np.mean(c_q**2))
 
     sigma_hat = beta * np.sqrt(g_quant) / 2.0
-    plan = plan_amplification(
-        sigma_hat, cfg.delta, max_degree=cfg.max_degree, seed=11 + cfg.seed
-    )
+    plan = plan_amplification(sigma_hat, cfg.delta, max_degree=cfg.max_degree)
 
     n = oracle.n
     had = np.array([[1.0, 1.0], [1.0, -1.0]]) / np.sqrt(2.0)
@@ -362,10 +358,19 @@ class SweepSpec:
     deltas: tuple[float, ...]
     m: int | None = None
     beta: float = 0.5
-    seed: int = 0
 
     @classmethod
     def from_dict(cls, d: dict) -> "SweepSpec":
+        """Read a JSON grid; unknown keys and non-list grids raise InputError."""
+        if not isinstance(d, dict):
+            raise InputError("a sweep spec must be a JSON object")
+        grids = ("n", "dist", "epsilon", "delta")
+        unknown = sorted(set(d) - {*grids, "m", "beta"})
+        if unknown:
+            raise InputError(f"unknown sweep spec keys {unknown}")
+        for key in grids:
+            if not isinstance(d.get(key, []), list):
+                raise InputError(f"sweep spec value {key!r} must be a list")
         return cls(
             ns=tuple(d.get("n", ())),
             dists=tuple(d.get("dist", ())),
@@ -373,7 +378,6 @@ class SweepSpec:
             deltas=tuple(d.get("delta", ())),
             m=d.get("m"),
             beta=d.get("beta", 0.5),
-            seed=d.get("seed", 0),
         )
 
 
@@ -388,10 +392,7 @@ def sweep(spec: SweepSpec) -> list[dict]:
         try:
             bits = spec.m if spec.m is not None else 8
             oracle = AmplitudeOracle.from_dist(n, bits, dist)
-            cfg = PrepConfig(
-                oracle=oracle, epsilon=eps, delta=delta, m=spec.m,
-                beta=spec.beta, seed=spec.seed,
-            )
+            cfg = PrepConfig(oracle=oracle, epsilon=eps, delta=delta, m=spec.m, beta=spec.beta)
             rep = verify_error_bounds(cfg)
             final_err = rep.info["final_error"]
             bound = rep.info["bound_3eps_over_gamma"]

@@ -194,16 +194,6 @@ class Projector:
             return self.vector * np.vdot(self.vector, v)
         return self.matrix @ v
 
-    def left(self, m: np.ndarray) -> np.ndarray:
-        """Return P @ m without forming a dense product when structured."""
-        if self.kind == "diag":
-            out = np.zeros_like(m)
-            out[self.mask, :] = m[self.mask, :]
-            return out
-        if self.kind == "rank1":
-            return np.outer(self.vector, self.vector.conj() @ m)
-        return self.matrix @ m
-
     def right(self, m: np.ndarray) -> np.ndarray:
         """Return m @ P."""
         if self.kind == "diag":
@@ -352,27 +342,12 @@ def sample_projective(
     return StateVector(rest / nrm, state.layout), False
 
 
-def spectral_norm(m: np.ndarray, rtol: float = 1e-12, max_iter: int = 20000, seed: int = 7) -> float:
-    """Largest singular value via power iteration on M^dag M."""
+def spectral_norm(m: np.ndarray) -> float:
+    """Largest singular value, exact (from the singular value decomposition)."""
     m = np.asarray(m, dtype=complex)
     if m.size == 0:
         return 0.0
-    rng = np.random.default_rng(seed)
-    v = rng.standard_normal(m.shape[1]) + 1j * rng.standard_normal(m.shape[1])
-    v /= np.linalg.norm(v)
-    lam_prev = 0.0
-    for _ in range(max_iter):
-        w = m @ v
-        u = m.conj().T @ w
-        lam = float(np.vdot(v, u).real)
-        nrm = np.linalg.norm(u)
-        if nrm < 1e-150:
-            return 0.0
-        v = u / nrm
-        if abs(lam - lam_prev) <= rtol * abs(lam) + 1e-300:
-            break
-        lam_prev = lam
-    return sqrt(max(lam, 0.0))
+    return float(np.linalg.norm(m, 2))
 
 
 def state_dist(a: StateVector, b: StateVector) -> float:

@@ -133,7 +133,7 @@ def test_qsvt_eigenvalue_transform_both_parities():
         phi = restricted_phases(rng, parity_d)
         poly = polynomial_from_phases(phi)
         parity = "even" if parity_d % 2 == 0 else "odd"
-        out = qsvt_circuit(be, phi, parity, polynomial=poly)
+        out = qsvt_circuit(be, phi, parity)
         block = extract_block(out)
         np.testing.assert_allclose(
             np.diag(block), evaluate(poly, evals), atol=1e-10
@@ -206,7 +206,7 @@ def test_lcu_real_part_of_completion():
     pr = arcsin_taylor(1e-6, 0.29)
     comp = complete_to_complex(pr)
     phi = find_phases(comp)
-    out = lcu_real_part(be, phi, polynomial=comp)
+    out = lcu_real_part(be, phi)
     got = np.diag(extract_block(out))
     expected = evaluate(pr, np.sin(np.pi * h)).real
     np.testing.assert_allclose(got, expected, atol=1e-9)

@@ -69,6 +69,27 @@ def test_sweep_command(tmp_path):
     assert lines[0].split(",")[0] == "n"
 
 
+@pytest.mark.parametrize(
+    "text",
+    [
+        '{"n": [2], "dist": ["uniform"], "epsilons": [0.1], "delta": [0.1]}',
+        '{"n": 2, "dist": ["uniform"], "epsilon": [0.1], "delta": [0.1]}',
+        '{"n": [2], "dist": ["uniform"], "epsilon": [0.1], "delta": [0.1], "seed": 3}',
+        '{"n": [2], "dist": ["uniform"], "epsilon": [0.1',
+    ],
+    ids=["unknown-key", "scalar-grid", "seed-key", "truncated"],
+)
+def test_sweep_rejects_bad_spec(tmp_path, capsys, text):
+    spec_file = tmp_path / "spec.json"
+    spec_file.write_text(text)
+    out_file = tmp_path / "out.csv"
+    rc = main(["sweep", "--spec", str(spec_file), "--out", str(out_file)])
+    captured = capsys.readouterr()
+    assert rc == 2
+    assert captured.err.startswith("error: ")
+    assert not out_file.exists()
+
+
 def test_error_exit_code(tmp_path, capsys):
     oracle_file = tmp_path / "oracle.txt"
     oracle_file.write_text(oracle_to_text(AmplitudeOracle.uniform(2, 6)))

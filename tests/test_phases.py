@@ -26,14 +26,14 @@ from qsprep.polyapprox import (
 )
 
 
-def product_top_left(angles, x):
+def product_matrix(angles, x):
     """Independent 2x2 product, kept separate from the library routine."""
     s = np.sqrt(1 - x * x)
     m = np.eye(2, dtype=complex)
     refl = np.array([[x, s], [s, -x]])
     for a in angles:
         m = m @ np.diag([np.exp(1j * a), np.exp(-1j * a)]) @ refl
-    return m[0, 0]
+    return m
 
 
 def cheb_nodes(n):
@@ -61,7 +61,7 @@ def test_reconstruct_two_zero_angles_is_one():
 def test_reconstruct_half_pi_pair():
     phi = PhaseSequence([np.pi / 2, np.pi / 2])
     # independent product: realizes 1 - 2 x^2
-    assert abs(product_top_left([np.pi / 2, np.pi / 2], 0.5) - 0.5) < 1e-14
+    assert abs(product_matrix([np.pi / 2, np.pi / 2], 0.5)[0, 0] - 0.5) < 1e-14
     assert abs(reconstruct(phi, 0.5) - 0.5) < 1e-14
 
 
@@ -73,6 +73,17 @@ def test_reconstruct_matrix_is_unitary():
         m = reconstruct_matrix(phi, x)
         np.testing.assert_allclose(m.conj().T @ m, np.eye(2), atol=1e-12)
         assert abs(m[0, 0]) <= 1.0 + 1e-12
+
+
+def test_reconstruct_matrix_matches_product():
+    rng = np.random.default_rng(6)
+    for d in (0, 1, 2, 5, 16, 33, 60):
+        angles = rng.uniform(-np.pi, np.pi, d)
+        for x in (-1.0, -0.37, 0.0, 0.81, 1.0):
+            np.testing.assert_allclose(
+                reconstruct_matrix(PhaseSequence(angles), x), product_matrix(angles, x),
+                rtol=0, atol=1e-13,
+            )
 
 
 def test_reconstruct_has_definite_parity():
@@ -218,12 +229,19 @@ def test_find_phases_rejects_inside_only_polynomial():
         find_phases(Polynomial([0.0, 0.5], parity="odd"))
 
 
-def test_find_phases_optimizer_route():
-    rng = np.random.default_rng(5)
-    target = polynomial_from_phases(PhaseSequence(random_restricted_phases(rng, 6)))
-    phi = find_phases(target, method="optimize", seed=3)
-    xs = cheb_nodes(32)
+def test_find_phases_optimizer_route(caplog):
+    # without a completion hint the complement of this degree-37 polynomial
+    # cannot be factored in double precision and extended-precision stripping
+    # stalls near 2e-3, so only the least-squares polish reaches the tolerance
+    rng = np.random.default_rng(2)
+    d = int(rng.integers(20, 41))
+    target = polynomial_from_phases(PhaseSequence(rng.uniform(-np.pi, np.pi, d)))
+    caplog.set_level(logging.DEBUG, logger="qsprep")
+    phi = find_phases(target)
+    xs = cheb_nodes(4 * d)
     assert np.abs(reconstruct(phi, xs) - evaluate(target, xs)).max() <= 1e-7
+    logged = [r for r in caplog.records if r.name == "qsprep.phases"]
+    assert "least-squares polish" in logged[-1].getMessage()
 
 
 def test_find_phases_degree_zero():
@@ -269,6 +287,8 @@ def test_angle_normalization():
     assert np.all(phi.phases <= np.pi) and np.all(phi.phases > -np.pi)
     assert phi.phases[0] == pytest.approx(np.pi)
     assert phi.phases[1] == pytest.approx(np.pi)  # ties at -pi map to +pi
+    near = -np.pi + 1e-6
+    assert PhaseSequence([near]).phases[0] == near
 
 
 def test_phase_serialization_round_trip():
@@ -277,17 +297,15 @@ def test_phase_serialization_round_trip():
     np.testing.assert_allclose(back.phases, phi.phases, rtol=0, atol=0)
 
 
-def test_boundary_tangent_completion_contract():
-    # completing a small oscillatory even polynomial at this degree gives a
-    # near-unimodular P that touches |P| = 1 at many interior points; that
-    # family is genuinely hard for every angle-finding route, and the
-    # contract is: either meet the tolerance or raise the diagnostic with
-    # the achieved residual
-    import numpy as np
+@pytest.mark.parametrize("seed", [7006, 7029])
+def test_boundary_tangent_completion_contract(seed):
+    # completing a small oscillatory polynomial gives a near-unimodular P
+    # that touches |P| = 1 at many interior points; these two draws come
+    # out of stripping with angles within 3e-5 of -pi, which must survive
+    # normalization for the residual check to accept them
     from numpy.polynomial import chebyshev as cheb
-    from qsprep.errors import PhaseFindingError
 
-    rng = np.random.default_rng(7006)
+    rng = np.random.default_rng(seed)
     d = int(rng.integers(2, 130))
     decay = rng.uniform(0.6, 0.98)
     c = rng.standard_normal(d + 1) * decay ** np.arange(d + 1)
@@ -297,12 +315,7 @@ def test_boundary_tangent_completion_contract():
     pr = Polynomial(c / sup * rng.uniform(0.5, 0.95), basis="chebyshev",
                     parity="even" if d % 2 == 0 else "odd")
     target = complete_to_complex(pr)
-    try:
-        phi = find_phases(target)
-    except PhaseFindingError as exc:
-        assert exc.residual is not None and 0 < exc.residual < 1e-3
-    else:
-        grid = 4 * target.degree
-        nodes = np.cos(np.pi * (np.arange(grid) + 0.5) / grid)
-        err = np.abs(reconstruct(phi, nodes) - evaluate(target, nodes)).max()
-        assert err <= 1e-7
+    phi = find_phases(target)
+    nodes = cheb_nodes(4 * target.degree)
+    err = np.abs(reconstruct(phi, nodes) - evaluate(target, nodes)).max()
+    assert err <= 1e-7

@@ -190,6 +190,15 @@ def test_spectral_norm_simple_cases():
     assert spectral_norm(np.zeros((3, 3))) == 0.0
     m = np.diag([3.0, -5.0, 1.0]).astype(complex)
     assert abs(spectral_norm(m) - 5.0) < 1e-10
+    # top singular vector orthogonal to a fixed vector v (drawn from
+    # default_rng(7)): power iteration started at v stalls at 1.0
+    rng = np.random.default_rng(7)
+    v = rng.standard_normal(4) + 1j * rng.standard_normal(4)
+    v /= np.linalg.norm(v)
+    u = np.eye(4)[0] - v * np.conj(v[0])
+    u /= np.linalg.norm(u)
+    m = 2.0 * np.outer(u, u.conj()) + np.outer(v, v.conj())
+    assert spectral_norm(m) == pytest.approx(2.0, rel=1e-12)
 
 
 def test_projector_validate():
