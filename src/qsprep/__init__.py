@@ -3,13 +3,21 @@
 From a classical amplitude table the pipeline compiles a phase oracle,
 extracts its generator through a sine block encoding and an arcsin
 polynomial transform, amplifies the flagged component with a fixed-point
-sign-polynomial plan, and verifies every promised error bound on a dense
-simulator at desk scale.
+sign-polynomial plan, and verifies every promised error bound per run. The
+pipeline simulates its diagonal oracle with one 4x4 block per data index; a
+dense simulator is kept as the reference that tests compare against.
 """
 
-from .amplifier import AmplificationPlan, amplify, build_projectors, plan_amplification
+from .amplifier import (
+    AmplificationPlan,
+    amplify,
+    amplify_state,
+    build_projectors,
+    plan_amplification,
+)
 from .blockenc import (
     BlockEncoding,
+    IndexBlocks,
     extract_block,
     hamiltonian_from_unitary,
     lcu_real_part,

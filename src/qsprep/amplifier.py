@@ -9,6 +9,11 @@ number of rounds that scales like (1/sigma) log(1/delta). The construction
 is non-unitary-friendly: it never requires C|Psi> to be close to a unitary
 image, but it does consume the initial-state preparer S (and its adjoint)
 once per round, so the initial state is fixed.
+
+``amplify`` forms the whole amplification unitary and is the dense
+reference. The pipeline uses ``amplify_state``, which applies the same
+product to |0..0>|+^n> round by round when C is a direct sum of per-index
+blocks.
 """
 from __future__ import annotations
 
@@ -147,3 +152,37 @@ def amplify(c_unitary: UnitaryMatrix, s_unitary: UnitaryMatrix, plan: Amplificat
     be = BlockEncoding(c_unitary, ancillas, flag, init)
     out = qsvt_circuit(be, plan.phases, "odd")
     return out.unitary
+
+
+def amplify_state(blocks: np.ndarray, plan: AmplificationPlan) -> tuple[np.ndarray, int]:
+    """``amplify`` applied to |0..0>|+^n>, for C the direct sum of ``blocks``.
+
+    The state is a (K, N) array over the K ancilla patterns and the N data
+    indices, and C acts on column x through blocks[x]. The flag phase is a
+    row mask (row 0 is the flagged pattern) and the initial-state phase a
+    rank-one update along |0..0>|+^n>, so each round costs O(K^2 N) and
+    U_amp is never formed. Returns the state and the number of applications
+    of C and C-dagger, counted as they are made.
+    """
+    size, k = blocks.shape[0], blocks.shape[1]
+    blocks_t = np.ascontiguousarray(blocks.transpose(1, 2, 0))  # [a, b, x]
+    plus = np.full(size, 1.0 / np.sqrt(size))
+    state = np.zeros((k, size), dtype=complex)
+    state[0] = plus
+    applications = 0
+    angles = plan.phases.phases
+    # factors left to right: flag phase, C, initial-state phase, C-dagger, ...
+    for j in range(len(angles) - 1, -1, -1):
+        up, down = np.exp(1j * angles[j]), np.exp(-1j * angles[j])
+        if j % 2 == 0:  # C, then the flag phase
+            state = np.einsum("abx,bx->ax", blocks_t, state)
+            state[0] *= up
+            state[1:] *= down
+        else:  # C-dagger, then the initial-state phase
+            # (C^+ v)_a = conj(sum_b C_ba conj(v_b))
+            state = np.einsum("bax,bx->ax", blocks_t, state.conj()).conj()
+            overlap = plus @ state[0]
+            state *= down
+            state[0] += (up - down) * overlap * plus
+        applications += 1
+    return state, applications

@@ -41,7 +41,7 @@ def _print_report(rep: PrepReport) -> None:
     print("bound checks:")
     for c in rep.bound_checks:
         mark = "PASS" if c.passed else "FAIL"
-        print(f"  [{mark}] {c.name}: {c.lhs:.6e} <= {c.rhs:.6e}")
+        print(f"  [{mark}] {c.name}: {c.lhs:.6e} {c.relation} {c.rhs:.6e}")
 
 
 def _cmd_phases(args) -> int:
@@ -121,7 +121,7 @@ def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="qsprep",
         description="Oracle quantum-state preparation via signal-processing "
-        "polynomials, verified on a dense simulator.",
+        "polynomials, with every error bound checked per run.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
 

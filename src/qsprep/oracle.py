@@ -15,15 +15,19 @@ import numpy as np
 
 from .errors import DimensionError, InfeasibleError, InputError
 from .simulator import (
-    MAX_QUBITS,
     GateSpec,
     RegisterLayout,
     StateVector,
     UnitaryMatrix,
+    check_dense_size,
     circuit_unitary,
     cphase,
     unitary_gate,
 )
+
+
+# Most value bits a table is quantized to; 2^m must stay exact in a double.
+MAX_BITS = 50
 
 
 @dataclass(frozen=True)
@@ -50,8 +54,8 @@ class AmplitudeOracle:
             raise InputError(
                 f"amplitudes must be finite and lie in [0, 1]; entry {bad[0]} is {vals[bad[0]]}"
             )
-        if self.m < 1:
-            raise ValueError("need at least one value bit")
+        if not 1 <= self.m <= MAX_BITS:
+            raise InputError(f"need 1..{MAX_BITS} value bits, got m = {self.m}")
         object.__setattr__(self, "values", vals)
         ints = np.minimum(np.floor(vals * 2**self.m), 2**self.m - 1).astype(np.int64)
         object.__setattr__(self, "quantized", ints / 2**self.m)
@@ -76,13 +80,15 @@ class AmplitudeOracle:
     @classmethod
     def indicator(cls, n: int, x0: int, m: int) -> "AmplitudeOracle":
         if not 0 <= x0 < 2**n:
-            raise ValueError(f"marked item {x0} outside [0, {2**n})")
+            raise InputError(f"marked item {x0} outside [0, {2**n})")
         vals = np.zeros(2**n)
         vals[x0] = 1.0
         return cls(n, m, vals)
 
     @classmethod
     def gaussian(cls, n: int, mu: float, sigma: float, m: int) -> "AmplitudeOracle":
+        if not sigma > 0:
+            raise InputError(f"gaussian width must be positive, got {sigma}")
         xs = np.arange(2**n, dtype=float)
         return cls(n, m, np.exp(-((xs - mu) ** 2) / (2 * sigma**2)))
 
@@ -92,16 +98,24 @@ class AmplitudeOracle:
 
     @classmethod
     def from_dist(cls, n: int, m: int, dist: str) -> "AmplitudeOracle":
-        """Parse a generator spec: uniform | indicator:x0 | gaussian:mu,sigma."""
+        """Parse a generator spec: uniform | indicator:x0 | gaussian:mu,sigma.
+
+        A malformed spec or a negative n raises InputError.
+        """
+        if n < 0:
+            raise InputError(f"need n >= 0 data qubits, got {n}")
         name, _, args = dist.partition(":")
-        if name == "uniform":
-            return cls.uniform(n, m)
-        if name == "indicator":
-            return cls.indicator(n, int(args), m)
-        if name == "gaussian":
-            mu, sigma = (float(t) for t in args.split(","))
-            return cls.gaussian(n, mu, sigma, m)
-        raise ValueError(f"unknown distribution {dist!r}")
+        try:
+            if name == "uniform" and not args:
+                return cls.uniform(n, m)
+            if name == "indicator":
+                return cls.indicator(n, int(args), m)
+            if name == "gaussian":
+                mu, sigma = (float(t) for t in args.split(","))
+                return cls.gaussian(n, mu, sigma, m)
+        except ValueError as exc:  # InputError included
+            raise InputError(f"bad distribution {dist!r}: {exc}") from exc
+        raise InputError(f"unknown distribution {dist!r}")
 
 
 def oracle_to_text(c: AmplitudeOracle) -> str:
@@ -132,8 +146,7 @@ def _oracle_layout(c: AmplitudeOracle, kickback: bool) -> RegisterLayout:
 
 def bit_oracle_unitary(c: AmplitudeOracle) -> UnitaryMatrix:
     """Permutation |x>|y> -> |x>|y XOR bits(c_m(x))>; self-inverse."""
-    if c.n + c.m > MAX_QUBITS:
-        raise DimensionError(f"{c.n + c.m} qubits exceeds the simulator limit {MAX_QUBITS}")
+    check_dense_size(c.n + c.m)
     layout = _oracle_layout(c, kickback=False)
     dim = layout.dim
     mat = np.zeros((dim, dim), dtype=complex)
@@ -166,10 +179,7 @@ def phase_unitary(c: AmplitudeOracle, scale: float = 1.0) -> UnitaryMatrix:
     value register starts in |0..0> and the kickback qubit in |1>, and
     restores both exactly.
     """
-    if c.n + c.m + 1 > MAX_QUBITS:
-        raise DimensionError(
-            f"{c.n + c.m + 1} qubits exceeds the simulator limit {MAX_QUBITS}"
-        )
+    check_dense_size(c.n + c.m + 1)
     layout = _oracle_layout(c, kickback=True)
     oc = bit_oracle_unitary(c)
     oracle_gate = unitary_gate(tuple(range(c.n + c.m)), oc.entries, name="O_c")

@@ -19,19 +19,11 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .amplifier import AmplificationPlan, amplify, build_projectors, plan_amplification
-from .blockenc import BlockEncoding, extract_block, hamiltonian_from_unitary
+from .amplifier import AmplificationPlan, amplify_state, plan_amplification
+from .blockenc import IndexBlocks, check_engine_size, hamiltonian_from_unitary
 from .errors import InfeasibleError, InputError, QsprepError
-from .oracle import AmplitudeOracle, gamma, target_state
-from .simulator import (
-    RegisterLayout,
-    StateVector,
-    UnitaryMatrix,
-    fidelity,
-    project_measure,
-    spectral_norm,
-    state_dist,
-)
+from .oracle import MAX_BITS, AmplitudeOracle, gamma, target_state
+from .simulator import RegisterLayout, StateVector, fidelity, state_dist
 
 SWEEP_COLUMNS = [
     "n",
@@ -70,12 +62,22 @@ class PrepConfig:
     max_degree: int = 10_000
 
     def __post_init__(self):
-        if not 0 < self.delta < 1:
-            raise ValueError("delta must lie in (0, 1)")
-        if self.epsilon <= 0:
-            raise ValueError("epsilon must be positive")
-        if not 0 < self.beta <= 1:
-            raise ValueError("beta must lie in (0, 1]")
+        if not _is_real(self.delta) or not 0 < self.delta < 1:
+            raise InputError(f"delta must lie in (0, 1), got {self.delta!r}")
+        if not _is_real(self.epsilon) or not 0 < self.epsilon < np.inf:
+            raise InputError(f"epsilon must be positive, got {self.epsilon!r}")
+        if not _is_real(self.beta) or not 0 < self.beta <= 1:
+            raise InputError(f"beta must lie in (0, 1], got {self.beta!r}")
+        if self.m is not None and not (_is_int(self.m) and 1 <= self.m <= MAX_BITS):
+            raise InputError(f"m must be an integer in 1..{MAX_BITS}, got {self.m!r}")
+
+
+def _is_int(value) -> bool:
+    return isinstance(value, (int, np.integer)) and not isinstance(value, bool)
+
+
+def _is_real(value) -> bool:
+    return isinstance(value, (int, float, np.integer, np.floating)) and not isinstance(value, bool)
 
 
 @dataclass(frozen=True)
@@ -84,10 +86,15 @@ class BoundCheck:
     lhs: float
     rhs: float
     passed: bool
+    relation: str = "<="
 
     @classmethod
     def le(cls, name: str, lhs: float, rhs: float, slack: float = 0.0) -> "BoundCheck":
         return cls(name, float(lhs), float(rhs), bool(lhs <= rhs + slack))
+
+    @classmethod
+    def eq(cls, name: str, lhs: float, rhs: float) -> "BoundCheck":
+        return cls(name, float(lhs), float(rhs), bool(lhs == rhs), "==")
 
 
 @dataclass
@@ -113,7 +120,7 @@ def default_bits(epsilon: float, gamma_value: float) -> int:
 class _RunResult:
     config: PrepConfig
     oracle_m: AmplitudeOracle
-    encoding: BlockEncoding
+    encoding: IndexBlocks
     plan: AmplificationPlan
     final_state: StateVector
     success: float
@@ -129,6 +136,7 @@ class _RunResult:
 
 def _execute(cfg: PrepConfig) -> _RunResult:
     oracle = cfg.oracle
+    check_engine_size(oracle.n)
     g_exact = gamma(oracle, use_exact=True)
     if g_exact <= 0.0:
         raise InfeasibleError("gamma = 0: the amplitude table is identically zero")
@@ -139,8 +147,9 @@ def _execute(cfg: PrepConfig) -> _RunResult:
             f"epsilon = {cfg.epsilon} is infeasible: the substituted amplitude "
             f"error {eps_hat_target:.3e} exceeds gamma/4 = {g_exact / 4:.3e}"
         )
-    m = cfg.m if cfg.m is not None else default_bits(cfg.epsilon, g_exact)
-    m = min(max(m, 1), 50)
+    m = cfg.m  # a given m is checked by PrepConfig; the derived one is clamped
+    if m is None:
+        m = min(max(default_bits(cfg.epsilon, g_exact), 1), MAX_BITS)
     oracle_m = oracle.with_bits(m)
     beta = cfg.beta
 
@@ -164,47 +173,31 @@ def _execute(cfg: PrepConfig) -> _RunResult:
     # recenter the truncated table by half a step: one classically-known
     # global phase turns the one-sided floor error into a symmetric one
     c_q = oracle_m.quantized + 2.0 ** -(m + 1)
-    u_data = UnitaryMatrix(
-        np.diag(np.exp(1j * np.pi * beta * c_q / 2.0)),
-        RegisterLayout.single(oracle.n, "data"),
-    )
-    h_m = np.diag(beta * c_q / 2.0)
     encoding = hamiltonian_from_unitary(
-        u_data,
+        np.exp(1j * np.pi * beta * c_q / 2.0),
         beta * eps_poly / 2.0,  # generator units: beta * amplitude / 2
         delta_margin,
-        hamiltonian=h_m,
         max_degree=cfg.max_degree,
     )
 
-    block = extract_block(encoding)
-    c_realized = 2.0 * np.real(np.diag(block)) / beta
-    eps_measured = spectral_norm(2.0 * block / beta - np.diag(oracle.values))
+    # the encoded generator is diagonal, so its spectral distance to the
+    # table is the largest per-index deviation
+    generator = encoding.diagonal
+    c_realized = 2.0 * np.real(generator) / beta
+    eps_measured = float(np.abs(2.0 * generator / beta - oracle.values).max())
     g_realized = float(np.mean(c_realized**2))
     g_quant = float(np.mean(c_q**2))
 
     sigma_hat = beta * np.sqrt(g_quant) / 2.0
     plan = plan_amplification(sigma_hat, cfg.delta, max_degree=cfg.max_degree)
 
-    n = oracle.n
-    had = np.array([[1.0, 1.0], [1.0, -1.0]]) / np.sqrt(2.0)
-    s_mat = np.array([[1.0]])
-    for _ in range(n):
-        s_mat = np.kron(s_mat, had)
-    s_unitary = UnitaryMatrix(s_mat.astype(complex), RegisterLayout.single(n))
-
-    u_amp = amplify(encoding.unitary, s_unitary, plan)
-    full_layout = encoding.unitary.layout
-    psi0 = np.zeros(full_layout.dim, dtype=complex)
-    psi0[: 2**n] = s_mat[:, 0]
-    flag, _ = build_projectors(n, s_unitary, ancillas=encoding.ancillas)
-    evolved = StateVector(u_amp.entries @ psi0, full_layout)
-    post, success = project_measure(flag, evolved)
-
-    data_state = post.amplitudes[: 2**n].copy()
-    norm = np.linalg.norm(data_state)
-    if norm > 1e-12:
-        data_state = data_state / norm
+    # post-select the flag pattern, row 0 of the amplified state
+    state, applications = amplify_state(encoding.blocks, plan)
+    norm = np.linalg.norm(state[0])
+    if norm < 1e-14:  # nothing flagged: the empty state, as project_measure gives
+        success, data_state = 0.0, np.zeros(oracle.size, dtype=complex)
+    else:
+        success, data_state = float(norm**2), state[0] / norm
     realized_norm = np.linalg.norm(c_realized)
     realized = (
         c_realized / realized_norm if realized_norm > 0 else np.zeros_like(c_realized)
@@ -212,14 +205,13 @@ def _execute(cfg: PrepConfig) -> _RunResult:
     overlap = np.vdot(realized.astype(complex), data_state)
     if abs(overlap) > 1e-12:
         data_state = data_state * np.exp(-1j * np.angle(overlap))
-    layout_n = RegisterLayout.single(n, "data")
+    layout_n = RegisterLayout.single(oracle.n, "data")
     final = StateVector(data_state, layout_n)
 
-    d_a = encoding.info["arcsin_degree"]
-    d_s = plan.rounds
-    # each round queries C once; C makes 2 * d_a controlled phase-unitary
-    # queries (the select branches share them); each query is an O_c pair
-    oracle_calls = 4 * d_a * d_s
+    # each use of C or its adjoint runs every transform layer, and each layer
+    # queries the controlled phase unitary and its adjoint (both select
+    # branches share them); each query is an O_c pair
+    oracle_calls = applications * encoding.info["cu_calls"] * 2 * 2
 
     return _RunResult(
         config=cfg,
@@ -243,16 +235,18 @@ def _base_report(run: _RunResult) -> PrepReport:
     cfg = run.config
     fid = fidelity(run.final_state, run.target)
     err = state_dist(run.final_state, run.target)
+    d_a, d_s = run.encoding.info["arcsin_degree"], run.plan.rounds
     checks = [
         BoundCheck.le("final_error_le_epsilon", err, cfg.epsilon),
         BoundCheck.le("success_ge_one_minus_delta", 1.0 - cfg.delta, run.success),
+        BoundCheck.eq("counted_oracle_calls_eq_4_da_ds", run.oracle_calls, 4 * d_a * d_s),
     ]
     report = PrepReport(
         final_state=run.final_state,
         fidelity_to_target=fid,
         success_probability=run.success,
         oracle_calls=run.oracle_calls,
-        degrees=(run.encoding.info["arcsin_degree"], run.plan.rounds),
+        degrees=(d_a, d_s),
         bound_checks=checks,
         info={
             "n": cfg.oracle.n,
@@ -291,7 +285,10 @@ def verify_error_bounds(cfg: PrepConfig) -> PrepReport:
     eps/(sqrt(2) sqrt(gamma)), and the realized and final states sit within
     3 eps / gamma of the target.
     """
-    run = _execute(cfg)
+    return _bound_report(_execute(cfg))
+
+
+def _bound_report(run: _RunResult) -> PrepReport:
     report = _base_report(run)
     eps = run.eps_measured
     g = run.gamma_exact
@@ -338,8 +335,6 @@ def grover_case(n: int, x0: int, delta: float, epsilon: float, m: int | None = N
     logarithmic factors; the report carries oracle_calls / sqrt(N) for
     scaling tables.
     """
-    if not 0 <= x0 < 2**n:
-        raise ValueError(f"marked item {x0} outside [0, {2**n})")
     oracle = AmplitudeOracle.indicator(n, x0, m if m is not None else 8)
     cfg = PrepConfig(oracle=oracle, epsilon=epsilon, delta=delta, m=m)
     report = verify_error_bounds(cfg)
@@ -361,16 +356,31 @@ class SweepSpec:
 
     @classmethod
     def from_dict(cls, d: dict) -> "SweepSpec":
-        """Read a JSON grid; unknown keys and non-list grids raise InputError."""
+        """Read a JSON grid.
+
+        A spec of the wrong shape or type raises InputError: unknown keys,
+        grids that are not lists, grid entries of the wrong type, a
+        non-integer m or a non-numeric beta. Values of the right type that
+        are out of range fail their grid points, which become error rows.
+        """
         if not isinstance(d, dict):
             raise InputError("a sweep spec must be a JSON object")
-        grids = ("n", "dist", "epsilon", "delta")
+        grids = {"n": _is_int, "dist": lambda v: isinstance(v, str),
+                 "epsilon": _is_real, "delta": _is_real}
         unknown = sorted(set(d) - {*grids, "m", "beta"})
         if unknown:
             raise InputError(f"unknown sweep spec keys {unknown}")
-        for key in grids:
-            if not isinstance(d.get(key, []), list):
+        for key, entry_ok in grids.items():
+            values = d.get(key, [])
+            if not isinstance(values, list):
                 raise InputError(f"sweep spec value {key!r} must be a list")
+            bad = [v for v in values if not entry_ok(v)]
+            if bad:
+                raise InputError(f"sweep spec {key!r} has entries of the wrong type: {bad}")
+        if d.get("m") is not None and not _is_int(d["m"]):
+            raise InputError(f"sweep spec m must be an integer, got {d['m']!r}")
+        if not _is_real(d.get("beta", 0.5)):
+            raise InputError(f"sweep spec beta must be a number, got {d['beta']!r}")
         return cls(
             ns=tuple(d.get("n", ())),
             dists=tuple(d.get("dist", ())),
@@ -390,6 +400,7 @@ def sweep(spec: SweepSpec) -> list[dict]:
         row = {c: "" for c in SWEEP_COLUMNS}
         row.update({"n": n, "epsilon": eps, "delta": delta, "status": "ok"})
         try:
+            check_engine_size(n)
             bits = spec.m if spec.m is not None else 8
             oracle = AmplitudeOracle.from_dist(n, bits, dist)
             cfg = PrepConfig(oracle=oracle, epsilon=eps, delta=delta, m=spec.m, beta=spec.beta)

@@ -19,6 +19,8 @@ import numpy as np
 
 from .errors import DimensionError
 
+# Largest register the dense reference simulates: a 2^q x 2^q complex
+# matrix takes 2^(2q + 4) bytes, 4 GiB at q = 14.
 MAX_QUBITS = 14
 
 _H = np.array([[1, 1], [1, -1]], dtype=complex) / sqrt(2)
@@ -290,13 +292,18 @@ def apply_circuit(gates: list[GateSpec], state: StateVector) -> StateVector:
     return state
 
 
+def check_dense_size(q: int) -> None:
+    """Raise DimensionError before a dense matrix on q qubits is allocated."""
+    if q > MAX_QUBITS:
+        raise DimensionError(f"{q} qubits exceeds the dense simulator limit {MAX_QUBITS}")
+
+
 def circuit_unitary(gates: list[GateSpec], layout: RegisterLayout | int) -> UnitaryMatrix:
     """Exact dense product of the gate matrices, in application order."""
     if isinstance(layout, int):
         layout = RegisterLayout.single(layout)
     q = layout.num_qubits
-    if q > MAX_QUBITS:
-        raise DimensionError(f"{q} qubits exceeds the dense simulator limit {MAX_QUBITS}")
+    check_dense_size(q)
     dim = layout.dim
     u = np.eye(dim, dtype=complex).reshape((2,) * q + (dim,))
     for g in gates:

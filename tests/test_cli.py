@@ -1,3 +1,7 @@
+import csv
+import io
+import json
+
 import numpy as np
 import pytest
 
@@ -131,4 +135,59 @@ def test_prepare_rejects_bad_oracle_file(tmp_path, capsys, amplitudes):
     captured = capsys.readouterr()
     assert rc == 2
     assert captured.err.startswith("error: ")
+    assert "Traceback" not in captured.err + captured.out
+
+
+def _run_sweep(tmp_path, spec):
+    spec_file = tmp_path / "spec.json"
+    spec_file.write_text(json.dumps(spec))
+    out_file = tmp_path / "out.csv"
+    rc = main(["sweep", "--spec", str(spec_file), "--out", str(out_file)])
+    return rc, out_file
+
+
+@pytest.mark.parametrize(
+    "change",
+    [{"dist": ["foo"]}, {"dist": ["indicator:9"]}, {"epsilon": [-0.1]}, {"beta": 2}],
+    ids=["unknown-dist", "indicator-out-of-range", "negative-eps", "beta-above-one"],
+)
+def test_sweep_bad_grid_point_becomes_error_row(tmp_path, capsys, change):
+    spec = {"n": [2], "dist": ["indicator:1"], "epsilon": [0.1], "delta": [0.1], **change}
+    rc, out_file = _run_sweep(tmp_path, spec)
+    captured = capsys.readouterr()
+    assert rc == 1
+    rows = list(csv.DictReader(io.StringIO(out_file.read_text())))
+    assert len(rows) == 1
+    assert rows[0]["status"].startswith("error: ") and rows[0]["pass"] == "False"
+    assert "Traceback" not in captured.err + captured.out
+
+
+@pytest.mark.parametrize("change", [{"m": "8"}, {"beta": "half"}], ids=["string-m", "string-beta"])
+def test_sweep_rejects_mistyped_setting(tmp_path, capsys, change):
+    spec = {"n": [2], "dist": ["indicator:1"], "epsilon": [0.1], "delta": [0.1], **change}
+    rc, out_file = _run_sweep(tmp_path, spec)
+    assert rc == 2
+    assert capsys.readouterr().err.startswith("error: ")
+    assert not out_file.exists()
+
+
+@pytest.mark.parametrize(
+    "argv, named",
+    [
+        (["prepare", "--eps", "-1"], "got -1"),
+        (["prepare", "--m", "70"], "got 70"),
+        (["prepare", "--m", "0"], "got 0"),
+        (["grover", "--n", "2", "--x0", "7"], "marked item 7"),
+    ],
+    ids=["negative-eps", "m-above-50", "m-zero", "x0-out-of-range"],
+)
+def test_bad_arguments_exit_2(tmp_path, capsys, argv, named):
+    if argv[0] == "prepare":
+        oracle_file = tmp_path / "oracle.txt"
+        oracle_file.write_text(oracle_to_text(AmplitudeOracle.uniform(2, 6)))
+        argv = [argv[0], "--oracle", str(oracle_file), *argv[1:]]
+    rc = main(argv)
+    captured = capsys.readouterr()
+    assert rc == 2
+    assert captured.err.startswith("error: ") and named in captured.err
     assert "Traceback" not in captured.err + captured.out

@@ -185,14 +185,16 @@ def test_pipeline_compression_is_rank_one():
     # between the flag projector and the initial-state projector, the
     # generator encoding compresses to sigma |w><Psi| exactly
     from qsprep.amplifier import build_projectors
-    from qsprep.blockenc import hamiltonian_from_unitary
+    from qsprep.blockenc import hamiltonian_from_unitary, lcu_real_part, sine_block_encoding
     from qsprep.simulator import RegisterLayout, UnitaryMatrix
 
     rng = np.random.default_rng(31)
     n = 3
     c = rng.uniform(0.2, 0.9, 2**n)
     u = UnitaryMatrix(np.diag(np.exp(1j * np.pi * 0.5 * c / 2.0)), RegisterLayout.single(n))
-    be = hamiltonian_from_unitary(u, 1e-5, 0.29, hamiltonian=np.diag(0.5 * c / 2.0))
+    # the dense C, composed from the reference functions on the engine's angles
+    phases = hamiltonian_from_unitary(np.diag(u.entries), 1e-5, 0.29).phases
+    be = lcu_real_part(sine_block_encoding(u), phases)
     had = np.array([[1.0, 1.0], [1.0, -1.0]]) / np.sqrt(2.0)
     s = np.array([[1.0]])
     for _ in range(n):
@@ -211,17 +213,16 @@ def test_pipeline_compression_is_rank_one():
 def test_extraction_error_bounded_by_polynomial_sup_error():
     # the realized generator error never exceeds the arcsin approximant's
     # sup error over the interval containing the sine spectrum
-    from qsprep.blockenc import extract_block, hamiltonian_from_unitary
+    from qsprep.blockenc import hamiltonian_from_unitary
     from qsprep.polyapprox import arcsin_taylor, evaluate
-    from qsprep.simulator import RegisterLayout, UnitaryMatrix, op_dist
+    from qsprep.simulator import op_dist
 
     rng = np.random.default_rng(32)
     h = rng.uniform(-0.2, 0.2, 8)
-    u = UnitaryMatrix(np.diag(np.exp(1j * np.pi * h)), RegisterLayout.single(3))
     eps, margin = 1e-5, 0.29
-    be = hamiltonian_from_unitary(u, eps, margin, hamiltonian=np.diag(h))
+    be = hamiltonian_from_unitary(np.exp(1j * np.pi * h), eps, margin)
     ys = np.linspace(-1 + margin, 1 - margin, 20001)
     ref = arcsin_taylor(0.9 * eps, margin)
     sup_err = np.abs(evaluate(ref, ys).real - np.arcsin(ys) / np.pi).max()
-    measured = op_dist(extract_block(be), np.diag(h))
+    measured = op_dist(np.diag(be.diagonal), np.diag(h))
     assert measured <= max(sup_err, 1e-12) * (1 + 1e-6) + 0.05 * eps
