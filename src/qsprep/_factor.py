@@ -1,7 +1,9 @@
 """Spectral factorization helpers for polynomial completion and phase finding.
 
 All polynomial arithmetic is in the Chebyshev basis, where bounded
-polynomials keep O(1) coefficients, through ``numpy.polynomial.chebyshev``.
+polynomials keep O(1) coefficients, through ``numpy.polynomial.chebyshev``;
+multiplication by x and by (1 - x^2), the steps of layer stripping, are
+plain slice arithmetic on raw arrays (``mulx``, ``mul_one_minus_x2``).
 Root work happens in the variable u = 2x^2 - 1 (every polynomial factored
 here is even), via colleague matrices in double precision. Downstream
 verification decides whether a result is accepted.
@@ -35,6 +37,28 @@ def trim_tail(c: np.ndarray, rel: float = 1e-15) -> np.ndarray:
     while keep > 1 and abs(c[keep - 1]) <= rel * scale:
         keep -= 1
     return c[:keep]
+
+
+def mulx(c: np.ndarray) -> np.ndarray:
+    """x times a Chebyshev series, one term longer.
+
+    x T_0 = T_1 and x T_j = (T_{j+1} + T_{j-1}) / 2. Only slices and
+    arithmetic, so complex arrays and object arrays of mpmath.mpc both work.
+    """
+    out = np.empty(len(c) + 1, dtype=c.dtype)
+    out[0] = c[0] * 0
+    out[1] = c[0]
+    half = c[1:] / 2
+    out[2:] = half
+    out[:-2] += half
+    return out
+
+
+def mul_one_minus_x2(c: np.ndarray) -> np.ndarray:
+    """(1 - x^2) times a Chebyshev series, two terms longer."""
+    out = -mulx(mulx(c))
+    out[: len(c)] += c
+    return out
 
 
 def cheb_div_linear(b, u0):
@@ -188,7 +212,7 @@ def complementary_q(p_cheb: np.ndarray) -> np.ndarray:
     for x2 in _interleave_by_magnitude(reps):
         q = cheb.chebmul(q, np.array([0.5 - x2, 0.0, 0.5]))
     for _ in range(mu):
-        q = cheb.chebmulx(q)
+        q = mulx(q)
 
     if len(q) - 1 != d - 1:
         raise CompletionError(

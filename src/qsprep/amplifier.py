@@ -68,13 +68,18 @@ def plan_from_text(text: str) -> AmplificationPlan:
     The header's parameters are re-planned, and the file's angles are checked
     with ``verify_phases`` against the re-planned polynomial, on the grid and
     at the tolerance ``find_phases`` accepts by default. The returned plan
-    carries the file's angles; a mismatch raises InputError.
+    carries the file's angles; a malformed file or a mismatch raises
+    InputError.
     """
     lines = [ln for ln in text.strip().splitlines() if ln.strip()]
-    sigma, delta, rounds = lines[0].split()
+    try:
+        sigma, delta, rounds = lines[0].split()
+        sigma, delta, rounds = float(sigma), float(delta), int(rounds)
+    except (IndexError, ValueError) as exc:
+        raise InputError(f"plan file needs a header `sigma delta rounds`: {exc}") from exc
     phi = phases_from_text("\n".join(lines[1:]))
-    plan = plan_amplification(float(sigma), float(delta))
-    if plan.rounds != int(rounds) or len(phi) != plan.rounds:
+    plan = plan_amplification(sigma, delta)
+    if plan.rounds != rounds or len(phi) != plan.rounds:
         raise InputError("serialized plan is inconsistent with its parameters")
     check = verify_phases(phi, plan.realized, max(4 * plan.rounds, 32))
     if not check.passed:

@@ -13,6 +13,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from .blockenc import ENGINE_MAX_QUBITS
 from .errors import DimensionError, InfeasibleError, InputError
 from .simulator import (
     GateSpec,
@@ -28,6 +29,13 @@ from .simulator import (
 
 # Most value bits a table is quantized to; 2^m must stay exact in a double.
 MAX_BITS = 50
+
+
+def _table_size(n: int) -> int:
+    """2^n for a generated table, refused before anything that size exists."""
+    if not 0 <= n <= ENGINE_MAX_QUBITS:
+        raise InputError(f"need 0..{ENGINE_MAX_QUBITS} data qubits, got n = {n}")
+    return 2**n
 
 
 @dataclass(frozen=True)
@@ -75,13 +83,14 @@ class AmplitudeOracle:
 
     @classmethod
     def uniform(cls, n: int, m: int) -> "AmplitudeOracle":
-        return cls(n, m, np.ones(2**n))
+        return cls(n, m, np.ones(_table_size(n)))
 
     @classmethod
     def indicator(cls, n: int, x0: int, m: int) -> "AmplitudeOracle":
-        if not 0 <= x0 < 2**n:
-            raise InputError(f"marked item {x0} outside [0, {2**n})")
-        vals = np.zeros(2**n)
+        size = _table_size(n)
+        if not 0 <= x0 < size:
+            raise InputError(f"marked item {x0} outside [0, {size})")
+        vals = np.zeros(size)
         vals[x0] = 1.0
         return cls(n, m, vals)
 
@@ -89,21 +98,21 @@ class AmplitudeOracle:
     def gaussian(cls, n: int, mu: float, sigma: float, m: int) -> "AmplitudeOracle":
         if not sigma > 0:
             raise InputError(f"gaussian width must be positive, got {sigma}")
-        xs = np.arange(2**n, dtype=float)
+        xs = np.arange(_table_size(n), dtype=float)
         return cls(n, m, np.exp(-((xs - mu) ** 2) / (2 * sigma**2)))
 
     @classmethod
     def random(cls, n: int, m: int, rng: np.random.Generator) -> "AmplitudeOracle":
-        return cls(n, m, rng.uniform(0.0, 1.0, 2**n))
+        return cls(n, m, rng.uniform(0.0, 1.0, _table_size(n)))
 
     @classmethod
     def from_dist(cls, n: int, m: int, dist: str) -> "AmplitudeOracle":
         """Parse a generator spec: uniform | indicator:x0 | gaussian:mu,sigma.
 
-        A malformed spec or a negative n raises InputError.
+        A malformed spec, or an n outside 0 .. ``blockenc.ENGINE_MAX_QUBITS``,
+        raises InputError before any table is allocated.
         """
-        if n < 0:
-            raise InputError(f"need n >= 0 data qubits, got {n}")
+        _table_size(n)
         name, _, args = dist.partition(":")
         try:
             if name == "uniform" and not args:

@@ -12,15 +12,21 @@ recurrence therefore gives the reconstruction, the full matrix and the
 Jacobian of the least-squares polish.
 
 ``find_phases`` inverts the map by layer stripping (peel phi_d off the
-leading coefficients, reduce the degree, repeat) in double precision. Only
-when stripping raises, or its residual or truncated coefficient mass shows
-lost digits, is it repeated in extended precision; if the best candidate
-still misses, one Levenberg-Marquardt least-squares run on Chebyshev nodes
-polishes it. The start is fixed, as in the optimization-based phase finding
-of Dong, Lin, Ni & Wang (arXiv:2002.11649), so nothing is random; scipy's
-solver can still end in different last digits from one process to the next
-(its result follows the Python hash seed and the BLAS thread count). Each
-escalation is logged at DEBUG level on the ``qsprep.phases`` logger.
+leading coefficients, reduce the degree, repeat) in double precision. Each
+level is a few slice operations on raw Chebyshev coefficient arrays
+(``_factor.mulx`` and ``_factor.mul_one_minus_x2``), the same code for
+complex arrays and for the mpmath.mpc object arrays of extended precision.
+A candidate is scored once: one reconstruction on the max(4d, 32)
+Chebyshev-node grid yields both its global-phase correction and its max
+residual. Only when stripping raises, or its residual or truncated
+coefficient mass shows lost digits, is it repeated in extended precision;
+if the best candidate still misses, one Levenberg-Marquardt least-squares
+run on the same nodes polishes it. The start is fixed, as in the
+optimization-based phase finding of Dong, Lin, Ni & Wang (arXiv:2002.11649),
+so nothing is random; scipy's solver can still end in different last digits
+from one process to the next (its result follows the Python hash seed and
+the BLAS thread count). Each escalation is logged at DEBUG level on the
+``qsprep.phases`` logger.
 
 Note on conventions: other codebases often parameterize the ansatz with the
 x-rotation W(x) instead of the reflection R(x); the two differ by a pi/2
@@ -38,7 +44,8 @@ import mpmath as mp
 from scipy.optimize import least_squares
 
 from . import _factor
-from .errors import CompletionError, ConditionError, PhaseFindingError
+from ._factor import mul_one_minus_x2, mulx
+from .errors import CompletionError, ConditionError, InputError, PhaseFindingError
 from .polyapprox import (
     Polynomial,
     _check_qsp_conditions,
@@ -84,7 +91,18 @@ def phases_to_text(phi: PhaseSequence) -> str:
 
 
 def phases_from_text(text: str) -> PhaseSequence:
-    vals = [float(ln) for ln in text.strip().splitlines() if ln.strip()]
+    """Parse ``phases_to_text`` output; a line that is not one finite angle raises InputError."""
+    vals = []
+    for k, ln in enumerate(text.splitlines(), 1):
+        if not ln.strip():
+            continue
+        try:
+            val = float(ln)
+        except ValueError:
+            val = np.nan
+        if not np.isfinite(val):
+            raise InputError(f"line {k} is not a finite angle: {ln.strip()!r}")
+        vals.append(val)
     return PhaseSequence(np.asarray(vals))
 
 
@@ -178,24 +196,23 @@ def _leading_phase_factor(p_top, q_top, level: int):
 def _strip(p: np.ndarray, q: np.ndarray) -> tuple[np.ndarray, float]:
     """Peel angles off a (P, Q) Chebyshev pair.
 
-    The pair is either complex arrays (double precision) or object arrays of
-    mpmath.mpc (the current ``mp.dps``); Q is first aligned with P by a
-    unimodular factor. Returns (angles, worst relative coefficient mass
-    dropped by truncation); the latter is the degradation monitor for the
-    fallback decision.
+    The pair (P of length d + 1, Q of length d) is either complex arrays
+    (double precision) or object arrays of mpmath.mpc (the current
+    ``mp.dps``); both run through the same raw-array products ``mulx`` and
+    ``mul_one_minus_x2``. Q is first aligned with P by a unimodular factor.
+    Returns (angles, worst relative coefficient mass dropped by truncation);
+    the latter is the degradation monitor for the fallback decision.
     """
     exact = p.dtype == object
     arg, expj = (mp.arg, mp.expj) if exact else (np.angle, lambda t: np.exp(1j * t))
     d = len(p) - 1
     q = q * _leading_phase_factor(p[d], q[d - 1], d)
-    one_minus_x2 = np.array([0.5, 0.0, -0.5])
     phis = np.zeros(d)
     worst_drop = 0.0
     for k in range(d, 1, -1):
-        a_full = cheb.chebadd(cheb.chebmulx(p), cheb.chebmul(one_minus_x2, q))
-        b_full = cheb.chebsub(p, cheb.chebmulx(q))
-        a_full = np.concatenate([a_full, np.zeros(max(0, k + 2 - len(a_full)), a_full.dtype)])
-        b_full = np.concatenate([b_full, np.zeros(max(0, k + 1 - len(b_full)), b_full.dtype)])
+        # p has degree k and q degree k - 1: a has k + 2 terms, b has k + 1
+        a_full = mulx(p) + mul_one_minus_x2(q)
+        b_full = p - mulx(q)
         scale = max(np.abs(a_full).max(), np.abs(b_full).max(), 1e-300)
         dropped = max(np.abs(a_full[k:]).max(initial=0.0), np.abs(b_full[k:]).max(initial=0.0))
         worst_drop = max(worst_drop, float(dropped / scale))
@@ -219,28 +236,29 @@ def _strip(p: np.ndarray, q: np.ndarray) -> tuple[np.ndarray, float]:
     return phis, worst_drop
 
 
-def _fix_global_phase(phis: np.ndarray, p: Polynomial) -> np.ndarray:
+def _align(phis: np.ndarray, xs: np.ndarray, target: np.ndarray) -> tuple[np.ndarray, float]:
     """Absorb a global phase of the realized polynomial into phi_1.
 
     Prepending e^{i a Z} multiplies the top-left entry by e^{i a}, so a
     uniform phase mismatch (including a sign flip, and the ill-conditioned
-    rotation mode a completion can carry) is corrected exactly.
+    rotation mode a completion can carry) is corrected exactly. The same
+    factor turns the reconstructed values, so one reconstruction on the
+    residual grid gives the corrected angles and their max residual.
     """
-    xs = _nodes(max(2 * len(phis), 16))
-    target = np.asarray(evaluate(p, xs), dtype=complex)
-    got = reconstruct(PhaseSequence(phis), xs)
+    got = _top_row(phis, xs)[0]
     overlap = np.vdot(got, target)
     if abs(overlap) > 1e-12:
         phis = phis.copy()
         phis[0] += np.angle(overlap)
-    return phis
+        got = got * (overlap / abs(overlap))
+    return phis, float(np.abs(got - target).max())
 
 
-def _residual(phis: np.ndarray, p: Polynomial, grid: int) -> float:
-    return verify_phases(PhaseSequence(phis), p, grid).max_error
+def _residual(phis: np.ndarray, xs: np.ndarray, target: np.ndarray) -> float:
+    return float(np.abs(_top_row(phis, xs)[0] - target).max())
 
 
-def _polish(phi0: np.ndarray, p: Polynomial) -> np.ndarray:
+def _polish(phi0: np.ndarray, xs: np.ndarray, target: np.ndarray) -> np.ndarray:
     """One Levenberg-Marquardt least-squares run from phi0 on Chebyshev nodes.
 
     With (a_j, b_j) the top row and D_j = (-1)^j the determinant of the
@@ -248,8 +266,6 @@ def _polish(phi0: np.ndarray, p: Polynomial) -> np.ndarray:
     i (|a_j|^2 - |b_j|^2) P - 2i D_j a_j b_j M_10, M_10 = -(-1)^d conj(M_01).
     """
     d = len(phi0)
-    xs = _nodes(max(4 * d, 32))
-    target = np.asarray(evaluate(p, xs), dtype=complex)
     det = (-1.0) ** np.arange(d + 1)[:, None]
 
     def resid(phis):
@@ -268,15 +284,15 @@ def _polish(phi0: np.ndarray, p: Polynomial) -> np.ndarray:
     return least_squares(resid, phi0, jac=jac, method="lm", max_nfev=2000).x
 
 
-def _strip_extended(c: np.ndarray, q_hint, pc: Polynomial, tol: float, trigger: str):
+def _strip_extended(c: np.ndarray, q_hint, xs: np.ndarray, target: np.ndarray,
+                    tol: float, trigger: str):
     """Up to three extended-precision stripping attempts at growing precision.
 
-    Returns the angles of the last attempt that did not raise (None when
-    every attempt raised); stops early once the residual meets ``tol``.
+    Returns (angles, residual) of the last attempt that did not raise (None
+    when every attempt raised); stops early once the residual meets ``tol``.
     """
     d = len(c) - 1
-    grid = max(4 * d, 32)
-    dps, phis = _factor.strip_dps(d), None
+    dps, found = _factor.strip_dps(d), None
     for attempt in range(3):
         log.debug("degree %d: extended precision, attempt %d at %d digits, after %s",
                   d, attempt + 1, dps, trigger)
@@ -289,16 +305,16 @@ def _strip_extended(c: np.ndarray, q_hint, pc: Polynomial, tol: float, trigger: 
                     q = _factor.to_mp(q_hint)
                 else:
                     q = _factor.complementary_q(p)
-                phis = _fix_global_phase(_strip(p, q)[0], pc)
+                phis = _strip(p, q)[0]
         except (PhaseFindingError, CompletionError) as exc:
             trigger = f"{type(exc).__name__}: {exc}"
         else:
-            res = _residual(phis, pc, grid)
-            if res <= tol:
+            found = _align(phis, xs, target)
+            if found[1] <= tol:
                 break
-            trigger = f"residual {res:.3e}"
+            trigger = f"residual {found[1]:.3e}"
         dps = int(dps * 1.7)
-    return phis
+    return found
 
 
 def find_phases(p: Polynomial, tol: float = 1e-7) -> PhaseSequence:
@@ -331,7 +347,8 @@ def find_phases(p: Polynomial, tol: float = 1e-7) -> PhaseSequence:
             raise ConditionError("only the constant 1 is realizable with zero angles")
         return PhaseSequence(np.zeros(0))
     c = pc.coefficients[: d + 1].copy()
-    grid = max(4 * d, 32)
+    xs = _nodes(max(4 * d, 32))
+    target = np.asarray(evaluate(pc, xs), dtype=complex)
 
     # a completion attaches its complementary series; recomputing it from P
     # alone is possible but maximally ill-conditioned (all roots double)
@@ -341,33 +358,32 @@ def find_phases(p: Polynomial, tol: float = 1e-7) -> PhaseSequence:
         q_hint = np.asarray(hint, dtype=complex)
 
     good = max(1e-9, 0.01 * tol)
-    candidates: list[np.ndarray] = []
+    candidates: list[tuple[np.ndarray, float]] = []  # (angles, residual)
     try:
         q = q_hint if q_hint is not None else _factor.complementary_q(c)
         phis, drop = _strip(c, q)
-        candidates.append(_fix_global_phase(phis, pc))
-        res = _residual(candidates[-1], pc, grid)
+        candidates.append(_align(phis, xs, target))
+        res = candidates[-1][1]
         # more than ~6 digits lost in truncation: distrust the result
         degraded = res > good or drop > 1e-10
         trigger = f"residual {res:.3e}, dropped mass {drop:.3e}"
     except (PhaseFindingError, CompletionError) as exc:
         degraded, trigger = True, f"{type(exc).__name__}: {exc}"
     if degraded:
-        phis = _strip_extended(c, q_hint, pc, tol, trigger)
-        if phis is not None:
-            candidates.append(phis)
+        found = _strip_extended(c, q_hint, xs, target, tol, trigger)
+        if found is not None:
+            candidates.append(found)
 
     best, best_res = None, np.inf
-    for phis in candidates:
-        r = _residual(phis, pc, grid)
+    for phis, r in candidates:
         if r < best_res:
             best, best_res = phis, r
 
     if best_res > good:
         log.debug("degree %d: least-squares polish of the best candidate, after residual %.3e",
                   d, best_res)
-        phis = _polish(best if best is not None else np.zeros(d), pc)
-        r = _residual(phis, pc, grid)
+        phis = _polish(best if best is not None else np.zeros(d), xs, target)
+        r = _residual(phis, xs, target)
         if r < best_res:
             best, best_res = phis, r
 

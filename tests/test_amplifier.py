@@ -151,6 +151,13 @@ def test_plan_serialization_round_trip():
         plan_from_text("\n".join(lines) + "\n")
 
 
+@pytest.mark.parametrize("text", ["", "0.4 0.05\n0.1\n", "0.4 0.05 three\n0.1\n"],
+                         ids=["empty", "short-header", "rounds-not-int"])
+def test_plan_text_rejects_malformed_header(text):
+    with pytest.raises(InputError):
+        plan_from_text(text)
+
+
 def test_exact_block_postselection_and_amplification():
     # with an ideal generator encoding, post-selecting the flag register on
     # C|00>|+> yields |00>|psi_c> with probability exactly gamma/4; the

@@ -191,3 +191,45 @@ def test_bad_arguments_exit_2(tmp_path, capsys, argv, named):
     assert rc == 2
     assert captured.err.startswith("error: ") and named in captured.err
     assert "Traceback" not in captured.err + captured.out
+
+
+def test_phases_accepts_well_formed_polynomial_file(tmp_path, capsys):
+    poly_file = tmp_path / "poly.txt"
+    poly_file.write_text("chebyshev odd 1\n0 0\n1 0\n")  # P = x, one angle
+    assert main(["phases", str(poly_file)]) == 0
+    assert len(phases_from_text(capsys.readouterr().out)) == 1
+
+
+# each is the well-formed file above with one defect
+@pytest.mark.parametrize(
+    "text",
+    [
+        "abc 0\n0 0\n",
+        "",
+        "chebyshev odd one\n0 0\n1 0\n",
+        "chebyshev odd -1\n0 0\n1 0\n",
+        "chebyshev odd 1\n0 0\n1 x\n",
+        "chebyshev odd 1\n0 0\n1\n",
+        "chebyshev odd 1\n0 0\nnan 0\n",
+        "chebyshev odd 3\n0 0\n1 0\n",
+        "chebyshev odd 1\n0 0\n1 0\n0 0\n",
+    ],
+    ids=["short-header", "empty", "degree-not-int", "negative-degree", "bad-number", "one-number",
+         "nan", "too-few-lines", "too-many-lines"],
+)
+def test_phases_rejects_malformed_polynomial_file(tmp_path, capsys, text):
+    poly_file = tmp_path / "poly.txt"
+    poly_file.write_text(text)
+    rc = main(["phases", str(poly_file)])
+    captured = capsys.readouterr()
+    assert rc == 2
+    assert captured.err.startswith("error: ")
+    assert "Traceback" not in captured.err + captured.out
+
+
+def test_make_oracle_rejects_too_many_qubits(capsys):
+    rc = main(["make-oracle", "--n", "40", "--dist", "uniform"])
+    captured = capsys.readouterr()
+    assert rc == 2
+    assert captured.err.startswith("error: ") and "n = 40" in captured.err
+    assert captured.out == ""

@@ -225,3 +225,20 @@ def test_oracle_rejects_non_finite_and_out_of_range_values():
 def test_oracle_text_rejects_extra_amplitudes():
     with pytest.raises(InputError):
         oracle_from_text("1 4\n0.5\n0.25\n0.75\n")
+
+
+@pytest.mark.parametrize("make", [
+    lambda n: AmplitudeOracle.uniform(n, 8),
+    lambda n: AmplitudeOracle.indicator(n, 0, 8),
+    lambda n: AmplitudeOracle.gaussian(n, 1.0, 2.0, 8),
+    lambda n: AmplitudeOracle.random(n, 8, np.random.default_rng(0)),
+    lambda n: AmplitudeOracle.from_dist(n, 8, "uniform"),
+], ids=["uniform", "indicator", "gaussian", "random", "from_dist"])
+def test_generators_check_size_before_allocating(make):
+    from qsprep.blockenc import ENGINE_MAX_QUBITS
+
+    # 2^40 doubles would be 8 TiB: the check must come first
+    for n in (ENGINE_MAX_QUBITS + 1, 40, -1):
+        with pytest.raises(InputError):
+            make(n)
+    assert make(2).size == 4

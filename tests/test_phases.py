@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from qsprep._factor import complementary_q
-from qsprep.errors import CompletionError, ConditionError, PhaseFindingError
+from qsprep.errors import CompletionError, ConditionError, InputError, PhaseFindingError
 from qsprep.phases import (
     PhaseSequence,
     conjugate_phases,
@@ -295,6 +295,13 @@ def test_phase_serialization_round_trip():
     phi = PhaseSequence(np.array([0.1, -1.7, 3.1]))
     back = phases_from_text(phases_to_text(phi))
     np.testing.assert_allclose(back.phases, phi.phases, rtol=0, atol=0)
+
+
+@pytest.mark.parametrize("text", ["0.1\nabc\n", "0.1 0.2\n", "nan\n", "0.1\ninf\n"],
+                         ids=["word", "two-numbers", "nan", "inf"])
+def test_phases_text_rejects_malformed_lines(text):
+    with pytest.raises(InputError):
+        phases_from_text(text)
 
 
 @pytest.mark.parametrize("seed", [7006, 7029])
