@@ -70,7 +70,6 @@ from .pipeline import (
     verify_error_bounds,
 )
 from .polyapprox import (
-    ApproximationSpec,
     Polynomial,
     arcsin_taylor,
     chebyshev_economize,

@@ -100,15 +100,17 @@ def even_part_to_u(c: np.ndarray) -> np.ndarray:
 
 
 def u_series_to_t(ub: np.ndarray) -> np.ndarray:
-    """Convert sum_j ub[j] U_j(x) into a Chebyshev-T series."""
-    n = len(ub)
-    out = np.zeros(n, dtype=complex)
-    for j in range(n):
-        bj = ub[j]
-        if bj == 0:
-            continue
-        for i in range(j, -1, -2):
-            out[i] += bj * (1.0 if i > 0 else 0.5) * 2.0
+    """Convert sum_j ub[j] U_j(x) into a Chebyshev-T series.
+
+    U_j = 2 (T_j + T_{j-2} + ...), with T_0 counted once, so each
+    T-coefficient is twice the sum of the U-coefficients of its index and
+    parity and above: one reversed cumulative sum per parity.
+    """
+    ub = np.asarray(ub)
+    out = np.empty(ub.shape, dtype=np.result_type(ub.dtype, float))
+    out[0::2] = 2 * np.cumsum(ub[0::2][::-1])[::-1]
+    out[1::2] = 2 * np.cumsum(ub[1::2][::-1])[::-1]
+    out[:1] /= 2
     return out
 
 
@@ -176,19 +178,21 @@ def complementary_q(p_cheb: np.ndarray) -> np.ndarray:
     """
     exact = np.asarray(p_cheb).dtype == object
     p = np.asarray(p_cheb, dtype=object if exact else complex)
+    if not np.isfinite(p.astype(complex)).all():
+        raise CompletionError("P has a non-finite coefficient")
     d = len(p) - 1
     v = -cheb.chebmul(p, p.conj())
     v[0] += 1
     v, dust = _real_part(v)
-    if dust > 1e-10:
+    if not dust <= 1e-10:
         raise CompletionError("1 - P P* has a non-real coefficient")
     g, rem = divide_one_minus_x2(v)
-    if rem > 1e-8 * max(1.0, np.abs(v).max()):
+    if not rem <= 1e-8 * max(1.0, np.abs(v).max()):
         raise CompletionError(f"(1 - x^2) does not divide 1 - P P* (remainder {rem:.2e})")
     # drop only what lies below the working precision's rounding noise
     g = trim_tail(g, mp.eps if exact else 1e-15)
     odd_mass = np.abs(g[1::2]).max() if g.size > 1 else 0.0
-    if odd_mass > 1e-9 * max(1.0, np.abs(g).max()):
+    if not odd_mass <= 1e-9 * max(1.0, np.abs(g).max()):
         raise CompletionError("1 - P P* is not even")
     gu = even_part_to_u(g)
 
@@ -225,7 +229,7 @@ def complementary_q(p_cheb: np.ndarray) -> np.ndarray:
     gval = cheb.chebval(x0, g)
     qval = cheb.chebval(x0, q)
     denom = abs(qval) ** 2
-    if denom < 1e-280 or gval <= 0:
+    if not (denom >= 1e-280 and gval > 0):
         raise CompletionError("degenerate sample while scaling the complementary series")
     return q * (gval / denom) ** 0.5
 
@@ -236,119 +240,90 @@ def complete_real(pr_cheb: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     Solves P_R^2 + P_I^2 + (1-x^2) Q^2 = 1 with real Chebyshev series P_I, Q
     by factoring F = 1 - P_R^2 on the unit circle: with x = (z + 1/z)/2 the
     lifted polynomial in z^2 has one inside-disk root per root of F written
-    in u = 2x^2 - 1, namely w = u -/+ 2 sqrt(x^2 (x^2 - 1)).
+    in u = 2x^2 - 1, namely w = u -/+ 2 sqrt(x^2 (x^2 - 1)). The factor
+    g(z) = sqrt(K) z^{-d} prod (z^2 - w_j) satisfies |g|^2 = F <= 1 on the
+    circle, but its partial products grow like 2^j and overflow from degree
+    ~2000, so K and g are assembled from sums of logarithms.
     """
     pr = np.asarray(pr_cheb, dtype=float)
+    if not np.isfinite(pr).all():
+        raise CompletionError("P_R has a non-finite coefficient")
     d = len(pr) - 1
     f = -cheb.chebmul(pr, pr)
     f[0] += 1.0
     odd_mass = np.abs(f[1::2]).max() if f.size > 1 else 0.0
-    if odd_mass > 1e-10 * max(1.0, np.abs(f).max()):
+    if not odd_mass <= 1e-10 * max(1.0, np.abs(f).max()):
         raise CompletionError("1 - P_R^2 is not even; P_R lacks definite parity")
     fu = even_part_to_u(f)
 
     if len(fu) == 1:
         val = float(fu[0])
-        if val < -1e-12:
+        if not val >= -1e-12:
             raise CompletionError("1 - P_R^2 is negative")
         return np.array([np.sqrt(max(val, 0.0))]), np.array([0.0])
 
-    roots_u = cheb.chebroots(fu / np.abs(fu).max())
-    ws = _paired_factor_roots(roots_u)
-
-    # positive scale so that |g|^2 = F on the circle
-    ks = []
-    for t in (0.41, 1.13, 1.87, 2.63):
-        z2 = np.exp(2j * t)
-        mag2 = np.abs(np.prod(z2 - ws)) ** 2
-        fv = cheb.chebval(np.cos(t), f)
-        if mag2 < 1e-280:
-            continue
-        ks.append(fv / mag2)
-    if not ks:
-        raise CompletionError("all scaling samples fell on roots")
-    k = float(np.median(ks))
-    # a wrong branch or half gives O(1) disagreement; root noise stays tiny,
-    # and the reconstruction check downstream is the accuracy authority
-    if k <= 0 or (max(ks) - min(ks)) > 1e-3 * abs(k) + 1e-12:
-        raise CompletionError(f"inconsistent circle factorization scale {ks}")
-
-    # Laurent coefficients of g(z) = sqrt(K) z^{-d} prod (z^2 - w_j) by FFT
-    m = 1
-    while m < 4 * d + 8:
-        m *= 2
+    ws = _paired_factor_roots(cheb.chebroots(fu / np.abs(fu).max()))
+    ts = np.array([0.41, 1.13, 1.87, 2.63])
+    m = 1 << (4 * d + 7).bit_length()  # FFT size, the power of two >= 4d + 8
     theta = 2 * np.pi * np.arange(m) / m
-    vals = np.full(m, np.sqrt(k), dtype=complex) * np.exp(-1j * d * theta)
     z2 = np.exp(2j * theta)
-    for w in ws:
-        vals *= z2 - w
-    gl = np.fft.fft(vals) / m
-
-    def coeff(l):
-        return gl[l % m]
+    # log 0 = -inf only where a sample lands exactly on a root
+    with np.errstate(divide="ignore"):
+        # positive scale so that |g|^2 = F at four sample points
+        log_mag2 = 2 * np.log(np.abs(np.exp(2j * ts)[:, None] - ws)).sum(axis=1)
+        keep = log_mag2 >= np.log(1e-280)
+        if not keep.any():
+            raise CompletionError("all scaling samples fell on roots")
+        ks = cheb.chebval(np.cos(ts[keep]), f) * np.exp(-log_mag2[keep])
+        k = float(np.median(ks))
+        # a wrong branch or half gives O(1) disagreement; root noise stays
+        # tiny, and the reconstruction check downstream is the accuracy authority
+        if not (k > 0 and ks.max() - ks.min() <= 1e-3 * k + 1e-12):
+            raise CompletionError(f"inconsistent circle factorization scale {ks}")
+        # Laurent coefficients of g by FFT; each chunk's product stays below 2^64
+        log_g = 0.5 * np.log(k) - 1j * d * theta
+        for j in range(0, ws.size, 64):
+            log_g += np.log(np.prod(z2 - ws[j:j + 64, None], axis=0))
+    gl = np.fft.fft(np.exp(log_g)) / m
 
     # symmetric part -> P_I (T-series), antisymmetric part -> Q (U-series)
-    pi_c = np.zeros(d + 1)
-    pi_c[0] = coeff(0).real
-    dust = abs(coeff(0).imag)
-    ub = np.zeros(d, dtype=complex)
-    for kk in range(1, d + 1):
-        sym = coeff(kk) + coeff(-kk)
-        asym = coeff(kk) - coeff(-kk)
-        pi_c[kk] = sym.real
-        ub[kk - 1] = asym
-        dust = max(dust, abs(sym.imag), abs(asym.imag))
-    if dust > 1e-7:
+    pos, neg = gl[1:d + 1], gl[m - 1:m - d - 1:-1]
+    sym, asym = pos + neg, pos - neg
+    dust = max(abs(gl[0].imag), np.abs(sym.imag).max(), np.abs(asym.imag).max())
+    if not dust <= 1e-7:
         raise CompletionError(f"factor is not real (imaginary dust {dust:.2e})")
-    q_c = u_series_to_t(ub).real
-    return pi_c, q_c
-
-
-def _inside_branch(u):
-    """Inside-disk root of z^2: w = u -/+ 2 sqrt(x^2 (x^2 - 1)), x^2 = (u+1)/2."""
-    x2 = (u + 1.0) / 2.0
-    s = np.sqrt(complex(x2 * x2 - x2))
-    w1, w2 = u + 2 * s, u - 2 * s
-    return w1 if abs(w1) <= abs(w2) else w2
+    return np.concatenate([[gl[0].real], sym.real]), u_series_to_t(asym.real)
 
 
 def _paired_factor_roots(roots_u: np.ndarray, im_tol: float = 1e-8) -> np.ndarray:
     """Inside-disk factor roots with conjugate closure enforced structurally.
 
-    Conjugate u-pairs emit exactly (w, conj(w)); that keeps the spectral
-    factor real even when both branch magnitudes sit on the unit circle and
-    an independent per-root pick could break the symmetry. Real u-roots have
-    a real inside branch (interior tangencies are excluded upstream).
+    Each upper-half u-root emits exactly (w, conj(w)); that keeps the
+    spectral factor real even when both branch magnitudes sit on the unit
+    circle and an independent per-root pick could break the symmetry. Real
+    u-roots have a real inside branch (interior tangencies are excluded
+    upstream). The branch is w = u -/+ 2 sqrt(x^2 (x^2 - 1)), x^2 = (u+1)/2,
+    whichever has the smaller modulus.
     """
-    upper, lower, real = [], [], []
-    for u in np.atleast_1d(roots_u):
-        t = im_tol * (1.0 + abs(u))
-        if u.imag > t:
-            upper.append(u)
-        elif u.imag < -t:
-            lower.append(u)
-        else:
-            real.append(u)
-    if len(upper) != len(lower):
+    u = np.atleast_1d(roots_u).astype(complex)
+    t = im_tol * (1.0 + np.abs(u))
+    upper, lower = u.imag > t, u.imag < -t
+    n_up = int(upper.sum())
+    if n_up != lower.sum():
         raise CompletionError(
-            f"conjugate pairing failed: {len(upper)} upper vs {len(lower)} lower roots"
+            f"conjugate pairing failed: {n_up} upper vs {lower.sum()} lower roots"
         )
-    ws = []
-    lower_left = list(lower)
-    for u in upper:
-        j = min(range(len(lower_left)), key=lambda k: abs(np.conj(lower_left[k]) - u))
-        lower_left.pop(j)
-        w = _inside_branch(u)
-        ws.extend([w, np.conj(w)])
-    for u in real:
-        w = _inside_branch(complex(u.real, 0.0))
-        if abs(w.imag) > 1e-6 * (1.0 + abs(w)):
-            raise CompletionError(
-                "real factor root fell on the unit circle; the polynomial "
-                "touches 1 inside the interval"
-            )
-        ws.append(complex(w.real, 0.0))
-    return np.asarray(ws)
+    u = np.concatenate([u[upper], u[~(upper | lower)].real + 0j])
+    x2 = (u + 1.0) / 2.0
+    s = 2 * np.sqrt(x2 * x2 - x2)
+    w = np.where(np.abs(u + s) <= np.abs(u - s), u + s, u - s)
+    w_up, w_real = w[:n_up], w[n_up:]
+    if not (np.abs(w_real.imag) <= 1e-6 * (1.0 + np.abs(w_real))).all():
+        raise CompletionError(
+            "real factor root fell on the unit circle; the polynomial "
+            "touches 1 inside the interval"
+        )
+    return np.concatenate([np.stack([w_up, w_up.conj()], axis=1).ravel(), w_real.real + 0j])
 
 
 def to_mp(c) -> np.ndarray:

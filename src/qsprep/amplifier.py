@@ -27,6 +27,10 @@ from .phases import PhaseSequence, find_phases, phases_from_text, phases_to_text
 from .polyapprox import Polynomial, complete_to_complex, evaluate, sign_approx
 from .simulator import Projector, UnitaryMatrix
 
+# Smallest singular value a plan accepts; below it the sign degree, roughly
+# (2 / sigma) log(16 / delta), is refused before any work is done.
+SIGMA_FLOOR = 1e-3
+
 
 @dataclass(frozen=True)
 class AmplificationPlan:
@@ -44,7 +48,6 @@ class AmplificationPlan:
     rounds: int
     polynomial: Polynomial
     realized: Polynomial
-    threshold: float  # the Delta the sign approximant was built for
 
     def __post_init__(self):
         if not 0 < self.sigma <= 1:
@@ -105,12 +108,7 @@ def build_projectors(n: int, s_unitary: UnitaryMatrix, ancillas: int = 2) -> tup
     return flag, init
 
 
-def plan_amplification(
-    sigma: float,
-    delta: float,
-    sigma_floor: float = 1e-3,
-    max_degree: int = 10_000,
-) -> AmplificationPlan:
+def plan_amplification(sigma: float, delta: float) -> AmplificationPlan:
     """Sign-polynomial plan boosting a singular value >= sigma to 1 - delta/2.
 
     The sign approximant is built at threshold 0.9 * sigma to tolerate the
@@ -120,10 +118,10 @@ def plan_amplification(
         raise ValueError("sigma must lie in (0, 1]")
     if not 0 < delta < 1:
         raise ValueError("delta must lie in (0, 1)")
-    if sigma < sigma_floor:
+    if sigma < SIGMA_FLOOR:
         est = int(np.ceil(2.0 / sigma * np.log(16.0 / delta)))
         raise DegreeOverflowError(
-            f"sigma = {sigma:.2e} below the floor {sigma_floor}; the plan would "
+            f"sigma = {sigma:.2e} below the floor {SIGMA_FLOOR}; the plan would "
             f"need roughly degree {est}",
             needed=est,
         )
@@ -131,14 +129,11 @@ def plan_amplification(
         # the identity polynomial already reaches the target, and degrades
         # continuously, so no threshold margin is needed
         poly = Polynomial(np.array([0.0, 1.0]), basis="chebyshev", parity="odd")
-        return AmplificationPlan(
-            sigma, delta, PhaseSequence(np.zeros(1)), 1, poly, poly, 1.0 - delta / 2.0
-        )
-    threshold = 0.9 * sigma
-    poly = sign_approx(threshold, delta, max_degree=max_degree)
-    comp = complete_to_complex(poly, max_degree=max_degree)
+        return AmplificationPlan(sigma, delta, PhaseSequence(np.zeros(1)), 1, poly, poly)
+    poly = sign_approx(0.9 * sigma, delta)
+    comp = complete_to_complex(poly)
     phi = find_phases(comp)
-    return AmplificationPlan(sigma, delta, phi, len(phi), poly, comp, threshold)
+    return AmplificationPlan(sigma, delta, phi, len(phi), poly, comp)
 
 
 def amplify(c_unitary: UnitaryMatrix, s_unitary: UnitaryMatrix, plan: AmplificationPlan) -> UnitaryMatrix:

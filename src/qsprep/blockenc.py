@@ -19,7 +19,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import DimensionError, InfeasibleError, InputError
-from .phases import PhaseSequence, conjugate_phases, find_phases
+from .phases import PhaseSequence, _prefix_rows, conjugate_phases, find_phases
 from .polyapprox import arcsin_taylor, chebyshev_economize, complete_to_complex
 from .simulator import (
     Projector,
@@ -48,7 +48,6 @@ class BlockEncoding:
     proj_left: Projector
     proj_right: Projector
     certified_error: float = 0.0
-    info: dict = field(default_factory=dict)
 
     @property
     def data_qubits(self) -> int:
@@ -69,10 +68,6 @@ def extract_block(be: BlockEncoding) -> np.ndarray:
     return be.unitary.entries[:dd, :dd].copy()
 
 
-def _ancilla_projectors(ancillas: int, data_qubits: int) -> Projector:
-    return Projector.ancilla_zero(ancillas, data_qubits)
-
-
 def reflection_encoding(a: np.ndarray) -> BlockEncoding:
     """One-ancilla encoding [[A, B], [B, -A]] of a Hermitian A with ||A|| <= 1."""
     a = np.asarray(a, dtype=complex)
@@ -89,7 +84,7 @@ def reflection_encoding(a: np.ndarray) -> BlockEncoding:
     if 2**s != a.shape[0]:
         raise DimensionError("matrix dimension must be a power of two")
     layout = RegisterLayout((("anc", 1), ("data", s)))
-    proj = _ancilla_projectors(1, s)
+    proj = Projector.ancilla_zero(1, s)
     return BlockEncoding(UnitaryMatrix(u, layout), 1, proj, proj, 0.0)
 
 
@@ -110,7 +105,7 @@ def sine_block_encoding(u_data: UnitaryMatrix) -> BlockEncoding:
         hadamard(0),
     ]
     u = circuit_unitary(gates, layout)
-    proj = _ancilla_projectors(1, n)
+    proj = Projector.ancilla_zero(1, n)
     return BlockEncoding(u, 1, proj, proj, 0.0)
 
 
@@ -162,9 +157,7 @@ def qsvt_circuit(be: BlockEncoding, phi: PhaseSequence, parity: str) -> BlockEnc
 
     out_left = left if parity == "odd" else right
     err = 4.0 * d * np.sqrt(be.certified_error) if be.certified_error > 0 else 1e-10
-    out = BlockEncoding(UnitaryMatrix(acc, be.unitary.layout), be.ancillas, out_left, be.proj_right, err)
-    out.info["degree"] = d
-    return out
+    return BlockEncoding(UnitaryMatrix(acc, be.unitary.layout), be.ancillas, out_left, be.proj_right, err)
 
 
 def lcu_real_part(be: BlockEncoding, phi: PhaseSequence) -> BlockEncoding:
@@ -183,10 +176,8 @@ def lcu_real_part(be: BlockEncoding, phi: PhaseSequence) -> BlockEncoding:
     u = np.block([[half_sum, half_diff], [half_diff, half_sum]])
     layout = RegisterLayout((("lcu", 1), *be.unitary.layout.registers))
     a = be.ancillas + 1
-    proj = _ancilla_projectors(a, be.data_qubits)
-    out = BlockEncoding(UnitaryMatrix(u, layout), a, proj, proj, plus.certified_error)
-    out.info["degree"] = len(phi)
-    return out
+    proj = Projector.ancilla_zero(a, be.data_qubits)
+    return BlockEncoding(UnitaryMatrix(u, layout), a, proj, proj, plus.certified_error)
 
 
 # Largest data register the per-index engine accepts. A whole
@@ -233,36 +224,30 @@ def _index_blocks(diagonal: np.ndarray, phi: PhaseSequence) -> tuple[np.ndarray,
 
     Per index the sine encoding is the Hermitian W = [[s, ic], [-ic, -s]] with
     s = sin(pi h), c = cos(pi h) (so the dense circuit's U and U-dagger
-    layers coincide), and a projector phase is Z(phi) = diag(e^{i phi},
-    e^{-i phi}), so the transform is the 2x2 product of Z(phi_j) W over the
-    angles. It is run for phi and -phi at once, entry by
-    entry over all indices; the blocks are stored index-last, so the
-    returned (N, 4, 4) array is a view whose [a, b, x] transpose is
+    layers coincide), and a projector phase is e^{i phi Z}, so the transform
+    is the 2x2 product of e^{i phi_j Z} W over the angles. With G = diag(1,
+    -i sgn c), W = G R(s) G^-1 for the ansatz reflection R, and G commutes
+    with e^{i phi Z}: the +phi transform is G M G^-1 for the ansatz product
+    M = [[a, b], [-D conj(b), D conj(a)]] at x = s (D = (-1)^d), and the
+    -phi transform is G conj(M) G^-1. The layers are counted as the
+    ansatz's prefix rows are produced. The blocks are stored index-last,
+    so the returned (N, 4, 4) array is a view whose [a, b, x] transpose is
     contiguous.
     """
-    s, c = diagonal.imag, diagonal.real
-    # acc[branch, row, col] over all indices; branch 0 runs phi, branch 1 -phi
-    acc = np.zeros((2, 2, 2, diagonal.size), dtype=complex)
-    acc[:, 0, 0] = acc[:, 1, 1] = 1.0
-    layers = 0
-    for ang in phi.phases:
-        rot = np.exp(1j * ang * np.array([1.0, -1.0]))[:, None, None]
-        left = acc[:, :, 0] * rot  # column 0 of acc @ Z
-        right = acc[:, :, 1] * rot[::-1]  # column 1 of acc @ Z
-        acc = np.stack([s * left - 1j * c * right, 1j * c * left - s * right], axis=2)
-        layers += 1
+    sgn = np.where(diagonal.real < 0, -1.0, 1.0)
+    for layers, (a, b) in enumerate(_prefix_rows(phi.phases, diagonal.imag)):
+        pass
+    det = (-1.0) ** layers
+    # (acc(phi) + acc(-phi)) / 2 and (acc(phi) - acc(-phi)) / 2
     blocks = np.empty((4, 4, diagonal.size), dtype=complex)
-    blocks[:2, :2] = blocks[2:, 2:] = 0.5 * (acc[0] + acc[1])
-    blocks[:2, 2:] = blocks[2:, :2] = 0.5 * (acc[0] - acc[1])
+    blocks[:2, :2] = blocks[2:, 2:] = [[a.real, 1j * sgn * b.real],
+                                       [1j * sgn * det * b.real, det * a.real]]
+    blocks[:2, 2:] = blocks[2:, :2] = [[1j * a.imag, -sgn * b.imag],
+                                       [sgn * det * b.imag, -1j * det * a.imag]]
     return blocks.transpose(2, 0, 1), layers
 
 
-def hamiltonian_from_unitary(
-    diagonal: np.ndarray,
-    epsilon: float,
-    delta: float,
-    max_degree: int = 10_000,
-) -> IndexBlocks:
+def hamiltonian_from_unitary(diagonal: np.ndarray, epsilon: float, delta: float) -> IndexBlocks:
     """Encoding of H given the diagonal of U = exp(i pi H), via sine + arcsin.
 
     Requires ||sin(pi H)|| <= 1 - delta so the arcsin approximant's accuracy
@@ -287,18 +272,8 @@ def hamiltonian_from_unitary(
             "rescale the amplitudes (smaller beta) or widen delta"
         )
     # split the budget: most for the Taylor tail, a slice for economization
-    pr = arcsin_taylor(0.9 * epsilon, delta, max_degree=max_degree)
+    pr = arcsin_taylor(0.9 * epsilon, delta)
     pr = chebyshev_economize(pr, 0.05 * epsilon)
-    comp = complete_to_complex(pr, max_degree=max_degree)
-    ang = find_phases(comp)
+    ang = find_phases(complete_to_complex(pr))
     blocks, layers = _index_blocks(diagonal, ang)
-    return IndexBlocks(
-        blocks,
-        ang,
-        {
-            "arcsin_degree": len(ang),
-            "taylor_degree": pr.meta.get("economized_from", pr.degree),
-            "cu_calls": layers,
-            "delta_margin": delta,
-        },
-    )
+    return IndexBlocks(blocks, ang, {"arcsin_degree": len(ang), "cu_calls": layers})

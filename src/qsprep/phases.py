@@ -8,8 +8,9 @@ with R(x) = [[x, s], [s, -x]], s = sqrt(1 - x^2). Its top-left entry is a
 degree-d polynomial of parity d mod 2. Every factor is unitary with
 determinant -1, so the top row (a, b) of a k-factor prefix fixes the whole
 prefix as [[a, b], [-D conj(b), D conj(a)]] with D = (-1)^k. One top-row
-recurrence therefore gives the reconstruction, the full matrix and the
-Jacobian of the least-squares polish.
+recurrence therefore gives the reconstruction, the full matrix, the
+Jacobian of the least-squares polish and the engine's per-index blocks
+(``blockenc._index_blocks``).
 
 ``find_phases`` inverts the map by layer stripping (peel phi_d off the
 leading coefficients, reduce the degree, repeat) in double precision. Each
@@ -343,7 +344,7 @@ def find_phases(p: Polynomial, tol: float = 1e-7) -> PhaseSequence:
     d = pc.degree
     if d == 0:
         val = complex(pc.coefficients[0])
-        if abs(val - 1.0) > 1e-8:
+        if not abs(val - 1.0) <= 1e-8:
             raise ConditionError("only the constant 1 is realizable with zero angles")
         return PhaseSequence(np.zeros(0))
     c = pc.coefficients[: d + 1].copy()
@@ -365,7 +366,7 @@ def find_phases(p: Polynomial, tol: float = 1e-7) -> PhaseSequence:
         candidates.append(_align(phis, xs, target))
         res = candidates[-1][1]
         # more than ~6 digits lost in truncation: distrust the result
-        degraded = res > good or drop > 1e-10
+        degraded = not (res <= good and drop <= 1e-10)
         trigger = f"residual {res:.3e}, dropped mass {drop:.3e}"
     except (PhaseFindingError, CompletionError) as exc:
         degraded, trigger = True, f"{type(exc).__name__}: {exc}"

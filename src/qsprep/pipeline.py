@@ -59,7 +59,6 @@ class PrepConfig:
     delta: float
     m: int | None = None
     beta: float = 0.5
-    max_degree: int = 10_000
 
     def __post_init__(self):
         if not _is_real(self.delta) or not 0 < self.delta < 1:
@@ -177,7 +176,6 @@ def _execute(cfg: PrepConfig) -> _RunResult:
         np.exp(1j * np.pi * beta * c_q / 2.0),
         beta * eps_poly / 2.0,  # generator units: beta * amplitude / 2
         delta_margin,
-        max_degree=cfg.max_degree,
     )
 
     # the encoded generator is diagonal, so its spectral distance to the
@@ -189,7 +187,7 @@ def _execute(cfg: PrepConfig) -> _RunResult:
     g_quant = float(np.mean(c_q**2))
 
     sigma_hat = beta * np.sqrt(g_quant) / 2.0
-    plan = plan_amplification(sigma_hat, cfg.delta, max_degree=cfg.max_degree)
+    plan = plan_amplification(sigma_hat, cfg.delta)
 
     # post-select the flag pattern, row 0 of the amplified state
     state, applications = amplify_state(encoding.blocks, plan)

@@ -9,8 +9,11 @@ Checks on a grid use Chebyshev-Lobatto points cos(pi j / (N - 1)), where a
 series' N values are one DCT-I of its coefficients (``lobatto_values``):
 the completion's sup, identity-residual and drift checks (N = 4001) and the
 on-interval bound of ``_check_qsp_conditions`` (N = 2001). The latter's
-off-interval and imaginary-axis samples are evaluated in one batched
-Clenshaw call each.
+off-interval and imaginary-axis samples are evaluated in scaled form,
+e^{-dt} P(x) for |x + sqrt(x^2 - 1)| = e^t, which cannot overflow at any
+degree, and compared in logarithms.
+
+Every guard is written so that a NaN or infinite value fails it.
 
 All operations are pure functions over immutable values.
 """
@@ -28,28 +31,12 @@ from . import _factor
 from .errors import CompletionError, ConditionError, DegreeOverflowError, InputError
 
 COEFF_TOL = 1e-12
-DEFAULT_MAX_DEGREE = 10_000
-
-
-@dataclass(frozen=True)
-class ApproximationSpec:
-    """Resolved parameters of a constructed approximant."""
-
-    target: str  # "arcsin_over_pi" | "sign"
-    epsilon: float
-    delta_margin: float
-    degree: int
-
-    def __post_init__(self):
-        if not 0 < self.epsilon < 1:
-            raise ValueError("epsilon must lie in (0, 1)")
-        if not 0 < self.delta_margin < 1:
-            raise ValueError("delta_margin must lie in (0, 1)")
+MAX_DEGREE = 10_000  # largest degree any approximant or completion may reach
 
 
 @dataclass(frozen=True)
 class Polynomial:
-    """Coefficient vector with basis, parity and domain metadata.
+    """Coefficient vector with basis and parity.
 
     ``coefficients[k]`` multiplies x^k (monomial basis) or T_k (chebyshev
     basis). A declared parity requires the cross-parity coefficients to
@@ -59,8 +46,6 @@ class Polynomial:
     coefficients: np.ndarray
     basis: str = "monomial"
     parity: str = "none"
-    domain: tuple[float, float] = (-1.0, 1.0)
-    approx: ApproximationSpec | None = None
     meta: dict = field(default_factory=dict, compare=False)
 
     def __post_init__(self):
@@ -80,7 +65,8 @@ class Polynomial:
 
     @property
     def degree(self) -> int:
-        idx = np.nonzero(np.abs(self.coefficients) > COEFF_TOL)[0]
+        """Index of the last coefficient above 1e-12; a non-finite one counts."""
+        idx = np.nonzero(~(np.abs(self.coefficients) <= COEFF_TOL))[0]
         return int(idx[-1]) if idx.size else 0
 
     def is_real(self, tol: float = COEFF_TOL) -> bool:
@@ -132,13 +118,13 @@ def lobatto_values(c: np.ndarray, n: int) -> np.ndarray:
 def to_chebyshev(p: Polynomial) -> Polynomial:
     if p.basis == "chebyshev":
         return p
-    return Polynomial(mono2cheb(p.coefficients), "chebyshev", p.parity, p.domain, p.approx, dict(p.meta))
+    return Polynomial(mono2cheb(p.coefficients), "chebyshev", p.parity, dict(p.meta))
 
 
 def to_monomial(p: Polynomial) -> Polynomial:
     if p.basis == "monomial":
         return p
-    return Polynomial(cheb.cheb2poly(p.coefficients), "monomial", p.parity, p.domain, p.approx, dict(p.meta))
+    return Polynomial(cheb.cheb2poly(p.coefficients), "monomial", p.parity, dict(p.meta))
 
 
 def mono2cheb(c: np.ndarray) -> np.ndarray:
@@ -158,10 +144,7 @@ def chebyshev_economize(p: Polynomial, budget: float) -> Polynomial:
     if pc.parity != "none":
         off = 1 if pc.parity == "even" else 0
         c[off::2] = 0.0
-    meta = dict(pc.meta)
-    meta["economized_from"] = p.degree
-    meta["economize_budget"] = budget
-    return Polynomial(c, "chebyshev", pc.parity, pc.domain, pc.approx, meta)
+    return Polynomial(c, "chebyshev", pc.parity, dict(pc.meta))
 
 
 def poly_to_text(p: Polynomial) -> str:
@@ -205,7 +188,7 @@ def poly_from_text(text: str) -> Polynomial:
 
 
 def arcsin_taylor(
-    epsilon: float, delta: float, max_degree: int = DEFAULT_MAX_DEGREE
+    epsilon: float, delta: float, max_degree: int = MAX_DEGREE
 ) -> Polynomial:
     """Truncated Taylor series of arcsin(x)/pi, accurate on [-1+delta, 1-delta].
 
@@ -235,22 +218,12 @@ def arcsin_taylor(
     degree = 2 * len(terms) - 1
     coeffs = np.zeros(degree + 1)
     coeffs[1::2] = terms
-    p = Polynomial(
-        coeffs,
-        basis="monomial",
-        parity="odd",
-        domain=(-1.0 + delta, 1.0 - delta),
-        approx=ApproximationSpec("arcsin_over_pi", epsilon, delta, degree),
-    )
-    # the partial sums at x = 1 stay below arcsin(1)/pi = 1/2, so no rescale
-    sup = float(np.sum(coeffs[1::2]))
-    if sup > 1.0:
-        scale = 1.0 / (1.0 + epsilon)
-        p = Polynomial(coeffs * scale, "monomial", "odd", p.domain, p.approx, {"rescaled": scale})
-    return p
+    # the terms are positive and sum to at most arcsin(1)/pi = 1/2 at x = 1,
+    # so |P| < 1 on [-1, 1] and no rescale is needed
+    return Polynomial(coeffs, basis="monomial", parity="odd")
 
 
-def sign_approx(Delta: float, delta: float, max_degree: int = DEFAULT_MAX_DEGREE) -> Polynomial:
+def sign_approx(Delta: float, delta: float, max_degree: int = MAX_DEGREE) -> Polynomial:
     """Odd polynomial close to sign(x) for |x| >= Delta.
 
     Approximates erf(k*x) with k chosen so erf(k*Delta) >= 1 - delta/8, using
@@ -297,45 +270,62 @@ def sign_approx(Delta: float, delta: float, max_degree: int = DEFAULT_MAX_DEGREE
         coeffs[2 * jj - 1] -= term / (2 * jj - 1)
     scale = 1.0 / (1.0 + delta / 4.0)
     coeffs *= scale
-    return Polynomial(
-        coeffs,
-        basis="chebyshev",
-        parity="odd",
-        approx=ApproximationSpec("sign", delta, Delta, degree),
-        meta={"erf_slope": k, "rescaled": scale},
-    )
+    return Polynomial(coeffs, basis="chebyshev", parity="odd")
+
+
+def _scaled_values(c: np.ndarray, xs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """e^{-dt} P(x) and the log-scale d t, for the length-(d + 1) series c.
+
+    With x = (zeta + 1/zeta)/2 and |zeta| = e^t >= 1, T_k(x) = (zeta^k +
+    zeta^-k)/2, so e^{-dt} T_k(x) = (w^k e^{(k-d)t} + w^-k e^{-(k+d)t})/2
+    with w = zeta/|zeta|: no term exceeds 1 in modulus, where Clenshaw's
+    values overflow once d t > 709. The columns of c are separate series.
+    """
+    xs = np.asarray(xs, dtype=complex)
+    r = np.sqrt((xs - 1) * (xs + 1))
+    zeta = np.where(np.abs(xs + r) >= np.abs(xs - r), xs + r, xs - r)
+    t, w = np.log(np.abs(zeta)), zeta / np.abs(zeta)
+    d = len(c) - 1
+    k = np.arange(d + 1)[:, None]
+    basis = (w**k * np.exp((k - d) * t) + w**-k * np.exp(-(k + d) * t)) / 2
+    return basis.T @ c, d * t
 
 
 def _check_qsp_conditions(p: Polynomial, tol: float = 1e-8) -> None:
     """Conditions the reflection ansatz requires, checked at sample points."""
     pc = to_chebyshev(p)
+    c = pc.coefficients
+    if not np.isfinite(c).all():
+        raise ConditionError("polynomial has a non-finite coefficient")
     d = pc.degree
     want = "even" if d % 2 == 0 else "odd"
-    if detect_parity(pc.coefficients[: d + 1], max(COEFF_TOL, tol)) != want:
+    if detect_parity(c[: d + 1], max(COEFF_TOL, tol)) != want:
         raise ConditionError(f"polynomial of degree {d} lacks parity {d % 2}")
-    vals = np.abs(lobatto_values(pc.coefficients, 2001))
-    if vals.max() > 1.0 + tol:
+    vals = np.abs(lobatto_values(c, 2001))
+    if not vals.max() <= 1.0 + tol:
         raise ConditionError(f"|P| reaches {vals.max():.12f} > 1 on [-1, 1]")
     outside = np.array([s for x in (1.0 + 1e-6, 1.05, 1.25, 1.5, 2.0) for s in (x, -x)])
-    low = np.flatnonzero(np.abs(evaluate(pc, outside)) < 1.0 - tol)
+    scaled, log_scale = _scaled_values(c, outside)
+    # log 0 = -inf where P vanishes, which fails as it should
+    with np.errstate(divide="ignore"):
+        low = np.flatnonzero(~(np.log(np.abs(scaled)) + log_scale >= np.log1p(-tol)))
     if low.size:
         raise ConditionError(f"|P({outside[low[0]]})| < 1 outside [-1, 1]")
     if d % 2 == 0:
         ys = np.array([0.0, 0.1, 0.35, 0.7, 1.0, 1.5, 2.0])
-        c = pc.coefficients
-        both = cheb.chebval(1j * ys, np.stack([c, c.conj()], axis=1))
-        vals = both[0] * both[1]
-        bad = np.flatnonzero(
-            (np.abs(vals.imag) > tol * np.maximum(1.0, np.abs(vals))) | (vals.real < 1.0 - tol)
-        )
+        both, log_scale = _scaled_values(np.stack([c, c.conj()], axis=1), 1j * ys)
+        v = both[:, 0] * both[:, 1]  # e^{-2 log_scale} P(ix) P*(ix)
+        # |Im PP*| <= tol max(1, |PP*|) and Re PP* >= 1 - tol, in logarithms
+        with np.errstate(divide="ignore", invalid="ignore"):
+            log_pp = np.log(np.abs(v)) + 2 * log_scale
+            flat = np.log(np.abs(v.imag)) + 2 * log_scale <= np.log(tol) + np.maximum(0.0, log_pp)
+            high = np.log(v.real) + 2 * log_scale >= np.log1p(-tol)
+        bad = np.flatnonzero(~(flat & high))
         if bad.size:
-            i = bad[0]
-            raise ConditionError(f"P(ix)P*(ix) = {vals[i]} < 1 at x = {ys[i]}")
+            raise ConditionError(f"P(ix)P*(ix) is not real and >= 1 at x = {ys[bad[0]]}")
 
 
-def complete_to_complex(
-    p_r: Polynomial, max_degree: int = DEFAULT_MAX_DEGREE
-) -> Polynomial:
+def complete_to_complex(p_r: Polynomial) -> Polynomial:
     """Attach an imaginary part making a bounded real polynomial realizable.
 
     The returned P = P_R + i P_I keeps the parity and degree of P_R and
@@ -344,14 +334,15 @@ def complete_to_complex(
 
     The spectral factorization runs in double precision; its identity
     residual P_R^2 + P_I^2 + (1-x^2) Q^2 - 1 on the 4001-point Lobatto grid
-    must stay below 5e-9, and any failure raises CompletionError.
+    must stay below 5e-9, and any failure, a non-finite completion included,
+    raises CompletionError.
     """
     pc = to_chebyshev(p_r)
     if not pc.is_real(1e-10):
         raise ConditionError("completion requires a real polynomial")
     d = pc.degree
-    if d > max_degree:
-        raise DegreeOverflowError(f"degree {d} exceeds max {max_degree}", needed=d)
+    if d > MAX_DEGREE:
+        raise DegreeOverflowError(f"degree {d} exceeds max {MAX_DEGREE}", needed=d)
     pr = pc.coefficients[: d + 1].real.copy()
     parity = detect_parity(pr, 1e-10)
     if parity == "none":
@@ -362,7 +353,7 @@ def complete_to_complex(
     grid = 4001
     pr_vals = lobatto_values(pr, grid)
     sup = float(np.abs(pr_vals).max())
-    if sup > 1.0 + 1e-9:
+    if not sup <= 1.0 + 1e-9:
         raise ConditionError(f"|P_R| reaches {sup:.12f} > 1 on [-1, 1]")
 
     try:
@@ -372,6 +363,8 @@ def complete_to_complex(
             f"spectral factorization failed at degree {d}: {exc}; "
             "consider reducing the degree"
         ) from exc
+    if not (np.isfinite(pi_c).all() and np.isfinite(q_c).all()):
+        raise CompletionError(f"spectral factorization at degree {d} is not finite")
     total = cheb.chebmul(pr, pr)
     total = cheb.chebadd(total, cheb.chebmul(pi_c, pi_c))
     total = cheb.chebadd(total, cheb.chebmul(np.array([0.5, 0.0, -0.5]), cheb.chebmul(q_c, q_c)))
@@ -379,7 +372,7 @@ def complete_to_complex(
     residual = float(np.abs(lobatto_values(total, grid)).max())
     # even-parity realizability pins |P(0)| = 1 to within this residual, so
     # stay well under the 1e-8 condition tolerance
-    if residual > 5e-9:
+    if not residual <= 5e-9:
         raise CompletionError(
             f"completion residual {residual:.2e} at degree {d}; "
             "consider reducing the degree"
@@ -395,11 +388,10 @@ def complete_to_complex(
         coeffs,
         basis="chebyshev",
         parity=parity,
-        domain=pc.domain,
         meta={"q_cheb": np.asarray(q_c), "completion_residual": residual},
     )
     _check_qsp_conditions(out)
     drift = np.abs(lobatto_values(out.coefficients, grid).real - pr_vals).max()
-    if drift > 1e-9:
+    if not drift <= 1e-9:
         raise CompletionError(f"real part drifted by {drift:.2e} during completion")
     return out

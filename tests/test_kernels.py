@@ -6,8 +6,8 @@ import numpy as np
 import pytest
 from numpy.polynomial import chebyshev as cheb
 
-from qsprep._factor import mul_one_minus_x2, mulx, to_mp
-from qsprep.polyapprox import lobatto_values
+from qsprep._factor import mul_one_minus_x2, mulx, to_mp, u_series_to_t
+from qsprep.polyapprox import _scaled_values, lobatto_values
 
 ONE_MINUS_X2 = np.array([0.5, 0.0, -0.5])
 
@@ -75,3 +75,31 @@ def test_products_on_mpc_object_arrays(size):
             assert got.dtype == object and len(got) == len(want)
             assert all(isinstance(z, mp.mpc) for z in got)
             assert max(abs(g - w) for g, w in zip(got, want)) < mp.mpf(10) ** -35
+
+
+@pytest.mark.parametrize("size", [1, 2, 3, 8, 41])
+def test_u_series_to_t_matches_sine_ratio(size):
+    # U_j(cos t) = sin((j + 1) t) / sin t
+    ub = np.random.default_rng(size).standard_normal(size)
+    ts = np.linspace(0.05, 3.09, 57)
+    want = np.sin(np.outer(ts, np.arange(1, size + 1))) @ ub / np.sin(ts)
+    got = cheb.chebval(np.cos(ts), u_series_to_t(ub))
+    np.testing.assert_allclose(got, want, rtol=0, atol=1e-12 * np.abs(ub).sum() * size)
+
+
+@pytest.mark.parametrize("size", [1, 2, 7, 30])
+def test_scaled_values_match_chebval(size):
+    c = np.random.default_rng(size).standard_normal((size, 2)) @ np.array([1.0, 1j])
+    xs = np.array([1 + 1e-6, -1.05, 1.25, -2.0, 0.0j, 0.35j, 2j])
+    scaled, log_scale = _scaled_values(c, xs)
+    want = cheb.chebval(xs, c)
+    np.testing.assert_allclose(scaled * np.exp(log_scale), want, rtol=1e-12, atol=1e-12)
+
+
+def test_scaled_values_do_not_overflow():
+    c = np.zeros(5001)
+    c[-1] = 1.0  # |T_5000(2)| = cosh(5000 acosh 2) ~ e^6585, |T_5000(2i)| = cosh(5000 asinh 2)
+    scaled, log_scale = _scaled_values(c, np.array([2.0, -2.0, 2j]))
+    assert np.isfinite(scaled).all()
+    t = np.array([np.arccosh(2.0), np.arccosh(2.0), np.arcsinh(2.0)])
+    np.testing.assert_allclose(np.log(np.abs(scaled)) + log_scale, 5000 * t - np.log(2), rtol=1e-12)

@@ -244,6 +244,36 @@ def test_find_phases_optimizer_route(caplog):
     assert "least-squares polish" in logged[-1].getMessage()
 
 
+@pytest.mark.parametrize("bad", [np.nan, np.inf], ids=["nan", "inf"])
+@pytest.mark.parametrize("coeffs", [[1.0], [0.0, 0.5, 0.0, 1.0]], ids=["constant", "degree-3"])
+def test_find_phases_rejects_non_finite_series(coeffs, bad):
+    c = np.array(coeffs, dtype=complex)
+    c[0 if len(c) == 1 else 2] = bad
+    with pytest.raises(ConditionError):
+        find_phases(Polynomial(c, basis="chebyshev"))
+
+
+def test_nan_residual_counts_as_degraded(monkeypatch, caplog):
+    import qsprep.phases as phases
+
+    target = complete_to_complex(sign_approx(0.3, 0.2))
+    strip = phases._strip
+
+    def nan_in_double(p, q):
+        phis, drop = strip(p, q)
+        if p.dtype != object:
+            phis = np.full_like(phis, np.nan)
+        return phis, drop
+
+    monkeypatch.setattr(phases, "_strip", nan_in_double)
+    caplog.set_level(logging.DEBUG, logger="qsprep")
+    phi = find_phases(target)
+    logged = [r for r in caplog.records if r.name == "qsprep.phases"]
+    assert "extended precision, attempt 1" in logged[0].getMessage()
+    xs = cheb_nodes(4 * target.degree)
+    assert np.abs(reconstruct(phi, xs) - evaluate(target, xs)).max() <= 1e-7
+
+
 def test_find_phases_degree_zero():
     phi = find_phases(Polynomial([1.0], parity="even"))
     assert len(phi) == 0

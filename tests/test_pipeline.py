@@ -112,6 +112,15 @@ def test_grover_small_case():
     assert rep.info["calls_per_sqrt_n"] == rep.oracle_calls / 2.0
 
 
+def test_grover_past_sign_degree_2000():
+    # n = 13 needs sign degree 2329, where the completion's root product
+    # overflowed before it was taken in logarithms
+    rep = grover_case(13, 8189, 0.1, 0.05)
+    assert rep.degrees[1] == 2329
+    assert rep.all_passed, [c.name for c in rep.bound_checks if not c.passed]
+    assert int(np.argmax(np.abs(rep.final_state.amplitudes))) == 8189
+
+
 def test_grover_rejects_out_of_range():
     with pytest.raises(ValueError):
         grover_case(2, 4, delta=0.1, epsilon=0.05)

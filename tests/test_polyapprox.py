@@ -2,9 +2,9 @@ import numpy as np
 import pytest
 from numpy.polynomial import chebyshev as cheb
 
-from qsprep.errors import ConditionError, DegreeOverflowError
+from qsprep import _factor
+from qsprep.errors import CompletionError, ConditionError, DegreeOverflowError
 from qsprep.polyapprox import (
-    ApproximationSpec,
     Polynomial,
     arcsin_taylor,
     chebyshev_economize,
@@ -184,6 +184,31 @@ def test_complete_rejects_mixed_parity():
         complete_to_complex(Polynomial([0.3, 0.4, 0.1]))
 
 
+def test_completion_at_sign_degree_2329_is_finite():
+    # the sign polynomial of the n = 13 search instance; its root product
+    # overflows unless it is taken in logarithms
+    s = sign_approx(0.9 * 0.25 * 2.0**-6.5, 0.1)
+    assert s.degree == 2329
+    p = complete_to_complex(s)
+    assert np.isfinite(p.coefficients).all() and np.isfinite(p.meta["q_cheb"]).all()
+    assert p.meta["completion_residual"] <= 5e-9
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf], ids=["nan", "inf"])
+def test_completion_guards_reject_non_finite_values(bad, monkeypatch):
+    with pytest.raises(ConditionError):
+        complete_to_complex(Polynomial([0.0, 0.5, 0.0, bad], basis="chebyshev"))
+    with pytest.raises(CompletionError):
+        _factor.complete_real(np.array([0.0, 0.5, 0.0, bad]))
+    with pytest.raises(CompletionError):
+        _factor.complementary_q(np.array([0.0, 0.5, 0.0, bad], dtype=complex))
+    # a non-finite factorization raises CompletionError, not a numpy warning
+    monkeypatch.setattr(_factor, "complete_real",
+                        lambda pr: (np.full(pr.size, bad), np.full(pr.size - 1, bad)))
+    with pytest.raises(CompletionError):
+        complete_to_complex(Polynomial([0.0, 0.5], basis="chebyshev", parity="odd"))
+
+
 # ---------------------------------------------------------------------------
 # evaluation, bases, serialization
 # ---------------------------------------------------------------------------
@@ -235,13 +260,3 @@ def test_serialization_round_trip():
     q = poly_from_text(text)
     assert q.basis == p.basis and q.parity == p.parity and q.degree == p.degree
     np.testing.assert_allclose(q.coefficients, p.coefficients[: p.degree + 1], rtol=0, atol=1e-16)
-
-
-def test_approximation_spec_validation():
-    with pytest.raises(ValueError):
-        ApproximationSpec("sign", 1.5, 0.1, 3)
-    with pytest.raises(ValueError):
-        ApproximationSpec("sign", 0.5, 0.0, 3)
-    spec = arcsin_taylor(1e-3, 0.2).approx
-    assert spec.target == "arcsin_over_pi"
-    assert spec.degree % 2 == 1
