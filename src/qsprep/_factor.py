@@ -4,14 +4,13 @@ All polynomial arithmetic is in the Chebyshev basis, where bounded
 polynomials keep O(1) coefficients, through ``numpy.polynomial.chebyshev``;
 multiplication by x and by (1 - x^2), the steps of layer stripping, are
 plain slice arithmetic on raw arrays (``mulx``, ``mul_one_minus_x2``).
-Root work happens in the variable u = 2x^2 - 1 (every polynomial factored
-here is even), via colleague matrices in double precision. Downstream
-verification decides whether a result is accepted.
-
-The complementary series used by layer stripping can also be assembled in
-extended precision: the same routine takes an object array of mpmath.mpc
-coefficients, works at the current ``mp.dps`` and polishes the colleague
-roots with an Aberth iteration.
+Every polynomial factored here is even, so the work happens in u = 2x^2 - 1.
+A real P_R is completed from the cepstrum of 1 - P_R^2 by FFT, with no root
+finding (``complete_real``). The complementary series of a complex P
+(``complementary_q``) comes from colleague-matrix roots, in double or, for
+an object array of mpmath.mpc, in extended precision at the current
+``mp.dps`` with an Aberth polish. Downstream verification decides whether
+a result is accepted.
 """
 from __future__ import annotations
 
@@ -20,6 +19,8 @@ from numpy.polynomial import chebyshev as cheb
 import mpmath as mp
 
 from .errors import CompletionError
+
+MAX_CEPSTRUM_GRID = 1 << 21
 
 
 def strip_dps(degree: int) -> int:
@@ -238,12 +239,13 @@ def complete_real(pr_cheb: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Imaginary part and complementary series for a real bounded P_R.
 
     Solves P_R^2 + P_I^2 + (1-x^2) Q^2 = 1 with real Chebyshev series P_I, Q
-    by factoring F = 1 - P_R^2 on the unit circle: with x = (z + 1/z)/2 the
-    lifted polynomial in z^2 has one inside-disk root per root of F written
-    in u = 2x^2 - 1, namely w = u -/+ 2 sqrt(x^2 (x^2 - 1)). The factor
-    g(z) = sqrt(K) z^{-d} prod (z^2 - w_j) satisfies |g|^2 = F <= 1 on the
-    circle, but its partial products grow like 2^j and overflow from degree
-    ~2000, so K and g are assembled from sums of logarithms.
+    by factoring F = 1 - P_R^2 on the unit circle, where x = (z + 1/z)/2 and
+    u = (zeta + 1/zeta)/2, zeta = z^2. The outer factor h of F in zeta
+    (|h|^2 = F on the circle, h(0) > 0, no zero inside the disk) is unique;
+    g(z) = z^d h(1/z^2) gives P_I from its symmetric and Q from its
+    antisymmetric coefficients. Exact zeros of F at u = +/-1 (x = +/-1 and
+    x = 0) are divided out as (1 -/+ u)/2 and multiplied back into h as
+    (1 -/+ zeta)/2; the rest of h comes from ``_outer_factor``.
     """
     pr = np.asarray(pr_cheb, dtype=float)
     if not np.isfinite(pr).all():
@@ -262,68 +264,64 @@ def complete_real(pr_cheb: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
             raise CompletionError("1 - P_R^2 is negative")
         return np.array([np.sqrt(max(val, 0.0))]), np.array([0.0])
 
-    ws = _paired_factor_roots(cheb.chebroots(fu / np.abs(fu).max()))
-    ts = np.array([0.41, 1.13, 1.87, 2.63])
-    m = 1 << (4 * d + 7).bit_length()  # FFT size, the power of two >= 4d + 8
-    theta = 2 * np.pi * np.arange(m) / m
-    z2 = np.exp(2j * theta)
-    # log 0 = -inf only where a sample lands exactly on a root
-    with np.errstate(divide="ignore"):
-        # positive scale so that |g|^2 = F at four sample points
-        log_mag2 = 2 * np.log(np.abs(np.exp(2j * ts)[:, None] - ws)).sum(axis=1)
-        keep = log_mag2 >= np.log(1e-280)
-        if not keep.any():
-            raise CompletionError("all scaling samples fell on roots")
-        ks = cheb.chebval(np.cos(ts[keep]), f) * np.exp(-log_mag2[keep])
-        k = float(np.median(ks))
-        # a wrong branch or half gives O(1) disagreement; root noise stays
-        # tiny, and the reconstruction check downstream is the accuracy authority
-        if not (k > 0 and ks.max() - ks.min() <= 1e-3 * k + 1e-12):
-            raise CompletionError(f"inconsistent circle factorization scale {ks}")
-        # Laurent coefficients of g by FFT; each chunk's product stays below 2^64
-        log_g = 0.5 * np.log(k) - 1j * d * theta
-        for j in range(0, ws.size, 64):
-            log_g += np.log(np.prod(z2 - ws[j:j + 64, None], axis=0))
-    gl = np.fft.fft(np.exp(log_g)) / m
+    # F as zeta^d times a palindromic polynomial in zeta
+    lau = np.concatenate([fu[:0:-1] / 2, fu[:1], fu[1:] / 2])
+    zeros = []
+    for s in (1.0, -1.0):
+        while lau.size > 1 and abs(np.polyval(lau, s)) <= 1e-9:
+            # zero the value at u = s (moving F by at most 1e-9), then divide
+            # by (1 - s u)/2 = -s (zeta - s)^2 / (4 zeta)
+            lau[lau.size // 2] -= s ** (lau.size // 2) * np.polyval(lau, s)
+            lau = -4 * s * _divide_root(_divide_root(lau, s), s)
+            zeros.append(s)
+    h = _outer_factor(lau)
+    for s in zeros:
+        h = np.convolve(h, [0.5, -0.5 * s])
 
+    # g(z) = z^d h(1/z^2): its Laurent coefficients for z^-d .. z^d
+    g = np.zeros(2 * d + 1, dtype=h.dtype)
+    g[::2] = h[::-1]
     # symmetric part -> P_I (T-series), antisymmetric part -> Q (U-series)
-    pos, neg = gl[1:d + 1], gl[m - 1:m - d - 1:-1]
+    pos, neg = g[d + 1:], g[d - 1::-1]
     sym, asym = pos + neg, pos - neg
-    dust = max(abs(gl[0].imag), np.abs(sym.imag).max(), np.abs(asym.imag).max())
+    dust = max(abs(g[d].imag), np.abs(sym.imag).max(), np.abs(asym.imag).max())
     if not dust <= 1e-7:
         raise CompletionError(f"factor is not real (imaginary dust {dust:.2e})")
-    return np.concatenate([[gl[0].real], sym.real]), u_series_to_t(asym.real)
+    return np.concatenate([[g[d].real], sym.real]), u_series_to_t(asym.real)
 
 
-def _paired_factor_roots(roots_u: np.ndarray, im_tol: float = 1e-8) -> np.ndarray:
-    """Inside-disk factor roots with conjugate closure enforced structurally.
+def _divide_root(p: np.ndarray, s: float) -> np.ndarray:
+    """p(zeta) / (zeta - s), s = +/-1, remainder dropped: p_i = q_{i-1} - s q_i."""
+    powers = s ** np.arange(p.size)
+    return -(s * powers * np.cumsum(powers * p))[:-1]
 
-    Each upper-half u-root emits exactly (w, conj(w)); that keeps the
-    spectral factor real even when both branch magnitudes sit on the unit
-    circle and an independent per-root pick could break the symmetry. Real
-    u-roots have a real inside branch (interior tangencies are excluded
-    upstream). The branch is w = u -/+ 2 sqrt(x^2 (x^2 - 1)), x^2 = (u+1)/2,
-    whichever has the smaller modulus.
+
+def _outer_factor(lau: np.ndarray) -> np.ndarray:
+    """Outer factor of G = zeta^-D lau(zeta), lau palindromic of length 2D + 1.
+
+    h = exp(causal half of the cepstrum of log G) has |h|^2 = G, h(0) > 0
+    and no zero inside the disk: three FFTs on an m-point circle grid. m
+    starts at the power of two >= 4D + 4 and doubles until the aliased
+    coefficients above degree D hold below 1e-14 of h's 2-norm. A G that
+    vanishes or is negative on the circle (P_R touches or exceeds 1 inside
+    the interval) raises CompletionError, at a grid point or at the cap.
     """
-    u = np.atleast_1d(roots_u).astype(complex)
-    t = im_tol * (1.0 + np.abs(u))
-    upper, lower = u.imag > t, u.imag < -t
-    n_up = int(upper.sum())
-    if n_up != lower.sum():
-        raise CompletionError(
-            f"conjugate pairing failed: {n_up} upper vs {lower.sum()} lower roots"
-        )
-    u = np.concatenate([u[upper], u[~(upper | lower)].real + 0j])
-    x2 = (u + 1.0) / 2.0
-    s = 2 * np.sqrt(x2 * x2 - x2)
-    w = np.where(np.abs(u + s) <= np.abs(u - s), u + s, u - s)
-    w_up, w_real = w[:n_up], w[n_up:]
-    if not (np.abs(w_real.imag) <= 1e-6 * (1.0 + np.abs(w_real))).all():
-        raise CompletionError(
-            "real factor root fell on the unit circle; the polynomial "
-            "touches 1 inside the interval"
-        )
-    return np.concatenate([np.stack([w_up, w_up.conj()], axis=1).ravel(), w_real.real + 0j])
+    deg = lau.size // 2
+    m = 1 << (4 * deg + 3).bit_length()
+    while m <= MAX_CEPSTRUM_GRID:
+        vals = np.fft.irfft(lau[deg:], m) * m
+        if not vals.min() > 0:
+            raise CompletionError("1 - P_R^2 vanishes or is negative inside the interval")
+        cep = np.fft.rfft(np.log(vals)) / m
+        cep[[0, -1]] /= 2
+        h = np.fft.fft(np.exp(m * np.fft.ifft(cep, m))) / m
+        if np.linalg.norm(h[deg + 1:]) <= 1e-12 * np.linalg.norm(h):
+            return h[:deg + 1]
+        m *= 2
+    raise CompletionError(
+        f"cepstrum of 1 - P_R^2 unresolved on {MAX_CEPSTRUM_GRID} points; "
+        "|P_R| touches or nearly touches 1 on [-1, 1]"
+    )
 
 
 def to_mp(c) -> np.ndarray:

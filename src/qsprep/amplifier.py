@@ -22,14 +22,10 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .blockenc import BlockEncoding, qsvt_circuit
-from .errors import DegreeOverflowError, DimensionError, InputError
+from .errors import DimensionError, InputError
 from .phases import PhaseSequence, find_phases, phases_from_text, phases_to_text, verify_phases
 from .polyapprox import Polynomial, complete_to_complex, evaluate, sign_approx
 from .simulator import Projector, UnitaryMatrix
-
-# Smallest singular value a plan accepts; below it the sign degree, roughly
-# (2 / sigma) log(16 / delta), is refused before any work is done.
-SIGMA_FLOOR = 1e-3
 
 
 @dataclass(frozen=True)
@@ -112,19 +108,14 @@ def plan_amplification(sigma: float, delta: float) -> AmplificationPlan:
     """Sign-polynomial plan boosting a singular value >= sigma to 1 - delta/2.
 
     The sign approximant is built at threshold 0.9 * sigma to tolerate the
-    estimation error a quantized amplitude table induces on sigma.
+    estimation error a quantized amplitude table induces on sigma. A sign
+    degree (about (2 / sigma) log(16 / delta)) above ``MAX_DEGREE`` raises
+    DegreeOverflowError in ``sign_approx``, before any completion.
     """
     if not 0 < sigma <= 1:
         raise ValueError("sigma must lie in (0, 1]")
     if not 0 < delta < 1:
         raise ValueError("delta must lie in (0, 1)")
-    if sigma < SIGMA_FLOOR:
-        est = int(np.ceil(2.0 / sigma * np.log(16.0 / delta)))
-        raise DegreeOverflowError(
-            f"sigma = {sigma:.2e} below the floor {SIGMA_FLOOR}; the plan would "
-            f"need roughly degree {est}",
-            needed=est,
-        )
     if sigma >= 1.0 - delta / 2.0:
         # the identity polynomial already reaches the target, and degrades
         # continuously, so no threshold margin is needed

@@ -280,8 +280,11 @@ def verify_error_bounds(cfg: PrepConfig) -> PrepReport:
     distance of the half-amplitude generators, which is the unit the
     analysis manipulates), the checks are |gamma~ - gamma| <= 2 eps; when
     eps <= gamma/4 also gamma~ >= gamma/2, |sqrt(gamma) - sqrt(gamma~)| <=
-    eps/(sqrt(2) sqrt(gamma)), and the realized and final states sit within
-    3 eps / gamma of the target.
+    eps, and the realized and final states sit within 3 eps / gamma of the
+    target. The square-root bound is the reverse triangle inequality: with
+    ||c||_2 = sqrt(N gamma), |sqrt(gamma) - sqrt(gamma~)| =
+    | ||c||_2 - ||c~||_2 | / sqrt(N) <= ||c - c~||_2 / sqrt(N) <= eps, and a
+    constant table with a constant error meets it with equality.
     """
     return _bound_report(_execute(cfg))
 
@@ -299,9 +302,9 @@ def _bound_report(run: _RunResult) -> PrepReport:
         checks.append(BoundCheck.le("gamma_realized_ge_half_gamma", g / 2.0, gt))
         checks.append(
             BoundCheck.le(
-                "sqrt_gamma_diff_le_eps_over_sqrt2_gamma",
+                "sqrt_gamma_diff_le_eps",
                 abs(np.sqrt(g) - np.sqrt(gt)),
-                eps / (np.sqrt(2.0) * np.sqrt(g)),
+                eps,
                 slack=1e-12,
             )
         )

@@ -3,7 +3,8 @@
 Provides the truncated arcsin Taylor series, an erf-based approximant of the
 sign function with closed-form Chebyshev coefficients, and the spectral
 factorization that equips a bounded real polynomial with the imaginary part
-required by the reflection ansatz.
+required by the reflection ansatz, read off the cepstrum of 1 - P_R^2 by
+FFT in O(d log d) (``_factor.complete_real``).
 
 Checks on a grid use Chebyshev-Lobatto points cos(pi j / (N - 1)), where a
 series' N values are one DCT-I of its coefficients (``lobatto_values``):
@@ -332,10 +333,12 @@ def complete_to_complex(p_r: Polynomial) -> Polynomial:
     satisfies the reflection-ansatz conditions; the complementary series Q
     found along the way is stored in ``meta["q_cheb"]``.
 
-    The spectral factorization runs in double precision; its identity
-    residual P_R^2 + P_I^2 + (1-x^2) Q^2 - 1 on the 4001-point Lobatto grid
-    must stay below 5e-9, and any failure, a non-finite completion included,
-    raises CompletionError.
+    P_I and Q come from the outer factor of 1 - P_R^2 on the unit circle,
+    which is unique, computed in double precision from its cepstrum; a P_R
+    that touches 1 inside the interval has none. The identity residual
+    P_R^2 + P_I^2 + (1-x^2) Q^2 - 1 on the 4001-point Lobatto grid must stay
+    below 5e-9 and the real part may drift by at most 1e-9; any failure, a
+    non-finite completion included, raises CompletionError.
     """
     pc = to_chebyshev(p_r)
     if not pc.is_real(1e-10):

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from qsprep import amplifier
 from qsprep.amplifier import (
     amplify,
     build_projectors,
@@ -9,7 +10,7 @@ from qsprep.amplifier import (
     plan_to_text,
 )
 from qsprep.errors import DegreeOverflowError, InputError
-from qsprep.polyapprox import evaluate
+from qsprep.polyapprox import MAX_DEGREE, evaluate
 from qsprep.simulator import (
     RegisterLayout,
     StateVector,
@@ -94,9 +95,19 @@ def test_plan_rounds_scale_linearly_in_inverse_sigma():
     assert np.abs(fitted - rounds).max() / rounds.max() < 0.2
 
 
-def test_plan_sigma_floor():
-    with pytest.raises(DegreeOverflowError):
+def test_plan_degree_limit(monkeypatch):
+    # the n = 16 search instance plans sign degree 6583
+    plan = plan_amplification(0.25 * 2.0**-8, 0.1)
+    assert plan.rounds == 6583
+    assert plan.predicted_success() >= (1 - 0.1 / 2) ** 2
+    # a smaller sigma's sign degree is refused before any completion
+    def no_completion(p):
+        raise AssertionError("completion reached")
+
+    monkeypatch.setattr(amplifier, "complete_to_complex", no_completion)
+    with pytest.raises(DegreeOverflowError) as exc:
         plan_amplification(1e-4, 0.1)
+    assert exc.value.needed > MAX_DEGREE
 
 
 def test_amplify_boosts_rank_one_instances():

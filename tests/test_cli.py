@@ -5,9 +5,11 @@ import json
 import numpy as np
 import pytest
 
+from qsprep import cli
 from qsprep.cli import main
 from qsprep.oracle import AmplitudeOracle, oracle_to_text
 from qsprep.phases import phases_from_text, reconstruct
+from qsprep.pipeline import BoundCheck, verify_error_bounds
 from qsprep.polyapprox import (
     complete_to_complex,
     evaluate,
@@ -111,16 +113,26 @@ def test_total_failure_split(tmp_path, capsys):
     assert "1.000000e-01" in out  # both budgets became 0.1
 
 
-def test_bound_check_failure_exit_code(tmp_path, capsys):
-    # a constant table saturates one printed inequality; the run completes
-    # but the exit code reports the failed check
+def test_bound_check_failure_exit_code(tmp_path, capsys, monkeypatch):
+    # a constant table meets every inequality, one of them with equality;
+    # a report with a failed check still prints, and the exit code reports it
     oracle_file = tmp_path / "oracle.txt"
     oracle_file.write_text(oracle_to_text(AmplitudeOracle.uniform(2, 6)))
-    rc = main(["verify-bounds", "--oracle", str(oracle_file), "--eps", "0.1",
-               "--delta", "0.1", "--m", "6"])
+    args = ["verify-bounds", "--oracle", str(oracle_file), "--eps", "0.1",
+            "--delta", "0.1", "--m", "6"]
+    assert main(args) == 0
+    assert "[FAIL]" not in capsys.readouterr().out
+
+    def with_failed_check(cfg):
+        rep = verify_error_bounds(cfg)
+        rep.bound_checks.append(BoundCheck.le("failed_check", 1.0, 0.0))
+        return rep
+
+    monkeypatch.setattr(cli, "verify_error_bounds", with_failed_check)
+    rc = main(args)
     out = capsys.readouterr().out
     assert rc == 1
-    assert "[FAIL]" in out
+    assert "[FAIL] failed_check" in out
 
 
 @pytest.mark.parametrize(

@@ -162,21 +162,23 @@ def test_sweep_records_failures_as_rows():
     assert rows[0]["pass"] is False
 
 
-def test_constant_table_saturates_sqrt_gamma_constant():
-    # a constant table realizes a uniform amplitude error, which saturates
-    # |sqrt(gamma) - sqrt(gamma~)| at eps; the inequality's printed constant
-    # 1/sqrt(2) is then unattainable while every other check passes
+def test_constant_table_meets_sqrt_gamma_bound_with_equality():
+    # a constant table 3/4 with a constant error 1/8, in exact binary
+    # arithmetic: sqrt(gamma) = 3/4 and sqrt(gamma~) = 7/8, so
+    # |sqrt(gamma) - sqrt(gamma~)| equals eps, above eps / (sqrt(2) sqrt(gamma))
+    # because gamma = 9/16 > 1/2
+    c = np.full(16, 0.75)
+    c_err = c + 0.125
+    eps = np.abs(c_err - c).max()
+    g, g_err = np.mean(c**2), np.mean(c_err**2)
+    lhs = abs(np.sqrt(g) - np.sqrt(g_err))
+    assert lhs == eps == 0.125
+    assert lhs > eps / (np.sqrt(2.0) * np.sqrt(g))
+    # the pipeline's uniform table attains the bound too and passes every check
     rep = verify_error_bounds(PrepConfig(oracle=AmplitudeOracle.uniform(2, 6), epsilon=0.1, delta=0.1, m=6))
     by_name = {c.name: c for c in rep.bound_checks}
-    assert not by_name["sqrt_gamma_diff_le_eps_over_sqrt2_gamma"].passed
-    assert by_name["gamma_diff_le_2eps"].passed
-    assert by_name["final_dist_le_3eps_over_gamma"].passed
-    assert by_name["final_error_le_epsilon"].passed
-    # the honestly derived constant sqrt(2) holds
-    eps = rep.info["eps_measured"]
-    g = rep.info["gamma"]
-    lhs = by_name["sqrt_gamma_diff_le_eps_over_sqrt2_gamma"].lhs
-    assert lhs <= np.sqrt(2.0) * eps / np.sqrt(g)
+    assert by_name["sqrt_gamma_diff_le_eps"].lhs == pytest.approx(rep.info["eps_measured"], rel=1e-9)
+    assert rep.all_passed, [c.name for c in rep.bound_checks if not c.passed]
 
 
 def test_final_state_close_to_realized_amplitudes():

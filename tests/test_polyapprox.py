@@ -1,3 +1,5 @@
+import time
+
 import numpy as np
 import pytest
 from numpy.polynomial import chebyshev as cheb
@@ -11,6 +13,7 @@ from qsprep.polyapprox import (
     complete_to_complex,
     detect_parity,
     evaluate,
+    lobatto_values,
     poly_from_text,
     poly_to_text,
     sign_approx,
@@ -184,14 +187,70 @@ def test_complete_rejects_mixed_parity():
         complete_to_complex(Polynomial([0.3, 0.4, 0.1]))
 
 
-def test_completion_at_sign_degree_2329_is_finite():
-    # the sign polynomial of the n = 13 search instance; its root product
-    # overflows unless it is taken in logarithms
-    s = sign_approx(0.9 * 0.25 * 2.0**-6.5, 0.1)
-    assert s.degree == 2329
+@pytest.mark.parametrize("degree", [2329, 4655])
+def test_completion_at_sign_degree_2329_is_finite(degree):
+    # the sign polynomials of the n = 13 and n = 15 search instances; a
+    # product over the roots of 1 - P_R^2 at these degrees overflows doubles
+    n = {2329: 13, 4655: 15}[degree]
+    s = sign_approx(0.9 * 0.25 * 2.0 ** (-n / 2), 0.1)
+    assert s.degree == degree
     p = complete_to_complex(s)
     assert np.isfinite(p.coefficients).all() and np.isfinite(p.meta["q_cheb"]).all()
     assert p.meta["completion_residual"] <= 5e-9
+
+
+def _root_completion(pr):
+    """P_I and Q from the roots of F = 1 - P_R^2, the reference at d <= 200.
+
+    Each root u of F in u = 2x^2 - 1 gives the factor (zeta - w) of h,
+    zeta = z^2, with w = u -/+ 2 sqrt(x^2 (x^2 - 1)) the branch inside the
+    disk. The plain product over d <= 200 roots stays below 2^200, and its
+    scale follows from Parseval: the mean of F on the circle is f_0.
+    """
+    d = len(pr) - 1
+    f = -cheb.chebmul(pr, pr)
+    f[0] += 1.0
+    u = cheb.chebroots(f[::2]).astype(complex)
+    x2 = (u + 1) / 2
+    s = 2 * np.sqrt(x2 * x2 - x2)
+    w = np.where(np.abs(u + s) <= np.abs(u - s), u + s, u - s)
+    zeta = np.exp(2j * np.pi * np.arange(d + 1) / (d + 1))
+    h = np.fft.fft(np.prod(zeta[:, None] - w, axis=1)).real / (d + 1)
+    g = np.zeros(2 * d + 1)
+    g[::2] = np.sqrt(f[0] / (h @ h)) * h  # z^-d .. z^d
+    pos, neg = g[d + 1:], g[d - 1::-1]
+    return np.concatenate([[g[d]], pos + neg]), _factor.u_series_to_t(pos - neg)
+
+
+def test_completion_matches_root_reference():
+    rng = np.random.default_rng(7)
+    for sup in np.tile([0.5, 0.9, 0.95, 0.99, 0.999], 8):
+        d = int(rng.integers(1, 201))
+        c = rng.standard_normal(d + 1) * rng.uniform(0.6, 0.99) ** np.arange(d + 1)
+        c[(d + 1) % 2::2] = 0.0
+        c *= sup / np.abs(lobatto_values(c, 40001)).max()
+        for got, want in zip(_factor.complete_real(c), _root_completion(c)):
+            np.testing.assert_allclose(got, want, rtol=0, atol=1e-10)
+
+
+def test_completion_of_polynomials_touching_one():
+    # x and T_2 reach |P_R| = 1 only at x = +/-1 and x = 0, exact zeros of
+    # 1 - P_R^2 that the completion divides out
+    for c, p_i, q in (([0.0, 1.0], [0.0, 0.0], [1.0]), ([0.0, 0.0, 1.0], [0.0, 0.0, 0.0], [0.0, 2.0])):
+        got_i, got_q = _factor.complete_real(np.array(c))
+        np.testing.assert_allclose(got_i, p_i, atol=1e-14)
+        np.testing.assert_allclose(got_q, q, atol=1e-14)
+    # (3x - x^3)/2 touches 1 at x = 1 with zero slope: a double zero there;
+    # scaled by 1 - 1e-10 it misses 1 by 2e-10, divided out all the same
+    for scale, residual in ((1.0, 1e-14), (1 - 1e-10, 3e-10)):
+        pr = scale * np.array([0.0, 1.125, 0.0, -0.125])
+        p = complete_to_complex(Polynomial(pr, basis="chebyshev", parity="odd"))
+        assert p.meta["completion_residual"] <= residual
+    # T_3 touches 1 at x = +/-1/2 inside the interval: no outer factor
+    start = time.perf_counter()
+    with pytest.raises(CompletionError):
+        complete_to_complex(Polynomial([0.0, 0.0, 0.0, 1.0], basis="chebyshev", parity="odd"))
+    assert time.perf_counter() - start < 2.0
 
 
 @pytest.mark.parametrize("bad", [np.nan, np.inf], ids=["nan", "inf"])
