@@ -97,7 +97,6 @@ from .simulator import (
     op_dist,
     pauli_x,
     pauli_y,
-    pauli_z,
     phase_gate,
     project_measure,
     projector_phase,

@@ -115,8 +115,10 @@ def u_series_to_t(ub: np.ndarray) -> np.ndarray:
     return out
 
 
-def pick_conjugate_half(roots: np.ndarray, im_tol: float = 1e-7):
+def pick_conjugate_half(roots: np.ndarray):
     """One representative per conjugate pair; real roots are paired up.
+
+    A root counts as real when its imaginary part is at most 1e-7 (1 + |r|).
 
     Returns a list S such that S together with its conjugates reproduces the
     whole multiset. Real roots must occur an even number of times, which is
@@ -124,7 +126,7 @@ def pick_conjugate_half(roots: np.ndarray, im_tol: float = 1e-7):
     """
     upper, lower, real = [], [], []
     for r in np.atleast_1d(roots):
-        t = im_tol * (1.0 + abs(r))
+        t = 1e-7 * (1.0 + abs(r))
         if r.imag > t:
             upper.append(r)
         elif r.imag < -t:
@@ -329,21 +331,22 @@ def to_mp(c) -> np.ndarray:
     return np.array([mp.mpc(z) for z in np.atleast_1d(c)], dtype=object)
 
 
-def aberth_roots(coeffs: np.ndarray, max_iter: int = 25) -> np.ndarray:
+def aberth_roots(coeffs: np.ndarray) -> np.ndarray:
     """All roots of a real mpc T-series, refined simultaneously in mp precision.
 
     The start is the colleague-matrix roots from the complex eigensolver: a
     conjugate-symmetric start (the real solver's) would keep the iterates of
-    a close real pair on the real line for good. Stops at the configured
-    tolerance or once the steps stall at the rounding floor (near-multiple
-    roots cannot do better than ~sqrt of the precision).
+    a close real pair on the real line for good. Stops after 25 sweeps, at
+    the working precision less 6 digits, or once the steps stall at the
+    rounding floor (near-multiple roots cannot do better than ~sqrt of the
+    precision).
     """
     der = cheb.chebder(coeffs)
     zs = [mp.mpc(complex(r)) for r in cheb.chebroots(coeffs.astype(complex))]
     n = len(zs)
     tol = mp.mpf(10) ** (-(mp.mp.dps - 6))
     prev = None
-    for it in range(max_iter):
+    for it in range(25):
         moved = mp.mpf(0)
         vals = [cheb.chebval(z, coeffs) for z in zs]
         ders = [cheb.chebval(z, der) for z in zs]

@@ -17,13 +17,13 @@ blocks.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
 from .blockenc import BlockEncoding, qsvt_circuit
-from .errors import DimensionError, InputError
-from .phases import PhaseSequence, find_phases, phases_from_text, phases_to_text, verify_phases
+from .errors import DimensionError
+from .phases import PhaseSequence, find_phases
 from .polyapprox import Polynomial, complete_to_complex, evaluate, sign_approx
 from .simulator import Projector, UnitaryMatrix
 
@@ -54,38 +54,6 @@ class AmplificationPlan:
     def predicted_success(self, sigma: float | None = None) -> float:
         s = self.sigma if sigma is None else sigma
         return float(abs(evaluate(self.realized, s)) ** 2)
-
-
-def plan_to_text(plan: AmplificationPlan) -> str:
-    head = f"{plan.sigma:.17g} {plan.delta:.17g} {plan.rounds}\n"
-    return head + phases_to_text(plan.phases)
-
-
-def plan_from_text(text: str) -> AmplificationPlan:
-    """Read a plan; its angles must realize the plan its header describes.
-
-    The header's parameters are re-planned, and the file's angles are checked
-    with ``verify_phases`` against the re-planned polynomial, on the grid and
-    at the tolerance ``find_phases`` accepts by default. The returned plan
-    carries the file's angles; a malformed file or a mismatch raises
-    InputError.
-    """
-    lines = [ln for ln in text.strip().splitlines() if ln.strip()]
-    try:
-        sigma, delta, rounds = lines[0].split()
-        sigma, delta, rounds = float(sigma), float(delta), int(rounds)
-    except (IndexError, ValueError) as exc:
-        raise InputError(f"plan file needs a header `sigma delta rounds`: {exc}") from exc
-    phi = phases_from_text("\n".join(lines[1:]))
-    plan = plan_amplification(sigma, delta)
-    if plan.rounds != rounds or len(phi) != plan.rounds:
-        raise InputError("serialized plan is inconsistent with its parameters")
-    check = verify_phases(phi, plan.realized, max(4 * plan.rounds, 32))
-    if not check.passed:
-        raise InputError(
-            f"serialized angles miss the planned polynomial by {check.max_error:.3e}"
-        )
-    return replace(plan, phases=phi)
 
 
 def build_projectors(n: int, s_unitary: UnitaryMatrix, ancillas: int = 2) -> tuple[Projector, Projector]:

@@ -269,7 +269,7 @@ def hamiltonian_from_unitary(diagonal: np.ndarray, epsilon: float, delta: float)
     if sine_norm > 1.0 - delta:
         raise InfeasibleError(
             f"||sin(pi H)|| = {sine_norm:.6f} exceeds 1 - delta = {1 - delta:.6f}; "
-            "rescale the amplitudes (smaller beta) or widen delta"
+            "rescale the amplitudes or widen delta"
         )
     # split the budget: most for the Taylor tail, a slice for economization
     pr = arcsin_taylor(0.9 * epsilon, delta)

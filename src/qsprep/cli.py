@@ -57,13 +57,7 @@ def _cmd_phases(args) -> int:
 
 def _load_config(args) -> PrepConfig:
     oracle = oracle_from_text(Path(args.oracle).read_text())
-    return PrepConfig(
-        oracle=oracle,
-        epsilon=args.eps,
-        delta=args.delta,
-        m=args.m,
-        beta=args.beta,
-    )
+    return PrepConfig(oracle=oracle, epsilon=args.eps, delta=args.delta, m=args.m)
 
 
 def _split_total_failure(args) -> None:
@@ -138,7 +132,6 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--total-failure", type=float, default=None,
                        help="split this budget equally between eps and delta")
         p.add_argument("--m", type=int, default=None)
-        p.add_argument("--beta", type=float, default=0.5)
         p.set_defaults(func=fn)
 
     p = sub.add_parser("grover", help="single-marked-item search special case")

@@ -197,10 +197,10 @@ def phase_unitary(c: AmplitudeOracle, scale: float = 1.0) -> UnitaryMatrix:
     return circuit_unitary(gates, layout)
 
 
-def phase_unitary_direct(c: AmplitudeOracle, use_exact: bool = False, scale: float = 1.0) -> UnitaryMatrix:
-    """Reference diagonal diag(exp(i pi scale c(x)/2)) on the data register only."""
+def phase_unitary_direct(c: AmplitudeOracle, use_exact: bool = False) -> UnitaryMatrix:
+    """Reference diagonal diag(exp(i pi c(x)/2)) on the data register only."""
     vals = c.values if use_exact else c.quantized
-    phases = np.exp(1j * np.pi * scale * vals / 2.0)
+    phases = np.exp(1j * np.pi * vals / 2.0)
     return UnitaryMatrix(np.diag(phases), RegisterLayout.single(c.n, "data"))
 
 

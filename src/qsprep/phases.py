@@ -56,6 +56,8 @@ from .polyapprox import (
 
 log = logging.getLogger(__name__)
 
+TOL = 1e-7  # largest accepted reconstruction residual, in find_phases and verify_phases
+
 
 def _normalize_angles(phis: np.ndarray) -> np.ndarray:
     out = np.mod(np.asarray(phis, dtype=float) + np.pi, 2 * np.pi) - np.pi
@@ -168,14 +170,14 @@ def polynomial_from_phases(phi: PhaseSequence) -> Polynomial:
     return Polynomial(out, basis="chebyshev", parity=parity)
 
 
-def verify_phases(phi: PhaseSequence, p: Polynomial, grid_size: int, tolerance: float = 1e-7) -> VerificationReport:
-    """Max reconstruction error over a Chebyshev-node grid."""
+def verify_phases(phi: PhaseSequence, p: Polynomial, grid_size: int) -> VerificationReport:
+    """Max reconstruction error over a Chebyshev-node grid, passed at ``TOL``."""
     d = max(len(phi), p.degree)
     if grid_size < d + 1:
         raise ValueError(f"grid_size {grid_size} < degree + 1 = {d + 1}")
     xs = _nodes(grid_size)
     err = float(np.abs(reconstruct(phi, xs) - evaluate(p, xs)).max())
-    return VerificationReport(err, grid_size, tolerance, err <= tolerance)
+    return VerificationReport(err, grid_size, TOL, err <= TOL)
 
 
 # ---------------------------------------------------------------------------
@@ -285,12 +287,11 @@ def _polish(phi0: np.ndarray, xs: np.ndarray, target: np.ndarray) -> np.ndarray:
     return least_squares(resid, phi0, jac=jac, method="lm", max_nfev=2000).x
 
 
-def _strip_extended(c: np.ndarray, q_hint, xs: np.ndarray, target: np.ndarray,
-                    tol: float, trigger: str):
+def _strip_extended(c: np.ndarray, q_hint, xs: np.ndarray, target: np.ndarray, trigger: str):
     """Up to three extended-precision stripping attempts at growing precision.
 
     Returns (angles, residual) of the last attempt that did not raise (None
-    when every attempt raised); stops early once the residual meets ``tol``.
+    when every attempt raised); stops early once the residual meets ``TOL``.
     """
     d = len(c) - 1
     dps, found = _factor.strip_dps(d), None
@@ -311,35 +312,52 @@ def _strip_extended(c: np.ndarray, q_hint, xs: np.ndarray, target: np.ndarray,
             trigger = f"{type(exc).__name__}: {exc}"
         else:
             found = _align(phis, xs, target)
-            if found[1] <= tol:
+            if found[1] <= TOL:
                 break
             trigger = f"residual {found[1]:.3e}"
         dps = int(dps * 1.7)
     return found
 
 
-def find_phases(p: Polynomial, tol: float = 1e-7) -> PhaseSequence:
+def _completion_q(c: np.ndarray):
+    """Q of the completion of Re P when that completion is P, else None.
+
+    The completion of a real P_R is unique (``_factor.complete_real``), so a
+    completion that lost ``meta["q_cheb"]``, as one read back from a file
+    does, gets its Q again by FFT when the recomputed P_I matches Im P to
+    1e-9.
+    """
+    try:
+        p_i, q = _factor.complete_real(c.real)
+    except CompletionError:
+        return None
+    if not np.abs(p_i - c.imag).max() <= 1e-9:
+        return None
+    return q.astype(complex)
+
+
+def find_phases(p: Polynomial) -> PhaseSequence:
     """Angles whose ansatz product realizes the polynomial.
 
-    Parameters
-    ----------
-    p : Polynomial
-        Complex polynomial meeting the realizability conditions (checked at
-        tolerance 1e-8 before solving; violations raise ConditionError).
-    tol : float
-        Acceptance threshold for the reconstruction residual on a Chebyshev
-        grid of max(4 * degree, 32) points.
+    ``p`` is a complex polynomial meeting the realizability conditions
+    (checked at tolerance 1e-8 before solving; violations raise
+    ConditionError). The reconstruction residual on a Chebyshev grid of
+    max(4 * degree, 32) points must meet ``TOL``.
+
+    Stripping needs the complementary series Q. A completion attaches it in
+    ``meta["q_cheb"]``; without it, Q is the completion's when Re P
+    completes to P (``_completion_q``), and is computed from P alone
+    otherwise (``_factor.complementary_q``).
 
     The route is fixed. Strip in double precision; if that raises, drops
-    coefficient mass above 1e-10 or leaves a residual above
-    max(1e-9, 0.01 * tol), strip in extended precision; if the best
-    candidate still exceeds that residual, polish it once by least squares
-    (from zeros when no stripping produced angles). The candidate with the
-    smallest residual is returned.
+    coefficient mass above 1e-10 or leaves a residual above 1e-9, strip in
+    extended precision; if the best candidate still exceeds that residual,
+    polish it once by least squares (from zeros when no stripping produced
+    angles). The candidate with the smallest residual is returned.
 
-    Raises PhaseFindingError with the residual when no route reaches ``tol``.
+    Raises PhaseFindingError with the residual when no route reaches ``TOL``.
     """
-    _check_qsp_conditions(p, tol=1e-8)
+    _check_qsp_conditions(p)
     pc = to_chebyshev(p)
     d = pc.degree
     if d == 0:
@@ -351,14 +369,15 @@ def find_phases(p: Polynomial, tol: float = 1e-7) -> PhaseSequence:
     xs = _nodes(max(4 * d, 32))
     target = np.asarray(evaluate(pc, xs), dtype=complex)
 
-    # a completion attaches its complementary series; recomputing it from P
-    # alone is possible but maximally ill-conditioned (all roots double)
-    q_hint = None
+    # recomputing Q from P alone is possible but maximally ill-conditioned
+    # (all roots double)
     hint = pc.meta.get("q_cheb") if pc.meta else None
     if hint is not None and len(np.atleast_1d(hint)) == d:
         q_hint = np.asarray(hint, dtype=complex)
+    else:
+        q_hint = _completion_q(c)
 
-    good = max(1e-9, 0.01 * tol)
+    good = 1e-9
     candidates: list[tuple[np.ndarray, float]] = []  # (angles, residual)
     try:
         q = q_hint if q_hint is not None else _factor.complementary_q(c)
@@ -371,7 +390,7 @@ def find_phases(p: Polynomial, tol: float = 1e-7) -> PhaseSequence:
     except (PhaseFindingError, CompletionError) as exc:
         degraded, trigger = True, f"{type(exc).__name__}: {exc}"
     if degraded:
-        found = _strip_extended(c, q_hint, xs, target, tol, trigger)
+        found = _strip_extended(c, q_hint, xs, target, trigger)
         if found is not None:
             candidates.append(found)
 
@@ -388,9 +407,9 @@ def find_phases(p: Polynomial, tol: float = 1e-7) -> PhaseSequence:
         if r < best_res:
             best, best_res = phis, r
 
-    if best is None or best_res > tol:
+    if best is None or best_res > TOL:
         raise PhaseFindingError(
-            f"phase finding did not converge (residual {best_res:.3e} > {tol})",
+            f"phase finding did not converge (residual {best_res:.3e} > {TOL})",
             residual=best_res,
         )
     return PhaseSequence(best)

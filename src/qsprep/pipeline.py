@@ -2,7 +2,7 @@
 special case, and parameter sweeps.
 
 The pipeline compiles the phase unitary from the quantized amplitude table
-(with the amplitudes internally rescaled by beta), extracts the generator
+(with the amplitudes internally rescaled by ``BETA``), extracts the generator
 through the sine encoding and an arcsin transform, and amplifies the flagged
 component with a sign-polynomial plan. The user-facing accuracy target is
 met by aiming the internal generator error at epsilon * gamma / 3; that
@@ -42,6 +42,11 @@ SWEEP_COLUMNS = [
     "status",
 ]
 
+# Amplitude rescale inside the pipeline: the sine spectrum stays below
+# sin(pi BETA / 2), clear of the arcsin approximant's endpoints, and the
+# normalization of the final state cancels the factor again.
+BETA = 0.5
+
 
 @dataclass(frozen=True)
 class PrepConfig:
@@ -49,24 +54,18 @@ class PrepConfig:
 
     m defaults to ceil(log2(3 / (epsilon * gamma))) + 2, which keeps the
     quantization's share of the generator error budget below a quarter.
-    beta rescales the amplitudes inside the pipeline so the sine spectrum
-    stays clear of the arcsin singularities; the normalization of the final
-    state cancels it again.
     """
 
     oracle: AmplitudeOracle
     epsilon: float
     delta: float
     m: int | None = None
-    beta: float = 0.5
 
     def __post_init__(self):
         if not _is_real(self.delta) or not 0 < self.delta < 1:
             raise InputError(f"delta must lie in (0, 1), got {self.delta!r}")
         if not _is_real(self.epsilon) or not 0 < self.epsilon < np.inf:
             raise InputError(f"epsilon must be positive, got {self.epsilon!r}")
-        if not _is_real(self.beta) or not 0 < self.beta <= 1:
-            raise InputError(f"beta must lie in (0, 1], got {self.beta!r}")
         if self.m is not None and not (_is_int(self.m) and 1 <= self.m <= MAX_BITS):
             raise InputError(f"m must be an integer in 1..{MAX_BITS}, got {self.m!r}")
 
@@ -150,7 +149,6 @@ def _execute(cfg: PrepConfig) -> _RunResult:
     if m is None:
         m = min(max(default_bits(cfg.epsilon, g_exact), 1), MAX_BITS)
     oracle_m = oracle.with_bits(m)
-    beta = cfg.beta
 
     # quantization's share of the amplitude-error budget
     q_part = 2.0**-m
@@ -163,30 +161,26 @@ def _execute(cfg: PrepConfig) -> _RunResult:
     # quantization noise so the realized per-amplitude error profile stays
     # incoherent; costs only a few extra polynomial terms
     eps_poly = max(min(eps_hat_target - q_part, q_part / 4.0), eps_hat_target / 16.0)
-    delta_margin = 1.0 - np.sin(np.pi * beta / 2.0)
-    if delta_margin < 0.02:
-        raise InfeasibleError(
-            f"beta = {beta} leaves margin {delta_margin:.3f}; rescale harder"
-        )
+    delta_margin = 1.0 - np.sin(np.pi * BETA / 2.0)
 
     # recenter the truncated table by half a step: one classically-known
     # global phase turns the one-sided floor error into a symmetric one
     c_q = oracle_m.quantized + 2.0 ** -(m + 1)
     encoding = hamiltonian_from_unitary(
-        np.exp(1j * np.pi * beta * c_q / 2.0),
-        beta * eps_poly / 2.0,  # generator units: beta * amplitude / 2
+        np.exp(1j * np.pi * BETA * c_q / 2.0),
+        BETA * eps_poly / 2.0,  # generator units: BETA * amplitude / 2
         delta_margin,
     )
 
     # the encoded generator is diagonal, so its spectral distance to the
     # table is the largest per-index deviation
     generator = encoding.diagonal
-    c_realized = 2.0 * np.real(generator) / beta
-    eps_measured = float(np.abs(2.0 * generator / beta - oracle.values).max())
+    c_realized = 2.0 * np.real(generator) / BETA
+    eps_measured = float(np.abs(2.0 * generator / BETA - oracle.values).max())
     g_realized = float(np.mean(c_realized**2))
     g_quant = float(np.mean(c_q**2))
 
-    sigma_hat = beta * np.sqrt(g_quant) / 2.0
+    sigma_hat = BETA * np.sqrt(g_quant) / 2.0
     plan = plan_amplification(sigma_hat, cfg.delta)
 
     # post-select the flag pattern, row 0 of the amplified state
@@ -249,7 +243,7 @@ def _base_report(run: _RunResult) -> PrepReport:
         info={
             "n": cfg.oracle.n,
             "m": run.oracle_m.m,
-            "beta": cfg.beta,
+            "beta": BETA,
             "gamma": run.gamma_exact,
             "gamma_quantized": run.gamma_quant,
             "gamma_realized": run.gamma_realized,
@@ -353,22 +347,21 @@ class SweepSpec:
     epsilons: tuple[float, ...]
     deltas: tuple[float, ...]
     m: int | None = None
-    beta: float = 0.5
 
     @classmethod
     def from_dict(cls, d: dict) -> "SweepSpec":
         """Read a JSON grid.
 
         A spec of the wrong shape or type raises InputError: unknown keys,
-        grids that are not lists, grid entries of the wrong type, a
-        non-integer m or a non-numeric beta. Values of the right type that
-        are out of range fail their grid points, which become error rows.
+        grids that are not lists, grid entries of the wrong type or a
+        non-integer m. Values of the right type that are out of range fail
+        their grid points, which become error rows.
         """
         if not isinstance(d, dict):
             raise InputError("a sweep spec must be a JSON object")
         grids = {"n": _is_int, "dist": lambda v: isinstance(v, str),
                  "epsilon": _is_real, "delta": _is_real}
-        unknown = sorted(set(d) - {*grids, "m", "beta"})
+        unknown = sorted(set(d) - {*grids, "m"})
         if unknown:
             raise InputError(f"unknown sweep spec keys {unknown}")
         for key, entry_ok in grids.items():
@@ -380,15 +373,12 @@ class SweepSpec:
                 raise InputError(f"sweep spec {key!r} has entries of the wrong type: {bad}")
         if d.get("m") is not None and not _is_int(d["m"]):
             raise InputError(f"sweep spec m must be an integer, got {d['m']!r}")
-        if not _is_real(d.get("beta", 0.5)):
-            raise InputError(f"sweep spec beta must be a number, got {d['beta']!r}")
         return cls(
             ns=tuple(d.get("n", ())),
             dists=tuple(d.get("dist", ())),
             epsilons=tuple(d.get("epsilon", ())),
             deltas=tuple(d.get("delta", ())),
             m=d.get("m"),
-            beta=d.get("beta", 0.5),
         )
 
 
@@ -404,7 +394,7 @@ def sweep(spec: SweepSpec) -> list[dict]:
             check_engine_size(n)
             bits = spec.m if spec.m is not None else 8
             oracle = AmplitudeOracle.from_dist(n, bits, dist)
-            cfg = PrepConfig(oracle=oracle, epsilon=eps, delta=delta, m=spec.m, beta=spec.beta)
+            cfg = PrepConfig(oracle=oracle, epsilon=eps, delta=delta, m=spec.m)
             rep = verify_error_bounds(cfg)
             final_err = rep.info["final_error"]
             bound = rep.info["bound_3eps_over_gamma"]

@@ -8,11 +8,14 @@ FFT in O(d log d) (``_factor.complete_real``).
 
 Checks on a grid use Chebyshev-Lobatto points cos(pi j / (N - 1)), where a
 series' N values are one DCT-I of its coefficients (``lobatto_values``):
-the completion's sup, identity-residual and drift checks (N = 4001) and the
-on-interval bound of ``_check_qsp_conditions`` (N = 2001). The latter's
-off-interval and imaginary-axis samples are evaluated in scaled form,
-e^{-dt} P(x) for |x + sqrt(x^2 - 1)| = e^t, which cannot overflow at any
-degree, and compared in logarithms.
+the completion's sup, identity-residual and drift checks (N = max(4001,
+4d + 1)) and the on-interval bound of ``_check_qsp_conditions`` (N =
+max(2001, 4d + 1)). The grids grow with the degree d because a fixed one
+is blind: (1 - x^2) U_{n-1} vanishes on every point of the n + 1-point
+grid. The off-interval and imaginary-axis samples of
+``_check_qsp_conditions`` are evaluated in scaled form, e^{-dt} P(x) for
+|x + sqrt(x^2 - 1)| = e^t, which cannot overflow at any degree, and
+compared in logarithms.
 
 Every guard is written so that a NaN or infinite value fails it.
 
@@ -188,9 +191,7 @@ def poly_from_text(text: str) -> Polynomial:
         raise InputError(f"malformed polynomial file: {exc}") from exc
 
 
-def arcsin_taylor(
-    epsilon: float, delta: float, max_degree: int = MAX_DEGREE
-) -> Polynomial:
+def arcsin_taylor(epsilon: float, delta: float) -> Polynomial:
     """Truncated Taylor series of arcsin(x)/pi, accurate on [-1+delta, 1-delta].
 
     Coefficient of x^(2k+1) is binom(2k, k) / (pi * 4^k * (2k+1)); terms are
@@ -209,10 +210,10 @@ def arcsin_taylor(
         if tail <= epsilon:
             break
         terms.append(a_next)
-        if 2 * len(terms) - 1 > max_degree:
+        if 2 * len(terms) - 1 > MAX_DEGREE:
             needed = 2 * len(terms) - 1
             raise DegreeOverflowError(
-                f"arcsin truncation needs degree > {max_degree} "
+                f"arcsin truncation needs degree > {MAX_DEGREE} "
                 f"(roughly {needed}) for epsilon={epsilon}, delta={delta}",
                 needed=needed,
             )
@@ -224,13 +225,15 @@ def arcsin_taylor(
     return Polynomial(coeffs, basis="monomial", parity="odd")
 
 
-def sign_approx(Delta: float, delta: float, max_degree: int = MAX_DEGREE) -> Polynomial:
+def sign_approx(Delta: float, delta: float) -> Polynomial:
     """Odd polynomial close to sign(x) for |x| >= Delta.
 
     Approximates erf(k*x) with k chosen so erf(k*Delta) >= 1 - delta/8, using
     the closed-form Chebyshev expansion of the Gaussian integrand (modified
     Bessel coefficients), then rescales by 1/(1 + delta/4) so the sup norm
     stays strictly below 1. Guarantees P(x) >= 1 - delta/2 on [Delta, 1].
+    A degree above ``MAX_DEGREE`` raises DegreeOverflowError with the degree
+    in ``needed`` (a lower bound when it exceeds 4 * MAX_DEGREE).
     """
     if not 0 < Delta < 1 or not 0 < delta < 1:
         raise ValueError("Delta and delta must lie in (0, 1)")
@@ -239,15 +242,10 @@ def sign_approx(Delta: float, delta: float, max_degree: int = MAX_DEGREE) -> Pol
     pref = 2.0 * k / np.sqrt(np.pi)
     tail_budget = delta / 16.0
 
-    # Bessel weights decay like exp(-j^2 / (2z)); size the table accordingly
+    # Bessel weights decay like exp(-j^2 / (2z)); size the table accordingly,
+    # but never past degree 4 * MAX_DEGREE
     j_scale = np.sqrt(2.0 * z * np.log(max(4.0 * pref * np.sqrt(z + 1.0) / tail_budget, 2.0)))
-    j_est = int(1.3 * j_scale + z / max(j_scale, 1.0) + 20)
-    if 2 * j_est + 1 > 4 * max_degree:
-        raise DegreeOverflowError(
-            f"sign approximant needs roughly degree {2 * j_est + 1} "
-            f"(> max {max_degree}) for Delta={Delta}, delta={delta}",
-            needed=2 * j_est + 1,
-        )
+    j_est = min(int(1.3 * j_scale + z / max(j_scale, 1.0) + 20), 2 * MAX_DEGREE)
     js = np.arange(j_est + 1)
     bess = ive(js, z)
     weights = pref * bess[1:] * (2.0 / np.maximum(2 * js[1:] - 1, 1))
@@ -258,9 +256,11 @@ def sign_approx(Delta: float, delta: float, max_degree: int = MAX_DEGREE) -> Pol
     while suffix[big_j] > tail_budget:
         big_j += 1
     degree = 2 * big_j + 1
-    if degree > max_degree:
+    if degree > MAX_DEGREE:
         raise DegreeOverflowError(
-            f"sign approximant degree {degree} exceeds max {max_degree}", needed=degree
+            f"sign approximant needs degree {degree} (> max {MAX_DEGREE}) "
+            f"for Delta={Delta}, delta={delta}",
+            needed=degree,
         )
 
     coeffs = np.zeros(degree + 1)
@@ -292,8 +292,9 @@ def _scaled_values(c: np.ndarray, xs: np.ndarray) -> tuple[np.ndarray, np.ndarra
     return basis.T @ c, d * t
 
 
-def _check_qsp_conditions(p: Polynomial, tol: float = 1e-8) -> None:
-    """Conditions the reflection ansatz requires, checked at sample points."""
+def _check_qsp_conditions(p: Polynomial) -> None:
+    """Conditions the reflection ansatz requires, checked at sample points to 1e-8."""
+    tol = 1e-8
     pc = to_chebyshev(p)
     c = pc.coefficients
     if not np.isfinite(c).all():
@@ -302,7 +303,7 @@ def _check_qsp_conditions(p: Polynomial, tol: float = 1e-8) -> None:
     want = "even" if d % 2 == 0 else "odd"
     if detect_parity(c[: d + 1], max(COEFF_TOL, tol)) != want:
         raise ConditionError(f"polynomial of degree {d} lacks parity {d % 2}")
-    vals = np.abs(lobatto_values(c, 2001))
+    vals = np.abs(lobatto_values(c, max(2001, 4 * d + 1)))
     if not vals.max() <= 1.0 + tol:
         raise ConditionError(f"|P| reaches {vals.max():.12f} > 1 on [-1, 1]")
     outside = np.array([s for x in (1.0 + 1e-6, 1.05, 1.25, 1.5, 2.0) for s in (x, -x)])
@@ -336,9 +337,9 @@ def complete_to_complex(p_r: Polynomial) -> Polynomial:
     P_I and Q come from the outer factor of 1 - P_R^2 on the unit circle,
     which is unique, computed in double precision from its cepstrum; a P_R
     that touches 1 inside the interval has none. The identity residual
-    P_R^2 + P_I^2 + (1-x^2) Q^2 - 1 on the 4001-point Lobatto grid must stay
-    below 5e-9 and the real part may drift by at most 1e-9; any failure, a
-    non-finite completion included, raises CompletionError.
+    P_R^2 + P_I^2 + (1-x^2) Q^2 - 1 on the max(4001, 4d + 1)-point Lobatto
+    grid must stay below 5e-9 and the real part may drift by at most 1e-9;
+    any failure, a non-finite completion included, raises CompletionError.
     """
     pc = to_chebyshev(p_r)
     if not pc.is_real(1e-10):
@@ -353,7 +354,7 @@ def complete_to_complex(p_r: Polynomial) -> Polynomial:
             parity = "even"
         else:
             raise ConditionError("completion requires definite parity")
-    grid = 4001
+    grid = max(4001, 4 * d + 1)
     pr_vals = lobatto_values(pr, grid)
     sup = float(np.abs(pr_vals).max())
     if not sup <= 1.0 + 1e-9:

@@ -26,7 +26,6 @@ MAX_QUBITS = 14
 _H = np.array([[1, 1], [1, -1]], dtype=complex) / sqrt(2)
 _X = np.array([[0, 1], [1, 0]], dtype=complex)
 _Y = np.array([[0, -1j], [1j, 0]], dtype=complex)
-_Z = np.array([[1, 0], [0, -1]], dtype=complex)
 
 
 @dataclass(frozen=True)
@@ -228,10 +227,6 @@ def pauli_y(q: int) -> GateSpec:
     return GateSpec("Y", (q,), _Y)
 
 
-def pauli_z(q: int) -> GateSpec:
-    return GateSpec("Z", (q,), _Z)
-
-
 def phase_gate(q: int, angle: float) -> GateSpec:
     return GateSpec("PHASE", (q,), np.diag([1.0, np.exp(1j * angle)]))
 
@@ -298,10 +293,8 @@ def check_dense_size(q: int) -> None:
         raise DimensionError(f"{q} qubits exceeds the dense simulator limit {MAX_QUBITS}")
 
 
-def circuit_unitary(gates: list[GateSpec], layout: RegisterLayout | int) -> UnitaryMatrix:
+def circuit_unitary(gates: list[GateSpec], layout: RegisterLayout) -> UnitaryMatrix:
     """Exact dense product of the gate matrices, in application order."""
-    if isinstance(layout, int):
-        layout = RegisterLayout.single(layout)
     q = layout.num_qubits
     check_dense_size(q)
     dim = layout.dim

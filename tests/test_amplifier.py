@@ -2,14 +2,8 @@ import numpy as np
 import pytest
 
 from qsprep import amplifier
-from qsprep.amplifier import (
-    amplify,
-    build_projectors,
-    plan_amplification,
-    plan_from_text,
-    plan_to_text,
-)
-from qsprep.errors import DegreeOverflowError, InputError
+from qsprep.amplifier import amplify, build_projectors, plan_amplification
+from qsprep.errors import DegreeOverflowError
 from qsprep.polyapprox import MAX_DEGREE, evaluate
 from qsprep.simulator import (
     RegisterLayout,
@@ -142,31 +136,6 @@ def test_amplify_dimension_guard():
     plan = plan_amplification(0.5, 0.1)
     with pytest.raises(Exception):
         amplify(c, big_s, plan)
-
-
-def test_plan_serialization_round_trip():
-    plan = plan_amplification(0.4, 0.05)
-    text = plan_to_text(plan)
-    back = plan_from_text(text)
-    assert back.rounds == plan.rounds
-    np.testing.assert_allclose(back.phases.phases, plan.phases.phases, atol=0)
-    header = text.splitlines()[0].split()
-    assert float(header[0]) == plan.sigma and int(header[2]) == plan.rounds
-    # the file's angles are what the plan carries, once they check out
-    lines = text.splitlines()
-    lines[1] = f"{plan.phases.phases[0] + 1e-10:.17g}"
-    nudged = plan_from_text("\n".join(lines) + "\n")
-    assert abs(nudged.phases.phases[0] - (plan.phases.phases[0] + 1e-10)) < 1e-14
-    lines[1] = "0.123"
-    with pytest.raises(InputError):
-        plan_from_text("\n".join(lines) + "\n")
-
-
-@pytest.mark.parametrize("text", ["", "0.4 0.05\n0.1\n", "0.4 0.05 three\n0.1\n"],
-                         ids=["empty", "short-header", "rounds-not-int"])
-def test_plan_text_rejects_malformed_header(text):
-    with pytest.raises(InputError):
-        plan_from_text(text)
 
 
 def test_exact_block_postselection_and_amplification():

@@ -1,6 +1,8 @@
 import csv
 import io
 import json
+import logging
+import time
 
 import numpy as np
 import pytest
@@ -55,6 +57,20 @@ def test_phases_command_round_trip(tmp_path):
     assert np.abs(reconstruct(phi, xs) - evaluate(poly, xs)).max() <= 1e-7
 
 
+def test_phases_command_strips_a_completion_file_in_double_precision(tmp_path, caplog):
+    # a file carries no complementary series; the completion of its real
+    # part supplies it, so no extended precision is needed
+    poly = complete_to_complex(sign_approx(0.025, 0.1))
+    assert poly.degree == 233
+    poly_file = tmp_path / "poly.txt"
+    poly_file.write_text(poly_to_text(poly))
+    caplog.set_level(logging.DEBUG, logger="qsprep.phases")
+    start = time.perf_counter()
+    assert main(["phases", str(poly_file), "--out", str(tmp_path / "phases.txt")]) == 0
+    assert time.perf_counter() - start < 1.0
+    assert not [r for r in caplog.records if r.name == "qsprep.phases"]
+
+
 def test_grover_command(capsys):
     rc = main(["grover", "--n", "2", "--x0", "3", "--eps", "0.05", "--delta", "0.1"])
     out = capsys.readouterr().out
@@ -82,8 +98,9 @@ def test_sweep_command(tmp_path):
         '{"n": 2, "dist": ["uniform"], "epsilon": [0.1], "delta": [0.1]}',
         '{"n": [2], "dist": ["uniform"], "epsilon": [0.1], "delta": [0.1], "seed": 3}',
         '{"n": [2], "dist": ["uniform"], "epsilon": [0.1',
+        '{"n": [2], "dist": ["indicator:1"], "epsilon": [0.1], "delta": [0.1], "beta": 2}',
     ],
-    ids=["unknown-key", "scalar-grid", "seed-key", "truncated"],
+    ids=["unknown-key", "scalar-grid", "seed-key", "truncated", "beta-key"],
 )
 def test_sweep_rejects_bad_spec(tmp_path, capsys, text):
     spec_file = tmp_path / "spec.json"
@@ -160,8 +177,8 @@ def _run_sweep(tmp_path, spec):
 
 @pytest.mark.parametrize(
     "change",
-    [{"dist": ["foo"]}, {"dist": ["indicator:9"]}, {"epsilon": [-0.1]}, {"beta": 2}],
-    ids=["unknown-dist", "indicator-out-of-range", "negative-eps", "beta-above-one"],
+    [{"dist": ["foo"]}, {"dist": ["indicator:9"]}, {"epsilon": [-0.1]}],
+    ids=["unknown-dist", "indicator-out-of-range", "negative-eps"],
 )
 def test_sweep_bad_grid_point_becomes_error_row(tmp_path, capsys, change):
     spec = {"n": [2], "dist": ["indicator:1"], "epsilon": [0.1], "delta": [0.1], **change}
@@ -203,6 +220,16 @@ def test_bad_arguments_exit_2(tmp_path, capsys, argv, named):
     assert rc == 2
     assert captured.err.startswith("error: ") and named in captured.err
     assert "Traceback" not in captured.err + captured.out
+
+
+def test_prepare_rejects_beta_option(tmp_path, capsys):
+    # the amplitude rescale is the constant pipeline.BETA
+    oracle_file = tmp_path / "oracle.txt"
+    oracle_file.write_text(oracle_to_text(AmplitudeOracle.uniform(2, 6)))
+    with pytest.raises(SystemExit) as exc:
+        main(["prepare", "--oracle", str(oracle_file), "--beta", "0.4"])
+    assert exc.value.code == 2
+    assert "unrecognized arguments: --beta" in capsys.readouterr().err
 
 
 def test_phases_accepts_well_formed_polynomial_file(tmp_path, capsys):

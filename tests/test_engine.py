@@ -25,7 +25,14 @@ from qsprep.blockenc import (
 )
 from qsprep.errors import DimensionError, InputError
 from qsprep.oracle import AmplitudeOracle
-from qsprep.pipeline import PrepConfig, _bound_report, _execute, prepare_state, verify_error_bounds
+from qsprep.pipeline import (
+    BETA,
+    PrepConfig,
+    _bound_report,
+    _execute,
+    prepare_state,
+    verify_error_bounds,
+)
 from qsprep.simulator import (
     RegisterLayout,
     StateVector,
@@ -47,20 +54,20 @@ def hadamard_layer(n):
 
 def oracle_diagonal(run):
     """The phase oracle's diagonal, as the pipeline compiles it."""
-    m, beta = run.oracle_m.m, run.config.beta
+    m = run.oracle_m.m
     c_q = run.oracle_m.quantized + 2.0 ** -(m + 1)
-    return np.exp(1j * np.pi * beta * c_q / 2.0)
+    return np.exp(1j * np.pi * BETA * c_q / 2.0)
 
 
 def dense_run(run):
     """The same run with every simulated quantity taken from the dense reference."""
     cfg = run.config
-    n, beta = cfg.oracle.n, cfg.beta
+    n = cfg.oracle.n
     layout = RegisterLayout.single(n, "data")
     u = UnitaryMatrix(np.diag(oracle_diagonal(run)), layout)
     be = lcu_real_part(sine_block_encoding(u), run.encoding.phases)
     block = extract_block(be)
-    c_realized = 2.0 * np.real(np.diag(block)) / beta
+    c_realized = 2.0 * np.real(np.diag(block)) / BETA
     realized = c_realized / np.linalg.norm(c_realized)
 
     s = hadamard_layer(n)
@@ -78,7 +85,7 @@ def dense_run(run):
         final_state=StateVector(data, layout),
         success=success,
         gamma_realized=float(np.mean(c_realized**2)),
-        eps_measured=spectral_norm(2.0 * block / beta - np.diag(cfg.oracle.values)),
+        eps_measured=spectral_norm(2.0 * block / BETA - np.diag(cfg.oracle.values)),
         realized_amplitudes=c_realized,
         realized_state=StateVector(realized.astype(complex), layout),
         oracle_calls=4 * d_a * d_s,
@@ -141,10 +148,10 @@ def test_engine_matches_dense_reference_property(values, eps):
 
 def _extended_success(run):
     """The engine's success probability recomputed in extended precision."""
-    m, beta = run.oracle_m.m, run.config.beta
+    m = run.oracle_m.m
     pi = np.longdouble("3.141592653589793238462643383279503")
     c_q = run.oracle_m.quantized.astype(np.longdouble) + np.longdouble(2.0) ** -(m + 1)
-    diagonal = np.exp(1j * pi * np.longdouble(beta) * c_q / 2)
+    diagonal = np.exp(1j * pi * np.longdouble(BETA) * c_q / 2)
     size = diagonal.size
     w = np.empty((size, 2, 2), dtype=np.clongdouble)
     w[:, 0, 0], w[:, 0, 1] = diagonal.imag, 1j * diagonal.real

@@ -218,6 +218,13 @@ def test_escalations_are_logged(caplog):
     assert "extended precision, attempt 1" in msg and "CompletionError" in msg
 
 
+def test_completion_without_its_complement_strips_the_same():
+    # the completion of Re P is unique, so dropping meta["q_cheb"] loses nothing
+    p = complete_to_complex(sign_approx(0.3, 0.2))
+    bare = Polynomial(p.coefficients, p.basis, p.parity)
+    np.testing.assert_array_equal(find_phases(bare).phases, find_phases(p).phases)
+
+
 def test_find_phases_rejects_unbounded():
     with pytest.raises(ConditionError):
         find_phases(Polynomial([0.0, 0.0, 0.0, 1.2], parity="odd"))

@@ -4,8 +4,10 @@ import numpy as np
 import pytest
 from numpy.polynomial import chebyshev as cheb
 
-from qsprep import _factor
+from qsprep import _factor, polyapprox
 from qsprep.errors import CompletionError, ConditionError, DegreeOverflowError
+from qsprep.phases import find_phases
+from qsprep.pipeline import grover_case
 from qsprep.polyapprox import (
     Polynomial,
     arcsin_taylor,
@@ -80,9 +82,10 @@ def test_arcsin_degree_linear_in_log_inv_eps():
         assert np.abs(fitted - degs).max() <= 0.1 * degs.max() + 2.0
 
 
-def test_arcsin_degree_overflow():
+def test_arcsin_degree_overflow(monkeypatch):
+    monkeypatch.setattr(polyapprox, "MAX_DEGREE", 100)
     with pytest.raises(DegreeOverflowError) as exc:
-        arcsin_taylor(1e-6, 0.001, max_degree=100)
+        arcsin_taylor(1e-6, 0.001)
     assert exc.value.needed is not None and exc.value.needed > 100
 
 
@@ -128,9 +131,19 @@ def test_sign_degree_scaling():
     assert rel.max() < 0.2
 
 
-def test_sign_infeasible_parameters():
+def test_sign_infeasible_parameters(monkeypatch):
+    monkeypatch.setattr(polyapprox, "MAX_DEGREE", 200)
     with pytest.raises(DegreeOverflowError):
-        sign_approx(0.001, 0.01, max_degree=200)
+        sign_approx(0.001, 0.01)
+
+
+def test_sign_overflow_reports_the_degree_it_would_build(monkeypatch):
+    # the n = 18 search plan; its Bessel-table size estimate is degree 50813
+    with pytest.raises(DegreeOverflowError) as exc:
+        grover_case(18, 2**18 - 3, 0.1, 0.05)
+    assert exc.value.needed == 13165
+    monkeypatch.setattr(polyapprox, "MAX_DEGREE", 20_000)
+    assert sign_approx(0.9 * 0.25 * 2.0**-9, 0.1).degree == 13165
 
 
 # ---------------------------------------------------------------------------
@@ -180,6 +193,23 @@ def test_complete_preserves_unit_bound_and_conditions():
 def test_complete_rejects_unbounded_input():
     with pytest.raises(ConditionError):
         complete_to_complex(Polynomial([0.0, 1.5], parity="odd"))
+
+
+def _one_minus_x2_u(n):
+    """(1 - x^2) U_{n-1} = (T_{n-1} - T_{n+1}) / 2, zero on the (n + 1)-point Lobatto grid."""
+    c = np.zeros(n + 2)
+    c[n - 1], c[n + 1] = 0.5, -0.5
+    return c
+
+
+def test_grid_checks_see_bumps_above_degree_2000():
+    # each reaches 1.5 in modulus yet vanishes on a 4001- (2001-) point Lobatto grid
+    with pytest.raises(ConditionError):
+        complete_to_complex(Polynomial(1.5 * _one_minus_x2_u(4000), "chebyshev", "odd"))
+    p = 1.5j * _one_minus_x2_u(2000)
+    p[1] = 1.0
+    with pytest.raises(ConditionError):
+        find_phases(Polynomial(p, "chebyshev", "odd"))
 
 
 def test_complete_rejects_mixed_parity():

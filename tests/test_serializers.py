@@ -1,9 +1,8 @@
-"""Round-trip properties of the four text formats."""
+"""Round-trip properties of the three text formats."""
 import numpy as np
-from hypothesis import given, settings
+from hypothesis import given
 from hypothesis import strategies as st
 
-from qsprep.amplifier import plan_amplification, plan_from_text, plan_to_text
 from qsprep.oracle import AmplitudeOracle, oracle_from_text, oracle_to_text
 from qsprep.phases import PhaseSequence, phases_from_text, phases_to_text
 from qsprep.polyapprox import Polynomial, poly_from_text, poly_to_text
@@ -36,15 +35,6 @@ def test_phases_text_round_trip(angles):
     phi = PhaseSequence(np.array(angles, dtype=float))
     back = phases_from_text(phases_to_text(phi))
     np.testing.assert_array_equal(back.phases, phi.phases)
-
-
-@given(st.floats(0.3, 0.9), st.floats(0.05, 0.3))
-@settings(max_examples=15)
-def test_plan_text_round_trip(sigma, delta):
-    plan = plan_amplification(sigma, delta)
-    back = plan_from_text(plan_to_text(plan))
-    assert (back.sigma, back.delta, back.rounds) == (plan.sigma, plan.delta, plan.rounds)
-    np.testing.assert_array_equal(back.phases.phases, plan.phases.phases)
 
 
 @given(
