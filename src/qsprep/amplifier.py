@@ -23,8 +23,8 @@ import numpy as np
 
 from .blockenc import BlockEncoding, qsvt_circuit
 from .errors import DimensionError
-from .phases import PhaseSequence, find_phases
-from .polyapprox import Polynomial, complete_to_complex, evaluate, sign_approx
+from .phases import PhaseSequence, completion_and_phases
+from .polyapprox import Polynomial, evaluate, sign_approx
 from .simulator import Projector, UnitaryMatrix
 
 
@@ -36,6 +36,8 @@ class AmplificationPlan:
     uses, counting adjoints; it is always odd. ``polynomial`` is the real
     sign target; ``realized`` the completed polynomial the angles implement,
     whose extra imaginary part only raises the success probability.
+    The angles and ``realized`` come from ``completion_and_phases`` and are
+    shared, read-only, by every plan of the same sign target.
     """
 
     sigma: float
@@ -90,8 +92,7 @@ def plan_amplification(sigma: float, delta: float) -> AmplificationPlan:
         poly = Polynomial(np.array([0.0, 1.0]), basis="chebyshev", parity="odd")
         return AmplificationPlan(sigma, delta, PhaseSequence(np.zeros(1)), 1, poly, poly)
     poly = sign_approx(0.9 * sigma, delta)
-    comp = complete_to_complex(poly)
-    phi = find_phases(comp)
+    comp, phi = completion_and_phases(poly)
     return AmplificationPlan(sigma, delta, phi, len(phi), poly, comp)
 
 

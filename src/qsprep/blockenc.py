@@ -19,8 +19,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import DimensionError, InfeasibleError, InputError
-from .phases import PhaseSequence, _prefix_rows, conjugate_phases, find_phases
-from .polyapprox import arcsin_taylor, chebyshev_economize, complete_to_complex
+from .phases import PhaseSequence, _prefix_rows, completion_and_phases, conjugate_phases
+from .polyapprox import arcsin_taylor, chebyshev_economize
 from .simulator import (
     Projector,
     RegisterLayout,
@@ -274,6 +274,6 @@ def hamiltonian_from_unitary(diagonal: np.ndarray, epsilon: float, delta: float)
     # split the budget: most for the Taylor tail, a slice for economization
     pr = arcsin_taylor(0.9 * epsilon, delta)
     pr = chebyshev_economize(pr, 0.05 * epsilon)
-    ang = find_phases(complete_to_complex(pr))
+    ang = completion_and_phases(pr)[1]
     blocks, layers = _index_blocks(diagonal, ang)
     return IndexBlocks(blocks, ang, {"arcsin_degree": len(ang), "cu_calls": layers})

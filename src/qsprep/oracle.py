@@ -168,23 +168,23 @@ def bit_oracle_unitary(c: AmplitudeOracle) -> UnitaryMatrix:
     return UnitaryMatrix(mat, layout)
 
 
-def _rotation_ladder(c: AmplitudeOracle, scale: float) -> list[GateSpec]:
+def _rotation_ladder(c: AmplitudeOracle) -> list[GateSpec]:
     """Controlled phases from each value bit onto the kickback qubit.
 
     Value bit j carries weight 2^-(j+1), contributing an angle
-    scale * pi / 2^(j+2) toward the total phase scale * pi * c_m(x) / 2.
+    pi / 2^(j+2) toward the total phase pi * c_m(x) / 2.
     """
     gates = []
     kick = c.n + c.m
     for j in range(c.m):
-        gates.append(cphase(c.n + j, kick, scale * np.pi / 2 ** (j + 2)))
+        gates.append(cphase(c.n + j, kick, np.pi / 2 ** (j + 2)))
     return gates
 
 
-def phase_unitary(c: AmplitudeOracle, scale: float = 1.0) -> UnitaryMatrix:
+def phase_unitary(c: AmplitudeOracle) -> UnitaryMatrix:
     """The compiled circuit: bit oracle, rotation ladder, bit oracle again.
 
-    Acts as diag(exp(i pi scale c_m(x)/2)) on the data register whenever the
+    Acts as diag(exp(i pi c_m(x)/2)) on the data register whenever the
     value register starts in |0..0> and the kickback qubit in |1>, and
     restores both exactly.
     """
@@ -193,7 +193,7 @@ def phase_unitary(c: AmplitudeOracle, scale: float = 1.0) -> UnitaryMatrix:
     oc = bit_oracle_unitary(c)
     oracle_gate = unitary_gate(tuple(range(c.n + c.m)), oc.entries, name="O_c")
     oracle_gate_dg = unitary_gate(tuple(range(c.n + c.m)), oc.entries.conj().T, name="O_c+")
-    gates = [oracle_gate, *_rotation_ladder(c, scale), oracle_gate_dg]
+    gates = [oracle_gate, *_rotation_ladder(c), oracle_gate_dg]
     return circuit_unitary(gates, layout)
 
 

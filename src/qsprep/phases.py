@@ -29,6 +29,11 @@ from one process to the next (its result follows the Python hash seed and
 the BLAS thread count). Each escalation is logged at DEBUG level on the
 ``qsprep.phases`` logger.
 
+The pipeline reaches both steps through ``completion_and_phases``, which
+completes a real target and finds its angles once per process: the result
+is memoized on the target's exact Chebyshev coefficients, which many
+preparations share (the arcsin target is cut from one fixed series).
+
 Note on conventions: other codebases often parameterize the ansatz with the
 x-rotation W(x) instead of the reflection R(x); the two differ by a pi/2
 shift of the interior phases and fixed boundary offsets. Everything here is
@@ -36,8 +41,10 @@ native to the reflection form, so no shift is ever applied.
 """
 from __future__ import annotations
 
+import functools
 import logging
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
+from types import MappingProxyType
 
 import numpy as np
 from numpy.polynomial import chebyshev as cheb
@@ -50,6 +57,7 @@ from .errors import CompletionError, ConditionError, InputError, PhaseFindingErr
 from .polyapprox import (
     Polynomial,
     _check_qsp_conditions,
+    complete_to_complex,
     evaluate,
     to_chebyshev,
 )
@@ -57,6 +65,8 @@ from .polyapprox import (
 log = logging.getLogger(__name__)
 
 TOL = 1e-7  # largest accepted reconstruction residual, in find_phases and verify_phases
+# distinct real targets whose completion and angles stay memoized
+_MEMO_SIZE = 64
 
 
 def _normalize_angles(phis: np.ndarray) -> np.ndarray:
@@ -67,12 +77,14 @@ def _normalize_angles(phis: np.ndarray) -> np.ndarray:
 
 @dataclass(frozen=True)
 class PhaseSequence:
-    """Angles (phi_1 .. phi_d), each normalized into (-pi, pi]."""
+    """Angles (phi_1 .. phi_d), each normalized into (-pi, pi]; read-only."""
 
     phases: np.ndarray
 
     def __post_init__(self):
-        object.__setattr__(self, "phases", _normalize_angles(np.atleast_1d(self.phases)))
+        phases = _normalize_angles(np.atleast_1d(self.phases))
+        phases.flags.writeable = False
+        object.__setattr__(self, "phases", phases)
 
     def __len__(self) -> int:
         return self.phases.size
@@ -413,3 +425,27 @@ def find_phases(p: Polynomial) -> PhaseSequence:
             residual=best_res,
         )
     return PhaseSequence(best)
+
+
+def completion_and_phases(p_r: Polynomial) -> tuple[Polynomial, PhaseSequence]:
+    """``complete_to_complex`` of a real target, then ``find_phases`` of it.
+
+    Memoized per process on the exact bytes of the target's Chebyshev
+    coefficients, the whole input of both steps, so a hit returns what a
+    cold call would; the ``_MEMO_SIZE`` most recently used targets are kept
+    and exceptions are not cached. Every caller gets the same objects, so
+    they are read-only: the completion's coefficients, its ``meta`` and
+    ``meta["q_cheb"]``, and the angles.
+    """
+    return _memo(to_chebyshev(p_r).coefficients.tobytes())
+
+
+@functools.lru_cache(maxsize=_MEMO_SIZE)
+def _memo(key: bytes) -> tuple[Polynomial, PhaseSequence]:
+    # both steps are looked up as module globals, so wrappers put around
+    # them (such as a tracer's) still see every miss
+    comp = complete_to_complex(Polynomial(np.frombuffer(key, dtype=complex), "chebyshev"))
+    phi = find_phases(comp)
+    comp.coefficients.flags.writeable = False
+    comp.meta["q_cheb"].flags.writeable = False
+    return replace(comp, meta=MappingProxyType(comp.meta)), phi

@@ -98,10 +98,26 @@ def test_plan_degree_limit(monkeypatch):
     def no_completion(p):
         raise AssertionError("completion reached")
 
-    monkeypatch.setattr(amplifier, "complete_to_complex", no_completion)
+    monkeypatch.setattr(amplifier, "completion_and_phases", no_completion)
     with pytest.raises(DegreeOverflowError) as exc:
         plan_amplification(1e-4, 0.1)
     assert exc.value.needed > MAX_DEGREE
+
+
+def test_plan_arrays_are_read_only():
+    # plans share their completion and angles through the phase-finding memo
+    plan = plan_amplification(0.3, 0.1)
+    angles = plan.phases.phases.copy()
+    with pytest.raises(ValueError):
+        plan.phases.phases[0] = 0.0
+    with pytest.raises(ValueError):
+        plan.realized.coefficients[1] = 0.0
+    with pytest.raises(ValueError):
+        plan.realized.meta["q_cheb"][0] = 0.0
+    with pytest.raises(TypeError):
+        plan.realized.meta["q_cheb"] = None
+    again = plan_amplification(0.3, 0.1)
+    np.testing.assert_array_equal(again.phases.phases, angles)
 
 
 def test_amplify_boosts_rank_one_instances():

@@ -107,9 +107,9 @@ def test_phase_unitary_restores_ancillas_exactly():
 
 def test_phase_unitary_scaled_ladder():
     c = AmplitudeOracle(1, 3, np.array([0.0, 0.75]))
-    u = phase_unitary(c, scale=0.5)
+    u = phase_unitary(c)
     idx = 1 * 16 + 1
-    assert abs(u.entries[idx, idx] - np.exp(1j * np.pi * 0.5 * 0.75 / 2)) < 1e-14
+    assert abs(u.entries[idx, idx] - np.exp(1j * np.pi * 0.75 / 2)) < 1e-14
 
 
 def test_phase_unitary_direct_constants():

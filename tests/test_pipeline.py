@@ -1,8 +1,10 @@
 import numpy as np
 import pytest
 
+from qsprep import pipeline
 from qsprep.errors import InfeasibleError
 from qsprep.oracle import AmplitudeOracle
+from qsprep.phases import _memo
 from qsprep.pipeline import (
     PrepConfig,
     SweepSpec,
@@ -237,3 +239,72 @@ def test_extraction_error_bounded_by_polynomial_sup_error():
     sup_err = np.abs(evaluate(ref, ys).real - np.arcsin(ys) / np.pi).max()
     measured = op_dist(np.diag(be.diagonal), np.diag(h))
     assert measured <= max(sup_err, 1e-12) * (1 + 1e-6) + 0.05 * eps
+
+
+def _outcome(rep):
+    """Everything a report computes, for comparison with ``==``."""
+    return (
+        rep.final_state.amplitudes.tolist(),
+        rep.oracle_calls,
+        rep.success_probability,
+        rep.degrees,
+        [(c.name, c.lhs, c.rhs, c.passed) for c in rep.bound_checks],
+    )
+
+
+def _cold_then_warm(run):
+    _memo.cache_clear()
+    cold = run()
+    hits = _memo.cache_info().hits
+    warm = run()
+    assert _memo.cache_info().hits > hits  # the second run was served by the memo
+    return cold, warm
+
+
+def test_memo_warm_run_equals_cold_random_table():
+    rng = np.random.default_rng(17)
+    oracle = AmplitudeOracle(5, 8, rng.uniform(0.05, 1.0, 32))
+    cold, warm = _cold_then_warm(
+        lambda: _outcome(verify_error_bounds(PrepConfig(oracle=oracle, epsilon=0.05, delta=0.1))))
+    assert warm == cold
+
+
+def test_memo_warm_run_equals_cold_search():
+    cold, warm = _cold_then_warm(lambda: _outcome(grover_case(4, 11, 0.1, 0.05)))
+    assert warm == cold
+
+
+def test_memo_sweep_rows_with_repeated_targets_equal_cold_rows(monkeypatch):
+    # indicator rows at one n share gamma, so the second row reuses both
+    # angle sets of the first; each cold row runs on an empty memo
+    reports = []
+    inner = pipeline.verify_error_bounds
+
+    def keep_report(cfg):
+        reports.append(inner(cfg))
+        return reports[-1]
+
+    monkeypatch.setattr(pipeline, "verify_error_bounds", keep_report)
+    grid = {"n": [2], "epsilon": [0.05], "delta": [0.1]}
+    cold_rows = []
+    for dist in ("indicator:1", "indicator:2"):
+        _memo.cache_clear()
+        cold_rows += sweep(SweepSpec.from_dict({**grid, "dist": [dist]}))
+    cold = [_outcome(r) for r in reports]
+    reports.clear()
+    _memo.cache_clear()
+    warm_rows = sweep(SweepSpec.from_dict({**grid, "dist": ["indicator:1", "indicator:2"]}))
+    assert _memo.cache_info().hits == 2
+    assert warm_rows == cold_rows
+    assert [_outcome(r) for r in reports] == cold
+
+
+def test_memo_shares_the_arcsin_angles_between_tables():
+    rng = np.random.default_rng(23)
+    _memo.cache_clear()
+    hits = []
+    for _ in range(2):
+        oracle = AmplitudeOracle(6, 8, rng.uniform(0.05, 1.0, 64))
+        verify_error_bounds(PrepConfig(oracle=oracle, epsilon=0.05, delta=0.1))
+        hits.append(_memo.cache_info().hits)
+    assert hits[1] > hits[0]
