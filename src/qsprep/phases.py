@@ -17,10 +17,14 @@ leading coefficients, reduce the degree, repeat) in double precision. Each
 level is a few slice operations on raw Chebyshev coefficient arrays
 (``_factor.mulx`` and ``_factor.mul_one_minus_x2``), the same code for
 complex arrays and for the mpmath.mpc object arrays of extended precision.
+When the complementary series Q has one phase, as the completion of every
+real target has, phi_2 .. phi_d form a palindrome (``_strip`` says why), so
+only the top half of the levels is stripped and the rest is mirrored.
 A candidate is scored once: one reconstruction on the max(4d, 32)
-Chebyshev-node grid yields both its global-phase correction and its max
-residual. Only when stripping raises, or its residual or truncated
-coefficient mass shows lost digits, is it repeated in extended precision;
+Chebyshev-node grid yields both its global-phase correction (which also
+sets phi_1 after a half strip) and its max residual. Only when stripping
+raises, or its residual or truncated coefficient mass shows lost digits,
+is it repeated in extended precision;
 if the best candidate still misses, one Levenberg-Marquardt least-squares
 run on the same nodes polishes it. The start is fixed, as in the
 optimization-based phase finding of Dong, Lin, Ni & Wang (arXiv:2002.11649),
@@ -208,6 +212,15 @@ def _leading_phase_factor(p_top, q_top, level: int):
     return lam / mag
 
 
+def _one_phase(q: np.ndarray) -> bool:
+    """Whether Q's coefficients are one unimodular constant times reals, to 1e-14."""
+    q = np.asarray(q, dtype=complex)
+    top = q[np.argmax(np.abs(q))]
+    if top == 0:
+        return False
+    return bool(np.abs((q * (np.conj(top) / abs(top))).imag).max() <= 1e-14 * abs(top))
+
+
 def _strip(p: np.ndarray, q: np.ndarray) -> tuple[np.ndarray, float]:
     """Peel angles off a (P, Q) Chebyshev pair.
 
@@ -217,14 +230,28 @@ def _strip(p: np.ndarray, q: np.ndarray) -> tuple[np.ndarray, float]:
     ``mul_one_minus_x2``. Q is first aligned with P by a unimodular factor.
     Returns (angles, worst relative coefficient mass dropped by truncation);
     the latter is the degradation monitor for the fallback decision.
+
+    When Q is one phase times a real series, as every completion of a real
+    target is (``_factor.complete_real``), only the top d // 2 levels are
+    stripped. With s = sqrt(1 - x^2) the product is e^{i phi_1 Z} B, B =
+    R e^{i phi_2 Z} R ... e^{i phi_d Z} R, whose top row is (P, s Q) and
+    bottom row is (-D s conj(Q), D conj(P)), D = (-1)^d. R and the diagonal
+    factors are symmetric, so B with phi_2 .. phi_d reversed is B^T, and B
+    is symmetric exactly when e^{-i phi_1} Q = -D conj(e^{-i phi_1} Q), that
+    is, when Q has one phase. Stripping is unique, so then phi_2 .. phi_d
+    read the same backwards: the lower half is the mirror of the top half,
+    and for even d the centre angle is its own mirror, so it is stripped.
+    phi_1 is left 0 for ``_align``, which sets it as the global-phase fix.
     """
     exact = p.dtype == object
     arg, expj = (mp.arg, mp.expj) if exact else (np.angle, lambda t: np.exp(1j * t))
     d = len(p) - 1
+    # the levels stripped are d .. low + 1; the mirror fills phi_2 .. phi_low
+    low = d - d // 2 if _one_phase(q) else 1
     q = q * _leading_phase_factor(p[d], q[d - 1], d)
     phis = np.zeros(d)
     worst_drop = 0.0
-    for k in range(d, 1, -1):
+    for k in range(d, low, -1):
         # p has degree k and q degree k - 1: a has k + 2 terms, b has k + 1
         a_full = mulx(p) + mul_one_minus_x2(q)
         b_full = p - mulx(q)
@@ -247,7 +274,10 @@ def _strip(p: np.ndarray, q: np.ndarray) -> tuple[np.ndarray, float]:
         e = expj(phi)
         p = a_full[:k] / e
         q = b_full[: k - 1] * e
-    phis[0] = float(arg(p[1]))
+    if low > 1:
+        phis[1:low] = phis[d + 1 - low:][::-1]
+    else:
+        phis[0] = float(arg(p[1]))
     return phis, worst_drop
 
 
@@ -348,12 +378,14 @@ def _completion_q(c: np.ndarray):
     return q.astype(complex)
 
 
-def find_phases(p: Polynomial) -> PhaseSequence:
+def find_phases(p: Polynomial, *, _checked: bool = False) -> PhaseSequence:
     """Angles whose ansatz product realizes the polynomial.
 
     ``p`` is a complex polynomial meeting the realizability conditions
     (checked at tolerance 1e-8 before solving; violations raise
-    ConditionError). The reconstruction residual on a Chebyshev grid of
+    ConditionError). Only ``completion_and_phases`` passes ``_checked``: it
+    skips that check for the completion ``complete_to_complex`` has just
+    checked. The reconstruction residual on a Chebyshev grid of
     max(4 * degree, 32) points must meet ``TOL``.
 
     Stripping needs the complementary series Q. A completion attaches it in
@@ -369,7 +401,8 @@ def find_phases(p: Polynomial) -> PhaseSequence:
 
     Raises PhaseFindingError with the residual when no route reaches ``TOL``.
     """
-    _check_qsp_conditions(p)
+    if not _checked:
+        _check_qsp_conditions(p)
     pc = to_chebyshev(p)
     d = pc.degree
     if d == 0:
@@ -445,7 +478,7 @@ def _memo(key: bytes) -> tuple[Polynomial, PhaseSequence]:
     # both steps are looked up as module globals, so wrappers put around
     # them (such as a tracer's) still see every miss
     comp = complete_to_complex(Polynomial(np.frombuffer(key, dtype=complex), "chebyshev"))
-    phi = find_phases(comp)
+    phi = find_phases(comp, _checked=True)
     comp.coefficients.flags.writeable = False
     comp.meta["q_cheb"].flags.writeable = False
     return replace(comp, meta=MappingProxyType(comp.meta)), phi

@@ -28,10 +28,12 @@ from dataclasses import dataclass, field
 import numpy as np
 from numpy.polynomial import chebyshev as cheb
 from numpy.polynomial import polynomial as mono
+from numpy.polynomial import polyutils as pu
 from scipy.fft import dct
 from scipy.special import erfinv, ive
 
 from . import _factor
+from ._factor import mulx
 from .errors import CompletionError, ConditionError, DegreeOverflowError, InputError
 
 COEFF_TOL = 1e-12
@@ -132,7 +134,21 @@ def to_monomial(p: Polynomial) -> Polynomial:
 
 
 def mono2cheb(c: np.ndarray) -> np.ndarray:
-    return cheb.poly2cheb(np.asarray(c, dtype=complex))
+    """Chebyshev coefficients of a monomial series, by Horner's rule.
+
+    Each step is x times the running series (``_factor.mulx``) plus the next
+    coefficient, with trailing zeros trimmed, the same operations in the
+    same order as ``numpy.polynomial.chebyshev.poly2cheb``, so the result is
+    bit-identical to it without its per-step series dispatch.
+    """
+    c = pu.trimseq(np.asarray(c, dtype=complex))
+    out = c[-1:].copy()
+    for a in c[-2::-1]:
+        out = mulx(out)
+        out[0] += a
+        if out[-1] == 0:
+            out = pu.trimseq(out)
+    return out
 
 
 def chebyshev_economize(p: Polynomial, budget: float) -> Polynomial:
@@ -263,12 +279,12 @@ def sign_approx(Delta: float, delta: float) -> Polynomial:
             needed=degree,
         )
 
+    # T_{2j+1} gains term_j / (2j + 1), then loses term_{j+1} / (2j + 1)
+    terms = pref * (-1.0) ** js[: big_j + 1] * bess[: big_j + 1]
+    odd = 2 * js[: big_j + 1] + 1
     coeffs = np.zeros(degree + 1)
-    coeffs[1] += pref * bess[0]
-    for jj in range(1, big_j + 1):
-        term = pref * ((-1) ** jj) * bess[jj]
-        coeffs[2 * jj + 1] += term / (2 * jj + 1)
-        coeffs[2 * jj - 1] -= term / (2 * jj - 1)
+    coeffs[1::2] += terms / odd
+    coeffs[1:-2:2] -= terms[1:] / odd[:-1]
     scale = 1.0 / (1.0 + delta / 4.0)
     coeffs *= scale
     return Polynomial(coeffs, basis="chebyshev", parity="odd")

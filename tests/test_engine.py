@@ -12,7 +12,7 @@ import tracemalloc
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from qsprep import blockenc, simulator
@@ -92,13 +92,20 @@ def dense_run(run):
     ), be
 
 
-def assert_engine_matches_dense(values, eps=0.05, delta=0.1, success_tol=TOL):
+def engine_run(values, eps=0.05, delta=0.1):
     n = int(np.log2(len(values)))
-    run = _execute(PrepConfig(oracle=AmplitudeOracle(n, 8, values), epsilon=eps, delta=delta))
+    return _execute(PrepConfig(oracle=AmplitudeOracle(n, 8, values), epsilon=eps, delta=delta))
+
+
+def assert_engine_matches_dense(values, eps=0.05, delta=0.1, success_tol=TOL):
+    return assert_run_matches_dense(engine_run(values, eps, delta), success_tol)
+
+
+def assert_run_matches_dense(run, success_tol=TOL):
     ref, be = dense_run(run)
 
     # the blocks are the dense C's entries at (p N + x, q N + x); all else is 0
-    size = 2**n
+    size = run.config.oracle.values.size
     embedded = np.einsum("xpq,xy->pxqy", run.encoding.blocks, np.eye(size))
     assert np.abs(be.unitary.entries - embedded.reshape(4 * size, 4 * size)).max() <= TOL
 
@@ -141,9 +148,21 @@ def test_engine_matches_dense_reference(values):
     ),
     st.sampled_from([0.05, 0.1]),
 )
+@example([0.125, 0.125], 0.05)  # d_s = 207
+@example([0.125, 0.1640625], 0.05)  # d_s = 177
 @settings(max_examples=20)
 def test_engine_matches_dense_reference_property(values, eps):
-    assert_engine_matches_dense(np.array(values), eps=eps)
+    run = engine_run(np.array(values), eps=eps)
+    if run.plan.rounds <= 100:
+        assert_run_matches_dense(run)
+    else:
+        # as at the n = 6 indicator below: the dense reference's success
+        # drifts by about 5e-15 per round (at most 2.9e-13 up to 100 rounds,
+        # 1.19e-12 at values [0.125, 0.1640625], eps 0.05, d_s = 177, and
+        # 1.34e-12 at [0.125, 0.125], d_s = 207), so past 100 rounds the
+        # engine is held to 1e-12 of the extended-precision evaluation
+        assert_run_matches_dense(run, success_tol=5e-12)
+        assert abs(run.success - _extended_success(run)) <= TOL
 
 
 def _extended_success(run):

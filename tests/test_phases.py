@@ -2,11 +2,14 @@ import logging
 
 import numpy as np
 import pytest
+from numpy.polynomial import chebyshev as cheb
 
+from qsprep import phases
 from qsprep._factor import complementary_q
 from qsprep.errors import CompletionError, ConditionError, InputError, PhaseFindingError
 from qsprep.phases import (
     PhaseSequence,
+    completion_and_phases,
     conjugate_phases,
     find_phases,
     phases_from_text,
@@ -261,8 +264,6 @@ def test_find_phases_rejects_non_finite_series(coeffs, bad):
 
 
 def test_nan_residual_counts_as_degraded(monkeypatch, caplog):
-    import qsprep.phases as phases
-
     target = complete_to_complex(sign_approx(0.3, 0.2))
     strip = phases._strip
 
@@ -363,3 +364,128 @@ def test_boundary_tangent_completion_contract(seed):
     nodes = cheb_nodes(4 * target.degree)
     err = np.abs(reconstruct(phi, nodes) - evaluate(target, nodes)).max()
     assert err <= 1e-7
+
+
+# ---------------------------------------------------------------------------
+# half stripping of real targets
+# ---------------------------------------------------------------------------
+
+def random_real_target(rng, d):
+    """Bounded real series of degree d and parity d mod 2, sup below 1."""
+    c = rng.standard_normal(d + 1) * rng.uniform(0.8, 0.97) ** np.arange(d + 1)
+    c[(1 if d % 2 == 0 else 0)::2] = 0
+    c[d] = rng.choice([-1.0, 1.0]) * rng.uniform(0.1, 0.5)  # keep the degree at d
+    sup = np.abs(cheb.chebval(np.linspace(-1, 1, 4001), c)).max()
+    return Polynomial(c / sup * rng.uniform(0.5, 0.95), basis="chebyshev",
+                      parity="even" if d % 2 == 0 else "odd")
+
+
+def angle_gap(a, b):
+    return float(np.abs(np.angle(np.exp(1j * (a - b)))).max())
+
+
+def count_stripped_levels(monkeypatch):
+    """Levels stripped per ``_strip`` call, appended as the calls are made."""
+    levels = []
+    strip, mulx = phases._strip, phases.mulx
+
+    def counting_mulx(c):
+        levels[-1] += 0.5  # each level multiplies P and Q by x once
+        return mulx(c)
+
+    def counting_strip(p, q):
+        levels.append(0)
+        return strip(p, q)
+
+    monkeypatch.setattr(phases, "mulx", counting_mulx)
+    monkeypatch.setattr(phases, "_strip", counting_strip)
+    return levels
+
+
+# the degree-2329 sign target of grover_case(13, 5, 0.1, 0.05)
+SIGN_2329 = (0.0024859216854976273, 0.1)
+
+
+@pytest.mark.parametrize("d", [3, 4, 5, 6, 17, 30, 51, 64, 97, 120, 2329])
+def test_half_strip_matches_full_strip(d, monkeypatch):
+    pr = sign_approx(*SIGN_2329) if d == 2329 else random_real_target(np.random.default_rng(d), d)
+    comp = complete_to_complex(pr)
+    assert comp.degree == d
+    half = find_phases(comp).phases
+    monkeypatch.setattr(phases, "_one_phase", lambda q: False)
+    full = find_phases(comp).phases
+    assert angle_gap(half, full) <= 1e-13
+    # phi_2 .. phi_d read the same backwards, the centre of an even d included
+    assert np.array_equal(half[1:], half[1:][::-1])
+
+
+@pytest.mark.parametrize("d", [4, 6, 10])
+def test_even_half_strip_strips_the_centre_angle(d, monkeypatch):
+    # the centre angle phi_{d/2 + 1} of an even d is its own mirror: the
+    # last level stripped, not filled in
+    comp = complete_to_complex(random_real_target(np.random.default_rng(d), d))
+    levels = count_stripped_levels(monkeypatch)
+    phi = find_phases(comp)
+    assert levels == [d // 2]
+    xs = cheb_nodes(4 * d)
+    assert np.abs(reconstruct(phi, xs) - evaluate(comp, xs)).max() <= 1e-13
+
+
+def test_extended_precision_half_strip_matches_double(monkeypatch):
+    # the extended-precision attempt strips the hinted (real) Q in half too
+    import mpmath as mp
+
+    from qsprep import _factor
+
+    comp = complete_to_complex(sign_approx(0.3, 0.2))
+    d = comp.degree
+    c, q = comp.coefficients[: d + 1], comp.meta["q_cheb"].astype(complex)
+    levels = count_stripped_levels(monkeypatch)
+    with mp.workdps(_factor.strip_dps(d)):
+        exact = phases._strip(_factor.to_mp(c), _factor.to_mp(q))[0]
+    double = phases._strip(c, q)[0]
+    assert levels == [d // 2, d // 2]
+    assert angle_gap(exact, double) <= 1e-13
+
+
+def test_complex_complement_takes_the_full_strip(monkeypatch):
+    rng = np.random.default_rng(77)
+    d = 13
+    target = polynomial_from_phases(PhaseSequence(random_restricted_phases(rng, d)))
+    c = target.coefficients[: d + 1]
+    assert phases._completion_q(c) is None  # no completion of its real part
+    assert not phases._one_phase(complementary_q(c))
+    levels = count_stripped_levels(monkeypatch)
+    phi = find_phases(target)
+    assert levels == [d - 1]
+    xs = cheb_nodes(4 * d)
+    assert np.abs(reconstruct(phi, xs) - evaluate(target, xs)).max() <= 1e-7
+
+
+def test_pipeline_solves_strip_the_top_half(monkeypatch):
+    # a real target is completed with a real Q, so each solve strips
+    # ceil((d - 1) / 2) of the d - 1 levels and mirrors the rest
+    phases._memo.cache_clear()
+    levels = count_stripped_levels(monkeypatch)
+    rep = grover_case(4, 11, 0.1, 0.05)
+    assert sorted(levels) == sorted(-(-(d - 1) // 2) for d in rep.degrees)
+    assert all(c.passed for c in rep.bound_checks)
+
+
+def test_completion_and_phases_checks_the_conditions_once(monkeypatch):
+    import qsprep.polyapprox as polyapprox
+
+    calls = []
+    check = polyapprox._check_qsp_conditions
+
+    def counting_check(p):
+        calls.append(p)
+        return check(p)
+
+    monkeypatch.setattr(polyapprox, "_check_qsp_conditions", counting_check)
+    monkeypatch.setattr(phases, "_check_qsp_conditions", counting_check)
+    phases._memo.cache_clear()
+    comp, _ = completion_and_phases(sign_approx(0.21, 0.13))
+    assert len(calls) == 1
+    find_phases(comp)  # the public entry point keeps its own check
+    assert len(calls) == 2

@@ -3,6 +3,7 @@ import time
 import numpy as np
 import pytest
 from numpy.polynomial import chebyshev as cheb
+from scipy.special import erfinv, ive
 
 from qsprep import _factor, polyapprox
 from qsprep.errors import CompletionError, ConditionError, DegreeOverflowError
@@ -144,6 +145,55 @@ def test_sign_overflow_reports_the_degree_it_would_build(monkeypatch):
     assert exc.value.needed == 13165
     monkeypatch.setattr(polyapprox, "MAX_DEGREE", 20_000)
     assert sign_approx(0.9 * 0.25 * 2.0**-9, 0.1).degree == 13165
+
+
+def loop_sign_coefficients(Delta, delta, degree):
+    """The sign approximant's coefficients summed term by term in a loop."""
+    k = float(erfinv(1.0 - delta / 8.0)) / Delta
+    z = k * k / 2.0
+    pref = 2.0 * k / np.sqrt(np.pi)
+    big_j = (degree - 1) // 2
+    bess = ive(np.arange(big_j + 1), z)
+    coeffs = np.zeros(degree + 1)
+    coeffs[1] += pref * bess[0]
+    for jj in range(1, big_j + 1):
+        term = pref * ((-1) ** jj) * bess[jj]
+        coeffs[2 * jj + 1] += term / (2 * jj + 1)
+        coeffs[2 * jj - 1] -= term / (2 * jj - 1)
+    coeffs *= 1.0 / (1.0 + delta / 4.0)
+    return coeffs
+
+
+@pytest.mark.parametrize("Delta, delta", [(0.9, 0.5), (0.5, 0.9), (0.3, 0.2), (0.08, 0.1),
+                                          (0.025, 0.1), (0.0024859216854976273, 0.1)])
+def test_sign_coefficients_equal_the_term_loop(Delta, delta):
+    p = sign_approx(Delta, delta)
+    ref = loop_sign_coefficients(Delta, delta, p.degree)
+    assert p.coefficients.size == ref.size
+    assert np.all(p.coefficients == ref)
+
+
+def mono2cheb_cases():
+    rng = np.random.default_rng(12)
+    cases = [pytest.param(arcsin_taylor(eps, delta).coefficients, id=f"arcsin-d{d}")
+             for eps, delta, d in ((0.1, 0.05, 7), (1e-3, 0.1, 23), (1e-6, 0.05, 141))]
+    for n in (1, 2, 5, 30, 61):
+        c = rng.standard_normal(n) + 1j * rng.standard_normal(n)
+        cases.append(pytest.param(c, id=f"complex-{n}"))
+    c[-4:] = 0
+    cases.append(pytest.param(c, id="trailing-zeros"))
+    cases.append(pytest.param(np.zeros(6), id="zero"))
+    # x^1200 / 2^1199 underflows: the running series loses its top terms
+    cases.append(pytest.param(np.r_[np.zeros(1200), 1e-300], id="underflow"))
+    return cases
+
+
+@pytest.mark.parametrize("c", mono2cheb_cases())
+def test_mono2cheb_equals_poly2cheb(c):
+    got = polyapprox.mono2cheb(c)
+    want = cheb.poly2cheb(np.asarray(c, dtype=complex))
+    assert got.dtype == want.dtype and got.shape == want.shape
+    assert np.all(got == want)
 
 
 # ---------------------------------------------------------------------------
