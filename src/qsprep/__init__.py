@@ -2,10 +2,11 @@
 
 From a classical amplitude table the pipeline compiles a phase oracle,
 extracts its generator through a sine block encoding and an arcsin
-polynomial transform, amplifies the flagged component with a fixed-point
-sign-polynomial plan, and verifies every promised error bound per run. The
-pipeline simulates its diagonal oracle with one 4x4 block per data index; a
-dense simulator is kept as the reference that tests compare against.
+polynomial transform, amplifies the flagged component with closed-form
+fixed-point amplification angles, and verifies every promised error bound
+per run. The pipeline simulates its diagonal oracle with one 4x4 block per
+data index; a dense simulator is kept as the reference that tests compare
+against.
 """
 
 from .amplifier import (

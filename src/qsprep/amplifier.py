@@ -2,13 +2,24 @@
 
 When a unitary C satisfies C|Psi> = sigma |w> + |garbage> with the garbage
 orthogonal to the flagged subspace, the compression between the flag
-projector and |Psi><Psi| is the rank-one matrix sigma |w><Psi|. Applying an
-odd sign-function polynomial to that singular value through the alternating
-phase product pushes the success amplitude to at least 1 - delta/2 using a
-number of rounds that scales like (1/sigma) log(1/delta). The construction
-is non-unitary-friendly: it never requires C|Psi> to be close to a unitary
-image, but it does consume the initial-state preparer S (and its adjoint)
-once per round, so the initial state is fixed.
+projector and |Psi><Psi| is the rank-one matrix sigma |w><Psi|. The
+alternating phase product around C and C-dagger applies an odd polynomial
+P of degree L to that singular value, and post-selecting the flag succeeds
+with probability |P(sigma)|^2. The plan is the fixed-point search of Yoder,
+Low & Chuang (PRL 113, 210501, arXiv:1409.3305), which the QSVT paper uses
+as fixed-point amplitude amplification (Gilyen, Su, Low & Wiebe,
+arXiv:1806.01838): with delta_Y = sqrt(delta / 2),
+
+    |P(s)|^2 = 1 - delta_Y^2 T_L(T_{1/L}(1 / delta_Y) sqrt(1 - s^2))^2,
+
+which is at least 1 - delta / 2 for every s >= w = sqrt(1 - gamma^2),
+gamma^-1 = T_{1/L}(1 / delta_Y). A plan takes the least odd L that puts w
+at or below its threshold, about log(2 / delta_Y) / threshold rounds, and
+no odd polynomial meets the same guarantee with fewer. The angles are
+closed-form, so a plan builds no polynomial and finds no phases. The
+construction does not need C|Psi> to be close to a unitary image, but it
+consumes the initial-state preparer S (and its adjoint) once per round, so
+the initial state is fixed.
 
 ``amplify`` forms the whole amplification unitary and is the dense
 reference. The pipeline uses ``amplify_state``, which applies the same
@@ -22,30 +33,31 @@ from dataclasses import dataclass
 import numpy as np
 
 from .blockenc import BlockEncoding, qsvt_circuit
-from .errors import DimensionError
-from .phases import PhaseSequence, completion_and_phases
-from .polyapprox import Polynomial, evaluate, sign_approx
+from .errors import DegreeOverflowError, DimensionError
+from .phases import PhaseSequence
+from .polyapprox import MAX_DEGREE
 from .simulator import Projector, UnitaryMatrix
+
+
+def _lift(delta: float) -> float:
+    """acosh(1 / delta_Y), which equals L acosh(1 / gamma) for every L."""
+    return float(np.arccosh(np.sqrt(2.0 / delta)))
 
 
 @dataclass(frozen=True)
 class AmplificationPlan:
     """Resolved amplification parameters.
 
-    rounds equals the sign polynomial degree and the number of C (and S)
-    uses, counting adjoints; it is always odd. ``polynomial`` is the real
-    sign target; ``realized`` the completed polynomial the angles implement,
-    whose extra imaginary part only raises the success probability.
-    The angles and ``realized`` come from ``completion_and_phases`` and are
-    shared, read-only, by every plan of the same sign target.
+    rounds is the degree L of the fixed-point polynomial and the number of
+    C (and S) uses, counting adjoints; it is always odd. ``phases`` are the
+    closed-form angles in ``amplify_state``'s order, and ``predicted_success``
+    evaluates |P(s)|^2 from delta and L alone.
     """
 
     sigma: float
     delta: float
     phases: PhaseSequence
     rounds: int
-    polynomial: Polynomial
-    realized: Polynomial
 
     def __post_init__(self):
         if not 0 < self.sigma <= 1:
@@ -54,8 +66,23 @@ class AmplificationPlan:
             raise ValueError("rounds must be odd for an odd polynomial")
 
     def predicted_success(self, sigma: float | None = None) -> float:
+        """1 - delta_Y^2 T_L(x)^2 at x = sqrt(1 - s^2) / gamma.
+
+        T_L(x) is cos(L theta) for x = cos(theta) <= 1 (s >= w) and
+        cosh(L u) for x = cosh(u) > 1. Both angles are read from
+        sin(theta) = sqrt(s^2 - w^2) / gamma and sinh(u) =
+        sqrt(w^2 - s^2) / gamma, not from x: T_L'(1) = L^2, so rounding x
+        alone would cost ~L^2 ulps near the edge of the band.
+        """
         s = self.sigma if sigma is None else sigma
-        return float(abs(evaluate(self.realized, s)) ** 2)
+        lift = _lift(self.delta) / self.rounds
+        w = np.tanh(lift)
+        if s >= w:
+            theta = np.arctan2(np.sqrt((s - w) * (s + w)), np.sqrt((1.0 - s) * (1.0 + s)))
+            t = np.cos(self.rounds * theta)
+        else:
+            t = np.cosh(self.rounds * np.arcsinh(np.cosh(lift) * np.sqrt((w - s) * (w + s))))
+        return float(1.0 - self.delta / 2.0 * t * t)
 
 
 def build_projectors(n: int, s_unitary: UnitaryMatrix, ancillas: int = 2) -> tuple[Projector, Projector]:
@@ -75,12 +102,13 @@ def build_projectors(n: int, s_unitary: UnitaryMatrix, ancillas: int = 2) -> tup
 
 
 def plan_amplification(sigma: float, delta: float) -> AmplificationPlan:
-    """Sign-polynomial plan boosting a singular value >= sigma to 1 - delta/2.
+    """Fixed-point plan boosting a singular value >= sigma to 1 - delta/2.
 
-    The sign approximant is built at threshold 0.9 * sigma to tolerate the
-    estimation error a quantized amplitude table induces on sigma. A sign
-    degree (about (2 / sigma) log(16 / delta)) above ``MAX_DEGREE`` raises
-    DegreeOverflowError in ``sign_approx``, before any completion.
+    The band edge w is placed at 0.9 * sigma to tolerate the estimation
+    error a quantized amplitude table induces on sigma: L is the least odd
+    integer with w = tanh(acosh(1 / delta_Y) / L) <= 0.9 * sigma. An L above
+    ``MAX_DEGREE`` raises DegreeOverflowError with L in ``needed``, before
+    any angle is computed.
     """
     if not 0 < sigma <= 1:
         raise ValueError("sigma must lie in (0, 1]")
@@ -89,11 +117,33 @@ def plan_amplification(sigma: float, delta: float) -> AmplificationPlan:
     if sigma >= 1.0 - delta / 2.0:
         # the identity polynomial already reaches the target, and degrades
         # continuously, so no threshold margin is needed
-        poly = Polynomial(np.array([0.0, 1.0]), basis="chebyshev", parity="odd")
-        return AmplificationPlan(sigma, delta, PhaseSequence(np.zeros(1)), 1, poly, poly)
-    poly = sign_approx(0.9 * sigma, delta)
-    comp, phi = completion_and_phases(poly)
-    return AmplificationPlan(sigma, delta, phi, len(phi), poly, comp)
+        return AmplificationPlan(sigma, delta, PhaseSequence(np.zeros(1)), 1)
+    lift = _lift(delta)
+    rounds = int(np.ceil(lift / np.arctanh(0.9 * sigma)))
+    rounds += 1 - rounds % 2
+    if rounds > MAX_DEGREE:
+        raise DegreeOverflowError(
+            f"fixed-point amplification needs {rounds} rounds (> max {MAX_DEGREE}) "
+            f"for sigma={sigma}, delta={delta}",
+            needed=rounds,
+        )
+    return AmplificationPlan(sigma, delta, _fixed_point_phases(rounds, np.tanh(lift / rounds)), rounds)
+
+
+def _fixed_point_phases(rounds: int, edge: float) -> PhaseSequence:
+    """The Yoder-Low-Chuang angles in ``amplify_state``'s order.
+
+    With l = (L - 1) / 2 and the band edge w, alpha_j = 2 cot^-1(tan(2 pi
+    j / L) w) for j = 1 .. l (cot^-1 in (0, pi)) and beta_j =
+    -alpha_{l-j+1}; the angles are phi_0 = 0, phi_{2i-1} = -alpha_{l-i+1} / 2
+    and phi_{2i} = beta_{l-i+1} / 2 = -alpha_i / 2.
+    """
+    j = np.arange(1, (rounds - 1) // 2 + 1)
+    alpha = 2.0 * np.arctan2(1.0, np.tan(2.0 * np.pi * j / rounds) * edge)
+    phi = np.zeros(rounds)
+    phi[1::2] = -alpha[::-1] / 2.0
+    phi[2::2] = -alpha / 2.0
+    return PhaseSequence(phi)
 
 
 def amplify(c_unitary: UnitaryMatrix, s_unitary: UnitaryMatrix, plan: AmplificationPlan) -> UnitaryMatrix:

@@ -4,9 +4,10 @@ special case, and parameter sweeps.
 The pipeline compiles the phase unitary from the quantized amplitude table
 (with the amplitudes internally rescaled by ``BETA``), extracts the generator
 through the sine encoding and an arcsin transform, and amplifies the flagged
-component with a sign-polynomial plan. The user-facing accuracy target is
-met by aiming the internal generator error at epsilon * gamma / 3; that
-premise is checked against gamma / 4 before any circuit is built.
+component with a fixed-point plan of closed-form angles. The user-facing
+accuracy target is met by aiming the internal generator error at
+epsilon * gamma / 3; that premise is checked against gamma / 4 before any
+circuit is built.
 
 All reference quantities (gamma, the target state, the error bounds) are
 computed classically from the exact table, so every inequality the analysis
@@ -32,7 +33,7 @@ SWEEP_COLUMNS = [
     "epsilon",
     "delta",
     "arcsin_degree",
-    "sign_degree",
+    "sign_degree",  # the amplification's round count L (its polynomial's degree)
     "oracle_calls",
     "fidelity",
     "success_prob",

@@ -1,10 +1,12 @@
 import numpy as np
 import pytest
 
-from qsprep import amplifier
-from qsprep.amplifier import amplify, build_projectors, plan_amplification
+from qsprep import amplifier, pipeline
+from qsprep.amplifier import amplify, amplify_state, build_projectors, plan_amplification
 from qsprep.errors import DegreeOverflowError
-from qsprep.polyapprox import MAX_DEGREE, evaluate
+from qsprep.phases import reconstruct
+from qsprep.pipeline import grover_case
+from qsprep.polyapprox import MAX_DEGREE
 from qsprep.simulator import (
     RegisterLayout,
     StateVector,
@@ -76,7 +78,7 @@ def test_plan_sigma_one_is_trivial():
 
 def test_plan_values_at_half():
     plan = plan_amplification(0.5, 0.01)
-    assert evaluate(plan.polynomial, 0.5).real >= 0.995
+    assert plan.predicted_success(0.5) >= 0.995
     assert plan.rounds % 2 == 1
 
 
@@ -90,34 +92,124 @@ def test_plan_rounds_scale_linearly_in_inverse_sigma():
 
 
 def test_plan_degree_limit(monkeypatch):
-    # the n = 16 search instance plans sign degree 6583
+    # the n = 16 search instance plans 2479 rounds, and n = 18 4957
     plan = plan_amplification(0.25 * 2.0**-8, 0.1)
-    assert plan.rounds == 6583
-    assert plan.predicted_success() >= (1 - 0.1 / 2) ** 2
-    # a smaller sigma's sign degree is refused before any completion
-    def no_completion(p):
-        raise AssertionError("completion reached")
+    assert plan.rounds == 2479
+    assert plan.predicted_success() >= 1 - 0.1 / 2
+    assert plan_amplification(0.25 * 2.0**-9, 0.1).rounds == 4957
+    # a smaller sigma's round count is refused before any angle is computed
+    def no_angles(rounds, edge):
+        raise AssertionError("angles computed")
 
-    monkeypatch.setattr(amplifier, "completion_and_phases", no_completion)
+    monkeypatch.setattr(amplifier, "_fixed_point_phases", no_angles)
     with pytest.raises(DegreeOverflowError) as exc:
         plan_amplification(1e-4, 0.1)
-    assert exc.value.needed > MAX_DEGREE
+    assert exc.value.needed == 24205 > MAX_DEGREE
 
 
 def test_plan_arrays_are_read_only():
-    # plans share their completion and angles through the phase-finding memo
     plan = plan_amplification(0.3, 0.1)
     angles = plan.phases.phases.copy()
     with pytest.raises(ValueError):
         plan.phases.phases[0] = 0.0
-    with pytest.raises(ValueError):
-        plan.realized.coefficients[1] = 0.0
-    with pytest.raises(ValueError):
-        plan.realized.meta["q_cheb"][0] = 0.0
-    with pytest.raises(TypeError):
-        plan.realized.meta["q_cheb"] = None
     again = plan_amplification(0.3, 0.1)
     np.testing.assert_array_equal(again.phases.phases, angles)
+
+
+def one_index_block(sigma):
+    """A one-index C whose flagged compression is exactly sigma."""
+    blocks = np.eye(4, dtype=complex)[None].copy()
+    c = np.sqrt(1.0 - sigma**2)
+    blocks[0, :2, :2] = [[sigma, c], [c, -sigma]]
+    return blocks
+
+
+def engine_success(blocks, plan):
+    state, _ = amplify_state(blocks, plan)
+    return float(np.linalg.norm(state[0]) ** 2)
+
+
+class Captured(Exception):
+    pass
+
+
+@pytest.mark.parametrize("n", range(3, 18))
+def test_predicted_success_equals_the_engine_on_search_cases(monkeypatch, n):
+    # the encoding and plan grover_case(n, 2^n - 3, 0.1, 0.05) amplifies; the
+    # engine runs on the whole table up to n = 11 and, above that (up to
+    # L = 3505 at n = 17), on one index block with the same singular value
+    captured = []
+
+    def capture(blocks, plan):
+        captured.append((blocks, plan))
+        raise Captured
+
+    monkeypatch.setattr(pipeline, "amplify_state", capture)
+    with pytest.raises(Captured):
+        grover_case(n, 2**n - 3, 0.1, 0.05)
+    blocks, plan = captured[0]
+    sigma = float(np.sqrt(np.mean(np.abs(blocks[:, 0, 0]) ** 2)))
+    if n > 11:
+        blocks = one_index_block(sigma)
+    assert abs(engine_success(blocks, plan) - plan.predicted_success(sigma)) <= 1e-10
+
+
+def random_plans(count, seed):
+    rng = np.random.default_rng(seed)
+    for _ in range(count):
+        yield plan_amplification(10 ** rng.uniform(-3, np.log10(0.5)), 10 ** rng.uniform(-6, np.log10(0.5)))
+
+
+# random draws, and the n = 20 search plan, whose L = 9915 is the largest a
+# search table reaches
+@pytest.mark.parametrize("plan", [*random_plans(12, 31), plan_amplification(0.25 * 2.0**-10, 0.1)],
+                         ids=lambda p: f"L{p.rounds}")
+def test_success_meets_the_target_across_the_band(plan):
+    # L is the least odd count whose band edge tanh(acosh(1 / delta_Y) / L)
+    # reaches 0.9 sigma
+    edge = lambda rounds: np.tanh(np.arccosh(np.sqrt(2.0 / plan.delta)) / rounds)
+    w = edge(plan.rounds)
+    assert w <= 0.9 * plan.sigma < edge(plan.rounds - 2)
+    # on one index the engine's product is the reflection-convention 2x2
+    # product; the success touches 1 - delta/2 wherever T_L = +-1, so the
+    # grid may round below it by a few ulps
+    grid = np.linspace(0.9 * plan.sigma, 1.0, 401)
+    assert (np.abs(reconstruct(plan.phases, grid)) ** 2).min() >= 1 - plan.delta / 2 - 1e-12
+    # T_L'(1) = L^2, so the closed form is checked next to the edge as well
+    points = np.concatenate([grid, w * (1 + np.array([-1e-4, -1e-6, 0.0, 1e-6, 1e-4]))])
+    predicted = [plan.predicted_success(s) for s in points]
+    assert np.abs(np.abs(reconstruct(plan.phases, points)) ** 2 - predicted).max() <= 1e-10
+
+
+def fixed_point_search_success(lam, rounds, delta):
+    """|<T| G(alpha_l, beta_l) ... G(alpha_1, beta_1) |s>|^2 in the 2x2 basis (|T>, |T-bar>).
+
+    Yoder, Low & Chuang's iterates G(alpha, beta) = -S_s(alpha) S_t(beta),
+    with S_s(alpha) = 1 - (1 - e^{-i alpha})|s><s|, S_t(beta) = 1 -
+    (1 - e^{i beta})|T><T| and |s> = sqrt(lam)|T> + sqrt(1 - lam)|T-bar>.
+    """
+    width = np.tanh(np.arccosh(np.sqrt(2.0 / delta)) / rounds)
+    l = (rounds - 1) // 2
+    j = np.arange(1, l + 1)
+    alpha = 2.0 * np.arctan2(1.0, np.tan(2.0 * np.pi * j / rounds) * width)
+    beta = -alpha[::-1]
+    s = np.array([np.sqrt(lam), np.sqrt(1.0 - lam)], dtype=complex)
+    t = np.array([1.0, 0.0], dtype=complex)
+    state = s.copy()
+    for a, b in zip(alpha, beta):
+        s_s = np.eye(2) - (1.0 - np.exp(-1j * a)) * np.outer(s, s.conj())
+        s_t = np.eye(2) - (1.0 - np.exp(1j * b)) * np.outer(t, t.conj())
+        state = -s_s @ s_t @ state
+    return float(abs(state[0]) ** 2)
+
+
+@pytest.mark.parametrize("plan", random_plans(10, 47), ids=lambda p: f"L{p.rounds}")
+def test_angles_match_the_fixed_point_search_iterates(plan):
+    rng = np.random.default_rng(plan.rounds)
+    for s in (plan.sigma, *rng.uniform(0.0, 1.0, 3)):
+        direct = fixed_point_search_success(s * s, plan.rounds, plan.delta)
+        assert abs(engine_success(one_index_block(s), plan) - direct) <= 1e-10
+        assert abs(plan.predicted_success(s) - direct) <= 1e-10
 
 
 def test_amplify_boosts_rank_one_instances():

@@ -468,7 +468,9 @@ def test_pipeline_solves_strip_the_top_half(monkeypatch):
     phases._memo.cache_clear()
     levels = count_stripped_levels(monkeypatch)
     rep = grover_case(4, 11, 0.1, 0.05)
-    assert sorted(levels) == sorted(-(-(d - 1) // 2) for d in rep.degrees)
+    # the arcsin target is the pipeline's only solve; the amplifier's angles
+    # are closed-form
+    assert levels == [-(-(rep.degrees[0] - 1) // 2)]
     assert all(c.passed for c in rep.bound_checks)
 
 
@@ -489,3 +491,37 @@ def test_completion_and_phases_checks_the_conditions_once(monkeypatch):
     assert len(calls) == 1
     find_phases(comp)  # the public entry point keeps its own check
     assert len(calls) == 2
+
+
+def test_arcsin_encoding_reaches_find_phases_by_its_module_name(monkeypatch):
+    # a tracer that rebinds phases.find_phases sees every arcsin solve the
+    # memo misses, and none that it serves
+    from qsprep.blockenc import hamiltonian_from_unitary
+
+    degrees = []
+    inner = phases.find_phases
+
+    def counting(p, **kwargs):
+        degrees.append(p.degree)
+        return inner(p, **kwargs)
+
+    monkeypatch.setattr(phases, "find_phases", counting)
+    phases._memo.cache_clear()
+    diagonal = np.exp(1j * np.pi * np.linspace(0.0, 0.25, 8))
+    encoding = hamiltonian_from_unitary(diagonal, 0.01, 0.25)
+    assert degrees == [len(encoding.phases)]
+    hamiltonian_from_unitary(diagonal, 0.01, 0.25)
+    assert len(degrees) == 1
+
+
+def test_memoized_completion_and_angles_are_read_only():
+    # every caller of completion_and_phases shares the memoized result
+    comp, phi = completion_and_phases(arcsin_taylor(0.01, 0.29))
+    with pytest.raises(ValueError):
+        phi.phases[0] = 0.0
+    with pytest.raises(ValueError):
+        comp.coefficients[1] = 0.0
+    with pytest.raises(ValueError):
+        comp.meta["q_cheb"][0] = 0.0
+    with pytest.raises(TypeError):
+        comp.meta["q_cheb"] = None

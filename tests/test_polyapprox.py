@@ -8,7 +8,6 @@ from scipy.special import erfinv, ive
 from qsprep import _factor, polyapprox
 from qsprep.errors import CompletionError, ConditionError, DegreeOverflowError
 from qsprep.phases import find_phases
-from qsprep.pipeline import grover_case
 from qsprep.polyapprox import (
     Polynomial,
     arcsin_taylor,
@@ -139,9 +138,10 @@ def test_sign_infeasible_parameters(monkeypatch):
 
 
 def test_sign_overflow_reports_the_degree_it_would_build(monkeypatch):
-    # the n = 18 search plan; its Bessel-table size estimate is degree 50813
+    # the threshold of the n = 18 search table; its Bessel-table size
+    # estimate is degree 50813
     with pytest.raises(DegreeOverflowError) as exc:
-        grover_case(18, 2**18 - 3, 0.1, 0.05)
+        sign_approx(0.9 * 0.25 * 2.0**-9, 0.1)
     assert exc.value.needed == 13165
     monkeypatch.setattr(polyapprox, "MAX_DEGREE", 20_000)
     assert sign_approx(0.9 * 0.25 * 2.0**-9, 0.1).degree == 13165
