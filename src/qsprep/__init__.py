@@ -49,7 +49,6 @@ from .oracle import (
 )
 from .phases import (
     PhaseSequence,
-    VerificationReport,
     conjugate_phases,
     find_phases,
     phases_from_text,
@@ -57,7 +56,6 @@ from .phases import (
     polynomial_from_phases,
     reconstruct,
     reconstruct_matrix,
-    verify_phases,
 )
 from .pipeline import (
     BoundCheck,
@@ -101,7 +99,6 @@ from .simulator import (
     phase_gate,
     project_measure,
     projector_phase,
-    sample_projective,
     spectral_norm,
     state_dist,
     unitary_gate,

@@ -106,7 +106,8 @@ def plan_amplification(sigma: float, delta: float) -> AmplificationPlan:
 
     The band edge w is placed at 0.9 * sigma to tolerate the estimation
     error a quantized amplitude table induces on sigma: L is the least odd
-    integer with w = tanh(acosh(1 / delta_Y) / L) <= 0.9 * sigma. An L above
+    integer with w = tanh(acosh(1 / delta_Y) / L) <= 0.9 * sigma. Near sigma
+    = 1 that can be L = 1, the angle 0 with success sigma^2. An L above
     ``MAX_DEGREE`` raises DegreeOverflowError with L in ``needed``, before
     any angle is computed.
     """
@@ -114,10 +115,6 @@ def plan_amplification(sigma: float, delta: float) -> AmplificationPlan:
         raise ValueError("sigma must lie in (0, 1]")
     if not 0 < delta < 1:
         raise ValueError("delta must lie in (0, 1)")
-    if sigma >= 1.0 - delta / 2.0:
-        # the identity polynomial already reaches the target, and degrades
-        # continuously, so no threshold margin is needed
-        return AmplificationPlan(sigma, delta, PhaseSequence(np.zeros(1)), 1)
     lift = _lift(delta)
     rounds = int(np.ceil(lift / np.arctanh(0.9 * sigma)))
     rounds += 1 - rounds % 2

@@ -19,7 +19,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import DimensionError, InfeasibleError, InputError
-from .phases import PhaseSequence, _prefix_rows, completion_and_phases, conjugate_phases
+from .phases import PhaseSequence, _prefix_rows, conjugate_phases, real_target_phases
 from .polyapprox import arcsin_taylor, chebyshev_economize
 from .simulator import (
     Projector,
@@ -274,6 +274,6 @@ def hamiltonian_from_unitary(diagonal: np.ndarray, epsilon: float, delta: float)
     # split the budget: most for the Taylor tail, a slice for economization
     pr = arcsin_taylor(0.9 * epsilon, delta)
     pr = chebyshev_economize(pr, 0.05 * epsilon)
-    ang = completion_and_phases(pr)[1]
+    ang = real_target_phases(pr)
     blocks, layers = _index_blocks(diagonal, ang)
     return IndexBlocks(blocks, ang, {"arcsin_degree": len(ang), "cu_calls": layers})

@@ -24,18 +24,18 @@ A candidate is scored once: one reconstruction on the max(4d, 32)
 Chebyshev-node grid yields both its global-phase correction (which also
 sets phi_1 after a half strip) and its max residual. Only when stripping
 raises, or its residual or truncated coefficient mass shows lost digits,
-is it repeated in extended precision;
-if the best candidate still misses, one Levenberg-Marquardt least-squares
-run on the same nodes polishes it. The start is fixed, as in the
-optimization-based phase finding of Dong, Lin, Ni & Wang (arXiv:2002.11649),
-so nothing is random; scipy's solver can still end in different last digits
-from one process to the next (its result follows the Python hash seed and
-the BLAS thread count). Each escalation is logged at DEBUG level on the
+is it repeated in extended precision at ``_factor.strip_dps`` digits,
+once per source of Q; if the best candidate still misses, one
+Levenberg-Marquardt least-squares run on the same nodes polishes it. The
+start is fixed, as in the optimization-based phase finding of Dong, Lin,
+Ni & Wang (arXiv:2002.11649), so nothing is random; scipy's solver can
+still end in different last digits from one process to the next (its
+result follows the Python hash seed and the BLAS thread count). Each escalation is logged at DEBUG level on the
 ``qsprep.phases`` logger.
 
-The pipeline reaches both steps through ``completion_and_phases``, which
-completes a real target and finds its angles once per process: the result
-is memoized on the target's exact Chebyshev coefficients, which many
+The pipeline reaches both steps through ``real_target_phases``, which
+completes a real target and finds its angles once per process: the angles
+are memoized on the target's exact Chebyshev coefficients, which many
 preparations share (the arcsin target is cut from one fixed series).
 
 Note on conventions: other codebases often parameterize the ansatz with the
@@ -47,8 +47,7 @@ from __future__ import annotations
 
 import functools
 import logging
-from dataclasses import dataclass, replace
-from types import MappingProxyType
+from dataclasses import dataclass
 
 import numpy as np
 from numpy.polynomial import chebyshev as cheb
@@ -68,8 +67,8 @@ from .polyapprox import (
 
 log = logging.getLogger(__name__)
 
-TOL = 1e-7  # largest accepted reconstruction residual, in find_phases and verify_phases
-# distinct real targets whose completion and angles stay memoized
+TOL = 1e-7  # largest reconstruction residual find_phases accepts
+# distinct real targets whose angles stay memoized
 _MEMO_SIZE = 64
 
 
@@ -95,14 +94,6 @@ class PhaseSequence:
 
     def __iter__(self):
         return iter(self.phases)
-
-
-@dataclass(frozen=True)
-class VerificationReport:
-    max_error: float
-    grid_size: int
-    tolerance: float
-    passed: bool
 
 
 def phases_to_text(phi: PhaseSequence) -> str:
@@ -184,16 +175,6 @@ def polynomial_from_phases(phi: PhaseSequence) -> Polynomial:
     off = 1 if parity == "even" else 0
     out[off::2] = 0.0
     return Polynomial(out, basis="chebyshev", parity=parity)
-
-
-def verify_phases(phi: PhaseSequence, p: Polynomial, grid_size: int) -> VerificationReport:
-    """Max reconstruction error over a Chebyshev-node grid, passed at ``TOL``."""
-    d = max(len(phi), p.degree)
-    if grid_size < d + 1:
-        raise ValueError(f"grid_size {grid_size} < degree + 1 = {d + 1}")
-    xs = _nodes(grid_size)
-    err = float(np.abs(reconstruct(phi, xs) - evaluate(p, xs)).max())
-    return VerificationReport(err, grid_size, TOL, err <= TOL)
 
 
 # ---------------------------------------------------------------------------
@@ -330,25 +311,27 @@ def _polish(phi0: np.ndarray, xs: np.ndarray, target: np.ndarray) -> np.ndarray:
 
 
 def _strip_extended(c: np.ndarray, q_hint, xs: np.ndarray, target: np.ndarray, trigger: str):
-    """Up to three extended-precision stripping attempts at growing precision.
+    """Extended-precision stripping at ``_factor.strip_dps`` digits.
 
-    Returns (angles, residual) of the last attempt that did not raise (None
-    when every attempt raised); stops early once the residual meets ``TOL``.
+    Q is the hint first when there is one, then ``_factor.complementary_q``
+    of P at the same digits. More digits buy nothing: on hint-less
+    random-angle polynomials up to degree 160, attempts at 1.7 and 2.89
+    times as many digits reach the same residual as the first. Returns
+    (angles, residual) of the last attempt that did not raise (None when
+    every attempt raised); stops once the residual meets ``TOL``.
     """
     d = len(c) - 1
     dps, found = _factor.strip_dps(d), None
-    for attempt in range(3):
+    # completions produce the stable (inside-disk) factor, for which
+    # double-precision consistency suffices
+    sources = [None] if q_hint is None else [q_hint, None]  # None: Q from P
+    for attempt, q_source in enumerate(sources, 1):
         log.debug("degree %d: extended precision, attempt %d at %d digits, after %s",
-                  d, attempt + 1, dps, trigger)
+                  d, attempt, dps, trigger)
         try:
             with mp.workdps(dps):
                 p = _factor.to_mp(c)
-                # completions produce the stable (inside-disk) factor, for
-                # which double-precision consistency suffices
-                if q_hint is not None and attempt == 0:
-                    q = _factor.to_mp(q_hint)
-                else:
-                    q = _factor.complementary_q(p)
+                q = _factor.complementary_q(p) if q_source is None else _factor.to_mp(q_source)
                 phis = _strip(p, q)[0]
         except (PhaseFindingError, CompletionError) as exc:
             trigger = f"{type(exc).__name__}: {exc}"
@@ -357,7 +340,6 @@ def _strip_extended(c: np.ndarray, q_hint, xs: np.ndarray, target: np.ndarray, t
             if found[1] <= TOL:
                 break
             trigger = f"residual {found[1]:.3e}"
-        dps = int(dps * 1.7)
     return found
 
 
@@ -378,14 +360,12 @@ def _completion_q(c: np.ndarray):
     return q.astype(complex)
 
 
-def find_phases(p: Polynomial, *, _checked: bool = False) -> PhaseSequence:
+def find_phases(p: Polynomial) -> PhaseSequence:
     """Angles whose ansatz product realizes the polynomial.
 
     ``p`` is a complex polynomial meeting the realizability conditions
     (checked at tolerance 1e-8 before solving; violations raise
-    ConditionError). Only ``completion_and_phases`` passes ``_checked``: it
-    skips that check for the completion ``complete_to_complex`` has just
-    checked. The reconstruction residual on a Chebyshev grid of
+    ConditionError). The reconstruction residual on a Chebyshev grid of
     max(4 * degree, 32) points must meet ``TOL``.
 
     Stripping needs the complementary series Q. A completion attaches it in
@@ -395,14 +375,14 @@ def find_phases(p: Polynomial, *, _checked: bool = False) -> PhaseSequence:
 
     The route is fixed. Strip in double precision; if that raises, drops
     coefficient mass above 1e-10 or leaves a residual above 1e-9, strip in
-    extended precision; if the best candidate still exceeds that residual,
-    polish it once by least squares (from zeros when no stripping produced
-    angles). The candidate with the smallest residual is returned.
+    extended precision at ``_factor.strip_dps`` digits (with the hinted Q,
+    then with Q computed from P); if the best candidate still exceeds that
+    residual, polish it once by least squares (from zeros when no stripping
+    produced angles). The candidate with the smallest residual is returned.
 
     Raises PhaseFindingError with the residual when no route reaches ``TOL``.
     """
-    if not _checked:
-        _check_qsp_conditions(p)
+    _check_qsp_conditions(p)
     pc = to_chebyshev(p)
     d = pc.degree
     if d == 0:
@@ -460,25 +440,21 @@ def find_phases(p: Polynomial, *, _checked: bool = False) -> PhaseSequence:
     return PhaseSequence(best)
 
 
-def completion_and_phases(p_r: Polynomial) -> tuple[Polynomial, PhaseSequence]:
-    """``complete_to_complex`` of a real target, then ``find_phases`` of it.
+def real_target_phases(p_r: Polynomial) -> PhaseSequence:
+    """Angles of the ``complete_to_complex`` completion of a real target.
 
     Memoized per process on the exact bytes of the target's Chebyshev
     coefficients, the whole input of both steps, so a hit returns what a
     cold call would; the ``_MEMO_SIZE`` most recently used targets are kept
-    and exceptions are not cached. Every caller gets the same objects, so
-    they are read-only: the completion's coefficients, its ``meta`` and
-    ``meta["q_cheb"]``, and the angles.
+    and exceptions are not cached. Every caller gets the same read-only
+    ``PhaseSequence``.
     """
     return _memo(to_chebyshev(p_r).coefficients.tobytes())
 
 
 @functools.lru_cache(maxsize=_MEMO_SIZE)
-def _memo(key: bytes) -> tuple[Polynomial, PhaseSequence]:
+def _memo(key: bytes) -> PhaseSequence:
     # both steps are looked up as module globals, so wrappers put around
     # them (such as a tracer's) still see every miss
     comp = complete_to_complex(Polynomial(np.frombuffer(key, dtype=complex), "chebyshev"))
-    phi = find_phases(comp, _checked=True)
-    comp.coefficients.flags.writeable = False
-    comp.meta["q_cheb"].flags.writeable = False
-    return replace(comp, meta=MappingProxyType(comp.meta)), phi
+    return find_phases(comp)

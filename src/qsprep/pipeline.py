@@ -392,7 +392,6 @@ def sweep(spec: SweepSpec) -> list[dict]:
         row = {c: "" for c in SWEEP_COLUMNS}
         row.update({"n": n, "epsilon": eps, "delta": delta, "status": "ok"})
         try:
-            check_engine_size(n)
             bits = spec.m if spec.m is not None else 8
             oracle = AmplitudeOracle.from_dist(n, bits, dist)
             cfg = PrepConfig(oracle=oracle, epsilon=eps, delta=delta, m=spec.m)

@@ -1,9 +1,8 @@
 """Dense statevector and unitary simulation over named qubit registers.
 
 Everything is exact linear algebra on complex128 arrays. Measurement is
-deterministic projection with a tracked probability; a seeded sampling mode
-exists for demos. All values are immutable: operations return new objects,
-so concurrent reads are safe.
+deterministic projection with a tracked probability. All values are
+immutable: operations return new objects, so concurrent reads are safe.
 
 Conventions: registers are ordered most-significant first, and within a
 register qubit 0 is the most significant bit. Control/ancilla registers are
@@ -325,21 +324,6 @@ def project_measure(proj: Projector, state: StateVector) -> tuple[StateVector, f
     if nrm < 1e-14:
         return StateVector(np.zeros_like(pv), state.layout), 0.0
     return StateVector(pv / nrm, state.layout), nrm**2
-
-
-def sample_projective(
-    proj: Projector, state: StateVector, seed: int = 0
-) -> tuple[StateVector, bool]:
-    """Seeded sampling variant of project_measure, for demos."""
-    rng = np.random.default_rng(seed)
-    post, p = project_measure(proj, state)
-    if rng.random() < p:
-        return post, True
-    rest = state.amplitudes - proj.apply_vec(state.amplitudes)
-    nrm = np.linalg.norm(rest)
-    if nrm < 1e-14:
-        return StateVector(np.zeros_like(rest), state.layout), False
-    return StateVector(rest / nrm, state.layout), False
 
 
 def spectral_norm(m: np.ndarray) -> float:

@@ -71,8 +71,14 @@ def test_build_projectors_single_qubit():
 
 
 def test_plan_sigma_one_is_trivial():
-    plan = plan_amplification(1.0, 0.1)
+    # the closed form needs no identity branch: L = 1 is the angle 0, whose
+    # success is sigma^2, and a tighter delta plans real rounds
+    plan = plan_amplification(1.0, 0.5)
     assert plan.rounds == 1
+    assert plan.phases.phases.tolist() == [0.0]
+    assert plan.predicted_success() == pytest.approx(1.0)
+    plan = plan_amplification(1.0, 0.1)
+    assert plan.rounds == 3
     assert plan.predicted_success() == pytest.approx(1.0)
 
 
@@ -160,16 +166,20 @@ def random_plans(count, seed):
         yield plan_amplification(10 ** rng.uniform(-3, np.log10(0.5)), 10 ** rng.uniform(-6, np.log10(0.5)))
 
 
-# random draws, and the n = 20 search plan, whose L = 9915 is the largest a
-# search table reaches
-@pytest.mark.parametrize("plan", [*random_plans(12, 31), plan_amplification(0.25 * 2.0**-10, 0.1)],
+# random draws, the n = 20 search plan, whose L = 9915 is the largest a
+# search table reaches, and two plans at sigma near 1: 3 rounds at (0.95,
+# 0.1), where the success sigma^2 of one round misses 1 - delta/2, and one
+# round at (1.0, 0.5)
+@pytest.mark.parametrize("plan", [*random_plans(12, 31), plan_amplification(0.25 * 2.0**-10, 0.1),
+                                  plan_amplification(0.95, 0.1), plan_amplification(1.0, 0.5)],
                          ids=lambda p: f"L{p.rounds}")
 def test_success_meets_the_target_across_the_band(plan):
     # L is the least odd count whose band edge tanh(acosh(1 / delta_Y) / L)
     # reaches 0.9 sigma
     edge = lambda rounds: np.tanh(np.arccosh(np.sqrt(2.0 / plan.delta)) / rounds)
     w = edge(plan.rounds)
-    assert w <= 0.9 * plan.sigma < edge(plan.rounds - 2)
+    assert w <= 0.9 * plan.sigma
+    assert plan.rounds == 1 or 0.9 * plan.sigma < edge(plan.rounds - 2)
     # on one index the engine's product is the reflection-convention 2x2
     # product; the success touches 1 - delta/2 wherever T_L = +-1, so the
     # grid may round below it by a few ulps

@@ -177,8 +177,8 @@ def _run_sweep(tmp_path, spec):
 
 @pytest.mark.parametrize(
     "change",
-    [{"dist": ["foo"]}, {"dist": ["indicator:9"]}, {"epsilon": [-0.1]}],
-    ids=["unknown-dist", "indicator-out-of-range", "negative-eps"],
+    [{"dist": ["foo"]}, {"dist": ["indicator:9"]}, {"epsilon": [-0.1]}, {"n": [21]}],
+    ids=["unknown-dist", "indicator-out-of-range", "negative-eps", "too-many-qubits"],
 )
 def test_sweep_bad_grid_point_becomes_error_row(tmp_path, capsys, change):
     spec = {"n": [2], "dist": ["indicator:1"], "epsilon": [0.1], "delta": [0.1], **change}

@@ -149,6 +149,7 @@ def test_engine_matches_dense_reference(values):
 )
 @example([0.125, 0.125], 0.05)  # d_s = 79
 @example([0.125, 0.1640625], 0.05)  # d_s = 67
+@example([0.05, 0.05], 0.05)  # 195 rounds: the branch past 100 rounds
 @settings(max_examples=20)
 def test_engine_matches_dense_reference_property(values, eps):
     run = engine_run(np.array(values), eps=eps)

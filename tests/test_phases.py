@@ -1,4 +1,5 @@
 import logging
+from dataclasses import FrozenInstanceError
 
 import numpy as np
 import pytest
@@ -9,7 +10,6 @@ from qsprep._factor import complementary_q
 from qsprep.errors import CompletionError, ConditionError, InputError, PhaseFindingError
 from qsprep.phases import (
     PhaseSequence,
-    completion_and_phases,
     conjugate_phases,
     find_phases,
     phases_from_text,
@@ -17,7 +17,7 @@ from qsprep.phases import (
     polynomial_from_phases,
     reconstruct,
     reconstruct_matrix,
-    verify_phases,
+    real_target_phases,
 )
 from qsprep.pipeline import grover_case
 from qsprep.polyapprox import (
@@ -250,8 +250,10 @@ def test_find_phases_optimizer_route(caplog):
     phi = find_phases(target)
     xs = cheb_nodes(4 * d)
     assert np.abs(reconstruct(phi, xs) - evaluate(target, xs)).max() <= 1e-7
-    logged = [r for r in caplog.records if r.name == "qsprep.phases"]
-    assert "least-squares polish" in logged[-1].getMessage()
+    logged = [r.getMessage() for r in caplog.records if r.name == "qsprep.phases"]
+    # one extended-precision attempt at strip_dps digits, then the polish
+    assert len(logged) == 2
+    assert "extended precision" in logged[0] and "least-squares polish" in logged[1]
 
 
 @pytest.mark.parametrize("bad", [np.nan, np.inf], ids=["nan", "inf"])
@@ -287,37 +289,6 @@ def test_find_phases_degree_zero():
     assert len(phi) == 0
     with pytest.raises(ConditionError):
         find_phases(Polynomial([1j], parity="even"))
-
-
-# ---------------------------------------------------------------------------
-# verification reports
-# ---------------------------------------------------------------------------
-
-def test_verify_phases_identity():
-    rep = verify_phases(PhaseSequence([0.0]), Polynomial([0.0, 1.0], parity="odd"), 16)
-    assert rep.passed
-    assert rep.max_error < 1e-15
-
-
-def test_verify_phases_detects_corruption():
-    phi = PhaseSequence([0.1])
-    rep = verify_phases(phi, Polynomial([0.0, 1.0], parity="odd"), 64)
-    assert not rep.passed
-    # the error |e^{0.1 i} x - x| peaks at the largest node
-    expected = abs(np.exp(0.1j) - 1.0) * np.cos(np.pi * 0.5 / 64)
-    assert abs(rep.max_error - expected) < 0.1 * expected
-
-
-def test_verify_phases_round_trip_pass():
-    p = complete_to_complex(sign_approx(0.3, 0.2))
-    phi = find_phases(p)
-    rep = verify_phases(phi, p, 4 * p.degree)
-    assert rep.passed
-
-
-def test_verify_phases_grid_guard():
-    with pytest.raises(ValueError):
-        verify_phases(PhaseSequence([0.0, 0.0]), Polynomial([1.0]), 1)
 
 
 def test_angle_normalization():
@@ -474,25 +445,6 @@ def test_pipeline_solves_strip_the_top_half(monkeypatch):
     assert all(c.passed for c in rep.bound_checks)
 
 
-def test_completion_and_phases_checks_the_conditions_once(monkeypatch):
-    import qsprep.polyapprox as polyapprox
-
-    calls = []
-    check = polyapprox._check_qsp_conditions
-
-    def counting_check(p):
-        calls.append(p)
-        return check(p)
-
-    monkeypatch.setattr(polyapprox, "_check_qsp_conditions", counting_check)
-    monkeypatch.setattr(phases, "_check_qsp_conditions", counting_check)
-    phases._memo.cache_clear()
-    comp, _ = completion_and_phases(sign_approx(0.21, 0.13))
-    assert len(calls) == 1
-    find_phases(comp)  # the public entry point keeps its own check
-    assert len(calls) == 2
-
-
 def test_arcsin_encoding_reaches_find_phases_by_its_module_name(monkeypatch):
     # a tracer that rebinds phases.find_phases sees every arcsin solve the
     # memo misses, and none that it serves
@@ -501,9 +453,9 @@ def test_arcsin_encoding_reaches_find_phases_by_its_module_name(monkeypatch):
     degrees = []
     inner = phases.find_phases
 
-    def counting(p, **kwargs):
+    def counting(p):
         degrees.append(p.degree)
-        return inner(p, **kwargs)
+        return inner(p)
 
     monkeypatch.setattr(phases, "find_phases", counting)
     phases._memo.cache_clear()
@@ -515,13 +467,10 @@ def test_arcsin_encoding_reaches_find_phases_by_its_module_name(monkeypatch):
 
 
 def test_memoized_completion_and_angles_are_read_only():
-    # every caller of completion_and_phases shares the memoized result
-    comp, phi = completion_and_phases(arcsin_taylor(0.01, 0.29))
+    # every caller of real_target_phases shares the memoized angles
+    phi = real_target_phases(arcsin_taylor(0.01, 0.29))
+    assert real_target_phases(arcsin_taylor(0.01, 0.29)) is phi
     with pytest.raises(ValueError):
         phi.phases[0] = 0.0
-    with pytest.raises(ValueError):
-        comp.coefficients[1] = 0.0
-    with pytest.raises(ValueError):
-        comp.meta["q_cheb"][0] = 0.0
-    with pytest.raises(TypeError):
-        comp.meta["q_cheb"] = None
+    with pytest.raises(FrozenInstanceError):
+        phi.phases = None

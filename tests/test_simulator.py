@@ -19,7 +19,6 @@ from qsprep.simulator import (
     phase_gate,
     project_measure,
     projector_phase,
-    sample_projective,
     spectral_norm,
     state_dist,
     unitary_gate,
@@ -119,14 +118,6 @@ def test_project_measure_identity_and_zero():
     post0, p0 = project_measure(nothing, s)
     assert p0 == 0.0
     assert post0.norm() == 0.0
-
-
-def test_sample_projective_is_seeded():
-    s = apply(hadamard(0), StateVector.zero_state(single(1)))
-    proj = Projector.from_diag_mask(np.array([True, False]))
-    outcomes = [sample_projective(proj, s, seed=k)[1] for k in range(20)]
-    assert outcomes == [sample_projective(proj, s, seed=k)[1] for k in range(20)]
-    assert any(outcomes) and not all(outcomes)
 
 
 def test_circuit_unitary_empty_is_identity():
