@@ -23,8 +23,13 @@ the initial state is fixed.
 
 ``amplify`` forms the whole amplification unitary and is the dense
 reference. The pipeline uses ``amplify_state``, which applies the same
-product to |0..0>|+^n> round by round when C is a direct sum of per-index
-blocks.
+product to |0..0>|+^n> when C is a direct sum of per-index blocks. The
+initial-state projector is rank one, so by Jordan's lemma the L rounds
+never leave one two-dimensional subspace, where C is the reflection
+R(sigma) and each projector phase is e^{i phi Z}: the product is the
+phase ansatz of ``phases`` at the single point sigma. ``amplify_state``
+applies C once, evaluates the ansatz there in O(L) scalar operations and
+spends O(N + L) in all, not O(N L).
 """
 from __future__ import annotations
 
@@ -34,7 +39,7 @@ import numpy as np
 
 from .blockenc import BlockEncoding, qsvt_circuit
 from .errors import DegreeOverflowError, DimensionError
-from .phases import PhaseSequence
+from .phases import PhaseSequence, _prefix_rows
 from .polyapprox import MAX_DEGREE
 from .simulator import Projector, UnitaryMatrix
 
@@ -162,34 +167,32 @@ def amplify(c_unitary: UnitaryMatrix, s_unitary: UnitaryMatrix, plan: Amplificat
 
 
 def amplify_state(blocks: np.ndarray, plan: AmplificationPlan) -> tuple[np.ndarray, int]:
-    """``amplify`` applied to |0..0>|+^n>, for C the direct sum of ``blocks``.
+    """``amplify`` applied to |Psi> = |0..0>|+^n>, for C the direct sum of ``blocks``.
 
     The state is a (K, N) array over the K ancilla patterns and the N data
-    indices, and C acts on column x through blocks[x]. The flag phase is a
-    row mask (row 0 is the flagged pattern) and the initial-state phase a
-    rank-one update along |0..0>|+^n>, so each round costs O(K^2 N) and
-    U_amp is never formed. Returns the state and the number of applications
-    of C and C-dagger, counted as they are made.
+    indices (row 0 is the flagged pattern), and C acts on column x through
+    blocks[x], so C|Psi> is column 0 of each block over sqrt(N): sigma |w>
+    + sqrt(1 - sigma^2) |g> with |w> flagged and |g> not. The initial-state
+    projector is rank one, so the compression is exactly sigma |w><Psi|, and
+    by Jordan's lemma (Gilyen, Su, Low & Wiebe, arXiv:1806.01838) the
+    product acts on span{|Psi>, |Psi'>} and span{|w>, |g>} alone, with
+    C|Psi'> = sqrt(1 - sigma^2) |w> - sigma |g>. In those bases C and
+    C-dagger are the reflection R(sigma) and both projector phases are
+    e^{i phi Z}, so the whole product is the ansatz M(phases, sigma), and
+    its column 0 gives the state M_00 |w> + M_10 |g>, with M_10 =
+    -(-1)^L conj(M_01). C is applied once and the L rounds cost O(L) scalar
+    operations, so no (K, N) state is carried through them. Returns the
+    state and the number of applications of C and C-dagger, counted as the
+    recurrence yields each layer.
     """
-    size, k = blocks.shape[0], blocks.shape[1]
-    blocks_t = np.ascontiguousarray(blocks.transpose(1, 2, 0))  # [a, b, x]
-    plus = np.full(size, 1.0 / np.sqrt(size))
-    state = np.zeros((k, size), dtype=complex)
-    state[0] = plus
-    applications = 0
-    angles = plan.phases.phases
-    # factors left to right: flag phase, C, initial-state phase, C-dagger, ...
-    for j in range(len(angles) - 1, -1, -1):
-        up, down = np.exp(1j * angles[j]), np.exp(-1j * angles[j])
-        if j % 2 == 0:  # C, then the flag phase
-            state = np.einsum("abx,bx->ax", blocks_t, state)
-            state[0] *= up
-            state[1:] *= down
-        else:  # C-dagger, then the initial-state phase
-            # (C^+ v)_a = conj(sum_b C_ba conj(v_b))
-            state = np.einsum("bax,bx->ax", blocks_t, state.conj()).conj()
-            overlap = plus @ state[0]
-            state *= down
-            state[0] += (up - down) * overlap * plus
-        applications += 1
-    return state, applications
+    column = blocks[:, :, 0].T  # sqrt(N) C|Psi>, one row per ancilla pattern
+    flagged, rest = float(np.linalg.norm(column[0])), float(np.linalg.norm(column[1:]))
+    sigma = flagged / np.sqrt(column.shape[1])
+    for applications, (a, b) in enumerate(_prefix_rows(plan.phases.phases, sigma)):
+        pass
+    m10 = -(-1) ** applications * b.conjugate()
+    # at sigma = 0 there is no flagged direction (and M_00 = 0), at sigma = 1
+    # no unflagged one (and M_10 = 0)
+    scale = np.full(len(column), m10 / rest if rest > 0 else 0.0, dtype=complex)
+    scale[0] = a / flagged if flagged > 0 else 0.0
+    return column * scale[:, None], applications

@@ -181,9 +181,12 @@ def lcu_real_part(be: BlockEncoding, phi: PhaseSequence) -> BlockEncoding:
 
 
 # Largest data register the per-index engine accepts. A whole
-# verify_error_bounds run on a random table (eps 0.05, delta 0.1) peaked at
-# 124 MB resident at n = 16, 244 MB at n = 18 and 724 MB at n = 20 (2.5 s
-# on a 2-vCPU x86 host); the blocks alone take 256 * 2^n bytes.
+# verify_error_bounds run on a random table (eps 0.05, delta 0.1, 17
+# rounds) took 0.18 s at n = 16, 0.37 s at n = 18 and 0.98 s at n = 20,
+# peaking at 115, 208 and 580 MB resident; the search table at n = 20 (9915
+# rounds) takes 2.1 s and 572 MB (2-vCPU x86 host). The amplification
+# costs O(N + L), so building the blocks, O(N d_a), takes most of the time
+# and memory sets the limit: the blocks alone take 256 * 2^n bytes.
 ENGINE_MAX_QUBITS = 20
 
 

@@ -1,7 +1,10 @@
 """Command-line interface.
 
 Subcommands: phases, prepare, verify-bounds, grover, sweep, make-oracle.
-The exit code is 0 exactly when every bound check of the invoked run passed.
+The exit code is 0 exactly when every bound check of the invoked run passed,
+1 when one failed, and 2, with one ``error:`` line, when the run was refused
+(any ``QsprepError``, a file that cannot be read, decoded or written
+included).
 File formats match the library serializers: polynomials as a header plus one
 coefficient per line, phase sequences as one angle per line, oracle tables
 as a header plus one amplitude per line, sweeps as JSON grids.
@@ -44,19 +47,40 @@ def _print_report(rep: PrepReport) -> None:
         print(f"  [{mark}] {c.name}: {c.lhs:.6e} {c.relation} {c.rhs:.6e}")
 
 
+def _read(path: str) -> str:
+    """An input file's text; a file that cannot be read or decoded raises InputError."""
+    try:
+        return Path(path).read_text(encoding="utf-8")
+    except (OSError, UnicodeDecodeError) as exc:
+        raise InputError(f"cannot read {path}: {_reason(exc)}") from exc
+
+
+def _write(path: str, text: str) -> None:
+    """Write an output file; a file that cannot be written raises InputError."""
+    try:
+        Path(path).write_text(text, encoding="utf-8")
+    except OSError as exc:
+        raise InputError(f"cannot write {path}: {_reason(exc)}") from exc
+
+
+def _reason(exc: Exception) -> str:
+    # an OSError's str() repeats the path; its strerror does not
+    return getattr(exc, "strerror", None) or str(exc)
+
+
 def _cmd_phases(args) -> int:
-    poly = poly_from_text(Path(args.poly_file).read_text())
+    poly = poly_from_text(_read(args.poly_file))
     phi = find_phases(poly)
     text = phases_to_text(phi)
     if args.out:
-        Path(args.out).write_text(text)
+        _write(args.out, text)
     else:
         sys.stdout.write(text)
     return 0
 
 
 def _load_config(args) -> PrepConfig:
-    oracle = oracle_from_text(Path(args.oracle).read_text())
+    oracle = oracle_from_text(_read(args.oracle))
     return PrepConfig(oracle=oracle, epsilon=args.eps, delta=args.delta, m=args.m)
 
 
@@ -89,13 +113,13 @@ def _cmd_grover(args) -> int:
 
 def _cmd_sweep(args) -> int:
     try:
-        raw = json.loads(Path(args.spec).read_text())
+        raw = json.loads(_read(args.spec))
     except json.JSONDecodeError as exc:
         raise InputError(f"sweep spec {args.spec} is not valid JSON: {exc}") from exc
     spec = SweepSpec.from_dict(raw)
     rows = sweep(spec)
     csv_text = sweep_to_csv(rows)
-    Path(args.out).write_text(csv_text)
+    _write(args.out, csv_text)
     ok = all(row.get("pass") is True for row in rows) if rows else True
     print(f"wrote {len(rows)} rows to {args.out}")
     return 0 if ok else 1
@@ -105,7 +129,7 @@ def _cmd_make_oracle(args) -> int:
     oracle = AmplitudeOracle.from_dist(args.n, args.m, args.dist)
     text = oracle_to_text(oracle)
     if args.out:
-        Path(args.out).write_text(text)
+        _write(args.out, text)
     else:
         sys.stdout.write(text)
     return 0

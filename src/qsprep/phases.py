@@ -8,9 +8,11 @@ with R(x) = [[x, s], [s, -x]], s = sqrt(1 - x^2). Its top-left entry is a
 degree-d polynomial of parity d mod 2. Every factor is unitary with
 determinant -1, so the top row (a, b) of a k-factor prefix fixes the whole
 prefix as [[a, b], [-D conj(b), D conj(a)]] with D = (-1)^k. One top-row
-recurrence therefore gives the reconstruction, the full matrix, the
-Jacobian of the least-squares polish and the engine's per-index blocks
-(``blockenc._index_blocks``).
+recurrence, ``_prefix_rows``, therefore gives the reconstruction, the full
+matrix, the Jacobian of the least-squares polish, the engine's per-index
+blocks (``blockenc._index_blocks``) and the whole fixed-point
+amplification, which is this product at x = sigma
+(``amplifier.amplify_state``).
 
 ``find_phases`` inverts the map by layer stripping (peel phi_d off the
 leading coefficients, reduce the degree, repeat) in double precision. Each
@@ -47,6 +49,7 @@ from __future__ import annotations
 
 import functools
 import logging
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -120,20 +123,32 @@ def _nodes(grid: int) -> np.ndarray:
     return np.cos(np.pi * (np.arange(grid) + 0.5) / grid)
 
 
-def _prefix_rows(phases: np.ndarray, xs: np.ndarray):
-    """Yield the top rows (a_k, b_k) of the prefix products F_1 ... F_k, k = 0 .. d."""
-    ss = np.sqrt(np.clip(1.0 - xs * xs, 0.0, None))
-    a = np.ones(xs.size, dtype=complex)
-    b = np.zeros_like(a)
+def _prefix_rows(phases: np.ndarray, xs):
+    """Yield the top rows (a_k, b_k) of the prefix products F_1 ... F_k, k = 0 .. d.
+
+    F_j = e^{i phi_j Z} R(x). ``xs`` is either an array of points, and each
+    row is then a pair of arrays over them, or one float, and each row is
+    then a pair of Python complex numbers: at a single point the recurrence
+    costs a few scalar operations per angle instead of a few array calls.
+    The factors e^{i phi_j} are computed once for all angles.
+    """
+    es = np.exp(1j * phases).tolist()
+    if isinstance(xs, float):
+        xs = float(xs)
+        ss = math.sqrt(max(1.0 - xs * xs, 0.0))
+        a, b = 1.0 + 0j, 0j
+    else:
+        ss = np.sqrt(np.clip(1.0 - xs * xs, 0.0, None))
+        a = np.ones(xs.size, dtype=complex)
+        b = np.zeros_like(a)
     yield a, b
-    for p in phases:
-        e = np.exp(1j * p)
-        ec = np.conj(e)
+    for e in es:
+        ec = e.conjugate()
         a, b = a * (e * xs) + b * (ec * ss), a * (e * ss) - b * (ec * xs)
         yield a, b
 
 
-def _top_row(phases: np.ndarray, xs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+def _top_row(phases: np.ndarray, xs):
     """Top row (a, b) of the whole product, keeping only the running prefix."""
     for a, b in _prefix_rows(phases, xs):
         pass
@@ -142,15 +157,16 @@ def _top_row(phases: np.ndarray, xs: np.ndarray) -> tuple[np.ndarray, np.ndarray
 
 def reconstruct_matrix(phi: PhaseSequence, x: float) -> np.ndarray:
     """The exact 2x2 ansatz product at a point, rebuilt from its top row."""
-    a, b = _top_row(phi.phases, np.array([float(x)]))
-    a, b, det = a[0], b[0], (-1.0) ** len(phi)
-    return np.array([[a, b], [-det * np.conj(b), det * np.conj(a)]])
+    a, b = _top_row(phi.phases, float(x))
+    det = (-1.0) ** len(phi)
+    return np.array([[a, b], [-det * b.conjugate(), det * a.conjugate()]])
 
 
 def reconstruct(phi: PhaseSequence, x):
     """Top-left entry of the ansatz product; vectorized over x."""
-    top = _top_row(phi.phases, np.atleast_1d(np.asarray(x, dtype=float)))[0]
-    return top if np.ndim(x) else complex(top[0])
+    if np.ndim(x):
+        return _top_row(phi.phases, np.asarray(x, dtype=float))[0]
+    return _top_row(phi.phases, float(x))[0]
 
 
 def conjugate_phases(phi: PhaseSequence) -> PhaseSequence:

@@ -139,11 +139,10 @@ class Captured(Exception):
     pass
 
 
-@pytest.mark.parametrize("n", range(3, 18))
+@pytest.mark.parametrize("n", range(3, 21))
 def test_predicted_success_equals_the_engine_on_search_cases(monkeypatch, n):
-    # the encoding and plan grover_case(n, 2^n - 3, 0.1, 0.05) amplifies; the
-    # engine runs on the whole table up to n = 11 and, above that (up to
-    # L = 3505 at n = 17), on one index block with the same singular value
+    # the encoding and plan grover_case(n, 2^n - 3, 0.1, 0.05) amplifies, on
+    # the whole table up to the engine's n = 20 (L = 9915)
     captured = []
 
     def capture(blocks, plan):
@@ -155,9 +154,22 @@ def test_predicted_success_equals_the_engine_on_search_cases(monkeypatch, n):
         grover_case(n, 2**n - 3, 0.1, 0.05)
     blocks, plan = captured[0]
     sigma = float(np.sqrt(np.mean(np.abs(blocks[:, 0, 0]) ** 2)))
-    if n > 11:
-        blocks = one_index_block(sigma)
     assert abs(engine_success(blocks, plan) - plan.predicted_success(sigma)) <= 1e-10
+
+
+@pytest.mark.parametrize(
+    "blocks, plan",
+    [(one_index_block(1.0), plan_amplification(1.0, 0.5)),
+     (one_index_block(0.0), plan_amplification(0.3, 0.1))],
+    ids=["sigma-one", "sigma-zero"],
+)
+def test_amplify_state_at_the_ends_of_the_band(blocks, plan):
+    # all of C|Psi> is flagged, or none of it: one of the two directions the
+    # amplification rotates between is missing
+    state, applications = amplify_state(blocks, plan)
+    assert np.isfinite(state).all()
+    assert abs(np.linalg.norm(state) - 1.0) <= 1e-12
+    assert applications == plan.rounds
 
 
 def random_plans(count, seed):

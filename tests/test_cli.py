@@ -272,3 +272,47 @@ def test_make_oracle_rejects_too_many_qubits(capsys):
     assert rc == 2
     assert captured.err.startswith("error: ") and "n = 40" in captured.err
     assert captured.out == ""
+
+
+READERS = {
+    "phases": lambda path, tmp: ["phases", path],
+    "prepare": lambda path, tmp: ["prepare", "--oracle", path],
+    "verify-bounds": lambda path, tmp: ["verify-bounds", "--oracle", path],
+    "sweep": lambda path, tmp: ["sweep", "--spec", path, "--out", str(tmp / "out.csv")],
+}
+
+
+def assert_refused(capsys, argv, path):
+    rc = main(argv)
+    captured = capsys.readouterr()
+    assert rc == 2
+    assert captured.err.startswith("error: ") and str(path) in captured.err
+    assert captured.err.count("\n") == 1
+    assert "Traceback" not in captured.err + captured.out
+
+
+@pytest.mark.parametrize("kind", ["missing", "directory", "undecodable"])
+@pytest.mark.parametrize("command", sorted(READERS))
+def test_unreadable_input_file_exits_2(tmp_path, capsys, command, kind):
+    path = tmp_path / "input"
+    if kind == "directory":
+        path.mkdir()
+    elif kind == "undecodable":
+        path.write_bytes(b"\xff\xfe2 6\n")
+    assert_refused(capsys, READERS[command](str(path), tmp_path), path)
+
+
+@pytest.mark.parametrize("command", ["phases", "sweep", "make-oracle"])
+def test_unwritable_output_file_exits_2(tmp_path, capsys, command):
+    poly = tmp_path / "poly.txt"
+    poly.write_text("chebyshev odd 1\n0 0\n1 0\n")
+    spec = tmp_path / "spec.json"
+    spec.write_text('{"n": [2], "dist": ["indicator:1"], "epsilon": [0.1], "delta": [0.1]}')
+    argv = {
+        "phases": ["phases", str(poly)],
+        "sweep": ["sweep", "--spec", str(spec)],
+        "make-oracle": ["make-oracle", "--n", "2", "--dist", "uniform"],
+    }[command]
+    out = tmp_path / "no-such-dir" / "out.txt"
+    assert_refused(capsys, [*argv, "--out", str(out)], out)
+    assert not out.parent.exists()

@@ -1,10 +1,15 @@
 """The per-index engine against the dense reference simulator.
 
 The pipeline simulates its diagonal phase oracle with one 4x4 block per
-data index (``hamiltonian_from_unitary``) and amplifies a (4, N) state
-(``amplify_state``). The dense reference builds the same circuit as full
+data index (``hamiltonian_from_unitary``) and amplifies |0,0,+^n> in the
+two-dimensional subspace the rank-one initial-state projector leaves
+invariant (``amplify_state``): one application of C, then the phase
+ansatz at x = sigma. The dense reference builds the same circuit as full
 unitaries: ``lcu_real_part(sine_block_encoding(u), phases)``, then
-``amplify`` and ``project_measure``. Both must agree to 1e-12.
+``amplify`` and ``project_measure``. Both must agree to 1e-12. Past the
+dense reference's reach, and past 100 rounds where its success drifts,
+the engine's success is held to 1e-12 of the same circuit applied round
+by round to the (4, N) state in extended precision (``_extended_success``).
 """
 import dataclasses
 import time
@@ -16,7 +21,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from qsprep import blockenc, simulator
-from qsprep.amplifier import amplify, build_projectors
+from qsprep.amplifier import amplify, amplify_state, build_projectors
 from qsprep.blockenc import (
     extract_block,
     hamiltonian_from_unitary,
@@ -202,6 +207,26 @@ def _extended_success(run):
     return float(np.sum(np.abs(state[0]) ** 2))
 
 
+@pytest.mark.parametrize(
+    "values",
+    [np.ones(8), np.random.default_rng(3).uniform(0, 1, 8), np.eye(16)[13]],
+    ids=["uniform-n3", "random-n3", "indicator-n4"],
+)
+def test_whole_amplified_state_matches_dense_reference(values):
+    # the unflagged rows, which post-selection discards, included
+    run = engine_run(values)
+    n = run.config.oracle.n
+    u = UnitaryMatrix(np.diag(oracle_diagonal(run)), RegisterLayout.single(n, "data"))
+    be = lcu_real_part(sine_block_encoding(u), run.encoding.phases)
+    s = hadamard_layer(n)
+    psi0 = np.zeros(be.unitary.dim, dtype=complex)
+    psi0[: 2**n] = s.entries[:, 0]
+    state, applications = amplify_state(run.encoding.blocks, run.plan)
+    assert applications == run.plan.rounds
+    dense = amplify(be.unitary, s, run.plan).entries @ psi0
+    assert np.abs(state.reshape(-1) - dense).max() <= TOL
+
+
 def test_engine_beats_dense_reference_at_high_degree():
     # the n = 6 indicator at delta = 1e-4 amplifies in 201 rounds; there the
     # dense reference's 201 products of 256 x 256 unitaries drift by 2.0e-12
@@ -210,6 +235,15 @@ def test_engine_beats_dense_reference_at_high_degree():
     values = np.eye(64)[61]
     run = assert_engine_matches_dense(values, delta=1e-4, success_tol=5e-12)
     assert run.plan.rounds == 201
+    assert abs(run.success - _extended_success(run)) <= TOL
+
+
+@pytest.mark.parametrize("n", range(7, 12))
+def test_engine_matches_extended_precision_on_indicators(n):
+    # beyond the dense reference's reach (2^(n+2)-sized unitaries, 439 rounds
+    # at n = 11), the engine's success is held to the same circuit evaluated
+    # round by round in extended precision
+    run = engine_run(np.eye(2**n)[2**n - 3])
     assert abs(run.success - _extended_success(run)) <= TOL
 
 

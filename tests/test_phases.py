@@ -10,6 +10,7 @@ from qsprep._factor import complementary_q
 from qsprep.errors import CompletionError, ConditionError, InputError, PhaseFindingError
 from qsprep.phases import (
     PhaseSequence,
+    _prefix_rows,
     conjugate_phases,
     find_phases,
     phases_from_text,
@@ -87,6 +88,18 @@ def test_reconstruct_matrix_matches_product():
                 reconstruct_matrix(PhaseSequence(angles), x), product_matrix(angles, x),
                 rtol=0, atol=1e-13,
             )
+
+
+def test_prefix_rows_at_one_point_equal_the_array_rows():
+    rng = np.random.default_rng(8)
+    for d in (0, 1, 2, 7, 40, 301):
+        angles = rng.uniform(-np.pi, np.pi, d)
+        for x in (-1.0, -0.6, 0.0, 0.25, 1.0):
+            rows = list(_prefix_rows(angles, x))
+            assert len(rows) == d + 1
+            for (a, b), (ar, br) in zip(rows, _prefix_rows(angles, np.array([x]))):
+                assert type(a) is type(b) is complex
+                assert max(abs(a - ar[0]), abs(b - br[0])) <= 1e-13 * max(d, 1)
 
 
 def test_reconstruct_has_definite_parity():
