@@ -5,8 +5,8 @@ extracts its generator through a sine block encoding and an arcsin
 polynomial transform, amplifies the flagged component with closed-form
 fixed-point amplification angles, and verifies every promised error bound
 per run. The pipeline simulates its diagonal oracle with one 4x4 block per
-data index; a dense simulator is kept as the reference that tests compare
-against.
+distinct quantized value of the table; a dense simulator is kept as the
+reference that tests compare against.
 """
 
 from .amplifier import (
@@ -18,7 +18,7 @@ from .amplifier import (
 )
 from .blockenc import (
     BlockEncoding,
-    IndexBlocks,
+    LevelEncoding,
     extract_block,
     hamiltonian_from_unitary,
     lcu_real_part,

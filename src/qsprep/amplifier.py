@@ -23,13 +23,14 @@ the initial state is fixed.
 
 ``amplify`` forms the whole amplification unitary and is the dense
 reference. The pipeline uses ``amplify_state``, which applies the same
-product to |0..0>|+^n> when C is a direct sum of per-index blocks. The
+product to |0..0>|+^n> when C is a direct sum of per-index blocks, given
+one block column per class of indices with equal blocks. The
 initial-state projector is rank one, so by Jordan's lemma the L rounds
 never leave one two-dimensional subspace, where C is the reflection
 R(sigma) and each projector phase is e^{i phi Z}: the product is the
 phase ansatz of ``phases`` at the single point sigma. ``amplify_state``
 applies C once, evaluates the ansatz there in O(L) scalar operations and
-spends O(N + L) in all, not O(N L).
+spends O(K + L) in all for K classes, not O(N L).
 """
 from __future__ import annotations
 
@@ -40,8 +41,13 @@ import numpy as np
 from .blockenc import BlockEncoding, qsvt_circuit
 from .errors import DegreeOverflowError, DimensionError
 from .phases import PhaseSequence, _prefix_rows
-from .polyapprox import MAX_DEGREE
 from .simulator import Projector, UnitaryMatrix
+
+# Most rounds a plan may take. Search at the engine's n = 24 plans 39655
+# rounds at delta = 0.1 and 60823 at delta = 0.01; the angles and the
+# amplification's scalar recurrence cost O(L), tens of milliseconds here,
+# and the limit stops a tiny sigma from allocating angles without end.
+MAX_ROUNDS = 2**16
 
 
 def _lift(delta: float) -> float:
@@ -113,7 +119,7 @@ def plan_amplification(sigma: float, delta: float) -> AmplificationPlan:
     error a quantized amplitude table induces on sigma: L is the least odd
     integer with w = tanh(acosh(1 / delta_Y) / L) <= 0.9 * sigma. Near sigma
     = 1 that can be L = 1, the angle 0 with success sigma^2. An L above
-    ``MAX_DEGREE`` raises DegreeOverflowError with L in ``needed``, before
+    ``MAX_ROUNDS`` raises DegreeOverflowError with L in ``needed``, before
     any angle is computed.
     """
     if not 0 < sigma <= 1:
@@ -123,9 +129,9 @@ def plan_amplification(sigma: float, delta: float) -> AmplificationPlan:
     lift = _lift(delta)
     rounds = int(np.ceil(lift / np.arctanh(0.9 * sigma)))
     rounds += 1 - rounds % 2
-    if rounds > MAX_DEGREE:
+    if rounds > MAX_ROUNDS:
         raise DegreeOverflowError(
-            f"fixed-point amplification needs {rounds} rounds (> max {MAX_DEGREE}) "
+            f"fixed-point amplification needs {rounds} rounds (> max {MAX_ROUNDS}) "
             f"for sigma={sigma}, delta={delta}",
             needed=rounds,
         )
@@ -166,33 +172,39 @@ def amplify(c_unitary: UnitaryMatrix, s_unitary: UnitaryMatrix, plan: Amplificat
     return out.unitary
 
 
-def amplify_state(blocks: np.ndarray, plan: AmplificationPlan) -> tuple[np.ndarray, int]:
-    """``amplify`` applied to |Psi> = |0..0>|+^n>, for C the direct sum of ``blocks``.
+def amplify_state(
+    columns: np.ndarray, counts: np.ndarray, plan: AmplificationPlan
+) -> tuple[np.ndarray, int]:
+    """``amplify`` applied to |Psi> = |0..0>|+^n>, for C a direct sum of per-index blocks.
 
-    The state is a (K, N) array over the K ancilla patterns and the N data
-    indices (row 0 is the flagged pattern), and C acts on column x through
-    blocks[x], so C|Psi> is column 0 of each block over sqrt(N): sigma |w>
-    + sqrt(1 - sigma^2) |g> with |w> flagged and |g> not. The initial-state
-    projector is rank one, so the compression is exactly sigma |w><Psi|, and
-    by Jordan's lemma (Gilyen, Su, Low & Wiebe, arXiv:1806.01838) the
-    product acts on span{|Psi>, |Psi'>} and span{|w>, |g>} alone, with
-    C|Psi'> = sqrt(1 - sigma^2) |w> - sigma |g>. In those bases C and
-    C-dagger are the reflection R(sigma) and both projector phases are
-    e^{i phi Z}, so the whole product is the ansatz M(phases, sigma), and
-    its column 0 gives the state M_00 |w> + M_10 |g>, with M_10 =
-    -(-1)^L conj(M_01). C is applied once and the L rounds cost O(L) scalar
-    operations, so no (K, N) state is carried through them. Returns the
-    state and the number of applications of C and C-dagger, counted as the
-    recurrence yields each layer.
+    The N data indices fall into classes whose blocks are equal: class k
+    holds ``counts[k]`` indices, and ``columns[:, k]`` is column 0 of their
+    block, one row per ancilla pattern (row 0 is the flagged pattern). C
+    acts on index x through its block, so C|Psi> is, at every index of
+    class k, ``columns[:, k]`` over sqrt(N): sigma |w> + sqrt(1 - sigma^2)
+    |g> with |w> flagged and |g> not, and the norms of both parts are sums
+    over the classes weighted by their counts. The initial-state projector
+    is rank one, so the compression is exactly sigma |w><Psi|, and by
+    Jordan's lemma (Gilyen, Su, Low & Wiebe, arXiv:1806.01838) the product
+    acts on span{|Psi>, |Psi'>} and span{|w>, |g>} alone, with C|Psi'> =
+    sqrt(1 - sigma^2) |w> - sigma |g>. In those bases C and C-dagger are
+    the reflection R(sigma) and both projector phases are e^{i phi Z}, so
+    the whole product is the ansatz M(phases, sigma), and its column 0
+    gives the state M_00 |w> + M_10 |g>, with M_10 = -(-1)^L conj(M_01). C
+    is applied once and the L rounds cost O(L) scalar operations, so no
+    state is carried through them. Returns the amplified state at one index
+    of each class, shaped like ``columns``, and the number of applications
+    of C and C-dagger, counted as the recurrence yields each layer.
     """
-    column = blocks[:, :, 0].T  # sqrt(N) C|Psi>, one row per ancilla pattern
-    flagged, rest = float(np.linalg.norm(column[0])), float(np.linalg.norm(column[1:]))
-    sigma = flagged / np.sqrt(column.shape[1])
+    counts = np.asarray(counts)
+    weights = np.abs(columns) ** 2 @ counts  # N ||C|Psi>||^2 per ancilla pattern
+    flagged, rest = np.sqrt(weights[0]), np.sqrt(weights[1:].sum())
+    sigma = float(flagged / np.sqrt(counts.sum()))
     for applications, (a, b) in enumerate(_prefix_rows(plan.phases.phases, sigma)):
         pass
     m10 = -(-1) ** applications * b.conjugate()
     # at sigma = 0 there is no flagged direction (and M_00 = 0), at sigma = 1
     # no unflagged one (and M_10 = 0)
-    scale = np.full(len(column), m10 / rest if rest > 0 else 0.0, dtype=complex)
+    scale = np.full(len(columns), m10 / rest if rest > 0 else 0.0, dtype=complex)
     scale[0] = a / flagged if flagged > 0 else 0.0
-    return column * scale[:, None], applications
+    return columns * scale[:, None], applications

@@ -2,8 +2,10 @@
 Hamiltonian extraction that inverts a diagonal phase unitary.
 
 The pipeline's phase oracle is diagonal, so its generator encoding splits
-into one 4x4 block per data index; ``hamiltonian_from_unitary`` builds those
-blocks directly, in O(N d) time. The dense functions (``sine_block_encoding``,
+into one 4x4 block per data index, and the block of an index depends only
+on the oracle's diagonal entry there. ``hamiltonian_from_unitary`` builds
+column 0 of the block of each distinct entry directly, in O(K d) time for K
+distinct entries. The dense functions (``sine_block_encoding``,
 ``qsvt_circuit``, ``lcu_real_part``, ``extract_block``) build the same
 encoding as one unitary and are the reference the blocks are tested against.
 
@@ -14,12 +16,15 @@ networks; at desk scale this keeps every identity exact.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+import functools
+from collections.abc import Mapping
+from dataclasses import dataclass
+from types import MappingProxyType
 
 import numpy as np
 
 from .errors import DimensionError, InfeasibleError, InputError
-from .phases import PhaseSequence, _prefix_rows, conjugate_phases, real_target_phases
+from .phases import _MEMO_SIZE, PhaseSequence, _prefix_rows, conjugate_phases, real_target_phases
 from .polyapprox import arcsin_taylor, chebyshev_economize
 from .simulator import (
     Projector,
@@ -180,103 +185,119 @@ def lcu_real_part(be: BlockEncoding, phi: PhaseSequence) -> BlockEncoding:
     return BlockEncoding(UnitaryMatrix(u, layout), a, proj, proj, plus.certified_error)
 
 
-# Largest data register the per-index engine accepts. A whole
-# verify_error_bounds run on a random table (eps 0.05, delta 0.1, 17
-# rounds) took 0.18 s at n = 16, 0.37 s at n = 18 and 0.98 s at n = 20,
-# peaking at 115, 208 and 580 MB resident; the search table at n = 20 (9915
-# rounds) takes 2.1 s and 572 MB (2-vCPU x86 host). The amplification
-# costs O(N + L), so building the blocks, O(N d_a), takes most of the time
-# and memory sets the limit: the blocks alone take 256 * 2^n bytes.
-ENGINE_MAX_QUBITS = 20
+# Largest data register the engine accepts. The engine works on the K
+# distinct quantized values of a table, so what grows with N is O(N) work:
+# splitting the table into its values, expanding the generator diagonal and
+# the realized and final states, and the exact checks on them, which peak at
+# about 80 bytes per index. On a 2-vCPU x86 host a whole verify_error_bounds
+# run on a uniform-random table (eps 0.05, delta 0.1, 1024 values) takes
+# 0.3 s at n = 20 with 182 MB peak resident, and grover_case at n = 24
+# (39655 rounds) 5.5 s with 1.5 GB, within a 7 GB machine.
+ENGINE_MAX_QUBITS = 24
 
 
 def check_engine_size(n: int) -> None:
     """Raise DimensionError when n data qubits exceed the engine's limit."""
     if n > ENGINE_MAX_QUBITS:
         raise DimensionError(
-            f"{n} data qubits exceeds the per-index engine limit {ENGINE_MAX_QUBITS}"
+            f"{n} data qubits exceeds the engine limit {ENGINE_MAX_QUBITS}"
         )
 
 
-@dataclass
-class IndexBlocks:
-    """The generator encoding of a diagonal phase oracle, one block per index.
+@dataclass(frozen=True)
+class LevelEncoding:
+    """The generator encoding of a diagonal phase oracle, one column per level.
 
     The sine encoding, the arcsin transform and the real-part combination act
     on each data index x on its own, so the encoding unitary is the direct
-    sum of the 4x4 blocks ``blocks[x]``. Their rows and columns are ordered by
-    the ancilla pattern (lcu, anc) = 00, 01, 10, 11, as in the dense
-    ``lcu_real_part(sine_block_encoding(u), phases)``; the encoded generator
-    is diagonal with entries ``blocks[:, 0, 0]``.
+    sum of 4x4 blocks, and the block of x depends only on the oracle's
+    diagonal entry at x. ``columns[:, k]`` is column 0 of the block of the
+    k-th distinct entry (level), the only column the amplification reads:
+    rows are ordered by the ancilla pattern (lcu, anc) = 00, 01, 10, 11, as
+    in the dense ``lcu_real_part(sine_block_encoding(u), phases)``, and the
+    encoded generator is diagonal with entries ``columns[0]``. The columns
+    are read-only, since every caller with the same levels shares them.
     """
 
-    blocks: np.ndarray
+    columns: np.ndarray
     phases: PhaseSequence
-    info: dict = field(default_factory=dict)
+    info: Mapping
 
     ancillas = 2
 
     @property
     def diagonal(self) -> np.ndarray:
-        """The encoded generator's diagonal, the top-left entry of each block."""
-        return self.blocks[:, 0, 0]
+        """The encoded generator's diagonal, one entry per level."""
+        return self.columns[0]
 
 
-def _index_blocks(diagonal: np.ndarray, phi: PhaseSequence) -> tuple[np.ndarray, int]:
-    """The (N, 4, 4) real-part blocks and the number of transform layers.
+def _level_columns(levels: np.ndarray, phi: PhaseSequence) -> tuple[np.ndarray, int]:
+    """Column 0 of each level's real-part block and the number of transform layers.
 
-    Per index the sine encoding is the Hermitian W = [[s, ic], [-ic, -s]] with
+    Per level the sine encoding is the Hermitian W = [[s, ic], [-ic, -s]] with
     s = sin(pi h), c = cos(pi h) (so the dense circuit's U and U-dagger
     layers coincide), and a projector phase is e^{i phi Z}, so the transform
     is the 2x2 product of e^{i phi_j Z} W over the angles. With G = diag(1,
     -i sgn c), W = G R(s) G^-1 for the ansatz reflection R, and G commutes
     with e^{i phi Z}: the +phi transform is G M G^-1 for the ansatz product
     M = [[a, b], [-D conj(b), D conj(a)]] at x = s (D = (-1)^d), and the
-    -phi transform is G conj(M) G^-1. The layers are counted as the
-    ansatz's prefix rows are produced. The blocks are stored index-last,
-    so the returned (N, 4, 4) array is a view whose [a, b, x] transpose is
-    contiguous.
+    -phi transform is G conj(M) G^-1. Column 0 of (acc(phi) + acc(-phi)) / 2
+    is (Re a, i sgn D Re b), that of (acc(phi) - acc(-phi)) / 2 is (i Im a,
+    sgn D Im b). The layers are counted as the ansatz's prefix rows are
+    produced.
     """
-    sgn = np.where(diagonal.real < 0, -1.0, 1.0)
-    for layers, (a, b) in enumerate(_prefix_rows(phi.phases, diagonal.imag)):
+    sgn = np.where(levels.real < 0, -1.0, 1.0)
+    for layers, (a, b) in enumerate(_prefix_rows(phi.phases, levels.imag)):
         pass
-    det = (-1.0) ** layers
-    # (acc(phi) + acc(-phi)) / 2 and (acc(phi) - acc(-phi)) / 2
-    blocks = np.empty((4, 4, diagonal.size), dtype=complex)
-    blocks[:2, :2] = blocks[2:, 2:] = [[a.real, 1j * sgn * b.real],
-                                       [1j * sgn * det * b.real, det * a.real]]
-    blocks[:2, 2:] = blocks[2:, :2] = [[1j * a.imag, -sgn * b.imag],
-                                       [sgn * det * b.imag, -1j * det * a.imag]]
-    return blocks.transpose(2, 0, 1), layers
+    sb = sgn * (-1.0) ** layers * b
+    return np.array([a.real, 1j * sb.real, 1j * a.imag, sb.imag]), layers
 
 
-def hamiltonian_from_unitary(diagonal: np.ndarray, epsilon: float, delta: float) -> IndexBlocks:
-    """Encoding of H given the diagonal of U = exp(i pi H), via sine + arcsin.
+def hamiltonian_from_unitary(levels: np.ndarray, epsilon: float, delta: float) -> LevelEncoding:
+    """Encoding of H given the distinct diagonal entries of U = exp(i pi H).
 
-    Requires ||sin(pi H)|| <= 1 - delta so the arcsin approximant's accuracy
-    interval covers the spectrum; the encoded generator is then within
-    epsilon of H. The result holds one 4x4 block per data index, equal to
+    ``levels`` are the diagonal entries the oracle takes, each listed once
+    (listing one twice only repeats its column); the caller maps every data
+    index to its level. Requires ||sin(pi H)|| <= 1 - delta so the arcsin
+    approximant's accuracy interval covers the spectrum; the encoded
+    generator is then within epsilon of H. Each column equals column 0 of
     the corresponding block of the dense ``lcu_real_part`` of the sine
     encoding. Records the polynomial degree and the counted transform
     layers; each layer queries the controlled phase unitary and its adjoint,
     shared by both branches of the real-part combination.
+
+    Memoized per process on the exact bytes of the levels, epsilon and
+    delta, the whole input: the ``_MEMO_SIZE`` most recently used encodings
+    are kept, a hit returns the read-only result a cold call built, and
+    exceptions are not cached.
     """
-    diagonal = np.asarray(diagonal, dtype=complex)
-    size = diagonal.size
-    if diagonal.ndim != 1 or size < 1 or size & (size - 1):
-        raise DimensionError("the oracle diagonal must be a vector of length 2^n")
-    check_engine_size(size.bit_length() - 1)
-    if np.abs(np.abs(diagonal) - 1.0).max() > 1e-12:
+    levels = np.asarray(levels, dtype=complex)
+    if levels.ndim != 1 or levels.size < 1:
+        raise DimensionError("the oracle's levels must be a non-empty vector")
+    if levels.size > 2**ENGINE_MAX_QUBITS:
+        raise DimensionError(
+            f"{levels.size} levels exceed the engine's {2**ENGINE_MAX_QUBITS} indices"
+        )
+    return _encoding(levels.tobytes(), float(epsilon), float(delta))
+
+
+@functools.lru_cache(maxsize=_MEMO_SIZE)
+def _encoding(key: bytes, epsilon: float, delta: float) -> LevelEncoding:
+    levels = np.frombuffer(key, dtype=complex)
+    if np.abs(np.abs(levels) - 1.0).max() > 1e-12:
         raise InputError("the oracle diagonal must have unit-modulus entries")
-    sine_norm = float(np.abs(diagonal.imag).max())
+    sine_norm = float(np.abs(levels.imag).max())
     if sine_norm > 1.0 - delta:
         raise InfeasibleError(
             f"||sin(pi H)|| = {sine_norm:.6f} exceeds 1 - delta = {1 - delta:.6f}; "
             "rescale the amplitudes or widen delta"
         )
-    # split the budget: most for the Taylor tail, a slice for economization
+    # split the budget: most for the Taylor tail, a slice for economization;
+    # both are looked up as module globals, so a tracer's wrappers see them
     pr = arcsin_taylor(0.9 * epsilon, delta)
     pr = chebyshev_economize(pr, 0.05 * epsilon)
     ang = real_target_phases(pr)
-    blocks, layers = _index_blocks(diagonal, ang)
-    return IndexBlocks(blocks, ang, {"arcsin_degree": len(ang), "cu_calls": layers})
+    columns, layers = _level_columns(levels, ang)
+    columns.flags.writeable = False
+    info = MappingProxyType({"arcsin_degree": len(ang), "cu_calls": layers})
+    return LevelEncoding(columns, ang, info)

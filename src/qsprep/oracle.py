@@ -135,11 +135,25 @@ def oracle_to_text(c: AmplitudeOracle) -> str:
 
 
 def oracle_from_text(text: str) -> AmplitudeOracle:
+    """Parse ``oracle_to_text`` output; a malformed file raises InputError.
+
+    The header's n must lie in 0 .. ``blockenc.ENGINE_MAX_QUBITS`` and its m
+    in 1 .. ``MAX_BITS``; both are checked before any amplitude line is read.
+    """
     lines = [ln for ln in text.strip().splitlines() if ln.strip()]
     try:
         n, m = (int(t) for t in lines[0].split())
-        vals = np.array([float(ln) for ln in lines[1:]])
     except (IndexError, ValueError) as exc:
+        raise InputError(f"malformed oracle table header: {exc}") from exc
+    if not 0 <= n <= ENGINE_MAX_QUBITS:
+        raise InputError(
+            f"oracle table header: need 0..{ENGINE_MAX_QUBITS} data qubits, got n = {n}"
+        )
+    if not 1 <= m <= MAX_BITS:
+        raise InputError(f"oracle table header: need 1..{MAX_BITS} value bits, got m = {m}")
+    try:
+        vals = np.array([float(ln) for ln in lines[1:]])
+    except ValueError as exc:
         raise InputError(f"malformed oracle table: {exc}") from exc
     if vals.size != 2**n:
         raise InputError(f"oracle table for n = {n} needs {2**n} amplitudes, got {vals.size}")

@@ -21,7 +21,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .amplifier import AmplificationPlan, amplify_state, plan_amplification
-from .blockenc import IndexBlocks, check_engine_size, hamiltonian_from_unitary
+from .blockenc import LevelEncoding, check_engine_size, hamiltonian_from_unitary
 from .errors import InfeasibleError, InputError, QsprepError
 from .oracle import MAX_BITS, AmplitudeOracle, gamma, target_state
 from .simulator import RegisterLayout, StateVector, fidelity, state_dist
@@ -119,7 +119,7 @@ def default_bits(epsilon: float, gamma_value: float) -> int:
 class _RunResult:
     config: PrepConfig
     oracle_m: AmplitudeOracle
-    encoding: IndexBlocks
+    encoding: LevelEncoding
     plan: AmplificationPlan
     final_state: StateVector
     success: float
@@ -131,6 +131,7 @@ class _RunResult:
     realized_state: StateVector
     target: StateVector
     oracle_calls: int
+    classes: int
 
 
 def _execute(cfg: PrepConfig) -> _RunResult:
@@ -167,39 +168,43 @@ def _execute(cfg: PrepConfig) -> _RunResult:
     # recenter the truncated table by half a step: one classically-known
     # global phase turns the one-sided floor error into a symmetric one
     c_q = oracle_m.quantized + 2.0 ** -(m + 1)
+    # the block of an index depends only on its quantized value, so the
+    # engine runs on the K distinct values (levels); inverse maps each
+    # index to its level and counts[k] is the size of level k's class
+    levels, inverse, counts = np.unique(c_q, return_inverse=True, return_counts=True)
+    del c_q  # 8 bytes per index that nothing below reads
+    size = oracle.size
     encoding = hamiltonian_from_unitary(
-        np.exp(1j * np.pi * BETA * c_q / 2.0),
+        np.exp(1j * np.pi * BETA * levels / 2.0),
         BETA * eps_poly / 2.0,  # generator units: BETA * amplitude / 2
         delta_margin,
     )
 
-    # the encoded generator is diagonal, so its spectral distance to the
-    # table is the largest per-index deviation
-    generator = encoding.diagonal
-    c_realized = 2.0 * np.real(generator) / BETA
-    eps_measured = float(np.abs(2.0 * generator / BETA - oracle.values).max())
-    g_realized = float(np.mean(c_realized**2))
-    g_quant = float(np.mean(c_q**2))
+    # the encoded generator is diagonal (and real), so its spectral distance
+    # to the table is the largest per-index deviation
+    c_level = 2.0 * np.real(encoding.diagonal) / BETA
+    c_realized = c_level[inverse]
+    eps_measured = float(np.abs(c_realized - oracle.values).max())
+    g_realized = float(counts @ c_level**2 / size)
+    g_quant = float(counts @ levels**2 / size)
 
     sigma_hat = BETA * np.sqrt(g_quant) / 2.0
     plan = plan_amplification(sigma_hat, cfg.delta)
 
-    # post-select the flag pattern, row 0 of the amplified state
-    state, applications = amplify_state(encoding.blocks, plan)
-    norm = np.linalg.norm(state[0])
+    # post-select the flag pattern, row 0 of the amplified state, per level
+    state, applications = amplify_state(encoding.columns, counts, plan)
+    norm = np.sqrt(counts @ np.abs(state[0]) ** 2)
     if norm < 1e-14:  # nothing flagged: the empty state, as project_measure gives
-        success, data_state = 0.0, np.zeros(oracle.size, dtype=complex)
+        success, data_level = 0.0, np.zeros(levels.size, dtype=complex)
     else:
-        success, data_state = float(norm**2), state[0] / norm
-    realized_norm = np.linalg.norm(c_realized)
-    realized = (
-        c_realized / realized_norm if realized_norm > 0 else np.zeros_like(c_realized)
-    )
-    overlap = np.vdot(realized.astype(complex), data_state)
+        success, data_level = float(norm**2), state[0] / norm
+    realized_norm = np.sqrt(size * g_realized)
+    realized_level = c_level / realized_norm if realized_norm > 0 else np.zeros_like(c_level)
+    overlap = counts @ (realized_level * data_level)
     if abs(overlap) > 1e-12:
-        data_state = data_state * np.exp(-1j * np.angle(overlap))
+        data_level = data_level * np.exp(-1j * np.angle(overlap))
     layout_n = RegisterLayout.single(oracle.n, "data")
-    final = StateVector(data_state, layout_n)
+    final = StateVector(data_level[inverse], layout_n)
 
     # each use of C or its adjoint runs every transform layer, and each layer
     # queries the controlled phase unitary and its adjoint (both select
@@ -218,9 +223,10 @@ def _execute(cfg: PrepConfig) -> _RunResult:
         gamma_realized=g_realized,
         eps_measured=eps_measured,
         realized_amplitudes=c_realized,
-        realized_state=StateVector(realized.astype(complex), layout_n),
+        realized_state=StateVector(realized_level.astype(complex)[inverse], layout_n),
         target=target_state(oracle),
         oracle_calls=oracle_calls,
+        classes=levels.size,
     )
 
 
@@ -252,6 +258,7 @@ def _base_report(run: _RunResult) -> PrepReport:
             "sigma": run.plan.sigma,
             "final_error": err,
             "predicted_success": run.plan.predicted_success(),
+            "classes": run.classes,
         },
     )
     return report

@@ -23,6 +23,7 @@ All operations are pure functions over immutable values.
 """
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -122,9 +123,16 @@ def lobatto_values(c: np.ndarray, n: int) -> np.ndarray:
 
 
 def to_chebyshev(p: Polynomial) -> Polynomial:
+    """The same polynomial in the Chebyshev basis.
+
+    A monomial polynomial whose ``meta["chebyshev"]`` holds its Chebyshev
+    coefficients (``arcsin_taylor`` attaches them) is not converted again.
+    """
     if p.basis == "chebyshev":
         return p
-    return Polynomial(mono2cheb(p.coefficients), "chebyshev", p.parity, dict(p.meta))
+    meta = dict(p.meta)
+    c = meta.pop("chebyshev", None)
+    return Polynomial(mono2cheb(p.coefficients) if c is None else c, "chebyshev", p.parity, meta)
 
 
 def to_monomial(p: Polynomial) -> Polynomial:
@@ -213,32 +221,50 @@ def arcsin_taylor(epsilon: float, delta: float) -> Polynomial:
     Coefficient of x^(2k+1) is binom(2k, k) / (pi * 4^k * (2k+1)); terms are
     kept until the geometric tail bound at |x| = 1 - delta drops below
     epsilon. The resulting degree grows like (1/delta) * log(1/epsilon).
+    The series cut at each degree, and its Chebyshev coefficients, are built
+    once per process (``_arcsin_series``) and carried in ``meta["chebyshev"]``,
+    so a call only finds the degree.
     """
     if not 0 < epsilon < 1 or not 0 < delta < 1:
         raise ValueError("epsilon and delta must lie in (0, 1)")
     y = 1.0 - delta
     geom = 1.0 / (1.0 - y * y)
-    terms = [1.0 / np.pi]
+    term, k = 1.0 / np.pi, 0  # the last kept term, of x^(2k+1)
     while True:
-        k = len(terms) - 1  # index of the last kept term
-        a_next = terms[-1] * (2 * k + 1) ** 2 / (2.0 * (k + 1) * (2 * k + 3))
+        a_next = _next_arcsin_term(term, k)
         tail = a_next * y ** (2 * k + 3) * geom
         if tail <= epsilon:
             break
-        terms.append(a_next)
-        if 2 * len(terms) - 1 > MAX_DEGREE:
-            needed = 2 * len(terms) - 1
+        term, k = a_next, k + 1
+        if 2 * k + 1 > MAX_DEGREE:
             raise DegreeOverflowError(
                 f"arcsin truncation needs degree > {MAX_DEGREE} "
-                f"(roughly {needed}) for epsilon={epsilon}, delta={delta}",
-                needed=needed,
+                f"(roughly {2 * k + 1}) for epsilon={epsilon}, delta={delta}",
+                needed=2 * k + 1,
             )
-    degree = 2 * len(terms) - 1
-    coeffs = np.zeros(degree + 1)
-    coeffs[1::2] = terms
+    coeffs, chebyshev = _arcsin_series(2 * k + 1)
     # the terms are positive and sum to at most arcsin(1)/pi = 1/2 at x = 1,
     # so |P| < 1 on [-1, 1] and no rescale is needed
-    return Polynomial(coeffs, basis="monomial", parity="odd")
+    return Polynomial(coeffs, "monomial", "odd", {"chebyshev": chebyshev})
+
+
+def _next_arcsin_term(term: float, k: int) -> float:
+    """The Taylor coefficient of x^(2k+3) from that of x^(2k+1)."""
+    return term * (2 * k + 1) ** 2 / (2.0 * (k + 1) * (2 * k + 3))
+
+
+# arcsin series kept built, each one degree's O(d) coefficients
+@functools.lru_cache(maxsize=64)
+def _arcsin_series(degree: int) -> tuple[np.ndarray, np.ndarray]:
+    """Read-only monomial and Chebyshev coefficients of the series cut at ``degree``."""
+    terms = [1.0 / np.pi]
+    for k in range((degree - 1) // 2):
+        terms.append(_next_arcsin_term(terms[-1], k))
+    coeffs = np.zeros(degree + 1, dtype=complex)
+    coeffs[1::2] = terms
+    chebyshev = mono2cheb(coeffs)
+    coeffs.flags.writeable = chebyshev.flags.writeable = False
+    return coeffs, chebyshev
 
 
 def sign_approx(Delta: float, delta: float) -> Polynomial:

@@ -2,11 +2,16 @@ import numpy as np
 import pytest
 
 from qsprep import amplifier, pipeline
-from qsprep.amplifier import amplify, amplify_state, build_projectors, plan_amplification
+from qsprep.amplifier import (
+    MAX_ROUNDS,
+    amplify,
+    amplify_state,
+    build_projectors,
+    plan_amplification,
+)
 from qsprep.errors import DegreeOverflowError
 from qsprep.phases import reconstruct
 from qsprep.pipeline import grover_case
-from qsprep.polyapprox import MAX_DEGREE
 from qsprep.simulator import (
     RegisterLayout,
     StateVector,
@@ -98,19 +103,21 @@ def test_plan_rounds_scale_linearly_in_inverse_sigma():
 
 
 def test_plan_degree_limit(monkeypatch):
-    # the n = 16 search instance plans 2479 rounds, and n = 18 4957
+    # the n = 16 search instance plans 2479 rounds, n = 18 4957 and n = 24,
+    # the engine's limit, 39655
     plan = plan_amplification(0.25 * 2.0**-8, 0.1)
     assert plan.rounds == 2479
     assert plan.predicted_success() >= 1 - 0.1 / 2
     assert plan_amplification(0.25 * 2.0**-9, 0.1).rounds == 4957
+    assert plan_amplification(0.25 * 2.0**-12, 0.1).rounds == 39655
     # a smaller sigma's round count is refused before any angle is computed
     def no_angles(rounds, edge):
         raise AssertionError("angles computed")
 
     monkeypatch.setattr(amplifier, "_fixed_point_phases", no_angles)
     with pytest.raises(DegreeOverflowError) as exc:
-        plan_amplification(1e-4, 0.1)
-    assert exc.value.needed == 24205 > MAX_DEGREE
+        plan_amplification(2e-5, 0.1)
+    assert exc.value.needed == 121017 > MAX_ROUNDS
 
 
 def test_plan_arrays_are_read_only():
@@ -122,17 +129,14 @@ def test_plan_arrays_are_read_only():
     np.testing.assert_array_equal(again.phases.phases, angles)
 
 
-def one_index_block(sigma):
-    """A one-index C whose flagged compression is exactly sigma."""
-    blocks = np.eye(4, dtype=complex)[None].copy()
-    c = np.sqrt(1.0 - sigma**2)
-    blocks[0, :2, :2] = [[sigma, c], [c, -sigma]]
-    return blocks
+def one_index_column(sigma):
+    """Column 0 of a one-index C whose flagged compression is exactly sigma."""
+    return np.array([[sigma], [np.sqrt(1.0 - sigma**2)], [0.0], [0.0]], dtype=complex)
 
 
-def engine_success(blocks, plan):
-    state, _ = amplify_state(blocks, plan)
-    return float(np.linalg.norm(state[0]) ** 2)
+def engine_success(columns, counts, plan):
+    state, _ = amplify_state(columns, counts, plan)
+    return float(np.abs(state[0]) ** 2 @ counts)
 
 
 class Captured(Exception):
@@ -142,31 +146,32 @@ class Captured(Exception):
 @pytest.mark.parametrize("n", range(3, 21))
 def test_predicted_success_equals_the_engine_on_search_cases(monkeypatch, n):
     # the encoding and plan grover_case(n, 2^n - 3, 0.1, 0.05) amplifies, on
-    # the whole table up to the engine's n = 20 (L = 9915)
+    # its two classes of indices up to n = 20 (L = 9915)
     captured = []
 
-    def capture(blocks, plan):
-        captured.append((blocks, plan))
+    def capture(columns, counts, plan):
+        captured.append((columns, counts, plan))
         raise Captured
 
     monkeypatch.setattr(pipeline, "amplify_state", capture)
     with pytest.raises(Captured):
         grover_case(n, 2**n - 3, 0.1, 0.05)
-    blocks, plan = captured[0]
-    sigma = float(np.sqrt(np.mean(np.abs(blocks[:, 0, 0]) ** 2)))
-    assert abs(engine_success(blocks, plan) - plan.predicted_success(sigma)) <= 1e-10
+    columns, counts, plan = captured[0]
+    assert counts.tolist() == [2**n - 1, 1]
+    sigma = float(np.sqrt(np.abs(columns[0]) ** 2 @ counts / 2**n))
+    assert abs(engine_success(columns, counts, plan) - plan.predicted_success(sigma)) <= 1e-10
 
 
 @pytest.mark.parametrize(
-    "blocks, plan",
-    [(one_index_block(1.0), plan_amplification(1.0, 0.5)),
-     (one_index_block(0.0), plan_amplification(0.3, 0.1))],
+    "columns, plan",
+    [(one_index_column(1.0), plan_amplification(1.0, 0.5)),
+     (one_index_column(0.0), plan_amplification(0.3, 0.1))],
     ids=["sigma-one", "sigma-zero"],
 )
-def test_amplify_state_at_the_ends_of_the_band(blocks, plan):
+def test_amplify_state_at_the_ends_of_the_band(columns, plan):
     # all of C|Psi> is flagged, or none of it: one of the two directions the
     # amplification rotates between is missing
-    state, applications = amplify_state(blocks, plan)
+    state, applications = amplify_state(columns, np.array([1]), plan)
     assert np.isfinite(state).all()
     assert abs(np.linalg.norm(state) - 1.0) <= 1e-12
     assert applications == plan.rounds
@@ -230,7 +235,7 @@ def test_angles_match_the_fixed_point_search_iterates(plan):
     rng = np.random.default_rng(plan.rounds)
     for s in (plan.sigma, *rng.uniform(0.0, 1.0, 3)):
         direct = fixed_point_search_success(s * s, plan.rounds, plan.delta)
-        assert abs(engine_success(one_index_block(s), plan) - direct) <= 1e-10
+        assert abs(engine_success(one_index_column(s), np.array([1]), plan) - direct) <= 1e-10
         assert abs(plan.predicted_success(s) - direct) <= 1e-10
 
 

@@ -1,7 +1,10 @@
+from dataclasses import FrozenInstanceError
+
 import numpy as np
 import pytest
 import scipy.linalg
 
+from qsprep import blockenc, phases
 from qsprep.blockenc import (
     BlockEncoding,
     extract_block,
@@ -257,3 +260,65 @@ def test_hamiltonian_rejects_amplitude_near_one():
     with pytest.raises(InfeasibleError) as exc:
         hamiltonian_from_unitary(np.diag(diag_unitary([0.5, 0.0]).entries), 1e-3, 0.2)
     assert "rescale" in str(exc.value)
+
+
+def _encode_cold_then_warm(levels, epsilon, delta):
+    blockenc._encoding.cache_clear()
+    phases._memo.cache_clear()
+    cold = hamiltonian_from_unitary(levels, epsilon, delta)
+    blockenc._encoding.cache_clear()  # a second cold build, from the same angles
+    again = hamiltonian_from_unitary(levels, epsilon, delta)
+    warm = hamiltonian_from_unitary(levels, epsilon, delta)
+    return cold, again, warm
+
+
+def test_encoding_memo_warm_equals_cold():
+    levels = np.exp(1j * np.pi * np.array([0.02, 0.11, 0.2]))
+    cold, again, warm = _encode_cold_then_warm(levels, 1e-4, 0.25)
+    assert warm is again
+    assert warm.columns.tobytes() == cold.columns.tobytes()
+    assert warm.phases.phases.tobytes() == cold.phases.phases.tobytes()
+    assert dict(warm.info) == dict(cold.info)
+    # the key is the exact levels, epsilon and delta: a change in any misses
+    for args in ((levels * np.exp(1e-15j), 1e-4, 0.25), (levels, 2e-4, 0.25), (levels, 1e-4, 0.3)):
+        assert hamiltonian_from_unitary(*args) is not warm
+
+
+def test_encoding_memo_results_are_read_only():
+    encoding = hamiltonian_from_unitary(np.exp(1j * np.pi * np.array([0.0, 0.1])), 1e-3, 0.25)
+    with pytest.raises(ValueError):
+        encoding.columns[0, 0] = 0.0
+    with pytest.raises(TypeError):
+        encoding.info["cu_calls"] = 0
+    with pytest.raises(FrozenInstanceError):
+        encoding.columns = None
+
+
+def test_encoding_memo_hit_builds_no_arcsin_target(monkeypatch):
+    # a tracer that rebinds blockenc.arcsin_taylor sees every target the
+    # memo builds, and none on a hit; a miss with new levels still builds one
+    calls = []
+    inner = blockenc.arcsin_taylor
+
+    def counting(epsilon, delta):
+        calls.append((epsilon, delta))
+        return inner(epsilon, delta)
+
+    monkeypatch.setattr(blockenc, "arcsin_taylor", counting)
+    blockenc._encoding.cache_clear()
+    levels = np.exp(1j * np.pi * np.array([0.05, 0.15]))
+    first = hamiltonian_from_unitary(levels, 1e-3, 0.25)
+    assert len(calls) == 1
+    assert hamiltonian_from_unitary(levels.copy(), 1e-3, 0.25) is first
+    assert len(calls) == 1
+    hamiltonian_from_unitary(levels[::-1], 1e-3, 0.25)
+    assert len(calls) == 2
+
+
+def test_encoding_memo_stores_no_exception():
+    blockenc._encoding.cache_clear()
+    levels = np.exp(1j * np.pi * np.array([0.5, 0.0]))
+    for _ in range(2):
+        with pytest.raises(InfeasibleError):
+            hamiltonian_from_unitary(levels, 1e-3, 0.2)
+    assert blockenc._encoding.cache_info().currsize == 0

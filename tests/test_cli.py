@@ -76,6 +76,8 @@ def test_grover_command(capsys):
     out = capsys.readouterr().out
     assert rc == 0
     assert "calls_per_sqrt_n" in out
+    # the marked item and the rest: two distinct quantized values
+    assert "classes              2\n" in out
 
 
 def test_sweep_command(tmp_path):
@@ -167,6 +169,20 @@ def test_prepare_rejects_bad_oracle_file(tmp_path, capsys, amplitudes):
     assert "Traceback" not in captured.err + captured.out
 
 
+@pytest.mark.parametrize("header", ["-1 8", "25 8", "2 0", "2 51"])
+def test_prepare_rejects_out_of_range_oracle_header(tmp_path, capsys, header):
+    # the header is refused before any amplitude line is read, so an
+    # unreadable line after it does not change the message
+    oracle_file = tmp_path / "oracle.txt"
+    oracle_file.write_text("\n".join([header, "0.5", "not-a-number"]) + "\n")
+    rc = main(["prepare", "--oracle", str(oracle_file)])
+    captured = capsys.readouterr()
+    assert rc == 2
+    assert captured.out == ""
+    lines = captured.err.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error: oracle table header: need ")
+
+
 def _run_sweep(tmp_path, spec):
     spec_file = tmp_path / "spec.json"
     spec_file.write_text(json.dumps(spec))
@@ -177,7 +193,7 @@ def _run_sweep(tmp_path, spec):
 
 @pytest.mark.parametrize(
     "change",
-    [{"dist": ["foo"]}, {"dist": ["indicator:9"]}, {"epsilon": [-0.1]}, {"n": [21]}],
+    [{"dist": ["foo"]}, {"dist": ["indicator:9"]}, {"epsilon": [-0.1]}, {"n": [25]}],
     ids=["unknown-dist", "indicator-out-of-range", "negative-eps", "too-many-qubits"],
 )
 def test_sweep_bad_grid_point_becomes_error_row(tmp_path, capsys, change):

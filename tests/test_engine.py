@@ -1,7 +1,8 @@
-"""The per-index engine against the dense reference simulator.
+"""The engine against the dense reference simulator.
 
 The pipeline simulates its diagonal phase oracle with one 4x4 block per
-data index (``hamiltonian_from_unitary``) and amplifies |0,0,+^n> in the
+distinct quantized value of the table, of which it needs only column 0
+(``hamiltonian_from_unitary``), and amplifies |0,0,+^n> in the
 two-dimensional subspace the rank-one initial-state projector leaves
 invariant (``amplify_state``): one application of C, then the phase
 ansatz at x = sigma. The dense reference builds the same circuit as full
@@ -10,6 +11,9 @@ unitaries: ``lcu_real_part(sine_block_encoding(u), phases)``, then
 dense reference's reach, and past 100 rounds where its success drifts,
 the engine's success is held to 1e-12 of the same circuit applied round
 by round to the (4, N) state in extended precision (``_extended_success``).
+A per-index evaluation of the same formulas (``per_index_run``) checks, on
+tables with repeated values, that running on classes of equal values
+loses nothing.
 """
 import dataclasses
 import time
@@ -30,6 +34,7 @@ from qsprep.blockenc import (
 )
 from qsprep.errors import DimensionError, InputError
 from qsprep.oracle import AmplitudeOracle
+from qsprep.phases import _prefix_rows
 from qsprep.pipeline import (
     BETA,
     PrepConfig,
@@ -62,6 +67,12 @@ def oracle_diagonal(run):
     m = run.oracle_m.m
     c_q = run.oracle_m.quantized + 2.0 ** -(m + 1)
     return np.exp(1j * np.pi * BETA * c_q / 2.0)
+
+
+def value_classes(run):
+    """Each index's class (the rank of its quantized value) and the class sizes."""
+    _, inverse, counts = np.unique(run.oracle_m.quantized, return_inverse=True, return_counts=True)
+    return inverse, counts
 
 
 def dense_run(run):
@@ -109,10 +120,13 @@ def assert_engine_matches_dense(values, eps=0.05, delta=0.1, success_tol=TOL):
 def assert_run_matches_dense(run, success_tol=TOL):
     ref, be = dense_run(run)
 
-    # the blocks are the dense C's entries at (p N + x, q N + x); all else is 0
+    # column 0 of the block of index x is the dense C's column x, at rows
+    # p N + x for the four ancilla patterns p
     size = run.config.oracle.values.size
-    embedded = np.einsum("xpq,xy->pxqy", run.encoding.blocks, np.eye(size))
-    assert np.abs(be.unitary.entries - embedded.reshape(4 * size, 4 * size)).max() <= TOL
+    inverse, _ = value_classes(run)
+    xs = np.arange(size)
+    dense = be.unitary.entries[np.arange(4)[:, None] * size + xs, xs]
+    assert np.abs(run.encoding.columns[:, inverse] - dense).max() <= TOL
 
     assert np.abs(run.final_state.amplitudes - ref.final_state.amplitudes).max() <= TOL
     assert abs(run.success - ref.success) <= success_tol
@@ -169,6 +183,56 @@ def test_engine_matches_dense_reference_property(values, eps):
         assert abs(run.success - _extended_success(run)) <= TOL
 
 
+def per_index_run(run):
+    """The amplified state and success evaluated at every index on its own.
+
+    Column 0 of each index's block comes from the phase ansatz's prefix
+    rows over all N diagonal entries, and C|Psi> is normalized over all N
+    indices, as if no two indices shared a value.
+    """
+    diagonal = oracle_diagonal(run)
+    sgn = np.where(diagonal.real < 0, -1.0, 1.0)
+    for layers, (a, b) in enumerate(_prefix_rows(run.encoding.phases.phases, diagonal.imag)):
+        pass
+    sb = sgn * (-1.0) ** layers * b
+    column = np.array([a.real, 1j * sb.real, 1j * a.imag, sb.imag])
+    flagged = np.linalg.norm(column[0])
+    sigma = float(flagged / np.sqrt(diagonal.size))
+    for rounds, (a, b) in enumerate(_prefix_rows(run.plan.phases.phases, sigma)):
+        pass
+    flag_row = column[0] * (a / flagged)
+    success = float(np.linalg.norm(flag_row) ** 2)
+    c_realized = 2.0 * column[0].real / BETA
+    realized = c_realized / np.linalg.norm(c_realized)
+    data = flag_row / np.sqrt(success)
+    data = data * np.exp(-1j * np.angle(np.vdot(realized, data)))
+    eps = float(np.abs(c_realized - run.config.oracle.values).max())
+    return data, success, c_realized, eps, rounds * layers * 4
+
+
+@st.composite
+def tables_with_repeats(draw):
+    """A table of 2^n entries, n <= 8, over at most six distinct values."""
+    n = draw(st.integers(1, 8))
+    values = draw(st.lists(st.floats(0.05, 1.0), min_size=1, max_size=6))
+    picks = np.random.default_rng(draw(st.integers(0, 2**32 - 1))).integers(len(values), size=2**n)
+    return np.array(values)[picks]
+
+
+@given(tables_with_repeats(), st.sampled_from([0.05, 0.1]))
+@settings(max_examples=30, deadline=None)
+def test_class_engine_matches_per_index_evaluation(values, eps):
+    run = engine_run(values, eps=eps)
+    _, counts = value_classes(run)
+    assert run.classes == counts.size <= 6
+    data, success, c_realized, eps_measured, calls = per_index_run(run)
+    assert np.abs(run.final_state.amplitudes - data).max() <= TOL
+    assert abs(run.success - success) <= TOL
+    assert np.abs(run.realized_amplitudes - c_realized).max() <= TOL
+    assert run.eps_measured == eps_measured
+    assert run.oracle_calls == calls
+
+
 def _extended_success(run):
     """The engine's success probability recomputed in extended precision."""
     m = run.oracle_m.m
@@ -221,10 +285,11 @@ def test_whole_amplified_state_matches_dense_reference(values):
     s = hadamard_layer(n)
     psi0 = np.zeros(be.unitary.dim, dtype=complex)
     psi0[: 2**n] = s.entries[:, 0]
-    state, applications = amplify_state(run.encoding.blocks, run.plan)
+    inverse, counts = value_classes(run)
+    state, applications = amplify_state(run.encoding.columns, counts, run.plan)
     assert applications == run.plan.rounds
     dense = amplify(be.unitary, s, run.plan).entries @ psi0
-    assert np.abs(state.reshape(-1) - dense).max() <= TOL
+    assert np.abs(state[:, inverse].reshape(-1) - dense).max() <= TOL
 
 
 def test_engine_beats_dense_reference_at_high_degree():
@@ -278,6 +343,23 @@ def test_execute_allocates_no_quadratic_array():
     assert peak < 16 * 4**n / 8  # an N x N complex array alone is 16 N^2 bytes
 
 
+def test_run_memory_per_index():
+    # the engine keeps per-level columns; what grows with N is the split of
+    # the table, the expanded generator, the realized, final and target
+    # states and the checks on them (the (N, 4, 4) blocks alone took 256 B
+    # per index)
+    n = 16
+    oracle = AmplitudeOracle(n, 8, np.random.default_rng(2).uniform(0, 1, 2**n))
+    cfg = PrepConfig(oracle=oracle, epsilon=0.05, delta=0.1)
+    tracemalloc.start()
+    try:
+        _bound_report(_execute(cfg))
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak / 2**n < 160
+
+
 def test_engine_size_is_checked_before_allocation(monkeypatch):
     monkeypatch.setattr(blockenc, "ENGINE_MAX_QUBITS", 3)
     oracle = AmplitudeOracle.uniform(4, 8)
@@ -298,9 +380,17 @@ def test_lcu_checks_its_size_before_allocation(monkeypatch):
 
 @pytest.mark.parametrize(
     "diagonal",
-    [np.ones(3, dtype=complex), np.ones((2, 2), dtype=complex), np.array([1.0, 0.5])],
-    ids=["length-3", "matrix", "not-unit"],
+    [np.ones((2, 2), dtype=complex), np.array([1.0, 0.5])],
+    ids=["matrix", "not-unit"],
 )
 def test_hamiltonian_rejects_bad_diagonal(diagonal):
     with pytest.raises((DimensionError, InputError)):
         hamiltonian_from_unitary(diagonal, 1e-3, 0.25)
+
+
+def test_table_length_must_be_a_power_of_two():
+    # the encoding takes any number of distinct levels; the table they come
+    # from has 2^n entries
+    hamiltonian_from_unitary(np.ones(3, dtype=complex), 1e-3, 0.25)
+    with pytest.raises(DimensionError):
+        engine_run(np.ones(3))

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 from numpy.polynomial import chebyshev as cheb
 
-from qsprep import phases
+from qsprep import blockenc, phases
 from qsprep._factor import complementary_q
 from qsprep.errors import CompletionError, ConditionError, InputError, PhaseFindingError
 from qsprep.phases import (
@@ -449,6 +449,7 @@ def test_complex_complement_takes_the_full_strip(monkeypatch):
 def test_pipeline_solves_strip_the_top_half(monkeypatch):
     # a real target is completed with a real Q, so each solve strips
     # ceil((d - 1) / 2) of the d - 1 levels and mirrors the rest
+    blockenc._encoding.cache_clear()
     phases._memo.cache_clear()
     levels = count_stripped_levels(monkeypatch)
     rep = grover_case(4, 11, 0.1, 0.05)
@@ -471,6 +472,7 @@ def test_arcsin_encoding_reaches_find_phases_by_its_module_name(monkeypatch):
         return inner(p)
 
     monkeypatch.setattr(phases, "find_phases", counting)
+    blockenc._encoding.cache_clear()
     phases._memo.cache_clear()
     diagonal = np.exp(1j * np.pi * np.linspace(0.0, 0.25, 8))
     encoding = hamiltonian_from_unitary(diagonal, 0.01, 0.25)

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from qsprep import pipeline
+from qsprep import blockenc, pipeline
 from qsprep.errors import InfeasibleError
 from qsprep.oracle import AmplitudeOracle
 from qsprep.phases import _memo
@@ -112,6 +112,7 @@ def test_grover_small_case():
     assert rep.fidelity_to_target >= 1 - 0.05
     assert rep.all_passed
     assert rep.info["calls_per_sqrt_n"] == rep.oracle_calls / 2.0
+    assert rep.info["classes"] == 2
 
 
 def test_grover_past_sign_degree_2000():
@@ -253,12 +254,18 @@ def _outcome(rep):
     )
 
 
-def _cold_then_warm(run):
+def _clear_memos():
+    blockenc._encoding.cache_clear()
     _memo.cache_clear()
+
+
+def _cold_then_warm(run):
+    _clear_memos()
     cold = run()
-    hits = _memo.cache_info().hits
+    hits = blockenc._encoding.cache_info().hits
     warm = run()
-    assert _memo.cache_info().hits > hits  # the second run was served by the memo
+    # the second run was served by the encoding memo
+    assert blockenc._encoding.cache_info().hits > hits
     return cold, warm
 
 
@@ -276,8 +283,9 @@ def test_memo_warm_run_equals_cold_search():
 
 
 def test_memo_sweep_rows_with_repeated_targets_equal_cold_rows(monkeypatch):
-    # rows with one epsilon and gamma share the arcsin target, so the second
-    # row reuses the first's angles; each cold row runs on an empty memo
+    # rows with one epsilon and the same quantized values share the
+    # encoding, so the second row reuses the first's; each cold row runs on
+    # empty memos
     reports = []
     inner = pipeline.verify_error_bounds
 
@@ -289,20 +297,20 @@ def test_memo_sweep_rows_with_repeated_targets_equal_cold_rows(monkeypatch):
     grid = {"n": [2], "epsilon": [0.05], "delta": [0.1]}
     cold_rows = []
     for dist in ("indicator:1", "indicator:2"):
-        _memo.cache_clear()
+        _clear_memos()
         cold_rows += sweep(SweepSpec.from_dict({**grid, "dist": [dist]}))
     cold = [_outcome(r) for r in reports]
     reports.clear()
-    _memo.cache_clear()
+    _clear_memos()
     warm_rows = sweep(SweepSpec.from_dict({**grid, "dist": ["indicator:1", "indicator:2"]}))
-    assert _memo.cache_info().hits == 1
+    assert blockenc._encoding.cache_info().hits == 1
     assert warm_rows == cold_rows
     assert [_outcome(r) for r in reports] == cold
 
 
 def test_memo_shares_the_arcsin_angles_between_tables():
     rng = np.random.default_rng(23)
-    _memo.cache_clear()
+    _clear_memos()
     hits = []
     for _ in range(2):
         oracle = AmplitudeOracle(6, 8, rng.uniform(0.05, 1.0, 64))

@@ -82,6 +82,48 @@ def test_arcsin_degree_linear_in_log_inv_eps():
         assert np.abs(fitted - degs).max() <= 0.1 * degs.max() + 2.0
 
 
+def loop_arcsin_coefficients(epsilon, delta):
+    """The truncated series as a list of terms, built term by term."""
+    y = 1.0 - delta
+    geom = 1.0 / (1.0 - y * y)
+    terms = [1.0 / np.pi]
+    while True:
+        k = len(terms) - 1
+        a_next = terms[-1] * (2 * k + 1) ** 2 / (2.0 * (k + 1) * (2 * k + 3))
+        if a_next * y ** (2 * k + 3) * geom <= epsilon:
+            break
+        terms.append(a_next)
+    coeffs = np.zeros(2 * len(terms))
+    coeffs[1::2] = terms
+    return coeffs
+
+
+@pytest.mark.parametrize("eps, delta", [(0.1, 0.05), (1e-3, 0.29), (3e-5, 0.29), (1e-6, 0.05)])
+def test_arcsin_series_built_once_equals_the_loop(eps, delta):
+    # the memoized series and its Chebyshev form are bit-identical to the
+    # term-by-term series and its conversion, so memo keys built on the
+    # Chebyshev bytes do not change
+    want = loop_arcsin_coefficients(eps, delta).astype(complex)
+    for _ in range(2):
+        p = arcsin_taylor(eps, delta)
+        assert p.coefficients.tobytes() == want.tobytes()
+        assert to_chebyshev(p).coefficients.tobytes() == polyapprox.mono2cheb(want).tobytes()
+    assert not p.coefficients.flags.writeable
+    assert not to_chebyshev(p).coefficients.flags.writeable
+    assert "chebyshev" not in to_chebyshev(p).meta
+
+
+def test_warm_arcsin_target_converts_nothing(monkeypatch):
+    arcsin_taylor(1e-4, 0.29)
+
+    def no_conversion(c):
+        raise AssertionError("mono2cheb called")
+
+    monkeypatch.setattr(polyapprox, "mono2cheb", no_conversion)
+    e = chebyshev_economize(arcsin_taylor(1e-4, 0.29), 1e-6)
+    assert e.basis == "chebyshev" and e.parity == "odd"
+
+
 def test_arcsin_degree_overflow(monkeypatch):
     monkeypatch.setattr(polyapprox, "MAX_DEGREE", 100)
     with pytest.raises(DegreeOverflowError) as exc:
