@@ -34,6 +34,7 @@ spends O(K + L) in all for K classes, not O(N L).
 """
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -52,7 +53,7 @@ MAX_ROUNDS = 2**16
 
 def _lift(delta: float) -> float:
     """acosh(1 / delta_Y), which equals L acosh(1 / gamma) for every L."""
-    return float(np.arccosh(np.sqrt(2.0 / delta)))
+    return math.acosh(math.sqrt(2.0 / delta))
 
 
 @dataclass(frozen=True)
@@ -87,12 +88,12 @@ class AmplificationPlan:
         """
         s = self.sigma if sigma is None else sigma
         lift = _lift(self.delta) / self.rounds
-        w = np.tanh(lift)
+        w = math.tanh(lift)
         if s >= w:
-            theta = np.arctan2(np.sqrt((s - w) * (s + w)), np.sqrt((1.0 - s) * (1.0 + s)))
-            t = np.cos(self.rounds * theta)
+            theta = math.atan2(math.sqrt((s - w) * (s + w)), math.sqrt((1.0 - s) * (1.0 + s)))
+            t = math.cos(self.rounds * theta)
         else:
-            t = np.cosh(self.rounds * np.arcsinh(np.cosh(lift) * np.sqrt((w - s) * (w + s))))
+            t = math.cosh(self.rounds * math.asinh(math.cosh(lift) * math.sqrt((w - s) * (w + s))))
         return float(1.0 - self.delta / 2.0 * t * t)
 
 
@@ -127,7 +128,7 @@ def plan_amplification(sigma: float, delta: float) -> AmplificationPlan:
     if not 0 < delta < 1:
         raise ValueError("delta must lie in (0, 1)")
     lift = _lift(delta)
-    rounds = int(np.ceil(lift / np.arctanh(0.9 * sigma)))
+    rounds = math.ceil(lift / math.atanh(0.9 * sigma))
     rounds += 1 - rounds % 2
     if rounds > MAX_ROUNDS:
         raise DegreeOverflowError(
@@ -135,7 +136,7 @@ def plan_amplification(sigma: float, delta: float) -> AmplificationPlan:
             f"for sigma={sigma}, delta={delta}",
             needed=rounds,
         )
-    return AmplificationPlan(sigma, delta, _fixed_point_phases(rounds, np.tanh(lift / rounds)), rounds)
+    return AmplificationPlan(sigma, delta, _fixed_point_phases(rounds, math.tanh(lift / rounds)), rounds)
 
 
 def _fixed_point_phases(rounds: int, edge: float) -> PhaseSequence:
@@ -144,14 +145,15 @@ def _fixed_point_phases(rounds: int, edge: float) -> PhaseSequence:
     With l = (L - 1) / 2 and the band edge w, alpha_j = 2 cot^-1(tan(2 pi
     j / L) w) for j = 1 .. l (cot^-1 in (0, pi)) and beta_j =
     -alpha_{l-j+1}; the angles are phi_0 = 0, phi_{2i-1} = -alpha_{l-i+1} / 2
-    and phi_{2i} = beta_{l-i+1} / 2 = -alpha_i / 2.
+    and phi_{2i} = beta_{l-i+1} / 2 = -alpha_i / 2. Each lies in (-pi, 0], so
+    the sequence takes them without normalizing them again.
     """
     j = np.arange(1, (rounds - 1) // 2 + 1)
-    alpha = 2.0 * np.arctan2(1.0, np.tan(2.0 * np.pi * j / rounds) * edge)
+    half_alpha = np.arctan2(1.0, np.tan(2.0 * np.pi * j / rounds) * edge)
     phi = np.zeros(rounds)
-    phi[1::2] = -alpha[::-1] / 2.0
-    phi[2::2] = -alpha / 2.0
-    return PhaseSequence(phi)
+    phi[1::2] = -half_alpha[::-1]
+    phi[2::2] = -half_alpha
+    return PhaseSequence._from_normalized(phi)
 
 
 def amplify(c_unitary: UnitaryMatrix, s_unitary: UnitaryMatrix, plan: AmplificationPlan) -> UnitaryMatrix:
@@ -197,9 +199,9 @@ def amplify_state(
     of C and C-dagger, counted as the recurrence yields each layer.
     """
     counts = np.asarray(counts)
-    weights = np.abs(columns) ** 2 @ counts  # N ||C|Psi>||^2 per ancilla pattern
-    flagged, rest = np.sqrt(weights[0]), np.sqrt(weights[1:].sum())
-    sigma = float(flagged / np.sqrt(counts.sum()))
+    weights = (np.abs(columns) ** 2 @ counts).tolist()  # N ||C|Psi>||^2 per ancilla pattern
+    flagged, rest = math.sqrt(weights[0]), math.sqrt(sum(weights[1:]))
+    sigma = flagged / math.sqrt(counts.sum())
     for applications, (a, b) in enumerate(_prefix_rows(plan.phases.phases, sigma)):
         pass
     m10 = -(-1) ** applications * b.conjugate()

@@ -268,8 +268,9 @@ def hamiltonian_from_unitary(levels: np.ndarray, epsilon: float, delta: float) -
 
     Memoized per process on the exact bytes of the levels, epsilon and
     delta, the whole input: the ``_MEMO_SIZE`` most recently used encodings
-    are kept, a hit returns the read-only result a cold call built, and
-    exceptions are not cached.
+    of at most ``_MEMO_MAX_LEVELS`` levels are kept, a hit returns the
+    read-only result a cold call built, and exceptions are not cached. An
+    encoding of more levels is built afresh on every call.
     """
     levels = np.asarray(levels, dtype=complex)
     if levels.ndim != 1 or levels.size < 1:
@@ -278,7 +279,17 @@ def hamiltonian_from_unitary(levels: np.ndarray, epsilon: float, delta: float) -
         raise DimensionError(
             f"{levels.size} levels exceed the engine's {2**ENGINE_MAX_QUBITS} indices"
         )
-    return _encoding(levels.tobytes(), float(epsilon), float(delta))
+    build = _encoding if levels.size <= _MEMO_MAX_LEVELS else _encoding.__wrapped__
+    return build(levels.tobytes(), float(epsilon), float(delta))
+
+
+# Most levels of an encoding the memo keeps. An entry holds 80 bytes per
+# level (the 16-byte key and the 64-byte columns), so the memo holds at most
+# _MEMO_SIZE * 80 * 2^12 bytes, 20 MiB. Search tables have 2 levels, and a
+# uniform-random table at its default m for epsilon >= 0.01 (m <= 12) at
+# most 2^12; one at m = 30 and n = 20 has ~2^20 levels, 80 MB, and is not
+# kept.
+_MEMO_MAX_LEVELS = 2**12
 
 
 @functools.lru_cache(maxsize=_MEMO_SIZE)

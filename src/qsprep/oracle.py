@@ -9,7 +9,8 @@ rotations onto a |1>-initialized kickback qubit, and an uncompute pass.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+import functools
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -31,10 +32,19 @@ from .simulator import (
 MAX_BITS = 50
 
 
+def _is_int(value) -> bool:
+    return isinstance(value, (int, np.integer)) and not isinstance(value, bool)
+
+
+def _check_bits(m) -> None:
+    if not (_is_int(m) and 1 <= m <= MAX_BITS):
+        raise InputError(f"need an integer 1..{MAX_BITS} value bits, got m = {m!r}")
+
+
 def _table_size(n: int) -> int:
     """2^n for a generated table, refused before anything that size exists."""
-    if not 0 <= n <= ENGINE_MAX_QUBITS:
-        raise InputError(f"need 0..{ENGINE_MAX_QUBITS} data qubits, got n = {n}")
+    if not (_is_int(n) and 0 <= n <= ENGINE_MAX_QUBITS):
+        raise InputError(f"need an integer 0..{ENGINE_MAX_QUBITS} data qubits, got n = {n!r}")
     return 2**n
 
 
@@ -45,16 +55,21 @@ class AmplitudeOracle:
     The quantized value is floor(c * 2^m) / 2^m, capped at (2^m - 1)/2^m so
     that c = 1 still fits the m-bit register; the cap makes the quantization
     error equal (not below) 2^-m at c = 1 exactly, which the error analysis
-    absorbs like any other oracle noise.
+    absorbs like any other oracle noise. The oracle keeps a read-only copy
+    of the values, and quantizes them on first use of ``quantized``, so an
+    oracle that is only requantized with ``with_bits`` never quantizes at
+    its own m.
     """
 
     n: int
     m: int
     values: np.ndarray
-    quantized: np.ndarray = field(init=False)
 
     def __post_init__(self):
-        vals = np.ascontiguousarray(np.asarray(self.values, dtype=float))
+        if not (_is_int(self.n) and self.n >= 0):
+            raise InputError(f"need a non-negative integer n of data qubits, got n = {self.n!r}")
+        _check_bits(self.m)
+        vals = np.array(self.values, dtype=float)  # a copy: the caller's array may change
         if vals.shape != (2**self.n,):
             raise DimensionError(f"expected {2**self.n} amplitudes, got {vals.shape}")
         bad = np.flatnonzero(~((vals >= 0) & (vals <= 1)))
@@ -62,11 +77,18 @@ class AmplitudeOracle:
             raise InputError(
                 f"amplitudes must be finite and lie in [0, 1]; entry {bad[0]} is {vals[bad[0]]}"
             )
-        if not 1 <= self.m <= MAX_BITS:
-            raise InputError(f"need 1..{MAX_BITS} value bits, got m = {self.m}")
+        vals.flags.writeable = False
+        object.__setattr__(self, "n", int(self.n))
+        object.__setattr__(self, "m", int(self.m))
         object.__setattr__(self, "values", vals)
-        ints = np.minimum(np.floor(vals * 2**self.m), 2**self.m - 1).astype(np.int64)
-        object.__setattr__(self, "quantized", ints / 2**self.m)
+
+    @functools.cached_property
+    def quantized(self) -> np.ndarray:
+        # floor, cap and scale are exact in doubles for m <= MAX_BITS
+        scale = 2.0**self.m
+        out = np.minimum(np.floor(self.values * scale), scale - 1.0) / scale
+        out.flags.writeable = False
+        return out
 
     @property
     def size(self) -> int:
@@ -77,7 +99,14 @@ class AmplitudeOracle:
         return (self.quantized * 2**self.m).astype(np.int64)
 
     def with_bits(self, m: int) -> "AmplitudeOracle":
-        return AmplitudeOracle(self.n, m, self.values)
+        """The same table at m value bits; the values are not checked again."""
+        _check_bits(m)
+        if m == self.m:
+            return self
+        out = object.__new__(AmplitudeOracle)
+        # the frozen dataclass refuses attribute assignment, not its __dict__
+        out.__dict__.update(n=self.n, m=int(m), values=self.values)
+        return out
 
     # -- generators ---------------------------------------------------------
 
@@ -221,7 +250,7 @@ def phase_unitary_direct(c: AmplitudeOracle, use_exact: bool = False) -> Unitary
 def gamma(c: AmplitudeOracle, use_exact: bool = False) -> float:
     """Mean squared amplitude (1/N) sum c(x)^2."""
     vals = c.values if use_exact else c.quantized
-    return float(np.mean(vals**2))
+    return float((vals**2).sum() / vals.size)  # np.mean's sum and division, without its wrapper
 
 
 def target_state(c: AmplitudeOracle) -> StateVector:
@@ -229,6 +258,11 @@ def target_state(c: AmplitudeOracle) -> StateVector:
     g = gamma(c, use_exact=True)
     if g <= 0.0:
         raise InfeasibleError("all amplitudes vanish; the target state is undefined")
+    return _target(c, g)
+
+
+def _target(c: AmplitudeOracle, g: float) -> StateVector:
+    """``target_state`` for a caller that already has g = gamma(c, use_exact=True) > 0."""
     amps = c.values / np.sqrt(c.size * g)
     return StateVector(amps.astype(complex), RegisterLayout.single(c.n, "data"))
 

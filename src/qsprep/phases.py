@@ -92,6 +92,14 @@ class PhaseSequence:
         phases.flags.writeable = False
         object.__setattr__(self, "phases", phases)
 
+    @classmethod
+    def _from_normalized(cls, phases: np.ndarray) -> "PhaseSequence":
+        """Take a float array already in (-pi, pi] as it is, without normalizing it again."""
+        phases.flags.writeable = False
+        out = object.__new__(cls)
+        object.__setattr__(out, "phases", phases)
+        return out
+
     def __len__(self) -> int:
         return self.phases.size
 

@@ -16,6 +16,7 @@ promises is checkable per run.
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -23,7 +24,7 @@ import numpy as np
 from .amplifier import AmplificationPlan, amplify_state, plan_amplification
 from .blockenc import LevelEncoding, check_engine_size, hamiltonian_from_unitary
 from .errors import InfeasibleError, InputError, QsprepError
-from .oracle import MAX_BITS, AmplitudeOracle, gamma, target_state
+from .oracle import MAX_BITS, AmplitudeOracle, _is_int, _target, gamma
 from .simulator import RegisterLayout, StateVector, fidelity, state_dist
 
 SWEEP_COLUMNS = [
@@ -47,6 +48,8 @@ SWEEP_COLUMNS = [
 # sin(pi BETA / 2), clear of the arcsin approximant's endpoints, and the
 # normalization of the final state cancels the factor again.
 BETA = 0.5
+# margin of the arcsin approximant's interval below 1: 1 - sin(pi BETA / 2)
+DELTA_MARGIN = float(1.0 - np.sin(np.pi * BETA / 2.0))
 
 
 @dataclass(frozen=True)
@@ -69,10 +72,6 @@ class PrepConfig:
             raise InputError(f"epsilon must be positive, got {self.epsilon!r}")
         if self.m is not None and not (_is_int(self.m) and 1 <= self.m <= MAX_BITS):
             raise InputError(f"m must be an integer in 1..{MAX_BITS}, got {self.m!r}")
-
-
-def _is_int(value) -> bool:
-    return isinstance(value, (int, np.integer)) and not isinstance(value, bool)
 
 
 def _is_real(value) -> bool:
@@ -163,7 +162,6 @@ def _execute(cfg: PrepConfig) -> _RunResult:
     # quantization noise so the realized per-amplitude error profile stays
     # incoherent; costs only a few extra polynomial terms
     eps_poly = max(min(eps_hat_target - q_part, q_part / 4.0), eps_hat_target / 16.0)
-    delta_margin = 1.0 - np.sin(np.pi * BETA / 2.0)
 
     # recenter the truncated table by half a step: one classically-known
     # global phase turns the one-sided floor error into a symmetric one
@@ -177,32 +175,32 @@ def _execute(cfg: PrepConfig) -> _RunResult:
     encoding = hamiltonian_from_unitary(
         np.exp(1j * np.pi * BETA * levels / 2.0),
         BETA * eps_poly / 2.0,  # generator units: BETA * amplitude / 2
-        delta_margin,
+        DELTA_MARGIN,
     )
 
     # the encoded generator is diagonal (and real), so its spectral distance
     # to the table is the largest per-index deviation
-    c_level = 2.0 * np.real(encoding.diagonal) / BETA
+    c_level = 2.0 * encoding.diagonal.real / BETA
     c_realized = c_level[inverse]
     eps_measured = float(np.abs(c_realized - oracle.values).max())
     g_realized = float(counts @ c_level**2 / size)
     g_quant = float(counts @ levels**2 / size)
 
-    sigma_hat = BETA * np.sqrt(g_quant) / 2.0
+    sigma_hat = BETA * math.sqrt(g_quant) / 2.0
     plan = plan_amplification(sigma_hat, cfg.delta)
 
     # post-select the flag pattern, row 0 of the amplified state, per level
     state, applications = amplify_state(encoding.columns, counts, plan)
-    norm = np.sqrt(counts @ np.abs(state[0]) ** 2)
+    norm = math.sqrt(counts @ np.abs(state[0]) ** 2)
     if norm < 1e-14:  # nothing flagged: the empty state, as project_measure gives
         success, data_level = 0.0, np.zeros(levels.size, dtype=complex)
     else:
-        success, data_level = float(norm**2), state[0] / norm
-    realized_norm = np.sqrt(size * g_realized)
+        success, data_level = norm**2, state[0] / norm
+    realized_norm = math.sqrt(size * g_realized)
     realized_level = c_level / realized_norm if realized_norm > 0 else np.zeros_like(c_level)
-    overlap = counts @ (realized_level * data_level)
-    if abs(overlap) > 1e-12:
-        data_level = data_level * np.exp(-1j * np.angle(overlap))
+    overlap = complex(counts @ (realized_level * data_level))
+    if abs(overlap) > 1e-12:  # remove the global phase
+        data_level = data_level * (overlap.conjugate() / abs(overlap))
     layout_n = RegisterLayout.single(oracle.n, "data")
     final = StateVector(data_level[inverse], layout_n)
 
@@ -224,7 +222,7 @@ def _execute(cfg: PrepConfig) -> _RunResult:
         eps_measured=eps_measured,
         realized_amplitudes=c_realized,
         realized_state=StateVector(realized_level.astype(complex)[inverse], layout_n),
-        target=target_state(oracle),
+        target=_target(oracle, g_exact),
         oracle_calls=oracle_calls,
         classes=levels.size,
     )
@@ -296,6 +294,7 @@ def _bound_report(run: _RunResult) -> PrepReport:
     eps = run.eps_measured
     g = run.gamma_exact
     gt = run.gamma_realized
+    bound = 3.0 * eps / g
     checks = report.bound_checks
     checks.append(BoundCheck.le("gamma_diff_le_2eps", abs(gt - g), 2.0 * eps, slack=1e-12))
     premise = BoundCheck.le("premise_eps_le_gamma_over_4", eps, g / 4.0)
@@ -305,12 +304,11 @@ def _bound_report(run: _RunResult) -> PrepReport:
         checks.append(
             BoundCheck.le(
                 "sqrt_gamma_diff_le_eps",
-                abs(np.sqrt(g) - np.sqrt(gt)),
+                abs(math.sqrt(g) - math.sqrt(gt)),
                 eps,
                 slack=1e-12,
             )
         )
-        bound = 3.0 * eps / g
         checks.append(
             BoundCheck.le(
                 "state_dist_le_3eps_over_gamma",
@@ -322,12 +320,12 @@ def _bound_report(run: _RunResult) -> PrepReport:
         checks.append(
             BoundCheck.le(
                 "final_dist_le_3eps_over_gamma",
-                state_dist(run.final_state, run.target),
+                report.info["final_error"],
                 bound,
                 slack=1e-9,
             )
         )
-    report.info["bound_3eps_over_gamma"] = 3.0 * eps / g
+    report.info["bound_3eps_over_gamma"] = bound
     return report
 
 

@@ -11,7 +11,7 @@ from qsprep import cli
 from qsprep.cli import main
 from qsprep.oracle import AmplitudeOracle, oracle_to_text
 from qsprep.phases import phases_from_text, reconstruct
-from qsprep.pipeline import BoundCheck, verify_error_bounds
+from qsprep.pipeline import BoundCheck, prepare_state, verify_error_bounds
 from qsprep.polyapprox import (
     complete_to_complex,
     evaluate,
@@ -332,3 +332,46 @@ def test_unwritable_output_file_exits_2(tmp_path, capsys, command):
     out = tmp_path / "no-such-dir" / "out.txt"
     assert_refused(capsys, [*argv, "--out", str(out)], out)
     assert not out.parent.exists()
+
+
+def test_main_builds_one_parser_per_process(tmp_path, capsys, monkeypatch):
+    built = []
+    inner = cli.build_parser
+
+    def counting():
+        built.append(inner())
+        return built[-1]
+
+    monkeypatch.setattr(cli, "build_parser", counting)
+    cli._parser.cache_clear()
+    try:
+        oracle_file = tmp_path / "oracle.txt"
+        oracle_file.write_text(oracle_to_text(AmplitudeOracle.uniform(2, 6)))
+        for _ in range(3):
+            assert main(["prepare", "--oracle", str(oracle_file)]) == 0
+        assert main(["grover", "--n", "2", "--x0", "1"]) == 0
+    finally:
+        cli._parser.cache_clear()
+    assert len(built) == 1
+
+
+def test_reused_parser_carries_nothing_between_calls(tmp_path, capsys, monkeypatch):
+    # each call sees only its own arguments: an option given once falls back
+    # to its default on the next call, and --total-failure does not stay split
+    configs = []
+
+    def keep_config(cfg):
+        configs.append(cfg)
+        return prepare_state(cfg)
+
+    monkeypatch.setattr(cli, "prepare_state", keep_config)
+    oracle_file = tmp_path / "oracle.txt"
+    oracle_file.write_text(oracle_to_text(AmplitudeOracle.uniform(2, 6)))
+    base = ["prepare", "--oracle", str(oracle_file)]
+    for extra in (["--m", "9"], [], ["--total-failure", "0.3"], [], ["--eps", "0.08"], []):
+        assert main(base + extra) == 0
+    assert [(c.m, c.epsilon, c.delta) for c in configs] == [
+        (9, 0.05, 0.1), (None, 0.05, 0.1), (None, 0.15, 0.15), (None, 0.05, 0.1),
+        (None, 0.08, 0.1), (None, 0.05, 0.1),
+    ]
+    assert cli._parser.cache_info().currsize == 1

@@ -242,3 +242,59 @@ def test_generators_check_size_before_allocating(make):
         with pytest.raises(InputError):
             make(n)
     assert make(2).size == 4
+
+
+@pytest.mark.parametrize("n, m", [(2, 2.5), (2, True), (2.0, 8), (True, 8), (2, 8.0), (-1, 8)],
+                         ids=["m-float", "m-bool", "n-float", "n-bool", "m-integral-float", "n-negative"])
+def test_oracle_rejects_non_integer_sizes(n, m):
+    with pytest.raises(InputError):
+        AmplitudeOracle(n, m, np.full(4, 0.5))
+
+
+@pytest.mark.parametrize("make", [
+    lambda: AmplitudeOracle.uniform(2.0, 8),
+    lambda: AmplitudeOracle.indicator(True, 0, 8),
+    lambda: AmplitudeOracle.from_dist(2, 2.5, "uniform"),
+    lambda: AmplitudeOracle.gaussian(2, 1.0, 1.0, True),
+    lambda: AmplitudeOracle.uniform(2, 8).with_bits(2.5),
+    lambda: AmplitudeOracle.uniform(2, 8).with_bits(True),
+], ids=["uniform-n", "indicator-n", "from_dist-m", "gaussian-m", "with_bits-float", "with_bits-bool"])
+def test_generators_and_with_bits_reject_non_integer_sizes(make):
+    with pytest.raises(InputError):
+        make()
+
+
+def test_numpy_integer_sizes_round_trip_through_text():
+    c = AmplitudeOracle(np.int64(2), np.int32(5), np.array([0.0, 0.3, 0.7, 1.0]))
+    assert type(c.n) is int and type(c.m) is int
+    text = oracle_to_text(c)
+    assert text.splitlines()[0] == "2 5"
+    back = oracle_from_text(text)
+    assert (back.n, back.m, back.size) == (2, 5, 4)
+    np.testing.assert_array_equal(back.values, c.values)
+    np.testing.assert_array_equal(back.quantized, c.quantized)
+    assert back.bit_patterns().tolist() == [0, 9, 22, 31]
+
+
+def test_with_bits_requantizes_like_a_fresh_oracle():
+    values = np.random.default_rng(5).uniform(0.0, 1.0, 16)
+    c = AmplitudeOracle(4, 8, values)
+    for m in (1, 7, 8, 30, 50):
+        fresh = AmplitudeOracle(4, m, values)
+        again = c.with_bits(m)
+        assert (again.n, again.m) == (4, m)
+        assert again.values is c.values
+        np.testing.assert_array_equal(again.quantized, fresh.quantized)
+        np.testing.assert_array_equal(again.bit_patterns(), fresh.bit_patterns())
+    assert c.with_bits(8) is c
+
+
+def test_oracle_keeps_a_read_only_copy_of_its_table():
+    values = np.full(4, 0.5)
+    c = AmplitudeOracle(2, 8, values)
+    values[0] = -3.0  # the caller's array, after the checks ran
+    assert c.values.tolist() == [0.5] * 4
+    assert c.quantized.tolist() == [0.5] * 4
+    for table in (c.values, c.quantized, c.with_bits(3).quantized):
+        with pytest.raises(ValueError):
+            table[0] = 1.0

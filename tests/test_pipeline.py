@@ -317,3 +317,80 @@ def test_memo_shares_the_arcsin_angles_between_tables():
         verify_error_bounds(PrepConfig(oracle=oracle, epsilon=0.05, delta=0.1))
         hits.append(_memo.cache_info().hits)
     assert hits[1] > hits[0]
+
+
+def test_sweep_calls_the_module_verify_error_bounds_once_per_row_in_grid_order(monkeypatch):
+    # a caller that rebinds pipeline.verify_error_bounds sees one call per
+    # grid row, in the grid's order, also for a row that fails inside it
+    seen = []
+    inner = pipeline.verify_error_bounds
+
+    def recording(cfg):
+        seen.append((cfg.oracle.n, cfg.oracle.values.tolist(), cfg.epsilon, cfg.delta))
+        return inner(cfg)
+
+    monkeypatch.setattr(pipeline, "verify_error_bounds", recording)
+    grid = {"n": [2, 3], "dist": ["indicator:1", "gaussian:1,1"],
+            "epsilon": [0.9, 0.05], "delta": [0.1, 0.2]}
+    rows = sweep(SweepSpec.from_dict(grid))
+    expected = [
+        (n, AmplitudeOracle.from_dist(n, 8, dist).values.tolist(), eps, delta)
+        for n in grid["n"] for dist in grid["dist"]
+        for eps in grid["epsilon"] for delta in grid["delta"]
+    ]
+    assert seen == expected
+    assert len(rows) == len(expected)
+    assert [row["status"].startswith("error") for row in rows] == [e[2] == 0.9 for e in expected]
+
+
+def test_encoding_memo_keeps_no_fine_grained_level_sets():
+    # a random table at m = 30 and n = 20 has ~2^20 levels, an 80 MB
+    # encoding; after the runs return, the memos hold next to nothing
+    import tracemalloc
+
+    _clear_memos()
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        for seed in range(3):
+            values = np.random.default_rng(seed).uniform(0.0, 1.0, 2**20)
+            oracle = AmplitudeOracle(20, 30, values)
+            verify_error_bounds(PrepConfig(oracle=oracle, epsilon=0.05, delta=0.1, m=30))
+            del values, oracle
+            assert tracemalloc.get_traced_memory()[0] - base < 20e6
+    finally:
+        tracemalloc.stop()
+
+
+def test_encoding_memo_serves_default_m_sweep_and_search_tables(monkeypatch):
+    def hit(run):
+        before = blockenc._encoding.cache_info().hits
+        run()
+        return blockenc._encoding.cache_info().hits > before
+
+    # search: two levels, whatever the marked item and delta
+    for n in (3, 12):
+        _clear_memos()
+        assert not hit(lambda: grover_case(n, 1, 0.1, 0.05))
+        assert hit(lambda: grover_case(n, 2**n - 1, 0.12, 0.05))
+    # a default-m random table near the memo's level limit (m = 12 at eps 0.01)
+    oracle = AmplitudeOracle.random(14, 8, np.random.default_rng(3))
+    _clear_memos()
+    assert not hit(lambda: verify_error_bounds(PrepConfig(oracle=oracle, epsilon=0.01, delta=0.1)))
+    assert hit(lambda: verify_error_bounds(PrepConfig(oracle=oracle, epsilon=0.01, delta=0.2)))
+    # sweep rows that differ only in delta share the table's encoding
+    hits = []
+    inner = pipeline.verify_error_bounds
+
+    def recording(cfg):
+        before = blockenc._encoding.cache_info().hits
+        rep = inner(cfg)
+        hits.append(blockenc._encoding.cache_info().hits > before)
+        return rep
+
+    monkeypatch.setattr(pipeline, "verify_error_bounds", recording)
+    _clear_memos()
+    rows = sweep(SweepSpec.from_dict({"n": [2, 8], "dist": ["indicator:1", "gaussian:2,1.5"],
+                                      "epsilon": [0.05, 0.1], "delta": [0.1, 0.2]}))
+    assert all(row["status"] == "ok" for row in rows)
+    assert hits[1::2] == [True] * (len(rows) // 2)
