@@ -38,7 +38,6 @@ from .errors import (
 )
 from .oracle import (
     AmplitudeOracle,
-    apply_relative_phase,
     bit_oracle_unitary,
     gamma,
     oracle_from_text,
@@ -55,7 +54,6 @@ from .phases import (
     phases_to_text,
     polynomial_from_phases,
     reconstruct,
-    reconstruct_matrix,
 )
 from .pipeline import (
     BoundCheck,
@@ -78,7 +76,6 @@ from .polyapprox import (
     poly_to_text,
     sign_approx,
     to_chebyshev,
-    to_monomial,
 )
 from .simulator import (
     GateSpec,
@@ -87,18 +84,14 @@ from .simulator import (
     StateVector,
     UnitaryMatrix,
     apply,
-    apply_circuit,
     circuit_unitary,
     cphase,
     controlled,
     fidelity,
     hadamard,
     op_dist,
-    pauli_x,
     pauli_y,
-    phase_gate,
     project_measure,
-    projector_phase,
     spectral_norm,
     state_dist,
     unitary_gate,

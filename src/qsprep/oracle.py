@@ -117,8 +117,8 @@ class AmplitudeOracle:
     @classmethod
     def indicator(cls, n: int, x0: int, m: int) -> "AmplitudeOracle":
         size = _table_size(n)
-        if not 0 <= x0 < size:
-            raise InputError(f"marked item {x0} outside [0, {size})")
+        if not (_is_int(x0) and 0 <= x0 < size):
+            raise InputError(f"marked item {x0!r} is not an integer in [0, {size})")
         vals = np.zeros(size)
         vals[x0] = 1.0
         return cls(n, m, vals)
@@ -266,15 +266,3 @@ def _target(c: AmplitudeOracle, g: float) -> StateVector:
     amps = c.values / np.sqrt(c.size * g)
     return StateVector(amps.astype(complex), RegisterLayout.single(c.n, "data"))
 
-
-def apply_relative_phase(s: StateVector, phi: AmplitudeOracle) -> StateVector:
-    """Multiply the amplitude at x by exp(i pi phi_m(x)).
-
-    The phases are multiplied in directly, one per amplitude, from the
-    quantized table phi_m. The factor is pi rather than the phase oracle's
-    pi/2, so the reachable phases span the full circle.
-    """
-    if s.dim != phi.size:
-        raise DimensionError("state dimension does not match the phase table")
-    factors = np.exp(1j * np.pi * phi.quantized)
-    return StateVector(s.amplitudes * factors, s.layout)

@@ -8,10 +8,10 @@ with R(x) = [[x, s], [s, -x]], s = sqrt(1 - x^2). Its top-left entry is a
 degree-d polynomial of parity d mod 2. Every factor is unitary with
 determinant -1, so the top row (a, b) of a k-factor prefix fixes the whole
 prefix as [[a, b], [-D conj(b), D conj(a)]] with D = (-1)^k. One top-row
-recurrence, ``_prefix_rows``, therefore gives the reconstruction, the full
-matrix, the Jacobian of the least-squares polish, the engine's block
-columns, one per distinct oracle entry (``blockenc._level_columns``), and
-the whole fixed-point amplification, which is this product at x = sigma
+recurrence, ``_prefix_rows``, therefore gives the reconstruction, the
+Jacobian of the least-squares polish, the engine's block columns, one per
+distinct oracle entry (``blockenc._level_columns``), and the whole
+fixed-point amplification, which is this product at x = sigma
 (``amplifier.amplify_state``).
 
 ``find_phases`` inverts the map by layer stripping (peel phi_d off the
@@ -19,12 +19,9 @@ leading coefficients, reduce the degree, repeat) in double precision. Each
 level is a few slice operations on raw Chebyshev coefficient arrays
 (``_factor.mulx`` and ``_factor.mul_one_minus_x2``), the same code for
 complex arrays and for the mpmath.mpc object arrays of extended precision.
-When the complementary series Q has one phase, as the completion of every
-real target has, phi_2 .. phi_d form a palindrome (``_strip`` says why), so
-only the top half of the levels is stripped and the rest is mirrored.
-A candidate is scored once: one reconstruction on the max(4d, 32)
-Chebyshev-node grid yields both its global-phase correction (which also
-sets phi_1 after a half strip) and its max residual. Only when stripping
+Every strip peels all d - 1 levels. A candidate is scored once: one
+reconstruction on the max(4d, 32) Chebyshev-node grid yields both its
+global-phase correction and its max residual. Only when stripping
 raises, or its residual or truncated coefficient mass shows lost digits,
 is it repeated in extended precision at ``_factor.strip_dps`` digits,
 once per source of Q; if the best candidate still misses, one
@@ -32,8 +29,9 @@ Levenberg-Marquardt least-squares run on the same nodes polishes it. The
 start is fixed, as in the optimization-based phase finding of Dong, Lin,
 Ni & Wang (arXiv:2002.11649), so nothing is random; scipy's solver can
 still end in different last digits from one process to the next (its
-result follows the Python hash seed and the BLAS thread count). Each escalation is logged at DEBUG level on the
-``qsprep.phases`` logger.
+result follows the Python hash seed and the BLAS thread count), and scipy
+is imported only when a polish runs. Each escalation is logged at DEBUG
+level on the ``qsprep.phases`` logger.
 
 The pipeline reaches both steps through ``real_target_phases``, which
 completes a real target and finds its angles once per process: the angles
@@ -55,12 +53,18 @@ from dataclasses import dataclass
 import numpy as np
 from numpy.polynomial import chebyshev as cheb
 import mpmath as mp
-from scipy.optimize import least_squares
 
 from . import _factor
 from ._factor import mul_one_minus_x2, mulx
-from .errors import CompletionError, ConditionError, InputError, PhaseFindingError
+from .errors import (
+    CompletionError,
+    ConditionError,
+    DegreeOverflowError,
+    InputError,
+    PhaseFindingError,
+)
 from .polyapprox import (
+    MAX_DEGREE,
     Polynomial,
     _check_qsp_conditions,
     complete_to_complex,
@@ -163,13 +167,6 @@ def _top_row(phases: np.ndarray, xs):
     return a, b
 
 
-def reconstruct_matrix(phi: PhaseSequence, x: float) -> np.ndarray:
-    """The exact 2x2 ansatz product at a point, rebuilt from its top row."""
-    a, b = _top_row(phi.phases, float(x))
-    det = (-1.0) ** len(phi)
-    return np.array([[a, b], [-det * b.conjugate(), det * a.conjugate()]])
-
-
 def reconstruct(phi: PhaseSequence, x):
     """Top-left entry of the ansatz product; vectorized over x."""
     if np.ndim(x):
@@ -217,15 +214,6 @@ def _leading_phase_factor(p_top, q_top, level: int):
     return lam / mag
 
 
-def _one_phase(q: np.ndarray) -> bool:
-    """Whether Q's coefficients are one unimodular constant times reals, to 1e-14."""
-    q = np.asarray(q, dtype=complex)
-    top = q[np.argmax(np.abs(q))]
-    if top == 0:
-        return False
-    return bool(np.abs((q * (np.conj(top) / abs(top))).imag).max() <= 1e-14 * abs(top))
-
-
 def _strip(p: np.ndarray, q: np.ndarray) -> tuple[np.ndarray, float]:
     """Peel angles off a (P, Q) Chebyshev pair.
 
@@ -236,27 +224,20 @@ def _strip(p: np.ndarray, q: np.ndarray) -> tuple[np.ndarray, float]:
     Returns (angles, worst relative coefficient mass dropped by truncation);
     the latter is the degradation monitor for the fallback decision.
 
-    When Q is one phase times a real series, as every completion of a real
-    target is (``_factor.complete_real``), only the top d // 2 levels are
-    stripped. With s = sqrt(1 - x^2) the product is e^{i phi_1 Z} B, B =
-    R e^{i phi_2 Z} R ... e^{i phi_d Z} R, whose top row is (P, s Q) and
-    bottom row is (-D s conj(Q), D conj(P)), D = (-1)^d. R and the diagonal
-    factors are symmetric, so B with phi_2 .. phi_d reversed is B^T, and B
-    is symmetric exactly when e^{-i phi_1} Q = -D conj(e^{-i phi_1} Q), that
-    is, when Q has one phase. Stripping is unique, so then phi_2 .. phi_d
-    read the same backwards: the lower half is the mirror of the top half,
-    and for even d the centre angle is its own mirror, so it is stripped.
-    phi_1 is left 0 for ``_align``, which sets it as the global-phase fix.
+    All d - 1 levels are peeled, d down to 2, and phi_1 is read off the
+    degree-1 remainder; ``_align`` then corrects it for the global phase.
+    When Q has one phase, as every completion of a real target has
+    (``_factor.complete_real``), B = R e^{i phi_2 Z} R ... e^{i phi_d Z} R
+    is symmetric; reversing phi_2 .. phi_d transposes B, and stripping is
+    unique, so those angles come out a palindrome.
     """
     exact = p.dtype == object
     arg, expj = (mp.arg, mp.expj) if exact else (np.angle, lambda t: np.exp(1j * t))
     d = len(p) - 1
-    # the levels stripped are d .. low + 1; the mirror fills phi_2 .. phi_low
-    low = d - d // 2 if _one_phase(q) else 1
     q = q * _leading_phase_factor(p[d], q[d - 1], d)
     phis = np.zeros(d)
     worst_drop = 0.0
-    for k in range(d, low, -1):
+    for k in range(d, 1, -1):
         # p has degree k and q degree k - 1: a has k + 2 terms, b has k + 1
         a_full = mulx(p) + mul_one_minus_x2(q)
         b_full = p - mulx(q)
@@ -279,10 +260,7 @@ def _strip(p: np.ndarray, q: np.ndarray) -> tuple[np.ndarray, float]:
         e = expj(phi)
         p = a_full[:k] / e
         q = b_full[: k - 1] * e
-    if low > 1:
-        phis[1:low] = phis[d + 1 - low:][::-1]
-    else:
-        phis[0] = float(arg(p[1]))
+    phis[0] = float(arg(p[1]))
     return phis, worst_drop
 
 
@@ -315,6 +293,8 @@ def _polish(phi0: np.ndarray, xs: np.ndarray, target: np.ndarray) -> np.ndarray:
     j-factor prefix, the derivative of the top-left entry P in phi_{j+1} is
     i (|a_j|^2 - |b_j|^2) P - 2i D_j a_j b_j M_10, M_10 = -(-1)^d conj(M_01).
     """
+    from scipy.optimize import least_squares  # 0.3-0.4 s to import, and rarely reached
+
     d = len(phi0)
     det = (-1.0) ** np.arange(d + 1)[:, None]
 
@@ -404,10 +384,16 @@ def find_phases(p: Polynomial) -> PhaseSequence:
     residual, polish it once by least squares (from zeros when no stripping
     produced angles). The candidate with the smallest residual is returned.
 
-    Raises PhaseFindingError with the residual when no route reaches ``TOL``.
+    A degree above ``MAX_DEGREE`` raises DegreeOverflowError, with the
+    degree in ``needed``, before any grid is built. Raises
+    PhaseFindingError with the residual when no route reaches ``TOL``.
     """
-    _check_qsp_conditions(p)
+    if p.degree > MAX_DEGREE:  # in the basis given, before converting
+        raise DegreeOverflowError(
+            f"degree {p.degree} exceeds max {MAX_DEGREE}", needed=p.degree
+        )
     pc = to_chebyshev(p)
+    _check_qsp_conditions(pc)
     d = pc.degree
     if d == 0:
         val = complex(pc.coefficients[0])

@@ -7,7 +7,8 @@ required by the reflection ansatz, read off the cepstrum of 1 - P_R^2 by
 FFT in O(d log d) (``_factor.complete_real``).
 
 Checks on a grid use Chebyshev-Lobatto points cos(pi j / (N - 1)), where a
-series' N values are one DCT-I of its coefficients (``lobatto_values``):
+series' N values are one DCT-I of its coefficients, a real FFT of their
+even extension (``lobatto_values``):
 the completion's sup, identity-residual and drift checks (N = max(4001,
 4d + 1)) and the on-interval bound of ``_check_qsp_conditions`` (N =
 max(2001, 4d + 1)). The grids grow with the degree d because a fixed one
@@ -16,6 +17,9 @@ grid. The off-interval and imaginary-axis samples of
 ``_check_qsp_conditions`` are evaluated in scaled form, e^{-dt} P(x) for
 |x + sqrt(x^2 - 1)| = e^t, which cannot overflow at any degree, and
 compared in logarithms.
+
+scipy is imported only inside ``sign_approx``, for erfinv and the Bessel
+weights, so importing this module loads no scipy.
 
 Every guard is written so that a NaN or infinite value fails it.
 
@@ -29,12 +33,8 @@ from dataclasses import dataclass, field
 import numpy as np
 from numpy.polynomial import chebyshev as cheb
 from numpy.polynomial import polynomial as mono
-from numpy.polynomial import polyutils as pu
-from scipy.fft import dct
-from scipy.special import erfinv, ive
 
 from . import _factor
-from ._factor import mulx
 from .errors import CompletionError, ConditionError, DegreeOverflowError, InputError
 
 COEFF_TOL = 1e-12
@@ -107,11 +107,13 @@ def lobatto_values(c: np.ndarray, n: int) -> np.ndarray:
     The grid is cos(pi j / (n - 1)), j = 0 .. n - 1, i.e.
     ``cos(linspace(0, pi, n))`` in that order. There T_k(x_j) =
     cos(pi k j / (n - 1)), so all n values are one DCT-I of the
-    coefficients: O(n log n) instead of Clenshaw's O(n d). Coefficients of
-    index >= n - 1 are folded first: on the grid T_k repeats with period
-    2(n - 1) in k and equals T_{2(n - 1) - k}. The values are those at the
-    exact grid points; ``chebval`` on the rounded ``cos`` grid can differ
-    from them by up to ~d^2 * 1e-16 * sum|c| near the ends.
+    coefficients, computed as the real FFT of their even extension (real
+    and imaginary parts separately): O(n log n) instead of Clenshaw's
+    O(n d). Coefficients of index >= n - 1 are folded first: on the grid
+    T_k repeats with period 2(n - 1) in k and equals T_{2(n - 1) - k}. The
+    values are those at the exact grid points; ``chebval`` on the rounded
+    ``cos`` grid can differ from them by up to ~d^2 * 1e-16 * sum|c| near
+    the ends.
     """
     c = np.asarray(c)
     period = 2 * (n - 1)
@@ -119,44 +121,29 @@ def lobatto_values(c: np.ndarray, n: int) -> np.ndarray:
     a = np.zeros(n, dtype=np.result_type(c.dtype, float))
     np.add.at(a, np.minimum(k, period - k), c)
     a[1:-1] /= 2
-    return dct(a, type=1)
+    ext = np.concatenate([a, a[-2:0:-1]])
+    out = np.empty(n, dtype=a.dtype)
+    # the FFT warns on an infinite coefficient; the callers' guards see the
+    # non-finite values it returns
+    with np.errstate(invalid="ignore"):
+        out.real = np.fft.rfft(ext.real).real
+        if np.iscomplexobj(a):
+            out.imag = np.fft.rfft(ext.imag).real
+    return out
 
 
 def to_chebyshev(p: Polynomial) -> Polynomial:
     """The same polynomial in the Chebyshev basis.
 
     A monomial polynomial whose ``meta["chebyshev"]`` holds its Chebyshev
-    coefficients (``arcsin_taylor`` attaches them) is not converted again.
+    coefficients (``arcsin_taylor`` attaches them) is not converted again;
+    any other is converted by ``numpy.polynomial.chebyshev.poly2cheb``.
     """
     if p.basis == "chebyshev":
         return p
     meta = dict(p.meta)
     c = meta.pop("chebyshev", None)
-    return Polynomial(mono2cheb(p.coefficients) if c is None else c, "chebyshev", p.parity, meta)
-
-
-def to_monomial(p: Polynomial) -> Polynomial:
-    if p.basis == "monomial":
-        return p
-    return Polynomial(cheb.cheb2poly(p.coefficients), "monomial", p.parity, dict(p.meta))
-
-
-def mono2cheb(c: np.ndarray) -> np.ndarray:
-    """Chebyshev coefficients of a monomial series, by Horner's rule.
-
-    Each step is x times the running series (``_factor.mulx``) plus the next
-    coefficient, with trailing zeros trimmed, the same operations in the
-    same order as ``numpy.polynomial.chebyshev.poly2cheb``, so the result is
-    bit-identical to it without its per-step series dispatch.
-    """
-    c = pu.trimseq(np.asarray(c, dtype=complex))
-    out = c[-1:].copy()
-    for a in c[-2::-1]:
-        out = mulx(out)
-        out[0] += a
-        if out[-1] == 0:
-            out = pu.trimseq(out)
-    return out
+    return Polynomial(cheb.poly2cheb(p.coefficients) if c is None else c, "chebyshev", p.parity, meta)
 
 
 def chebyshev_economize(p: Polynomial, budget: float) -> Polynomial:
@@ -262,7 +249,7 @@ def _arcsin_series(degree: int) -> tuple[np.ndarray, np.ndarray]:
         terms.append(_next_arcsin_term(terms[-1], k))
     coeffs = np.zeros(degree + 1, dtype=complex)
     coeffs[1::2] = terms
-    chebyshev = mono2cheb(coeffs)
+    chebyshev = cheb.poly2cheb(coeffs)
     coeffs.flags.writeable = chebyshev.flags.writeable = False
     return coeffs, chebyshev
 
@@ -277,6 +264,8 @@ def sign_approx(Delta: float, delta: float) -> Polynomial:
     A degree above ``MAX_DEGREE`` raises DegreeOverflowError with the degree
     in ``needed`` (a lower bound when it exceeds 4 * MAX_DEGREE).
     """
+    from scipy.special import erfinv, ive  # 0.3-0.4 s to import; no pipeline path calls this
+
     if not 0 < Delta < 1 or not 0 < delta < 1:
         raise ValueError("Delta and delta must lie in (0, 1)")
     k = float(erfinv(1.0 - delta / 8.0)) / Delta

@@ -23,7 +23,6 @@ from .errors import DimensionError
 MAX_QUBITS = 14
 
 _H = np.array([[1, 1], [1, -1]], dtype=complex) / sqrt(2)
-_X = np.array([[0, 1], [1, 0]], dtype=complex)
 _Y = np.array([[0, -1j], [1j, 0]], dtype=complex)
 
 
@@ -44,24 +43,6 @@ class RegisterLayout:
     @property
     def dim(self) -> int:
         return 2 ** self.num_qubits
-
-    def width(self, name: str) -> int:
-        for reg, k in self.registers:
-            if reg == name:
-                return k
-        raise KeyError(name)
-
-    def offset(self, name: str) -> int:
-        off = 0
-        for reg, k in self.registers:
-            if reg == name:
-                return off
-            off += k
-        raise KeyError(name)
-
-    def qubits(self, name: str) -> tuple[int, ...]:
-        off = self.offset(name)
-        return tuple(range(off, off + self.width(name)))
 
 
 @dataclass(frozen=True)
@@ -134,9 +115,6 @@ class UnitaryMatrix:
     @property
     def num_qubits(self) -> int:
         return self.layout.num_qubits
-
-    def dagger(self) -> "UnitaryMatrix":
-        return UnitaryMatrix(self.entries.conj().T, self.layout)
 
     def unitarity_defect(self) -> float:
         gram = self.entries.conj().T @ self.entries
@@ -218,16 +196,8 @@ def hadamard(q: int) -> GateSpec:
     return GateSpec("H", (q,), _H)
 
 
-def pauli_x(q: int) -> GateSpec:
-    return GateSpec("X", (q,), _X)
-
-
 def pauli_y(q: int) -> GateSpec:
     return GateSpec("Y", (q,), _Y)
-
-
-def phase_gate(q: int, angle: float) -> GateSpec:
-    return GateSpec("PHASE", (q,), np.diag([1.0, np.exp(1j * angle)]))
 
 
 def cphase(control: int, target: int, angle: float) -> GateSpec:
@@ -280,12 +250,6 @@ def apply(gate: GateSpec, state: StateVector) -> StateVector:
     return StateVector(psi.reshape(-1), state.layout)
 
 
-def apply_circuit(gates: list[GateSpec], state: StateVector) -> StateVector:
-    for g in gates:
-        state = apply(g, state)
-    return state
-
-
 def check_dense_size(q: int) -> None:
     """Raise DimensionError before a dense matrix on q qubits is allocated."""
     if q > MAX_QUBITS:
@@ -301,15 +265,6 @@ def circuit_unitary(gates: list[GateSpec], layout: RegisterLayout) -> UnitaryMat
     for g in gates:
         u = _apply_gate_array(u, g, q)
     return UnitaryMatrix(u.reshape(dim, dim), layout)
-
-
-def projector_phase(proj: Projector, phi: float, state: StateVector) -> StateVector:
-    """Apply exp(i*phi*(2P - 1)): phase e^{i phi} on range(P), e^{-i phi} off it."""
-    if proj.dim != state.dim:
-        raise DimensionError("projector dimension does not match state")
-    pv = proj.apply_vec(state.amplitudes)
-    amps = np.exp(1j * phi) * pv + np.exp(-1j * phi) * (state.amplitudes - pv)
-    return StateVector(amps, state.layout)
 
 
 def project_measure(proj: Projector, state: StateVector) -> tuple[StateVector, float]:

@@ -2,11 +2,16 @@ import csv
 import io
 import json
 import logging
+import os
+import subprocess
+import sys
 import time
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import qsprep
 from qsprep import cli
 from qsprep.cli import main
 from qsprep.oracle import AmplitudeOracle, oracle_to_text
@@ -282,6 +287,27 @@ def test_phases_rejects_malformed_polynomial_file(tmp_path, capsys, text):
     assert "Traceback" not in captured.err + captured.out
 
 
+def run_python(args, timeout):
+    """A fresh interpreter that imports this checkout's qsprep."""
+    env = {**os.environ, "PYTHONPATH": str(Path(qsprep.__file__).parent.parent)}
+    return subprocess.run([sys.executable, *args], env=env, capture_output=True, text=True,
+                          timeout=timeout)
+
+
+def test_phases_refuses_a_degree_above_the_limit(tmp_path):
+    # 0.5 T_10001 is realizable; solving it would build grids of ~40000 points
+    # and strip 10000 levels, which ran for more than 30 s
+    from qsprep.polyapprox import MAX_DEGREE
+
+    d = MAX_DEGREE + 1
+    poly_file = tmp_path / "poly.txt"
+    poly_file.write_text(f"chebyshev odd {d}\n" + "0 0\n" * d + "0.5 0\n")
+    out = run_python(["-m", "qsprep.cli", "phases", str(poly_file)], timeout=30)
+    assert out.returncode == 2
+    assert out.stderr.startswith("error: ") and f"degree {d} exceeds" in out.stderr
+    assert out.stdout == "" and "Traceback" not in out.stderr
+
+
 def test_make_oracle_rejects_too_many_qubits(capsys):
     rc = main(["make-oracle", "--n", "40", "--dist", "uniform"])
     captured = capsys.readouterr()
@@ -375,3 +401,12 @@ def test_reused_parser_carries_nothing_between_calls(tmp_path, capsys, monkeypat
         (None, 0.08, 0.1), (None, 0.05, 0.1),
     ]
     assert cli._parser.cache_info().currsize == 1
+
+
+def test_import_loads_no_scipy():
+    # scipy costs ~0.35 s to import and only sign_approx and the polish use it
+    code = ("import sys, qsprep, qsprep.cli\n"
+            "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))")
+    out = run_python(["-c", code], timeout=60)
+    assert out.returncode == 0, out.stderr
+    assert out.stdout.strip() == "[]"

@@ -4,7 +4,6 @@ import pytest
 from qsprep.errors import InfeasibleError, InputError, QsprepError
 from qsprep.oracle import (
     AmplitudeOracle,
-    apply_relative_phase,
     bit_oracle_unitary,
     gamma,
     oracle_from_text,
@@ -13,7 +12,7 @@ from qsprep.oracle import (
     phase_unitary_direct,
     target_state,
 )
-from qsprep.simulator import RegisterLayout, StateVector, op_dist
+from qsprep.simulator import op_dist
 
 
 def random_oracle(rng, n=2, m=3):
@@ -168,25 +167,6 @@ def test_target_state_rejects_zero_table():
         target_state(AmplitudeOracle(2, 4, np.zeros(4)))
 
 
-def test_apply_relative_phase():
-    rng = np.random.default_rng(8)
-    n, m = 3, 12
-    amps = rng.standard_normal(8) + 1j * rng.standard_normal(8)
-    amps /= np.linalg.norm(amps)
-    s = StateVector(amps, RegisterLayout.single(n, "data"))
-    flat = AmplitudeOracle(n, m, np.zeros(8))
-    assert np.array_equal(apply_relative_phase(s, flat).amplitudes, amps)
-    full = AmplitudeOracle(n, m, np.ones(8))
-    out = apply_relative_phase(s, full)
-    # amplitude 1 quantizes to 1 - 2^-m, so the flip is exact to pi 2^-m
-    assert np.abs(out.amplitudes + amps).max() <= np.pi * 2.0**-m
-    table = AmplitudeOracle(n, m, rng.uniform(0, 1, 8))
-    out2 = apply_relative_phase(s, table)
-    np.testing.assert_allclose(
-        out2.amplitudes, amps * np.exp(1j * np.pi * table.quantized), atol=1e-12
-    )
-
-
 def test_oracle_serialization_round_trip():
     rng = np.random.default_rng(9)
     c = random_oracle(rng, n=3, m=6)
@@ -262,6 +242,21 @@ def test_oracle_rejects_non_integer_sizes(n, m):
 def test_generators_and_with_bits_reject_non_integer_sizes(make):
     with pytest.raises(InputError):
         make()
+
+
+@pytest.mark.parametrize("x0", [True, False, 2.5, 1.0, np.float64(3.0), "1", -1, 8],
+                         ids=["bool-true", "bool-false", "float", "integral-float",
+                              "numpy-float", "str", "negative", "past-the-end"])
+def test_indicator_rejects_a_marked_item_that_is_not_an_integer_in_range(x0):
+    # True would otherwise index the whole table and mark every entry
+    with pytest.raises(InputError, match="marked item"):
+        AmplitudeOracle.indicator(3, x0, 8)
+
+
+@pytest.mark.parametrize("x0", [np.int64(5), np.uint8(5), np.int32(5)])
+def test_indicator_accepts_numpy_integer_marked_items(x0):
+    c = AmplitudeOracle.indicator(3, x0, 8)
+    assert np.flatnonzero(c.values).tolist() == [5]
 
 
 def test_numpy_integer_sizes_round_trip_through_text():

@@ -7,7 +7,13 @@ from numpy.polynomial import chebyshev as cheb
 
 from qsprep import blockenc, phases
 from qsprep._factor import complementary_q
-from qsprep.errors import CompletionError, ConditionError, InputError, PhaseFindingError
+from qsprep.errors import (
+    CompletionError,
+    ConditionError,
+    DegreeOverflowError,
+    InputError,
+    PhaseFindingError,
+)
 from qsprep.phases import (
     PhaseSequence,
     _prefix_rows,
@@ -17,7 +23,6 @@ from qsprep.phases import (
     phases_to_text,
     polynomial_from_phases,
     reconstruct,
-    reconstruct_matrix,
     real_target_phases,
 )
 from qsprep.pipeline import grover_case
@@ -67,27 +72,6 @@ def test_reconstruct_half_pi_pair():
     # independent product: realizes 1 - 2 x^2
     assert abs(product_matrix([np.pi / 2, np.pi / 2], 0.5)[0, 0] - 0.5) < 1e-14
     assert abs(reconstruct(phi, 0.5) - 0.5) < 1e-14
-
-
-def test_reconstruct_matrix_is_unitary():
-    rng = np.random.default_rng(4)
-    for _ in range(20):
-        phi = PhaseSequence(rng.uniform(-np.pi, np.pi, int(rng.integers(1, 9))))
-        x = rng.uniform(-1, 1)
-        m = reconstruct_matrix(phi, x)
-        np.testing.assert_allclose(m.conj().T @ m, np.eye(2), atol=1e-12)
-        assert abs(m[0, 0]) <= 1.0 + 1e-12
-
-
-def test_reconstruct_matrix_matches_product():
-    rng = np.random.default_rng(6)
-    for d in (0, 1, 2, 5, 16, 33, 60):
-        angles = rng.uniform(-np.pi, np.pi, d)
-        for x in (-1.0, -0.37, 0.0, 0.81, 1.0):
-            np.testing.assert_allclose(
-                reconstruct_matrix(PhaseSequence(angles), x), product_matrix(angles, x),
-                rtol=0, atol=1e-13,
-            )
 
 
 def test_prefix_rows_at_one_point_equal_the_array_rows():
@@ -304,6 +288,26 @@ def test_find_phases_degree_zero():
         find_phases(Polynomial([1j], parity="even"))
 
 
+@pytest.mark.parametrize("basis", ["chebyshev", "monomial"])
+def test_find_phases_refuses_a_degree_above_the_limit_before_any_grid(basis, monkeypatch):
+    from qsprep.polyapprox import MAX_DEGREE
+
+    d = MAX_DEGREE + 1
+    c = np.zeros(d + 1)
+    c[d] = 0.5
+    p = Polynomial(c, basis=basis, parity="odd")
+
+    def no_grid(*args):
+        raise AssertionError("a grid was built")
+
+    monkeypatch.setattr(phases, "_check_qsp_conditions", no_grid)
+    monkeypatch.setattr(phases, "_nodes", no_grid)
+    monkeypatch.setattr(cheb, "poly2cheb", no_grid)
+    with pytest.raises(DegreeOverflowError) as exc:
+        find_phases(p)
+    assert exc.value.needed == d
+
+
 def test_angle_normalization():
     phi = PhaseSequence([3 * np.pi, -np.pi, 0.5])
     assert np.all(phi.phases <= np.pi) and np.all(phi.phases > -np.pi)
@@ -351,7 +355,7 @@ def test_boundary_tangent_completion_contract(seed):
 
 
 # ---------------------------------------------------------------------------
-# half stripping of real targets
+# stripping real targets
 # ---------------------------------------------------------------------------
 
 def random_real_target(rng, d):
@@ -389,34 +393,30 @@ def count_stripped_levels(monkeypatch):
 # the degree-2329 sign target of grover_case(13, 5, 0.1, 0.05)
 SIGN_2329 = (0.0024859216854976273, 0.1)
 
+# residuals on the find_phases grid, rounded up, when only the top half of
+# the levels was stripped and the rest mirrored; peeling every level moves
+# them by a few rounding errors of the values, which are at most 1
+HALF_STRIP_RESIDUAL = {3: 5.80e-16, 4: 1.01e-15, 5: 1.41e-15, 6: 1.20e-15, 10: 1.74e-15,
+                       17: 5.00e-15, 30: 1.07e-14, 51: 3.24e-14, 64: 4.87e-14,
+                       97: 2.72e-13, 120: 1.14e-13, 2329: 2.25e-11}
 
-@pytest.mark.parametrize("d", [3, 4, 5, 6, 17, 30, 51, 64, 97, 120, 2329])
-def test_half_strip_matches_full_strip(d, monkeypatch):
+
+@pytest.mark.parametrize("d", sorted(HALF_STRIP_RESIDUAL))
+def test_real_target_full_strip_is_palindromic(d, monkeypatch):
     pr = sign_approx(*SIGN_2329) if d == 2329 else random_real_target(np.random.default_rng(d), d)
     comp = complete_to_complex(pr)
     assert comp.degree == d
-    half = find_phases(comp).phases
-    monkeypatch.setattr(phases, "_one_phase", lambda q: False)
-    full = find_phases(comp).phases
-    assert angle_gap(half, full) <= 1e-13
-    # phi_2 .. phi_d read the same backwards, the centre of an even d included
-    assert np.array_equal(half[1:], half[1:][::-1])
-
-
-@pytest.mark.parametrize("d", [4, 6, 10])
-def test_even_half_strip_strips_the_centre_angle(d, monkeypatch):
-    # the centre angle phi_{d/2 + 1} of an even d is its own mirror: the
-    # last level stripped, not filled in
-    comp = complete_to_complex(random_real_target(np.random.default_rng(d), d))
     levels = count_stripped_levels(monkeypatch)
     phi = find_phases(comp)
-    assert levels == [d // 2]
-    xs = cheb_nodes(4 * d)
-    assert np.abs(reconstruct(phi, xs) - evaluate(comp, xs)).max() <= 1e-13
+    assert levels == [d - 1]
+    xs = cheb_nodes(max(4 * d, 32))
+    assert np.abs(reconstruct(phi, xs) - evaluate(comp, xs)).max() <= HALF_STRIP_RESIDUAL[d] + 1e-15
+    # the completion's Q has one phase, so phi_2 .. phi_d read the same
+    # backwards, the centre of an even d included
+    assert angle_gap(phi.phases[1:], phi.phases[1:][::-1]) <= 1e-13
 
 
-def test_extended_precision_half_strip_matches_double(monkeypatch):
-    # the extended-precision attempt strips the hinted (real) Q in half too
+def test_extended_precision_strip_matches_double(monkeypatch):
     import mpmath as mp
 
     from qsprep import _factor
@@ -428,7 +428,7 @@ def test_extended_precision_half_strip_matches_double(monkeypatch):
     with mp.workdps(_factor.strip_dps(d)):
         exact = phases._strip(_factor.to_mp(c), _factor.to_mp(q))[0]
     double = phases._strip(c, q)[0]
-    assert levels == [d // 2, d // 2]
+    assert levels == [d - 1, d - 1]
     assert angle_gap(exact, double) <= 1e-13
 
 
@@ -438,7 +438,6 @@ def test_complex_complement_takes_the_full_strip(monkeypatch):
     target = polynomial_from_phases(PhaseSequence(random_restricted_phases(rng, d)))
     c = target.coefficients[: d + 1]
     assert phases._completion_q(c) is None  # no completion of its real part
-    assert not phases._one_phase(complementary_q(c))
     levels = count_stripped_levels(monkeypatch)
     phi = find_phases(target)
     assert levels == [d - 1]
@@ -446,16 +445,14 @@ def test_complex_complement_takes_the_full_strip(monkeypatch):
     assert np.abs(reconstruct(phi, xs) - evaluate(target, xs)).max() <= 1e-7
 
 
-def test_pipeline_solves_strip_the_top_half(monkeypatch):
-    # a real target is completed with a real Q, so each solve strips
-    # ceil((d - 1) / 2) of the d - 1 levels and mirrors the rest
+def test_pipeline_solve_strips_every_level(monkeypatch):
     blockenc._encoding.cache_clear()
     phases._memo.cache_clear()
     levels = count_stripped_levels(monkeypatch)
     rep = grover_case(4, 11, 0.1, 0.05)
     # the arcsin target is the pipeline's only solve; the amplifier's angles
     # are closed-form
-    assert levels == [-(-(rep.degrees[0] - 1) // 2)]
+    assert levels == [rep.degrees[0] - 1]
     assert all(c.passed for c in rep.bound_checks)
 
 

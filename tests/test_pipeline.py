@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from qsprep import blockenc, pipeline
-from qsprep.errors import InfeasibleError
+from qsprep.errors import InfeasibleError, InputError
 from qsprep.oracle import AmplitudeOracle
 from qsprep.phases import _memo
 from qsprep.pipeline import (
@@ -128,6 +128,10 @@ def test_grover_past_sign_degree_2000():
 def test_grover_rejects_out_of_range():
     with pytest.raises(ValueError):
         grover_case(2, 4, delta=0.1, epsilon=0.05)
+    # True is not item 1: as an index it would mark all 8 entries and
+    # prepare the uniform state
+    with pytest.raises(InputError, match="marked item"):
+        grover_case(3, True, delta=0.1, epsilon=0.05)
 
 
 def test_sweep_empty_spec():

@@ -20,7 +20,6 @@ from qsprep.polyapprox import (
     poly_to_text,
     sign_approx,
     to_chebyshev,
-    to_monomial,
 )
 
 
@@ -107,7 +106,7 @@ def test_arcsin_series_built_once_equals_the_loop(eps, delta):
     for _ in range(2):
         p = arcsin_taylor(eps, delta)
         assert p.coefficients.tobytes() == want.tobytes()
-        assert to_chebyshev(p).coefficients.tobytes() == polyapprox.mono2cheb(want).tobytes()
+        assert to_chebyshev(p).coefficients.tobytes() == cheb.poly2cheb(want).tobytes()
     assert not p.coefficients.flags.writeable
     assert not to_chebyshev(p).coefficients.flags.writeable
     assert "chebyshev" not in to_chebyshev(p).meta
@@ -117,9 +116,9 @@ def test_warm_arcsin_target_converts_nothing(monkeypatch):
     arcsin_taylor(1e-4, 0.29)
 
     def no_conversion(c):
-        raise AssertionError("mono2cheb called")
+        raise AssertionError("poly2cheb called")
 
-    monkeypatch.setattr(polyapprox, "mono2cheb", no_conversion)
+    monkeypatch.setattr(polyapprox.cheb, "poly2cheb", no_conversion)
     e = chebyshev_economize(arcsin_taylor(1e-4, 0.29), 1e-6)
     assert e.basis == "chebyshev" and e.parity == "odd"
 
@@ -213,29 +212,6 @@ def test_sign_coefficients_equal_the_term_loop(Delta, delta):
     ref = loop_sign_coefficients(Delta, delta, p.degree)
     assert p.coefficients.size == ref.size
     assert np.all(p.coefficients == ref)
-
-
-def mono2cheb_cases():
-    rng = np.random.default_rng(12)
-    cases = [pytest.param(arcsin_taylor(eps, delta).coefficients, id=f"arcsin-d{d}")
-             for eps, delta, d in ((0.1, 0.05, 7), (1e-3, 0.1, 23), (1e-6, 0.05, 141))]
-    for n in (1, 2, 5, 30, 61):
-        c = rng.standard_normal(n) + 1j * rng.standard_normal(n)
-        cases.append(pytest.param(c, id=f"complex-{n}"))
-    c[-4:] = 0
-    cases.append(pytest.param(c, id="trailing-zeros"))
-    cases.append(pytest.param(np.zeros(6), id="zero"))
-    # x^1200 / 2^1199 underflows: the running series loses its top terms
-    cases.append(pytest.param(np.r_[np.zeros(1200), 1e-300], id="underflow"))
-    return cases
-
-
-@pytest.mark.parametrize("c", mono2cheb_cases())
-def test_mono2cheb_equals_poly2cheb(c):
-    got = polyapprox.mono2cheb(c)
-    want = cheb.poly2cheb(np.asarray(c, dtype=complex))
-    assert got.dtype == want.dtype and got.shape == want.shape
-    assert np.all(got == want)
 
 
 # ---------------------------------------------------------------------------
@@ -409,7 +385,7 @@ def test_basis_round_trip_random_degree_50():
     for _ in range(5):
         c = rng.standard_normal(51) + 1j * rng.standard_normal(51)
         p = Polynomial(c)
-        back = to_monomial(to_chebyshev(p))
+        back = Polynomial(cheb.cheb2poly(to_chebyshev(p).coefficients))
         xs = np.linspace(-1, 1, 200)
         np.testing.assert_allclose(
             evaluate(back, xs), evaluate(p, xs), rtol=1e-12, atol=1e-12

@@ -7,18 +7,14 @@ from qsprep.simulator import (
     RegisterLayout,
     StateVector,
     apply,
-    apply_circuit,
     circuit_unitary,
     cphase,
     controlled,
     fidelity,
     hadamard,
     op_dist,
-    pauli_x,
     pauli_y,
-    phase_gate,
     project_measure,
-    projector_phase,
     spectral_norm,
     state_dist,
     unitary_gate,
@@ -43,7 +39,7 @@ def test_pauli_y_on_zero():
 
 def test_controlled_phase_acts_only_on_11():
     layout = single(2)
-    s = apply_circuit([hadamard(0), hadamard(1)], StateVector.zero_state(layout))
+    s = apply(hadamard(1), apply(hadamard(0), StateVector.zero_state(layout)))
     out = apply(cphase(0, 1, 0.7), s)
     expected = s.amplitudes.copy()
     expected[3] *= np.exp(0.7j)
@@ -56,7 +52,9 @@ def test_gate_norm_preservation():
     amps = rng.standard_normal(16) + 1j * rng.standard_normal(16)
     amps /= np.linalg.norm(amps)
     s = StateVector(amps, layout)
-    for gate in (hadamard(2), pauli_x(0), cphase(1, 3, 1.1), phase_gate(2, -0.4)):
+    pauli_x = unitary_gate((0,), np.array([[0, 1], [1, 0]]), "X")
+    phase = unitary_gate((2,), np.diag([1.0, np.exp(-0.4j)]), "PHASE")
+    for gate in (hadamard(2), pauli_x, cphase(1, 3, 1.1), phase):
         s = apply(gate, s)
     assert abs(s.norm() - 1.0) < 1e-12
 
@@ -67,37 +65,6 @@ def test_apply_rejects_bad_targets():
         apply(hadamard(2), s)
     with pytest.raises(DimensionError):
         apply(cphase(1, 1, 0.3), s)
-
-
-def test_projector_phase_trivial_projectors():
-    layout = single(1)
-    s = apply(hadamard(0), StateVector.zero_state(layout))
-    full = Projector.from_diag_mask(np.array([True, True]))
-    none = Projector.from_diag_mask(np.array([False, False]))
-    out_full = projector_phase(full, 0.9, s)
-    out_none = projector_phase(none, 0.9, s)
-    np.testing.assert_allclose(out_full.amplitudes, np.exp(0.9j) * s.amplitudes, atol=1e-15)
-    np.testing.assert_allclose(out_none.amplitudes, np.exp(-0.9j) * s.amplitudes, atol=1e-15)
-
-
-def test_projector_phase_half_pi_on_plus():
-    s = apply(hadamard(0), StateVector.zero_state(single(1)))
-    proj = Projector.from_diag_mask(np.array([True, False]))
-    out = projector_phase(proj, np.pi / 2, s)
-    np.testing.assert_allclose(out.amplitudes, [1j / RT2, -1j / RT2], atol=1e-15)
-
-
-def test_projector_phase_matches_reflection_matrix():
-    rng = np.random.default_rng(11)
-    layout = single(3)
-    amps = rng.standard_normal(8) + 1j * rng.standard_normal(8)
-    amps /= np.linalg.norm(amps)
-    s = StateVector(amps, layout)
-    v = rng.standard_normal(8) + 1j * rng.standard_normal(8)
-    proj = Projector.from_vector(v)
-    out = projector_phase(proj, np.pi / 2, s)
-    mat = 1j * (2 * proj.matrix - np.eye(8))
-    np.testing.assert_allclose(out.amplitudes, mat @ amps, atol=1e-12)
 
 
 def test_project_measure_plus_state():
@@ -156,7 +123,9 @@ def test_circuit_unitary_matches_sequential_apply():
         amps = rng.standard_normal(2**q) + 1j * rng.standard_normal(2**q)
         amps /= np.linalg.norm(amps)
         s = StateVector(amps, layout)
-        seq = apply_circuit(gates, s)
+        seq = s
+        for g in gates:
+            seq = apply(g, seq)
         np.testing.assert_allclose(u.entries @ amps, seq.amplitudes, atol=1e-12)
 
 
@@ -208,9 +177,8 @@ def test_state_norm_guard():
 def test_layout_helpers():
     layout = RegisterLayout((("anc", 2), ("data", 3)))
     assert layout.num_qubits == 5
-    assert layout.offset("data") == 2
-    assert layout.qubits("anc") == (0, 1)
-    assert layout.width("data") == 3
+    assert layout.dim == 32
+    assert RegisterLayout.single(3).dim == 8
 
 
 def test_circuit_unitary_qubit_limit():
