@@ -396,8 +396,7 @@ SIGN_2329 = (0.0024859216854976273, 0.1)
 # residuals on the find_phases grid, rounded up, when only the top half of
 # the levels was stripped and the rest mirrored; peeling every level moves
 # them by a few rounding errors of the values, which are at most 1
-HALF_STRIP_RESIDUAL = {3: 5.80e-16, 4: 1.01e-15, 5: 1.41e-15, 6: 1.20e-15, 10: 1.74e-15,
-                       17: 5.00e-15, 30: 1.07e-14, 51: 3.24e-14, 64: 4.87e-14,
+HALF_STRIP_RESIDUAL = {3: 5.80e-16, 4: 1.01e-15, 5: 1.41e-15, 6: 1.20e-15, 17: 5.00e-15, 30: 1.07e-14, 51: 3.24e-14, 64: 4.87e-14,
                        97: 2.72e-13, 120: 1.14e-13, 2329: 2.25e-11}
 
 
@@ -414,6 +413,18 @@ def test_real_target_full_strip_is_palindromic(d, monkeypatch):
     # the completion's Q has one phase, so phi_2 .. phi_d read the same
     # backwards, the centre of an even d included
     assert angle_gap(phi.phases[1:], phi.phases[1:][::-1]) <= 1e-13
+
+
+@pytest.mark.parametrize("d", [4, 6, 10])
+def test_even_degree_strip_peels_the_centre_angle(d, monkeypatch):
+    # the centre angle phi_{d/2 + 1} of an even d, its own mirror, is peeled
+    # like every other level, not left over
+    comp = complete_to_complex(random_real_target(np.random.default_rng(d), d))
+    levels = count_stripped_levels(monkeypatch)
+    phi = find_phases(comp)
+    assert levels == [d - 1]
+    xs = cheb_nodes(4 * d)
+    assert np.abs(reconstruct(phi, xs) - evaluate(comp, xs)).max() <= 1e-13
 
 
 def test_extended_precision_strip_matches_double(monkeypatch):
