@@ -75,7 +75,6 @@ from .polyapprox import (
     poly_from_text,
     poly_to_text,
     sign_approx,
-    to_chebyshev,
 )
 from .simulator import (
     GateSpec,

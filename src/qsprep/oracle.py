@@ -258,11 +258,6 @@ def target_state(c: AmplitudeOracle) -> StateVector:
     g = gamma(c, use_exact=True)
     if g <= 0.0:
         raise InfeasibleError("all amplitudes vanish; the target state is undefined")
-    return _target(c, g)
-
-
-def _target(c: AmplitudeOracle, g: float) -> StateVector:
-    """``target_state`` for a caller that already has g = gamma(c, use_exact=True) > 0."""
     amps = c.values / np.sqrt(c.size * g)
     return StateVector(amps.astype(complex), RegisterLayout.single(c.n, "data"))
 

@@ -36,7 +36,10 @@ level on the ``qsprep.phases`` logger.
 The pipeline reaches both steps through ``real_target_phases``, which
 completes a real target and finds its angles once per process: the angles
 are memoized on the target's exact Chebyshev coefficients, which many
-preparations share (the arcsin target is cut from one fixed series).
+preparations share (the arcsin target is cut from one fixed series). The
+completion's Q is not passed along; ``find_phases`` recomputes it from the
+completed P (``_completion_q``), 0.1-0.3 ms at the arcsin degrees, paid
+once per target.
 
 Note on conventions: other codebases often parameterize the ansatz with the
 x-rotation W(x) instead of the reflection R(x); the two differ by a pi/2
@@ -69,7 +72,6 @@ from .polyapprox import (
     _check_qsp_conditions,
     complete_to_complex,
     evaluate,
-    to_chebyshev,
 )
 
 log = logging.getLogger(__name__)
@@ -195,7 +197,7 @@ def polynomial_from_phases(phi: PhaseSequence) -> Polynomial:
     parity = "even" if d % 2 == 0 else "odd"
     off = 1 if parity == "even" else 0
     out[off::2] = 0.0
-    return Polynomial(out, basis="chebyshev", parity=parity)
+    return Polynomial(out, parity)
 
 
 # ---------------------------------------------------------------------------
@@ -314,21 +316,22 @@ def _polish(phi0: np.ndarray, xs: np.ndarray, target: np.ndarray) -> np.ndarray:
     return least_squares(resid, phi0, jac=jac, method="lm", max_nfev=2000).x
 
 
-def _strip_extended(c: np.ndarray, q_hint, xs: np.ndarray, target: np.ndarray, trigger: str):
+def _strip_extended(c: np.ndarray, q_comp, xs: np.ndarray, target: np.ndarray, trigger: str):
     """Extended-precision stripping at ``_factor.strip_dps`` digits.
 
-    Q is the hint first when there is one, then ``_factor.complementary_q``
-    of P at the same digits. More digits buy nothing: on hint-less
-    random-angle polynomials up to degree 160, attempts at 1.7 and 2.89
-    times as many digits reach the same residual as the first. Returns
-    (angles, residual) of the last attempt that did not raise (None when
-    every attempt raised); stops once the residual meets ``TOL``.
+    Q is the completion's (``q_comp``) first when there is one, then
+    ``_factor.complementary_q`` of P at the same digits. More digits buy
+    nothing: on hint-less random-angle polynomials up to degree 160,
+    attempts at 1.7 and 2.89 times as many digits reach the same residual
+    as the first. Returns (angles, residual) of the last attempt that did
+    not raise (None when every attempt raised); stops once the residual
+    meets ``TOL``.
     """
     d = len(c) - 1
     dps, found = _factor.strip_dps(d), None
     # completions produce the stable (inside-disk) factor, for which
     # double-precision consistency suffices
-    sources = [None] if q_hint is None else [q_hint, None]  # None: Q from P
+    sources = [None] if q_comp is None else [q_comp, None]  # None: Q from P
     for attempt, q_source in enumerate(sources, 1):
         log.debug("degree %d: extended precision, attempt %d at %d digits, after %s",
                   d, attempt, dps, trigger)
@@ -350,10 +353,10 @@ def _strip_extended(c: np.ndarray, q_hint, xs: np.ndarray, target: np.ndarray, t
 def _completion_q(c: np.ndarray):
     """Q of the completion of Re P when that completion is P, else None.
 
-    The completion of a real P_R is unique (``_factor.complete_real``), so a
-    completion that lost ``meta["q_cheb"]``, as one read back from a file
-    does, gets its Q again by FFT when the recomputed P_I matches Im P to
-    1e-9.
+    The completion of a real P_R is unique and computed deterministically
+    (``_factor.complete_real``), so the Q recomputed here by FFT is the one
+    ``complete_to_complex`` found, whether P comes from it in this process
+    or from a file. It is used when the recomputed P_I matches Im P to 1e-9.
     """
     try:
         p_i, q = _factor.complete_real(c.real)
@@ -372,50 +375,42 @@ def find_phases(p: Polynomial) -> PhaseSequence:
     ConditionError). The reconstruction residual on a Chebyshev grid of
     max(4 * degree, 32) points must meet ``TOL``.
 
-    Stripping needs the complementary series Q. A completion attaches it in
-    ``meta["q_cheb"]``; without it, Q is the completion's when Re P
-    completes to P (``_completion_q``), and is computed from P alone
+    Stripping needs the complementary series Q. It is the completion's when
+    Re P completes to P (``_completion_q``), and is computed from P alone
     otherwise (``_factor.complementary_q``).
 
     The route is fixed. Strip in double precision; if that raises, drops
     coefficient mass above 1e-10 or leaves a residual above 1e-9, strip in
-    extended precision at ``_factor.strip_dps`` digits (with the hinted Q,
-    then with Q computed from P); if the best candidate still exceeds that
-    residual, polish it once by least squares (from zeros when no stripping
-    produced angles). The candidate with the smallest residual is returned.
+    extended precision at ``_factor.strip_dps`` digits (with the
+    completion's Q, then with Q computed from P); if the best candidate
+    still exceeds that residual, polish it once by least squares (from
+    zeros when no stripping produced angles). The candidate with the smallest residual is returned.
 
     A degree above ``MAX_DEGREE`` raises DegreeOverflowError, with the
     degree in ``needed``, before any grid is built. Raises
     PhaseFindingError with the residual when no route reaches ``TOL``.
     """
-    if p.degree > MAX_DEGREE:  # in the basis given, before converting
-        raise DegreeOverflowError(
-            f"degree {p.degree} exceeds max {MAX_DEGREE}", needed=p.degree
-        )
-    pc = to_chebyshev(p)
-    _check_qsp_conditions(pc)
-    d = pc.degree
+    d = p.degree
+    if d > MAX_DEGREE:
+        raise DegreeOverflowError(f"degree {d} exceeds max {MAX_DEGREE}", needed=d)
+    _check_qsp_conditions(p)
     if d == 0:
-        val = complex(pc.coefficients[0])
+        val = complex(p.coefficients[0])
         if not abs(val - 1.0) <= 1e-8:
             raise ConditionError("only the constant 1 is realizable with zero angles")
         return PhaseSequence(np.zeros(0))
-    c = pc.coefficients[: d + 1].copy()
+    c = p.coefficients[: d + 1].copy()
     xs = _nodes(max(4 * d, 32))
-    target = np.asarray(evaluate(pc, xs), dtype=complex)
+    target = np.asarray(evaluate(p, xs), dtype=complex)
 
     # recomputing Q from P alone is possible but maximally ill-conditioned
     # (all roots double)
-    hint = pc.meta.get("q_cheb") if pc.meta else None
-    if hint is not None and len(np.atleast_1d(hint)) == d:
-        q_hint = np.asarray(hint, dtype=complex)
-    else:
-        q_hint = _completion_q(c)
+    q_comp = _completion_q(c)
 
     good = 1e-9
     candidates: list[tuple[np.ndarray, float]] = []  # (angles, residual)
     try:
-        q = q_hint if q_hint is not None else _factor.complementary_q(c)
+        q = q_comp if q_comp is not None else _factor.complementary_q(c)
         phis, drop = _strip(c, q)
         candidates.append(_align(phis, xs, target))
         res = candidates[-1][1]
@@ -425,7 +420,7 @@ def find_phases(p: Polynomial) -> PhaseSequence:
     except (PhaseFindingError, CompletionError) as exc:
         degraded, trigger = True, f"{type(exc).__name__}: {exc}"
     if degraded:
-        found = _strip_extended(c, q_hint, xs, target, trigger)
+        found = _strip_extended(c, q_comp, xs, target, trigger)
         if found is not None:
             candidates.append(found)
 
@@ -459,12 +454,12 @@ def real_target_phases(p_r: Polynomial) -> PhaseSequence:
     and exceptions are not cached. Every caller gets the same read-only
     ``PhaseSequence``.
     """
-    return _memo(to_chebyshev(p_r).coefficients.tobytes())
+    return _memo(p_r.coefficients.tobytes())
 
 
 @functools.lru_cache(maxsize=_MEMO_SIZE)
 def _memo(key: bytes) -> PhaseSequence:
     # both steps are looked up as module globals, so wrappers put around
     # them (such as a tracer's) still see every miss
-    comp = complete_to_complex(Polynomial(np.frombuffer(key, dtype=complex), "chebyshev"))
+    comp = complete_to_complex(Polynomial(np.frombuffer(key, dtype=complex)))
     return find_phases(comp)

@@ -24,8 +24,8 @@ import numpy as np
 from .amplifier import AmplificationPlan, amplify_state, plan_amplification
 from .blockenc import LevelEncoding, check_engine_size, hamiltonian_from_unitary
 from .errors import InfeasibleError, InputError, QsprepError
-from .oracle import MAX_BITS, AmplitudeOracle, _is_int, _target, gamma
-from .simulator import RegisterLayout, StateVector, fidelity, state_dist
+from .oracle import MAX_BITS, AmplitudeOracle, _is_int, gamma
+from .simulator import RegisterLayout, StateVector
 
 SWEEP_COLUMNS = [
     "n",
@@ -127,8 +127,10 @@ class _RunResult:
     gamma_realized: float
     eps_measured: float
     realized_amplitudes: np.ndarray
-    realized_state: StateVector
-    target: StateVector
+    # the realized and target states as plain amplitude arrays: only their
+    # distance and overlap are read
+    realized_state: np.ndarray
+    target: np.ndarray
     oracle_calls: int
     classes: int
 
@@ -201,8 +203,7 @@ def _execute(cfg: PrepConfig) -> _RunResult:
     overlap = complex(counts @ (realized_level * data_level))
     if abs(overlap) > 1e-12:  # remove the global phase
         data_level = data_level * (overlap.conjugate() / abs(overlap))
-    layout_n = RegisterLayout.single(oracle.n, "data")
-    final = StateVector(data_level[inverse], layout_n)
+    final = StateVector(data_level[inverse], RegisterLayout.single(oracle.n, "data"))
 
     # each use of C or its adjoint runs every transform layer, and each layer
     # queries the controlled phase unitary and its adjoint (both select
@@ -221,8 +222,8 @@ def _execute(cfg: PrepConfig) -> _RunResult:
         gamma_realized=g_realized,
         eps_measured=eps_measured,
         realized_amplitudes=c_realized,
-        realized_state=StateVector(realized_level.astype(complex)[inverse], layout_n),
-        target=_target(oracle, g_exact),
+        realized_state=realized_level.astype(complex)[inverse],
+        target=(oracle.values / np.sqrt(size * g_exact)).astype(complex),
         oracle_calls=oracle_calls,
         classes=levels.size,
     )
@@ -230,8 +231,8 @@ def _execute(cfg: PrepConfig) -> _RunResult:
 
 def _base_report(run: _RunResult) -> PrepReport:
     cfg = run.config
-    fid = fidelity(run.final_state, run.target)
-    err = state_dist(run.final_state, run.target)
+    fid = float(abs(np.vdot(run.final_state.amplitudes, run.target)))
+    err = float(np.linalg.norm(run.final_state.amplitudes - run.target))
     d_a, d_s = run.encoding.info["arcsin_degree"], run.plan.rounds
     checks = [
         BoundCheck.le("final_error_le_epsilon", err, cfg.epsilon),
@@ -312,7 +313,7 @@ def _bound_report(run: _RunResult) -> PrepReport:
         checks.append(
             BoundCheck.le(
                 "state_dist_le_3eps_over_gamma",
-                state_dist(run.realized_state, run.target),
+                float(np.linalg.norm(run.realized_state - run.target)),
                 bound,
                 slack=1e-10,
             )

@@ -1,5 +1,9 @@
 """Polynomial approximants and the real-to-complex completion.
 
+Every polynomial is a Chebyshev series with a parity (``Polynomial``), and
+files hold the same coefficients. The arcsin Taylor series is converted
+once per degree, by numpy's ``poly2cheb``, when it is first built.
+
 Provides the truncated arcsin Taylor series, an erf-based approximant of the
 sign function with closed-form Chebyshev coefficients, and the spectral
 factorization that equips a bounded real polynomial with the imaginary part
@@ -11,8 +15,9 @@ series' N values are one DCT-I of its coefficients, a real FFT of their
 even extension (``lobatto_values``):
 the completion's sup, identity-residual and drift checks (N = max(4001,
 4d + 1)) and the on-interval bound of ``_check_qsp_conditions`` (N =
-max(2001, 4d + 1)). The grids grow with the degree d because a fixed one
-is blind: (1 - x^2) U_{n-1} vanishes on every point of the n + 1-point
+max(2001, 4d + 1)), next to the exact endpoint values P(1) = sum c_k and
+P(-1) = sum (-1)^k c_k. The grids grow with the degree d because a fixed
+one is blind: (1 - x^2) U_{n-1} vanishes on every point of the n + 1-point
 grid. The off-interval and imaginary-axis samples of
 ``_check_qsp_conditions`` are evaluated in scaled form, e^{-dt} P(x) for
 |x + sqrt(x^2 - 1)| = e^t, which cannot overflow at any degree, and
@@ -28,11 +33,10 @@ All operations are pure functions over immutable values.
 from __future__ import annotations
 
 import functools
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 from numpy.polynomial import chebyshev as cheb
-from numpy.polynomial import polynomial as mono
 
 from . import _factor
 from .errors import CompletionError, ConditionError, DegreeOverflowError, InputError
@@ -43,23 +47,18 @@ MAX_DEGREE = 10_000  # largest degree any approximant or completion may reach
 
 @dataclass(frozen=True)
 class Polynomial:
-    """Coefficient vector with basis and parity.
+    """Chebyshev series with a parity.
 
-    ``coefficients[k]`` multiplies x^k (monomial basis) or T_k (chebyshev
-    basis). A declared parity requires the cross-parity coefficients to
-    vanish to 1e-12.
+    ``coefficients[k]`` multiplies T_k. A declared parity requires the
+    cross-parity coefficients to vanish to 1e-12.
     """
 
     coefficients: np.ndarray
-    basis: str = "monomial"
     parity: str = "none"
-    meta: dict = field(default_factory=dict, compare=False)
 
     def __post_init__(self):
         c = np.ascontiguousarray(np.atleast_1d(np.asarray(self.coefficients, dtype=complex)))
         object.__setattr__(self, "coefficients", c)
-        if self.basis not in ("monomial", "chebyshev"):
-            raise ValueError(f"unknown basis {self.basis!r}")
         if self.parity not in ("even", "odd", "none"):
             raise ValueError(f"unknown parity {self.parity!r}")
         if self.parity != "none":
@@ -92,13 +91,8 @@ def detect_parity(coeffs: np.ndarray, tol: float = COEFF_TOL) -> str:
 
 
 def evaluate(p: Polynomial, x):
-    """Numerically stable evaluation: Clenshaw for Chebyshev, Horner otherwise.
-
-    Accepts scalars or arrays, real or complex.
-    """
-    if p.basis == "chebyshev":
-        return cheb.chebval(x, p.coefficients)
-    return mono.polyval(x, p.coefficients)
+    """Values by Clenshaw's recurrence; accepts scalars or arrays, real or complex."""
+    return cheb.chebval(x, p.coefficients)
 
 
 def lobatto_values(c: np.ndarray, n: int) -> np.ndarray:
@@ -132,39 +126,24 @@ def lobatto_values(c: np.ndarray, n: int) -> np.ndarray:
     return out
 
 
-def to_chebyshev(p: Polynomial) -> Polynomial:
-    """The same polynomial in the Chebyshev basis.
-
-    A monomial polynomial whose ``meta["chebyshev"]`` holds its Chebyshev
-    coefficients (``arcsin_taylor`` attaches them) is not converted again;
-    any other is converted by ``numpy.polynomial.chebyshev.poly2cheb``.
-    """
-    if p.basis == "chebyshev":
-        return p
-    meta = dict(p.meta)
-    c = meta.pop("chebyshev", None)
-    return Polynomial(cheb.poly2cheb(p.coefficients) if c is None else c, "chebyshev", p.parity, meta)
-
-
 def chebyshev_economize(p: Polynomial, budget: float) -> Polynomial:
     """Truncate the Chebyshev tail, spending at most ``budget`` in sup norm."""
-    pc = to_chebyshev(p)
-    c = pc.coefficients.copy()
+    c = p.coefficients.copy()
     mags = np.abs(c)
     spent, keep = 0.0, len(c)
     while keep > 1 and spent + mags[keep - 1] <= budget:
         spent += mags[keep - 1]
         keep -= 1
     c = c[:keep]
-    if pc.parity != "none":
-        off = 1 if pc.parity == "even" else 0
+    if p.parity != "none":
+        off = 1 if p.parity == "even" else 0
         c[off::2] = 0.0
-    return Polynomial(c, "chebyshev", pc.parity, dict(pc.meta))
+    return Polynomial(c, p.parity)
 
 
 def poly_to_text(p: Polynomial) -> str:
-    """Serialize: header `basis parity degree`, then one `re im` per coefficient."""
-    lines = [f"{p.basis} {p.parity} {p.degree}"]
+    """Serialize: header `chebyshev parity degree`, then one `re im` per coefficient."""
+    lines = [f"chebyshev {p.parity} {p.degree}"]
     for c in p.coefficients[: p.degree + 1]:
         lines.append(f"{c.real:.17g} {c.imag:.17g}")
     return "\n".join(lines) + "\n"
@@ -173,13 +152,15 @@ def poly_to_text(p: Polynomial) -> str:
 def poly_from_text(text: str) -> Polynomial:
     """Parse ``poly_to_text`` output; a malformed file raises InputError.
 
-    The header must name a basis, a parity and a degree d >= 0, and exactly
-    d + 1 lines of two finite numbers must follow.
+    The header must be `chebyshev`, a parity and a degree d >= 0, and
+    exactly d + 1 lines of two finite numbers must follow.
     """
     lines = [ln.split() for ln in text.strip().splitlines() if ln.strip()]
     if not lines or len(lines[0]) != 3:
-        raise InputError("polynomial file needs a header `basis parity degree`")
-    basis, parity, deg = lines[0]
+        raise InputError("polynomial file needs a header `chebyshev parity degree`")
+    kind, parity, deg = lines[0]
+    if kind != "chebyshev":
+        raise InputError(f"polynomial files hold Chebyshev coefficients, not {kind!r} ones")
     if not deg.isdecimal():
         raise InputError(f"polynomial degree must be an integer >= 0, got {deg!r}")
     deg = int(deg)
@@ -197,7 +178,7 @@ def poly_from_text(text: str) -> Polynomial:
             raise InputError(f"coefficient {k} is not two finite numbers: {' '.join(parts)!r}")
         coeffs[k] = re + 1j * im
     try:
-        return Polynomial(coeffs, basis, parity)
+        return Polynomial(coeffs, parity)
     except ValueError as exc:
         raise InputError(f"malformed polynomial file: {exc}") from exc
 
@@ -208,9 +189,9 @@ def arcsin_taylor(epsilon: float, delta: float) -> Polynomial:
     Coefficient of x^(2k+1) is binom(2k, k) / (pi * 4^k * (2k+1)); terms are
     kept until the geometric tail bound at |x| = 1 - delta drops below
     epsilon. The resulting degree grows like (1/delta) * log(1/epsilon).
-    The series cut at each degree, and its Chebyshev coefficients, are built
-    once per process (``_arcsin_series``) and carried in ``meta["chebyshev"]``,
-    so a call only finds the degree.
+    The Chebyshev coefficients of the series cut at each degree are built
+    once per process (``_arcsin_series``) and returned read-only, so a call
+    only finds the degree.
     """
     if not 0 < epsilon < 1 or not 0 < delta < 1:
         raise ValueError("epsilon and delta must lie in (0, 1)")
@@ -229,10 +210,9 @@ def arcsin_taylor(epsilon: float, delta: float) -> Polynomial:
                 f"(roughly {2 * k + 1}) for epsilon={epsilon}, delta={delta}",
                 needed=2 * k + 1,
             )
-    coeffs, chebyshev = _arcsin_series(2 * k + 1)
     # the terms are positive and sum to at most arcsin(1)/pi = 1/2 at x = 1,
     # so |P| < 1 on [-1, 1] and no rescale is needed
-    return Polynomial(coeffs, "monomial", "odd", {"chebyshev": chebyshev})
+    return Polynomial(_arcsin_series(2 * k + 1), "odd")
 
 
 def _next_arcsin_term(term: float, k: int) -> float:
@@ -242,16 +222,16 @@ def _next_arcsin_term(term: float, k: int) -> float:
 
 # arcsin series kept built, each one degree's O(d) coefficients
 @functools.lru_cache(maxsize=64)
-def _arcsin_series(degree: int) -> tuple[np.ndarray, np.ndarray]:
-    """Read-only monomial and Chebyshev coefficients of the series cut at ``degree``."""
+def _arcsin_series(degree: int) -> np.ndarray:
+    """Read-only Chebyshev coefficients of the series cut at ``degree``."""
     terms = [1.0 / np.pi]
     for k in range((degree - 1) // 2):
         terms.append(_next_arcsin_term(terms[-1], k))
     coeffs = np.zeros(degree + 1, dtype=complex)
-    coeffs[1::2] = terms
+    coeffs[1::2] = terms  # of x^(2k+1)
     chebyshev = cheb.poly2cheb(coeffs)
-    coeffs.flags.writeable = chebyshev.flags.writeable = False
-    return coeffs, chebyshev
+    chebyshev.flags.writeable = False
+    return chebyshev
 
 
 def sign_approx(Delta: float, delta: float) -> Polynomial:
@@ -302,7 +282,7 @@ def sign_approx(Delta: float, delta: float) -> Polynomial:
     coeffs[1:-2:2] -= terms[1:] / odd[:-1]
     scale = 1.0 / (1.0 + delta / 4.0)
     coeffs *= scale
-    return Polynomial(coeffs, basis="chebyshev", parity="odd")
+    return Polynomial(coeffs, "odd")
 
 
 def _scaled_values(c: np.ndarray, xs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -319,24 +299,28 @@ def _scaled_values(c: np.ndarray, xs: np.ndarray) -> tuple[np.ndarray, np.ndarra
     t, w = np.log(np.abs(zeta)), zeta / np.abs(zeta)
     d = len(c) - 1
     k = np.arange(d + 1)[:, None]
-    basis = (w**k * np.exp((k - d) * t) + w**-k * np.exp(-(k + d) * t)) / 2
-    return basis.T @ c, d * t
+    scaled_t = (w**k * np.exp((k - d) * t) + w**-k * np.exp(-(k + d) * t)) / 2
+    return scaled_t.T @ c, d * t
 
 
 def _check_qsp_conditions(p: Polynomial) -> None:
-    """Conditions the reflection ansatz requires, checked at sample points to 1e-8."""
+    """Conditions the reflection ansatz requires, checked to 1e-8 at x = +-1 and at samples."""
     tol = 1e-8
-    pc = to_chebyshev(p)
-    c = pc.coefficients
+    c = p.coefficients
     if not np.isfinite(c).all():
         raise ConditionError("polynomial has a non-finite coefficient")
-    d = pc.degree
+    d = p.degree
     want = "even" if d % 2 == 0 else "odd"
     if detect_parity(c[: d + 1], max(COEFF_TOL, tol)) != want:
         raise ConditionError(f"polynomial of degree {d} lacks parity {d % 2}")
     vals = np.abs(lobatto_values(c, max(2001, 4 * d + 1)))
     if not vals.max() <= 1.0 + tol:
         raise ConditionError(f"|P| reaches {vals.max():.12f} > 1 on [-1, 1]")
+    # R(+-1) is diagonal, so the ansatz has |P(+-1)| = 1: P(1) = sum c_k and
+    # P(-1) = sum (-1)^k c_k
+    for x, v in ((1, c.sum()), (-1, c[0::2].sum() - c[1::2].sum())):
+        if not abs(abs(v) - 1.0) <= tol:
+            raise ConditionError(f"|P({x})| = {abs(v):.12f}, not 1")
     outside = np.array([s for x in (1.0 + 1e-6, 1.05, 1.25, 1.5, 2.0) for s in (x, -x)])
     scaled, log_scale = _scaled_values(c, outside)
     # log 0 = -inf where P vanishes, which fails as it should
@@ -362,8 +346,9 @@ def complete_to_complex(p_r: Polynomial) -> Polynomial:
     """Attach an imaginary part making a bounded real polynomial realizable.
 
     The returned P = P_R + i P_I keeps the parity and degree of P_R and
-    satisfies the reflection-ansatz conditions; the complementary series Q
-    found along the way is stored in ``meta["q_cheb"]``.
+    satisfies the reflection-ansatz conditions. The complementary series Q
+    found along the way is not kept: ``find_phases`` recomputes it
+    (``phases._completion_q``), which gives the same Q.
 
     P_I and Q come from the outer factor of 1 - P_R^2 on the unit circle,
     which is unique, computed in double precision from its cepstrum; a P_R
@@ -372,13 +357,12 @@ def complete_to_complex(p_r: Polynomial) -> Polynomial:
     grid must stay below 5e-9 and the real part may drift by at most 1e-9;
     any failure, a non-finite completion included, raises CompletionError.
     """
-    pc = to_chebyshev(p_r)
-    if not pc.is_real(1e-10):
+    if not p_r.is_real(1e-10):
         raise ConditionError("completion requires a real polynomial")
-    d = pc.degree
+    d = p_r.degree
     if d > MAX_DEGREE:
         raise DegreeOverflowError(f"degree {d} exceeds max {MAX_DEGREE}", needed=d)
-    pr = pc.coefficients[: d + 1].real.copy()
+    pr = p_r.coefficients[: d + 1].real.copy()
     parity = detect_parity(pr, 1e-10)
     if parity == "none":
         if d == 0:
@@ -419,12 +403,7 @@ def complete_to_complex(p_r: Polynomial) -> Polynomial:
     if parity != "none":
         off = 1 if parity == "even" else 0
         coeffs[off::2] = 0.0
-    out = Polynomial(
-        coeffs,
-        basis="chebyshev",
-        parity=parity,
-        meta={"q_cheb": np.asarray(q_c), "completion_residual": residual},
-    )
+    out = Polynomial(coeffs, parity)
     _check_qsp_conditions(out)
     drift = np.abs(lobatto_values(out.coefficients, grid).real - pr_vals).max()
     if not drift <= 1e-9:

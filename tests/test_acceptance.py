@@ -110,8 +110,7 @@ def test_criterion_3_qsp_reconstruction():
         from numpy.polynomial import chebyshev as cheb
 
         sup = np.abs(cheb.chebval(xs_full, c)).max()
-        pr = Polynomial(c / sup * 0.9, basis="chebyshev",
-                        parity="even" if d % 2 == 0 else "odd")
+        pr = Polynomial(c / sup * 0.9, "even" if d % 2 == 0 else "odd")
         target = complete_to_complex(pr)
         phi = find_phases(target)
         xs = np.cos(np.pi * (np.arange(4 * d) + 0.5) / (4 * d))

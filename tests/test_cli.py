@@ -18,6 +18,7 @@ from qsprep.oracle import AmplitudeOracle, oracle_to_text
 from qsprep.phases import phases_from_text, reconstruct
 from qsprep.pipeline import BoundCheck, prepare_state, verify_error_bounds
 from qsprep.polyapprox import (
+    Polynomial,
     complete_to_complex,
     evaluate,
     poly_to_text,
@@ -273,9 +274,10 @@ def test_phases_accepts_well_formed_polynomial_file(tmp_path, capsys):
         "chebyshev odd 1\n0 0\nnan 0\n",
         "chebyshev odd 3\n0 0\n1 0\n",
         "chebyshev odd 1\n0 0\n1 0\n0 0\n",
+        "monomial odd 1\n0 0\n1 0\n",
     ],
     ids=["short-header", "empty", "degree-not-int", "negative-degree", "bad-number", "one-number",
-         "nan", "too-few-lines", "too-many-lines"],
+         "nan", "too-few-lines", "too-many-lines", "monomial-header"],
 )
 def test_phases_rejects_malformed_polynomial_file(tmp_path, capsys, text):
     poly_file = tmp_path / "poly.txt"
@@ -283,8 +285,22 @@ def test_phases_rejects_malformed_polynomial_file(tmp_path, capsys, text):
     rc = main(["phases", str(poly_file)])
     captured = capsys.readouterr()
     assert rc == 2
-    assert captured.err.startswith("error: ")
+    lines = captured.err.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error: ")
     assert "Traceback" not in captured.err + captured.out
+
+
+def test_phases_refuses_a_polynomial_below_one_at_the_ends(tmp_path, capsys):
+    d = 1001
+    c = np.zeros(d + 1)
+    c[d] = 0.5
+    poly_file = tmp_path / "poly.txt"
+    poly_file.write_text(poly_to_text(Polynomial(c, "odd")))
+    rc = main(["phases", str(poly_file)])
+    captured = capsys.readouterr()
+    assert rc == 2
+    assert captured.out == ""
+    assert captured.err.startswith("error: ") and "|P(1)| = 0.5" in captured.err
 
 
 def run_python(args, timeout):
@@ -295,8 +311,7 @@ def run_python(args, timeout):
 
 
 def test_phases_refuses_a_degree_above_the_limit(tmp_path):
-    # 0.5 T_10001 is realizable; solving it would build grids of ~40000 points
-    # and strip 10000 levels, which ran for more than 30 s
+    # the degree is refused before any check builds its ~40000-point grid
     from qsprep.polyapprox import MAX_DEGREE
 
     d = MAX_DEGREE + 1

@@ -103,7 +103,7 @@ def dense_run(run):
         gamma_realized=float(np.mean(c_realized**2)),
         eps_measured=spectral_norm(2.0 * block / BETA - np.diag(cfg.oracle.values)),
         realized_amplitudes=c_realized,
-        realized_state=StateVector(realized.astype(complex), layout),
+        realized_state=realized.astype(complex),
         oracle_calls=4 * d_a * d_s,
     ), be
 

@@ -1,11 +1,12 @@
 import logging
+import time
 from dataclasses import FrozenInstanceError
 
 import numpy as np
 import pytest
 from numpy.polynomial import chebyshev as cheb
 
-from qsprep import blockenc, phases
+from qsprep import _factor, blockenc, phases
 from qsprep._factor import complementary_q
 from qsprep.errors import (
     CompletionError,
@@ -31,6 +32,8 @@ from qsprep.polyapprox import (
     arcsin_taylor,
     complete_to_complex,
     evaluate,
+    poly_from_text,
+    poly_to_text,
     sign_approx,
 )
 
@@ -146,7 +149,7 @@ def test_find_phases_identity_polynomial():
 
 
 def test_find_phases_negated_t2():
-    p = Polynomial([1.0, 0.0, -2.0], parity="even")
+    p = Polynomial([0.0, 0.0, -1.0], "even")  # 1 - 2x^2 = -T_2
     phi = find_phases(p)
     xs = cheb_nodes(32)
     np.testing.assert_allclose(reconstruct(phi, xs), 1 - 2 * xs**2, atol=1e-12)
@@ -219,15 +222,29 @@ def test_escalations_are_logged(caplog):
 
 
 def test_completion_without_its_complement_strips_the_same():
-    # the completion of Re P is unique, so dropping meta["q_cheb"] loses nothing
+    # the completion of Re P is unique, so a completion read back from a
+    # file, which carries no complement, strips with the same Q
     p = complete_to_complex(sign_approx(0.3, 0.2))
-    bare = Polynomial(p.coefficients, p.basis, p.parity)
+    bare = poly_from_text(poly_to_text(p))
     np.testing.assert_array_equal(find_phases(bare).phases, find_phases(p).phases)
 
 
 def test_find_phases_rejects_unbounded():
     with pytest.raises(ConditionError):
         find_phases(Polynomial([0.0, 0.0, 0.0, 1.2], parity="odd"))
+
+
+@pytest.mark.parametrize("d", [1001, 9999])
+def test_find_phases_refuses_a_polynomial_below_one_at_the_ends(d):
+    # R(+-1) is diagonal, so |P(+-1)| = 1; 0.5 T_d passes the samples just
+    # outside [-1, 1] at these degrees, and stripping it ran for 17 s at
+    # d = 1001 before raising PhaseFindingError
+    c = np.zeros(d + 1)
+    c[d] = 0.5
+    start = time.perf_counter()
+    with pytest.raises(ConditionError, match=r"\|P\(1\)\| = 0\.5"):
+        find_phases(Polynomial(c, "odd"))
+    assert time.perf_counter() - start < 1.0
 
 
 def test_find_phases_rejects_inside_only_polynomial():
@@ -259,7 +276,7 @@ def test_find_phases_rejects_non_finite_series(coeffs, bad):
     c = np.array(coeffs, dtype=complex)
     c[0 if len(c) == 1 else 2] = bad
     with pytest.raises(ConditionError):
-        find_phases(Polynomial(c, basis="chebyshev"))
+        find_phases(Polynomial(c))
 
 
 def test_nan_residual_counts_as_degraded(monkeypatch, caplog):
@@ -288,21 +305,19 @@ def test_find_phases_degree_zero():
         find_phases(Polynomial([1j], parity="even"))
 
 
-@pytest.mark.parametrize("basis", ["chebyshev", "monomial"])
-def test_find_phases_refuses_a_degree_above_the_limit_before_any_grid(basis, monkeypatch):
+def test_find_phases_refuses_a_degree_above_the_limit_before_any_grid(monkeypatch):
     from qsprep.polyapprox import MAX_DEGREE
 
     d = MAX_DEGREE + 1
     c = np.zeros(d + 1)
     c[d] = 0.5
-    p = Polynomial(c, basis=basis, parity="odd")
+    p = Polynomial(c, "odd")
 
     def no_grid(*args):
         raise AssertionError("a grid was built")
 
     monkeypatch.setattr(phases, "_check_qsp_conditions", no_grid)
     monkeypatch.setattr(phases, "_nodes", no_grid)
-    monkeypatch.setattr(cheb, "poly2cheb", no_grid)
     with pytest.raises(DegreeOverflowError) as exc:
         find_phases(p)
     assert exc.value.needed == d
@@ -345,8 +360,7 @@ def test_boundary_tangent_completion_contract(seed):
     c[(1 if d % 2 == 0 else 0)::2] = 0
     xs = np.linspace(-1, 1, 3001)
     sup = np.abs(cheb.chebval(xs, c)).max()
-    pr = Polynomial(c / sup * rng.uniform(0.5, 0.95), basis="chebyshev",
-                    parity="even" if d % 2 == 0 else "odd")
+    pr = Polynomial(c / sup * rng.uniform(0.5, 0.95), "even" if d % 2 == 0 else "odd")
     target = complete_to_complex(pr)
     phi = find_phases(target)
     nodes = cheb_nodes(4 * target.degree)
@@ -364,8 +378,7 @@ def random_real_target(rng, d):
     c[(1 if d % 2 == 0 else 0)::2] = 0
     c[d] = rng.choice([-1.0, 1.0]) * rng.uniform(0.1, 0.5)  # keep the degree at d
     sup = np.abs(cheb.chebval(np.linspace(-1, 1, 4001), c)).max()
-    return Polynomial(c / sup * rng.uniform(0.5, 0.95), basis="chebyshev",
-                      parity="even" if d % 2 == 0 else "odd")
+    return Polynomial(c / sup * rng.uniform(0.5, 0.95), "even" if d % 2 == 0 else "odd")
 
 
 def angle_gap(a, b):
@@ -430,11 +443,10 @@ def test_even_degree_strip_peels_the_centre_angle(d, monkeypatch):
 def test_extended_precision_strip_matches_double(monkeypatch):
     import mpmath as mp
 
-    from qsprep import _factor
-
     comp = complete_to_complex(sign_approx(0.3, 0.2))
     d = comp.degree
-    c, q = comp.coefficients[: d + 1], comp.meta["q_cheb"].astype(complex)
+    c = comp.coefficients[: d + 1]
+    q = _factor.complete_real(c.real)[1].astype(complex)
     levels = count_stripped_levels(monkeypatch)
     with mp.workdps(_factor.strip_dps(d)):
         exact = phases._strip(_factor.to_mp(c), _factor.to_mp(q))[0]

@@ -6,7 +6,7 @@ from numpy.polynomial import chebyshev as cheb
 from scipy.special import erfinv, ive
 
 from qsprep import _factor, polyapprox
-from qsprep.errors import CompletionError, ConditionError, DegreeOverflowError
+from qsprep.errors import CompletionError, ConditionError, DegreeOverflowError, InputError
 from qsprep.phases import find_phases
 from qsprep.polyapprox import (
     Polynomial,
@@ -19,12 +19,26 @@ from qsprep.polyapprox import (
     poly_from_text,
     poly_to_text,
     sign_approx,
-    to_chebyshev,
 )
 
 
 def dense_grid(lo=-1.0, hi=1.0, n=10_000):
     return np.linspace(lo, hi, n)
+
+
+def completion_residual(p):
+    """max |P P* + (1 - x^2) Q^2 - 1| of a completion on its Lobatto grid.
+
+    Q is the completion's, from ``_factor.complete_real`` of Re P, and the
+    grid has max(4001, 4d + 1) points, as in ``complete_to_complex``.
+    """
+    d = p.degree
+    pr, p_i = p.coefficients[: d + 1].real, p.coefficients[: d + 1].imag
+    q = _factor.complete_real(pr)[1]
+    total = cheb.chebadd(cheb.chebmul(pr, pr), cheb.chebmul(p_i, p_i))
+    total = cheb.chebadd(total, cheb.chebmul([0.5, 0.0, -0.5], cheb.chebmul(q, q)))
+    total[0] -= 1.0
+    return float(np.abs(lobatto_values(total, max(4001, 4 * d + 1))).max())
 
 
 # ---------------------------------------------------------------------------
@@ -44,9 +58,9 @@ def test_arcsin_value_at_half():
 
 
 def test_arcsin_cubic_coefficient():
-    p = arcsin_taylor(1e-3, 0.3)
-    assert abs(p.coefficients[3].real - 1.0 / (6.0 * np.pi)) < 1e-15
-    assert abs(p.coefficients[1].real - 1.0 / np.pi) < 1e-16
+    taylor = cheb.cheb2poly(arcsin_taylor(1e-3, 0.3).coefficients)
+    assert abs(taylor[3].real - 1.0 / (6.0 * np.pi)) < 1e-15
+    assert abs(taylor[1].real - 1.0 / np.pi) < 1e-16
 
 
 @pytest.mark.parametrize("delta", [0.1, 0.29])
@@ -99,17 +113,13 @@ def loop_arcsin_coefficients(epsilon, delta):
 
 @pytest.mark.parametrize("eps, delta", [(0.1, 0.05), (1e-3, 0.29), (3e-5, 0.29), (1e-6, 0.05)])
 def test_arcsin_series_built_once_equals_the_loop(eps, delta):
-    # the memoized series and its Chebyshev form are bit-identical to the
-    # term-by-term series and its conversion, so memo keys built on the
-    # Chebyshev bytes do not change
-    want = loop_arcsin_coefficients(eps, delta).astype(complex)
+    # the memoized Chebyshev series is bit-identical to the conversion of
+    # the term-by-term series, so memo keys built on its bytes do not change
+    want = cheb.poly2cheb(loop_arcsin_coefficients(eps, delta).astype(complex))
     for _ in range(2):
         p = arcsin_taylor(eps, delta)
         assert p.coefficients.tobytes() == want.tobytes()
-        assert to_chebyshev(p).coefficients.tobytes() == cheb.poly2cheb(want).tobytes()
     assert not p.coefficients.flags.writeable
-    assert not to_chebyshev(p).coefficients.flags.writeable
-    assert "chebyshev" not in to_chebyshev(p).meta
 
 
 def test_warm_arcsin_target_converts_nothing(monkeypatch):
@@ -120,7 +130,7 @@ def test_warm_arcsin_target_converts_nothing(monkeypatch):
 
     monkeypatch.setattr(polyapprox.cheb, "poly2cheb", no_conversion)
     e = chebyshev_economize(arcsin_taylor(1e-4, 0.29), 1e-6)
-    assert e.basis == "chebyshev" and e.parity == "odd"
+    assert e.parity == "odd"
 
 
 def test_arcsin_degree_overflow(monkeypatch):
@@ -247,12 +257,12 @@ def test_complete_preserves_unit_bound_and_conditions():
         c[off::2] = 0.0
         xs = dense_grid(n=4001)
         sup = np.abs(cheb.chebval(xs, c)).max()
-        pr = Polynomial(c / sup * 0.9, basis="chebyshev", parity=parity)
+        pr = Polynomial(c / sup * 0.9, parity)
         p = complete_to_complex(pr)
         vals = np.abs(evaluate(p, xs))
         assert vals.max() <= 1.0 + 1e-9
-        # the attached complement satisfies the defining identity
-        q = p.meta["q_cheb"]
+        # the completion's complement satisfies the defining identity
+        q = _factor.complete_real(pr.coefficients.real)[1]
         total = cheb.chebval(xs, cheb.chebmul(p.coefficients, p.coefficients.conj())).real
         total += (1 - xs**2) * np.abs(cheb.chebval(xs, q)) ** 2
         np.testing.assert_allclose(total, 1.0, atol=1e-9)
@@ -273,11 +283,11 @@ def _one_minus_x2_u(n):
 def test_grid_checks_see_bumps_above_degree_2000():
     # each reaches 1.5 in modulus yet vanishes on a 4001- (2001-) point Lobatto grid
     with pytest.raises(ConditionError):
-        complete_to_complex(Polynomial(1.5 * _one_minus_x2_u(4000), "chebyshev", "odd"))
+        complete_to_complex(Polynomial(1.5 * _one_minus_x2_u(4000), "odd"))
     p = 1.5j * _one_minus_x2_u(2000)
     p[1] = 1.0
     with pytest.raises(ConditionError):
-        find_phases(Polynomial(p, "chebyshev", "odd"))
+        find_phases(Polynomial(p, "odd"))
 
 
 def test_complete_rejects_mixed_parity():
@@ -293,8 +303,9 @@ def test_completion_at_sign_degree_2329_is_finite(degree):
     s = sign_approx(0.9 * 0.25 * 2.0 ** (-n / 2), 0.1)
     assert s.degree == degree
     p = complete_to_complex(s)
-    assert np.isfinite(p.coefficients).all() and np.isfinite(p.meta["q_cheb"]).all()
-    assert p.meta["completion_residual"] <= 5e-9
+    assert np.isfinite(p.coefficients).all()
+    assert np.isfinite(_factor.complete_real(s.coefficients.real)[1]).all()
+    assert completion_residual(p) <= 5e-9
 
 
 def _root_completion(pr):
@@ -342,19 +353,19 @@ def test_completion_of_polynomials_touching_one():
     # scaled by 1 - 1e-10 it misses 1 by 2e-10, divided out all the same
     for scale, residual in ((1.0, 1e-14), (1 - 1e-10, 3e-10)):
         pr = scale * np.array([0.0, 1.125, 0.0, -0.125])
-        p = complete_to_complex(Polynomial(pr, basis="chebyshev", parity="odd"))
-        assert p.meta["completion_residual"] <= residual
+        p = complete_to_complex(Polynomial(pr, "odd"))
+        assert completion_residual(p) <= residual
     # T_3 touches 1 at x = +/-1/2 inside the interval: no outer factor
     start = time.perf_counter()
     with pytest.raises(CompletionError):
-        complete_to_complex(Polynomial([0.0, 0.0, 0.0, 1.0], basis="chebyshev", parity="odd"))
+        complete_to_complex(Polynomial([0.0, 0.0, 0.0, 1.0], "odd"))
     assert time.perf_counter() - start < 2.0
 
 
 @pytest.mark.parametrize("bad", [np.nan, np.inf], ids=["nan", "inf"])
 def test_completion_guards_reject_non_finite_values(bad, monkeypatch):
     with pytest.raises(ConditionError):
-        complete_to_complex(Polynomial([0.0, 0.5, 0.0, bad], basis="chebyshev"))
+        complete_to_complex(Polynomial([0.0, 0.5, 0.0, bad]))
     with pytest.raises(CompletionError):
         _factor.complete_real(np.array([0.0, 0.5, 0.0, bad]))
     with pytest.raises(CompletionError):
@@ -363,33 +374,21 @@ def test_completion_guards_reject_non_finite_values(bad, monkeypatch):
     monkeypatch.setattr(_factor, "complete_real",
                         lambda pr: (np.full(pr.size, bad), np.full(pr.size - 1, bad)))
     with pytest.raises(CompletionError):
-        complete_to_complex(Polynomial([0.0, 0.5], basis="chebyshev", parity="odd"))
+        complete_to_complex(Polynomial([0.0, 0.5], "odd"))
 
 
 # ---------------------------------------------------------------------------
-# evaluation, bases, serialization
+# evaluation, serialization
 # ---------------------------------------------------------------------------
 
 def test_eval_monomial_square():
-    p = Polynomial([0.0, 0.0, 1.0], parity="even")
+    p = Polynomial([0.5, 0.0, 0.5], "even")  # x^2 = (T_0 + T_2) / 2
     assert evaluate(p, 3.0) == 9.0
 
 
 def test_eval_chebyshev_t2():
-    p = Polynomial([0.0, 0.0, 1.0], basis="chebyshev", parity="even")
+    p = Polynomial([0.0, 0.0, 1.0], "even")
     assert abs(evaluate(p, 0.5) - (-0.5)) < 1e-15
-
-
-def test_basis_round_trip_random_degree_50():
-    rng = np.random.default_rng(8)
-    for _ in range(5):
-        c = rng.standard_normal(51) + 1j * rng.standard_normal(51)
-        p = Polynomial(c)
-        back = Polynomial(cheb.cheb2poly(to_chebyshev(p).coefficients))
-        xs = np.linspace(-1, 1, 200)
-        np.testing.assert_allclose(
-            evaluate(back, xs), evaluate(p, xs), rtol=1e-12, atol=1e-12
-        )
 
 
 def test_parity_invariant_enforced():
@@ -411,9 +410,14 @@ def test_economize_spends_within_budget():
     assert e.parity == "odd"
 
 
+def test_poly_from_text_refuses_a_monomial_header():
+    with pytest.raises(InputError, match="monomial"):
+        poly_from_text("monomial odd 1\n0 0\n1 0\n")
+
+
 def test_serialization_round_trip():
     p = complete_to_complex(sign_approx(0.3, 0.2))
     text = poly_to_text(p)
     q = poly_from_text(text)
-    assert q.basis == p.basis and q.parity == p.parity and q.degree == p.degree
+    assert q.parity == p.parity and q.degree == p.degree
     np.testing.assert_allclose(q.coefficients, p.coefficients[: p.degree + 1], rtol=0, atol=1e-16)

@@ -12,7 +12,6 @@ finite = st.floats(-1e3, 1e3, allow_nan=False, allow_infinity=False)
 
 @st.composite
 def polynomials(draw):
-    basis = draw(st.sampled_from(["monomial", "chebyshev"]))
     parity = draw(st.sampled_from(["even", "odd", "none"]))
     size = draw(st.integers(1, 40))
     re = np.array(draw(st.lists(finite, min_size=size, max_size=size)))
@@ -20,13 +19,13 @@ def polynomials(draw):
     c = re + 1j * im
     if parity != "none":
         c[(1 if parity == "even" else 0)::2] = 0.0
-    return Polynomial(c, basis, parity)
+    return Polynomial(c, parity)
 
 
 @given(polynomials())
 def test_polynomial_text_round_trip(p):
     back = poly_from_text(poly_to_text(p))
-    assert (back.basis, back.parity, back.degree) == (p.basis, p.parity, p.degree)
+    assert (back.parity, back.degree) == (p.parity, p.degree)
     np.testing.assert_array_equal(back.coefficients, p.coefficients[: p.degree + 1])
 
 
