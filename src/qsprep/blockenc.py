@@ -185,14 +185,17 @@ def lcu_real_part(be: BlockEncoding, phi: PhaseSequence) -> BlockEncoding:
     return BlockEncoding(UnitaryMatrix(u, layout), a, proj, proj, plus.certified_error)
 
 
-# Largest data register the engine accepts. The engine works on the K
-# distinct quantized values of a table, so what grows with N is O(N) work:
-# splitting the table into its values, expanding the generator diagonal and
-# the realized and final states, and the exact checks on them, which peak at
-# about 80 bytes per index. On a 2-vCPU x86 host a whole verify_error_bounds
-# run on a uniform-random table (eps 0.05, delta 0.1, 1024 values) takes
-# 0.3 s at n = 20 with 182 MB peak resident, and grover_case at n = 24
-# (39655 rounds) 5.5 s with 1.5 GB, within a 7 GB machine.
+# Largest table the engine accepts, and the largest 2^n-sized array built
+# from an oracle's classes. A preparation works on the table's classes of
+# equal values and the engine on its K distinct quantized values, so what
+# grows with N is splitting a given table into its classes and the checks
+# over them, about 90 bytes per index at the peak, and, only when a caller
+# reads them, the 2^n values or the final state. On a 2-vCPU x86 host a
+# whole verify_error_bounds run on a uniform-random table (eps 0.05, delta
+# 0.1, 1024 levels) takes 0.1-0.2 s at n = 20 with 195 MB peak resident. An
+# oracle that is generated as classes (``AmplitudeOracle.uniform``,
+# ``indicator``) builds no such array and may go past this limit:
+# grover_case at n = 32 (634469 rounds) takes 0.33 s with 75 MB.
 ENGINE_MAX_QUBITS = 24
 
 
@@ -200,7 +203,7 @@ def check_engine_size(n: int) -> None:
     """Raise DimensionError when n data qubits exceed the engine's limit."""
     if n > ENGINE_MAX_QUBITS:
         raise DimensionError(
-            f"{n} data qubits exceeds the engine limit {ENGINE_MAX_QUBITS}"
+            f"n = {n} data qubits exceeds the engine limit {ENGINE_MAX_QUBITS}"
         )
 
 

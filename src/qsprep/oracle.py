@@ -1,11 +1,15 @@
 """Amplitude-table oracles and the phase unitary compiled from them.
 
-An oracle is an explicit table c: [2^n] -> [0, 1] together with its m-bit
-fixed-point truncation; keeping the table explicit makes every brute-force
-reference quantity exact at desk scale. The bit oracle writes the truncated
-value into an m-qubit register by XOR; the phase unitary applies
-diag(exp(i pi c(x)/2)) via the value register, a ladder of controlled phase
-rotations onto a |1>-initialized kickback qubit, and an uncompute pass.
+An oracle is a table c: [2^n] -> [0, 1] together with its m-bit fixed-point
+truncation. The pipeline reads a table through its classes of equal values
+(the distinct values, how many indices hold each and which class each index
+is in), so a table with a short description need never be written out: the
+``uniform`` and ``indicator`` generators build their one or two classes
+directly, and the 2^n values exist only once something reads them. The bit
+oracle writes the truncated value into an m-qubit register by XOR; the phase
+unitary applies diag(exp(i pi c(x)/2)) via the value register, a ladder of
+controlled phase rotations onto a |1>-initialized kickback qubit, and an
+uncompute pass.
 """
 from __future__ import annotations
 
@@ -14,7 +18,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .blockenc import ENGINE_MAX_QUBITS
+from .blockenc import ENGINE_MAX_QUBITS, check_engine_size
 from .errors import DimensionError, InfeasibleError, InputError
 from .simulator import (
     GateSpec,
@@ -30,6 +34,21 @@ from .simulator import (
 
 # Most value bits a table is quantized to; 2^m must stay exact in a double.
 MAX_BITS = 50
+# Most data qubits of an oracle built from its classes (``uniform``,
+# ``indicator``). Every count, N - 1 included, is then an integer that a
+# double holds exactly, so the count-weighted sums over classes are as
+# exact as sums over the indices.
+MAX_CLASS_QUBITS = 53
+
+
+def _read_only(a: np.ndarray) -> np.ndarray:
+    a.flags.writeable = False
+    return a
+
+
+# the class values of the generated oracles, shared by all of them
+_ONE = _read_only(np.array([1.0]))
+_ZERO_ONE = _read_only(np.array([0.0, 1.0]))
 
 
 def _is_int(value) -> bool:
@@ -41,54 +60,109 @@ def _check_bits(m) -> None:
         raise InputError(f"need an integer 1..{MAX_BITS} value bits, got m = {m!r}")
 
 
-def _table_size(n: int) -> int:
-    """2^n for a generated table, refused before anything that size exists."""
-    if not (_is_int(n) and 0 <= n <= ENGINE_MAX_QUBITS):
-        raise InputError(f"need an integer 0..{ENGINE_MAX_QUBITS} data qubits, got n = {n!r}")
+def _size(n, limit: int) -> int:
+    """2^n for a generated oracle, refused before anything that size exists."""
+    if not (_is_int(n) and 0 <= n <= limit):
+        raise InputError(f"need an integer 0..{limit} data qubits, got n = {n!r}")
     return 2**n
 
 
-@dataclass(frozen=True)
+def _quantize(values: np.ndarray, m: int) -> np.ndarray:
+    """floor(c * 2^m) / 2^m, capped at (2^m - 1) / 2^m; exact in doubles for m <= MAX_BITS."""
+    scale = 2.0**m
+    return np.minimum(np.floor(values * scale), scale - 1.0) / scale
+
+
+@dataclass(frozen=True, eq=False, slots=True)
+class ValueClasses:
+    """A table as its classes of equal values.
+
+    Class k holds ``counts[k]`` indices, all of value ``values[k]``; the
+    values ascend. ``index[x]`` is the class of index x. A generated oracle
+    has no index map: every index is in class 0 except ``singles[k - 1]``,
+    the one index of class k >= 1.
+    """
+
+    values: np.ndarray
+    counts: np.ndarray
+    index: np.ndarray | None = None
+    singles: tuple[int, ...] = ()
+
+    def expand(self, per_class: np.ndarray) -> np.ndarray:
+        """A new array with ``per_class[k]`` at every index of class k.
+
+        Without an index map the 2^n entries are refused with DimensionError
+        above ``blockenc.ENGINE_MAX_QUBITS`` data qubits, before any exists.
+        """
+        if self.index is not None:
+            return per_class[self.index]
+        size = int(self.counts.sum())
+        check_engine_size(size.bit_length() - 1)  # size is 2^n
+        out = np.full(size, per_class[0], dtype=per_class.dtype)
+        out[list(self.singles)] = per_class[1:]
+        return out
+
+
+@dataclass(frozen=True, eq=False, init=False)
 class AmplitudeOracle:
-    """Exact amplitude table plus its m-bit fixed-point quantization.
+    """Amplitude table plus its m-bit fixed-point quantization.
 
     The quantized value is floor(c * 2^m) / 2^m, capped at (2^m - 1)/2^m so
     that c = 1 still fits the m-bit register; the cap makes the quantization
     error equal (not below) 2^-m at c = 1 exactly, which the error analysis
-    absorbs like any other oracle noise. The oracle keeps a read-only copy
-    of the values, and quantizes them on first use of ``quantized``, so an
-    oracle that is only requantized with ``with_bits`` never quantizes at
-    its own m.
+    absorbs like any other oracle noise. ``AmplitudeOracle(n, m, values)``
+    keeps a read-only copy of the values and splits them into ``classes`` on
+    first use; the ``uniform`` and ``indicator`` generators build the classes
+    and leave ``values`` unbuilt until it is read. Quantization is lazy too,
+    so an oracle that is only requantized with ``with_bits`` never quantizes
+    at its own m.
     """
 
     n: int
     m: int
-    values: np.ndarray
 
-    def __post_init__(self):
-        if not (_is_int(self.n) and self.n >= 0):
-            raise InputError(f"need a non-negative integer n of data qubits, got n = {self.n!r}")
-        _check_bits(self.m)
-        vals = np.array(self.values, dtype=float)  # a copy: the caller's array may change
-        if vals.shape != (2**self.n,):
-            raise DimensionError(f"expected {2**self.n} amplitudes, got {vals.shape}")
+    def __init__(self, n: int, m: int, values):
+        if not (_is_int(n) and n >= 0):
+            raise InputError(f"need a non-negative integer n of data qubits, got n = {n!r}")
+        _check_bits(m)
+        vals = np.array(values, dtype=float)  # a copy: the caller's array may change
+        if vals.shape != (2**n,):
+            raise DimensionError(f"expected {2**n} amplitudes, got {vals.shape}")
         bad = np.flatnonzero(~((vals >= 0) & (vals <= 1)))
         if bad.size:
             raise InputError(
                 f"amplitudes must be finite and lie in [0, 1]; entry {bad[0]} is {vals[bad[0]]}"
             )
-        vals.flags.writeable = False
-        object.__setattr__(self, "n", int(self.n))
-        object.__setattr__(self, "m", int(self.m))
-        object.__setattr__(self, "values", vals)
+        # the frozen dataclass refuses attribute assignment, not its __dict__
+        self.__dict__.update(n=int(n), m=int(m), values=_read_only(vals))
+
+    @classmethod
+    def _from_classes(cls, n: int, m, classes: ValueClasses) -> "AmplitudeOracle":
+        _check_bits(m)
+        out = object.__new__(cls)
+        out.__dict__.update(n=int(n), m=int(m), classes=classes)
+        return out
+
+    @functools.cached_property
+    def values(self) -> np.ndarray:
+        """The 2^n amplitudes; a generated oracle builds them on first read."""
+        return _read_only(self.classes.expand(self.classes.values))
+
+    @functools.cached_property
+    def classes(self) -> ValueClasses:
+        """The table's classes of equal values, from one split of the table.
+
+        The split is the engine's O(N) work on a table, so it is refused with
+        DimensionError above ``blockenc.ENGINE_MAX_QUBITS`` data qubits.
+        """
+        check_engine_size(self.n)
+        split = np.unique(self.values, return_inverse=True, return_counts=True)
+        values, index, counts = (_read_only(a) for a in split)
+        return ValueClasses(values, counts, index)
 
     @functools.cached_property
     def quantized(self) -> np.ndarray:
-        # floor, cap and scale are exact in doubles for m <= MAX_BITS
-        scale = 2.0**self.m
-        out = np.minimum(np.floor(self.values * scale), scale - 1.0) / scale
-        out.flags.writeable = False
-        return out
+        return _read_only(_quantize(self.values, self.m))
 
     @property
     def size(self) -> int:
@@ -104,44 +178,50 @@ class AmplitudeOracle:
         if m == self.m:
             return self
         out = object.__new__(AmplitudeOracle)
-        # the frozen dataclass refuses attribute assignment, not its __dict__
-        out.__dict__.update(n=self.n, m=int(m), values=self.values)
+        # the values and their classes are shared; the quantization is not
+        out.__dict__.update(self.__dict__, m=int(m))
+        out.__dict__.pop("quantized", None)
         return out
 
     # -- generators ---------------------------------------------------------
 
     @classmethod
     def uniform(cls, n: int, m: int) -> "AmplitudeOracle":
-        return cls(n, m, np.ones(_table_size(n)))
+        """All amplitudes 1: one class. n may reach ``MAX_CLASS_QUBITS``."""
+        size = _size(n, MAX_CLASS_QUBITS)
+        return cls._from_classes(n, m, ValueClasses(_ONE, _read_only(np.array([size]))))
 
     @classmethod
     def indicator(cls, n: int, x0: int, m: int) -> "AmplitudeOracle":
-        size = _table_size(n)
+        """Amplitude 1 at x0 and 0 elsewhere: two classes. n may reach ``MAX_CLASS_QUBITS``."""
+        size = _size(n, MAX_CLASS_QUBITS)
         if not (_is_int(x0) and 0 <= x0 < size):
             raise InputError(f"marked item {x0!r} is not an integer in [0, {size})")
-        vals = np.zeros(size)
-        vals[x0] = 1.0
-        return cls(n, m, vals)
+        if size == 1:
+            return cls.uniform(n, m)
+        classes = ValueClasses(_ZERO_ONE, _read_only(np.array([size - 1, 1])), singles=(int(x0),))
+        return cls._from_classes(n, m, classes)
 
     @classmethod
     def gaussian(cls, n: int, mu: float, sigma: float, m: int) -> "AmplitudeOracle":
         if not sigma > 0:
             raise InputError(f"gaussian width must be positive, got {sigma}")
-        xs = np.arange(_table_size(n), dtype=float)
+        xs = np.arange(_size(n, ENGINE_MAX_QUBITS), dtype=float)
         return cls(n, m, np.exp(-((xs - mu) ** 2) / (2 * sigma**2)))
 
     @classmethod
     def random(cls, n: int, m: int, rng: np.random.Generator) -> "AmplitudeOracle":
-        return cls(n, m, rng.uniform(0.0, 1.0, _table_size(n)))
+        return cls(n, m, rng.uniform(0.0, 1.0, _size(n, ENGINE_MAX_QUBITS)))
 
     @classmethod
     def from_dist(cls, n: int, m: int, dist: str) -> "AmplitudeOracle":
         """Parse a generator spec: uniform | indicator:x0 | gaussian:mu,sigma.
 
-        A malformed spec, or an n outside 0 .. ``blockenc.ENGINE_MAX_QUBITS``,
-        raises InputError before any table is allocated.
+        A malformed spec, or an n outside the generator's range (0 ..
+        ``MAX_CLASS_QUBITS`` for ``uniform`` and ``indicator``, 0 ..
+        ``blockenc.ENGINE_MAX_QUBITS`` for ``gaussian``), raises InputError
+        before any table is allocated.
         """
-        _table_size(n)
         name, _, args = dist.partition(":")
         try:
             if name == "uniform" and not args:
@@ -157,7 +237,7 @@ class AmplitudeOracle:
 
 
 def oracle_to_text(c: AmplitudeOracle) -> str:
-    """Header `n m`, then 2^n decimal amplitudes."""
+    """Header `n m`, then 2^n decimal amplitudes (at most ``blockenc.ENGINE_MAX_QUBITS`` data qubits)."""
     lines = [f"{c.n} {c.m}"]
     lines += [f"{v:.17g}" for v in c.values]
     return "\n".join(lines) + "\n"
@@ -248,9 +328,10 @@ def phase_unitary_direct(c: AmplitudeOracle, use_exact: bool = False) -> Unitary
 
 
 def gamma(c: AmplitudeOracle, use_exact: bool = False) -> float:
-    """Mean squared amplitude (1/N) sum c(x)^2."""
-    vals = c.values if use_exact else c.quantized
-    return float((vals**2).sum() / vals.size)  # np.mean's sum and division, without its wrapper
+    """Mean squared amplitude (1/N) sum c(x)^2, summed over the classes with their counts."""
+    classes = c.classes
+    vals = classes.values if use_exact else _quantize(classes.values, c.m)
+    return float(classes.counts @ vals**2) / c.size
 
 
 def target_state(c: AmplitudeOracle) -> StateVector:

@@ -10,21 +10,26 @@ epsilon * gamma / 3; that premise is checked against gamma / 4 before any
 circuit is built.
 
 All reference quantities (gamma, the target state, the error bounds) are
-computed classically from the exact table, so every inequality the analysis
-promises is checkable per run.
+computed classically from the exact table, as count-weighted sums or maxima
+over its classes of equal values, so every inequality the analysis promises
+is checkable per run, and a table with few classes costs no 2^n-sized
+array unless a caller reads the prepared state.
 """
 from __future__ import annotations
 
+import functools
 import itertools
 import math
+import sys
+from collections.abc import Callable
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from .amplifier import AmplificationPlan, amplify_state, plan_amplification
-from .blockenc import LevelEncoding, check_engine_size, hamiltonian_from_unitary
+from .blockenc import LevelEncoding, hamiltonian_from_unitary
 from .errors import InfeasibleError, InputError, QsprepError
-from .oracle import MAX_BITS, AmplitudeOracle, _is_int, gamma
+from .oracle import MAX_BITS, AmplitudeOracle, ValueClasses, _is_int, _quantize, gamma
 from .simulator import RegisterLayout, StateVector
 
 SWEEP_COLUMNS = [
@@ -52,7 +57,7 @@ BETA = 0.5
 DELTA_MARGIN = float(1.0 - np.sin(np.pi * BETA / 2.0))
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class PrepConfig:
     """Parameters of one preparation run.
 
@@ -78,7 +83,7 @@ def _is_real(value) -> bool:
     return isinstance(value, (int, float, np.integer, np.floating)) and not isinstance(value, bool)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class BoundCheck:
     name: str
     lhs: float
@@ -97,49 +102,77 @@ class BoundCheck:
 
 @dataclass
 class PrepReport:
-    final_state: StateVector
+    """What a preparation reports; ``final_state`` is built on first read.
+
+    Every number here is a count-weighted sum or a max over the table's
+    classes of equal values, so a report costs O(classes), not O(2^n).
+    """
+
     fidelity_to_target: float
     success_probability: float
     oracle_calls: int
     degrees: tuple[int, int]
     bound_checks: list[BoundCheck] = field(default_factory=list)
     info: dict = field(default_factory=dict)
+    _final: Callable[[], StateVector] | None = field(default=None, repr=False)
 
     @property
     def all_passed(self) -> bool:
         return all(c.passed for c in self.bound_checks)
 
+    @functools.cached_property
+    def final_state(self) -> StateVector:
+        """The prepared data-register state, 2^n amplitudes.
+
+        Raises DimensionError above ``blockenc.ENGINE_MAX_QUBITS`` data
+        qubits, before any amplitude exists.
+        """
+        return self._final()
+
 
 def default_bits(epsilon: float, gamma_value: float) -> int:
-    return int(np.ceil(np.log2(3.0 / (epsilon * gamma_value)))) + 2
+    # a ratio past the largest double (a table of amplitudes near 1e-160)
+    # asks for far more than MAX_BITS bits either way
+    return math.ceil(math.log2(min(3.0 / (epsilon * gamma_value), sys.float_info.max))) + 2
 
 
 @dataclass
 class _RunResult:
     config: PrepConfig
-    oracle_m: AmplitudeOracle
+    m: int
     encoding: LevelEncoding
     plan: AmplificationPlan
-    final_state: StateVector
     success: float
     gamma_exact: float
     gamma_quant: float
     gamma_realized: float
     eps_measured: float
+    # the final state, the realized amplitudes and the target, each at one
+    # index of every class of ``value_classes``; the reports weight them by
+    # the class counts
+    value_classes: ValueClasses
+    final: np.ndarray
     realized_amplitudes: np.ndarray
-    # the realized and target states as plain amplitude arrays: only their
-    # distance and overlap are read
-    realized_state: np.ndarray
     target: np.ndarray
     oracle_calls: int
-    classes: int
+    classes: int  # the engine's level count K
+
+
+def _state(classes: ValueClasses, per_class: np.ndarray, n: int) -> StateVector:
+    return StateVector(classes.expand(per_class), RegisterLayout.single(n, "data"))
 
 
 def _execute(cfg: PrepConfig) -> _RunResult:
     oracle = cfg.oracle
-    check_engine_size(oracle.n)
+    # a table is split into its classes once; a generated oracle knows them
+    value_classes = oracle.classes
     g_exact = gamma(oracle, use_exact=True)
     if g_exact <= 0.0:
+        top = float(value_classes.values[-1])
+        if top > 0.0:
+            raise InfeasibleError(
+                f"gamma underflows to 0 in double precision: the largest amplitude is {top:.3e}"
+            )
         raise InfeasibleError("gamma = 0: the amplitude table is identically zero")
     # target for the measured per-amplitude deviation max |c~ - c|
     eps_hat_target = cfg.epsilon * g_exact / 3.0
@@ -151,7 +184,6 @@ def _execute(cfg: PrepConfig) -> _RunResult:
     m = cfg.m  # a given m is checked by PrepConfig; the derived one is clamped
     if m is None:
         m = min(max(default_bits(cfg.epsilon, g_exact), 1), MAX_BITS)
-    oracle_m = oracle.with_bits(m)
 
     # quantization's share of the amplitude-error budget
     q_part = 2.0**-m
@@ -167,12 +199,24 @@ def _execute(cfg: PrepConfig) -> _RunResult:
 
     # recenter the truncated table by half a step: one classically-known
     # global phase turns the one-sided floor error into a symmetric one
-    c_q = oracle_m.quantized + 2.0 ** -(m + 1)
+    c_q = _quantize(value_classes.values, m) + 2.0 ** -(m + 1)
     # the block of an index depends only on its quantized value, so the
-    # engine runs on the K distinct values (levels); inverse maps each
-    # index to its level and counts[k] is the size of level k's class
-    levels, inverse, counts = np.unique(c_q, return_inverse=True, return_counts=True)
-    del c_q  # 8 bytes per index that nothing below reads
+    # engine runs on the K distinct values (levels). Quantizing keeps the
+    # classes' ascending order, so a level is a run of neighbouring classes:
+    # level_of maps each class to its level and counts[k] is the number of
+    # indices at level k. When every class has a level of its own, as the
+    # generated oracles' classes do, level_of is an identity slice and a
+    # search preparation spends no array operation on the map
+    new_level = c_q[1:] != c_q[:-1]
+    if new_level.all():
+        levels, level_of, counts = c_q, slice(None), value_classes.counts
+    else:
+        first = np.concatenate(([True], new_level))
+        starts = np.nonzero(first)[0]
+        levels = c_q[starts]
+        level_of = np.cumsum(first) - 1
+        counts = np.add.reduceat(value_classes.counts, starts)
+    del c_q, new_level  # per-class arrays that nothing below reads
     size = oracle.size
     encoding = hamiltonian_from_unitary(
         np.exp(1j * np.pi * BETA * levels / 2.0),
@@ -183,10 +227,10 @@ def _execute(cfg: PrepConfig) -> _RunResult:
     # the encoded generator is diagonal (and real), so its spectral distance
     # to the table is the largest per-index deviation
     c_level = 2.0 * encoding.diagonal.real / BETA
-    c_realized = c_level[inverse]
-    eps_measured = float(np.abs(c_realized - oracle.values).max())
-    g_realized = float(counts @ c_level**2 / size)
-    g_quant = float(counts @ levels**2 / size)
+    c_realized = c_level[level_of]
+    eps_measured = float(np.abs(c_realized - value_classes.values).max())
+    g_realized = float(counts @ c_level**2) / size
+    g_quant = float(counts @ levels**2) / size
 
     sigma_hat = BETA * math.sqrt(g_quant) / 2.0
     plan = plan_amplification(sigma_hat, cfg.delta)
@@ -203,7 +247,6 @@ def _execute(cfg: PrepConfig) -> _RunResult:
     overlap = complex(counts @ (realized_level * data_level))
     if abs(overlap) > 1e-12:  # remove the global phase
         data_level = data_level * (overlap.conjugate() / abs(overlap))
-    final = StateVector(data_level[inverse], RegisterLayout.single(oracle.n, "data"))
 
     # each use of C or its adjoint runs every transform layer, and each layer
     # queries the controlled phase unitary and its adjoint (both select
@@ -212,35 +255,41 @@ def _execute(cfg: PrepConfig) -> _RunResult:
 
     return _RunResult(
         config=cfg,
-        oracle_m=oracle_m,
+        m=m,
         encoding=encoding,
         plan=plan,
-        final_state=final,
         success=success,
         gamma_exact=g_exact,
         gamma_quant=g_quant,
         gamma_realized=g_realized,
         eps_measured=eps_measured,
+        value_classes=value_classes,
+        final=data_level[level_of],
         realized_amplitudes=c_realized,
-        realized_state=realized_level.astype(complex)[inverse],
-        target=(oracle.values / np.sqrt(size * g_exact)).astype(complex),
+        target=value_classes.values / math.sqrt(size * g_exact),
         oracle_calls=oracle_calls,
         classes=levels.size,
     )
 
 
+def _distance(counts: np.ndarray, a: np.ndarray, b: np.ndarray) -> float:
+    """||a - b|| for states given at one index of each class."""
+    return math.sqrt(counts @ np.abs(a - b) ** 2)
+
+
 def _base_report(run: _RunResult) -> PrepReport:
     cfg = run.config
-    fid = float(abs(np.vdot(run.final_state.amplitudes, run.target)))
-    err = float(np.linalg.norm(run.final_state.amplitudes - run.target))
+    counts = run.value_classes.counts
+    # the target is real, so |<final|target>| = |sum of counts * final * target|
+    fid = abs(complex(counts @ (run.final * run.target)))
+    err = _distance(counts, run.final, run.target)
     d_a, d_s = run.encoding.info["arcsin_degree"], run.plan.rounds
     checks = [
         BoundCheck.le("final_error_le_epsilon", err, cfg.epsilon),
         BoundCheck.le("success_ge_one_minus_delta", 1.0 - cfg.delta, run.success),
         BoundCheck.eq("counted_oracle_calls_eq_4_da_ds", run.oracle_calls, 4 * d_a * d_s),
     ]
-    report = PrepReport(
-        final_state=run.final_state,
+    return PrepReport(
         fidelity_to_target=fid,
         success_probability=run.success,
         oracle_calls=run.oracle_calls,
@@ -248,7 +297,7 @@ def _base_report(run: _RunResult) -> PrepReport:
         bound_checks=checks,
         info={
             "n": cfg.oracle.n,
-            "m": run.oracle_m.m,
+            "m": run.m,
             "beta": BETA,
             "gamma": run.gamma_exact,
             "gamma_quantized": run.gamma_quant,
@@ -259,8 +308,8 @@ def _base_report(run: _RunResult) -> PrepReport:
             "predicted_success": run.plan.predicted_success(),
             "classes": run.classes,
         },
+        _final=functools.partial(_state, run.value_classes, run.final, cfg.oracle.n),
     )
-    return report
 
 
 def prepare_state(cfg: PrepConfig) -> PrepReport:
@@ -296,6 +345,11 @@ def _bound_report(run: _RunResult) -> PrepReport:
     g = run.gamma_exact
     gt = run.gamma_realized
     bound = 3.0 * eps / g
+    realized_norm = math.sqrt(run.config.oracle.size * gt)
+    if realized_norm > 0:
+        realized_state = run.realized_amplitudes / realized_norm
+    else:
+        realized_state = np.zeros_like(run.realized_amplitudes)
     checks = report.bound_checks
     checks.append(BoundCheck.le("gamma_diff_le_2eps", abs(gt - g), 2.0 * eps, slack=1e-12))
     premise = BoundCheck.le("premise_eps_le_gamma_over_4", eps, g / 4.0)
@@ -313,7 +367,7 @@ def _bound_report(run: _RunResult) -> PrepReport:
         checks.append(
             BoundCheck.le(
                 "state_dist_le_3eps_over_gamma",
-                float(np.linalg.norm(run.realized_state - run.target)),
+                _distance(run.value_classes.counts, realized_state, run.target),
                 bound,
                 slack=1e-10,
             )
@@ -341,7 +395,7 @@ def grover_case(n: int, x0: int, delta: float, epsilon: float, m: int | None = N
     cfg = PrepConfig(oracle=oracle, epsilon=epsilon, delta=delta, m=m)
     report = verify_error_bounds(cfg)
     report.info["x0"] = x0
-    report.info["calls_per_sqrt_n"] = report.oracle_calls / np.sqrt(2**n)
+    report.info["calls_per_sqrt_n"] = report.oracle_calls / math.sqrt(2**n)
     return report
 
 

@@ -103,21 +103,22 @@ def test_plan_rounds_scale_linearly_in_inverse_sigma():
 
 
 def test_plan_degree_limit(monkeypatch):
-    # the n = 16 search instance plans 2479 rounds, n = 18 4957 and n = 24,
-    # the engine's limit, 39655
+    # the n = 16 search instance plans 2479 rounds, n = 18 4957, n = 24
+    # 39655 and n = 32 634469
     plan = plan_amplification(0.25 * 2.0**-8, 0.1)
     assert plan.rounds == 2479
     assert plan.predicted_success() >= 1 - 0.1 / 2
     assert plan_amplification(0.25 * 2.0**-9, 0.1).rounds == 4957
     assert plan_amplification(0.25 * 2.0**-12, 0.1).rounds == 39655
+    assert plan_amplification(0.25 * 2.0**-16, 0.1).rounds == 634469
     # a smaller sigma's round count is refused before any angle is computed
     def no_angles(rounds, edge):
         raise AssertionError("angles computed")
 
     monkeypatch.setattr(amplifier, "_fixed_point_phases", no_angles)
     with pytest.raises(DegreeOverflowError) as exc:
-        plan_amplification(2e-5, 0.1)
-    assert exc.value.needed == 121017 > MAX_ROUNDS
+        plan_amplification(2e-6, 0.1)
+    assert exc.value.needed == 1210153 > MAX_ROUNDS
 
 
 def test_plan_arrays_are_read_only():

@@ -14,7 +14,7 @@ import pytest
 import qsprep
 from qsprep import cli
 from qsprep.cli import main
-from qsprep.oracle import AmplitudeOracle, oracle_to_text
+from qsprep.oracle import AmplitudeOracle, ValueClasses, oracle_to_text
 from qsprep.phases import phases_from_text, reconstruct
 from qsprep.pipeline import BoundCheck, prepare_state, verify_error_bounds
 from qsprep.polyapprox import (
@@ -199,7 +199,9 @@ def _run_sweep(tmp_path, spec):
 
 @pytest.mark.parametrize(
     "change",
-    [{"dist": ["foo"]}, {"dist": ["indicator:9"]}, {"epsilon": [-0.1]}, {"n": [25]}],
+    # a generated indicator runs past the engine's table limit; a gaussian is a table
+    [{"dist": ["foo"]}, {"dist": ["indicator:9"]}, {"epsilon": [-0.1]},
+     {"n": [25], "dist": ["gaussian:2,1.5"]}],
     ids=["unknown-dist", "indicator-out-of-range", "negative-eps", "too-many-qubits"],
 )
 def test_sweep_bad_grid_point_becomes_error_row(tmp_path, capsys, change):
@@ -329,6 +331,39 @@ def test_make_oracle_rejects_too_many_qubits(capsys):
     assert rc == 2
     assert captured.err.startswith("error: ") and "n = 40" in captured.err
     assert captured.out == ""
+
+
+def test_make_oracle_refuses_a_generated_table_past_the_engine_limit(capsys):
+    # the indicator's two classes exist at n = 30; its 2^30-line file may not
+    rc = main(["make-oracle", "--n", "30", "--dist", "indicator:5"])
+    captured = capsys.readouterr()
+    assert rc == 2
+    assert captured.out == ""
+    lines = captured.err.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error: ") and "n = 30" in lines[0]
+
+
+def test_grover_refuses_34_qubits_by_its_round_count(capsys):
+    start = time.perf_counter()
+    rc = main(["grover", "--n", "34", "--x0", "5"])
+    elapsed = time.perf_counter() - start
+    captured = capsys.readouterr()
+    assert rc == 2 and captured.out == ""
+    lines = captured.err.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error: ") and "1268937" in lines[0]
+    assert elapsed < 1.0
+
+
+def test_grover_reports_32_qubits_without_building_a_state(capsys, monkeypatch):
+    def no_table(*args):
+        raise AssertionError("a 2^n-sized array was built")
+
+    monkeypatch.setattr(ValueClasses, "expand", no_table)
+    rc = main(["grover", "--n", "32", "--x0", "5", "--eps", "0.05", "--delta", "0.1"])
+    out = capsys.readouterr().out
+    assert rc == 0
+    assert "sign_degree          634469" in out and "[FAIL]" not in out
+    assert "calls_per_sqrt_n" in out
 
 
 READERS = {

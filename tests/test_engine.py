@@ -33,7 +33,7 @@ from qsprep.blockenc import (
     sine_block_encoding,
 )
 from qsprep.errors import DimensionError, InputError
-from qsprep.oracle import AmplitudeOracle
+from qsprep.oracle import AmplitudeOracle, ValueClasses
 from qsprep.phases import _prefix_rows
 from qsprep.pipeline import (
     BETA,
@@ -64,19 +64,29 @@ def hadamard_layer(n):
 
 def oracle_diagonal(run):
     """The phase oracle's diagonal, as the pipeline compiles it."""
-    m = run.oracle_m.m
-    c_q = run.oracle_m.quantized + 2.0 ** -(m + 1)
+    m = run.m
+    c_q = run.config.oracle.with_bits(m).quantized + 2.0 ** -(m + 1)
     return np.exp(1j * np.pi * BETA * c_q / 2.0)
 
 
 def value_classes(run):
     """Each index's class (the rank of its quantized value) and the class sizes."""
-    _, inverse, counts = np.unique(run.oracle_m.quantized, return_inverse=True, return_counts=True)
+    quantized = run.config.oracle.with_bits(run.m).quantized
+    _, inverse, counts = np.unique(quantized, return_inverse=True, return_counts=True)
     return inverse, counts
 
 
+def spread(run, per_class):
+    """A run's quantity given per class of equal values, at every index."""
+    return run.value_classes.expand(per_class)
+
+
 def dense_run(run):
-    """The same run with every simulated quantity taken from the dense reference."""
+    """The same run with every simulated quantity taken from the dense reference.
+
+    Its classes are the indices themselves, one each, so its reports sum
+    over the indices.
+    """
     cfg = run.config
     n = cfg.oracle.n
     layout = RegisterLayout.single(n, "data")
@@ -85,6 +95,7 @@ def dense_run(run):
     block = extract_block(be)
     c_realized = 2.0 * np.real(np.diag(block)) / BETA
     realized = c_realized / np.linalg.norm(c_realized)
+    size = 2**n
 
     s = hadamard_layer(n)
     psi0 = np.zeros(be.unitary.dim, dtype=complex)
@@ -98,12 +109,13 @@ def dense_run(run):
     d_a, d_s = len(run.encoding.phases), run.plan.rounds
     return dataclasses.replace(
         run,
-        final_state=StateVector(data, layout),
+        value_classes=ValueClasses(cfg.oracle.values, np.ones(size, dtype=np.int64), np.arange(size)),
+        final=data,
         success=success,
         gamma_realized=float(np.mean(c_realized**2)),
         eps_measured=spectral_norm(2.0 * block / BETA - np.diag(cfg.oracle.values)),
         realized_amplitudes=c_realized,
-        realized_state=realized.astype(complex),
+        target=spread(run, run.target),
         oracle_calls=4 * d_a * d_s,
     ), be
 
@@ -128,9 +140,9 @@ def assert_run_matches_dense(run, success_tol=TOL):
     dense = be.unitary.entries[np.arange(4)[:, None] * size + xs, xs]
     assert np.abs(run.encoding.columns[:, inverse] - dense).max() <= TOL
 
-    assert np.abs(run.final_state.amplitudes - ref.final_state.amplitudes).max() <= TOL
+    assert np.abs(spread(run, run.final) - ref.final).max() <= TOL
     assert abs(run.success - ref.success) <= success_tol
-    assert np.abs(run.realized_amplitudes - ref.realized_amplitudes).max() <= TOL
+    assert np.abs(spread(run, run.realized_amplitudes) - ref.realized_amplitudes).max() <= TOL
     assert abs(run.eps_measured - ref.eps_measured) <= TOL
     assert run.oracle_calls == ref.oracle_calls
     mine, theirs = _bound_report(run), _bound_report(ref)
@@ -226,18 +238,18 @@ def test_class_engine_matches_per_index_evaluation(values, eps):
     _, counts = value_classes(run)
     assert run.classes == counts.size <= 6
     data, success, c_realized, eps_measured, calls = per_index_run(run)
-    assert np.abs(run.final_state.amplitudes - data).max() <= TOL
+    assert np.abs(spread(run, run.final) - data).max() <= TOL
     assert abs(run.success - success) <= TOL
-    assert np.abs(run.realized_amplitudes - c_realized).max() <= TOL
+    assert np.abs(spread(run, run.realized_amplitudes) - c_realized).max() <= TOL
     assert run.eps_measured == eps_measured
     assert run.oracle_calls == calls
 
 
 def _extended_success(run):
     """The engine's success probability recomputed in extended precision."""
-    m = run.oracle_m.m
+    m = run.m
     pi = np.longdouble("3.141592653589793238462643383279503")
-    c_q = run.oracle_m.quantized.astype(np.longdouble) + np.longdouble(2.0) ** -(m + 1)
+    c_q = run.config.oracle.with_bits(m).quantized.astype(np.longdouble) + np.longdouble(2.0) ** -(m + 1)
     diagonal = np.exp(1j * pi * np.longdouble(BETA) * c_q / 2)
     size = diagonal.size
     w = np.empty((size, 2, 2), dtype=np.clongdouble)
@@ -362,7 +374,7 @@ def test_run_memory_per_index():
 
 def test_engine_size_is_checked_before_allocation(monkeypatch):
     monkeypatch.setattr(blockenc, "ENGINE_MAX_QUBITS", 3)
-    oracle = AmplitudeOracle.uniform(4, 8)
+    oracle = AmplitudeOracle(4, 8, np.ones(16))
     with pytest.raises(DimensionError):
         prepare_state(PrepConfig(oracle=oracle, epsilon=0.05, delta=0.1))
     with pytest.raises(DimensionError):

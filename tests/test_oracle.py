@@ -1,8 +1,12 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
-from qsprep.errors import InfeasibleError, InputError, QsprepError
+from qsprep.blockenc import ENGINE_MAX_QUBITS
+from qsprep.errors import DimensionError, InfeasibleError, InputError, QsprepError
 from qsprep.oracle import (
+    MAX_CLASS_QUBITS,
     AmplitudeOracle,
     bit_oracle_unitary,
     gamma,
@@ -207,21 +211,85 @@ def test_oracle_text_rejects_extra_amplitudes():
         oracle_from_text("1 4\n0.5\n0.25\n0.75\n")
 
 
-@pytest.mark.parametrize("make", [
-    lambda n: AmplitudeOracle.uniform(n, 8),
-    lambda n: AmplitudeOracle.indicator(n, 0, 8),
-    lambda n: AmplitudeOracle.gaussian(n, 1.0, 2.0, 8),
-    lambda n: AmplitudeOracle.random(n, 8, np.random.default_rng(0)),
-    lambda n: AmplitudeOracle.from_dist(n, 8, "uniform"),
+@pytest.mark.parametrize("make, limit", [
+    (lambda n: AmplitudeOracle.uniform(n, 8), MAX_CLASS_QUBITS),
+    (lambda n: AmplitudeOracle.indicator(n, 0, 8), MAX_CLASS_QUBITS),
+    (lambda n: AmplitudeOracle.gaussian(n, 1.0, 2.0, 8), ENGINE_MAX_QUBITS),
+    (lambda n: AmplitudeOracle.random(n, 8, np.random.default_rng(0)), ENGINE_MAX_QUBITS),
+    (lambda n: AmplitudeOracle.from_dist(n, 8, "uniform"), MAX_CLASS_QUBITS),
 ], ids=["uniform", "indicator", "gaussian", "random", "from_dist"])
-def test_generators_check_size_before_allocating(make):
-    from qsprep.blockenc import ENGINE_MAX_QUBITS
-
-    # 2^40 doubles would be 8 TiB: the check must come first
-    for n in (ENGINE_MAX_QUBITS + 1, 40, -1):
+def test_generators_check_size_before_allocating(make, limit):
+    # 2^40 doubles would be 8 TiB: the check must come first. A generator
+    # that builds its classes allocates no table and goes to
+    # MAX_CLASS_QUBITS; one that builds a table stops at the engine's limit
+    for n in (limit + 1, 64, -1):
         with pytest.raises(InputError):
             make(n)
     assert make(2).size == 4
+    if limit == MAX_CLASS_QUBITS:
+        tracemalloc.start()
+        try:
+            big = make(limit)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert big.size == 2**limit and peak < 2**16
+
+
+@pytest.mark.parametrize("make", [
+    lambda: AmplitudeOracle.uniform(ENGINE_MAX_QUBITS + 6, 8),
+    lambda: AmplitudeOracle.indicator(ENGINE_MAX_QUBITS + 6, 5, 8),
+], ids=["uniform", "indicator"])
+def test_table_bound_calls_above_the_engine_limit_fail_before_allocating(make):
+    oracle = make()
+    reads = {
+        "values": lambda: oracle.values,
+        "quantized": lambda: oracle.quantized,
+        "bit_patterns": oracle.bit_patterns,
+        "oracle_to_text": lambda: oracle_to_text(oracle),
+        "phase_unitary": lambda: phase_unitary(oracle),
+        "phase_unitary_direct": lambda: phase_unitary_direct(oracle),
+        "target_state": lambda: target_state(oracle),
+    }
+    tracemalloc.start()
+    try:
+        for name, read in reads.items():
+            with pytest.raises(DimensionError):
+                read()
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 2**16
+    # what the classes answer needs no table
+    one_class = oracle.classes.values.size == 1
+    assert gamma(oracle, use_exact=True) == (1.0 if one_class else 2.0**-oracle.n)
+
+
+@pytest.mark.parametrize("n", range(0, 7))
+def test_generated_classes_spell_out_the_table(n):
+    size = 2**n
+    for oracle, table in (
+        (AmplitudeOracle.uniform(n, 6), np.ones(size)),
+        (AmplitudeOracle.indicator(n, size - 1, 6), np.eye(size)[size - 1]),
+    ):
+        assert oracle.values.tolist() == table.tolist()
+        assert not oracle.values.flags.writeable
+        by_hand = AmplitudeOracle(n, 6, table)
+        assert oracle.quantized.tolist() == by_hand.quantized.tolist()
+        assert oracle.classes.values.tolist() == by_hand.classes.values.tolist()
+        assert oracle.classes.counts.tolist() == by_hand.classes.counts.tolist()
+        assert gamma(oracle) == gamma(by_hand) and gamma(oracle, True) == gamma(by_hand, True)
+        assert oracle_to_text(oracle) == oracle_to_text(by_hand)
+        # requantizing shares the classes
+        assert oracle.with_bits(9).classes is oracle.classes
+
+
+def test_table_classes_expand_to_the_table():
+    values = np.random.default_rng(8).choice([0.0, 0.25, 0.5, 1.0], size=64)
+    classes = AmplitudeOracle(6, 8, values).classes
+    assert classes.values.tolist() == [0.0, 0.25, 0.5, 1.0]
+    assert classes.counts.sum() == 64
+    assert classes.expand(classes.values).tolist() == values.tolist()
 
 
 @pytest.mark.parametrize("n, m", [(2, 2.5), (2, True), (2.0, 8), (True, 8), (2, 8.0), (-1, 8)],

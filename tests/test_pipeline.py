@@ -3,7 +3,7 @@ import pytest
 
 from qsprep import blockenc, pipeline
 from qsprep.errors import InfeasibleError, InputError
-from qsprep.oracle import AmplitudeOracle
+from qsprep.oracle import AmplitudeOracle, ValueClasses
 from qsprep.phases import _memo
 from qsprep.pipeline import (
     PrepConfig,
@@ -86,6 +86,23 @@ def test_zero_table_rejected():
         prepare_state(PrepConfig(oracle=oracle, epsilon=0.05, delta=0.1))
 
 
+def test_tiny_table_is_refused_as_infeasible():
+    # gamma is 2.5e-321, and 3 / (epsilon gamma) overflows to infinity
+    oracle = AmplitudeOracle(2, 8, np.array([1e-160, 0.0, 0.0, 0.0]))
+    with pytest.raises(InfeasibleError, match="no room in the error budget"):
+        prepare_state(PrepConfig(oracle=oracle, epsilon=0.05, delta=0.1))
+
+
+@pytest.mark.parametrize("tiny", [1e-300, 5e-324])
+def test_underflowing_gamma_is_named_as_such(tiny):
+    # the table is not zero: its mean square underflows
+    oracle = AmplitudeOracle(2, 8, np.array([tiny, 0.0, 0.0, 0.0]))
+    with pytest.raises(InfeasibleError, match="underflows") as info:
+        prepare_state(PrepConfig(oracle=oracle, epsilon=0.05, delta=0.1))
+    assert f"{tiny:.3e}" in str(info.value)
+    assert "identically zero" not in str(info.value)
+
+
 def test_oracle_call_accounting():
     oracle = AmplitudeOracle.indicator(2, 3, 8)
     rep = prepare_state(PrepConfig(oracle=oracle, epsilon=0.05, delta=0.1))
@@ -123,6 +140,46 @@ def test_grover_past_sign_degree_2000():
     assert rep.degrees[1] == 877
     assert rep.all_passed, [c.name for c in rep.bound_checks if not c.passed]
     assert int(np.argmax(np.abs(rep.final_state.amplitudes))) == 8189
+
+
+@pytest.mark.parametrize("n", range(0, 13))
+def test_generated_oracles_run_like_the_table_built_by_hand(n):
+    size = 2**n
+    for generated, table in (
+        (AmplitudeOracle.uniform(n, 8), np.ones(size)),
+        (AmplitudeOracle.indicator(n, size // 3, 8), np.eye(size)[size // 3]),
+    ):
+        mine, theirs = (verify_error_bounds(PrepConfig(oracle=o, epsilon=0.05, delta=0.1))
+                        for o in (generated, AmplitudeOracle(n, 8, table)))
+        assert mine.degrees == theirs.degrees and mine.oracle_calls == theirs.oracle_calls
+        assert [(c.name, c.passed) for c in mine.bound_checks] == [
+            (c.name, c.passed) for c in theirs.bound_checks
+        ]
+        for a, b in zip(mine.bound_checks, theirs.bound_checks):
+            assert abs(a.lhs - b.lhs) <= 1e-15
+        assert abs(mine.success_probability - theirs.success_probability) <= 1e-15
+        assert abs(mine.fidelity_to_target - theirs.fidelity_to_target) <= 1e-15
+        gap = np.abs(mine.final_state.amplitudes - theirs.final_state.amplitudes).max()
+        assert gap <= 1e-15
+
+
+def test_grover_at_32_qubits_passes_every_check_without_a_table(monkeypatch):
+    # 2^32 indices in two classes: no 2^n-sized array is built, and the
+    # 634469 amplification rounds reach the success the plan predicts at
+    # the singular value the engine actually amplifies
+    def no_table(*args):
+        raise AssertionError("a 2^n-sized array was built")
+
+    monkeypatch.setattr(ValueClasses, "expand", no_table)
+    cfg = PrepConfig(oracle=AmplitudeOracle.indicator(32, 5, 8), epsilon=0.05, delta=0.1)
+    run = pipeline._execute(cfg)
+    rep = pipeline._bound_report(run)
+    assert rep.all_passed, [c.name for c in rep.bound_checks if not c.passed]
+    assert rep.degrees[1] == 634469 and run.classes == 2
+    counts = run.value_classes.counts
+    sigma = np.sqrt(counts @ np.abs(run.encoding.columns[0]) ** 2 / 2**32)
+    assert abs(rep.success_probability - run.plan.predicted_success(sigma)) <= 1e-10
+    assert rep.info["gamma"] == 2.0**-32
 
 
 def test_grover_rejects_out_of_range():
