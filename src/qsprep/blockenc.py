@@ -23,6 +23,7 @@ from types import MappingProxyType
 
 import numpy as np
 
+from . import oracle
 from .errors import DimensionError, InfeasibleError, InputError
 from .phases import _MEMO_SIZE, PhaseSequence, _prefix_rows, conjugate_phases, real_target_phases
 from .polyapprox import arcsin_taylor, chebyshev_economize
@@ -185,28 +186,6 @@ def lcu_real_part(be: BlockEncoding, phi: PhaseSequence) -> BlockEncoding:
     return BlockEncoding(UnitaryMatrix(u, layout), a, proj, proj, plus.certified_error)
 
 
-# Largest table the engine accepts, and the largest 2^n-sized array built
-# from an oracle's classes. A preparation works on the table's classes of
-# equal values and the engine on its K distinct quantized values, so what
-# grows with N is splitting a given table into its classes and the checks
-# over them, about 90 bytes per index at the peak, and, only when a caller
-# reads them, the 2^n values or the final state. On a 2-vCPU x86 host a
-# whole verify_error_bounds run on a uniform-random table (eps 0.05, delta
-# 0.1, 1024 levels) takes 0.1-0.2 s at n = 20 with 195 MB peak resident. An
-# oracle that is generated as classes (``AmplitudeOracle.uniform``,
-# ``indicator``) builds no such array and may go past this limit:
-# grover_case at n = 32 (634469 rounds) takes 0.33 s with 75 MB.
-ENGINE_MAX_QUBITS = 24
-
-
-def check_engine_size(n: int) -> None:
-    """Raise DimensionError when n data qubits exceed the engine's limit."""
-    if n > ENGINE_MAX_QUBITS:
-        raise DimensionError(
-            f"n = {n} data qubits exceeds the engine limit {ENGINE_MAX_QUBITS}"
-        )
-
-
 @dataclass(frozen=True)
 class LevelEncoding:
     """The generator encoding of a diagonal phase oracle, one column per level.
@@ -278,9 +257,9 @@ def hamiltonian_from_unitary(levels: np.ndarray, epsilon: float, delta: float) -
     levels = np.asarray(levels, dtype=complex)
     if levels.ndim != 1 or levels.size < 1:
         raise DimensionError("the oracle's levels must be a non-empty vector")
-    if levels.size > 2**ENGINE_MAX_QUBITS:
+    if levels.size > 2**oracle.MAX_TABLE_QUBITS:
         raise DimensionError(
-            f"{levels.size} levels exceed the engine's {2**ENGINE_MAX_QUBITS} indices"
+            f"{levels.size} levels exceed the table limit of {2**oracle.MAX_TABLE_QUBITS} indices"
         )
     build = _encoding if levels.size <= _MEMO_MAX_LEVELS else _encoding.__wrapped__
     return build(levels.tobytes(), float(epsilon), float(delta))
@@ -298,8 +277,9 @@ _MEMO_MAX_LEVELS = 2**12
 @functools.lru_cache(maxsize=_MEMO_SIZE)
 def _encoding(key: bytes, epsilon: float, delta: float) -> LevelEncoding:
     levels = np.frombuffer(key, dtype=complex)
-    if np.abs(np.abs(levels) - 1.0).max() > 1e-12:
-        raise InputError("the oracle diagonal must have unit-modulus entries")
+    # written so that a NaN fails it: the guard below sees finite entries only
+    if not np.abs(np.abs(levels) - 1.0).max() <= 1e-12:
+        raise InputError("the oracle diagonal must have finite unit-modulus entries")
     sine_norm = float(np.abs(levels.imag).max())
     if sine_norm > 1.0 - delta:
         raise InfeasibleError(

@@ -39,6 +39,7 @@ def _print_report(rep: PrepReport) -> None:
     print(f"oracle_calls         {rep.oracle_calls}")
     print(f"arcsin_degree        {rep.degrees[0]}")
     print(f"sign_degree          {rep.degrees[1]}")
+    print(f"m                    {rep.info['m']}")
     print(f"classes              {rep.info['classes']}")
     for key in ("gamma", "eps_measured", "sigma", "final_error"):
         if key in rep.info:
@@ -175,7 +176,10 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("make-oracle", help="generate an amplitude table file")
     p.add_argument("--n", type=int, required=True)
-    p.add_argument("--m", type=int, default=8)
+    p.add_argument("--m", type=int, default=8,
+                   help="the header's value bits, the register width of the compiled "
+                   "oracle; prepare and verify-bounds quantize at their own --m or "
+                   "the m derived from eps and gamma")
     p.add_argument("--dist", required=True,
                    help="uniform | indicator:x0 | gaussian:mu,sigma")
     p.add_argument("--out", default=None)

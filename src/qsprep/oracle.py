@@ -18,7 +18,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .blockenc import ENGINE_MAX_QUBITS, check_engine_size
 from .errors import DimensionError, InfeasibleError, InputError
 from .simulator import (
     GateSpec,
@@ -34,6 +33,13 @@ from .simulator import (
 
 # Most value bits a table is quantized to; 2^m must stay exact in a double.
 MAX_BITS = 50
+# Most data qubits of a table given as values (the constructor, ``gaussian``,
+# a table file) and of any 2^n-sized array built from classes. What grows
+# with N is the split into classes and the sums over them, about 90 bytes
+# per index at the peak: on a 2-vCPU x86 host verify_error_bounds on a
+# uniform-random n = 20 table (eps 0.05, delta 0.1, 1024 levels) takes
+# 0.1-0.2 s with 195 MB peak resident. Every check reads it when it runs.
+MAX_TABLE_QUBITS = 24
 # Most data qubits of an oracle built from its classes (``uniform``,
 # ``indicator``). Every count, N - 1 included, is then an integer that a
 # double holds exactly, so the count-weighted sums over classes are as
@@ -57,7 +63,12 @@ def _is_int(value) -> bool:
 
 def _check_bits(m) -> None:
     if not (_is_int(m) and 1 <= m <= MAX_BITS):
-        raise InputError(f"need an integer 1..{MAX_BITS} value bits, got m = {m!r}")
+        raise InputError(f"need an integer m of 1..{MAX_BITS} value bits, got {m!r}")
+
+
+def _check_table_size(n: int) -> None:
+    if n > MAX_TABLE_QUBITS:
+        raise DimensionError(f"n = {n} data qubits exceeds the table limit {MAX_TABLE_QUBITS}")
 
 
 def _size(n, limit: int) -> int:
@@ -92,12 +103,12 @@ class ValueClasses:
         """A new array with ``per_class[k]`` at every index of class k.
 
         Without an index map the 2^n entries are refused with DimensionError
-        above ``blockenc.ENGINE_MAX_QUBITS`` data qubits, before any exists.
+        above ``MAX_TABLE_QUBITS`` data qubits, before any exists.
         """
         if self.index is not None:
             return per_class[self.index]
         size = int(self.counts.sum())
-        check_engine_size(size.bit_length() - 1)  # size is 2^n
+        _check_table_size(size.bit_length() - 1)  # size is 2^n
         out = np.full(size, per_class[0], dtype=per_class.dtype)
         out[list(self.singles)] = per_class[1:]
         return out
@@ -111,11 +122,11 @@ class AmplitudeOracle:
     that c = 1 still fits the m-bit register; the cap makes the quantization
     error equal (not below) 2^-m at c = 1 exactly, which the error analysis
     absorbs like any other oracle noise. ``AmplitudeOracle(n, m, values)``
-    keeps a read-only copy of the values and splits them into ``classes`` on
-    first use; the ``uniform`` and ``indicator`` generators build the classes
-    and leave ``values`` unbuilt until it is read. Quantization is lazy too,
-    so an oracle that is only requantized with ``with_bits`` never quantizes
-    at its own m.
+    refuses n above ``MAX_TABLE_QUBITS`` with DimensionError before it
+    copies the values, keeps a read-only copy and splits it into ``classes``
+    on first use; the ``uniform`` and ``indicator`` generators build the
+    classes and leave ``values`` unbuilt until it is read. Quantization is
+    lazy too: a preparation quantizes the class values, never the table.
     """
 
     n: int
@@ -125,6 +136,7 @@ class AmplitudeOracle:
         if not (_is_int(n) and n >= 0):
             raise InputError(f"need a non-negative integer n of data qubits, got n = {n!r}")
         _check_bits(m)
+        _check_table_size(n)
         vals = np.array(values, dtype=float)  # a copy: the caller's array may change
         if vals.shape != (2**n,):
             raise DimensionError(f"expected {2**n} amplitudes, got {vals.shape}")
@@ -152,10 +164,9 @@ class AmplitudeOracle:
     def classes(self) -> ValueClasses:
         """The table's classes of equal values, from one split of the table.
 
-        The split is the engine's O(N) work on a table, so it is refused with
-        DimensionError above ``blockenc.ENGINE_MAX_QUBITS`` data qubits.
+        A generated oracle is built with its classes, so only a table given
+        as values, already checked against ``MAX_TABLE_QUBITS``, is split.
         """
-        check_engine_size(self.n)
         split = np.unique(self.values, return_inverse=True, return_counts=True)
         values, index, counts = (_read_only(a) for a in split)
         return ValueClasses(values, counts, index)
@@ -171,17 +182,6 @@ class AmplitudeOracle:
     def bit_patterns(self) -> np.ndarray:
         """Integer register contents, most significant value bit first."""
         return (self.quantized * 2**self.m).astype(np.int64)
-
-    def with_bits(self, m: int) -> "AmplitudeOracle":
-        """The same table at m value bits; the values are not checked again."""
-        _check_bits(m)
-        if m == self.m:
-            return self
-        out = object.__new__(AmplitudeOracle)
-        # the values and their classes are shared; the quantization is not
-        out.__dict__.update(self.__dict__, m=int(m))
-        out.__dict__.pop("quantized", None)
-        return out
 
     # -- generators ---------------------------------------------------------
 
@@ -206,12 +206,8 @@ class AmplitudeOracle:
     def gaussian(cls, n: int, mu: float, sigma: float, m: int) -> "AmplitudeOracle":
         if not sigma > 0:
             raise InputError(f"gaussian width must be positive, got {sigma}")
-        xs = np.arange(_size(n, ENGINE_MAX_QUBITS), dtype=float)
+        xs = np.arange(_size(n, MAX_TABLE_QUBITS), dtype=float)
         return cls(n, m, np.exp(-((xs - mu) ** 2) / (2 * sigma**2)))
-
-    @classmethod
-    def random(cls, n: int, m: int, rng: np.random.Generator) -> "AmplitudeOracle":
-        return cls(n, m, rng.uniform(0.0, 1.0, _size(n, ENGINE_MAX_QUBITS)))
 
     @classmethod
     def from_dist(cls, n: int, m: int, dist: str) -> "AmplitudeOracle":
@@ -219,7 +215,7 @@ class AmplitudeOracle:
 
         A malformed spec, or an n outside the generator's range (0 ..
         ``MAX_CLASS_QUBITS`` for ``uniform`` and ``indicator``, 0 ..
-        ``blockenc.ENGINE_MAX_QUBITS`` for ``gaussian``), raises InputError
+        ``MAX_TABLE_QUBITS`` for ``gaussian``), raises InputError
         before any table is allocated.
         """
         name, _, args = dist.partition(":")
@@ -237,7 +233,7 @@ class AmplitudeOracle:
 
 
 def oracle_to_text(c: AmplitudeOracle) -> str:
-    """Header `n m`, then 2^n decimal amplitudes (at most ``blockenc.ENGINE_MAX_QUBITS`` data qubits)."""
+    """Header `n m`, then 2^n decimal amplitudes (at most ``MAX_TABLE_QUBITS`` data qubits)."""
     lines = [f"{c.n} {c.m}"]
     lines += [f"{v:.17g}" for v in c.values]
     return "\n".join(lines) + "\n"
@@ -246,20 +242,19 @@ def oracle_to_text(c: AmplitudeOracle) -> str:
 def oracle_from_text(text: str) -> AmplitudeOracle:
     """Parse ``oracle_to_text`` output; a malformed file raises InputError.
 
-    The header's n must lie in 0 .. ``blockenc.ENGINE_MAX_QUBITS`` and its m
-    in 1 .. ``MAX_BITS``; both are checked before any amplitude line is read.
+    The header's n must lie in 0 .. ``MAX_TABLE_QUBITS`` and its m in 1 ..
+    ``MAX_BITS``; both are checked before any amplitude line is read.
     """
     lines = [ln for ln in text.strip().splitlines() if ln.strip()]
     try:
         n, m = (int(t) for t in lines[0].split())
     except (IndexError, ValueError) as exc:
         raise InputError(f"malformed oracle table header: {exc}") from exc
-    if not 0 <= n <= ENGINE_MAX_QUBITS:
-        raise InputError(
-            f"oracle table header: need 0..{ENGINE_MAX_QUBITS} data qubits, got n = {n}"
-        )
-    if not 1 <= m <= MAX_BITS:
-        raise InputError(f"oracle table header: need 1..{MAX_BITS} value bits, got m = {m}")
+    try:
+        _size(n, MAX_TABLE_QUBITS)
+        _check_bits(m)
+    except InputError as exc:
+        raise InputError(f"oracle table header: {exc}") from exc
     try:
         vals = np.array([float(ln) for ln in lines[1:]])
     except ValueError as exc:
@@ -327,16 +322,15 @@ def phase_unitary_direct(c: AmplitudeOracle, use_exact: bool = False) -> Unitary
     return UnitaryMatrix(np.diag(phases), RegisterLayout.single(c.n, "data"))
 
 
-def gamma(c: AmplitudeOracle, use_exact: bool = False) -> float:
+def gamma(c: AmplitudeOracle) -> float:
     """Mean squared amplitude (1/N) sum c(x)^2, summed over the classes with their counts."""
     classes = c.classes
-    vals = classes.values if use_exact else _quantize(classes.values, c.m)
-    return float(classes.counts @ vals**2) / c.size
+    return float(classes.counts @ classes.values**2) / c.size
 
 
 def target_state(c: AmplitudeOracle) -> StateVector:
     """Normalized reference state with amplitudes proportional to c(x)."""
-    g = gamma(c, use_exact=True)
+    g = gamma(c)
     if g <= 0.0:
         raise InfeasibleError("all amplitudes vanish; the target state is undefined")
     amps = c.values / np.sqrt(c.size * g)

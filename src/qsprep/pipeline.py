@@ -29,7 +29,7 @@ import numpy as np
 from .amplifier import AmplificationPlan, amplify_state, plan_amplification
 from .blockenc import LevelEncoding, hamiltonian_from_unitary
 from .errors import InfeasibleError, InputError, QsprepError
-from .oracle import MAX_BITS, AmplitudeOracle, ValueClasses, _is_int, _quantize, gamma
+from .oracle import MAX_BITS, AmplitudeOracle, ValueClasses, _check_bits, _is_int, _quantize, gamma
 from .simulator import RegisterLayout, StateVector
 
 SWEEP_COLUMNS = [
@@ -75,8 +75,8 @@ class PrepConfig:
             raise InputError(f"delta must lie in (0, 1), got {self.delta!r}")
         if not _is_real(self.epsilon) or not 0 < self.epsilon < np.inf:
             raise InputError(f"epsilon must be positive, got {self.epsilon!r}")
-        if self.m is not None and not (_is_int(self.m) and 1 <= self.m <= MAX_BITS):
-            raise InputError(f"m must be an integer in 1..{MAX_BITS}, got {self.m!r}")
+        if self.m is not None:
+            _check_bits(self.m)
 
 
 def _is_real(value) -> bool:
@@ -124,8 +124,8 @@ class PrepReport:
     def final_state(self) -> StateVector:
         """The prepared data-register state, 2^n amplitudes.
 
-        Raises DimensionError above ``blockenc.ENGINE_MAX_QUBITS`` data
-        qubits, before any amplitude exists.
+        Raises DimensionError above ``oracle.MAX_TABLE_QUBITS`` data qubits,
+        before any amplitude exists.
         """
         return self._final()
 
@@ -147,12 +147,11 @@ class _RunResult:
     gamma_quant: float
     gamma_realized: float
     eps_measured: float
-    # the final state, the realized amplitudes and the target, each at one
-    # index of every class of ``value_classes``; the reports weight them by
-    # the class counts
+    # the final, realized and target states, each at one index of every
+    # class of ``value_classes``; the reports weight them by the class counts
     value_classes: ValueClasses
     final: np.ndarray
-    realized_amplitudes: np.ndarray
+    realized: np.ndarray
     target: np.ndarray
     oracle_calls: int
     classes: int  # the engine's level count K
@@ -166,7 +165,7 @@ def _execute(cfg: PrepConfig) -> _RunResult:
     oracle = cfg.oracle
     # a table is split into its classes once; a generated oracle knows them
     value_classes = oracle.classes
-    g_exact = gamma(oracle, use_exact=True)
+    g_exact = gamma(oracle)
     if g_exact <= 0.0:
         top = float(value_classes.values[-1])
         if top > 0.0:
@@ -227,8 +226,7 @@ def _execute(cfg: PrepConfig) -> _RunResult:
     # the encoded generator is diagonal (and real), so its spectral distance
     # to the table is the largest per-index deviation
     c_level = 2.0 * encoding.diagonal.real / BETA
-    c_realized = c_level[level_of]
-    eps_measured = float(np.abs(c_realized - value_classes.values).max())
+    eps_measured = float(np.abs(c_level[level_of] - value_classes.values).max())
     g_realized = float(counts @ c_level**2) / size
     g_quant = float(counts @ levels**2) / size
 
@@ -265,7 +263,7 @@ def _execute(cfg: PrepConfig) -> _RunResult:
         eps_measured=eps_measured,
         value_classes=value_classes,
         final=data_level[level_of],
-        realized_amplitudes=c_realized,
+        realized=realized_level[level_of],
         target=value_classes.values / math.sqrt(size * g_exact),
         oracle_calls=oracle_calls,
         classes=levels.size,
@@ -345,11 +343,6 @@ def _bound_report(run: _RunResult) -> PrepReport:
     g = run.gamma_exact
     gt = run.gamma_realized
     bound = 3.0 * eps / g
-    realized_norm = math.sqrt(run.config.oracle.size * gt)
-    if realized_norm > 0:
-        realized_state = run.realized_amplitudes / realized_norm
-    else:
-        realized_state = np.zeros_like(run.realized_amplitudes)
     checks = report.bound_checks
     checks.append(BoundCheck.le("gamma_diff_le_2eps", abs(gt - g), 2.0 * eps, slack=1e-12))
     premise = BoundCheck.le("premise_eps_le_gamma_over_4", eps, g / 4.0)
@@ -367,7 +360,7 @@ def _bound_report(run: _RunResult) -> PrepReport:
         checks.append(
             BoundCheck.le(
                 "state_dist_le_3eps_over_gamma",
-                _distance(run.value_classes.counts, realized_state, run.target),
+                _distance(run.value_classes.counts, run.realized, run.target),
                 bound,
                 slack=1e-10,
             )

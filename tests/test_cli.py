@@ -40,6 +40,19 @@ def test_make_oracle_and_prepare(tmp_path, capsys):
     assert "[PASS]" in out and "[FAIL]" not in out
 
 
+def test_prepare_reports_the_m_it_quantized_at(tmp_path, capsys):
+    # the file's header m is the compiled oracle's register width; the
+    # preparation derives its own m from eps and gamma
+    oracle_file = tmp_path / "oracle.txt"
+    assert main(["make-oracle", "--n", "4", "--m", "8", "--dist", "gaussian:8,4",
+                 "--out", str(oracle_file)]) == 0
+    assert oracle_file.read_text().splitlines()[0] == "4 8"
+    assert main(["prepare", "--oracle", str(oracle_file)]) == 0
+    lines = capsys.readouterr().out.splitlines()
+    assert "m                    10" in lines
+    assert lines.index("m                    10") + 1 == lines.index("classes              9")
+
+
 def test_verify_bounds_command(tmp_path, capsys):
     oracle_file = tmp_path / "oracle.txt"
     oracle_file.write_text(oracle_to_text(AmplitudeOracle.gaussian(2, 1.5, 1.0, 8)))
@@ -199,7 +212,7 @@ def _run_sweep(tmp_path, spec):
 
 @pytest.mark.parametrize(
     "change",
-    # a generated indicator runs past the engine's table limit; a gaussian is a table
+    # a generated indicator runs past the table limit; a gaussian is a table
     [{"dist": ["foo"]}, {"dist": ["indicator:9"]}, {"epsilon": [-0.1]},
      {"n": [25], "dist": ["gaussian:2,1.5"]}],
     ids=["unknown-dist", "indicator-out-of-range", "negative-eps", "too-many-qubits"],

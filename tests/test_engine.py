@@ -24,7 +24,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from qsprep import blockenc, simulator
+from qsprep import simulator
 from qsprep.amplifier import amplify, amplify_state, build_projectors
 from qsprep.blockenc import (
     extract_block,
@@ -62,17 +62,21 @@ def hadamard_layer(n):
     return UnitaryMatrix(s.astype(complex), RegisterLayout.single(n))
 
 
+def quantized(run):
+    """The run's table quantized at the m it ran at."""
+    table = run.config.oracle
+    return AmplitudeOracle(table.n, run.m, table.values).quantized
+
+
 def oracle_diagonal(run):
     """The phase oracle's diagonal, as the pipeline compiles it."""
-    m = run.m
-    c_q = run.config.oracle.with_bits(m).quantized + 2.0 ** -(m + 1)
+    c_q = quantized(run) + 2.0 ** -(run.m + 1)
     return np.exp(1j * np.pi * BETA * c_q / 2.0)
 
 
 def value_classes(run):
     """Each index's class (the rank of its quantized value) and the class sizes."""
-    quantized = run.config.oracle.with_bits(run.m).quantized
-    _, inverse, counts = np.unique(quantized, return_inverse=True, return_counts=True)
+    _, inverse, counts = np.unique(quantized(run), return_inverse=True, return_counts=True)
     return inverse, counts
 
 
@@ -112,9 +116,10 @@ def dense_run(run):
         value_classes=ValueClasses(cfg.oracle.values, np.ones(size, dtype=np.int64), np.arange(size)),
         final=data,
         success=success,
+        gamma_quant=float(np.mean((quantized(run) + 2.0 ** -(run.m + 1)) ** 2)),
         gamma_realized=float(np.mean(c_realized**2)),
         eps_measured=spectral_norm(2.0 * block / BETA - np.diag(cfg.oracle.values)),
-        realized_amplitudes=c_realized,
+        realized=realized,
         target=spread(run, run.target),
         oracle_calls=4 * d_a * d_s,
     ), be
@@ -142,7 +147,8 @@ def assert_run_matches_dense(run, success_tol=TOL):
 
     assert np.abs(spread(run, run.final) - ref.final).max() <= TOL
     assert abs(run.success - ref.success) <= success_tol
-    assert np.abs(spread(run, run.realized_amplitudes) - ref.realized_amplitudes).max() <= TOL
+    assert np.abs(spread(run, run.realized) - ref.realized).max() <= TOL
+    assert abs(run.gamma_quant - ref.gamma_quant) <= TOL
     assert abs(run.eps_measured - ref.eps_measured) <= TOL
     assert run.oracle_calls == ref.oracle_calls
     mine, theirs = _bound_report(run), _bound_report(ref)
@@ -219,7 +225,7 @@ def per_index_run(run):
     data = flag_row / np.sqrt(success)
     data = data * np.exp(-1j * np.angle(np.vdot(realized, data)))
     eps = float(np.abs(c_realized - run.config.oracle.values).max())
-    return data, success, c_realized, eps, rounds * layers * 4
+    return data, success, realized, eps, rounds * layers * 4
 
 
 @st.composite
@@ -237,10 +243,10 @@ def test_class_engine_matches_per_index_evaluation(values, eps):
     run = engine_run(values, eps=eps)
     _, counts = value_classes(run)
     assert run.classes == counts.size <= 6
-    data, success, c_realized, eps_measured, calls = per_index_run(run)
+    data, success, realized, eps_measured, calls = per_index_run(run)
     assert np.abs(spread(run, run.final) - data).max() <= TOL
     assert abs(run.success - success) <= TOL
-    assert np.abs(spread(run, run.realized_amplitudes) - c_realized).max() <= TOL
+    assert np.abs(spread(run, run.realized) - realized).max() <= TOL
     assert run.eps_measured == eps_measured
     assert run.oracle_calls == calls
 
@@ -249,7 +255,7 @@ def _extended_success(run):
     """The engine's success probability recomputed in extended precision."""
     m = run.m
     pi = np.longdouble("3.141592653589793238462643383279503")
-    c_q = run.config.oracle.with_bits(m).quantized.astype(np.longdouble) + np.longdouble(2.0) ** -(m + 1)
+    c_q = quantized(run).astype(np.longdouble) + np.longdouble(2.0) ** -(m + 1)
     diagonal = np.exp(1j * pi * np.longdouble(BETA) * c_q / 2)
     size = diagonal.size
     w = np.empty((size, 2, 2), dtype=np.clongdouble)
@@ -373,10 +379,9 @@ def test_run_memory_per_index():
 
 
 def test_engine_size_is_checked_before_allocation(monkeypatch):
-    monkeypatch.setattr(blockenc, "ENGINE_MAX_QUBITS", 3)
-    oracle = AmplitudeOracle(4, 8, np.ones(16))
+    monkeypatch.setattr("qsprep.oracle.MAX_TABLE_QUBITS", 3)
     with pytest.raises(DimensionError):
-        prepare_state(PrepConfig(oracle=oracle, epsilon=0.05, delta=0.1))
+        AmplitudeOracle(4, 8, np.ones(16))
     with pytest.raises(DimensionError):
         hamiltonian_from_unitary(np.ones(16, dtype=complex), 1e-3, 0.25)
 
@@ -392,11 +397,17 @@ def test_lcu_checks_its_size_before_allocation(monkeypatch):
 
 @pytest.mark.parametrize(
     "diagonal",
-    [np.ones((2, 2), dtype=complex), np.array([1.0, 0.5])],
-    ids=["matrix", "not-unit"],
+    [
+        np.ones((2, 2), dtype=complex),
+        np.array([1.0, 0.5]),
+        np.array([complex(np.nan, 0.0), 1.0]),
+        np.array([complex(0.0, np.nan), 1.0]),
+    ],
+    ids=["matrix", "not-unit", "nan-real", "nan-imag"],
 )
 def test_hamiltonian_rejects_bad_diagonal(diagonal):
-    with pytest.raises((DimensionError, InputError)):
+    error = DimensionError if diagonal.ndim != 1 else InputError
+    with pytest.raises(error):
         hamiltonian_from_unitary(diagonal, 1e-3, 0.25)
 
 

@@ -3,10 +3,11 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from qsprep.blockenc import ENGINE_MAX_QUBITS
+from qsprep.blockenc import hamiltonian_from_unitary
 from qsprep.errors import DimensionError, InfeasibleError, InputError, QsprepError
 from qsprep.oracle import (
     MAX_CLASS_QUBITS,
+    MAX_TABLE_QUBITS,
     AmplitudeOracle,
     bit_oracle_unitary,
     gamma,
@@ -16,11 +17,12 @@ from qsprep.oracle import (
     phase_unitary_direct,
     target_state,
 )
+from qsprep.pipeline import PrepConfig, prepare_state
 from qsprep.simulator import op_dist
 
 
 def random_oracle(rng, n=2, m=3):
-    return AmplitudeOracle.random(n, m, rng)
+    return AmplitudeOracle(n, m, rng.uniform(0.0, 1.0, 2**n))
 
 
 # ---------------------------------------------------------------------------
@@ -137,18 +139,16 @@ def test_exact_vs_quantized_phase_distance():
 
 def test_gamma_constants():
     ones = AmplitudeOracle(2, 8, np.ones(4))
-    assert gamma(ones, use_exact=True) == 1.0
+    assert gamma(ones) == 1.0
     marked = AmplitudeOracle.indicator(2, 1, 8)
-    assert gamma(marked, use_exact=True) == 0.25
+    assert gamma(marked) == 0.25
 
 
 def test_gamma_matches_brute_force():
     rng = np.random.default_rng(6)
     c = random_oracle(rng, n=3, m=5)
     brute = sum(v * v for v in c.values) / 8.0
-    assert abs(gamma(c, use_exact=True) - brute) < 1e-15
-    brute_q = sum(v * v for v in c.quantized) / 8.0
-    assert abs(gamma(c) - brute_q) < 1e-15
+    assert abs(gamma(c) - brute) < 1e-15
 
 
 def test_target_state_uniform_and_indicator():
@@ -214,14 +214,13 @@ def test_oracle_text_rejects_extra_amplitudes():
 @pytest.mark.parametrize("make, limit", [
     (lambda n: AmplitudeOracle.uniform(n, 8), MAX_CLASS_QUBITS),
     (lambda n: AmplitudeOracle.indicator(n, 0, 8), MAX_CLASS_QUBITS),
-    (lambda n: AmplitudeOracle.gaussian(n, 1.0, 2.0, 8), ENGINE_MAX_QUBITS),
-    (lambda n: AmplitudeOracle.random(n, 8, np.random.default_rng(0)), ENGINE_MAX_QUBITS),
+    (lambda n: AmplitudeOracle.gaussian(n, 1.0, 2.0, 8), MAX_TABLE_QUBITS),
     (lambda n: AmplitudeOracle.from_dist(n, 8, "uniform"), MAX_CLASS_QUBITS),
-], ids=["uniform", "indicator", "gaussian", "random", "from_dist"])
+], ids=["uniform", "indicator", "gaussian", "from_dist"])
 def test_generators_check_size_before_allocating(make, limit):
     # 2^40 doubles would be 8 TiB: the check must come first. A generator
     # that builds its classes allocates no table and goes to
-    # MAX_CLASS_QUBITS; one that builds a table stops at the engine's limit
+    # MAX_CLASS_QUBITS; one that builds a table stops at MAX_TABLE_QUBITS
     for n in (limit + 1, 64, -1):
         with pytest.raises(InputError):
             make(n)
@@ -237,8 +236,8 @@ def test_generators_check_size_before_allocating(make, limit):
 
 
 @pytest.mark.parametrize("make", [
-    lambda: AmplitudeOracle.uniform(ENGINE_MAX_QUBITS + 6, 8),
-    lambda: AmplitudeOracle.indicator(ENGINE_MAX_QUBITS + 6, 5, 8),
+    lambda: AmplitudeOracle.uniform(MAX_TABLE_QUBITS + 6, 8),
+    lambda: AmplitudeOracle.indicator(MAX_TABLE_QUBITS + 6, 5, 8),
 ], ids=["uniform", "indicator"])
 def test_table_bound_calls_above_the_engine_limit_fail_before_allocating(make):
     oracle = make()
@@ -262,7 +261,26 @@ def test_table_bound_calls_above_the_engine_limit_fail_before_allocating(make):
     assert peak < 2**16
     # what the classes answer needs no table
     one_class = oracle.classes.values.size == 1
-    assert gamma(oracle, use_exact=True) == (1.0 if one_class else 2.0**-oracle.n)
+    assert gamma(oracle) == (1.0 if one_class else 2.0**-oracle.n)
+
+
+@pytest.mark.parametrize("error, make", [
+    (DimensionError, lambda n: AmplitudeOracle(n, 8, np.ones(2**n))),
+    (InputError, lambda n: AmplitudeOracle.gaussian(n, 1.0, 2.0, 8)),
+    (InputError, lambda n: AmplitudeOracle.from_dist(n, 8, "gaussian:1,2")),
+    (InputError, lambda n: oracle_from_text(f"{n} 8\n" + "0.5\n" * 2**n)),
+    (DimensionError, lambda n: AmplitudeOracle.indicator(n, 1, 8).values),
+    (DimensionError, lambda n: prepare_state(
+        PrepConfig(oracle=AmplitudeOracle.indicator(n, 1, 8), epsilon=0.05, delta=0.1)
+    ).final_state),
+    (DimensionError, lambda n: hamiltonian_from_unitary(np.ones(2**n, dtype=complex), 1e-3, 0.25)),
+], ids=["constructor", "gaussian", "from_dist", "file-header", "generated-values",
+        "final_state", "levels"])
+def test_one_patched_table_limit_moves_every_site(monkeypatch, error, make):
+    monkeypatch.setattr("qsprep.oracle.MAX_TABLE_QUBITS", 3)
+    with pytest.raises(error):
+        make(4)
+    make(3)
 
 
 @pytest.mark.parametrize("n", range(0, 7))
@@ -278,10 +296,8 @@ def test_generated_classes_spell_out_the_table(n):
         assert oracle.quantized.tolist() == by_hand.quantized.tolist()
         assert oracle.classes.values.tolist() == by_hand.classes.values.tolist()
         assert oracle.classes.counts.tolist() == by_hand.classes.counts.tolist()
-        assert gamma(oracle) == gamma(by_hand) and gamma(oracle, True) == gamma(by_hand, True)
+        assert gamma(oracle) == gamma(by_hand)
         assert oracle_to_text(oracle) == oracle_to_text(by_hand)
-        # requantizing shares the classes
-        assert oracle.with_bits(9).classes is oracle.classes
 
 
 def test_table_classes_expand_to_the_table():
@@ -304,9 +320,7 @@ def test_oracle_rejects_non_integer_sizes(n, m):
     lambda: AmplitudeOracle.indicator(True, 0, 8),
     lambda: AmplitudeOracle.from_dist(2, 2.5, "uniform"),
     lambda: AmplitudeOracle.gaussian(2, 1.0, 1.0, True),
-    lambda: AmplitudeOracle.uniform(2, 8).with_bits(2.5),
-    lambda: AmplitudeOracle.uniform(2, 8).with_bits(True),
-], ids=["uniform-n", "indicator-n", "from_dist-m", "gaussian-m", "with_bits-float", "with_bits-bool"])
+], ids=["uniform-n", "indicator-n", "from_dist-m", "gaussian-m"])
 def test_generators_and_with_bits_reject_non_integer_sizes(make):
     with pytest.raises(InputError):
         make()
@@ -339,25 +353,12 @@ def test_numpy_integer_sizes_round_trip_through_text():
     assert back.bit_patterns().tolist() == [0, 9, 22, 31]
 
 
-def test_with_bits_requantizes_like_a_fresh_oracle():
-    values = np.random.default_rng(5).uniform(0.0, 1.0, 16)
-    c = AmplitudeOracle(4, 8, values)
-    for m in (1, 7, 8, 30, 50):
-        fresh = AmplitudeOracle(4, m, values)
-        again = c.with_bits(m)
-        assert (again.n, again.m) == (4, m)
-        assert again.values is c.values
-        np.testing.assert_array_equal(again.quantized, fresh.quantized)
-        np.testing.assert_array_equal(again.bit_patterns(), fresh.bit_patterns())
-    assert c.with_bits(8) is c
-
-
 def test_oracle_keeps_a_read_only_copy_of_its_table():
     values = np.full(4, 0.5)
     c = AmplitudeOracle(2, 8, values)
     values[0] = -3.0  # the caller's array, after the checks ran
     assert c.values.tolist() == [0.5] * 4
     assert c.quantized.tolist() == [0.5] * 4
-    for table in (c.values, c.quantized, c.with_bits(3).quantized):
+    for table in (c.values, c.quantized):
         with pytest.raises(ValueError):
             table[0] = 1.0

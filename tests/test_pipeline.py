@@ -191,6 +191,13 @@ def test_grover_rejects_out_of_range():
         grover_case(3, True, delta=0.1, epsilon=0.05)
 
 
+@pytest.mark.parametrize("m", [0, 51, 2.5, 8.0, True], ids=["zero", "past-max", "float",
+                                                             "integral-float", "bool"])
+def test_config_refuses_bad_value_bits(m):
+    with pytest.raises(InputError, match="value bits"):
+        PrepConfig(oracle=AmplitudeOracle.uniform(2, 8), epsilon=0.05, delta=0.1, m=m)
+
+
 def test_sweep_empty_spec():
     rows = sweep(SweepSpec(ns=(), dists=(), epsilons=(), deltas=()))
     csv_text = sweep_to_csv(rows)
@@ -435,7 +442,7 @@ def test_encoding_memo_serves_default_m_sweep_and_search_tables(monkeypatch):
         assert not hit(lambda: grover_case(n, 1, 0.1, 0.05))
         assert hit(lambda: grover_case(n, 2**n - 1, 0.12, 0.05))
     # a default-m random table near the memo's level limit (m = 12 at eps 0.01)
-    oracle = AmplitudeOracle.random(14, 8, np.random.default_rng(3))
+    oracle = AmplitudeOracle(14, 8, np.random.default_rng(3).uniform(0.0, 1.0, 2**14))
     _clear_memos()
     assert not hit(lambda: verify_error_bounds(PrepConfig(oracle=oracle, epsilon=0.01, delta=0.1)))
     assert hit(lambda: verify_error_bounds(PrepConfig(oracle=oracle, epsilon=0.01, delta=0.2)))
