@@ -40,7 +40,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .blockenc import BlockEncoding, qsvt_circuit
-from .errors import DegreeOverflowError, DimensionError
+from .errors import DegreeOverflowError, DimensionError, InputError
 from .phases import PhaseSequence, _prefix_rows
 from .simulator import Projector, UnitaryMatrix
 
@@ -125,9 +125,9 @@ def plan_amplification(sigma: float, delta: float) -> AmplificationPlan:
     any angle is computed.
     """
     if not 0 < sigma <= 1:
-        raise ValueError("sigma must lie in (0, 1]")
+        raise InputError("sigma must lie in (0, 1]")
     if not 0 < delta < 1:
-        raise ValueError("delta must lie in (0, 1)")
+        raise InputError("delta must lie in (0, 1)")
     lift = _lift(delta)
     rounds = math.ceil(lift / math.atanh(0.9 * sigma))
     rounds += 1 - rounds % 2

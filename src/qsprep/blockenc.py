@@ -261,16 +261,20 @@ def hamiltonian_from_unitary(levels: np.ndarray, epsilon: float, delta: float) -
         raise DimensionError(
             f"{levels.size} levels exceed the table limit of {2**oracle.MAX_TABLE_QUBITS} indices"
         )
+    epsilon, delta = float(epsilon), float(delta)
+    # written so that a NaN fails it, and before the memo sees the key
+    if not (0 < epsilon < 1 and 0 < delta < 1):
+        raise InputError(f"epsilon and delta must lie in (0, 1), got {epsilon!r} and {delta!r}")
     build = _encoding if levels.size <= _MEMO_MAX_LEVELS else _encoding.__wrapped__
-    return build(levels.tobytes(), float(epsilon), float(delta))
+    return build(levels.tobytes(), epsilon, delta)
 
 
 # Most levels of an encoding the memo keeps. An entry holds 80 bytes per
 # level (the 16-byte key and the 64-byte columns), so the memo holds at most
 # _MEMO_SIZE * 80 * 2^12 bytes, 20 MiB. Search tables have 2 levels, and a
-# uniform-random table at its default m for epsilon >= 0.01 (m <= 12) at
-# most 2^12; one at m = 30 and n = 20 has ~2^20 levels, 80 MB, and is not
-# kept.
+# uniform-random table at the m a run derives for epsilon >= 0.01 (m <= 12)
+# at most 2^12; one at n = 20 and m = 30 has ~2^20 levels, 80 MB, and is
+# not kept.
 _MEMO_MAX_LEVELS = 2**12
 
 

@@ -84,31 +84,23 @@ def _cmd_phases(args) -> int:
 
 def _load_config(args) -> PrepConfig:
     oracle = oracle_from_text(_read(args.oracle))
-    return PrepConfig(oracle=oracle, epsilon=args.eps, delta=args.delta, m=args.m)
-
-
-def _split_total_failure(args) -> None:
-    if args.total_failure is not None:
-        args.eps = args.total_failure / 2.0
-        args.delta = args.total_failure / 2.0
+    return PrepConfig(oracle=oracle, epsilon=args.eps, delta=args.delta)
 
 
 def _cmd_prepare(args) -> int:
-    _split_total_failure(args)
     rep = prepare_state(_load_config(args))
     _print_report(rep)
     return 0 if rep.all_passed else 1
 
 
 def _cmd_verify_bounds(args) -> int:
-    _split_total_failure(args)
     rep = verify_error_bounds(_load_config(args))
     _print_report(rep)
     return 0 if rep.all_passed else 1
 
 
 def _cmd_grover(args) -> int:
-    rep = grover_case(args.n, args.x0, delta=args.delta, epsilon=args.eps, m=args.m)
+    rep = grover_case(args.n, args.x0, delta=args.delta, epsilon=args.eps)
     _print_report(rep)
     print(f"calls_per_sqrt_n     {rep.info['calls_per_sqrt_n']:.3f}")
     return 0 if rep.all_passed else 1
@@ -156,9 +148,6 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--oracle", required=True)
         p.add_argument("--eps", type=float, default=0.05)
         p.add_argument("--delta", type=float, default=0.1)
-        p.add_argument("--total-failure", type=float, default=None,
-                       help="split this budget equally between eps and delta")
-        p.add_argument("--m", type=int, default=None)
         p.set_defaults(func=fn)
 
     p = sub.add_parser("grover", help="single-marked-item search special case")
@@ -166,7 +155,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--x0", type=int, required=True)
     p.add_argument("--eps", type=float, default=0.05)
     p.add_argument("--delta", type=float, default=0.1)
-    p.add_argument("--m", type=int, default=None)
     p.set_defaults(func=_cmd_grover)
 
     p = sub.add_parser("sweep", help="run a JSON grid spec and write a CSV")
@@ -178,8 +166,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--m", type=int, default=8,
                    help="the header's value bits, the register width of the compiled "
-                   "oracle; prepare and verify-bounds quantize at their own --m or "
-                   "the m derived from eps and gamma")
+                   "oracle; prepare and verify-bounds quantize at the m they derive "
+                   "from eps and gamma")
     p.add_argument("--dist", required=True,
                    help="uniform | indicator:x0 | gaussian:mu,sigma")
     p.add_argument("--out", default=None)

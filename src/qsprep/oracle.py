@@ -315,10 +315,9 @@ def phase_unitary(c: AmplitudeOracle) -> UnitaryMatrix:
     return circuit_unitary(gates, layout)
 
 
-def phase_unitary_direct(c: AmplitudeOracle, use_exact: bool = False) -> UnitaryMatrix:
-    """Reference diagonal diag(exp(i pi c(x)/2)) on the data register only."""
-    vals = c.values if use_exact else c.quantized
-    phases = np.exp(1j * np.pi * vals / 2.0)
+def phase_unitary_direct(c: AmplitudeOracle) -> UnitaryMatrix:
+    """Reference diagonal diag(exp(i pi c_m(x)/2)) on the data register only."""
+    phases = np.exp(1j * np.pi * c.quantized / 2.0)
     return UnitaryMatrix(np.diag(phases), RegisterLayout.single(c.n, "data"))
 
 

@@ -29,7 +29,7 @@ import numpy as np
 from .amplifier import AmplificationPlan, amplify_state, plan_amplification
 from .blockenc import LevelEncoding, hamiltonian_from_unitary
 from .errors import InfeasibleError, InputError, QsprepError
-from .oracle import MAX_BITS, AmplitudeOracle, ValueClasses, _check_bits, _is_int, _quantize, gamma
+from .oracle import MAX_BITS, AmplitudeOracle, ValueClasses, _is_int, _quantize, gamma
 from .simulator import RegisterLayout, StateVector
 
 SWEEP_COLUMNS = [
@@ -61,22 +61,20 @@ DELTA_MARGIN = float(1.0 - np.sin(np.pi * BETA / 2.0))
 class PrepConfig:
     """Parameters of one preparation run.
 
-    m defaults to ceil(log2(3 / (epsilon * gamma))) + 2, which keeps the
-    quantization's share of the generator error budget below a quarter.
+    The run quantizes the table at m = ceil(log2(3 / (epsilon * gamma))) + 2
+    value bits, capped at ``MAX_BITS``, which keeps the quantization's share
+    of the generator error budget below a quarter.
     """
 
     oracle: AmplitudeOracle
     epsilon: float
     delta: float
-    m: int | None = None
 
     def __post_init__(self):
         if not _is_real(self.delta) or not 0 < self.delta < 1:
             raise InputError(f"delta must lie in (0, 1), got {self.delta!r}")
         if not _is_real(self.epsilon) or not 0 < self.epsilon < np.inf:
             raise InputError(f"epsilon must be positive, got {self.epsilon!r}")
-        if self.m is not None:
-            _check_bits(self.m)
 
 
 def _is_real(value) -> bool:
@@ -180,9 +178,8 @@ def _execute(cfg: PrepConfig) -> _RunResult:
             f"epsilon = {cfg.epsilon} is infeasible: the substituted amplitude "
             f"error {eps_hat_target:.3e} exceeds gamma/4 = {g_exact / 4:.3e}"
         )
-    m = cfg.m  # a given m is checked by PrepConfig; the derived one is clamped
-    if m is None:
-        m = min(max(default_bits(cfg.epsilon, g_exact), 1), MAX_BITS)
+    # epsilon <= 3/4 here, so the derived m is at least 4
+    m = min(default_bits(cfg.epsilon, g_exact), MAX_BITS)
 
     # quantization's share of the amplitude-error budget
     q_part = 2.0**-m
@@ -377,15 +374,15 @@ def _bound_report(run: _RunResult) -> PrepReport:
     return report
 
 
-def grover_case(n: int, x0: int, delta: float, epsilon: float, m: int | None = None) -> PrepReport:
+def grover_case(n: int, x0: int, delta: float, epsilon: float) -> PrepReport:
     """Single-marked-item search as a state-preparation instance.
 
     gamma equals 1/2^n, so the query count scales like sqrt(N) times the
     logarithmic factors; the report carries oracle_calls / sqrt(N) for
     scaling tables.
     """
-    oracle = AmplitudeOracle.indicator(n, x0, m if m is not None else 8)
-    cfg = PrepConfig(oracle=oracle, epsilon=epsilon, delta=delta, m=m)
+    oracle = AmplitudeOracle.indicator(n, x0, 8)
+    cfg = PrepConfig(oracle=oracle, epsilon=epsilon, delta=delta)
     report = verify_error_bounds(cfg)
     report.info["x0"] = x0
     report.info["calls_per_sqrt_n"] = report.oracle_calls / math.sqrt(2**n)
@@ -400,22 +397,21 @@ class SweepSpec:
     dists: tuple[str, ...]
     epsilons: tuple[float, ...]
     deltas: tuple[float, ...]
-    m: int | None = None
 
     @classmethod
     def from_dict(cls, d: dict) -> "SweepSpec":
         """Read a JSON grid.
 
         A spec of the wrong shape or type raises InputError: unknown keys,
-        grids that are not lists, grid entries of the wrong type or a
-        non-integer m. Values of the right type that are out of range fail
-        their grid points, which become error rows.
+        grids that are not lists or grid entries of the wrong type. Values
+        of the right type that are out of range fail their grid points,
+        which become error rows.
         """
         if not isinstance(d, dict):
             raise InputError("a sweep spec must be a JSON object")
         grids = {"n": _is_int, "dist": lambda v: isinstance(v, str),
                  "epsilon": _is_real, "delta": _is_real}
-        unknown = sorted(set(d) - {*grids, "m"})
+        unknown = sorted(set(d) - set(grids))
         if unknown:
             raise InputError(f"unknown sweep spec keys {unknown}")
         for key, entry_ok in grids.items():
@@ -425,14 +421,11 @@ class SweepSpec:
             bad = [v for v in values if not entry_ok(v)]
             if bad:
                 raise InputError(f"sweep spec {key!r} has entries of the wrong type: {bad}")
-        if d.get("m") is not None and not _is_int(d["m"]):
-            raise InputError(f"sweep spec m must be an integer, got {d['m']!r}")
         return cls(
             ns=tuple(d.get("n", ())),
             dists=tuple(d.get("dist", ())),
             epsilons=tuple(d.get("epsilon", ())),
             deltas=tuple(d.get("delta", ())),
-            m=d.get("m"),
         )
 
 
@@ -445,9 +438,8 @@ def sweep(spec: SweepSpec) -> list[dict]:
         row = {c: "" for c in SWEEP_COLUMNS}
         row.update({"n": n, "epsilon": eps, "delta": delta, "status": "ok"})
         try:
-            bits = spec.m if spec.m is not None else 8
-            oracle = AmplitudeOracle.from_dist(n, bits, dist)
-            cfg = PrepConfig(oracle=oracle, epsilon=eps, delta=delta, m=spec.m)
+            oracle = AmplitudeOracle.from_dist(n, 8, dist)
+            cfg = PrepConfig(oracle=oracle, epsilon=eps, delta=delta)
             rep = verify_error_bounds(cfg)
             final_err = rep.info["final_error"]
             bound = rep.info["bound_3eps_over_gamma"]

@@ -194,7 +194,7 @@ def arcsin_taylor(epsilon: float, delta: float) -> Polynomial:
     only finds the degree.
     """
     if not 0 < epsilon < 1 or not 0 < delta < 1:
-        raise ValueError("epsilon and delta must lie in (0, 1)")
+        raise InputError("epsilon and delta must lie in (0, 1)")
     y = 1.0 - delta
     geom = 1.0 / (1.0 - y * y)
     term, k = 1.0 / np.pi, 0  # the last kept term, of x^(2k+1)

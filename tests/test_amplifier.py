@@ -9,7 +9,7 @@ from qsprep.amplifier import (
     build_projectors,
     plan_amplification,
 )
-from qsprep.errors import DegreeOverflowError
+from qsprep.errors import DegreeOverflowError, InputError
 from qsprep.phases import reconstruct
 from qsprep.pipeline import grover_case
 from qsprep.simulator import (
@@ -119,6 +119,13 @@ def test_plan_degree_limit(monkeypatch):
     with pytest.raises(DegreeOverflowError) as exc:
         plan_amplification(2e-6, 0.1)
     assert exc.value.needed == 1210153 > MAX_ROUNDS
+
+
+@pytest.mark.parametrize("sigma, delta", [(np.nan, 0.1), (0.0, 0.1), (1.5, 0.1),
+                                          (0.3, np.nan), (0.3, 0.0), (0.3, 1.0)])
+def test_plan_refuses_sigma_or_delta_out_of_range(sigma, delta):
+    with pytest.raises(InputError, match="must lie in"):
+        plan_amplification(sigma, delta)
 
 
 def test_plan_arrays_are_read_only():

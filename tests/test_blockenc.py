@@ -14,7 +14,7 @@ from qsprep.blockenc import (
     reflection_encoding,
     sine_block_encoding,
 )
-from qsprep.errors import DimensionError, InfeasibleError
+from qsprep.errors import DimensionError, InfeasibleError, InputError
 from qsprep.phases import PhaseSequence, find_phases, polynomial_from_phases
 from qsprep.polyapprox import Polynomial, complete_to_complex, evaluate
 from qsprep.simulator import Projector, RegisterLayout, UnitaryMatrix, op_dist
@@ -321,4 +321,16 @@ def test_encoding_memo_stores_no_exception():
     for _ in range(2):
         with pytest.raises(InfeasibleError):
             hamiltonian_from_unitary(levels, 1e-3, 0.2)
+    assert blockenc._encoding.cache_info().currsize == 0
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf, 0.0, 1.0])
+@pytest.mark.parametrize("which", ["epsilon", "delta"])
+def test_hamiltonian_refuses_budget_outside_unit_interval(which, bad):
+    # one refusal for every bad value, before the memo sees the key; a delta
+    # of inf or 1 used to fail the sine-norm guard as InfeasibleError instead
+    blockenc._encoding.cache_clear()
+    budget = {"epsilon": 1e-3, "delta": 0.25, which: bad}
+    with pytest.raises(InputError, match="must lie in"):
+        hamiltonian_from_unitary(np.exp(1j * np.pi * np.array([0.0, 0.1])), **budget)
     assert blockenc._encoding.cache_info().currsize == 0

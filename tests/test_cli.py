@@ -102,7 +102,7 @@ def test_grover_command(capsys):
 def test_sweep_command(tmp_path):
     spec_file = tmp_path / "spec.json"
     spec_file.write_text(
-        '{"n": [2], "dist": ["gaussian:1.5,1.0"], "epsilon": [0.1], "delta": [0.1], "m": 8}'
+        '{"n": [2], "dist": ["gaussian:1.5,1.0"], "epsilon": [0.1], "delta": [0.1]}'
     )
     out_file = tmp_path / "out.csv"
     rc = main(["sweep", "--spec", str(spec_file), "--out", str(out_file)])
@@ -142,13 +142,22 @@ def test_error_exit_code(tmp_path, capsys):
     assert "error" in capsys.readouterr().err
 
 
-def test_total_failure_split(tmp_path, capsys):
-    oracle_file = tmp_path / "oracle.txt"
-    oracle_file.write_text(oracle_to_text(AmplitudeOracle.uniform(2, 6)))
-    rc = main(["prepare", "--oracle", str(oracle_file), "--total-failure", "0.2"])
-    out = capsys.readouterr().out
-    assert rc == 0
-    assert "1.000000e-01" in out  # both budgets became 0.1
+@pytest.mark.parametrize("command", ["prepare", "verify-bounds", "grover"])
+@pytest.mark.parametrize("option", ["--m", "--total-failure"])
+def test_runs_reject_value_bits_and_total_failure_options(tmp_path, capsys, command, option):
+    # a run quantizes at the m it derives from eps and gamma, and eps and
+    # delta are its only budgets
+    if command == "grover":
+        argv = ["grover", "--n", "2", "--x0", "1"]
+    else:
+        oracle_file = tmp_path / "oracle.txt"
+        oracle_file.write_text(oracle_to_text(AmplitudeOracle.uniform(2, 6)))
+        argv = [command, "--oracle", str(oracle_file)]
+    with pytest.raises(SystemExit) as exc:
+        main([*argv, option, "6"])
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert err.startswith("usage: ") and f"unrecognized arguments: {option} 6" in err
 
 
 def test_bound_check_failure_exit_code(tmp_path, capsys, monkeypatch):
@@ -156,8 +165,7 @@ def test_bound_check_failure_exit_code(tmp_path, capsys, monkeypatch):
     # a report with a failed check still prints, and the exit code reports it
     oracle_file = tmp_path / "oracle.txt"
     oracle_file.write_text(oracle_to_text(AmplitudeOracle.uniform(2, 6)))
-    args = ["verify-bounds", "--oracle", str(oracle_file), "--eps", "0.1",
-            "--delta", "0.1", "--m", "6"]
+    args = ["verify-bounds", "--oracle", str(oracle_file), "--eps", "0.1", "--delta", "0.1"]
     assert main(args) == 0
     assert "[FAIL]" not in capsys.readouterr().out
 
@@ -228,12 +236,13 @@ def test_sweep_bad_grid_point_becomes_error_row(tmp_path, capsys, change):
     assert "Traceback" not in captured.err + captured.out
 
 
-@pytest.mark.parametrize("change", [{"m": "8"}, {"beta": "half"}], ids=["string-m", "string-beta"])
+@pytest.mark.parametrize("change", [{"m": "8"}, {"beta": "half"}], ids=["unknown-m", "string-beta"])
 def test_sweep_rejects_mistyped_setting(tmp_path, capsys, change):
     spec = {"n": [2], "dist": ["indicator:1"], "epsilon": [0.1], "delta": [0.1], **change}
     rc, out_file = _run_sweep(tmp_path, spec)
     assert rc == 2
-    assert capsys.readouterr().err.startswith("error: ")
+    err = capsys.readouterr().err
+    assert err.startswith("error: unknown sweep spec keys") and repr(next(iter(change))) in err
     assert not out_file.exists()
 
 
@@ -241,8 +250,8 @@ def test_sweep_rejects_mistyped_setting(tmp_path, capsys, change):
     "argv, named",
     [
         (["prepare", "--eps", "-1"], "got -1"),
-        (["prepare", "--m", "70"], "got 70"),
-        (["prepare", "--m", "0"], "got 0"),
+        (["make-oracle", "--n", "2", "--dist", "uniform", "--m", "70"], "got 70"),
+        (["make-oracle", "--n", "2", "--dist", "uniform", "--m", "0"], "got 0"),
         (["grover", "--n", "2", "--x0", "7"], "marked item 7"),
     ],
     ids=["negative-eps", "m-above-50", "m-zero", "x0-out-of-range"],
@@ -446,7 +455,7 @@ def test_main_builds_one_parser_per_process(tmp_path, capsys, monkeypatch):
 
 def test_reused_parser_carries_nothing_between_calls(tmp_path, capsys, monkeypatch):
     # each call sees only its own arguments: an option given once falls back
-    # to its default on the next call, and --total-failure does not stay split
+    # to its default on the next call
     configs = []
 
     def keep_config(cfg):
@@ -457,11 +466,10 @@ def test_reused_parser_carries_nothing_between_calls(tmp_path, capsys, monkeypat
     oracle_file = tmp_path / "oracle.txt"
     oracle_file.write_text(oracle_to_text(AmplitudeOracle.uniform(2, 6)))
     base = ["prepare", "--oracle", str(oracle_file)]
-    for extra in (["--m", "9"], [], ["--total-failure", "0.3"], [], ["--eps", "0.08"], []):
+    for extra in (["--eps", "0.08", "--delta", "0.2"], [], ["--delta", "0.15"], [], ["--eps", "0.08"], []):
         assert main(base + extra) == 0
-    assert [(c.m, c.epsilon, c.delta) for c in configs] == [
-        (9, 0.05, 0.1), (None, 0.05, 0.1), (None, 0.15, 0.15), (None, 0.05, 0.1),
-        (None, 0.08, 0.1), (None, 0.05, 0.1),
+    assert [(c.epsilon, c.delta) for c in configs] == [
+        (0.08, 0.2), (0.05, 0.1), (0.05, 0.15), (0.05, 0.1), (0.08, 0.1), (0.05, 0.1),
     ]
     assert cli._parser.cache_info().currsize == 1
 

@@ -119,8 +119,9 @@ def test_phase_unitary_scaled_ladder():
 
 def test_phase_unitary_direct_constants():
     ones = AmplitudeOracle(2, 4, np.ones(4))
-    u = phase_unitary_direct(ones, use_exact=True)
-    np.testing.assert_allclose(u.entries, 1j * np.eye(4), atol=1e-15)
+    # the quantized table caps 1 at (2^m - 1) / 2^m
+    np.testing.assert_allclose(phase_unitary_direct(ones).entries, np.exp(1j * np.pi * 15 / 32) * np.eye(4),
+                               atol=1e-15)
     zeros = AmplitudeOracle(2, 4, np.zeros(4))
     np.testing.assert_allclose(phase_unitary_direct(zeros).entries, np.eye(4), atol=0)
 
@@ -129,7 +130,8 @@ def test_exact_vs_quantized_phase_distance():
     rng = np.random.default_rng(5)
     for m in (3, 6):
         c = AmplitudeOracle(3, m, rng.uniform(0, 1, 8))
-        d = op_dist(phase_unitary_direct(c, use_exact=True), phase_unitary_direct(c))
+        exact = np.diag(np.exp(1j * np.pi * c.values / 2))
+        d = op_dist(exact, phase_unitary_direct(c))
         assert d <= np.pi * 2.0 ** (-m - 1)
 
 
@@ -308,8 +310,9 @@ def test_table_classes_expand_to_the_table():
     assert classes.expand(classes.values).tolist() == values.tolist()
 
 
-@pytest.mark.parametrize("n, m", [(2, 2.5), (2, True), (2.0, 8), (True, 8), (2, 8.0), (-1, 8)],
-                         ids=["m-float", "m-bool", "n-float", "n-bool", "m-integral-float", "n-negative"])
+@pytest.mark.parametrize("n, m", [(2, 2.5), (2, True), (2.0, 8), (True, 8), (2, 8.0), (-1, 8), (2, 0), (2, 51)],
+                         ids=["m-float", "m-bool", "n-float", "n-bool", "m-integral-float", "n-negative",
+                              "m-zero", "m-past-max"])
 def test_oracle_rejects_non_integer_sizes(n, m):
     with pytest.raises(InputError):
         AmplitudeOracle(n, m, np.full(4, 0.5))
@@ -321,7 +324,7 @@ def test_oracle_rejects_non_integer_sizes(n, m):
     lambda: AmplitudeOracle.from_dist(2, 2.5, "uniform"),
     lambda: AmplitudeOracle.gaussian(2, 1.0, 1.0, True),
 ], ids=["uniform-n", "indicator-n", "from_dist-m", "gaussian-m"])
-def test_generators_and_with_bits_reject_non_integer_sizes(make):
+def test_generators_reject_non_integer_sizes(make):
     with pytest.raises(InputError):
         make()
 

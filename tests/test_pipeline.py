@@ -191,13 +191,6 @@ def test_grover_rejects_out_of_range():
         grover_case(3, True, delta=0.1, epsilon=0.05)
 
 
-@pytest.mark.parametrize("m", [0, 51, 2.5, 8.0, True], ids=["zero", "past-max", "float",
-                                                             "integral-float", "bool"])
-def test_config_refuses_bad_value_bits(m):
-    with pytest.raises(InputError, match="value bits"):
-        PrepConfig(oracle=AmplitudeOracle.uniform(2, 8), epsilon=0.05, delta=0.1, m=m)
-
-
 def test_sweep_empty_spec():
     rows = sweep(SweepSpec(ns=(), dists=(), epsilons=(), deltas=()))
     csv_text = sweep_to_csv(rows)
@@ -206,21 +199,19 @@ def test_sweep_empty_spec():
 
 
 def test_sweep_single_run_consistency():
-    spec = SweepSpec(ns=(2,), dists=("indicator:1",), epsilons=(0.05,), deltas=(0.1,), m=8)
+    spec = SweepSpec(ns=(2,), dists=("indicator:1",), epsilons=(0.05,), deltas=(0.1,))
     rows = sweep(spec)
     assert len(rows) == 1
     row = rows[0]
     oracle = AmplitudeOracle.indicator(2, 1, 8)
-    rep = verify_error_bounds(PrepConfig(oracle=oracle, epsilon=0.05, delta=0.1, m=8))
+    rep = verify_error_bounds(PrepConfig(oracle=oracle, epsilon=0.05, delta=0.1))
     assert row["oracle_calls"] == rep.oracle_calls
     assert row["fidelity"] == pytest.approx(rep.fidelity_to_target)
     assert row["pass"] is True and row["status"] == "ok"
 
 
 def test_sweep_deterministic_output():
-    spec = SweepSpec(
-        ns=(2,), dists=("uniform", "indicator:0"), epsilons=(0.1,), deltas=(0.1,), m=6
-    )
+    spec = SweepSpec(ns=(2,), dists=("uniform", "indicator:0"), epsilons=(0.1,), deltas=(0.1,))
     a = sweep_to_csv(sweep(spec))
     b = sweep_to_csv(sweep(spec))
     assert a == b
@@ -246,8 +237,10 @@ def test_constant_table_meets_sqrt_gamma_bound_with_equality():
     lhs = abs(np.sqrt(g) - np.sqrt(g_err))
     assert lhs == eps == 0.125
     assert lhs > eps / (np.sqrt(2.0) * np.sqrt(g))
-    # the pipeline's uniform table attains the bound too and passes every check
-    rep = verify_error_bounds(PrepConfig(oracle=AmplitudeOracle.uniform(2, 6), epsilon=0.1, delta=0.1, m=6))
+    # the pipeline's uniform table attains the bound too (at its m = 7) and
+    # passes every check
+    rep = verify_error_bounds(PrepConfig(oracle=AmplitudeOracle.uniform(2, 6), epsilon=0.1, delta=0.1))
+    assert rep.info["m"] == 7
     by_name = {c.name: c for c in rep.bound_checks}
     assert by_name["sqrt_gamma_diff_le_eps"].lhs == pytest.approx(rep.info["eps_measured"], rel=1e-9)
     assert rep.all_passed, [c.name for c in rep.bound_checks if not c.passed]
@@ -412,20 +405,22 @@ def test_sweep_calls_the_module_verify_error_bounds_once_per_row_in_grid_order(m
 
 
 def test_encoding_memo_keeps_no_fine_grained_level_sets():
-    # a random table at m = 30 and n = 20 has ~2^20 levels, an 80 MB
-    # encoding; after the runs return, the memos hold next to nothing
+    # a random table at n = 14 and eps = 1e-3 runs at m = 16 with more levels
+    # than the memo keeps: the encoding memo stores nothing for it, and after
+    # the run returns the memos hold next to nothing
     import tracemalloc
 
     _clear_memos()
+    values = np.random.default_rng(0).uniform(0.0, 1.0, 2**14)
+    oracle = AmplitudeOracle(14, 8, values)
     tracemalloc.start()
     try:
         base = tracemalloc.get_traced_memory()[0]
-        for seed in range(3):
-            values = np.random.default_rng(seed).uniform(0.0, 1.0, 2**20)
-            oracle = AmplitudeOracle(20, 30, values)
-            verify_error_bounds(PrepConfig(oracle=oracle, epsilon=0.05, delta=0.1, m=30))
-            del values, oracle
-            assert tracemalloc.get_traced_memory()[0] - base < 20e6
+        rep = verify_error_bounds(PrepConfig(oracle=oracle, epsilon=1e-3, delta=0.1))
+        assert rep.info["classes"] > blockenc._MEMO_MAX_LEVELS
+        assert blockenc._encoding.cache_info().currsize == 0
+        del rep
+        assert tracemalloc.get_traced_memory()[0] - base < 20e6
     finally:
         tracemalloc.stop()
 

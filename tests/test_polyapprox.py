@@ -140,6 +140,13 @@ def test_arcsin_degree_overflow(monkeypatch):
     assert exc.value.needed is not None and exc.value.needed > 100
 
 
+@pytest.mark.parametrize("epsilon, delta", [(np.nan, 0.1), (0.0, 0.1), (1.0, 0.1),
+                                            (1e-3, np.nan), (1e-3, 0.0), (1e-3, np.inf)])
+def test_arcsin_refuses_budget_outside_unit_interval(epsilon, delta):
+    with pytest.raises(InputError, match="must lie in"):
+        arcsin_taylor(epsilon, delta)
+
+
 # ---------------------------------------------------------------------------
 # sign approximant
 # ---------------------------------------------------------------------------
