@@ -191,6 +191,16 @@ def test_grover_rejects_out_of_range():
         grover_case(3, True, delta=0.1, epsilon=0.05)
 
 
+@pytest.mark.parametrize("m", [0, 51, 2.5, 8.0, True], ids=["zero", "past-max", "float",
+                                                             "integral-float", "bool"])
+def test_config_refuses_bad_value_bits(m):
+    # a run takes no value-bit count of its own; the table it reads refuses a bad one
+    with pytest.raises(TypeError):
+        PrepConfig(oracle=AmplitudeOracle.uniform(2, 8), epsilon=0.05, delta=0.1, m=m)
+    with pytest.raises(InputError, match="value bits"):
+        PrepConfig(oracle=AmplitudeOracle.uniform(2, m), epsilon=0.05, delta=0.1)
+
+
 def test_sweep_empty_spec():
     rows = sweep(SweepSpec(ns=(), dists=(), epsilons=(), deltas=()))
     csv_text = sweep_to_csv(rows)
