@@ -79,7 +79,6 @@ from .polyapprox import (
 from .simulator import (
     GateSpec,
     Projector,
-    RegisterLayout,
     StateVector,
     UnitaryMatrix,
     apply,

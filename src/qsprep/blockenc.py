@@ -29,7 +29,6 @@ from .phases import _MEMO_SIZE, PhaseSequence, _prefix_rows, conjugate_phases, r
 from .polyapprox import arcsin_taylor, chebyshev_economize
 from .simulator import (
     Projector,
-    RegisterLayout,
     UnitaryMatrix,
     check_dense_size,
     circuit_unitary,
@@ -85,13 +84,10 @@ def reflection_encoding(a: np.ndarray) -> BlockEncoding:
     if np.abs(evals).max() > 1.0 + 1e-12:
         raise InfeasibleError("matrix norm exceeds 1; rescale before encoding")
     comp = vecs @ np.diag(np.sqrt(np.clip(1.0 - evals**2, 0.0, None))) @ vecs.conj().T
-    u = np.block([[a, comp], [comp, -a]])
-    s = int(np.log2(a.shape[0])) if a.shape[0] > 1 else 0
-    if 2**s != a.shape[0]:
-        raise DimensionError("matrix dimension must be a power of two")
-    layout = RegisterLayout((("anc", 1), ("data", s)))
-    proj = Projector.ancilla_zero(1, s)
-    return BlockEncoding(UnitaryMatrix(u, layout), 1, proj, proj, 0.0)
+    # a dimension that is not a power of two raises DimensionError here
+    u = UnitaryMatrix(np.block([[a, comp], [comp, -a]]))
+    proj = Projector.ancilla_zero(1, u.num_qubits - 1)
+    return BlockEncoding(u, 1, proj, proj, 0.0)
 
 
 def sine_block_encoding(u_data: UnitaryMatrix) -> BlockEncoding:
@@ -101,7 +97,6 @@ def sine_block_encoding(u_data: UnitaryMatrix) -> BlockEncoding:
     on the ancilla; its top-left block equals sin(pi H) to machine precision.
     """
     n = u_data.num_qubits
-    layout = RegisterLayout((("anc", 1), ("data", n)))
     data_qubits = tuple(range(1, n + 1))
     gates = [
         hadamard(0),
@@ -110,7 +105,7 @@ def sine_block_encoding(u_data: UnitaryMatrix) -> BlockEncoding:
         controlled(u_data.entries.conj().T, 0, data_qubits, name="cU+"),
         hadamard(0),
     ]
-    u = circuit_unitary(gates, layout)
+    u = circuit_unitary(gates, n + 1)  # the ancilla, then the data
     proj = Projector.ancilla_zero(1, n)
     return BlockEncoding(u, 1, proj, proj, 0.0)
 
@@ -163,7 +158,7 @@ def qsvt_circuit(be: BlockEncoding, phi: PhaseSequence, parity: str) -> BlockEnc
 
     out_left = left if parity == "odd" else right
     err = 4.0 * d * np.sqrt(be.certified_error) if be.certified_error > 0 else 1e-10
-    return BlockEncoding(UnitaryMatrix(acc, be.unitary.layout), be.ancillas, out_left, be.proj_right, err)
+    return BlockEncoding(UnitaryMatrix(acc), be.ancillas, out_left, be.proj_right, err)
 
 
 def lcu_real_part(be: BlockEncoding, phi: PhaseSequence) -> BlockEncoding:
@@ -179,11 +174,11 @@ def lcu_real_part(be: BlockEncoding, phi: PhaseSequence) -> BlockEncoding:
     up, um = plus.unitary.entries, minus.unitary.entries
     half_sum = 0.5 * (up + um)
     half_diff = 0.5 * (up - um)
+    # the select ancilla leads, in front of the encoding's own qubits
     u = np.block([[half_sum, half_diff], [half_diff, half_sum]])
-    layout = RegisterLayout((("lcu", 1), *be.unitary.layout.registers))
     a = be.ancillas + 1
     proj = Projector.ancilla_zero(a, be.data_qubits)
-    return BlockEncoding(UnitaryMatrix(u, layout), a, proj, proj, plus.certified_error)
+    return BlockEncoding(UnitaryMatrix(u), a, proj, proj, plus.certified_error)
 
 
 @dataclass(frozen=True)

@@ -40,7 +40,7 @@ def _print_report(rep: PrepReport) -> None:
     print(f"arcsin_degree        {rep.degrees[0]}")
     print(f"sign_degree          {rep.degrees[1]}")
     print(f"m                    {rep.info['m']}")
-    print(f"classes              {rep.info['classes']}")
+    print(f"levels               {rep.info['levels']}")
     for key in ("gamma", "eps_measured", "sigma", "final_error"):
         if key in rep.info:
             print(f"{key:<20} {rep.info[key]:.6e}")

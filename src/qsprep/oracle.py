@@ -1,15 +1,15 @@
 """Amplitude-table oracles and the phase unitary compiled from them.
 
 An oracle is a table c: [2^n] -> [0, 1] together with its m-bit fixed-point
-truncation. The pipeline reads a table through its classes of equal values
-(the distinct values, how many indices hold each and which class each index
-is in), so a table with a short description need never be written out: the
-``uniform`` and ``indicator`` generators build their one or two classes
-directly, and the 2^n values exist only once something reads them. The bit
-oracle writes the truncated value into an m-qubit register by XOR; the phase
-unitary applies diag(exp(i pi c(x)/2)) via the value register, a ladder of
-controlled phase rotations onto a |1>-initialized kickback qubit, and an
-uncompute pass.
+truncation. The pipeline reads a table through classes of indices that share
+a value (each class's value and how many indices it holds). A table given as
+values is its own classes, one index each; a table with a short description
+need never be written out: the ``uniform`` and ``indicator`` generators
+build their one or two classes directly, and the 2^n values exist only once
+something reads them. The bit oracle writes the truncated value into an
+m-qubit register by XOR; the phase unitary applies diag(exp(i pi c(x)/2))
+via the value register, a ladder of controlled phase rotations onto a
+|1>-initialized kickback qubit, and an uncompute pass.
 """
 from __future__ import annotations
 
@@ -21,7 +21,6 @@ import numpy as np
 from .errors import DimensionError, InfeasibleError, InputError
 from .simulator import (
     GateSpec,
-    RegisterLayout,
     StateVector,
     UnitaryMatrix,
     check_dense_size,
@@ -35,10 +34,11 @@ from .simulator import (
 MAX_BITS = 50
 # Most data qubits of a table given as values (the constructor, ``gaussian``,
 # a table file) and of any 2^n-sized array built from classes. What grows
-# with N is the split into classes and the sums over them, about 90 bytes
-# per index at the peak: on a 2-vCPU x86 host verify_error_bounds on a
-# uniform-random n = 20 table (eps 0.05, delta 0.1, 1024 levels) takes
-# 0.1-0.2 s with 195 MB peak resident. Every check reads it when it runs.
+# with N is the grouping of the entries by quantized value and the sums over
+# them, about 72 bytes per index at the traced peak: on a 2-vCPU x86 host
+# verify_error_bounds on a uniform-random n = 20 table (eps 0.05, delta 0.1,
+# 1024 levels) takes 0.11-0.13 s, with 122 MB peak resident for the whole
+# process. Every check reads it when it runs.
 MAX_TABLE_QUBITS = 24
 # Most data qubits of an oracle built from its classes (``uniform``,
 # ``indicator``). Every count, N - 1 included, is then an integer that a
@@ -86,27 +86,26 @@ def _quantize(values: np.ndarray, m: int) -> np.ndarray:
 
 @dataclass(frozen=True, eq=False, slots=True)
 class ValueClasses:
-    """A table as its classes of equal values.
+    """A table as classes of indices that share a value.
 
-    Class k holds ``counts[k]`` indices, all of value ``values[k]``; the
-    values ascend. ``index[x]`` is the class of index x. A generated oracle
-    has no index map: every index is in class 0 except ``singles[k - 1]``,
-    the one index of class k >= 1.
+    Class k holds ``counts[k]`` indices, all of value ``values[k]``. Without
+    ``singles`` (None) class x is index x: a table given as values, whose
+    counts are all one. A generated oracle's classes ascend, and every index
+    is in class 0 except ``singles[k - 1]``, the one index of class k >= 1.
     """
 
     values: np.ndarray
     counts: np.ndarray
-    index: np.ndarray | None = None
-    singles: tuple[int, ...] = ()
+    singles: tuple[int, ...] | None = None
 
     def expand(self, per_class: np.ndarray) -> np.ndarray:
         """A new array with ``per_class[k]`` at every index of class k.
 
-        Without an index map the 2^n entries are refused with DimensionError
+        A generated oracle's 2^n entries are refused with DimensionError
         above ``MAX_TABLE_QUBITS`` data qubits, before any exists.
         """
-        if self.index is not None:
-            return per_class[self.index]
+        if self.singles is None:
+            return per_class.copy()
         size = int(self.counts.sum())
         _check_table_size(size.bit_length() - 1)  # size is 2^n
         out = np.full(size, per_class[0], dtype=per_class.dtype)
@@ -123,8 +122,8 @@ class AmplitudeOracle:
     error equal (not below) 2^-m at c = 1 exactly, which the error analysis
     absorbs like any other oracle noise. ``AmplitudeOracle(n, m, values)``
     refuses n above ``MAX_TABLE_QUBITS`` with DimensionError before it
-    copies the values, keeps a read-only copy and splits it into ``classes``
-    on first use; the ``uniform`` and ``indicator`` generators build the
+    copies the values and keeps a read-only copy, whose entries are its
+    ``classes``; the ``uniform`` and ``indicator`` generators build the
     classes and leave ``values`` unbuilt until it is read. Quantization is
     lazy too: a preparation quantizes the class values, never the table.
     """
@@ -162,14 +161,9 @@ class AmplitudeOracle:
 
     @functools.cached_property
     def classes(self) -> ValueClasses:
-        """The table's classes of equal values, from one split of the table.
-
-        A generated oracle is built with its classes, so only a table given
-        as values, already checked against ``MAX_TABLE_QUBITS``, is split.
-        """
-        split = np.unique(self.values, return_inverse=True, return_counts=True)
-        values, index, counts = (_read_only(a) for a in split)
-        return ValueClasses(values, counts, index)
+        """The table's classes: a generated oracle is built with them, and a
+        table given as values is its own, one index each."""
+        return ValueClasses(self.values, _read_only(np.ones(self.size, dtype=np.int64)))
 
     @functools.cached_property
     def quantized(self) -> np.ndarray:
@@ -189,7 +183,7 @@ class AmplitudeOracle:
     def uniform(cls, n: int, m: int) -> "AmplitudeOracle":
         """All amplitudes 1: one class. n may reach ``MAX_CLASS_QUBITS``."""
         size = _size(n, MAX_CLASS_QUBITS)
-        return cls._from_classes(n, m, ValueClasses(_ONE, _read_only(np.array([size]))))
+        return cls._from_classes(n, m, ValueClasses(_ONE, _read_only(np.array([size])), ()))
 
     @classmethod
     def indicator(cls, n: int, x0: int, m: int) -> "AmplitudeOracle":
@@ -264,18 +258,12 @@ def oracle_from_text(text: str) -> AmplitudeOracle:
     return AmplitudeOracle(n, m, vals)
 
 
-def _oracle_layout(c: AmplitudeOracle, kickback: bool) -> RegisterLayout:
-    regs = [("data", c.n), ("value", c.m)]
-    if kickback:
-        regs.append(("kick", 1))
-    return RegisterLayout(tuple(regs))
-
-
+# The compiled oracle's qubits, most significant first: the n data qubits,
+# the m value qubits and, for the phase unitary, one kickback qubit.
 def bit_oracle_unitary(c: AmplitudeOracle) -> UnitaryMatrix:
     """Permutation |x>|y> -> |x>|y XOR bits(c_m(x))>; self-inverse."""
     check_dense_size(c.n + c.m)
-    layout = _oracle_layout(c, kickback=False)
-    dim = layout.dim
+    dim = 2 ** (c.n + c.m)
     mat = np.zeros((dim, dim), dtype=complex)
     patterns = c.bit_patterns()
     mval = 2**c.m
@@ -283,7 +271,7 @@ def bit_oracle_unitary(c: AmplitudeOracle) -> UnitaryMatrix:
         s = int(patterns[x])
         for y in range(mval):
             mat[x * mval + (y ^ s), x * mval + y] = 1.0
-    return UnitaryMatrix(mat, layout)
+    return UnitaryMatrix(mat)
 
 
 def _rotation_ladder(c: AmplitudeOracle) -> list[GateSpec]:
@@ -307,18 +295,17 @@ def phase_unitary(c: AmplitudeOracle) -> UnitaryMatrix:
     restores both exactly.
     """
     check_dense_size(c.n + c.m + 1)
-    layout = _oracle_layout(c, kickback=True)
     oc = bit_oracle_unitary(c)
     oracle_gate = unitary_gate(tuple(range(c.n + c.m)), oc.entries, name="O_c")
     oracle_gate_dg = unitary_gate(tuple(range(c.n + c.m)), oc.entries.conj().T, name="O_c+")
     gates = [oracle_gate, *_rotation_ladder(c), oracle_gate_dg]
-    return circuit_unitary(gates, layout)
+    return circuit_unitary(gates, c.n + c.m + 1)
 
 
 def phase_unitary_direct(c: AmplitudeOracle) -> UnitaryMatrix:
     """Reference diagonal diag(exp(i pi c_m(x)/2)) on the data register only."""
     phases = np.exp(1j * np.pi * c.quantized / 2.0)
-    return UnitaryMatrix(np.diag(phases), RegisterLayout.single(c.n, "data"))
+    return UnitaryMatrix(np.diag(phases))
 
 
 def gamma(c: AmplitudeOracle) -> float:
@@ -333,5 +320,5 @@ def target_state(c: AmplitudeOracle) -> StateVector:
     if g <= 0.0:
         raise InfeasibleError("all amplitudes vanish; the target state is undefined")
     amps = c.values / np.sqrt(c.size * g)
-    return StateVector(amps.astype(complex), RegisterLayout.single(c.n, "data"))
+    return StateVector(amps.astype(complex))
 

@@ -11,9 +11,10 @@ circuit is built.
 
 All reference quantities (gamma, the target state, the error bounds) are
 computed classically from the exact table, as count-weighted sums or maxima
-over its classes of equal values, so every inequality the analysis promises
-is checkable per run, and a table with few classes costs no 2^n-sized
-array unless a caller reads the prepared state.
+over its classes (a table's entries, a generated oracle's one or two
+classes), so every inequality the analysis promises is checkable per run,
+and an oracle with few classes costs no 2^n-sized array unless a caller
+reads the prepared state.
 """
 from __future__ import annotations
 
@@ -30,7 +31,7 @@ from .amplifier import AmplificationPlan, amplify_state, plan_amplification
 from .blockenc import LevelEncoding, hamiltonian_from_unitary
 from .errors import InfeasibleError, InputError, QsprepError
 from .oracle import MAX_BITS, AmplitudeOracle, ValueClasses, _is_int, _quantize, gamma
-from .simulator import RegisterLayout, StateVector
+from .simulator import StateVector
 
 SWEEP_COLUMNS = [
     "n",
@@ -102,8 +103,8 @@ class BoundCheck:
 class PrepReport:
     """What a preparation reports; ``final_state`` is built on first read.
 
-    Every number here is a count-weighted sum or a max over the table's
-    classes of equal values, so a report costs O(classes), not O(2^n).
+    Every number here is a count-weighted sum or a max over the oracle's
+    classes, so a report costs O(classes), not O(2^n).
     """
 
     fidelity_to_target: float
@@ -152,20 +153,20 @@ class _RunResult:
     realized: np.ndarray
     target: np.ndarray
     oracle_calls: int
-    classes: int  # the engine's level count K
+    levels: int  # the engine's level count K
 
 
-def _state(classes: ValueClasses, per_class: np.ndarray, n: int) -> StateVector:
-    return StateVector(classes.expand(per_class), RegisterLayout.single(n, "data"))
+def _state(classes: ValueClasses, per_class: np.ndarray) -> StateVector:
+    return StateVector(classes.expand(per_class))
 
 
 def _execute(cfg: PrepConfig) -> _RunResult:
     oracle = cfg.oracle
-    # a table is split into its classes once; a generated oracle knows them
+    # a table is its own classes; a generated oracle knows its few
     value_classes = oracle.classes
     g_exact = gamma(oracle)
     if g_exact <= 0.0:
-        top = float(value_classes.values[-1])
+        top = float(value_classes.values.max())
         if top > 0.0:
             raise InfeasibleError(
                 f"gamma underflows to 0 in double precision: the largest amplitude is {top:.3e}"
@@ -197,22 +198,18 @@ def _execute(cfg: PrepConfig) -> _RunResult:
     # global phase turns the one-sided floor error into a symmetric one
     c_q = _quantize(value_classes.values, m) + 2.0 ** -(m + 1)
     # the block of an index depends only on its quantized value, so the
-    # engine runs on the K distinct values (levels). Quantizing keeps the
-    # classes' ascending order, so a level is a run of neighbouring classes:
+    # engine runs on the K distinct values (levels), in ascending order:
     # level_of maps each class to its level and counts[k] is the number of
-    # indices at level k. When every class has a level of its own, as the
-    # generated oracles' classes do, level_of is an identity slice and a
-    # search preparation spends no array operation on the map
-    new_level = c_q[1:] != c_q[:-1]
-    if new_level.all():
+    # indices at level k. When the quantized class values strictly ascend,
+    # as the generated oracles' do, level_of is an identity slice and a
+    # search preparation spends no array operation on the map; otherwise
+    # one sort of the quantized class values groups them
+    if (c_q[1:] > c_q[:-1]).all():
         levels, level_of, counts = c_q, slice(None), value_classes.counts
     else:
-        first = np.concatenate(([True], new_level))
-        starts = np.nonzero(first)[0]
-        levels = c_q[starts]
-        level_of = np.cumsum(first) - 1
-        counts = np.add.reduceat(value_classes.counts, starts)
-    del c_q, new_level  # per-class arrays that nothing below reads
+        levels, level_of = np.unique(c_q, return_inverse=True)
+        counts = np.bincount(level_of, weights=value_classes.counts)
+    del c_q  # a per-class array that nothing below reads
     size = oracle.size
     encoding = hamiltonian_from_unitary(
         np.exp(1j * np.pi * BETA * levels / 2.0),
@@ -263,7 +260,7 @@ def _execute(cfg: PrepConfig) -> _RunResult:
         realized=realized_level[level_of],
         target=value_classes.values / math.sqrt(size * g_exact),
         oracle_calls=oracle_calls,
-        classes=levels.size,
+        levels=levels.size,
     )
 
 
@@ -301,9 +298,9 @@ def _base_report(run: _RunResult) -> PrepReport:
             "sigma": run.plan.sigma,
             "final_error": err,
             "predicted_success": run.plan.predicted_success(),
-            "classes": run.classes,
+            "levels": run.levels,
         },
-        _final=functools.partial(_state, run.value_classes, run.final, cfg.oracle.n),
+        _final=functools.partial(_state, run.value_classes, run.final),
     )
 
 

@@ -1,12 +1,13 @@
-"""Dense statevector and unitary simulation over named qubit registers.
+"""Dense statevector and unitary simulation.
 
 Everything is exact linear algebra on complex128 arrays. Measurement is
 deterministic projection with a tracked probability. All values are
 immutable: operations return new objects, so concurrent reads are safe.
+States and unitaries carry no register layout: the qubit count follows from
+the array's size.
 
-Conventions: registers are ordered most-significant first, and within a
-register qubit 0 is the most significant bit. Control/ancilla registers are
-placed before data registers, which makes an encoded block the literal
+Conventions: qubit 0 is the most significant bit. Control/ancilla qubits
+are placed before data qubits, which makes an encoded block the literal
 top-left block of a unitary.
 """
 from __future__ import annotations
@@ -26,50 +27,36 @@ _H = np.array([[1, 1], [1, -1]], dtype=complex) / sqrt(2)
 _Y = np.array([[0, -1j], [1j, 0]], dtype=complex)
 
 
-@dataclass(frozen=True)
-class RegisterLayout:
-    """Ordered named registers; the first register holds the most significant qubits."""
-
-    registers: tuple[tuple[str, int], ...]
-
-    @classmethod
-    def single(cls, n: int, name: str = "q") -> "RegisterLayout":
-        return cls(((name, n),))
-
-    @property
-    def num_qubits(self) -> int:
-        return sum(k for _, k in self.registers)
-
-    @property
-    def dim(self) -> int:
-        return 2 ** self.num_qubits
+def _qubits(dim: int) -> int:
+    """q for a dimension 2^q; any other dimension raises DimensionError."""
+    if dim < 1 or dim & (dim - 1):
+        raise DimensionError(f"dimension {dim} is not a power of two")
+    return dim.bit_length() - 1
 
 
 @dataclass(frozen=True)
 class StateVector:
-    """Complex amplitude vector of length 2^q plus register metadata.
+    """Complex amplitude vector of length 2^q.
 
     Sub-normalized states are allowed (projection residues); norms above 1
     are rejected.
     """
 
     amplitudes: np.ndarray
-    layout: RegisterLayout
 
     def __post_init__(self):
         amps = np.ascontiguousarray(np.asarray(self.amplitudes, dtype=complex))
         object.__setattr__(self, "amplitudes", amps)
-        if amps.ndim != 1 or amps.size != self.layout.dim:
-            raise DimensionError(
-                f"amplitude vector of length {amps.size} does not match layout dim {self.layout.dim}"
-            )
+        if amps.ndim != 1:
+            raise DimensionError(f"amplitudes must form a vector, got shape {amps.shape}")
+        _qubits(amps.size)
         n2 = float(np.vdot(amps, amps).real)
         if n2 > 1 + 1e-9:
             raise ValueError(f"squared norm {n2} exceeds 1")
 
     @property
     def num_qubits(self) -> int:
-        return self.layout.num_qubits
+        return _qubits(self.amplitudes.size)
 
     @property
     def dim(self) -> int:
@@ -79,34 +66,32 @@ class StateVector:
         return float(np.linalg.norm(self.amplitudes))
 
     @classmethod
-    def basis_state(cls, layout: RegisterLayout, index: int = 0) -> "StateVector":
-        amps = np.zeros(layout.dim, dtype=complex)
+    def basis_state(cls, num_qubits: int, index: int = 0) -> "StateVector":
+        amps = np.zeros(2**num_qubits, dtype=complex)
         amps[index] = 1.0
-        return cls(amps, layout)
+        return cls(amps)
 
     @classmethod
-    def zero_state(cls, layout: RegisterLayout) -> "StateVector":
-        return cls.basis_state(layout, 0)
+    def zero_state(cls, num_qubits: int) -> "StateVector":
+        return cls.basis_state(num_qubits, 0)
 
 
 @dataclass(frozen=True)
 class UnitaryMatrix:
-    """Dense 2^q x 2^q matrix with register metadata.
+    """Dense 2^q x 2^q matrix.
 
     Unitarity is not enforced at construction (cubic cost); call
     :func:`unitarity_defect` where the invariant matters.
     """
 
     entries: np.ndarray
-    layout: RegisterLayout
 
     def __post_init__(self):
         m = np.ascontiguousarray(np.asarray(self.entries, dtype=complex))
         object.__setattr__(self, "entries", m)
-        if m.ndim != 2 or m.shape != (self.layout.dim, self.layout.dim):
-            raise DimensionError(
-                f"matrix of shape {m.shape} does not match layout dim {self.layout.dim}"
-            )
+        if m.ndim != 2 or m.shape[0] != m.shape[1]:
+            raise DimensionError(f"matrix of shape {m.shape} is not square")
+        _qubits(m.shape[0])
 
     @property
     def dim(self) -> int:
@@ -114,7 +99,7 @@ class UnitaryMatrix:
 
     @property
     def num_qubits(self) -> int:
-        return self.layout.num_qubits
+        return _qubits(self.dim)
 
     def unitarity_defect(self) -> float:
         gram = self.entries.conj().T @ self.entries
@@ -247,7 +232,7 @@ def apply(gate: GateSpec, state: StateVector) -> StateVector:
     q = state.num_qubits
     psi = state.amplitudes.reshape((2,) * q)
     psi = _apply_gate_array(psi, gate, q)
-    return StateVector(psi.reshape(-1), state.layout)
+    return StateVector(psi.reshape(-1))
 
 
 def check_dense_size(q: int) -> None:
@@ -256,15 +241,14 @@ def check_dense_size(q: int) -> None:
         raise DimensionError(f"{q} qubits exceeds the dense simulator limit {MAX_QUBITS}")
 
 
-def circuit_unitary(gates: list[GateSpec], layout: RegisterLayout) -> UnitaryMatrix:
+def circuit_unitary(gates: list[GateSpec], num_qubits: int) -> UnitaryMatrix:
     """Exact dense product of the gate matrices, in application order."""
-    q = layout.num_qubits
-    check_dense_size(q)
-    dim = layout.dim
-    u = np.eye(dim, dtype=complex).reshape((2,) * q + (dim,))
+    check_dense_size(num_qubits)
+    dim = 2**num_qubits
+    u = np.eye(dim, dtype=complex).reshape((2,) * num_qubits + (dim,))
     for g in gates:
-        u = _apply_gate_array(u, g, q)
-    return UnitaryMatrix(u.reshape(dim, dim), layout)
+        u = _apply_gate_array(u, g, num_qubits)
+    return UnitaryMatrix(u.reshape(dim, dim))
 
 
 def project_measure(proj: Projector, state: StateVector) -> tuple[StateVector, float]:
@@ -277,8 +261,8 @@ def project_measure(proj: Projector, state: StateVector) -> tuple[StateVector, f
     pv = proj.apply_vec(state.amplitudes)
     nrm = float(np.linalg.norm(pv))
     if nrm < 1e-14:
-        return StateVector(np.zeros_like(pv), state.layout), 0.0
-    return StateVector(pv / nrm, state.layout), nrm**2
+        return StateVector(np.zeros_like(pv)), 0.0
+    return StateVector(pv / nrm), nrm**2
 
 
 def spectral_norm(m: np.ndarray) -> float:

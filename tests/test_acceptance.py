@@ -32,7 +32,6 @@ from qsprep.polyapprox import (
     evaluate,
 )
 from qsprep.simulator import (
-    RegisterLayout,
     StateVector,
     UnitaryMatrix,
     fidelity,
@@ -50,8 +49,7 @@ def report(number, passed, detail, elapsed, limit):
 
 def diag_unitary(hvals):
     hvals = np.asarray(hvals, dtype=float)
-    n = int(np.log2(len(hvals)))
-    return UnitaryMatrix(np.diag(np.exp(1j * np.pi * hvals)), RegisterLayout.single(n))
+    return UnitaryMatrix(np.diag(np.exp(1j * np.pi * hvals)))
 
 
 def restricted_phases(rng, d):
@@ -152,8 +150,7 @@ def test_criterion_5_qsvt_robustness():
             k = k + k.T
             k /= np.abs(np.linalg.eigvalsh(k)).max()
             noisy = BlockEncoding(
-                UnitaryMatrix(be.unitary.entries @ scipy.linalg.expm(1j * eps * k),
-                              be.unitary.layout),
+                UnitaryMatrix(be.unitary.entries @ scipy.linalg.expm(1j * eps * k)),
                 be.ancillas, be.proj_left, be.proj_right, certified_error=eps,
             )
             d = int(rng.integers(3, 10))
@@ -174,7 +171,7 @@ def _rank_one_instance(rng, n, sigma, ancillas=2):
     s_mat = np.array([[1.0]])
     for _ in range(n):
         s_mat = np.kron(s_mat, had)
-    s = UnitaryMatrix(s_mat.astype(complex), RegisterLayout.single(n))
+    s = UnitaryMatrix(s_mat.astype(complex))
     w = rng.standard_normal(2**n) + 1j * rng.standard_normal(2**n)
     w /= np.linalg.norm(w)
     w_full = np.zeros(dim, dtype=complex)
@@ -191,8 +188,7 @@ def _rank_one_instance(rng, n, sigma, ancillas=2):
     q_in[:, 0] = psi
     q_out = np.linalg.qr(np.column_stack([image] + [basis[:, k] for k in range(dim - 1)]))[0]
     q_out[:, 0] = image
-    layout = RegisterLayout((("flag", ancillas), ("data", n)))
-    return UnitaryMatrix(q_out @ q_in.conj().T, layout), s, psi, w_full
+    return UnitaryMatrix(q_out @ q_in.conj().T), s, psi, w_full
 
 
 def test_criterion_6_amplification():
@@ -206,9 +202,8 @@ def test_criterion_6_amplification():
             plan = plan_amplification(sigma, delta)
             u = amplify(c, s, plan)
             flag, _ = build_projectors(2, s)
-            layout = c.layout
-            post, p = project_measure(flag, StateVector(u.entries @ psi, layout))
-            fid = fidelity(post, StateVector(w_full, layout))
+            post, p = project_measure(flag, StateVector(u.entries @ psi))
+            fid = fidelity(post, StateVector(w_full))
             ok = ok and p >= (1 - delta / 2) ** 2 and fid >= 1 - 1e-6
             details.append(f"s={sigma},d={delta}:p={p:.4f}")
     sigmas = (0.05, 0.08, 0.125, 0.2, 0.35)

@@ -13,7 +13,6 @@ from qsprep.errors import DegreeOverflowError, InputError
 from qsprep.phases import reconstruct
 from qsprep.pipeline import grover_case
 from qsprep.simulator import (
-    RegisterLayout,
     StateVector,
     UnitaryMatrix,
     fidelity,
@@ -26,7 +25,7 @@ def hadamard_layer(n):
     m = np.array([[1.0]])
     for _ in range(n):
         m = np.kron(m, had)
-    return UnitaryMatrix(m.astype(complex), RegisterLayout.single(n))
+    return UnitaryMatrix(m.astype(complex))
 
 
 def rank_one_instance(rng, n, sigma, ancillas=2):
@@ -56,8 +55,7 @@ def rank_one_instance(rng, n, sigma, ancillas=2):
     q_out = np.linalg.qr(np.column_stack(cols_out))[0]
     q_out[:, 0] = image
     c = q_out @ q_in.conj().T
-    layout = RegisterLayout((("flag", ancillas), ("data", n)))
-    return UnitaryMatrix(c, layout), s, StateVector(psi, layout), StateVector(w_full, layout)
+    return UnitaryMatrix(c), s, StateVector(psi), StateVector(w_full)
 
 
 def test_build_projectors_single_qubit():
@@ -254,7 +252,7 @@ def test_amplify_boosts_rank_one_instances():
         plan = plan_amplification(sigma, delta)
         u = amplify(c, s, plan)
         flag, _ = build_projectors(2, s)
-        evolved = StateVector(u.entries @ psi.amplitudes, psi.layout)
+        evolved = StateVector(u.entries @ psi.amplitudes)
         post, p = project_measure(flag, evolved)
         assert p >= (1 - delta / 2) ** 2
         assert fidelity(post, w) >= 1 - 1e-6
@@ -295,14 +293,13 @@ def test_exact_block_postselection_and_amplification():
     inner = reflection_encoding(h)  # one-ancilla dilation of the generator
     dim = 2 ** (n + 2)
     c_mat = np.kron(np.eye(2), inner.unitary.entries)  # pad to two ancillas
-    layout = RegisterLayout((("flag", 2), ("data", n)))
-    c_unitary = UnitaryMatrix(c_mat, layout)
+    c_unitary = UnitaryMatrix(c_mat)
 
     s = hadamard_layer(n)
     psi = np.zeros(dim, dtype=complex)
     psi[: 2**n] = s.entries[:, 0]
     flag, _ = build_projectors(n, s)
-    post, p = project_measure(flag, StateVector(c_mat @ psi, layout))
+    post, p = project_measure(flag, StateVector(c_mat @ psi))
     assert p == pytest.approx(g / 4.0, rel=1e-12)
     target = c_vals / np.linalg.norm(c_vals)
     assert abs(np.vdot(post.amplitudes[: 2**n], target)) == pytest.approx(1.0, abs=1e-12)
@@ -310,6 +307,6 @@ def test_exact_block_postselection_and_amplification():
     delta = 0.1
     plan = plan_amplification(np.sqrt(g) / 2.0, delta)
     u = amplify(c_unitary, s, plan)
-    boosted, p_amp = project_measure(flag, StateVector(u.entries @ psi, layout))
+    boosted, p_amp = project_measure(flag, StateVector(u.entries @ psi))
     assert p_amp >= 1 - delta
     assert abs(np.vdot(boosted.amplitudes[: 2**n], target)) >= 1 - 1e-8

@@ -17,13 +17,12 @@ from qsprep.blockenc import (
 from qsprep.errors import DimensionError, InfeasibleError, InputError
 from qsprep.phases import PhaseSequence, find_phases, polynomial_from_phases
 from qsprep.polyapprox import Polynomial, complete_to_complex, evaluate
-from qsprep.simulator import Projector, RegisterLayout, UnitaryMatrix, op_dist
+from qsprep.simulator import Projector, UnitaryMatrix, op_dist
 
 
 def diag_unitary(hvals):
     hvals = np.asarray(hvals, dtype=float)
-    n = int(np.log2(len(hvals)))
-    return UnitaryMatrix(np.diag(np.exp(1j * np.pi * hvals)), RegisterLayout.single(n))
+    return UnitaryMatrix(np.diag(np.exp(1j * np.pi * hvals)))
 
 
 def generator_block(be):
@@ -40,18 +39,16 @@ def restricted_phases(rng, d):
 # ---------------------------------------------------------------------------
 
 def test_extract_block_identity():
-    layout = RegisterLayout((("anc", 1), ("data", 1)))
     proj = Projector.ancilla_zero(1, 1)
-    be = BlockEncoding(UnitaryMatrix(np.eye(4), layout), 1, proj, proj)
+    be = BlockEncoding(UnitaryMatrix(np.eye(4)), 1, proj, proj)
     np.testing.assert_allclose(extract_block(be), np.eye(2), atol=0)
 
 
 def test_extract_block_ancilla_flip_gives_zero():
     x = np.array([[0, 1], [1, 0]], dtype=complex)
     u = np.kron(x, np.eye(2))
-    layout = RegisterLayout((("anc", 1), ("data", 1)))
     proj = Projector.ancilla_zero(1, 1)
-    be = BlockEncoding(UnitaryMatrix(u, layout), 1, proj, proj)
+    be = BlockEncoding(UnitaryMatrix(u), 1, proj, proj)
     np.testing.assert_allclose(extract_block(be), np.zeros((2, 2)), atol=0)
 
 
@@ -60,9 +57,8 @@ def test_extracted_block_norm_bound():
     for _ in range(5):
         m = rng.standard_normal((8, 8)) + 1j * rng.standard_normal((8, 8))
         q, _ = np.linalg.qr(m)
-        layout = RegisterLayout((("anc", 1), ("data", 2)))
         proj = Projector.ancilla_zero(1, 2)
-        be = BlockEncoding(UnitaryMatrix(q, layout), 1, proj, proj)
+        be = BlockEncoding(UnitaryMatrix(q), 1, proj, proj)
         from qsprep.simulator import spectral_norm
 
         assert spectral_norm(extract_block(be)) <= 1.0 + be.certified_error + 1e-12
@@ -169,7 +165,7 @@ def test_qsvt_robustness_bound():
             k = k / np.abs(np.linalg.eigvalsh(k)).max()
             u_pert = be.unitary.entries @ scipy.linalg.expm(1j * eps * k)
             noisy = BlockEncoding(
-                UnitaryMatrix(u_pert, be.unitary.layout),
+                UnitaryMatrix(u_pert),
                 be.ancillas,
                 be.proj_left,
                 be.proj_right,

@@ -50,7 +50,7 @@ def test_prepare_reports_the_m_it_quantized_at(tmp_path, capsys):
     assert main(["prepare", "--oracle", str(oracle_file)]) == 0
     lines = capsys.readouterr().out.splitlines()
     assert "m                    10" in lines
-    assert lines.index("m                    10") + 1 == lines.index("classes              9")
+    assert lines.index("m                    10") + 1 == lines.index("levels               9")
 
 
 def test_verify_bounds_command(tmp_path, capsys):
@@ -96,7 +96,7 @@ def test_grover_command(capsys):
     assert rc == 0
     assert "calls_per_sqrt_n" in out
     # the marked item and the rest: two distinct quantized values
-    assert "classes              2\n" in out
+    assert "levels               2\n" in out
 
 
 def test_sweep_command(tmp_path):

@@ -12,8 +12,8 @@ dense reference's reach, and past 100 rounds where its success drifts,
 the engine's success is held to 1e-12 of the same circuit applied round
 by round to the (4, N) state in extended precision (``_extended_success``).
 A per-index evaluation of the same formulas (``per_index_run``) checks, on
-tables with repeated values, that running on classes of equal values
-loses nothing.
+tables with repeated values, that running on the distinct quantized
+values loses nothing.
 """
 import dataclasses
 import time
@@ -33,7 +33,7 @@ from qsprep.blockenc import (
     sine_block_encoding,
 )
 from qsprep.errors import DimensionError, InputError
-from qsprep.oracle import AmplitudeOracle, ValueClasses
+from qsprep.oracle import AmplitudeOracle
 from qsprep.phases import _prefix_rows
 from qsprep.pipeline import (
     BETA,
@@ -44,7 +44,6 @@ from qsprep.pipeline import (
     verify_error_bounds,
 )
 from qsprep.simulator import (
-    RegisterLayout,
     StateVector,
     UnitaryMatrix,
     project_measure,
@@ -59,7 +58,7 @@ def hadamard_layer(n):
     s = np.array([[1.0]])
     for _ in range(n):
         s = np.kron(s, had)
-    return UnitaryMatrix(s.astype(complex), RegisterLayout.single(n))
+    return UnitaryMatrix(s.astype(complex))
 
 
 def quantized(run):
@@ -81,7 +80,7 @@ def value_classes(run):
 
 
 def spread(run, per_class):
-    """A run's quantity given per class of equal values, at every index."""
+    """A run's quantity given per class of the oracle, at every index."""
     return run.value_classes.expand(per_class)
 
 
@@ -93,27 +92,25 @@ def dense_run(run):
     """
     cfg = run.config
     n = cfg.oracle.n
-    layout = RegisterLayout.single(n, "data")
-    u = UnitaryMatrix(np.diag(oracle_diagonal(run)), layout)
+    u = UnitaryMatrix(np.diag(oracle_diagonal(run)))
     be = lcu_real_part(sine_block_encoding(u), run.encoding.phases)
     block = extract_block(be)
     c_realized = 2.0 * np.real(np.diag(block)) / BETA
     realized = c_realized / np.linalg.norm(c_realized)
-    size = 2**n
 
     s = hadamard_layer(n)
     psi0 = np.zeros(be.unitary.dim, dtype=complex)
     psi0[: 2**n] = s.entries[:, 0]
     u_amp = amplify(be.unitary, s, run.plan)
     flag, _ = build_projectors(n, s, ancillas=be.ancillas)
-    post, success = project_measure(flag, StateVector(u_amp.entries @ psi0, be.unitary.layout))
+    post, success = project_measure(flag, StateVector(u_amp.entries @ psi0))
     data = post.amplitudes[: 2**n]
     data = data * np.exp(-1j * np.angle(np.vdot(realized, data)))
 
     d_a, d_s = len(run.encoding.phases), run.plan.rounds
     return dataclasses.replace(
         run,
-        value_classes=ValueClasses(cfg.oracle.values, np.ones(size, dtype=np.int64), np.arange(size)),
+        value_classes=cfg.oracle.classes,
         final=data,
         success=success,
         gamma_quant=float(np.mean((quantized(run) + 2.0 ** -(run.m + 1)) ** 2)),
@@ -242,7 +239,7 @@ def tables_with_repeats(draw):
 def test_class_engine_matches_per_index_evaluation(values, eps):
     run = engine_run(values, eps=eps)
     _, counts = value_classes(run)
-    assert run.classes == counts.size <= 6
+    assert run.levels == counts.size <= 6
     data, success, realized, eps_measured, calls = per_index_run(run)
     assert np.abs(spread(run, run.final) - data).max() <= TOL
     assert abs(run.success - success) <= TOL
@@ -298,7 +295,7 @@ def test_whole_amplified_state_matches_dense_reference(values):
     # the unflagged rows, which post-selection discards, included
     run = engine_run(values)
     n = run.config.oracle.n
-    u = UnitaryMatrix(np.diag(oracle_diagonal(run)), RegisterLayout.single(n, "data"))
+    u = UnitaryMatrix(np.diag(oracle_diagonal(run)))
     be = lcu_real_part(sine_block_encoding(u), run.encoding.phases)
     s = hadamard_layer(n)
     psi0 = np.zeros(be.unitary.dim, dtype=complex)
@@ -362,20 +359,27 @@ def test_execute_allocates_no_quadratic_array():
 
 
 def test_run_memory_per_index():
-    # the engine keeps per-level columns; what grows with N is the split of
-    # the table, the expanded generator, the realized, final and target
-    # states and the checks on them (the (N, 4, 4) blocks alone took 256 B
-    # per index)
-    n = 16
-    oracle = AmplitudeOracle(n, 8, np.random.default_rng(2).uniform(0, 1, 2**n))
-    cfg = PrepConfig(oracle=oracle, epsilon=0.05, delta=0.1)
+    # the engine keeps per-level columns; what grows with N is the grouping
+    # of the table's entries by quantized value, the expanded generator, the
+    # realized, final and target states and the checks on them: below 80 B
+    # per index (the (N, 4, 4) blocks alone took 256 B, and a sort of the
+    # raw values with its index map 88 B in all)
+    n = 18
+
+    def config(seed):
+        oracle = AmplitudeOracle(n, 8, np.random.default_rng(seed).uniform(0, 1, 2**n))
+        return PrepConfig(oracle=oracle, epsilon=0.05, delta=0.1)
+
+    _bound_report(_execute(config(1)))  # warms the memos for the same 1024 levels
+    cfg = config(2)
     tracemalloc.start()
     try:
-        _bound_report(_execute(cfg))
+        rep = _bound_report(_execute(cfg))
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    assert peak / 2**n < 160
+    assert rep.info["levels"] == 1024
+    assert peak / 2**n <= 80
 
 
 def test_engine_size_is_checked_before_allocation(monkeypatch):
@@ -387,7 +391,7 @@ def test_engine_size_is_checked_before_allocation(monkeypatch):
 
 
 def test_lcu_checks_its_size_before_allocation(monkeypatch):
-    u = UnitaryMatrix(np.diag(np.exp(1j * np.pi * np.array([0.1, 0.2]))), RegisterLayout.single(1))
+    u = UnitaryMatrix(np.diag(np.exp(1j * np.pi * np.array([0.1, 0.2]))))
     be = sine_block_encoding(u)
     monkeypatch.setattr(simulator, "MAX_QUBITS", 2)
     phases = hamiltonian_from_unitary(np.diag(u.entries), 1e-3, 0.25).phases

@@ -129,7 +129,7 @@ def test_grover_small_case():
     assert rep.fidelity_to_target >= 1 - 0.05
     assert rep.all_passed
     assert rep.info["calls_per_sqrt_n"] == rep.oracle_calls / 2.0
-    assert rep.info["classes"] == 2
+    assert rep.info["levels"] == 2
 
 
 def test_grover_past_sign_degree_2000():
@@ -175,7 +175,7 @@ def test_grover_at_32_qubits_passes_every_check_without_a_table(monkeypatch):
     run = pipeline._execute(cfg)
     rep = pipeline._bound_report(run)
     assert rep.all_passed, [c.name for c in rep.bound_checks if not c.passed]
-    assert rep.degrees[1] == 634469 and run.classes == 2
+    assert rep.degrees[1] == 634469 and run.levels == 2
     counts = run.value_classes.counts
     sigma = np.sqrt(counts @ np.abs(run.encoding.columns[0]) ** 2 / 2**32)
     assert abs(rep.success_probability - run.plan.predicted_success(sigma)) <= 1e-10
@@ -272,12 +272,12 @@ def test_pipeline_compression_is_rank_one():
     # generator encoding compresses to sigma |w><Psi| exactly
     from qsprep.amplifier import build_projectors
     from qsprep.blockenc import hamiltonian_from_unitary, lcu_real_part, sine_block_encoding
-    from qsprep.simulator import RegisterLayout, UnitaryMatrix
+    from qsprep.simulator import UnitaryMatrix
 
     rng = np.random.default_rng(31)
     n = 3
     c = rng.uniform(0.2, 0.9, 2**n)
-    u = UnitaryMatrix(np.diag(np.exp(1j * np.pi * 0.5 * c / 2.0)), RegisterLayout.single(n))
+    u = UnitaryMatrix(np.diag(np.exp(1j * np.pi * 0.5 * c / 2.0)))
     # the dense C, composed from the reference functions on the engine's angles
     phases = hamiltonian_from_unitary(np.diag(u.entries), 1e-5, 0.29).phases
     be = lcu_real_part(sine_block_encoding(u), phases)
@@ -285,7 +285,7 @@ def test_pipeline_compression_is_rank_one():
     s = np.array([[1.0]])
     for _ in range(n):
         s = np.kron(s, had)
-    s_u = UnitaryMatrix(s.astype(complex), RegisterLayout.single(n))
+    s_u = UnitaryMatrix(s.astype(complex))
     flag, init = build_projectors(n, s_u, ancillas=2)
     comp = flag.matrix @ be.unitary.entries @ init.matrix
     svals = np.linalg.svd(comp, compute_uv=False)
@@ -427,7 +427,7 @@ def test_encoding_memo_keeps_no_fine_grained_level_sets():
     try:
         base = tracemalloc.get_traced_memory()[0]
         rep = verify_error_bounds(PrepConfig(oracle=oracle, epsilon=1e-3, delta=0.1))
-        assert rep.info["classes"] > blockenc._MEMO_MAX_LEVELS
+        assert rep.info["levels"] > blockenc._MEMO_MAX_LEVELS
         assert blockenc._encoding.cache_info().currsize == 0
         del rep
         assert tracemalloc.get_traced_memory()[0] - base < 20e6
@@ -467,3 +467,30 @@ def test_encoding_memo_serves_default_m_sweep_and_search_tables(monkeypatch):
                                       "epsilon": [0.05, 0.1], "delta": [0.1, 0.2]}))
     assert all(row["status"] == "ok" for row in rows)
     assert hits[1::2] == [True] * (len(rows) // 2)
+
+
+@pytest.mark.parametrize("values", [
+    (np.arange(8) + 0.5) / 8,  # distinct levels, ascending: the identity path
+    np.repeat([0.125, 0.375, 0.625, 0.875], 2) + np.tile([0.0, 1e-6], 4),  # neighbours share a level
+    np.random.default_rng(5).uniform(0.0, 1.0, 2**10),
+], ids=["ascending-levels", "shared-levels", "random-n10"])
+def test_table_run_does_not_depend_on_the_order_of_its_entries(values):
+    n = int(np.log2(values.size))
+    perm = np.random.default_rng(6).permutation(values.size)
+
+    def run(table):
+        return verify_error_bounds(
+            PrepConfig(oracle=AmplitudeOracle(n, 8, table), epsilon=0.05, delta=0.1))
+
+    rep, shuffled = run(values), run(values[perm])
+    for key in ("m", "levels"):
+        assert shuffled.info[key] == rep.info[key]
+    assert shuffled.degrees == rep.degrees
+    assert shuffled.oracle_calls == rep.oracle_calls
+    assert shuffled.success_probability == rep.success_probability
+    assert [(c.name, c.passed) for c in shuffled.bound_checks] == [
+        (c.name, c.passed) for c in rep.bound_checks]
+    for a, b in zip(shuffled.bound_checks, rep.bound_checks):
+        assert abs(a.lhs - b.lhs) <= 1e-15
+    assert np.array_equal(shuffled.final_state.amplitudes, rep.final_state.amplitudes[perm])
+

@@ -4,7 +4,6 @@ import pytest
 from qsprep.errors import DimensionError
 from qsprep.simulator import (
     Projector,
-    RegisterLayout,
     StateVector,
     apply,
     circuit_unitary,
@@ -23,23 +22,18 @@ from qsprep.simulator import (
 RT2 = np.sqrt(2.0)
 
 
-def single(n):
-    return RegisterLayout.single(n)
-
-
 def test_hadamard_on_zero():
-    out = apply(hadamard(0), StateVector.zero_state(single(1)))
+    out = apply(hadamard(0), StateVector.zero_state(1))
     np.testing.assert_allclose(out.amplitudes, [1 / RT2, 1 / RT2], atol=1e-15)
 
 
 def test_pauli_y_on_zero():
-    out = apply(pauli_y(0), StateVector.zero_state(single(1)))
+    out = apply(pauli_y(0), StateVector.zero_state(1))
     np.testing.assert_allclose(out.amplitudes, [0, 1j], atol=1e-15)
 
 
 def test_controlled_phase_acts_only_on_11():
-    layout = single(2)
-    s = apply(hadamard(1), apply(hadamard(0), StateVector.zero_state(layout)))
+    s = apply(hadamard(1), apply(hadamard(0), StateVector.zero_state(2)))
     out = apply(cphase(0, 1, 0.7), s)
     expected = s.amplitudes.copy()
     expected[3] *= np.exp(0.7j)
@@ -48,10 +42,9 @@ def test_controlled_phase_acts_only_on_11():
 
 def test_gate_norm_preservation():
     rng = np.random.default_rng(5)
-    layout = single(4)
     amps = rng.standard_normal(16) + 1j * rng.standard_normal(16)
     amps /= np.linalg.norm(amps)
-    s = StateVector(amps, layout)
+    s = StateVector(amps)
     pauli_x = unitary_gate((0,), np.array([[0, 1], [1, 0]]), "X")
     phase = unitary_gate((2,), np.diag([1.0, np.exp(-0.4j)]), "PHASE")
     for gate in (hadamard(2), pauli_x, cphase(1, 3, 1.1), phase):
@@ -60,7 +53,7 @@ def test_gate_norm_preservation():
 
 
 def test_apply_rejects_bad_targets():
-    s = StateVector.zero_state(single(2))
+    s = StateVector.zero_state(2)
     with pytest.raises(DimensionError):
         apply(hadamard(2), s)
     with pytest.raises(DimensionError):
@@ -68,7 +61,7 @@ def test_apply_rejects_bad_targets():
 
 
 def test_project_measure_plus_state():
-    s = apply(hadamard(0), StateVector.zero_state(single(1)))
+    s = apply(hadamard(0), StateVector.zero_state(1))
     proj = Projector.from_diag_mask(np.array([True, False]))
     post, p = project_measure(proj, s)
     assert abs(p - 0.5) < 1e-14
@@ -76,7 +69,7 @@ def test_project_measure_plus_state():
 
 
 def test_project_measure_identity_and_zero():
-    s = apply(hadamard(0), StateVector.zero_state(single(1)))
+    s = apply(hadamard(0), StateVector.zero_state(1))
     ident = Projector.from_diag_mask(np.array([True, True]))
     post, p = project_measure(ident, s)
     assert abs(p - 1.0) < 1e-14
@@ -88,12 +81,12 @@ def test_project_measure_identity_and_zero():
 
 
 def test_circuit_unitary_empty_is_identity():
-    u = circuit_unitary([], single(2))
+    u = circuit_unitary([], 2)
     np.testing.assert_allclose(u.entries, np.eye(4), atol=1e-15)
 
 
 def test_circuit_unitary_hh_is_identity():
-    u = circuit_unitary([hadamard(0), hadamard(0)], single(1))
+    u = circuit_unitary([hadamard(0), hadamard(0)], 1)
     np.testing.assert_allclose(u.entries, np.eye(2), atol=1e-15)
 
 
@@ -117,12 +110,11 @@ def test_circuit_unitary_matches_sequential_apply():
     rng = np.random.default_rng(23)
     for q in (2, 4, 6, 8):
         gates = _random_circuit(rng, q, 12)
-        layout = single(q)
-        u = circuit_unitary(gates, layout)
+        u = circuit_unitary(gates, q)
         assert u.unitarity_defect() < 1e-10
         amps = rng.standard_normal(2**q) + 1j * rng.standard_normal(2**q)
         amps /= np.linalg.norm(amps)
-        s = StateVector(amps, layout)
+        s = StateVector(amps)
         seq = s
         for g in gates:
             seq = apply(g, seq)
@@ -132,17 +124,17 @@ def test_circuit_unitary_matches_sequential_apply():
 def test_controlled_gate_blocks():
     x = np.array([[0, 1], [1, 0]], dtype=complex)
     g = controlled(x, 0, (1,))
-    u = circuit_unitary([g], single(2))
+    u = circuit_unitary([g], 2)
     expected = np.eye(4, dtype=complex)
     expected[2:, 2:] = x
     np.testing.assert_allclose(u.entries, expected, atol=1e-15)
 
 
 def test_distances():
-    s = apply(hadamard(0), StateVector.zero_state(single(1)))
+    s = apply(hadamard(0), StateVector.zero_state(1))
     assert state_dist(s, s) == 0.0
     assert abs(op_dist(np.eye(4), -np.eye(4)) - 2.0) < 1e-12
-    z = StateVector.zero_state(single(1))
+    z = StateVector.zero_state(1)
     assert abs(fidelity(z, s) - 1 / RT2) < 1e-12
 
 
@@ -171,16 +163,11 @@ def test_projector_validate():
 
 def test_state_norm_guard():
     with pytest.raises(ValueError):
-        StateVector(np.array([1.0, 1.0]), single(1))
-
-
-def test_layout_helpers():
-    layout = RegisterLayout((("anc", 2), ("data", 3)))
-    assert layout.num_qubits == 5
-    assert layout.dim == 32
-    assert RegisterLayout.single(3).dim == 8
+        StateVector(np.array([1.0, 1.0]))
+    with pytest.raises(DimensionError):
+        StateVector(np.ones(3) / 2.0)
 
 
 def test_circuit_unitary_qubit_limit():
     with pytest.raises(DimensionError):
-        circuit_unitary([], RegisterLayout.single(15))
+        circuit_unitary([], 15)
