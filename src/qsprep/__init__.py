@@ -5,7 +5,8 @@ extracts its generator through a sine block encoding and an arcsin
 polynomial transform, amplifies the flagged component with closed-form
 fixed-point amplification angles, and verifies every promised error bound
 per run. The pipeline simulates its diagonal oracle with one 4x4 block per
-distinct quantized value of the table; a dense simulator is kept as the
+distinct quantized value of the table, of which it computes only the
+flagged entry that post-selection keeps; a dense simulator is kept as the
 reference that tests compare against.
 """
 

@@ -24,13 +24,15 @@ the initial state is fixed.
 ``amplify`` forms the whole amplification unitary and is the dense
 reference. The pipeline uses ``amplify_state``, which applies the same
 product to |0..0>|+^n> when C is a direct sum of per-index blocks, given
-one block column per class of indices with equal blocks. The
-initial-state projector is rank one, so by Jordan's lemma the L rounds
-never leave one two-dimensional subspace, where C is the reflection
-R(sigma) and each projector phase is e^{i phi Z}: the product is the
-phase ansatz of ``phases`` at the single point sigma. ``amplify_state``
-applies C once, evaluates the ansatz there in O(L) scalar operations and
-spends O(K + L) in all for K classes, not O(N L).
+the flagged entry of one block per class of indices with equal blocks,
+and keeps only what post-selecting the flag keeps. The initial-state
+projector is rank one, so by Jordan's lemma the L rounds never leave one
+two-dimensional subspace, where C is the reflection R(sigma) and each
+projector phase is e^{i phi Z}: the product is the phase ansatz of
+``phases`` at the single point sigma, which only rescales the flagged
+direction. ``amplify_state`` applies C once, evaluates the ansatz there in
+O(L) scalar operations and spends O(K + L) in all for K classes, not
+O(N L).
 """
 from __future__ import annotations
 
@@ -176,38 +178,30 @@ def amplify(c_unitary: UnitaryMatrix, s_unitary: UnitaryMatrix, plan: Amplificat
 
 
 def amplify_state(
-    columns: np.ndarray, counts: np.ndarray, plan: AmplificationPlan
+    diagonal: np.ndarray, counts: np.ndarray, plan: AmplificationPlan
 ) -> tuple[np.ndarray, int]:
-    """``amplify`` applied to |Psi> = |0..0>|+^n>, for C a direct sum of per-index blocks.
+    """The flagged part of ``amplify`` applied to |0..0>|+^n>, for C a direct sum of blocks.
 
     The N data indices fall into classes whose blocks are equal: class k
-    holds ``counts[k]`` indices, and ``columns[:, k]`` is column 0 of their
-    block, one row per ancilla pattern (row 0 is the flagged pattern). C
-    acts on index x through its block, so C|Psi> is, at every index of
-    class k, ``columns[:, k]`` over sqrt(N): sigma |w> + sqrt(1 - sigma^2)
-    |g> with |w> flagged and |g> not, and the norms of both parts are sums
-    over the classes weighted by their counts. The initial-state projector
-    is rank one, so the compression is exactly sigma |w><Psi|, and by
-    Jordan's lemma (Gilyen, Su, Low & Wiebe, arXiv:1806.01838) the product
-    acts on span{|Psi>, |Psi'>} and span{|w>, |g>} alone, with C|Psi'> =
-    sqrt(1 - sigma^2) |w> - sigma |g>. In those bases C and C-dagger are
-    the reflection R(sigma) and both projector phases are e^{i phi Z}, so
-    the whole product is the ansatz M(phases, sigma), and its column 0
-    gives the state M_00 |w> + M_10 |g>, with M_10 = -(-1)^L conj(M_01). C
-    is applied once and the L rounds cost O(L) scalar operations, so no
-    state is carried through them. Returns the amplified state at one index
-    of each class, shaped like ``columns``, and the number of applications
-    of C and C-dagger, counted as the recurrence yields each layer.
+    holds ``counts[k]`` indices, and ``diagonal[k]`` is the flagged entry of
+    column 0 of their block. C acts on index x through its block, so C|Psi>
+    is sigma |w> + sqrt(1 - sigma^2) |g> with |w> flagged and |g> not, and
+    |w> is ``diagonal[k]`` over sigma sqrt(N) at every index of class k. The
+    initial-state projector is rank one, so the compression is exactly
+    sigma |w><Psi|, and by Jordan's lemma (Gilyen, Su, Low & Wiebe,
+    arXiv:1806.01838) the product acts on span{|Psi>, |Psi'>} and span{|w>,
+    |g>} alone. In those bases C and C-dagger are the reflection R(sigma)
+    and both projector phases are e^{i phi Z}, so the whole product is the
+    ansatz M(phases, sigma), whose flagged part is M_00 |w>. C is applied
+    once and the L rounds cost O(L) scalar operations, and |g> is never
+    formed. Returns the flagged amplitude at one index of each class, shaped
+    like ``diagonal``, and the number of applications of C and C-dagger,
+    counted as the recurrence yields each layer.
     """
     counts = np.asarray(counts)
-    weights = (np.abs(columns) ** 2 @ counts).tolist()  # N ||C|Psi>||^2 per ancilla pattern
-    flagged, rest = math.sqrt(weights[0]), math.sqrt(sum(weights[1:]))
+    flagged = math.sqrt(diagonal**2 @ counts)  # sqrt(N) ||flagged part of C|Psi>||
     sigma = flagged / math.sqrt(counts.sum())
-    for applications, (a, b) in enumerate(_prefix_rows(plan.phases.phases, sigma)):
+    for applications, (a, _) in enumerate(_prefix_rows(plan.phases.phases, sigma)):
         pass
-    m10 = -(-1) ** applications * b.conjugate()
-    # at sigma = 0 there is no flagged direction (and M_00 = 0), at sigma = 1
-    # no unflagged one (and M_10 = 0)
-    state = columns * (m10 / rest if rest > 0 else 0.0)
-    state[0] = columns[0] * (a / flagged if flagged > 0 else 0.0)
-    return state, applications
+    # at sigma = 0 there is no flagged direction, and M_00 = 0
+    return diagonal * (a / flagged if flagged > 0 else 0j), applications

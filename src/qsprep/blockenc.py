@@ -3,11 +3,12 @@ Hamiltonian extraction that inverts a diagonal phase unitary.
 
 The pipeline's phase oracle is diagonal, so its generator encoding splits
 into one 4x4 block per data index, and the block of an index depends only
-on the oracle's diagonal entry there. ``hamiltonian_from_unitary`` builds
-column 0 of the block of each distinct entry directly, in O(K d) time for K
-distinct entries. The dense functions (``sine_block_encoding``,
-``qsvt_circuit``, ``lcu_real_part``, ``extract_block``) build the same
-encoding as one unitary and are the reference the blocks are tested against.
+on the oracle's diagonal entry there. Post-selecting the flag keeps only
+the encoded generator, which is diagonal and real, so
+``hamiltonian_from_unitary`` computes one real per distinct entry, in
+O(K d) time for K distinct entries. The dense functions (``sine_block_encoding``, ``qsvt_circuit``,
+``lcu_real_part``, ``extract_block``) build the same encoding as one
+unitary and are the reference the entries are tested against.
 
 Ancilla registers sit in front of the data register, so an encoded matrix is
 always the literal top-left block. Projector-controlled phases are applied
@@ -183,65 +184,53 @@ def lcu_real_part(be: BlockEncoding, phi: PhaseSequence) -> BlockEncoding:
 
 @dataclass(frozen=True)
 class LevelEncoding:
-    """The generator encoding of a diagonal phase oracle, one column per level.
+    """The generator encoding of a diagonal phase oracle, one entry per level.
 
     The sine encoding, the arcsin transform and the real-part combination act
     on each data index x on its own, so the encoding unitary is the direct
     sum of 4x4 blocks, and the block of x depends only on the oracle's
-    diagonal entry at x. ``columns[:, k]`` is column 0 of the block of the
-    k-th distinct entry (level), the only column the amplification reads:
-    rows are ordered by the ancilla pattern (lcu, anc) = 00, 01, 10, 11, as
-    in the dense ``lcu_real_part(sine_block_encoding(u), phases)``, and the
-    encoded generator is diagonal with entries ``columns[0]``. The columns
-    are read-only, since every caller with the same levels shares them.
+    diagonal entry at x. ``diagonal[k]`` is the flagged entry, ancilla
+    pattern (lcu, anc) = 00, of column 0 of the block of the k-th distinct
+    entry (level), as in the dense ``lcu_real_part(sine_block_encoding(u),
+    phases)``: the only entry post-selecting the flag keeps. It is
+    read-only, since every caller with the same levels shares it.
     """
 
-    columns: np.ndarray
+    diagonal: np.ndarray
     phases: PhaseSequence
     info: Mapping
 
-    ancillas = 2
 
-    @property
-    def diagonal(self) -> np.ndarray:
-        """The encoded generator's diagonal, one entry per level."""
-        return self.columns[0]
-
-
-def _level_columns(levels: np.ndarray, phi: PhaseSequence) -> tuple[np.ndarray, int]:
-    """Column 0 of each level's real-part block and the number of transform layers.
+def _level_diagonal(levels: np.ndarray, phi: PhaseSequence) -> tuple[np.ndarray, int]:
+    """Each level's encoded generator entry and the number of transform layers.
 
     Per level the sine encoding is the Hermitian W = [[s, ic], [-ic, -s]] with
     s = sin(pi h), c = cos(pi h) (so the dense circuit's U and U-dagger
     layers coincide), and a projector phase is e^{i phi Z}, so the transform
-    is the 2x2 product of e^{i phi_j Z} W over the angles. With G = diag(1,
-    -i sgn c), W = G R(s) G^-1 for the ansatz reflection R, and G commutes
-    with e^{i phi Z}: the +phi transform is G M G^-1 for the ansatz product
-    M = [[a, b], [-D conj(b), D conj(a)]] at x = s (D = (-1)^d), and the
-    -phi transform is G conj(M) G^-1. Column 0 of (acc(phi) + acc(-phi)) / 2
-    is (Re a, i sgn D Re b), that of (acc(phi) - acc(-phi)) / 2 is (i Im a,
-    sgn D Im b). The layers are counted as the ansatz's prefix rows are
-    produced.
+    is the 2x2 product of e^{i phi_j Z} W over the angles. W is the ansatz
+    reflection R(s) conjugated by diag(1, -i sgn c), which commutes with
+    e^{i phi Z} and leaves the top-left entry alone: the +phi transform has
+    the ansatz's a at x = s there, the -phi transform conj(a), and the
+    real-part combination (a + conj(a)) / 2 = Re a. The layers are counted
+    as the ansatz's prefix rows are produced.
     """
-    sgn = np.where(levels.real < 0, -1.0, 1.0)
-    for layers, (a, b) in enumerate(_prefix_rows(phi.phases, levels.imag)):
+    for layers, (a, _) in enumerate(_prefix_rows(phi.phases, levels.imag)):
         pass
-    sb = sgn * (-1.0) ** layers * b
-    return np.array([a.real, 1j * sb.real, 1j * a.imag, sb.imag]), layers
+    return a.real.copy(), layers  # a copy, so the memo keeps no imaginary parts
 
 
 def hamiltonian_from_unitary(levels: np.ndarray, epsilon: float, delta: float) -> LevelEncoding:
     """Encoding of H given the distinct diagonal entries of U = exp(i pi H).
 
     ``levels`` are the diagonal entries the oracle takes, each listed once
-    (listing one twice only repeats its column); the caller maps every data
+    (listing one twice only repeats its entry); the caller maps every data
     index to its level. Requires ||sin(pi H)|| <= 1 - delta so the arcsin
     approximant's accuracy interval covers the spectrum; the encoded
-    generator is then within epsilon of H. Each column equals column 0 of
-    the corresponding block of the dense ``lcu_real_part`` of the sine
-    encoding. Records the polynomial degree and the counted transform
-    layers; each layer queries the controlled phase unitary and its adjoint,
-    shared by both branches of the real-part combination.
+    generator is then within epsilon of H. Its diagonal equals the top-left
+    block's diagonal in the dense ``lcu_real_part`` of the sine encoding.
+    Records the polynomial degree and the counted transform layers; each
+    layer queries the controlled phase unitary and its adjoint, shared by
+    both branches of the real-part combination.
 
     Memoized per process on the exact bytes of the levels, epsilon and
     delta, the whole input: the ``_MEMO_SIZE`` most recently used encodings
@@ -264,11 +253,11 @@ def hamiltonian_from_unitary(levels: np.ndarray, epsilon: float, delta: float) -
     return build(levels.tobytes(), epsilon, delta)
 
 
-# Most levels of an encoding the memo keeps. An entry holds 80 bytes per
-# level (the 16-byte key and the 64-byte columns), so the memo holds at most
-# _MEMO_SIZE * 80 * 2^12 bytes, 20 MiB. Search tables have 2 levels, and a
+# Most levels of an encoding the memo keeps. An entry holds 24 bytes per
+# level (the 16-byte key and the 8-byte diagonal), so the memo holds at most
+# _MEMO_SIZE * 24 * 2^12 bytes, 6 MiB. Search tables have 2 levels, and a
 # uniform-random table at the m a run derives for epsilon >= 0.01 (m <= 12)
-# at most 2^12; one at n = 20 and m = 30 has ~2^20 levels, 80 MB, and is
+# at most 2^12; one at n = 20 and m = 30 has ~2^20 levels, 24 MB, and is
 # not kept.
 _MEMO_MAX_LEVELS = 2**12
 
@@ -290,7 +279,7 @@ def _encoding(key: bytes, epsilon: float, delta: float) -> LevelEncoding:
     pr = arcsin_taylor(0.9 * epsilon, delta)
     pr = chebyshev_economize(pr, 0.05 * epsilon)
     ang = real_target_phases(pr)
-    columns, layers = _level_columns(levels, ang)
-    columns.flags.writeable = False
+    diagonal, layers = _level_diagonal(levels, ang)
+    diagonal.flags.writeable = False
     info = MappingProxyType({"arcsin_degree": len(ang), "cu_calls": layers})
-    return LevelEncoding(columns, ang, info)
+    return LevelEncoding(diagonal, ang, info)

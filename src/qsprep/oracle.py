@@ -35,9 +35,9 @@ MAX_BITS = 50
 # Most data qubits of a table given as values (the constructor, ``gaussian``,
 # a table file) and of any 2^n-sized array built from classes. What grows
 # with N is the grouping of the entries by quantized value and the sums over
-# them, about 72 bytes per index at the traced peak: on a 2-vCPU x86 host
+# them, about 64 bytes per index at the traced peak: on a 2-vCPU x86 host
 # verify_error_bounds on a uniform-random n = 20 table (eps 0.05, delta 0.1,
-# 1024 levels) takes 0.11-0.13 s, with 122 MB peak resident for the whole
+# 1024 levels) takes 0.16-0.19 s, with 114 MB peak resident for the whole
 # process. Every check reads it when it runs.
 MAX_TABLE_QUBITS = 24
 # Most data qubits of an oracle built from its classes (``uniform``,
@@ -162,8 +162,9 @@ class AmplitudeOracle:
     @functools.cached_property
     def classes(self) -> ValueClasses:
         """The table's classes: a generated oracle is built with them, and a
-        table given as values is its own, one index each."""
-        return ValueClasses(self.values, _read_only(np.ones(self.size, dtype=np.int64)))
+        table given as values is its own, one index each, and its counts
+        are one read-only scalar seen at every index, not an N-sized array."""
+        return ValueClasses(self.values, np.broadcast_to(np.int64(1), (self.size,)))
 
     @functools.cached_property
     def quantized(self) -> np.ndarray:

@@ -9,9 +9,9 @@ degree-d polynomial of parity d mod 2. Every factor is unitary with
 determinant -1, so the top row (a, b) of a k-factor prefix fixes the whole
 prefix as [[a, b], [-D conj(b), D conj(a)]] with D = (-1)^k. One top-row
 recurrence, ``_prefix_rows``, therefore gives the reconstruction, the
-Jacobian of the least-squares polish, the engine's block columns, one per
-distinct oracle entry (``blockenc._level_columns``), and the whole
-fixed-point amplification, which is this product at x = sigma
+Jacobian of the least-squares polish, the engine's encoded generator, Re a
+at each distinct oracle entry (``blockenc._level_diagonal``), and the
+whole fixed-point amplification, which is this product at x = sigma
 (``amplifier.amplify_state``).
 
 ``find_phases`` inverts the map by layer stripping (peel phi_d off the

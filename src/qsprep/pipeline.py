@@ -124,9 +124,12 @@ class PrepReport:
         """The prepared data-register state, 2^n amplitudes.
 
         Raises DimensionError above ``oracle.MAX_TABLE_QUBITS`` data qubits,
-        before any amplitude exists.
+        before any amplitude exists, and again on every later read. Once the
+        state is built, the per-class state it was built from is dropped.
         """
-        return self._final()
+        state = self._final()
+        self._final = None
+        return state
 
 
 def default_bits(epsilon: float, gamma_value: float) -> int:
@@ -219,7 +222,7 @@ def _execute(cfg: PrepConfig) -> _RunResult:
 
     # the encoded generator is diagonal (and real), so its spectral distance
     # to the table is the largest per-index deviation
-    c_level = 2.0 * encoding.diagonal.real / BETA
+    c_level = 2.0 * encoding.diagonal / BETA
     eps_measured = float(np.abs(c_level[level_of] - value_classes.values).max())
     g_realized = float(counts @ c_level**2) / size
     g_quant = float(counts @ levels**2) / size
@@ -227,13 +230,13 @@ def _execute(cfg: PrepConfig) -> _RunResult:
     sigma_hat = BETA * math.sqrt(g_quant) / 2.0
     plan = plan_amplification(sigma_hat, cfg.delta)
 
-    # post-select the flag pattern, row 0 of the amplified state, per level
-    state, applications = amplify_state(encoding.columns, counts, plan)
-    norm = math.sqrt(counts @ np.abs(state[0]) ** 2)
+    # post-select the flag pattern: the amplified flagged amplitudes per level
+    flagged, applications = amplify_state(encoding.diagonal, counts, plan)
+    norm = math.sqrt(counts @ np.abs(flagged) ** 2)
     if norm < 1e-14:  # nothing flagged: the empty state, as project_measure gives
         success, data_level = 0.0, np.zeros(levels.size, dtype=complex)
     else:
-        success, data_level = norm**2, state[0] / norm
+        success, data_level = norm**2, flagged / norm
     realized_norm = math.sqrt(size * g_realized)
     realized_level = c_level / realized_norm if realized_norm > 0 else np.zeros_like(c_level)
     overlap = complex(counts @ (realized_level * data_level))

@@ -135,14 +135,14 @@ def test_plan_arrays_are_read_only():
     np.testing.assert_array_equal(again.phases.phases, angles)
 
 
-def one_index_column(sigma):
-    """Column 0 of a one-index C whose flagged compression is exactly sigma."""
-    return np.array([[sigma], [np.sqrt(1.0 - sigma**2)], [0.0], [0.0]], dtype=complex)
+def one_index_diagonal(sigma):
+    """The flagged entry of a one-index C whose flagged compression is exactly sigma."""
+    return np.array([sigma])
 
 
-def engine_success(columns, counts, plan):
-    state, _ = amplify_state(columns, counts, plan)
-    return float(np.abs(state[0]) ** 2 @ counts)
+def engine_success(diagonal, counts, plan):
+    flagged, _ = amplify_state(diagonal, counts, plan)
+    return float(np.abs(flagged) ** 2 @ counts)
 
 
 class Captured(Exception):
@@ -155,31 +155,31 @@ def test_predicted_success_equals_the_engine_on_search_cases(monkeypatch, n):
     # its two classes of indices up to n = 20 (L = 9915)
     captured = []
 
-    def capture(columns, counts, plan):
-        captured.append((columns, counts, plan))
+    def capture(diagonal, counts, plan):
+        captured.append((diagonal, counts, plan))
         raise Captured
 
     monkeypatch.setattr(pipeline, "amplify_state", capture)
     with pytest.raises(Captured):
         grover_case(n, 2**n - 3, 0.1, 0.05)
-    columns, counts, plan = captured[0]
+    diagonal, counts, plan = captured[0]
     assert counts.tolist() == [2**n - 1, 1]
-    sigma = float(np.sqrt(np.abs(columns[0]) ** 2 @ counts / 2**n))
-    assert abs(engine_success(columns, counts, plan) - plan.predicted_success(sigma)) <= 1e-10
+    sigma = float(np.sqrt(diagonal**2 @ counts / 2**n))
+    assert abs(engine_success(diagonal, counts, plan) - plan.predicted_success(sigma)) <= 1e-10
 
 
 @pytest.mark.parametrize(
-    "columns, plan",
-    [(one_index_column(1.0), plan_amplification(1.0, 0.5)),
-     (one_index_column(0.0), plan_amplification(0.3, 0.1))],
+    "sigma, plan",
+    [(1.0, plan_amplification(1.0, 0.5)), (0.0, plan_amplification(0.3, 0.1))],
     ids=["sigma-one", "sigma-zero"],
 )
-def test_amplify_state_at_the_ends_of_the_band(columns, plan):
+def test_amplify_state_at_the_ends_of_the_band(sigma, plan):
     # all of C|Psi> is flagged, or none of it: one of the two directions the
-    # amplification rotates between is missing
-    state, applications = amplify_state(columns, np.array([1]), plan)
-    assert np.isfinite(state).all()
-    assert abs(np.linalg.norm(state) - 1.0) <= 1e-12
+    # amplification rotates between is missing, and the flagged amplitude
+    # keeps all of the state or none of it
+    flagged, applications = amplify_state(one_index_diagonal(sigma), np.array([1]), plan)
+    assert np.isfinite(flagged).all()
+    assert abs(np.linalg.norm(flagged) - sigma) <= 1e-12
     assert applications == plan.rounds
 
 
@@ -241,7 +241,7 @@ def test_angles_match_the_fixed_point_search_iterates(plan):
     rng = np.random.default_rng(plan.rounds)
     for s in (plan.sigma, *rng.uniform(0.0, 1.0, 3)):
         direct = fixed_point_search_success(s * s, plan.rounds, plan.delta)
-        assert abs(engine_success(one_index_column(s), np.array([1]), plan) - direct) <= 1e-10
+        assert abs(engine_success(one_index_diagonal(s), np.array([1]), plan) - direct) <= 1e-10
         assert abs(plan.predicted_success(s) - direct) <= 1e-10
 
 

@@ -229,8 +229,20 @@ def test_hamiltonian_extraction_matches_matrix_log():
     be = hamiltonian_from_unitary(np.diag(u.entries), 1e-4, 0.2)
     brute = scipy.linalg.logm(u.entries) / (1j * np.pi)
     assert op_dist(generator_block(be), brute) <= 1e-4
-    assert be.ancillas == 2
     assert be.info["cu_calls"] == be.info["arcsin_degree"]
+
+
+def test_hamiltonian_extraction_on_levels_with_a_negative_cosine():
+    # |h| > 1/2 puts cos(pi h) below zero, where the sine encoding's
+    # off-diagonal entries change sign; the generator is then the principal
+    # value arcsin(sin(pi h)) / pi, not h
+    h = np.array([0.7, -0.85, 0.95, 0.1])
+    u = diag_unitary(h)
+    enc = hamiltonian_from_unitary(np.diag(u.entries), 1e-4, 0.15)
+    assert enc.diagonal.dtype == np.float64 and enc.diagonal.shape == h.shape
+    dense = np.diag(extract_block(lcu_real_part(sine_block_encoding(u), enc.phases)))
+    assert np.abs(enc.diagonal - dense).max() <= 1e-12
+    assert np.abs(enc.diagonal - np.arcsin(np.sin(np.pi * h)) / np.pi).max() <= 1e-4
 
 
 def test_hamiltonian_extraction_error_tracks_polynomial_error():
@@ -272,7 +284,7 @@ def test_encoding_memo_warm_equals_cold():
     levels = np.exp(1j * np.pi * np.array([0.02, 0.11, 0.2]))
     cold, again, warm = _encode_cold_then_warm(levels, 1e-4, 0.25)
     assert warm is again
-    assert warm.columns.tobytes() == cold.columns.tobytes()
+    assert warm.diagonal.tobytes() == cold.diagonal.tobytes()
     assert warm.phases.phases.tobytes() == cold.phases.phases.tobytes()
     assert dict(warm.info) == dict(cold.info)
     # the key is the exact levels, epsilon and delta: a change in any misses
@@ -283,11 +295,11 @@ def test_encoding_memo_warm_equals_cold():
 def test_encoding_memo_results_are_read_only():
     encoding = hamiltonian_from_unitary(np.exp(1j * np.pi * np.array([0.0, 0.1])), 1e-3, 0.25)
     with pytest.raises(ValueError):
-        encoding.columns[0, 0] = 0.0
+        encoding.diagonal[0] = 0.0
     with pytest.raises(TypeError):
         encoding.info["cu_calls"] = 0
     with pytest.raises(FrozenInstanceError):
-        encoding.columns = None
+        encoding.diagonal = None
 
 
 def test_encoding_memo_hit_builds_no_arcsin_target(monkeypatch):

@@ -1,13 +1,15 @@
 """The engine against the dense reference simulator.
 
 The pipeline simulates its diagonal phase oracle with one 4x4 block per
-distinct quantized value of the table, of which it needs only column 0
-(``hamiltonian_from_unitary``), and amplifies |0,0,+^n> in the
-two-dimensional subspace the rank-one initial-state projector leaves
-invariant (``amplify_state``): one application of C, then the phase
-ansatz at x = sigma. The dense reference builds the same circuit as full
-unitaries: ``lcu_real_part(sine_block_encoding(u), phases)``, then
-``amplify`` and ``project_measure``. Both must agree to 1e-12. Past the
+distinct quantized value of the table, of which it needs only the flagged
+entry of column 0, one real per value (``hamiltonian_from_unitary``), and
+amplifies |0,0,+^n> in the two-dimensional subspace the rank-one
+initial-state projector leaves invariant (``amplify_state``): one
+application of C, then the phase ansatz at x = sigma, which rescales the
+flagged amplitudes and leaves their direction alone. The dense reference
+builds the same circuit as full unitaries:
+``lcu_real_part(sine_block_encoding(u), phases)``, then ``amplify`` and
+``project_measure``. Both must agree to 1e-12. Past the
 dense reference's reach, and past 100 rounds where its success drifts,
 the engine's success is held to 1e-12 of the same circuit applied round
 by round to the (4, N) state in extended precision (``_extended_success``).
@@ -134,13 +136,10 @@ def assert_engine_matches_dense(values, eps=0.05, delta=0.1, success_tol=TOL):
 def assert_run_matches_dense(run, success_tol=TOL):
     ref, be = dense_run(run)
 
-    # column 0 of the block of index x is the dense C's column x, at rows
-    # p N + x for the four ancilla patterns p
-    size = run.config.oracle.values.size
+    # the flagged entry of the block of index x is the dense C's entry (x, x)
     inverse, _ = value_classes(run)
-    xs = np.arange(size)
-    dense = be.unitary.entries[np.arange(4)[:, None] * size + xs, xs]
-    assert np.abs(run.encoding.columns[:, inverse] - dense).max() <= TOL
+    dense = np.diag(be.unitary.entries)[: run.config.oracle.values.size]
+    assert np.abs(run.encoding.diagonal[inverse] - dense).max() <= TOL
 
     assert np.abs(spread(run, run.final) - ref.final).max() <= TOL
     assert abs(run.success - ref.success) <= success_tol
@@ -201,23 +200,21 @@ def test_engine_matches_dense_reference_property(values, eps):
 def per_index_run(run):
     """The amplified state and success evaluated at every index on its own.
 
-    Column 0 of each index's block comes from the phase ansatz's prefix
-    rows over all N diagonal entries, and C|Psi> is normalized over all N
-    indices, as if no two indices shared a value.
+    The flagged entry of each index's block comes from the phase ansatz's
+    prefix rows over all N diagonal entries, and C|Psi> is normalized over
+    all N indices, as if no two indices shared a value.
     """
     diagonal = oracle_diagonal(run)
-    sgn = np.where(diagonal.real < 0, -1.0, 1.0)
-    for layers, (a, b) in enumerate(_prefix_rows(run.encoding.phases.phases, diagonal.imag)):
+    for layers, (a, _) in enumerate(_prefix_rows(run.encoding.phases.phases, diagonal.imag)):
         pass
-    sb = sgn * (-1.0) ** layers * b
-    column = np.array([a.real, 1j * sb.real, 1j * a.imag, sb.imag])
-    flagged = np.linalg.norm(column[0])
+    entry = a.real
+    flagged = np.linalg.norm(entry)
     sigma = float(flagged / np.sqrt(diagonal.size))
-    for rounds, (a, b) in enumerate(_prefix_rows(run.plan.phases.phases, sigma)):
+    for rounds, (a, _) in enumerate(_prefix_rows(run.plan.phases.phases, sigma)):
         pass
-    flag_row = column[0] * (a / flagged)
+    flag_row = entry * (a / flagged)
     success = float(np.linalg.norm(flag_row) ** 2)
-    c_realized = 2.0 * column[0].real / BETA
+    c_realized = 2.0 * entry / BETA
     realized = c_realized / np.linalg.norm(c_realized)
     data = flag_row / np.sqrt(success)
     data = data * np.exp(-1j * np.angle(np.vdot(realized, data)))
@@ -292,7 +289,9 @@ def _extended_success(run):
     ids=["uniform-n3", "random-n3", "indicator-n4"],
 )
 def test_whole_amplified_state_matches_dense_reference(values):
-    # the unflagged rows, which post-selection discards, included
+    # the engine computes only the flagged amplitudes, which post-selection
+    # keeps: the dense state's first 2^n entries; the unflagged rest it
+    # discards is never formed
     run = engine_run(values)
     n = run.config.oracle.n
     u = UnitaryMatrix(np.diag(oracle_diagonal(run)))
@@ -301,10 +300,10 @@ def test_whole_amplified_state_matches_dense_reference(values):
     psi0 = np.zeros(be.unitary.dim, dtype=complex)
     psi0[: 2**n] = s.entries[:, 0]
     inverse, counts = value_classes(run)
-    state, applications = amplify_state(run.encoding.columns, counts, run.plan)
+    flagged, applications = amplify_state(run.encoding.diagonal, counts, run.plan)
     assert applications == run.plan.rounds
     dense = amplify(be.unitary, s, run.plan).entries @ psi0
-    assert np.abs(state[:, inverse].reshape(-1) - dense).max() <= TOL
+    assert np.abs(flagged[inverse] - dense[: 2**n]).max() <= TOL
 
 
 def test_engine_beats_dense_reference_at_high_degree():
@@ -359,11 +358,12 @@ def test_execute_allocates_no_quadratic_array():
 
 
 def test_run_memory_per_index():
-    # the engine keeps per-level columns; what grows with N is the grouping
+    # the engine keeps one real per level; what grows with N is the grouping
     # of the table's entries by quantized value, the expanded generator, the
-    # realized, final and target states and the checks on them: below 80 B
-    # per index (the (N, 4, 4) blocks alone took 256 B, and a sort of the
-    # raw values with its index map 88 B in all)
+    # realized, final and target states and the checks on them: at most 70 B
+    # per index (the (N, 4, 4) blocks alone took 256 B, a sort of the raw
+    # values with its index map 88 B in all, and an N-sized array of the
+    # table's unit class counts 8 B more)
     n = 18
 
     def config(seed):
@@ -379,7 +379,28 @@ def test_run_memory_per_index():
     finally:
         tracemalloc.stop()
     assert rep.info["levels"] == 1024
-    assert peak / 2**n <= 80
+    assert peak / 2**n <= 70
+
+
+def test_read_final_state_holds_one_state_per_index():
+    # once read, a report holds the 16-byte complex final state per index
+    # and releases the per-class state it was built from; the unit class
+    # counts of a table are one scalar, not an N-sized array (the two took
+    # 24 B per index more)
+    n = 18
+    _bound_report(_execute(PrepConfig(
+        oracle=AmplitudeOracle(n, 8, np.random.default_rng(1).uniform(0, 1, 2**n)),
+        epsilon=0.05, delta=0.1)))  # warms the memos for the same 1024 levels
+    oracle = AmplitudeOracle(n, 8, np.random.default_rng(2).uniform(0, 1, 2**n))
+    tracemalloc.start()
+    try:
+        rep = verify_error_bounds(PrepConfig(oracle=oracle, epsilon=0.05, delta=0.1))
+        state = rep.final_state
+        held, _ = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert state.amplitudes.size == 2**n
+    assert held / 2**n <= 20
 
 
 def test_engine_size_is_checked_before_allocation(monkeypatch):

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from qsprep import blockenc, pipeline
-from qsprep.errors import InfeasibleError, InputError
+from qsprep.errors import DimensionError, InfeasibleError, InputError
 from qsprep.oracle import AmplitudeOracle, ValueClasses
 from qsprep.phases import _memo
 from qsprep.pipeline import (
@@ -177,7 +177,7 @@ def test_grover_at_32_qubits_passes_every_check_without_a_table(monkeypatch):
     assert rep.all_passed, [c.name for c in rep.bound_checks if not c.passed]
     assert rep.degrees[1] == 634469 and run.levels == 2
     counts = run.value_classes.counts
-    sigma = np.sqrt(counts @ np.abs(run.encoding.columns[0]) ** 2 / 2**32)
+    sigma = np.sqrt(counts @ run.encoding.diagonal**2 / 2**32)
     assert abs(rep.success_probability - run.plan.predicted_success(sigma)) <= 1e-10
     assert rep.info["gamma"] == 2.0**-32
 
@@ -265,6 +265,19 @@ def test_final_state_close_to_realized_amplitudes():
     # simulator precision; only the polynomial error separates it from target
     assert rep.info["final_error"] <= rep.info["bound_3eps_over_gamma"]
     assert rep.info["eps_measured"] <= rep.info["gamma"] / 4
+
+
+def test_final_state_refusal_repeats_on_every_read(monkeypatch):
+    # a refused read keeps what the state is built from, so a later read
+    # refuses again, and builds it once the limit allows
+    monkeypatch.setattr("qsprep.oracle.MAX_TABLE_QUBITS", 3)
+    rep = prepare_state(PrepConfig(oracle=AmplitudeOracle.indicator(4, 1, 8), epsilon=0.05, delta=0.1))
+    for _ in range(2):
+        with pytest.raises(DimensionError):
+            rep.final_state
+    monkeypatch.undo()
+    assert int(np.argmax(np.abs(rep.final_state.amplitudes))) == 1
+    assert rep.final_state is rep.final_state
 
 
 def test_pipeline_compression_is_rank_one():
