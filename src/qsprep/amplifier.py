@@ -24,15 +24,16 @@ the initial state is fixed.
 ``amplify`` forms the whole amplification unitary and is the dense
 reference. The pipeline uses ``amplify_state``, which applies the same
 product to |0..0>|+^n> when C is a direct sum of per-index blocks, given
-the flagged entry of one block per class of indices with equal blocks,
-and keeps only what post-selecting the flag keeps. The initial-state
-projector is rank one, so by Jordan's lemma the L rounds never leave one
-two-dimensional subspace, where C is the reflection R(sigma) and each
-projector phase is e^{i phi Z}: the product is the phase ansatz of
-``phases`` at the single point sigma, which only rescales the flagged
-direction. ``amplify_state`` applies C once, evaluates the ansatz there in
-O(L) scalar operations and spends O(K + L) in all for K classes, not
-O(N L).
+the flagged entry of one block per class of indices with equal blocks.
+The initial-state projector is rank one, so by Jordan's lemma the L rounds
+never leave one two-dimensional subspace, where C is the reflection
+R(sigma) and each projector phase is e^{i phi Z}: the product is the phase
+ansatz of ``phases`` at the single point sigma, which only multiplies the
+flagged direction by one complex number. Post-selecting the flag therefore
+keeps the flagged part of C|Psi>, the encoded diagonal, normalized, and
+``amplify_state`` returns only that number: it applies C once, evaluates
+the ansatz there in O(L) scalar operations and spends O(K + L) in all for
+K classes, not O(N L).
 """
 from __future__ import annotations
 
@@ -177,10 +178,8 @@ def amplify(c_unitary: UnitaryMatrix, s_unitary: UnitaryMatrix, plan: Amplificat
     return out.unitary
 
 
-def amplify_state(
-    diagonal: np.ndarray, counts: np.ndarray, plan: AmplificationPlan
-) -> tuple[np.ndarray, int]:
-    """The flagged part of ``amplify`` applied to |0..0>|+^n>, for C a direct sum of blocks.
+def amplify_state(diagonal: np.ndarray, counts: np.ndarray, plan: AmplificationPlan) -> tuple[complex, int]:
+    """The factor ``amplify`` puts on the flagged direction of |0..0>|+^n>, for C a direct sum of blocks.
 
     The N data indices fall into classes whose blocks are equal: class k
     holds ``counts[k]`` indices, and ``diagonal[k]`` is the flagged entry of
@@ -192,16 +191,14 @@ def amplify_state(
     arXiv:1806.01838) the product acts on span{|Psi>, |Psi'>} and span{|w>,
     |g>} alone. In those bases C and C-dagger are the reflection R(sigma)
     and both projector phases are e^{i phi Z}, so the whole product is the
-    ansatz M(phases, sigma), whose flagged part is M_00 |w>. C is applied
-    once and the L rounds cost O(L) scalar operations, and |g> is never
-    formed. Returns the flagged amplitude at one index of each class, shaped
-    like ``diagonal``, and the number of applications of C and C-dagger,
-    counted as the recurrence yields each layer.
+    ansatz M(phases, sigma), whose flagged part is M_00 |w>: the L rounds
+    only rescale |w>, whose direction the diagonal already gives, so no
+    state is formed. Returns M_00(sigma), with which post-selecting the flag
+    succeeds with probability |M_00|^2, and the number of applications of C
+    and C-dagger, counted as the recurrence yields each layer. At sigma = 0
+    an odd L gives M_00 = 0 exactly.
     """
-    counts = np.asarray(counts)
-    flagged = math.sqrt(diagonal**2 @ counts)  # sqrt(N) ||flagged part of C|Psi>||
-    sigma = flagged / math.sqrt(counts.sum())
+    sigma = math.sqrt(diagonal**2 @ counts) / math.sqrt(counts.sum())
     for applications, (a, _) in enumerate(_prefix_rows(plan.phases.phases, sigma)):
         pass
-    # at sigma = 0 there is no flagged direction, and M_00 = 0
-    return diagonal * (a / flagged if flagged > 0 else 0j), applications
+    return a, applications

@@ -34,11 +34,12 @@ from .simulator import (
 MAX_BITS = 50
 # Most data qubits of a table given as values (the constructor, ``gaussian``,
 # a table file) and of any 2^n-sized array built from classes. What grows
-# with N is the grouping of the entries by quantized value and the sums over
-# them, about 64 bytes per index at the traced peak: on a 2-vCPU x86 host
-# verify_error_bounds on a uniform-random n = 20 table (eps 0.05, delta 0.1,
-# 1024 levels) takes 0.16-0.19 s, with 114 MB peak resident for the whole
-# process. Every check reads it when it runs.
+# with N is the grouping of the entries by quantized value, the sums over
+# them and one real final state, about 49 bytes per index at the traced
+# peak: on a 2-vCPU x86 host verify_error_bounds on a uniform-random table
+# (eps 0.05, delta 0.1, 1024 levels) takes 0.08 s with 107 MB peak resident
+# for the whole process at n = 20, and 1.6 s with 1.1 GB at n = 24. Every
+# check reads it when it runs.
 MAX_TABLE_QUBITS = 24
 # Most data qubits of an oracle built from its classes (``uniform``,
 # ``indicator``). Every count, N - 1 included, is then an integer that a
@@ -251,7 +252,7 @@ def oracle_from_text(text: str) -> AmplitudeOracle:
     except InputError as exc:
         raise InputError(f"oracle table header: {exc}") from exc
     try:
-        vals = np.array([float(ln) for ln in lines[1:]])
+        vals = np.array(lines[1:], dtype=float)
     except ValueError as exc:
         raise InputError(f"malformed oracle table: {exc}") from exc
     if vals.size != 2**n:

@@ -149,11 +149,11 @@ class _RunResult:
     gamma_quant: float
     gamma_realized: float
     eps_measured: float
-    # the final, realized and target states, each at one index of every
-    # class of ``value_classes``; the reports weight them by the class counts
+    # the final state (the post-selected one, which is the realized one) and
+    # the target state, each real and at one index of every class of
+    # ``value_classes``; the reports weight them by the class counts
     value_classes: ValueClasses
     final: np.ndarray
-    realized: np.ndarray
     target: np.ndarray
     oracle_calls: int
     levels: int  # the engine's level count K
@@ -230,18 +230,10 @@ def _execute(cfg: PrepConfig) -> _RunResult:
     sigma_hat = BETA * math.sqrt(g_quant) / 2.0
     plan = plan_amplification(sigma_hat, cfg.delta)
 
-    # post-select the flag pattern: the amplified flagged amplitudes per level
-    flagged, applications = amplify_state(encoding.diagonal, counts, plan)
-    norm = math.sqrt(counts @ np.abs(flagged) ** 2)
-    if norm < 1e-14:  # nothing flagged: the empty state, as project_measure gives
-        success, data_level = 0.0, np.zeros(levels.size, dtype=complex)
-    else:
-        success, data_level = norm**2, flagged / norm
-    realized_norm = math.sqrt(size * g_realized)
-    realized_level = c_level / realized_norm if realized_norm > 0 else np.zeros_like(c_level)
-    overlap = complex(counts @ (realized_level * data_level))
-    if abs(overlap) > 1e-12:  # remove the global phase
-        data_level = data_level * (overlap.conjugate() / abs(overlap))
+    # the L rounds multiply the flagged part of C|Psi>, the encoded diagonal,
+    # by one number, so post-selecting the flag leaves the realized state
+    amplitude, applications = amplify_state(encoding.diagonal, counts, plan)
+    realized_level = c_level / math.sqrt(size * g_realized)
 
     # each use of C or its adjoint runs every transform layer, and each layer
     # queries the controlled phase unitary and its adjoint (both select
@@ -253,31 +245,25 @@ def _execute(cfg: PrepConfig) -> _RunResult:
         m=m,
         encoding=encoding,
         plan=plan,
-        success=success,
+        success=abs(amplitude) ** 2,
         gamma_exact=g_exact,
         gamma_quant=g_quant,
         gamma_realized=g_realized,
         eps_measured=eps_measured,
         value_classes=value_classes,
-        final=data_level[level_of],
-        realized=realized_level[level_of],
+        final=realized_level[level_of],
         target=value_classes.values / math.sqrt(size * g_exact),
         oracle_calls=oracle_calls,
         levels=levels.size,
     )
 
 
-def _distance(counts: np.ndarray, a: np.ndarray, b: np.ndarray) -> float:
-    """||a - b|| for states given at one index of each class."""
-    return math.sqrt(counts @ np.abs(a - b) ** 2)
-
-
 def _base_report(run: _RunResult) -> PrepReport:
     cfg = run.config
     counts = run.value_classes.counts
-    # the target is real, so |<final|target>| = |sum of counts * final * target|
-    fid = abs(complex(counts @ (run.final * run.target)))
-    err = _distance(counts, run.final, run.target)
+    # both states are real, so <final|target> = sum of counts * final * target
+    fid = abs(float(counts @ (run.final * run.target)))
+    err = math.sqrt(counts @ (run.final - run.target) ** 2)
     d_a, d_s = run.encoding.info["arcsin_degree"], run.plan.rounds
     checks = [
         BoundCheck.le("final_error_le_epsilon", err, cfg.epsilon),
@@ -325,11 +311,12 @@ def verify_error_bounds(cfg: PrepConfig) -> PrepReport:
     distance of the half-amplitude generators, which is the unit the
     analysis manipulates), the checks are |gamma~ - gamma| <= 2 eps; when
     eps <= gamma/4 also gamma~ >= gamma/2, |sqrt(gamma) - sqrt(gamma~)| <=
-    eps, and the realized and final states sit within 3 eps / gamma of the
-    target. The square-root bound is the reverse triangle inequality: with
-    ||c||_2 = sqrt(N gamma), |sqrt(gamma) - sqrt(gamma~)| =
-    | ||c||_2 - ||c~||_2 | / sqrt(N) <= ||c - c~||_2 / sqrt(N) <= eps, and a
-    constant table with a constant error meets it with equality.
+    eps, and the realized state, which post-selection leaves as the final
+    state, sits within 3 eps / gamma of the target (its two checks read the
+    one distance). The square-root bound is the reverse triangle
+    inequality: with ||c||_2 = sqrt(N gamma), |sqrt(gamma) - sqrt(gamma~)|
+    = | ||c||_2 - ||c~||_2 | / sqrt(N) <= ||c - c~||_2 / sqrt(N) <= eps, and
+    a constant table with a constant error meets it with equality.
     """
     return _bound_report(_execute(cfg))
 
@@ -357,7 +344,7 @@ def _bound_report(run: _RunResult) -> PrepReport:
         checks.append(
             BoundCheck.le(
                 "state_dist_le_3eps_over_gamma",
-                _distance(run.value_classes.counts, run.realized, run.target),
+                report.info["final_error"],
                 bound,
                 slack=1e-10,
             )

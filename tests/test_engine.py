@@ -5,11 +5,15 @@ distinct quantized value of the table, of which it needs only the flagged
 entry of column 0, one real per value (``hamiltonian_from_unitary``), and
 amplifies |0,0,+^n> in the two-dimensional subspace the rank-one
 initial-state projector leaves invariant (``amplify_state``): one
-application of C, then the phase ansatz at x = sigma, which rescales the
-flagged amplitudes and leaves their direction alone. The dense reference
-builds the same circuit as full unitaries:
-``lcu_real_part(sine_block_encoding(u), phases)``, then ``amplify`` and
-``project_measure``. Both must agree to 1e-12. Past the
+application of C, then the phase ansatz at x = sigma, which multiplies the
+flagged direction by one number, M_00(sigma). The engine's post-selected
+state is therefore the realized state, the encoded diagonal normalized,
+and its success |M_00|^2. The dense reference builds the same circuit as
+full unitaries: ``lcu_real_part(sine_block_encoding(u), phases)``, then
+``amplify`` and ``project_measure``. The engine's one state must agree to
+1e-12 with both the dense post-selected state and the dense realized state
+(the normalized diagonal of the dense C's block), so that the two being
+one is checked, not assumed. Past the
 dense reference's reach, and past 100 rounds where its success drifts,
 the engine's success is held to 1e-12 of the same circuit applied round
 by round to the (4, N) state in extended precision (``_extended_success``).
@@ -90,7 +94,9 @@ def dense_run(run):
     """The same run with every simulated quantity taken from the dense reference.
 
     Its classes are the indices themselves, one each, so its reports sum
-    over the indices.
+    over the indices, and its final state is the dense realized state.
+    Also returns the dense encoding and the dense post-selected state, its
+    global phase removed against the realized state.
     """
     cfg = run.config
     n = cfg.oracle.n
@@ -113,15 +119,14 @@ def dense_run(run):
     return dataclasses.replace(
         run,
         value_classes=cfg.oracle.classes,
-        final=data,
+        final=realized,
         success=success,
         gamma_quant=float(np.mean((quantized(run) + 2.0 ** -(run.m + 1)) ** 2)),
         gamma_realized=float(np.mean(c_realized**2)),
         eps_measured=spectral_norm(2.0 * block / BETA - np.diag(cfg.oracle.values)),
-        realized=realized,
         target=spread(run, run.target),
         oracle_calls=4 * d_a * d_s,
-    ), be
+    ), be, data
 
 
 def engine_run(values, eps=0.05, delta=0.1):
@@ -134,16 +139,17 @@ def assert_engine_matches_dense(values, eps=0.05, delta=0.1, success_tol=TOL):
 
 
 def assert_run_matches_dense(run, success_tol=TOL):
-    ref, be = dense_run(run)
+    ref, be, post_selected = dense_run(run)
 
     # the flagged entry of the block of index x is the dense C's entry (x, x)
     inverse, _ = value_classes(run)
     dense = np.diag(be.unitary.entries)[: run.config.oracle.values.size]
     assert np.abs(run.encoding.diagonal[inverse] - dense).max() <= TOL
 
-    assert np.abs(spread(run, run.final) - ref.final).max() <= TOL
+    final = spread(run, run.final)
+    assert np.abs(final - post_selected).max() <= TOL
+    assert np.abs(final - ref.final).max() <= TOL
     assert abs(run.success - ref.success) <= success_tol
-    assert np.abs(spread(run, run.realized) - ref.realized).max() <= TOL
     assert abs(run.gamma_quant - ref.gamma_quant) <= TOL
     assert abs(run.eps_measured - ref.eps_measured) <= TOL
     assert run.oracle_calls == ref.oracle_calls
@@ -238,9 +244,10 @@ def test_class_engine_matches_per_index_evaluation(values, eps):
     _, counts = value_classes(run)
     assert run.levels == counts.size <= 6
     data, success, realized, eps_measured, calls = per_index_run(run)
-    assert np.abs(spread(run, run.final) - data).max() <= TOL
+    final = spread(run, run.final)
+    assert np.abs(final - data).max() <= TOL
+    assert np.abs(final - realized).max() <= TOL
     assert abs(run.success - success) <= TOL
-    assert np.abs(spread(run, run.realized) - realized).max() <= TOL
     assert run.eps_measured == eps_measured
     assert run.oracle_calls == calls
 
@@ -289,9 +296,10 @@ def _extended_success(run):
     ids=["uniform-n3", "random-n3", "indicator-n4"],
 )
 def test_whole_amplified_state_matches_dense_reference(values):
-    # the engine computes only the flagged amplitudes, which post-selection
-    # keeps: the dense state's first 2^n entries; the unflagged rest it
-    # discards is never formed
+    # the engine computes only the number M_00(sigma) that the amplification
+    # puts on the flagged part of C|Psi>; times that part, the diagonal
+    # over its norm, it gives the dense state's first 2^n entries, global
+    # phase included; the unflagged rest is never formed
     run = engine_run(values)
     n = run.config.oracle.n
     u = UnitaryMatrix(np.diag(oracle_diagonal(run)))
@@ -300,10 +308,12 @@ def test_whole_amplified_state_matches_dense_reference(values):
     psi0 = np.zeros(be.unitary.dim, dtype=complex)
     psi0[: 2**n] = s.entries[:, 0]
     inverse, counts = value_classes(run)
-    flagged, applications = amplify_state(run.encoding.diagonal, counts, run.plan)
+    diagonal = run.encoding.diagonal
+    amplitude, applications = amplify_state(diagonal, counts, run.plan)
     assert applications == run.plan.rounds
+    flagged = diagonal[inverse] * amplitude / np.sqrt(diagonal**2 @ counts)
     dense = amplify(be.unitary, s, run.plan).entries @ psi0
-    assert np.abs(flagged[inverse] - dense[: 2**n]).max() <= TOL
+    assert np.abs(flagged - dense[: 2**n]).max() <= TOL
 
 
 def test_engine_beats_dense_reference_at_high_degree():
@@ -360,10 +370,11 @@ def test_execute_allocates_no_quadratic_array():
 def test_run_memory_per_index():
     # the engine keeps one real per level; what grows with N is the grouping
     # of the table's entries by quantized value, the expanded generator, the
-    # realized, final and target states and the checks on them: at most 70 B
-    # per index (the (N, 4, 4) blocks alone took 256 B, a sort of the raw
-    # values with its index map 88 B in all, and an N-sized array of the
-    # table's unit class counts 8 B more)
+    # final (which is the realized) and target states, both real, and the
+    # checks on them: at most 55 B per index (the (N, 4, 4) blocks alone took
+    # 256 B, a sort of the raw values with its index map 88 B in all, an
+    # N-sized array of the table's unit class counts 8 B more, and a complex
+    # final state beside the realized one 64 B in all)
     n = 18
 
     def config(seed):
@@ -379,14 +390,15 @@ def test_run_memory_per_index():
     finally:
         tracemalloc.stop()
     assert rep.info["levels"] == 1024
-    assert peak / 2**n <= 70
+    assert peak / 2**n <= 55
 
 
 def test_read_final_state_holds_one_state_per_index():
-    # once read, a report holds the 16-byte complex final state per index
-    # and releases the per-class state it was built from; the unit class
-    # counts of a table are one scalar, not an N-sized array (the two took
-    # 24 B per index more)
+    # unread, a report holds the real 8-byte per-class final state per index
+    # (a complex one took 16 B); once read, it holds the 16-byte complex
+    # final state per index and releases the per-class state it was built
+    # from; the unit class counts of a table are one scalar, not an N-sized
+    # array (the two took 24 B per index more)
     n = 18
     _bound_report(_execute(PrepConfig(
         oracle=AmplitudeOracle(n, 8, np.random.default_rng(1).uniform(0, 1, 2**n)),
@@ -395,12 +407,29 @@ def test_read_final_state_holds_one_state_per_index():
     tracemalloc.start()
     try:
         rep = verify_error_bounds(PrepConfig(oracle=oracle, epsilon=0.05, delta=0.1))
+        unread, _ = tracemalloc.get_traced_memory()
         state = rep.final_state
         held, _ = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
     assert state.amplitudes.size == 2**n
+    assert unread / 2**n <= 10
     assert held / 2**n <= 20
+
+
+@pytest.mark.parametrize(
+    "oracle",
+    [AmplitudeOracle(6, 8, np.random.default_rng(6).uniform(0, 1, 64)), AmplitudeOracle.indicator(6, 61, 8)],
+    ids=["random-n6", "indicator-n6"],
+)
+def test_final_state_is_the_realized_state(oracle):
+    # the amplification multiplies the flagged direction by one number, so
+    # post-selection leaves the realized state itself: real, and at the
+    # same distance from the target
+    rep = verify_error_bounds(PrepConfig(oracle=oracle, epsilon=0.05, delta=0.1))
+    assert not rep.final_state.amplitudes.imag.any()
+    checks = {c.name: c for c in rep.bound_checks}
+    assert checks["state_dist_le_3eps_over_gamma"].lhs == checks["final_dist_le_3eps_over_gamma"].lhs
 
 
 def test_engine_size_is_checked_before_allocation(monkeypatch):
