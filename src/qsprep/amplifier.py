@@ -81,6 +81,11 @@ class AmplificationPlan:
         if self.rounds % 2 == 0:
             raise ValueError("rounds must be odd for an odd polynomial")
 
+    @property
+    def band_edge(self) -> float:
+        """w = tanh(acosh(1 / delta_Y) / L): every s >= w succeeds with probability >= 1 - delta / 2."""
+        return math.tanh(_lift(self.delta) / self.rounds)
+
     def predicted_success(self, sigma: float | None = None) -> float:
         """1 - delta_Y^2 T_L(x)^2 at x = sqrt(1 - s^2) / gamma.
 
@@ -178,7 +183,7 @@ def amplify(c_unitary: UnitaryMatrix, s_unitary: UnitaryMatrix, plan: Amplificat
     return out.unitary
 
 
-def amplify_state(diagonal: np.ndarray, counts: np.ndarray, plan: AmplificationPlan) -> tuple[complex, int]:
+def amplify_state(diagonal: np.ndarray, counts: np.ndarray, plan: AmplificationPlan) -> tuple[complex, int, float]:
     """The factor ``amplify`` puts on the flagged direction of |0..0>|+^n>, for C a direct sum of blocks.
 
     The N data indices fall into classes whose blocks are equal: class k
@@ -194,11 +199,12 @@ def amplify_state(diagonal: np.ndarray, counts: np.ndarray, plan: AmplificationP
     ansatz M(phases, sigma), whose flagged part is M_00 |w>: the L rounds
     only rescale |w>, whose direction the diagonal already gives, so no
     state is formed. Returns M_00(sigma), with which post-selecting the flag
-    succeeds with probability |M_00|^2, and the number of applications of C
-    and C-dagger, counted as the recurrence yields each layer. At sigma = 0
-    an odd L gives M_00 = 0 exactly.
+    succeeds with probability |M_00|^2, the number of applications of C
+    and C-dagger, counted as the recurrence yields each layer, and sigma, at
+    which the plan's guarantee and ``predicted_success`` can be checked. At
+    sigma = 0 an odd L gives M_00 = 0 exactly.
     """
     sigma = math.sqrt(diagonal**2 @ counts) / math.sqrt(counts.sum())
     for applications, (a, _) in enumerate(_prefix_rows(plan.phases.phases, sigma)):
         pass
-    return a, applications
+    return a, applications, sigma

@@ -5,10 +5,14 @@ The pipeline's phase oracle is diagonal, so its generator encoding splits
 into one 4x4 block per data index, and the block of an index depends only
 on the oracle's diagonal entry there. Post-selecting the flag keeps only
 the encoded generator, which is diagonal and real, so
-``hamiltonian_from_unitary`` computes one real per distinct entry, in
-O(K d) time for K distinct entries. The dense functions (``sine_block_encoding``, ``qsvt_circuit``,
-``lcu_real_part``, ``extract_block``) build the same encoding as one
-unitary and are the reference the entries are tested against.
+``hamiltonian_from_unitary`` computes one real per distinct entry. That
+entry is one fixed real polynomial of the angles, Re P, at the entry's
+sine; its Chebyshev series is sampled from the one ansatz recurrence once
+per angle set (``PhaseSequence.real_part``) and summed at the K distinct
+entries in O(K d) time and O(K) memory. The dense functions
+(``sine_block_encoding``, ``qsvt_circuit``, ``lcu_real_part``,
+``extract_block``) build the same encoding as one unitary and are the
+reference the entries are tested against.
 
 Ancilla registers sit in front of the data register, so an encoded matrix is
 always the literal top-left block. Projector-controlled phases are applied
@@ -26,7 +30,7 @@ import numpy as np
 
 from . import oracle
 from .errors import DimensionError, InfeasibleError, InputError
-from .phases import _MEMO_SIZE, PhaseSequence, _prefix_rows, conjugate_phases, real_target_phases
+from .phases import _MEMO_SIZE, PhaseSequence, conjugate_phases, real_target_phases
 from .polyapprox import arcsin_taylor, chebyshev_economize
 from .simulator import (
     Projector,
@@ -211,12 +215,24 @@ def _level_diagonal(levels: np.ndarray, phi: PhaseSequence) -> tuple[np.ndarray,
     reflection R(s) conjugated by diag(1, -i sgn c), which commutes with
     e^{i phi Z} and leaves the top-left entry alone: the +phi transform has
     the ansatz's a at x = s there, the -phi transform conj(a), and the
-    real-part combination (a + conj(a)) / 2 = Re a. The layers are counted
-    as the ansatz's prefix rows are produced.
+    real-part combination (a + conj(a)) / 2 = Re a, one fixed real
+    polynomial of the angles. Its Chebyshev series (``phi.real_part``) is
+    sampled from the ansatz once per angle set, and its layers are counted
+    there. The arcsin target is odd, so its angles are odd in number and
+    the series is odd, c_1 T_1 + c_3 T_3 + ..., and since T_{2j+1}(x) =
+    x (U_j(y) - U_{j-1}(y)) at y = 2x^2 - 1, Re a(x) = x sum_j g_j U_j(y)
+    with g_j = c_{2j+1} - c_{2j+3}, summed by Clenshaw's recurrence in
+    (d + 1) / 2 steps of O(K) memory.
     """
-    for layers, (a, _) in enumerate(_prefix_rows(phi.phases, levels.imag)):
-        pass
-    return a.real.copy(), layers  # a copy, so the memo keeps no imaginary parts
+    coefficients, layers = phi.real_part
+    odd = coefficients[1::2]
+    g = (odd - np.append(odd[1:], 0.0)).tolist()
+    x = levels.imag
+    two_y = 4.0 * x * x - 2.0
+    b1, b2 = g[-1], 0.0
+    for gj in g[-2::-1]:
+        b1, b2 = two_y * b1 - b2 + gj, b1
+    return x * b1, layers
 
 
 def hamiltonian_from_unitary(levels: np.ndarray, epsilon: float, delta: float) -> LevelEncoding:

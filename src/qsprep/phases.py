@@ -9,10 +9,11 @@ degree-d polynomial of parity d mod 2. Every factor is unitary with
 determinant -1, so the top row (a, b) of a k-factor prefix fixes the whole
 prefix as [[a, b], [-D conj(b), D conj(a)]] with D = (-1)^k. One top-row
 recurrence, ``_prefix_rows``, therefore gives the reconstruction, the
-Jacobian of the least-squares polish, the engine's encoded generator, Re a
-at each distinct oracle entry (``blockenc._level_diagonal``), and the
-whole fixed-point amplification, which is this product at x = sigma
-(``amplifier.amplify_state``).
+Jacobian of the least-squares polish, the Chebyshev series of Re a
+(``PhaseSequence.real_part``, sampled once per angle set), from which
+``blockenc._level_diagonal`` sums the engine's encoded generator at each
+distinct oracle entry, and the whole fixed-point amplification, which is
+this product at x = sigma (``amplifier.amplify_state``).
 
 ``find_phases`` inverts the map by layer stripping (peel phi_d off the
 leading coefficients, reduce the degree, repeat) in double precision. Each
@@ -72,6 +73,7 @@ from .polyapprox import (
     _check_qsp_conditions,
     complete_to_complex,
     evaluate,
+    lobatto_values,
 )
 
 log = logging.getLogger(__name__)
@@ -108,6 +110,30 @@ class PhaseSequence:
 
     def __len__(self) -> int:
         return self.phases.size
+
+    @functools.cached_property
+    def real_part(self) -> tuple[np.ndarray, int]:
+        """Chebyshev coefficients of Re a, and the ansatz layers that sampled it.
+
+        Built on first read and kept with the angles, so the memoized angles
+        of ``real_target_phases`` pay for it once per process. One
+        ``_prefix_rows`` pass samples Re a on the (d + 2)-point Lobatto grid,
+        where a degree-d series is exact, and one inverse DCT-I turns the
+        samples into coefficients: ``lobatto_values`` of the samples with the
+        two end samples halved, scaled by 2 / (d + 1), with the two end
+        coefficients halved. The grid points are taken as sines, exact at the
+        ends and symmetric about 0. The coefficients are read-only.
+        """
+        n = self.phases.size + 2
+        xs = np.sin(np.pi * np.arange(n - 1, -n, -2) / (2 * (n - 1)))
+        for layers, (a, _) in enumerate(_prefix_rows(self.phases, xs)):
+            pass
+        samples = a.real.copy()
+        samples[[0, -1]] /= 2
+        coefficients = lobatto_values(samples, n) * (2.0 / (n - 1))
+        coefficients[[0, -1]] /= 2
+        coefficients.flags.writeable = False
+        return coefficients, layers
 
     def __iter__(self):
         return iter(self.phases)

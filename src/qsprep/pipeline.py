@@ -144,6 +144,7 @@ class _RunResult:
     m: int
     encoding: LevelEncoding
     plan: AmplificationPlan
+    sigma: float  # the singular value the amplification read off the encoded diagonal
     success: float
     gamma_exact: float
     gamma_quant: float
@@ -232,7 +233,7 @@ def _execute(cfg: PrepConfig) -> _RunResult:
 
     # the L rounds multiply the flagged part of C|Psi>, the encoded diagonal,
     # by one number, so post-selecting the flag leaves the realized state
-    amplitude, applications = amplify_state(encoding.diagonal, counts, plan)
+    amplitude, applications, sigma = amplify_state(encoding.diagonal, counts, plan)
     realized_level = c_level / math.sqrt(size * g_realized)
 
     # each use of C or its adjoint runs every transform layer, and each layer
@@ -245,6 +246,7 @@ def _execute(cfg: PrepConfig) -> _RunResult:
         m=m,
         encoding=encoding,
         plan=plan,
+        sigma=sigma,
         success=abs(amplitude) ** 2,
         gamma_exact=g_exact,
         gamma_quant=g_quant,
@@ -269,6 +271,15 @@ def _base_report(run: _RunResult) -> PrepReport:
         BoundCheck.le("final_error_le_epsilon", err, cfg.epsilon),
         BoundCheck.le("success_ge_one_minus_delta", 1.0 - cfg.delta, run.success),
         BoundCheck.eq("counted_oracle_calls_eq_4_da_ds", run.oracle_calls, 4 * d_a * d_s),
+        # the amplification's own premise: the fixed-point guarantee holds for
+        # a sigma at or above the band edge, and there the success is the
+        # plan's closed form
+        BoundCheck.le("sigma_ge_band_edge", run.plan.band_edge, run.sigma),
+        BoundCheck.le(
+            "success_gap_to_predicted_le_1e-10",
+            abs(run.success - run.plan.predicted_success(run.sigma)),
+            1e-10,
+        ),
     ]
     return PrepReport(
         fidelity_to_target=fid,
@@ -298,7 +309,10 @@ def prepare_state(cfg: PrepConfig) -> PrepReport:
 
     The report's bound checks assert the user-facing contract: the distance
     to the normalized target is at most epsilon and the post-selection
-    succeeds with probability at least 1 - delta.
+    succeeds with probability at least 1 - delta. They also check the
+    amplification's premise: the sigma it amplified is at or above the
+    plan's band edge, and the success is ``predicted_success(sigma)`` within
+    1e-10.
     """
     return _base_report(_execute(cfg))
 

@@ -141,7 +141,7 @@ def one_index_diagonal(sigma):
 
 
 def engine_success(diagonal, counts, plan):
-    amplitude, _ = amplify_state(diagonal, counts, plan)
+    amplitude, _, _ = amplify_state(diagonal, counts, plan)
     return abs(amplitude) ** 2
 
 
@@ -178,13 +178,14 @@ def test_amplify_state_at_the_ends_of_the_band(sigma, plan):
     # amplification rotates between is missing, and the flagged direction
     # keeps all of the state or none of it; at sigma = 0 an odd L gives
     # M_00(0) = 0 exactly
-    amplitude, applications = amplify_state(one_index_diagonal(sigma), np.array([1]), plan)
+    amplitude, applications, read = amplify_state(one_index_diagonal(sigma), np.array([1]), plan)
     assert np.isfinite(amplitude)
     if sigma == 0.0:
         assert amplitude == 0
     else:
         assert abs(abs(amplitude) - 1.0) <= 1e-12
     assert applications == plan.rounds
+    assert read == sigma
 
 
 def random_plans(count, seed):

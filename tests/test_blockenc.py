@@ -1,3 +1,4 @@
+import tracemalloc
 from dataclasses import FrozenInstanceError
 
 import numpy as np
@@ -15,7 +16,8 @@ from qsprep.blockenc import (
     sine_block_encoding,
 )
 from qsprep.errors import DimensionError, InfeasibleError, InputError
-from qsprep.phases import PhaseSequence, find_phases, polynomial_from_phases
+from qsprep.phases import PhaseSequence, find_phases, polynomial_from_phases, reconstruct
+from qsprep.pipeline import DELTA_MARGIN
 from qsprep.polyapprox import Polynomial, complete_to_complex, evaluate
 from qsprep.simulator import Projector, UnitaryMatrix, op_dist
 
@@ -268,6 +270,54 @@ def test_hamiltonian_rejects_amplitude_near_one():
     with pytest.raises(InfeasibleError) as exc:
         hamiltonian_from_unitary(np.diag(diag_unitary([0.5, 0.0]).entries), 1e-3, 0.2)
     assert "rescale" in str(exc.value)
+
+
+def _levels_within_a_quarter(count, seed):
+    """Oracle entries e^{i pi h}, |h| <= 1/4: their sines fill |x| <= sin(pi/4)."""
+    return np.exp(1j * np.pi * np.random.default_rng(seed).uniform(-0.25, 0.25, count))
+
+
+def _pipeline_arcsin_phases():
+    """The distinct angle sets of the pipeline's arcsin transform up to d_a = 47."""
+    found = {}
+    for eps in 10.0 ** -np.arange(1.0, 15.0, 0.25):
+        phi = hamiltonian_from_unitary(np.ones(1, dtype=complex), eps, DELTA_MARGIN).phases
+        if 3 <= len(phi) <= 47:
+            found.setdefault(len(phi), phi)
+    return [found[d] for d in sorted(found)]
+
+
+def test_level_diagonal_matches_the_ansatz():
+    # the series of Re a, sampled once per angle set, against the ansatz
+    # recurrence it replaces, at random levels inside the arcsin interval
+    levels = _levels_within_a_quarter(2000, 7)
+    arcsin_sets = _pipeline_arcsin_phases()
+    assert {len(phi) for phi in arcsin_sets} >= {3, 47}
+    rng = np.random.default_rng(8)
+    random_sets = [PhaseSequence(rng.uniform(-np.pi, np.pi, d)) for d in range(1, 102, 4)]
+    for sets, tol in ((arcsin_sets, 4e-15), (random_sets, 2e-14)):
+        for phi in sets:
+            diagonal, layers = blockenc._level_diagonal(levels, phi)
+            assert layers == len(phi)
+            gap = np.abs(diagonal - reconstruct(phi, levels.imag).real).max()
+            assert gap <= tol, (len(phi), gap)
+
+
+def test_encoding_memory_per_level():
+    # a never-memoized encoding with its angles warm holds the key's copy of
+    # the levels and O(1) arrays of K reals while it sums the series: at most
+    # 56 B per level (the per-level ansatz recurrence took 104.5 B)
+    count = 2**18
+    warm = hamiltonian_from_unitary(_levels_within_a_quarter(count, 1), 1e-7, 0.29)
+    assert len(warm.phases) == 23
+    levels = _levels_within_a_quarter(count, 2)
+    tracemalloc.start()
+    try:
+        hamiltonian_from_unitary(levels, 1e-7, 0.29)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak / count <= 56
 
 
 def _encode_cold_then_warm(levels, epsilon, delta):

@@ -33,6 +33,7 @@ from hypothesis import strategies as st
 from qsprep import simulator
 from qsprep.amplifier import amplify, amplify_state, build_projectors
 from qsprep.blockenc import (
+    _level_diagonal,
     extract_block,
     hamiltonian_from_unitary,
     lcu_real_part,
@@ -206,14 +207,14 @@ def test_engine_matches_dense_reference_property(values, eps):
 def per_index_run(run):
     """The amplified state and success evaluated at every index on its own.
 
-    The flagged entry of each index's block comes from the phase ansatz's
-    prefix rows over all N diagonal entries, and C|Psi> is normalized over
-    all N indices, as if no two indices shared a value.
+    The flagged entry of each index's block is read through the engine's
+    own ``_level_diagonal`` at all N diagonal entries, and C|Psi> is
+    normalized over all N indices, as if no two indices shared a value; so
+    this checks the grouping into levels, and
+    ``test_level_diagonal_matches_the_ansatz`` checks the entries.
     """
     diagonal = oracle_diagonal(run)
-    for layers, (a, _) in enumerate(_prefix_rows(run.encoding.phases.phases, diagonal.imag)):
-        pass
-    entry = a.real
+    entry, layers = _level_diagonal(diagonal, run.encoding.phases)
     flagged = np.linalg.norm(entry)
     sigma = float(flagged / np.sqrt(diagonal.size))
     for rounds, (a, _) in enumerate(_prefix_rows(run.plan.phases.phases, sigma)):
@@ -309,7 +310,7 @@ def test_whole_amplified_state_matches_dense_reference(values):
     psi0[: 2**n] = s.entries[:, 0]
     inverse, counts = value_classes(run)
     diagonal = run.encoding.diagonal
-    amplitude, applications = amplify_state(diagonal, counts, run.plan)
+    amplitude, applications, _ = amplify_state(diagonal, counts, run.plan)
     assert applications == run.plan.rounds
     flagged = diagonal[inverse] * amplitude / np.sqrt(diagonal**2 @ counts)
     dense = amplify(be.unitary, s, run.plan).entries @ psi0

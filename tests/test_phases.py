@@ -509,3 +509,26 @@ def test_memoized_completion_and_angles_are_read_only():
         phi.phases[0] = 0.0
     with pytest.raises(FrozenInstanceError):
         phi.phases = None
+
+
+def test_real_part_series_is_kept_with_the_memoized_angles(monkeypatch):
+    # the series of Re a is built on its first read and kept with the angles,
+    # so every later caller of the same target reuses it without a new
+    # sampling pass; it is read-only and equals the realized polynomial's
+    # real part
+    phases._memo.cache_clear()
+    phi = real_target_phases(arcsin_taylor(0.001, 0.29))
+    coefficients, layers = phi.real_part
+    assert layers == len(phi)
+    exact = polynomial_from_phases(phi).coefficients.real
+    assert np.abs(coefficients[: exact.size] - exact).max() <= 1e-15
+    assert np.abs(coefficients[exact.size:]).max(initial=0.0) <= 1e-15
+    with pytest.raises(ValueError):
+        coefficients[1] = 0.0
+
+    def no_sampling(*args):
+        raise AssertionError("the series was sampled again")
+
+    monkeypatch.setattr(phases, "_prefix_rows", no_sampling)
+    again = real_target_phases(arcsin_taylor(0.001, 0.29))
+    assert again is phi and again.real_part[0] is coefficients

@@ -182,6 +182,28 @@ def test_grover_at_32_qubits_passes_every_check_without_a_table(monkeypatch):
     assert rep.info["gamma"] == 2.0**-32
 
 
+@pytest.mark.parametrize(
+    "oracle",
+    [AmplitudeOracle.uniform(3, 8), AmplitudeOracle.indicator(20, 5, 8),
+     AmplitudeOracle(6, 8, np.random.default_rng(4).uniform(0, 1, 64))],
+    ids=["uniform-n3", "indicator-n20", "random-n6"],
+)
+def test_every_report_checks_the_amplification_premise(oracle):
+    # the sigma the amplification read off the encoded diagonal sits at or
+    # above the plan's band edge, and the success there is the plan's closed
+    # form, in prepare_state's report and verify_error_bounds' alike
+    cfg = PrepConfig(oracle=oracle, epsilon=0.05, delta=0.1)
+    run = pipeline._execute(cfg)
+    # the encoded diagonal is BETA / 2 times the realized amplitudes
+    assert run.sigma == pytest.approx(pipeline.BETA * np.sqrt(run.gamma_realized) / 2, rel=1e-15)
+    for rep in (prepare_state(cfg), verify_error_bounds(cfg)):
+        checks = {c.name: c for c in rep.bound_checks}
+        edge, gap = checks["sigma_ge_band_edge"], checks["success_gap_to_predicted_le_1e-10"]
+        assert edge.passed and edge.lhs == run.plan.band_edge and edge.rhs == run.sigma
+        assert gap.passed and gap.rhs == 1e-10
+        assert gap.lhs == abs(rep.success_probability - run.plan.predicted_success(run.sigma))
+
+
 def test_grover_rejects_out_of_range():
     with pytest.raises(ValueError):
         grover_case(2, 4, delta=0.1, epsilon=0.05)
