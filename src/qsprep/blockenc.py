@@ -4,12 +4,13 @@ Hamiltonian extraction that inverts a diagonal phase unitary.
 The pipeline's phase oracle is diagonal, so its generator encoding splits
 into one 4x4 block per data index, and the block of an index depends only
 on the oracle's diagonal entry there. Post-selecting the flag keeps only
-the encoded generator, which is diagonal and real, so
-``hamiltonian_from_unitary`` computes one real per distinct entry. That
-entry is one fixed real polynomial of the angles, Re P, at the entry's
-sine; its Chebyshev series is sampled from the one ansatz recurrence once
-per angle set (``PhaseSequence.real_part``) and summed at the K distinct
-entries in O(K d) time and O(K) memory. The dense functions
+the encoded generator, which is diagonal and real, and its entry at a
+level is one fixed real polynomial of the angles, Re P, at the level's
+sine. So ``hamiltonian_from_unitary`` takes the sines of the K distinct
+entries, one real each, and computes one real per entry: the series of Re
+P is sampled from the one ansatz recurrence once per angle set
+(``PhaseSequence.real_part``) and summed at the K sines in O(K d) time and
+O(K) memory. The dense functions
 (``sine_block_encoding``, ``qsvt_circuit``, ``lcu_real_part``,
 ``extract_block``) build the same encoding as one unitary and are the
 reference the entries are tested against.
@@ -31,7 +32,7 @@ import numpy as np
 from . import oracle
 from .errors import DimensionError, InfeasibleError, InputError
 from .phases import _MEMO_SIZE, PhaseSequence, conjugate_phases, real_target_phases
-from .polyapprox import arcsin_taylor, chebyshev_economize
+from .polyapprox import Polynomial, _arcsin_degree, _arcsin_series, _economized_length, _truncate
 from .simulator import (
     Projector,
     UnitaryMatrix,
@@ -205,7 +206,7 @@ class LevelEncoding:
     info: Mapping
 
 
-def _level_diagonal(levels: np.ndarray, phi: PhaseSequence) -> tuple[np.ndarray, int]:
+def _level_diagonal(sines: np.ndarray, phi: PhaseSequence) -> tuple[np.ndarray, int]:
     """Each level's encoded generator entry and the number of transform layers.
 
     Per level the sine encoding is the Hermitian W = [[s, ic], [-ic, -s]] with
@@ -227,7 +228,7 @@ def _level_diagonal(levels: np.ndarray, phi: PhaseSequence) -> tuple[np.ndarray,
     coefficients, layers = phi.real_part
     odd = coefficients[1::2]
     g = (odd - np.append(odd[1:], 0.0)).tolist()
-    x = levels.imag
+    x = sines
     two_y = 4.0 * x * x - 2.0
     b1, b2 = g[-1], 0.0
     for gj in g[-2::-1]:
@@ -235,67 +236,93 @@ def _level_diagonal(levels: np.ndarray, phi: PhaseSequence) -> tuple[np.ndarray,
     return x * b1, layers
 
 
-def hamiltonian_from_unitary(levels: np.ndarray, epsilon: float, delta: float) -> LevelEncoding:
-    """Encoding of H given the distinct diagonal entries of U = exp(i pi H).
+def hamiltonian_from_unitary(sines: np.ndarray, epsilon: float, delta: float) -> LevelEncoding:
+    """Encoding of H given the sines of the distinct diagonal entries of U = exp(i pi H).
 
-    ``levels`` are the diagonal entries the oracle takes, each listed once
-    (listing one twice only repeats its entry); the caller maps every data
-    index to its level. Requires ||sin(pi H)|| <= 1 - delta so the arcsin
-    approximant's accuracy interval covers the spectrum; the encoded
-    generator is then within epsilon of H. Its diagonal equals the top-left
-    block's diagonal in the dense ``lcu_real_part`` of the sine encoding.
-    Records the polynomial degree and the counted transform layers; each
-    layer queries the controlled phase unitary and its adjoint, shared by
-    both branches of the real-part combination.
+    ``sines`` are sin(pi h), 8 bytes each, at the distinct entries e^{i pi
+    h} the oracle takes, each listed once (listing one twice only repeats
+    its entry); the caller maps every data index to its level. The flagged
+    entry of a level's block depends on its entry through the sine alone.
+    A non-finite sine, or one outside [-1, 1], raises InputError. Requires
+    ||sin(pi H)|| <= 1 - delta so the arcsin approximant's accuracy
+    interval covers the spectrum, and raises InfeasibleError otherwise; the
+    encoded generator is then within epsilon of H. Its diagonal equals the
+    top-left block's diagonal in the dense ``lcu_real_part`` of the sine
+    encoding. Records the polynomial degree and the counted transform
+    layers; each layer queries the controlled phase unitary and its
+    adjoint, shared by both branches of the real-part combination.
 
-    Memoized per process on the exact bytes of the levels, epsilon and
+    Memoized per process on the exact bytes of the sines, epsilon and
     delta, the whole input: the ``_MEMO_SIZE`` most recently used encodings
     of at most ``_MEMO_MAX_LEVELS`` levels are kept, a hit returns the
     read-only result a cold call built, and exceptions are not cached. An
-    encoding of more levels is built afresh on every call.
+    encoding of more levels is built afresh on every call, and no key is
+    made for it.
     """
-    levels = np.asarray(levels, dtype=complex)
-    if levels.ndim != 1 or levels.size < 1:
-        raise DimensionError("the oracle's levels must be a non-empty vector")
-    if levels.size > 2**oracle.MAX_TABLE_QUBITS:
+    sines = np.asarray(sines)
+    if sines.ndim != 1 or sines.size < 1:
+        raise DimensionError("the oracle's level sines must be a non-empty vector")
+    if sines.size > 2**oracle.MAX_TABLE_QUBITS:
         raise DimensionError(
-            f"{levels.size} levels exceed the table limit of {2**oracle.MAX_TABLE_QUBITS} indices"
+            f"{sines.size} levels exceed the table limit of {2**oracle.MAX_TABLE_QUBITS} indices"
         )
+    if np.iscomplexobj(sines):
+        raise InputError("the oracle's level sines must be real, not its complex diagonal")
+    sines = sines.astype(float, copy=False)
     epsilon, delta = float(epsilon), float(delta)
     # written so that a NaN fails it, and before the memo sees the key
     if not (0 < epsilon < 1 and 0 < delta < 1):
         raise InputError(f"epsilon and delta must lie in (0, 1), got {epsilon!r} and {delta!r}")
-    build = _encoding if levels.size <= _MEMO_MAX_LEVELS else _encoding.__wrapped__
-    return build(levels.tobytes(), epsilon, delta)
+    if sines.size > _MEMO_MAX_LEVELS:
+        return _encode(sines, epsilon, delta)
+    return _encoding(sines.tobytes(), epsilon, delta)
 
 
-# Most levels of an encoding the memo keeps. An entry holds 24 bytes per
-# level (the 16-byte key and the 8-byte diagonal), so the memo holds at most
-# _MEMO_SIZE * 24 * 2^12 bytes, 6 MiB. Search tables have 2 levels, and a
+# Most levels of an encoding the memo keeps. An entry holds 16 bytes per
+# level (the 8-byte key and the 8-byte diagonal), so the memo holds at most
+# _MEMO_SIZE * 16 * 2^12 bytes, 4 MiB. Search tables have 2 levels, and a
 # uniform-random table at the m a run derives for epsilon >= 0.01 (m <= 12)
-# at most 2^12; one at n = 20 and m = 30 has ~2^20 levels, 24 MB, and is
+# at most 2^12; one at n = 20 and m = 30 has ~2^20 levels, 16 MB, and is
 # not kept.
 _MEMO_MAX_LEVELS = 2**12
 
 
 @functools.lru_cache(maxsize=_MEMO_SIZE)
 def _encoding(key: bytes, epsilon: float, delta: float) -> LevelEncoding:
-    levels = np.frombuffer(key, dtype=complex)
-    # written so that a NaN fails it: the guard below sees finite entries only
-    if not np.abs(np.abs(levels) - 1.0).max() <= 1e-12:
-        raise InputError("the oracle diagonal must have finite unit-modulus entries")
-    sine_norm = float(np.abs(levels.imag).max())
+    return _encode(np.frombuffer(key), epsilon, delta)
+
+
+def _encode(sines: np.ndarray, epsilon: float, delta: float) -> LevelEncoding:
+    # one pass for both guards, written so that a NaN fails the first
+    sine_norm = float(max(sines.max(), -sines.min()))
+    if not sine_norm <= 1.0:
+        raise InputError("the oracle's level sines must be finite and lie in [-1, 1]")
     if sine_norm > 1.0 - delta:
         raise InfeasibleError(
             f"||sin(pi H)|| = {sine_norm:.6f} exceeds 1 - delta = {1 - delta:.6f}; "
             "rescale the amplitudes or widen delta"
         )
-    # split the budget: most for the Taylor tail, a slice for economization;
-    # both are looked up as module globals, so a tracer's wrappers see them
-    pr = arcsin_taylor(0.9 * epsilon, delta)
-    pr = chebyshev_economize(pr, 0.05 * epsilon)
-    ang = real_target_phases(pr)
-    diagonal, layers = _level_diagonal(levels, ang)
+    ang = _arcsin_phases(epsilon, delta)
+    diagonal, layers = _level_diagonal(sines, ang)
     diagonal.flags.writeable = False
     info = MappingProxyType({"arcsin_degree": len(ang), "cu_calls": layers})
     return LevelEncoding(diagonal, ang, info)
+
+
+def _arcsin_phases(epsilon: float, delta: float) -> PhaseSequence:
+    """Angles of the arcsin target for a generator error epsilon, found by its cut.
+
+    The target is the Taylor series of arcsin(x)/pi cut at the degree
+    ``arcsin_taylor`` finds for most of the budget, 0.9 epsilon, with the
+    Chebyshev tail that a slice, 0.05 epsilon, pays for economized away. The
+    target is fixed by those two cuts, which scalar loops over the cached
+    series find, so the target is built only when its cut is new.
+    """
+    degree = _arcsin_degree(0.9 * epsilon, delta)
+    return _phases_at_cut(degree, _economized_length(_arcsin_series(degree), 0.05 * epsilon))
+
+
+@functools.lru_cache(maxsize=_MEMO_SIZE)
+def _phases_at_cut(degree: int, keep: int) -> PhaseSequence:
+    # looked up as a module global, so a tracer's wrapper sees every target built
+    return real_target_phases(_truncate(Polynomial(_arcsin_series(degree), "odd"), keep))

@@ -34,11 +34,11 @@ from .simulator import (
 MAX_BITS = 50
 # Most data qubits of a table given as values (the constructor, ``gaussian``,
 # a table file) and of any 2^n-sized array built from classes. What grows
-# with N is the grouping of the entries by quantized value, the sums over
-# them and one real final state, about 49 bytes per index at the traced
+# with N is the grouping of the entries by register content, the sums over
+# them and one real final state, about 32 bytes per index at the traced
 # peak: on a 2-vCPU x86 host verify_error_bounds on a uniform-random table
-# (eps 0.05, delta 0.1, 1024 levels) takes 0.08 s with 107 MB peak resident
-# for the whole process at n = 20, and 1.6 s with 1.1 GB at n = 24. Every
+# (eps 0.05, delta 0.1, 1024 levels) takes 0.08 s with 90 MB peak resident
+# for the whole process at n = 20, and 1.0 s with 810 MB at n = 24. Every
 # check reads it when it runs.
 MAX_TABLE_QUBITS = 24
 # Most data qubits of an oracle built from its classes (``uniform``,
@@ -56,6 +56,10 @@ def _read_only(a: np.ndarray) -> np.ndarray:
 # the class values of the generated oracles, shared by all of them
 _ONE = _read_only(np.array([1.0]))
 _ZERO_ONE = _read_only(np.array([0.0, 1.0]))
+# the counts of a table given as values, one per index: every such table
+# reads a slice of this one read-only zero-stride view, which holds a single
+# integer whatever its length
+_UNIT_COUNTS = np.broadcast_to(np.int64(1), (2**MAX_CLASS_QUBITS,))
 
 
 def _is_int(value) -> bool:
@@ -79,10 +83,19 @@ def _size(n, limit: int) -> int:
     return 2**n
 
 
+def _register_contents(values: np.ndarray, m: int) -> np.ndarray:
+    """min(floor(c * 2^m), 2^m - 1) as int64: what the bit oracle writes for each value.
+
+    The values lie in [0, 1], so truncation toward zero is the floor.
+    """
+    q = (values * 2.0**m).astype(np.int64)
+    np.minimum(q, 2**m - 1, out=q)
+    return q
+
+
 def _quantize(values: np.ndarray, m: int) -> np.ndarray:
     """floor(c * 2^m) / 2^m, capped at (2^m - 1) / 2^m; exact in doubles for m <= MAX_BITS."""
-    scale = 2.0**m
-    return np.minimum(np.floor(values * scale), scale - 1.0) / scale
+    return _register_contents(values, m) / 2.0**m
 
 
 @dataclass(frozen=True, eq=False, slots=True)
@@ -140,8 +153,9 @@ class AmplitudeOracle:
         vals = np.array(values, dtype=float)  # a copy: the caller's array may change
         if vals.shape != (2**n,):
             raise DimensionError(f"expected {2**n} amplitudes, got {vals.shape}")
-        bad = np.flatnonzero(~((vals >= 0) & (vals <= 1)))
-        if bad.size:
+        # written so that a NaN fails it; the entry is looked up only then
+        if not (vals.min() >= 0 and vals.max() <= 1):
+            bad = np.flatnonzero(~((vals >= 0) & (vals <= 1)))
             raise InputError(
                 f"amplitudes must be finite and lie in [0, 1]; entry {bad[0]} is {vals[bad[0]]}"
             )
@@ -165,7 +179,7 @@ class AmplitudeOracle:
         """The table's classes: a generated oracle is built with them, and a
         table given as values is its own, one index each, and its counts
         are one read-only scalar seen at every index, not an N-sized array."""
-        return ValueClasses(self.values, np.broadcast_to(np.int64(1), (self.size,)))
+        return ValueClasses(self.values, _UNIT_COUNTS[: self.size])
 
     @functools.cached_property
     def quantized(self) -> np.ndarray:
@@ -177,7 +191,7 @@ class AmplitudeOracle:
 
     def bit_patterns(self) -> np.ndarray:
         """Integer register contents, most significant value bit first."""
-        return (self.quantized * 2**self.m).astype(np.int64)
+        return _register_contents(self.values, self.m)
 
     # -- generators ---------------------------------------------------------
 

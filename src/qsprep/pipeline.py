@@ -24,13 +24,14 @@ import math
 import sys
 from collections.abc import Callable
 from dataclasses import dataclass, field
+from typing import NamedTuple
 
 import numpy as np
 
 from .amplifier import AmplificationPlan, amplify_state, plan_amplification
 from .blockenc import LevelEncoding, hamiltonian_from_unitary
 from .errors import InfeasibleError, InputError, QsprepError
-from .oracle import MAX_BITS, AmplitudeOracle, ValueClasses, _is_int, _quantize, gamma
+from .oracle import MAX_BITS, AmplitudeOracle, ValueClasses, _is_int, _register_contents, gamma
 from .simulator import StateVector
 
 SWEEP_COLUMNS = [
@@ -82,8 +83,9 @@ def _is_real(value) -> bool:
     return isinstance(value, (int, float, np.integer, np.floating)) and not isinstance(value, bool)
 
 
-@dataclass(frozen=True, slots=True)
-class BoundCheck:
+class BoundCheck(NamedTuple):
+    """One checked inequality (or equality) of a report: immutable and cheap to build."""
+
     name: str
     lhs: float
     rhs: float
@@ -164,6 +166,37 @@ def _state(classes: ValueClasses, per_class: np.ndarray) -> StateVector:
     return StateVector(classes.expand(per_class))
 
 
+def _levels(classes: ValueClasses, m: int) -> tuple[np.ndarray, np.ndarray | slice, np.ndarray]:
+    """The table's levels, each class's level, and how many indices each level holds.
+
+    The block of an index depends only on the m-bit integer q the bit oracle
+    writes for it, so the engine runs on the K distinct q, ascending. Level
+    k is (q_k + 1/2) / 2^m: the truncated value recentred by half a step,
+    one classically-known global phase that turns the one-sided floor error
+    into a symmetric one. ``level_of`` maps each class to its level, and
+    ``counts[k]`` is the number of indices at level k.
+    """
+    q = _register_contents(classes.values, m)
+    if (q[1:] > q[:-1]).all():
+        # the generated oracles' classes ascend: the map is an identity
+        # slice, and a search preparation spends no array operation on it
+        distinct, level_of, counts = q, slice(None), classes.counts
+    elif 2**m <= 4 * q.size + 4096:
+        # classes that do not ascend are a table's entries, one index each,
+        # so the counts are unweighted. One bin per register content costs
+        # O(2^m), a sort O(N log N) with a larger fixed cost: they break
+        # even near 4 bins per index, or 4096 bins for a small table (timed
+        # on a 2-vCPU x86 host)
+        bins = np.bincount(q)
+        distinct = np.flatnonzero(bins)
+        rank = np.empty(bins.size, dtype=np.int64)  # read only at the non-empty bins
+        rank[distinct] = np.arange(distinct.size)
+        level_of, counts = rank[q], bins[distinct]
+    else:
+        distinct, level_of, counts = np.unique(q, return_inverse=True, return_counts=True)
+    return (distinct + 0.5) / 2.0**m, level_of, counts
+
+
 def _execute(cfg: PrepConfig) -> _RunResult:
     oracle = cfg.oracle
     # a table is its own classes; a generated oracle knows its few
@@ -198,25 +231,10 @@ def _execute(cfg: PrepConfig) -> _RunResult:
     # incoherent; costs only a few extra polynomial terms
     eps_poly = max(min(eps_hat_target - q_part, q_part / 4.0), eps_hat_target / 16.0)
 
-    # recenter the truncated table by half a step: one classically-known
-    # global phase turns the one-sided floor error into a symmetric one
-    c_q = _quantize(value_classes.values, m) + 2.0 ** -(m + 1)
-    # the block of an index depends only on its quantized value, so the
-    # engine runs on the K distinct values (levels), in ascending order:
-    # level_of maps each class to its level and counts[k] is the number of
-    # indices at level k. When the quantized class values strictly ascend,
-    # as the generated oracles' do, level_of is an identity slice and a
-    # search preparation spends no array operation on the map; otherwise
-    # one sort of the quantized class values groups them
-    if (c_q[1:] > c_q[:-1]).all():
-        levels, level_of, counts = c_q, slice(None), value_classes.counts
-    else:
-        levels, level_of = np.unique(c_q, return_inverse=True)
-        counts = np.bincount(level_of, weights=value_classes.counts)
-    del c_q  # a per-class array that nothing below reads
+    levels, level_of, counts = _levels(value_classes, m)
     size = oracle.size
     encoding = hamiltonian_from_unitary(
-        np.exp(1j * np.pi * BETA * levels / 2.0),
+        np.sin(np.pi * BETA * levels / 2.0),  # the oracle's diagonal is e^{i pi BETA levels / 2}
         BETA * eps_poly / 2.0,  # generator units: BETA * amplitude / 2
         DELTA_MARGIN,
     )

@@ -128,13 +128,22 @@ def lobatto_values(c: np.ndarray, n: int) -> np.ndarray:
 
 def chebyshev_economize(p: Polynomial, budget: float) -> Polynomial:
     """Truncate the Chebyshev tail, spending at most ``budget`` in sup norm."""
-    c = p.coefficients.copy()
-    mags = np.abs(c)
-    spent, keep = 0.0, len(c)
+    return _truncate(p, _economized_length(p.coefficients, budget))
+
+
+def _economized_length(c: np.ndarray, budget: float) -> int:
+    """How many leading coefficients of c ``chebyshev_economize`` keeps."""
+    mags = np.abs(c).tolist()
+    spent, keep = 0.0, len(mags)
     while keep > 1 and spent + mags[keep - 1] <= budget:
         spent += mags[keep - 1]
         keep -= 1
-    c = c[:keep]
+    return keep
+
+
+def _truncate(p: Polynomial, keep: int) -> Polynomial:
+    """The first ``keep`` coefficients of p, the cross-parity ones set to zero."""
+    c = p.coefficients[:keep].copy()
     if p.parity != "none":
         off = 1 if p.parity == "even" else 0
         c[off::2] = 0.0
@@ -191,8 +200,15 @@ def arcsin_taylor(epsilon: float, delta: float) -> Polynomial:
     epsilon. The resulting degree grows like (1/delta) * log(1/epsilon).
     The Chebyshev coefficients of the series cut at each degree are built
     once per process (``_arcsin_series``) and returned read-only, so a call
-    only finds the degree.
+    only finds the degree (``_arcsin_degree``).
     """
+    # the terms are positive and sum to at most arcsin(1)/pi = 1/2 at x = 1,
+    # so |P| < 1 on [-1, 1] and no rescale is needed
+    return Polynomial(_arcsin_series(_arcsin_degree(epsilon, delta)), "odd")
+
+
+def _arcsin_degree(epsilon: float, delta: float) -> int:
+    """The degree ``arcsin_taylor`` cuts the series at, by a scalar loop."""
     if not 0 < epsilon < 1 or not 0 < delta < 1:
         raise InputError("epsilon and delta must lie in (0, 1)")
     y = 1.0 - delta
@@ -210,9 +226,7 @@ def arcsin_taylor(epsilon: float, delta: float) -> Polynomial:
                 f"(roughly {2 * k + 1}) for epsilon={epsilon}, delta={delta}",
                 needed=2 * k + 1,
             )
-    # the terms are positive and sum to at most arcsin(1)/pi = 1/2 at x = 1,
-    # so |P| < 1 on [-1, 1] and no rescale is needed
-    return Polynomial(_arcsin_series(2 * k + 1), "odd")
+    return 2 * k + 1
 
 
 def _next_arcsin_term(term: float, k: int) -> float:

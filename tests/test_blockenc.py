@@ -18,13 +18,24 @@ from qsprep.blockenc import (
 from qsprep.errors import DimensionError, InfeasibleError, InputError
 from qsprep.phases import PhaseSequence, find_phases, polynomial_from_phases, reconstruct
 from qsprep.pipeline import DELTA_MARGIN
-from qsprep.polyapprox import Polynomial, complete_to_complex, evaluate
+from qsprep.polyapprox import (
+    Polynomial,
+    arcsin_taylor,
+    chebyshev_economize,
+    complete_to_complex,
+    evaluate,
+)
 from qsprep.simulator import Projector, UnitaryMatrix, op_dist
 
 
 def diag_unitary(hvals):
     hvals = np.asarray(hvals, dtype=float)
     return UnitaryMatrix(np.diag(np.exp(1j * np.pi * hvals)))
+
+
+def sines_of(u):
+    """The sines of a diagonal unitary's entries, the levels the encoding takes."""
+    return np.diag(u.entries).imag
 
 
 def generator_block(be):
@@ -206,8 +217,6 @@ def test_lcu_real_part_of_completion():
     rng = np.random.default_rng(4)
     h = rng.uniform(-0.2, 0.45, 4)
     be = sine_block_encoding(diag_unitary(h))
-    from qsprep.polyapprox import arcsin_taylor
-
     pr = arcsin_taylor(1e-6, 0.29)
     comp = complete_to_complex(pr)
     phi = find_phases(comp)
@@ -222,13 +231,13 @@ def test_lcu_real_part_of_completion():
 # ---------------------------------------------------------------------------
 
 def test_hamiltonian_from_zero_unitary():
-    be = hamiltonian_from_unitary(np.diag(diag_unitary([0.0, 0.0]).entries), 1e-3, 0.25)
+    be = hamiltonian_from_unitary(sines_of(diag_unitary([0.0, 0.0])), 1e-3, 0.25)
     assert np.abs(generator_block(be)).max() <= 1e-10
 
 
 def test_hamiltonian_extraction_matches_matrix_log():
     u = diag_unitary([0.25, -0.1])
-    be = hamiltonian_from_unitary(np.diag(u.entries), 1e-4, 0.2)
+    be = hamiltonian_from_unitary(sines_of(u), 1e-4, 0.2)
     brute = scipy.linalg.logm(u.entries) / (1j * np.pi)
     assert op_dist(generator_block(be), brute) <= 1e-4
     assert be.info["cu_calls"] == be.info["arcsin_degree"]
@@ -240,7 +249,7 @@ def test_hamiltonian_extraction_on_levels_with_a_negative_cosine():
     # value arcsin(sin(pi h)) / pi, not h
     h = np.array([0.7, -0.85, 0.95, 0.1])
     u = diag_unitary(h)
-    enc = hamiltonian_from_unitary(np.diag(u.entries), 1e-4, 0.15)
+    enc = hamiltonian_from_unitary(sines_of(u), 1e-4, 0.15)
     assert enc.diagonal.dtype == np.float64 and enc.diagonal.shape == h.shape
     dense = np.diag(extract_block(lcu_real_part(sine_block_encoding(u), enc.phases)))
     assert np.abs(enc.diagonal - dense).max() <= 1e-12
@@ -251,12 +260,12 @@ def test_hamiltonian_extraction_error_tracks_polynomial_error():
     hvals = [0.3, 0.05, -0.22, 0.35]
     u = diag_unitary(hvals)
     for eps in (1e-3, 1e-5):
-        be = hamiltonian_from_unitary(np.diag(u.entries), eps, 0.1)
+        be = hamiltonian_from_unitary(sines_of(u), eps, 0.1)
         assert op_dist(generator_block(be), np.diag(hvals)) <= eps
 
 
 def test_hamiltonian_call_count_grows_logarithmically():
-    u = np.diag(diag_unitary([0.25, -0.1]).entries)
+    u = sines_of(diag_unitary([0.25, -0.1]))
     epss = (1e-2, 1e-3, 1e-4, 1e-5, 1e-6)
     degs = [hamiltonian_from_unitary(u, e, 0.25).info["arcsin_degree"] for e in epss]
     logs = np.log(1.0 / np.array(epss))
@@ -268,20 +277,20 @@ def test_hamiltonian_call_count_grows_logarithmically():
 
 def test_hamiltonian_rejects_amplitude_near_one():
     with pytest.raises(InfeasibleError) as exc:
-        hamiltonian_from_unitary(np.diag(diag_unitary([0.5, 0.0]).entries), 1e-3, 0.2)
+        hamiltonian_from_unitary(sines_of(diag_unitary([0.5, 0.0])), 1e-3, 0.2)
     assert "rescale" in str(exc.value)
 
 
 def _levels_within_a_quarter(count, seed):
-    """Oracle entries e^{i pi h}, |h| <= 1/4: their sines fill |x| <= sin(pi/4)."""
-    return np.exp(1j * np.pi * np.random.default_rng(seed).uniform(-0.25, 0.25, count))
+    """The sines of oracle entries e^{i pi h}, |h| <= 1/4: they fill |x| <= sin(pi/4)."""
+    return np.sin(np.pi * np.random.default_rng(seed).uniform(-0.25, 0.25, count))
 
 
 def _pipeline_arcsin_phases():
     """The distinct angle sets of the pipeline's arcsin transform up to d_a = 47."""
     found = {}
     for eps in 10.0 ** -np.arange(1.0, 15.0, 0.25):
-        phi = hamiltonian_from_unitary(np.ones(1, dtype=complex), eps, DELTA_MARGIN).phases
+        phi = hamiltonian_from_unitary(np.zeros(1), eps, DELTA_MARGIN).phases
         if 3 <= len(phi) <= 47:
             found.setdefault(len(phi), phi)
     return [found[d] for d in sorted(found)]
@@ -299,14 +308,15 @@ def test_level_diagonal_matches_the_ansatz():
         for phi in sets:
             diagonal, layers = blockenc._level_diagonal(levels, phi)
             assert layers == len(phi)
-            gap = np.abs(diagonal - reconstruct(phi, levels.imag).real).max()
+            gap = np.abs(diagonal - reconstruct(phi, levels).real).max()
             assert gap <= tol, (len(phi), gap)
 
 
 def test_encoding_memory_per_level():
-    # a never-memoized encoding with its angles warm holds the key's copy of
-    # the levels and O(1) arrays of K reals while it sums the series: at most
-    # 56 B per level (the per-level ansatz recurrence took 104.5 B)
+    # a never-memoized encoding with its angles warm makes no key and holds
+    # O(1) arrays of K reals while it sums the series: 32 B per level traced
+    # (a copy of the levels as the memo key took 16 B more, complex levels
+    # 8 B more again, and the per-level ansatz recurrence 104.5 B in all)
     count = 2**18
     warm = hamiltonian_from_unitary(_levels_within_a_quarter(count, 1), 1e-7, 0.29)
     assert len(warm.phases) == 23
@@ -317,11 +327,12 @@ def test_encoding_memory_per_level():
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    assert peak / count <= 56
+    assert peak / count <= 33
 
 
 def _encode_cold_then_warm(levels, epsilon, delta):
     blockenc._encoding.cache_clear()
+    blockenc._phases_at_cut.cache_clear()
     phases._memo.cache_clear()
     cold = hamiltonian_from_unitary(levels, epsilon, delta)
     blockenc._encoding.cache_clear()  # a second cold build, from the same angles
@@ -331,19 +342,19 @@ def _encode_cold_then_warm(levels, epsilon, delta):
 
 
 def test_encoding_memo_warm_equals_cold():
-    levels = np.exp(1j * np.pi * np.array([0.02, 0.11, 0.2]))
+    levels = np.sin(np.pi * np.array([0.02, 0.11, 0.2]))
     cold, again, warm = _encode_cold_then_warm(levels, 1e-4, 0.25)
     assert warm is again
     assert warm.diagonal.tobytes() == cold.diagonal.tobytes()
     assert warm.phases.phases.tobytes() == cold.phases.phases.tobytes()
     assert dict(warm.info) == dict(cold.info)
     # the key is the exact levels, epsilon and delta: a change in any misses
-    for args in ((levels * np.exp(1e-15j), 1e-4, 0.25), (levels, 2e-4, 0.25), (levels, 1e-4, 0.3)):
+    for args in ((levels * (1 + 1e-15), 1e-4, 0.25), (levels, 2e-4, 0.25), (levels, 1e-4, 0.3)):
         assert hamiltonian_from_unitary(*args) is not warm
 
 
 def test_encoding_memo_results_are_read_only():
-    encoding = hamiltonian_from_unitary(np.exp(1j * np.pi * np.array([0.0, 0.1])), 1e-3, 0.25)
+    encoding = hamiltonian_from_unitary(np.sin(np.pi * np.array([0.0, 0.1])), 1e-3, 0.25)
     with pytest.raises(ValueError):
         encoding.diagonal[0] = 0.0
     with pytest.raises(TypeError):
@@ -353,29 +364,52 @@ def test_encoding_memo_results_are_read_only():
 
 
 def test_encoding_memo_hit_builds_no_arcsin_target(monkeypatch):
-    # a tracer that rebinds blockenc.arcsin_taylor sees every target the
-    # memo builds, and none on a hit; a miss with new levels still builds one
+    # a tracer that rebinds blockenc.real_target_phases sees every arcsin
+    # target built: none on a memo hit, and none on a miss whose target's
+    # cut (Taylor degree and kept length) is known; a new cut builds one
     calls = []
-    inner = blockenc.arcsin_taylor
+    inner = blockenc.real_target_phases
 
-    def counting(epsilon, delta):
-        calls.append((epsilon, delta))
-        return inner(epsilon, delta)
+    def counting(p_r):
+        calls.append(p_r.degree)
+        return inner(p_r)
 
-    monkeypatch.setattr(blockenc, "arcsin_taylor", counting)
+    monkeypatch.setattr(blockenc, "real_target_phases", counting)
     blockenc._encoding.cache_clear()
-    levels = np.exp(1j * np.pi * np.array([0.05, 0.15]))
+    blockenc._phases_at_cut.cache_clear()
+    levels = np.sin(np.pi * np.array([0.05, 0.15]))
     first = hamiltonian_from_unitary(levels, 1e-3, 0.25)
     assert len(calls) == 1
     assert hamiltonian_from_unitary(levels.copy(), 1e-3, 0.25) is first
     assert len(calls) == 1
-    hamiltonian_from_unitary(levels[::-1], 1e-3, 0.25)
+    # new levels and a new epsilon, of the same cut
+    other = hamiltonian_from_unitary(levels[::-1], 1.01e-3, 0.25)
+    assert blockenc._encoding.cache_info().misses == 2
+    assert other.phases is first.phases and len(calls) == 1
+    hamiltonian_from_unitary(levels, 1e-5, 0.25)
     assert len(calls) == 2
+
+
+@pytest.mark.parametrize("delta", [DELTA_MARGIN, 0.1, 0.5])
+def test_arcsin_cut_finds_the_economized_target(monkeypatch, delta):
+    # the cut the scalar loops find is that of the target the pipeline used
+    # to build for every encoding, bit for bit
+    built = []
+    monkeypatch.setattr(blockenc, "real_target_phases", built.append)
+    try:
+        for eps in 10.0 ** -np.arange(1.0, 12.0, 0.1):
+            blockenc._phases_at_cut.cache_clear()
+            built.clear()
+            blockenc._arcsin_phases(eps, delta)
+            want = chebyshev_economize(arcsin_taylor(0.9 * eps, delta), 0.05 * eps)
+            assert [p.coefficients.tobytes() for p in built] == [want.coefficients.tobytes()], eps
+    finally:
+        blockenc._phases_at_cut.cache_clear()
 
 
 def test_encoding_memo_stores_no_exception():
     blockenc._encoding.cache_clear()
-    levels = np.exp(1j * np.pi * np.array([0.5, 0.0]))
+    levels = np.sin(np.pi * np.array([0.5, 0.0]))
     for _ in range(2):
         with pytest.raises(InfeasibleError):
             hamiltonian_from_unitary(levels, 1e-3, 0.2)
@@ -390,5 +424,5 @@ def test_hamiltonian_refuses_budget_outside_unit_interval(which, bad):
     blockenc._encoding.cache_clear()
     budget = {"epsilon": 1e-3, "delta": 0.25, which: bad}
     with pytest.raises(InputError, match="must lie in"):
-        hamiltonian_from_unitary(np.exp(1j * np.pi * np.array([0.0, 0.1])), **budget)
+        hamiltonian_from_unitary(np.sin(np.pi * np.array([0.0, 0.1])), **budget)
     assert blockenc._encoding.cache_info().currsize == 0

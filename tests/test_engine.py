@@ -214,7 +214,7 @@ def per_index_run(run):
     ``test_level_diagonal_matches_the_ansatz`` checks the entries.
     """
     diagonal = oracle_diagonal(run)
-    entry, layers = _level_diagonal(diagonal, run.encoding.phases)
+    entry, layers = _level_diagonal(diagonal.imag, run.encoding.phases)
     flagged = np.linalg.norm(entry)
     sigma = float(flagged / np.sqrt(diagonal.size))
     for rounds, (a, _) in enumerate(_prefix_rows(run.plan.phases.phases, sigma)):
@@ -370,12 +370,13 @@ def test_execute_allocates_no_quadratic_array():
 
 def test_run_memory_per_index():
     # the engine keeps one real per level; what grows with N is the grouping
-    # of the table's entries by quantized value, the expanded generator, the
+    # of the table's entries by register content, the expanded generator, the
     # final (which is the realized) and target states, both real, and the
-    # checks on them: at most 55 B per index (the (N, 4, 4) blocks alone took
-    # 256 B, a sort of the raw values with its index map 88 B in all, an
-    # N-sized array of the table's unit class counts 8 B more, and a complex
-    # final state beside the realized one 64 B in all)
+    # checks on them: 32 B per index traced (a sort of the quantized values
+    # took 49 B, the (N, 4, 4) blocks alone 256 B, a sort of the raw values
+    # with its index map 88 B in all, an N-sized array of the table's unit
+    # class counts 8 B more, and a complex final state beside the realized
+    # one 64 B in all)
     n = 18
 
     def config(seed):
@@ -391,7 +392,7 @@ def test_run_memory_per_index():
     finally:
         tracemalloc.stop()
     assert rep.info["levels"] == 1024
-    assert peak / 2**n <= 55
+    assert peak / 2**n <= 33
 
 
 def test_read_final_state_holds_one_state_per_index():
@@ -438,37 +439,37 @@ def test_engine_size_is_checked_before_allocation(monkeypatch):
     with pytest.raises(DimensionError):
         AmplitudeOracle(4, 8, np.ones(16))
     with pytest.raises(DimensionError):
-        hamiltonian_from_unitary(np.ones(16, dtype=complex), 1e-3, 0.25)
+        hamiltonian_from_unitary(np.zeros(16), 1e-3, 0.25)
 
 
 def test_lcu_checks_its_size_before_allocation(monkeypatch):
     u = UnitaryMatrix(np.diag(np.exp(1j * np.pi * np.array([0.1, 0.2]))))
     be = sine_block_encoding(u)
     monkeypatch.setattr(simulator, "MAX_QUBITS", 2)
-    phases = hamiltonian_from_unitary(np.diag(u.entries), 1e-3, 0.25).phases
+    phases = hamiltonian_from_unitary(np.diag(u.entries).imag, 1e-3, 0.25).phases
     with pytest.raises(DimensionError):
         lcu_real_part(be, phases)
 
 
 @pytest.mark.parametrize(
-    "diagonal",
+    "sines",
     [
-        np.ones((2, 2), dtype=complex),
-        np.array([1.0, 0.5]),
-        np.array([complex(np.nan, 0.0), 1.0]),
-        np.array([complex(0.0, np.nan), 1.0]),
+        np.zeros((2, 2)),
+        np.array([1.5, 0.0]),  # no unit-modulus entry has a sine past 1
+        np.array([np.nan, 0.0]),
+        np.array([complex(0.0, np.nan), 1.0]),  # complex: the diagonal, not its sines
     ],
     ids=["matrix", "not-unit", "nan-real", "nan-imag"],
 )
-def test_hamiltonian_rejects_bad_diagonal(diagonal):
-    error = DimensionError if diagonal.ndim != 1 else InputError
+def test_hamiltonian_rejects_bad_diagonal(sines):
+    error = DimensionError if sines.ndim != 1 else InputError
     with pytest.raises(error):
-        hamiltonian_from_unitary(diagonal, 1e-3, 0.25)
+        hamiltonian_from_unitary(sines, 1e-3, 0.25)
 
 
 def test_table_length_must_be_a_power_of_two():
     # the encoding takes any number of distinct levels; the table they come
     # from has 2^n entries
-    hamiltonian_from_unitary(np.ones(3, dtype=complex), 1e-3, 0.25)
+    hamiltonian_from_unitary(np.zeros(3), 1e-3, 0.25)
     with pytest.raises(DimensionError):
         engine_run(np.ones(3))

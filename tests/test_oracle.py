@@ -275,7 +275,7 @@ def test_table_bound_calls_above_the_engine_limit_fail_before_allocating(make):
     (DimensionError, lambda n: prepare_state(
         PrepConfig(oracle=AmplitudeOracle.indicator(n, 1, 8), epsilon=0.05, delta=0.1)
     ).final_state),
-    (DimensionError, lambda n: hamiltonian_from_unitary(np.ones(2**n, dtype=complex), 1e-3, 0.25)),
+    (DimensionError, lambda n: hamiltonian_from_unitary(np.zeros(2**n), 1e-3, 0.25)),
 ], ids=["constructor", "gaussian", "from_dist", "file-header", "generated-values",
         "final_state", "levels"])
 def test_one_patched_table_limit_moves_every_site(monkeypatch, error, make):

@@ -470,6 +470,7 @@ def test_complex_complement_takes_the_full_strip(monkeypatch):
 
 def test_pipeline_solve_strips_every_level(monkeypatch):
     blockenc._encoding.cache_clear()
+    blockenc._phases_at_cut.cache_clear()
     phases._memo.cache_clear()
     levels = count_stripped_levels(monkeypatch)
     rep = grover_case(4, 11, 0.1, 0.05)
@@ -493,11 +494,12 @@ def test_arcsin_encoding_reaches_find_phases_by_its_module_name(monkeypatch):
 
     monkeypatch.setattr(phases, "find_phases", counting)
     blockenc._encoding.cache_clear()
+    blockenc._phases_at_cut.cache_clear()
     phases._memo.cache_clear()
-    diagonal = np.exp(1j * np.pi * np.linspace(0.0, 0.25, 8))
-    encoding = hamiltonian_from_unitary(diagonal, 0.01, 0.25)
+    sines = np.sin(np.pi * np.linspace(0.0, 0.25, 8))
+    encoding = hamiltonian_from_unitary(sines, 0.01, 0.25)
     assert degrees == [len(encoding.phases)]
-    hamiltonian_from_unitary(diagonal, 0.01, 0.25)
+    hamiltonian_from_unitary(sines, 0.01, 0.25)
     assert len(degrees) == 1
 
 

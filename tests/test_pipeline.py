@@ -3,7 +3,7 @@ import pytest
 
 from qsprep import blockenc, pipeline
 from qsprep.errors import DimensionError, InfeasibleError, InputError
-from qsprep.oracle import AmplitudeOracle, ValueClasses
+from qsprep.oracle import AmplitudeOracle, ValueClasses, _quantize
 from qsprep.phases import _memo
 from qsprep.pipeline import (
     PrepConfig,
@@ -314,7 +314,7 @@ def test_pipeline_compression_is_rank_one():
     c = rng.uniform(0.2, 0.9, 2**n)
     u = UnitaryMatrix(np.diag(np.exp(1j * np.pi * 0.5 * c / 2.0)))
     # the dense C, composed from the reference functions on the engine's angles
-    phases = hamiltonian_from_unitary(np.diag(u.entries), 1e-5, 0.29).phases
+    phases = hamiltonian_from_unitary(np.diag(u.entries).imag, 1e-5, 0.29).phases
     be = lcu_real_part(sine_block_encoding(u), phases)
     had = np.array([[1.0, 1.0], [1.0, -1.0]]) / np.sqrt(2.0)
     s = np.array([[1.0]])
@@ -341,7 +341,7 @@ def test_extraction_error_bounded_by_polynomial_sup_error():
     rng = np.random.default_rng(32)
     h = rng.uniform(-0.2, 0.2, 8)
     eps, margin = 1e-5, 0.29
-    be = hamiltonian_from_unitary(np.exp(1j * np.pi * h), eps, margin)
+    be = hamiltonian_from_unitary(np.sin(np.pi * h), eps, margin)
     ys = np.linspace(-1 + margin, 1 - margin, 20001)
     ref = arcsin_taylor(0.9 * eps, margin)
     sup_err = np.abs(evaluate(ref, ys).real - np.arcsin(ys) / np.pi).max()
@@ -362,6 +362,7 @@ def _outcome(rep):
 
 def _clear_memos():
     blockenc._encoding.cache_clear()
+    blockenc._phases_at_cut.cache_clear()
     _memo.cache_clear()
 
 
@@ -421,7 +422,8 @@ def test_memo_shares_the_arcsin_angles_between_tables():
     for _ in range(2):
         oracle = AmplitudeOracle(6, 8, rng.uniform(0.05, 1.0, 64))
         verify_error_bounds(PrepConfig(oracle=oracle, epsilon=0.05, delta=0.1))
-        hits.append(_memo.cache_info().hits)
+        # the second table's encoding misses, and its target's cut is known
+        hits.append(blockenc._phases_at_cut.cache_info().hits)
     assert hits[1] > hits[0]
 
 
@@ -529,3 +531,67 @@ def test_table_run_does_not_depend_on_the_order_of_its_entries(values):
         assert abs(a.lhs - b.lhs) <= 1e-15
     assert np.array_equal(shuffled.final_state.amplitudes, rep.final_state.amplitudes[perm])
 
+
+
+def _grouping_cases():
+    rng = np.random.default_rng(41)
+    capped = rng.uniform(0.0, 1.0, 2**10)
+    capped[::7] = 1.0  # capped into the top register content, with its neighbours
+    capped[3::7] = 1.0 - 2.0**-10
+    near = 0.6 + 1e-9 * rng.standard_normal(2**12)
+    ordered = np.sort(rng.integers(0, 300, 2**10) / 300)  # sorted, with repeats
+    return [
+        ("random-m10", rng.uniform(0.0, 1.0, 2**10), 10, "bins"),
+        ("random-m26", rng.uniform(0.0, 1.0, 2**10), 26, "sort"),
+        ("random-m26-n16", rng.uniform(0.0, 1.0, 2**16), 26, "sort"),
+        ("sorted", ordered, 12, "bins"),
+        ("sorted-m20", ordered, 20, "sort"),
+        ("ascending", (np.arange(2**8) + 0.5) / 2**8, 8, "identity"),
+        ("near-constant", near, 8, "bins"),
+        ("near-constant-m40", near, 40, "sort"),
+        ("all-equal", np.full(2**9, 0.3), 9, "bins"),
+        ("all-equal-m30", np.full(2**9, 0.3), 30, "sort"),
+        ("capped", capped, 10, "bins"),
+        ("capped-m14", capped, 14, "sort"),
+        # 2^14 bins against N = 2^11 and 2^12 entries: the two sides of the switch
+        ("switch-sort-side", rng.uniform(0.0, 1.0, 2**11), 14, "sort"),
+        ("switch-bins-side", rng.uniform(0.0, 1.0, 2**12), 14, "bins"),
+    ]
+
+
+@pytest.mark.parametrize("values, m, side", [case[1:] for case in _grouping_cases()],
+                         ids=[case[0] for case in _grouping_cases()])
+def test_levels_equal_a_sort_of_the_quantized_values(monkeypatch, values, m, side):
+    # the grouping by integer register content gives exactly what np.unique
+    # of the recentred quantized values gives: the levels, each entry's
+    # level and the count at each level, on either side of the switch
+    # between one bin per register content and a sort
+    ran = []
+
+    def spy(name):
+        inner = getattr(np, name)
+
+        def call(*args, **kwargs):
+            ran.append(name)
+            return inner(*args, **kwargs)
+        return call
+
+    for name in ("bincount", "unique"):
+        monkeypatch.setattr(np, name, spy(name))
+    classes = AmplitudeOracle(int(np.log2(values.size)), 8, values).classes
+    levels, level_of, counts = pipeline._levels(classes, m)
+    monkeypatch.undo()
+    want = np.unique(_quantize(values, m) + 2.0 ** -(m + 1), return_inverse=True, return_counts=True)
+    assert ran == {"bins": ["bincount"], "sort": ["unique"], "identity": []}[side]
+    assert levels.tobytes() == want[0].tobytes()
+    assert np.arange(levels.size)[level_of].tolist() == want[1].tolist()
+    assert np.asarray(counts).tolist() == want[2].tolist()
+
+
+def test_bound_check_is_immutable_and_prints_its_fields():
+    check = pipeline.BoundCheck.le("final_error_le_epsilon", 0.01, 0.05)
+    with pytest.raises(AttributeError):
+        check.passed = False
+    assert str(check) == (
+        "BoundCheck(name='final_error_le_epsilon', lhs=0.01, rhs=0.05, passed=True, relation='<=')")
+    assert pipeline.BoundCheck.eq("calls", 4, 4) == ("calls", 4.0, 4.0, True, "==")
