@@ -35,10 +35,10 @@ MAX_BITS = 50
 # Most data qubits of a table given as values (the constructor, ``gaussian``,
 # a table file) and of any 2^n-sized array built from classes. What grows
 # with N is the grouping of the entries by register content, the sums over
-# them and one real final state, about 32 bytes per index at the traced
+# them and one real final state, about 24 bytes per index at the traced
 # peak: on a 2-vCPU x86 host verify_error_bounds on a uniform-random table
-# (eps 0.05, delta 0.1, 1024 levels) takes 0.08 s with 90 MB peak resident
-# for the whole process at n = 20, and 1.0 s with 810 MB at n = 24. Every
+# (eps 0.05, delta 0.1, 1024 levels) takes 0.06 s with 81 MB peak resident
+# for the whole process at n = 20, and 0.8 s with 682 MB at n = 24. Every
 # check reads it when it runs.
 MAX_TABLE_QUBITS = 24
 # Most data qubits of an oracle built from its classes (``uniform``,
@@ -126,6 +126,17 @@ class ValueClasses:
         out[list(self.singles)] = per_class[1:]
         return out
 
+    def total(self, per_class: np.ndarray) -> float:
+        """The sum over every index of ``per_class[k]`` at the indices of class k.
+
+        A table given as values sums its entries pairwise (``ndarray.sum``):
+        its counts are all one, and a product with their zero-stride view
+        would first cast it to a new N-sized array of doubles.
+        """
+        if self.singles is None:
+            return float(per_class.sum())
+        return float(self.counts @ per_class)
+
 
 @dataclass(frozen=True, eq=False, init=False)
 class AmplitudeOracle:
@@ -144,6 +155,9 @@ class AmplitudeOracle:
 
     n: int
     m: int
+    # the latest stage ``pipeline._table_stage`` computed from this table,
+    # kept beside ``classes`` and ``values``
+    _stage = None
 
     def __init__(self, n: int, m: int, values):
         if not (_is_int(n) and n >= 0):
@@ -168,6 +182,9 @@ class AmplitudeOracle:
         out = object.__new__(cls)
         out.__dict__.update(n=int(n), m=int(m), classes=classes)
         return out
+
+    def _keep_stage(self, stage) -> None:
+        self.__dict__["_stage"] = stage
 
     @functools.cached_property
     def values(self) -> np.ndarray:
@@ -327,7 +344,7 @@ def phase_unitary_direct(c: AmplitudeOracle) -> UnitaryMatrix:
 def gamma(c: AmplitudeOracle) -> float:
     """Mean squared amplitude (1/N) sum c(x)^2, summed over the classes with their counts."""
     classes = c.classes
-    return float(classes.counts @ classes.values**2) / c.size
+    return classes.total(classes.values**2) / c.size
 
 
 def target_state(c: AmplitudeOracle) -> StateVector:

@@ -15,6 +15,15 @@ over its classes (a table's entries, a generated oracle's one or two
 classes), so every inequality the analysis promises is checkable per run,
 and an oracle with few classes costs no 2^n-sized array unless a caller
 reads the prepared state.
+
+A run has two stages. The table stage (``_TableStage``) depends on the
+table and epsilon alone: the quantization, the grouping into levels, the
+sine encoding, gamma, the measured error, the distance to the target and
+the checks on them. It holds O(levels) data, and the oracle keeps its
+latest one, so runs of one oracle at one epsilon (a sweep's delta rows)
+compute it once. The amplification at delta plans the rounds, amplifies
+and checks the amplification's premise. A report's ``final_state`` is
+built from the table, its m and the realized levels when it is read.
 """
 from __future__ import annotations
 
@@ -106,7 +115,11 @@ class PrepReport:
     """What a preparation reports; ``final_state`` is built on first read.
 
     Every number here is a count-weighted sum or a max over the oracle's
-    classes, so a report costs O(classes), not O(2^n).
+    classes, taken once per table and epsilon in the table stage the oracle
+    keeps (``_TableStage``). Unread, a
+    report holds O(levels), not O(2^n): the table's classes, the m it ran
+    at and one real amplitude per level, from which ``final_state`` spells
+    the state out.
     """
 
     fidelity_to_target: float
@@ -125,9 +138,11 @@ class PrepReport:
     def final_state(self) -> StateVector:
         """The prepared data-register state, 2^n amplitudes.
 
-        Raises DimensionError above ``oracle.MAX_TABLE_QUBITS`` data qubits,
-        before any amplitude exists, and again on every later read. Once the
-        state is built, the per-class state it was built from is dropped.
+        The read groups the table into its levels again and puts each
+        level's amplitude at every index of the level. It raises
+        DimensionError above ``oracle.MAX_TABLE_QUBITS`` data qubits, before
+        any amplitude exists, and again on every later read. Once the state
+        is built, what it was built from is dropped.
         """
         state = self._final()
         self._final = None
@@ -138,32 +153,6 @@ def default_bits(epsilon: float, gamma_value: float) -> int:
     # a ratio past the largest double (a table of amplitudes near 1e-160)
     # asks for far more than MAX_BITS bits either way
     return math.ceil(math.log2(min(3.0 / (epsilon * gamma_value), sys.float_info.max))) + 2
-
-
-@dataclass
-class _RunResult:
-    config: PrepConfig
-    m: int
-    encoding: LevelEncoding
-    plan: AmplificationPlan
-    sigma: float  # the singular value the amplification read off the encoded diagonal
-    success: float
-    gamma_exact: float
-    gamma_quant: float
-    gamma_realized: float
-    eps_measured: float
-    # the final state (the post-selected one, which is the realized one) and
-    # the target state, each real and at one index of every class of
-    # ``value_classes``; the reports weight them by the class counts
-    value_classes: ValueClasses
-    final: np.ndarray
-    target: np.ndarray
-    oracle_calls: int
-    levels: int  # the engine's level count K
-
-
-def _state(classes: ValueClasses, per_class: np.ndarray) -> StateVector:
-    return StateVector(classes.expand(per_class))
 
 
 def _levels(classes: ValueClasses, m: int) -> tuple[np.ndarray, np.ndarray | slice, np.ndarray]:
@@ -197,27 +186,94 @@ def _levels(classes: ValueClasses, m: int) -> tuple[np.ndarray, np.ndarray | sli
     return (distinct + 0.5) / 2.0**m, level_of, counts
 
 
-def _execute(cfg: PrepConfig) -> _RunResult:
-    oracle = cfg.oracle
+@dataclass(eq=False, slots=True)
+class _TableStage:
+    """What a run computes before the amplification, from the table and epsilon alone.
+
+    The quantization, the grouping into levels, the sine encoding, gamma
+    with its quantized and realized values, the measured error, the
+    distance to the target and the checks on them (``checks``, built with
+    the stage) read no delta. A stage holds O(K) data for K levels and no
+    array per index: each class's level, the final state and the target at
+    every class exist only while the stage is computed. Nothing changes a
+    stage once built (it is not frozen only because a frozen dataclass
+    takes twice as long to build, a few us of a search run).
+    """
+
+    epsilon: float
+    m: int
+    encoding: LevelEncoding
+    counts: np.ndarray  # how many indices each level holds
+    gamma_exact: float
+    gamma_quant: float
+    gamma_realized: float
+    eps_measured: float
+    # the realized state's amplitude at each level; post-selection leaves
+    # the realized state, so it is also the final state's
+    realized_level: np.ndarray
+    fidelity: float
+    final_error: float
+    # 3 eps / gamma, the error analysis' bound on the distance to the target
+    bound: float = field(init=False)
+    # final_error_le_epsilon, then the error analysis' checks
+    checks: tuple[BoundCheck, ...] = field(init=False)
+
+    def __post_init__(self):
+        eps, g, gt = self.eps_measured, self.gamma_exact, self.gamma_realized
+        self.bound = 3.0 * eps / g
+        checks = [
+            BoundCheck.le("final_error_le_epsilon", self.final_error, self.epsilon),
+            BoundCheck.le("gamma_diff_le_2eps", abs(gt - g), 2.0 * eps, slack=1e-12),
+            BoundCheck.le("premise_eps_le_gamma_over_4", eps, g / 4.0),
+        ]
+        if checks[-1].passed:
+            checks += [
+                BoundCheck.le("gamma_realized_ge_half_gamma", g / 2.0, gt),
+                BoundCheck.le("sqrt_gamma_diff_le_eps", abs(math.sqrt(g) - math.sqrt(gt)), eps,
+                              slack=1e-12),
+                BoundCheck.le("state_dist_le_3eps_over_gamma", self.final_error, self.bound,
+                              slack=1e-10),
+                BoundCheck.le("final_dist_le_3eps_over_gamma", self.final_error, self.bound,
+                              slack=1e-9),
+            ]
+        self.checks = tuple(checks)
+
+
+def _table_stage(oracle: AmplitudeOracle, epsilon: float) -> _TableStage:
+    """The oracle's stage at epsilon: the one it keeps, or a new one it then keeps.
+
+    The oracle keeps one stage, its latest, so the rows of a sweep that
+    differ only in delta share it. A stage that raises is not kept, and the
+    next call raises again.
+    """
+    stage = oracle._stage
+    # an equal epsilon of another numpy type may compute in that type
+    if stage is None or stage.epsilon != epsilon or type(stage.epsilon) is not type(epsilon):
+        stage = _new_stage(oracle, epsilon)
+        oracle._keep_stage(stage)
+    return stage
+
+
+def _new_stage(oracle: AmplitudeOracle, epsilon: float) -> _TableStage:
     # a table is its own classes; a generated oracle knows its few
-    value_classes = oracle.classes
+    classes = oracle.classes
     g_exact = gamma(oracle)
     if g_exact <= 0.0:
-        top = float(value_classes.values.max())
+        top = float(classes.values.max())
         if top > 0.0:
             raise InfeasibleError(
                 f"gamma underflows to 0 in double precision: the largest amplitude is {top:.3e}"
             )
         raise InfeasibleError("gamma = 0: the amplitude table is identically zero")
     # target for the measured per-amplitude deviation max |c~ - c|
-    eps_hat_target = cfg.epsilon * g_exact / 3.0
+    eps_hat_target = epsilon * g_exact / 3.0
     if eps_hat_target > g_exact / 4.0:
         raise InfeasibleError(
-            f"epsilon = {cfg.epsilon} is infeasible: the substituted amplitude "
+            f"epsilon = {epsilon} is infeasible: the substituted amplitude "
             f"error {eps_hat_target:.3e} exceeds gamma/4 = {g_exact / 4:.3e}"
         )
     # epsilon <= 3/4 here, so the derived m is at least 4
-    m = min(default_bits(cfg.epsilon, g_exact), MAX_BITS)
+    m = min(default_bits(epsilon, g_exact), MAX_BITS)
 
     # quantization's share of the amplitude-error budget
     q_part = 2.0**-m
@@ -231,7 +287,7 @@ def _execute(cfg: PrepConfig) -> _RunResult:
     # incoherent; costs only a few extra polynomial terms
     eps_poly = max(min(eps_hat_target - q_part, q_part / 4.0), eps_hat_target / 16.0)
 
-    levels, level_of, counts = _levels(value_classes, m)
+    levels, level_of, counts = _levels(classes, m)
     size = oracle.size
     encoding = hamiltonian_from_unitary(
         np.sin(np.pi * BETA * levels / 2.0),  # the oracle's diagonal is e^{i pi BETA levels / 2}
@@ -242,84 +298,112 @@ def _execute(cfg: PrepConfig) -> _RunResult:
     # the encoded generator is diagonal (and real), so its spectral distance
     # to the table is the largest per-index deviation
     c_level = 2.0 * encoding.diagonal / BETA
-    eps_measured = float(np.abs(c_level[level_of] - value_classes.values).max())
+    deviation = c_level[level_of] - classes.values
+    eps_measured = float(np.abs(deviation, out=deviation).max())
+    del deviation
     g_realized = float(counts @ c_level**2) / size
     g_quant = float(counts @ levels**2) / size
-
-    sigma_hat = BETA * math.sqrt(g_quant) / 2.0
-    plan = plan_amplification(sigma_hat, cfg.delta)
-
-    # the L rounds multiply the flagged part of C|Psi>, the encoded diagonal,
-    # by one number, so post-selecting the flag leaves the realized state
-    amplitude, applications, sigma = amplify_state(encoding.diagonal, counts, plan)
     realized_level = c_level / math.sqrt(size * g_realized)
 
-    # each use of C or its adjoint runs every transform layer, and each layer
-    # queries the controlled phase unitary and its adjoint (both select
-    # branches share them); each query is an O_c pair
-    oracle_calls = applications * encoding.info["cu_calls"] * 2 * 2
+    # the final state and the target, each real and at one index of every
+    # class; each class's level is dropped before the target is built
+    final = realized_level[level_of]
+    del level_of
+    target = classes.values / math.sqrt(size * g_exact)
+    # both states are real, so <final|target> = sum of counts * final * target
+    fidelity = abs(classes.total(final * target))
+    final_error = math.sqrt(classes.total((final - target) ** 2))
 
-    return _RunResult(
-        config=cfg,
+    return _TableStage(
+        epsilon=epsilon,
         m=m,
         encoding=encoding,
-        plan=plan,
-        sigma=sigma,
-        success=abs(amplitude) ** 2,
+        counts=counts,
         gamma_exact=g_exact,
         gamma_quant=g_quant,
         gamma_realized=g_realized,
         eps_measured=eps_measured,
-        value_classes=value_classes,
-        final=realized_level[level_of],
-        target=value_classes.values / math.sqrt(size * g_exact),
-        oracle_calls=oracle_calls,
-        levels=levels.size,
+        realized_level=realized_level,
+        fidelity=fidelity,
+        final_error=final_error,
     )
 
 
-def _base_report(run: _RunResult) -> PrepReport:
-    cfg = run.config
-    counts = run.value_classes.counts
-    # both states are real, so <final|target> = sum of counts * final * target
-    fid = abs(float(counts @ (run.final * run.target)))
-    err = math.sqrt(counts @ (run.final - run.target) ** 2)
-    d_a, d_s = run.encoding.info["arcsin_degree"], run.plan.rounds
+class _Amplified(NamedTuple):
+    """What the amplification at one delta gives."""
+
+    plan: AmplificationPlan
+    success: float
+    sigma: float  # the singular value the amplification read off the encoded diagonal
+    oracle_calls: int
+
+
+def _amplify(stage: _TableStage, delta: float) -> _Amplified:
+    plan = plan_amplification(BETA * math.sqrt(stage.gamma_quant) / 2.0, delta)
+    # the L rounds multiply the flagged part of C|Psi>, the encoded diagonal,
+    # by one number, so post-selecting the flag leaves the realized state
+    amplitude, applications, sigma = amplify_state(stage.encoding.diagonal, stage.counts, plan)
+    # each use of C or its adjoint runs every transform layer, and each layer
+    # queries the controlled phase unitary and its adjoint (both select
+    # branches share them); each query is an O_c pair
+    oracle_calls = applications * stage.encoding.info["cu_calls"] * 2 * 2
+    return _Amplified(plan, abs(amplitude) ** 2, sigma, oracle_calls)
+
+
+def _final_state(classes: ValueClasses, m: int, realized_level: np.ndarray) -> StateVector:
+    """The final state at every index, from the table grouped into its levels again."""
+    _, level_of, _ = _levels(classes, m)
+    return StateVector(classes.expand(realized_level[level_of]))
+
+
+def _report(cfg: PrepConfig, stage: _TableStage, amp: _Amplified, bounds: bool) -> PrepReport:
+    """A report with its own check list and ``info``; ``bounds`` adds the error analysis'."""
+    d_a, d_s = stage.encoding.info["arcsin_degree"], amp.plan.rounds
+    first, *analysis = stage.checks
     checks = [
-        BoundCheck.le("final_error_le_epsilon", err, cfg.epsilon),
-        BoundCheck.le("success_ge_one_minus_delta", 1.0 - cfg.delta, run.success),
-        BoundCheck.eq("counted_oracle_calls_eq_4_da_ds", run.oracle_calls, 4 * d_a * d_s),
+        first,
+        BoundCheck.le("success_ge_one_minus_delta", 1.0 - cfg.delta, amp.success),
+        BoundCheck.eq("counted_oracle_calls_eq_4_da_ds", amp.oracle_calls, 4 * d_a * d_s),
         # the amplification's own premise: the fixed-point guarantee holds for
         # a sigma at or above the band edge, and there the success is the
         # plan's closed form
-        BoundCheck.le("sigma_ge_band_edge", run.plan.band_edge, run.sigma),
+        BoundCheck.le("sigma_ge_band_edge", amp.plan.band_edge, amp.sigma),
         BoundCheck.le(
             "success_gap_to_predicted_le_1e-10",
-            abs(run.success - run.plan.predicted_success(run.sigma)),
+            abs(amp.success - amp.plan.predicted_success(amp.sigma)),
             1e-10,
         ),
     ]
+    info = {
+        "n": cfg.oracle.n,
+        "m": stage.m,
+        "beta": BETA,
+        "gamma": stage.gamma_exact,
+        "gamma_quantized": stage.gamma_quant,
+        "gamma_realized": stage.gamma_realized,
+        "eps_measured": stage.eps_measured,
+        "sigma": amp.plan.sigma,
+        "final_error": stage.final_error,
+        "predicted_success": amp.plan.predicted_success(),
+        "levels": stage.realized_level.size,
+    }
+    if bounds:
+        checks += analysis
+        info["bound_3eps_over_gamma"] = stage.bound
     return PrepReport(
-        fidelity_to_target=fid,
-        success_probability=run.success,
-        oracle_calls=run.oracle_calls,
+        fidelity_to_target=stage.fidelity,
+        success_probability=amp.success,
+        oracle_calls=amp.oracle_calls,
         degrees=(d_a, d_s),
         bound_checks=checks,
-        info={
-            "n": cfg.oracle.n,
-            "m": run.m,
-            "beta": BETA,
-            "gamma": run.gamma_exact,
-            "gamma_quantized": run.gamma_quant,
-            "gamma_realized": run.gamma_realized,
-            "eps_measured": run.eps_measured,
-            "sigma": run.plan.sigma,
-            "final_error": err,
-            "predicted_success": run.plan.predicted_success(),
-            "levels": run.levels,
-        },
-        _final=functools.partial(_state, run.value_classes, run.final),
+        info=info,
+        _final=functools.partial(_final_state, cfg.oracle.classes, stage.m, stage.realized_level),
     )
+
+
+def _run(cfg: PrepConfig, bounds: bool) -> PrepReport:
+    stage = _table_stage(cfg.oracle, cfg.epsilon)
+    return _report(cfg, stage, _amplify(stage, cfg.delta), bounds)
 
 
 def prepare_state(cfg: PrepConfig) -> PrepReport:
@@ -332,7 +416,7 @@ def prepare_state(cfg: PrepConfig) -> PrepReport:
     plan's band edge, and the success is ``predicted_success(sigma)`` within
     1e-10.
     """
-    return _base_report(_execute(cfg))
+    return _run(cfg, bounds=False)
 
 
 def verify_error_bounds(cfg: PrepConfig) -> PrepReport:
@@ -350,47 +434,7 @@ def verify_error_bounds(cfg: PrepConfig) -> PrepReport:
     = | ||c||_2 - ||c~||_2 | / sqrt(N) <= ||c - c~||_2 / sqrt(N) <= eps, and
     a constant table with a constant error meets it with equality.
     """
-    return _bound_report(_execute(cfg))
-
-
-def _bound_report(run: _RunResult) -> PrepReport:
-    report = _base_report(run)
-    eps = run.eps_measured
-    g = run.gamma_exact
-    gt = run.gamma_realized
-    bound = 3.0 * eps / g
-    checks = report.bound_checks
-    checks.append(BoundCheck.le("gamma_diff_le_2eps", abs(gt - g), 2.0 * eps, slack=1e-12))
-    premise = BoundCheck.le("premise_eps_le_gamma_over_4", eps, g / 4.0)
-    checks.append(premise)
-    if premise.passed:
-        checks.append(BoundCheck.le("gamma_realized_ge_half_gamma", g / 2.0, gt))
-        checks.append(
-            BoundCheck.le(
-                "sqrt_gamma_diff_le_eps",
-                abs(math.sqrt(g) - math.sqrt(gt)),
-                eps,
-                slack=1e-12,
-            )
-        )
-        checks.append(
-            BoundCheck.le(
-                "state_dist_le_3eps_over_gamma",
-                report.info["final_error"],
-                bound,
-                slack=1e-10,
-            )
-        )
-        checks.append(
-            BoundCheck.le(
-                "final_dist_le_3eps_over_gamma",
-                report.info["final_error"],
-                bound,
-                slack=1e-9,
-            )
-        )
-    report.info["bound_3eps_over_gamma"] = bound
-    return report
+    return _run(cfg, bounds=True)
 
 
 def grover_case(n: int, x0: int, delta: float, epsilon: float) -> PrepReport:
@@ -449,47 +493,54 @@ class SweepSpec:
 
 
 def sweep(spec: SweepSpec) -> list[dict]:
-    """One row per grid point; failures become rows with a status message."""
+    """One row per grid point; failures become rows with a status message.
+
+    Each (n, dist) oracle is built once and held while its rows run, so the
+    rows that share it and an epsilon share its table stage and differ only
+    in the amplification at their delta. Every row still calls the module's
+    ``verify_error_bounds`` once, in grid order; a dist that fails to parse
+    gives one error row per (epsilon, delta).
+    """
     rows = []
-    for n, dist, eps, delta in itertools.product(
-        spec.ns, spec.dists, spec.epsilons, spec.deltas
-    ):
-        row = {c: "" for c in SWEEP_COLUMNS}
-        row.update({"n": n, "epsilon": eps, "delta": delta, "status": "ok"})
+    for n, dist in itertools.product(spec.ns, spec.dists):
         try:
-            oracle = AmplitudeOracle.from_dist(n, 8, dist)
-            cfg = PrepConfig(oracle=oracle, epsilon=eps, delta=delta)
-            rep = verify_error_bounds(cfg)
-            final_err = rep.info["final_error"]
-            bound = rep.info["bound_3eps_over_gamma"]
-            row.update(
-                {
-                    "m": rep.info["m"],
-                    "gamma": rep.info["gamma"],
-                    "arcsin_degree": rep.degrees[0],
-                    "sign_degree": rep.degrees[1],
-                    "oracle_calls": rep.oracle_calls,
-                    "fidelity": rep.fidelity_to_target,
-                    "success_prob": rep.success_probability,
-                    "bound_3eps_over_gamma_lhs": final_err,
-                    "bound_3eps_over_gamma_rhs": bound,
-                    "pass": rep.all_passed,
-                }
-            )
+            oracle, failure = AmplitudeOracle.from_dist(n, 8, dist), None
         except QsprepError as exc:
-            row["status"] = f"error: {exc}"
-            row["pass"] = False
-        rows.append(row)
+            oracle, failure = None, {"status": f"error: {exc}", "pass": False}
+        for eps, delta in itertools.product(spec.epsilons, spec.deltas):
+            row = {c: "" for c in SWEEP_COLUMNS}
+            row.update({"n": n, "epsilon": eps, "delta": delta, "status": "ok"})
+            row.update(failure or _sweep_fields(oracle, eps, delta))
+            rows.append(row)
     return rows
 
 
+def _sweep_fields(oracle: AmplitudeOracle, eps: float, delta: float) -> dict:
+    try:
+        rep = verify_error_bounds(PrepConfig(oracle=oracle, epsilon=eps, delta=delta))
+    except QsprepError as exc:
+        return {"status": f"error: {exc}", "pass": False}
+    return {
+        "m": rep.info["m"],
+        "gamma": rep.info["gamma"],
+        "arcsin_degree": rep.degrees[0],
+        "sign_degree": rep.degrees[1],
+        "oracle_calls": rep.oracle_calls,
+        "fidelity": rep.fidelity_to_target,
+        "success_prob": rep.success_probability,
+        "bound_3eps_over_gamma_lhs": rep.info["final_error"],
+        "bound_3eps_over_gamma_rhs": rep.info["bound_3eps_over_gamma"],
+        "pass": rep.all_passed,
+    }
+
+
 def sweep_to_csv(rows: list[dict]) -> str:
+    """The rows as CSV: a header of ``SWEEP_COLUMNS``, then each row's values in that order."""
     import csv
     import io
 
     buf = io.StringIO()
-    writer = csv.DictWriter(buf, fieldnames=SWEEP_COLUMNS, lineterminator="\n")
-    writer.writeheader()
-    for row in rows:
-        writer.writerow({k: row.get(k, "") for k in SWEEP_COLUMNS})
+    writer = csv.writer(buf, lineterminator="\n")
+    writer.writerow(SWEEP_COLUMNS)
+    writer.writerows([row[c] for c in SWEEP_COLUMNS] for row in rows)
     return buf.getvalue()

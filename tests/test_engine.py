@@ -45,8 +45,12 @@ from qsprep.phases import _prefix_rows
 from qsprep.pipeline import (
     BETA,
     PrepConfig,
-    _bound_report,
-    _execute,
+    _Amplified,
+    _amplify,
+    _final_state,
+    _report,
+    _table_stage,
+    _TableStage,
     prepare_state,
     verify_error_bounds,
 )
@@ -68,15 +72,31 @@ def hadamard_layer(n):
     return UnitaryMatrix(s.astype(complex))
 
 
+@dataclasses.dataclass
+class Run:
+    """A run's two stages: the table stage at epsilon, the amplification at delta."""
+
+    config: PrepConfig
+    stage: _TableStage
+    amp: _Amplified
+
+    def report(self):
+        return _report(self.config, self.stage, self.amp, bounds=True)
+
+    def final(self):
+        """The final state at every index, as a report's ``final_state`` builds it."""
+        return _final_state(self.config.oracle.classes, self.stage.m, self.stage.realized_level).amplitudes
+
+
 def quantized(run):
     """The run's table quantized at the m it ran at."""
     table = run.config.oracle
-    return AmplitudeOracle(table.n, run.m, table.values).quantized
+    return AmplitudeOracle(table.n, run.stage.m, table.values).quantized
 
 
 def oracle_diagonal(run):
     """The phase oracle's diagonal, as the pipeline compiles it."""
-    c_q = quantized(run) + 2.0 ** -(run.m + 1)
+    c_q = quantized(run) + 2.0 ** -(run.stage.m + 1)
     return np.exp(1j * np.pi * BETA * c_q / 2.0)
 
 
@@ -86,23 +106,18 @@ def value_classes(run):
     return inverse, counts
 
 
-def spread(run, per_class):
-    """A run's quantity given per class of the oracle, at every index."""
-    return run.value_classes.expand(per_class)
-
-
 def dense_run(run):
     """The same run with every simulated quantity taken from the dense reference.
 
-    Its classes are the indices themselves, one each, so its reports sum
-    over the indices, and its final state is the dense realized state.
-    Also returns the dense encoding and the dense post-selected state, its
-    global phase removed against the realized state.
+    Its distances to the target are sums over the indices of the dense
+    realized state. Also returns that state, the dense encoding and the
+    dense post-selected state, its global phase removed against the
+    realized state.
     """
     cfg = run.config
     n = cfg.oracle.n
     u = UnitaryMatrix(np.diag(oracle_diagonal(run)))
-    be = lcu_real_part(sine_block_encoding(u), run.encoding.phases)
+    be = lcu_real_part(sine_block_encoding(u), run.stage.encoding.phases)
     block = extract_block(be)
     c_realized = 2.0 * np.real(np.diag(block)) / BETA
     realized = c_realized / np.linalg.norm(c_realized)
@@ -110,29 +125,31 @@ def dense_run(run):
     s = hadamard_layer(n)
     psi0 = np.zeros(be.unitary.dim, dtype=complex)
     psi0[: 2**n] = s.entries[:, 0]
-    u_amp = amplify(be.unitary, s, run.plan)
+    u_amp = amplify(be.unitary, s, run.amp.plan)
     flag, _ = build_projectors(n, s, ancillas=be.ancillas)
     post, success = project_measure(flag, StateVector(u_amp.entries @ psi0))
     data = post.amplitudes[: 2**n]
     data = data * np.exp(-1j * np.angle(np.vdot(realized, data)))
 
-    d_a, d_s = len(run.encoding.phases), run.plan.rounds
-    return dataclasses.replace(
-        run,
-        value_classes=cfg.oracle.classes,
-        final=realized,
-        success=success,
-        gamma_quant=float(np.mean((quantized(run) + 2.0 ** -(run.m + 1)) ** 2)),
+    d_a, d_s = len(run.stage.encoding.phases), run.amp.plan.rounds
+    target = cfg.oracle.values / np.linalg.norm(cfg.oracle.values)
+    stage = dataclasses.replace(
+        run.stage,
+        gamma_quant=float(np.mean((quantized(run) + 2.0 ** -(run.stage.m + 1)) ** 2)),
         gamma_realized=float(np.mean(c_realized**2)),
         eps_measured=spectral_norm(2.0 * block / BETA - np.diag(cfg.oracle.values)),
-        target=spread(run, run.target),
-        oracle_calls=4 * d_a * d_s,
-    ), be, data
+        fidelity=abs(float(realized @ target)),
+        final_error=float(np.linalg.norm(realized - target)),
+    )
+    amp = run.amp._replace(success=success, oracle_calls=4 * d_a * d_s)
+    return Run(cfg, stage, amp), realized, be, data
 
 
 def engine_run(values, eps=0.05, delta=0.1):
     n = int(np.log2(len(values)))
-    return _execute(PrepConfig(oracle=AmplitudeOracle(n, 8, values), epsilon=eps, delta=delta))
+    cfg = PrepConfig(oracle=AmplitudeOracle(n, 8, values), epsilon=eps, delta=delta)
+    stage = _table_stage(cfg.oracle, eps)
+    return Run(cfg, stage, _amplify(stage, delta))
 
 
 def assert_engine_matches_dense(values, eps=0.05, delta=0.1, success_tol=TOL):
@@ -140,21 +157,21 @@ def assert_engine_matches_dense(values, eps=0.05, delta=0.1, success_tol=TOL):
 
 
 def assert_run_matches_dense(run, success_tol=TOL):
-    ref, be, post_selected = dense_run(run)
+    ref, realized, be, post_selected = dense_run(run)
 
     # the flagged entry of the block of index x is the dense C's entry (x, x)
     inverse, _ = value_classes(run)
     dense = np.diag(be.unitary.entries)[: run.config.oracle.values.size]
-    assert np.abs(run.encoding.diagonal[inverse] - dense).max() <= TOL
+    assert np.abs(run.stage.encoding.diagonal[inverse] - dense).max() <= TOL
 
-    final = spread(run, run.final)
+    final = run.final()
     assert np.abs(final - post_selected).max() <= TOL
-    assert np.abs(final - ref.final).max() <= TOL
-    assert abs(run.success - ref.success) <= success_tol
-    assert abs(run.gamma_quant - ref.gamma_quant) <= TOL
-    assert abs(run.eps_measured - ref.eps_measured) <= TOL
-    assert run.oracle_calls == ref.oracle_calls
-    mine, theirs = _bound_report(run), _bound_report(ref)
+    assert np.abs(final - realized).max() <= TOL
+    assert abs(run.amp.success - ref.amp.success) <= success_tol
+    assert abs(run.stage.gamma_quant - ref.stage.gamma_quant) <= TOL
+    assert abs(run.stage.eps_measured - ref.stage.eps_measured) <= TOL
+    assert run.amp.oracle_calls == ref.amp.oracle_calls
+    mine, theirs = run.report(), ref.report()
     assert mine.degrees == theirs.degrees
     assert [(c.name, c.passed) for c in mine.bound_checks] == [
         (c.name, c.passed) for c in theirs.bound_checks
@@ -193,7 +210,7 @@ def test_engine_matches_dense_reference(values):
 @settings(max_examples=20)
 def test_engine_matches_dense_reference_property(values, eps):
     run = engine_run(np.array(values), eps=eps)
-    if run.plan.rounds <= 100:
+    if run.amp.plan.rounds <= 100:
         assert_run_matches_dense(run)
     else:
         # as at the n = 6 indicator below: the dense reference's success
@@ -201,7 +218,7 @@ def test_engine_matches_dense_reference_property(values, eps):
         # 1.2e-12 to 1.3e-12 after 177 and 207), so past 100 rounds the
         # engine is held to 1e-12 of the extended-precision evaluation
         assert_run_matches_dense(run, success_tol=5e-12)
-        assert abs(run.success - _extended_success(run)) <= TOL
+        assert abs(run.amp.success - _extended_success(run)) <= TOL
 
 
 def per_index_run(run):
@@ -214,10 +231,10 @@ def per_index_run(run):
     ``test_level_diagonal_matches_the_ansatz`` checks the entries.
     """
     diagonal = oracle_diagonal(run)
-    entry, layers = _level_diagonal(diagonal.imag, run.encoding.phases)
+    entry, layers = _level_diagonal(diagonal.imag, run.stage.encoding.phases)
     flagged = np.linalg.norm(entry)
     sigma = float(flagged / np.sqrt(diagonal.size))
-    for rounds, (a, _) in enumerate(_prefix_rows(run.plan.phases.phases, sigma)):
+    for rounds, (a, _) in enumerate(_prefix_rows(run.amp.plan.phases.phases, sigma)):
         pass
     flag_row = entry * (a / flagged)
     success = float(np.linalg.norm(flag_row) ** 2)
@@ -243,19 +260,19 @@ def tables_with_repeats(draw):
 def test_class_engine_matches_per_index_evaluation(values, eps):
     run = engine_run(values, eps=eps)
     _, counts = value_classes(run)
-    assert run.levels == counts.size <= 6
+    assert run.stage.realized_level.size == counts.size <= 6
     data, success, realized, eps_measured, calls = per_index_run(run)
-    final = spread(run, run.final)
+    final = run.final()
     assert np.abs(final - data).max() <= TOL
     assert np.abs(final - realized).max() <= TOL
-    assert abs(run.success - success) <= TOL
-    assert run.eps_measured == eps_measured
-    assert run.oracle_calls == calls
+    assert abs(run.amp.success - success) <= TOL
+    assert run.stage.eps_measured == eps_measured
+    assert run.amp.oracle_calls == calls
 
 
 def _extended_success(run):
     """The engine's success probability recomputed in extended precision."""
-    m = run.m
+    m = run.stage.m
     pi = np.longdouble("3.141592653589793238462643383279503")
     c_q = quantized(run).astype(np.longdouble) + np.longdouble(2.0) ** -(m + 1)
     diagonal = np.exp(1j * pi * np.longdouble(BETA) * c_q / 2)
@@ -266,7 +283,7 @@ def _extended_success(run):
     branches = []
     for sign in (1, -1):
         acc = np.broadcast_to(np.eye(2, dtype=np.clongdouble), (size, 2, 2))
-        for a in run.encoding.phases.phases:
+        for a in run.stage.encoding.phases.phases:
             a = sign * np.longdouble(a)
             acc = (acc * np.array([np.exp(1j * a), np.exp(-1j * a)])) @ w
         branches.append(acc)
@@ -276,7 +293,7 @@ def _extended_success(run):
     plus = np.full(size, 1 / np.sqrt(np.longdouble(size)))
     state = np.zeros((4, size), dtype=np.clongdouble)
     state[0] = plus
-    angles = run.plan.phases.phases
+    angles = run.amp.plan.phases.phases
     for j in range(len(angles) - 1, -1, -1):
         op = blocks if j % 2 == 0 else blocks.conj().transpose(0, 2, 1)
         state = np.einsum("xab,bx->ax", op, state)
@@ -304,16 +321,16 @@ def test_whole_amplified_state_matches_dense_reference(values):
     run = engine_run(values)
     n = run.config.oracle.n
     u = UnitaryMatrix(np.diag(oracle_diagonal(run)))
-    be = lcu_real_part(sine_block_encoding(u), run.encoding.phases)
+    be = lcu_real_part(sine_block_encoding(u), run.stage.encoding.phases)
     s = hadamard_layer(n)
     psi0 = np.zeros(be.unitary.dim, dtype=complex)
     psi0[: 2**n] = s.entries[:, 0]
     inverse, counts = value_classes(run)
-    diagonal = run.encoding.diagonal
-    amplitude, applications, _ = amplify_state(diagonal, counts, run.plan)
-    assert applications == run.plan.rounds
+    diagonal = run.stage.encoding.diagonal
+    amplitude, applications, _ = amplify_state(diagonal, counts, run.amp.plan)
+    assert applications == run.amp.plan.rounds
     flagged = diagonal[inverse] * amplitude / np.sqrt(diagonal**2 @ counts)
-    dense = amplify(be.unitary, s, run.plan).entries @ psi0
+    dense = amplify(be.unitary, s, run.amp.plan).entries @ psi0
     assert np.abs(flagged - dense[: 2**n]).max() <= TOL
 
 
@@ -324,8 +341,8 @@ def test_engine_beats_dense_reference_at_high_degree():
     # extended-precision evaluation of the same circuit
     values = np.eye(64)[61]
     run = assert_engine_matches_dense(values, delta=1e-4, success_tol=5e-12)
-    assert run.plan.rounds == 201
-    assert abs(run.success - _extended_success(run)) <= TOL
+    assert run.amp.plan.rounds == 201
+    assert abs(run.amp.success - _extended_success(run)) <= TOL
 
 
 @pytest.mark.parametrize("n", range(7, 12))
@@ -334,7 +351,7 @@ def test_engine_matches_extended_precision_on_indicators(n):
     # at n = 11), the engine's success is held to the same circuit evaluated
     # round by round in extended precision
     run = engine_run(np.eye(2**n)[2**n - 3])
-    assert abs(run.success - _extended_success(run)) <= TOL
+    assert abs(run.amp.success - _extended_success(run)) <= TOL
 
 
 def test_counted_oracle_calls_are_checked():
@@ -361,7 +378,7 @@ def test_execute_allocates_no_quadratic_array():
     cfg = PrepConfig(oracle=oracle, epsilon=0.05, delta=0.1)
     tracemalloc.start()
     try:
-        _execute(cfg)
+        _amplify(_table_stage(oracle, cfg.epsilon), cfg.delta)
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
@@ -372,39 +389,41 @@ def test_run_memory_per_index():
     # the engine keeps one real per level; what grows with N is the grouping
     # of the table's entries by register content, the expanded generator, the
     # final (which is the realized) and target states, both real, and the
-    # checks on them: 32 B per index traced (a sort of the quantized values
-    # took 49 B, the (N, 4, 4) blocks alone 256 B, a sort of the raw values
-    # with its index map 88 B in all, an N-sized array of the table's unit
-    # class counts 8 B more, and a complex final state beside the realized
-    # one 64 B in all)
+    # sums over them: 24 B per index traced, since each entry's level is
+    # dropped before the target exists and the table's unit counts are not
+    # cast to an N-sized array (each cost 8 B; a sort of the quantized
+    # values took 49 B in all, the (N, 4, 4) blocks alone 256 B, a sort of
+    # the raw values with its index map 88 B, and a complex final state
+    # beside the realized one 64 B)
     n = 18
 
     def config(seed):
         oracle = AmplitudeOracle(n, 8, np.random.default_rng(seed).uniform(0, 1, 2**n))
         return PrepConfig(oracle=oracle, epsilon=0.05, delta=0.1)
 
-    _bound_report(_execute(config(1)))  # warms the memos for the same 1024 levels
+    verify_error_bounds(config(1))  # warms the memos for the same 1024 levels
     cfg = config(2)
     tracemalloc.start()
     try:
-        rep = _bound_report(_execute(cfg))
+        rep = verify_error_bounds(cfg)
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
     assert rep.info["levels"] == 1024
-    assert peak / 2**n <= 33
+    assert peak / 2**n <= 25
 
 
 def test_read_final_state_holds_one_state_per_index():
-    # unread, a report holds the real 8-byte per-class final state per index
-    # (a complex one took 16 B); once read, it holds the 16-byte complex
-    # final state per index and releases the per-class state it was built
-    # from; the unit class counts of a table are one scalar, not an N-sized
-    # array (the two took 24 B per index more)
+    # unread, a report holds O(levels): the oracle's stage keeps one real
+    # per level, and the final state is built from it when read (a real
+    # per-class final state took 8 B per index, a complex one 16 B); once
+    # read, it holds the 16-byte complex final state per index; once
+    # dropped, the oracle still keeps its stage, O(levels) again; the unit
+    # class counts of a table are one scalar, not an N-sized array
     n = 18
-    _bound_report(_execute(PrepConfig(
+    verify_error_bounds(PrepConfig(
         oracle=AmplitudeOracle(n, 8, np.random.default_rng(1).uniform(0, 1, 2**n)),
-        epsilon=0.05, delta=0.1)))  # warms the memos for the same 1024 levels
+        epsilon=0.05, delta=0.1))  # warms the memos for the same 1024 levels
     oracle = AmplitudeOracle(n, 8, np.random.default_rng(2).uniform(0, 1, 2**n))
     tracemalloc.start()
     try:
@@ -412,11 +431,17 @@ def test_read_final_state_holds_one_state_per_index():
         unread, _ = tracemalloc.get_traced_memory()
         state = rep.final_state
         held, _ = tracemalloc.get_traced_memory()
+        assert state.amplitudes.size == 2**n
+        del rep, state
+        kept, _ = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    assert state.amplitudes.size == 2**n
-    assert unread / 2**n <= 10
+    # 35.3 B and 34.0 B per level traced, 0.14 B per index
+    levels = 1024
+    assert unread / levels <= 40
     assert held / 2**n <= 20
+    assert kept / levels <= 40
+    assert oracle._stage is not None
 
 
 @pytest.mark.parametrize(

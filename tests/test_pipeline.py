@@ -1,3 +1,5 @@
+import itertools
+
 import numpy as np
 import pytest
 
@@ -172,13 +174,13 @@ def test_grover_at_32_qubits_passes_every_check_without_a_table(monkeypatch):
 
     monkeypatch.setattr(ValueClasses, "expand", no_table)
     cfg = PrepConfig(oracle=AmplitudeOracle.indicator(32, 5, 8), epsilon=0.05, delta=0.1)
-    run = pipeline._execute(cfg)
-    rep = pipeline._bound_report(run)
+    stage = pipeline._table_stage(cfg.oracle, cfg.epsilon)
+    amp = pipeline._amplify(stage, cfg.delta)
+    rep = pipeline._report(cfg, stage, amp, bounds=True)
     assert rep.all_passed, [c.name for c in rep.bound_checks if not c.passed]
-    assert rep.degrees[1] == 634469 and run.levels == 2
-    counts = run.value_classes.counts
-    sigma = np.sqrt(counts @ run.encoding.diagonal**2 / 2**32)
-    assert abs(rep.success_probability - run.plan.predicted_success(sigma)) <= 1e-10
+    assert rep.degrees[1] == 634469 and rep.info["levels"] == 2
+    sigma = np.sqrt(stage.counts @ stage.encoding.diagonal**2 / 2**32)
+    assert abs(rep.success_probability - amp.plan.predicted_success(sigma)) <= 1e-10
     assert rep.info["gamma"] == 2.0**-32
 
 
@@ -191,17 +193,20 @@ def test_grover_at_32_qubits_passes_every_check_without_a_table(monkeypatch):
 def test_every_report_checks_the_amplification_premise(oracle):
     # the sigma the amplification read off the encoded diagonal sits at or
     # above the plan's band edge, and the success there is the plan's closed
-    # form, in prepare_state's report and verify_error_bounds' alike
+    # form, in prepare_state's report and verify_error_bounds' alike, which
+    # both amplify the stage the oracle keeps
     cfg = PrepConfig(oracle=oracle, epsilon=0.05, delta=0.1)
-    run = pipeline._execute(cfg)
+    stage = pipeline._table_stage(oracle, cfg.epsilon)
+    amp = pipeline._amplify(stage, cfg.delta)
     # the encoded diagonal is BETA / 2 times the realized amplitudes
-    assert run.sigma == pytest.approx(pipeline.BETA * np.sqrt(run.gamma_realized) / 2, rel=1e-15)
+    assert amp.sigma == pytest.approx(pipeline.BETA * np.sqrt(stage.gamma_realized) / 2, rel=1e-15)
     for rep in (prepare_state(cfg), verify_error_bounds(cfg)):
+        assert pipeline._table_stage(oracle, cfg.epsilon) is stage
         checks = {c.name: c for c in rep.bound_checks}
         edge, gap = checks["sigma_ge_band_edge"], checks["success_gap_to_predicted_le_1e-10"]
-        assert edge.passed and edge.lhs == run.plan.band_edge and edge.rhs == run.sigma
+        assert edge.passed and edge.lhs == amp.plan.band_edge and edge.rhs == amp.sigma
         assert gap.passed and gap.rhs == 1e-10
-        assert gap.lhs == abs(rep.success_probability - run.plan.predicted_success(run.sigma))
+        assert gap.lhs == abs(rep.success_probability - amp.plan.predicted_success(amp.sigma))
 
 
 def test_grover_rejects_out_of_range():
@@ -355,8 +360,10 @@ def _outcome(rep):
         rep.final_state.amplitudes.tolist(),
         rep.oracle_calls,
         rep.success_probability,
+        rep.fidelity_to_target,
         rep.degrees,
         [(c.name, c.lhs, c.rhs, c.passed) for c in rep.bound_checks],
+        rep.info,
     )
 
 
@@ -377,10 +384,11 @@ def _cold_then_warm(run):
 
 
 def test_memo_warm_run_equals_cold_random_table():
-    rng = np.random.default_rng(17)
-    oracle = AmplitudeOracle(5, 8, rng.uniform(0.05, 1.0, 32))
-    cold, warm = _cold_then_warm(
-        lambda: _outcome(verify_error_bounds(PrepConfig(oracle=oracle, epsilon=0.05, delta=0.1))))
+    # a new oracle of the same table keeps no stage, so its run looks the
+    # encoding up in the memo
+    values = np.random.default_rng(17).uniform(0.05, 1.0, 32)
+    cold, warm = _cold_then_warm(lambda: _outcome(verify_error_bounds(
+        PrepConfig(oracle=AmplitudeOracle(5, 8, values), epsilon=0.05, delta=0.1))))
     assert warm == cold
 
 
@@ -451,10 +459,142 @@ def test_sweep_calls_the_module_verify_error_bounds_once_per_row_in_grid_order(m
     assert [row["status"].startswith("error") for row in rows] == [e[2] == 0.9 for e in expected]
 
 
+def _counting(monkeypatch, owner, name, seen, wrap=lambda f: f):
+    """Rebind ``owner.name`` to record each call's arguments in ``seen``."""
+    inner = getattr(owner, name)
+
+    def call(*args):
+        seen.append(args)
+        return inner(*args)
+
+    monkeypatch.setattr(owner, name, wrap(call))
+
+
+def test_sweep_builds_each_oracle_once(monkeypatch):
+    # one oracle per (n, dist), whose stage the rows of one epsilon share;
+    # a dist that fails to parse still gives one error row per (eps, delta)
+    built, stages = [], []
+    _counting(monkeypatch, AmplitudeOracle, "from_dist", built, staticmethod)
+    _counting(monkeypatch, pipeline, "_new_stage", stages)
+    grid = {"n": [2, 3], "dist": ["indicator:1", "gaussian:1", "gaussian:1,1"],
+            "epsilon": [0.9, 0.05, 0.1], "delta": [0.1, 0.2]}
+    rows = sweep(SweepSpec.from_dict(grid))
+    assert built == [(n, 8, dist) for n in grid["n"] for dist in grid["dist"]]
+    # each good table computes one stage per epsilon; the infeasible 0.9 is
+    # not kept, so both of its rows compute it
+    assert [(o.n, eps) for o, eps in stages] == [
+        (n, eps) for n in grid["n"] for _ in range(2) for eps in (0.9, 0.9, 0.05, 0.1)]
+    bad = [row["status"] for row in rows if row["status"].startswith("error: bad distribution")]
+    assert len(bad) == 2 * 3 * 2 and len(set(bad)) == 1
+
+
+def test_sweep_rows_and_reports_equal_rows_run_alone(monkeypatch):
+    # rows that share an oracle and its stage report exactly what each row
+    # reports run alone, on a fresh oracle with empty memos
+    reports = []
+    inner = pipeline.verify_error_bounds
+
+    def keep_report(cfg):
+        try:
+            reports.append(inner(cfg))
+        except InfeasibleError:
+            reports.append(None)
+            raise
+        return reports[-1]
+
+    def outcomes():
+        return [None if rep is None else _outcome(rep) for rep in reports]
+
+    monkeypatch.setattr(pipeline, "verify_error_bounds", keep_report)
+    grid = {"n": [2, 4], "dist": ["uniform", "indicator:1", "gaussian:1,1.5"],
+            "epsilon": [0.9, 0.05, 0.1], "delta": [0.1, 0.2]}
+    _clear_memos()
+    rows = sweep(SweepSpec.from_dict(grid))
+    shared = outcomes()
+    alone_rows, alone = [], []
+    for n, dist, eps, delta in itertools.product(*grid.values()):
+        _clear_memos()
+        reports.clear()
+        alone_rows += sweep(SweepSpec.from_dict(
+            {"n": [n], "dist": [dist], "epsilon": [eps], "delta": [delta]}))
+        alone += outcomes()
+    assert rows == alone_rows
+    assert shared == alone
+    assert shared.count(None) == 2 * 3 * 2
+
+
+def test_an_oracle_keeps_one_stage_and_recomputes_it_at_a_new_epsilon(monkeypatch):
+    stages = []
+    _counting(monkeypatch, pipeline, "_new_stage", stages)
+    oracle = AmplitudeOracle(4, 8, np.random.default_rng(8).uniform(0.1, 1.0, 16))
+    reports = [verify_error_bounds(PrepConfig(oracle=oracle, epsilon=eps, delta=delta))
+               for eps, delta in [(0.05, 0.1), (0.05, 0.2), (0.1, 0.1), (0.05, 0.3), (0.05, 0.1),
+                                  (0.5, 0.1), (np.float64(0.5), 0.1)]]
+    # a new epsilon, or an equal one of another type, replaces the kept stage
+    assert [eps for _, eps in stages] == [0.05, 0.1, 0.05, 0.5, 0.5]
+    assert type(stages[-1][1]) is np.float64
+    assert oracle._stage is pipeline._table_stage(oracle, np.float64(0.5))
+    assert _outcome(reports[-1]) == _outcome(reports[-2])
+    # reports of one stage share no mutable part: grover_case writes to info
+    first, second = reports[:2]
+    assert first.bound_checks is not second.bound_checks and first.info is not second.info
+    assert _outcome(reports[0]) == _outcome(reports[4])
+    fresh = verify_error_bounds(PrepConfig(oracle=AmplitudeOracle(4, 8, oracle.values), epsilon=0.1,
+                                           delta=0.1))
+    assert _outcome(reports[2]) == _outcome(fresh)
+
+
+def test_a_failed_stage_is_not_kept_and_fails_again(monkeypatch):
+    stages = []
+    _counting(monkeypatch, pipeline, "_new_stage", stages)
+    oracle = AmplitudeOracle.uniform(2, 8)
+    verify_error_bounds(PrepConfig(oracle=oracle, epsilon=0.1, delta=0.1))
+    kept = oracle._stage
+    for _ in range(2):
+        with pytest.raises(InfeasibleError, match="infeasible"):
+            verify_error_bounds(PrepConfig(oracle=oracle, epsilon=0.9, delta=0.1))
+        assert oracle._stage is kept
+    assert [eps for _, eps in stages] == [0.1, 0.9, 0.9]
+    assert pipeline._table_stage(oracle, 0.1) is kept
+
+
+@pytest.mark.parametrize("oracle", [
+    AmplitudeOracle(6, 8, np.random.default_rng(9).uniform(0.0, 1.0, 64)),
+    AmplitudeOracle(3, 8, (np.arange(8) + 0.5) / 8),  # distinct levels, ascending: the identity path
+    AmplitudeOracle.indicator(6, 61, 8),
+], ids=["table", "sorted-table", "indicator"])
+def test_final_state_is_the_per_class_expansion_of_the_realized_levels(oracle):
+    # the state built when read is each class's realized level at every
+    # index of the class, exactly as a per-class state expanded
+    rep = verify_error_bounds(PrepConfig(oracle=oracle, epsilon=0.05, delta=0.1))
+    stage = oracle._stage
+    classes = oracle.classes
+    _, level_of = np.unique(_quantize(classes.values, stage.m), return_inverse=True)
+    want = classes.expand(stage.realized_level[level_of])
+    assert rep.final_state.amplitudes.tobytes() == want.astype(complex).tobytes()
+
+
+def test_sweep_csv_is_the_dict_writer_csv():
+    # ok rows, rows of an infeasible epsilon and rows of a bad dist, whose
+    # status holds a comma and quotes
+    import csv
+    import io
+
+    rows = sweep(SweepSpec.from_dict({"n": [2, 3], "dist": ["indicator:1", "gaussian:1"],
+                                      "epsilon": [0.9, 0.05], "delta": [0.1]}))
+    assert {row["status"][:12] for row in rows} == {"ok", "error: epsil", "error: bad d"}
+    buf = io.StringIO()
+    writer = csv.DictWriter(buf, fieldnames=pipeline.SWEEP_COLUMNS, lineterminator="\n")
+    writer.writeheader()
+    for row in rows:
+        writer.writerow({k: row.get(k, "") for k in pipeline.SWEEP_COLUMNS})
+    assert sweep_to_csv(rows) == buf.getvalue()
+
+
 def test_encoding_memo_keeps_no_fine_grained_level_sets():
     # a random table at n = 14 and eps = 1e-3 runs at m = 16 with more levels
-    # than the memo keeps: the encoding memo stores nothing for it, and after
-    # the run returns the memos hold next to nothing
+    # than the memo keeps: the encoding memo stores nothing for it, and once
+    # its report is dropped what stays grows with the levels, not the entries
     import tracemalloc
 
     _clear_memos()
@@ -464,10 +604,14 @@ def test_encoding_memo_keeps_no_fine_grained_level_sets():
     try:
         base = tracemalloc.get_traced_memory()[0]
         rep = verify_error_bounds(PrepConfig(oracle=oracle, epsilon=1e-3, delta=0.1))
-        assert rep.info["levels"] > blockenc._MEMO_MAX_LEVELS
+        levels = rep.info["levels"]
+        assert levels > blockenc._MEMO_MAX_LEVELS
         assert blockenc._encoding.cache_info().currsize == 0
         del rep
-        assert tracemalloc.get_traced_memory()[0] - base < 20e6
+        # what stays is the oracle's stage, O(levels): its encoded diagonal,
+        # level counts and realized levels, 24 B per level, and the memos'
+        # few polynomials; 33.0 B per level traced
+        assert tracemalloc.get_traced_memory()[0] - base <= 40 * levels
     finally:
         tracemalloc.stop()
 
@@ -478,24 +622,36 @@ def test_encoding_memo_serves_default_m_sweep_and_search_tables(monkeypatch):
         run()
         return blockenc._encoding.cache_info().hits > before
 
+    def lookups():
+        info = blockenc._encoding.cache_info()
+        return info.hits + info.misses
+
     # search: two levels, whatever the marked item and delta
     for n in (3, 12):
         _clear_memos()
         assert not hit(lambda: grover_case(n, 1, 0.1, 0.05))
         assert hit(lambda: grover_case(n, 2**n - 1, 0.12, 0.05))
-    # a default-m random table near the memo's level limit (m = 12 at eps 0.01)
-    oracle = AmplitudeOracle(14, 8, np.random.default_rng(3).uniform(0.0, 1.0, 2**14))
+    # a default-m random table near the memo's level limit (m = 12 at eps
+    # 0.01): a second oracle of the table hits, and an oracle run again at
+    # another delta reuses the stage it keeps and looks nothing up
+    values = np.random.default_rng(3).uniform(0.0, 1.0, 2**14)
+    oracle = AmplitudeOracle(14, 8, values)
     _clear_memos()
     assert not hit(lambda: verify_error_bounds(PrepConfig(oracle=oracle, epsilon=0.01, delta=0.1)))
-    assert hit(lambda: verify_error_bounds(PrepConfig(oracle=oracle, epsilon=0.01, delta=0.2)))
-    # sweep rows that differ only in delta share the table's encoding
-    hits = []
+    assert hit(lambda: verify_error_bounds(
+        PrepConfig(oracle=AmplitudeOracle(14, 8, values), epsilon=0.01, delta=0.2)))
+    before = lookups()
+    verify_error_bounds(PrepConfig(oracle=oracle, epsilon=0.01, delta=0.2))
+    assert lookups() == before
+    # sweep rows that differ only in delta share the table's stage: the
+    # first looks the encoding up, the second looks nothing up
+    looked = []
     inner = pipeline.verify_error_bounds
 
     def recording(cfg):
-        before = blockenc._encoding.cache_info().hits
+        before = lookups()
         rep = inner(cfg)
-        hits.append(blockenc._encoding.cache_info().hits > before)
+        looked.append(lookups() > before)
         return rep
 
     monkeypatch.setattr(pipeline, "verify_error_bounds", recording)
@@ -503,7 +659,7 @@ def test_encoding_memo_serves_default_m_sweep_and_search_tables(monkeypatch):
     rows = sweep(SweepSpec.from_dict({"n": [2, 8], "dist": ["indicator:1", "gaussian:2,1.5"],
                                       "epsilon": [0.05, 0.1], "delta": [0.1, 0.2]}))
     assert all(row["status"] == "ok" for row in rows)
-    assert hits[1::2] == [True] * (len(rows) // 2)
+    assert looked == [True, False] * (len(rows) // 2)
 
 
 @pytest.mark.parametrize("values", [
