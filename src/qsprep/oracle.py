@@ -156,7 +156,8 @@ class AmplitudeOracle:
     n: int
     m: int
     # the latest stage ``pipeline._table_stage`` computed from this table,
-    # kept beside ``classes`` and ``values``
+    # which writes it into the instance's ``__dict__`` beside ``classes``
+    # and ``values``
     _stage = None
 
     def __init__(self, n: int, m: int, values):
@@ -182,9 +183,6 @@ class AmplitudeOracle:
         out = object.__new__(cls)
         out.__dict__.update(n=int(n), m=int(m), classes=classes)
         return out
-
-    def _keep_stage(self, stage) -> None:
-        self.__dict__["_stage"] = stage
 
     @functools.cached_property
     def values(self) -> np.ndarray:

@@ -18,12 +18,14 @@ reads the prepared state.
 
 A run has two stages. The table stage (``_TableStage``) depends on the
 table and epsilon alone: the quantization, the grouping into levels, the
-sine encoding, gamma, the measured error, the distance to the target and
-the checks on them. It holds O(levels) data, and the oracle keeps its
-latest one, so runs of one oracle at one epsilon (a sweep's delta rows)
-compute it once. The amplification at delta plans the rounds, amplifies
-and checks the amplification's premise. A report's ``final_state`` is
-built from the table, its m and the realized levels when it is read.
+sine encoding's inputs, gamma, the measured error, the distance to the
+target and the checks on them. It holds O(levels) data, and the oracle
+keeps its latest one, so runs of one oracle at one epsilon (a sweep's delta
+rows) compute it once. The amplification at delta reads the encoding
+through ``hamiltonian_from_unitary`` (a memo lookup for a kept stage of at
+most ``blockenc._MEMO_MAX_LEVELS`` levels), plans the rounds, amplifies and
+checks the amplification's premise. A report's ``final_state`` is built
+from the table, its m and the realized levels when it is read.
 """
 from __future__ import annotations
 
@@ -190,19 +192,23 @@ def _levels(classes: ValueClasses, m: int) -> tuple[np.ndarray, np.ndarray | sli
 class _TableStage:
     """What a run computes before the amplification, from the table and epsilon alone.
 
-    The quantization, the grouping into levels, the sine encoding, gamma
-    with its quantized and realized values, the measured error, the
+    The quantization, the grouping into levels, the sine encoding's inputs,
+    gamma with its quantized and realized values, the measured error, the
     distance to the target and the checks on them (``checks``, built with
     the stage) read no delta. A stage holds O(K) data for K levels and no
     array per index: each class's level, the final state and the target at
-    every class exist only while the stage is computed. Nothing changes a
-    stage once built (it is not frozen only because a frozen dataclass
-    takes twice as long to build, a few us of a search run).
+    every class exist only while the stage is computed. It keeps the
+    encoding's inputs, not the encoding: ``hamiltonian_from_unitary`` keeps
+    encodings of few levels in its memo, and builds one of more levels
+    again on each call. Nothing changes a stage once built (it is not
+    frozen only because a frozen dataclass takes twice as long to build, a
+    few us of a search run).
     """
 
     epsilon: float
     m: int
-    encoding: LevelEncoding
+    sines: np.ndarray  # sin(pi BETA level / 2) at each level, the encoding's input
+    generator_error: float  # the encoding's target error, in generator units
     counts: np.ndarray  # how many indices each level holds
     gamma_exact: float
     gamma_quant: float
@@ -239,22 +245,31 @@ class _TableStage:
         self.checks = tuple(checks)
 
 
-def _table_stage(oracle: AmplitudeOracle, epsilon: float) -> _TableStage:
-    """The oracle's stage at epsilon: the one it keeps, or a new one it then keeps.
+def _table_stage(oracle: AmplitudeOracle, epsilon: float) -> tuple[_TableStage, LevelEncoding]:
+    """The oracle's stage at epsilon, and the sine encoding a run at it amplifies.
 
-    The oracle keeps one stage, its latest, so the rows of a sweep that
-    differ only in delta share it. A stage that raises is not kept, and the
-    next call raises again.
+    The oracle keeps one stage, its latest, in its ``__dict__`` beside
+    ``classes`` and ``values``, so the rows of a sweep that differ only in
+    delta share it. The kept stage is dropped before a new one is computed,
+    so two never coexist, and a stage that raises is not kept: the next
+    call raises again. Every call reads its encoding from one call of
+    ``hamiltonian_from_unitary``, a memo lookup when the kept stage has at
+    most ``_MEMO_MAX_LEVELS`` levels, so each run's degree comes from an
+    encoding call of its own.
     """
     stage = oracle._stage
     # an equal epsilon of another numpy type may compute in that type
-    if stage is None or stage.epsilon != epsilon or type(stage.epsilon) is not type(epsilon):
-        stage = _new_stage(oracle, epsilon)
-        oracle._keep_stage(stage)
-    return stage
+    if stage is not None and stage.epsilon == epsilon and type(stage.epsilon) is type(epsilon):
+        return stage, hamiltonian_from_unitary(stage.sines, stage.generator_error, DELTA_MARGIN)
+    # neither this frame nor the oracle holds the old stage while the new one is computed
+    del stage
+    oracle.__dict__["_stage"] = None
+    stage, encoding = _new_stage(oracle, epsilon)
+    oracle.__dict__["_stage"] = stage
+    return stage, encoding
 
 
-def _new_stage(oracle: AmplitudeOracle, epsilon: float) -> _TableStage:
+def _new_stage(oracle: AmplitudeOracle, epsilon: float) -> tuple[_TableStage, LevelEncoding]:
     # a table is its own classes; a generated oracle knows its few
     classes = oracle.classes
     g_exact = gamma(oracle)
@@ -289,11 +304,9 @@ def _new_stage(oracle: AmplitudeOracle, epsilon: float) -> _TableStage:
 
     levels, level_of, counts = _levels(classes, m)
     size = oracle.size
-    encoding = hamiltonian_from_unitary(
-        np.sin(np.pi * BETA * levels / 2.0),  # the oracle's diagonal is e^{i pi BETA levels / 2}
-        BETA * eps_poly / 2.0,  # generator units: BETA * amplitude / 2
-        DELTA_MARGIN,
-    )
+    sines = np.sin(np.pi * BETA * levels / 2.0)  # the oracle's diagonal is e^{i pi BETA levels / 2}
+    generator_error = BETA * eps_poly / 2.0  # generator units: BETA * amplitude / 2
+    encoding = hamiltonian_from_unitary(sines, generator_error, DELTA_MARGIN)
 
     # the encoded generator is diagonal (and real), so its spectral distance
     # to the table is the largest per-index deviation
@@ -314,10 +327,11 @@ def _new_stage(oracle: AmplitudeOracle, epsilon: float) -> _TableStage:
     fidelity = abs(classes.total(final * target))
     final_error = math.sqrt(classes.total((final - target) ** 2))
 
-    return _TableStage(
+    stage = _TableStage(
         epsilon=epsilon,
         m=m,
-        encoding=encoding,
+        sines=sines,
+        generator_error=generator_error,
         counts=counts,
         gamma_exact=g_exact,
         gamma_quant=g_quant,
@@ -327,27 +341,7 @@ def _new_stage(oracle: AmplitudeOracle, epsilon: float) -> _TableStage:
         fidelity=fidelity,
         final_error=final_error,
     )
-
-
-class _Amplified(NamedTuple):
-    """What the amplification at one delta gives."""
-
-    plan: AmplificationPlan
-    success: float
-    sigma: float  # the singular value the amplification read off the encoded diagonal
-    oracle_calls: int
-
-
-def _amplify(stage: _TableStage, delta: float) -> _Amplified:
-    plan = plan_amplification(BETA * math.sqrt(stage.gamma_quant) / 2.0, delta)
-    # the L rounds multiply the flagged part of C|Psi>, the encoded diagonal,
-    # by one number, so post-selecting the flag leaves the realized state
-    amplitude, applications, sigma = amplify_state(stage.encoding.diagonal, stage.counts, plan)
-    # each use of C or its adjoint runs every transform layer, and each layer
-    # queries the controlled phase unitary and its adjoint (both select
-    # branches share them); each query is an O_c pair
-    oracle_calls = applications * stage.encoding.info["cu_calls"] * 2 * 2
-    return _Amplified(plan, abs(amplitude) ** 2, sigma, oracle_calls)
+    return stage, encoding
 
 
 def _final_state(classes: ValueClasses, m: int, realized_level: np.ndarray) -> StateVector:
@@ -356,21 +350,42 @@ def _final_state(classes: ValueClasses, m: int, realized_level: np.ndarray) -> S
     return StateVector(classes.expand(realized_level[level_of]))
 
 
-def _report(cfg: PrepConfig, stage: _TableStage, amp: _Amplified, bounds: bool) -> PrepReport:
-    """A report with its own check list and ``info``; ``bounds`` adds the error analysis'."""
-    d_a, d_s = stage.encoding.info["arcsin_degree"], amp.plan.rounds
+def _run(cfg: PrepConfig, bounds: bool) -> PrepReport:
+    """The table stage, then the amplification at delta; ``bounds`` adds the analysis' checks."""
+    stage, encoding = _table_stage(cfg.oracle, cfg.epsilon)
+    plan = plan_amplification(BETA * math.sqrt(stage.gamma_quant) / 2.0, cfg.delta)
+    # the L rounds multiply the flagged part of C|Psi>, the encoded diagonal,
+    # by one number, so post-selecting the flag leaves the realized state
+    amplitude, applications, sigma = amplify_state(encoding.diagonal, stage.counts, plan)
+    # each use of C or its adjoint runs every transform layer, and each layer
+    # queries the controlled phase unitary and its adjoint (both select
+    # branches share them); each query is an O_c pair
+    oracle_calls = applications * encoding.info["cu_calls"] * 2 * 2
+    return _report(cfg, stage, encoding.info["arcsin_degree"], plan, abs(amplitude) ** 2, sigma,
+                   oracle_calls, bounds)
+
+
+def _report(cfg: PrepConfig, stage: _TableStage, d_a: int, plan: AmplificationPlan, success: float,
+            sigma: float, oracle_calls: int, bounds: bool) -> PrepReport:
+    """A report with its own check list and ``info``.
+
+    It is read from the stage, the encoding's degree ``d_a`` and what the
+    amplification at delta gave: its success, the singular value it read off
+    the encoded diagonal and its counted calls.
+    """
+    d_s = plan.rounds
     first, *analysis = stage.checks
     checks = [
         first,
-        BoundCheck.le("success_ge_one_minus_delta", 1.0 - cfg.delta, amp.success),
-        BoundCheck.eq("counted_oracle_calls_eq_4_da_ds", amp.oracle_calls, 4 * d_a * d_s),
+        BoundCheck.le("success_ge_one_minus_delta", 1.0 - cfg.delta, success),
+        BoundCheck.eq("counted_oracle_calls_eq_4_da_ds", oracle_calls, 4 * d_a * d_s),
         # the amplification's own premise: the fixed-point guarantee holds for
         # a sigma at or above the band edge, and there the success is the
         # plan's closed form
-        BoundCheck.le("sigma_ge_band_edge", amp.plan.band_edge, amp.sigma),
+        BoundCheck.le("sigma_ge_band_edge", plan.band_edge, sigma),
         BoundCheck.le(
             "success_gap_to_predicted_le_1e-10",
-            abs(amp.success - amp.plan.predicted_success(amp.sigma)),
+            abs(success - plan.predicted_success(sigma)),
             1e-10,
         ),
     ]
@@ -382,9 +397,9 @@ def _report(cfg: PrepConfig, stage: _TableStage, amp: _Amplified, bounds: bool) 
         "gamma_quantized": stage.gamma_quant,
         "gamma_realized": stage.gamma_realized,
         "eps_measured": stage.eps_measured,
-        "sigma": amp.plan.sigma,
+        "sigma": plan.sigma,
         "final_error": stage.final_error,
-        "predicted_success": amp.plan.predicted_success(),
+        "predicted_success": plan.predicted_success(),
         "levels": stage.realized_level.size,
     }
     if bounds:
@@ -392,18 +407,13 @@ def _report(cfg: PrepConfig, stage: _TableStage, amp: _Amplified, bounds: bool) 
         info["bound_3eps_over_gamma"] = stage.bound
     return PrepReport(
         fidelity_to_target=stage.fidelity,
-        success_probability=amp.success,
-        oracle_calls=amp.oracle_calls,
+        success_probability=success,
+        oracle_calls=oracle_calls,
         degrees=(d_a, d_s),
         bound_checks=checks,
         info=info,
         _final=functools.partial(_final_state, cfg.oracle.classes, stage.m, stage.realized_level),
     )
-
-
-def _run(cfg: PrepConfig, bounds: bool) -> PrepReport:
-    stage = _table_stage(cfg.oracle, cfg.epsilon)
-    return _report(cfg, stage, _amplify(stage, cfg.delta), bounds)
 
 
 def prepare_state(cfg: PrepConfig) -> PrepReport:
@@ -535,12 +545,16 @@ def _sweep_fields(oracle: AmplitudeOracle, eps: float, delta: float) -> dict:
 
 
 def sweep_to_csv(rows: list[dict]) -> str:
-    """The rows as CSV: a header of ``SWEEP_COLUMNS``, then each row's values in that order."""
+    """The rows as CSV under a header of ``SWEEP_COLUMNS``.
+
+    Each row's values follow in that order, empty where a row has no value
+    for a column.
+    """
     import csv
     import io
 
     buf = io.StringIO()
     writer = csv.writer(buf, lineterminator="\n")
     writer.writerow(SWEEP_COLUMNS)
-    writer.writerows([row[c] for c in SWEEP_COLUMNS] for row in rows)
+    writer.writerows([row.get(c, "") for c in SWEEP_COLUMNS] for row in rows)
     return buf.getvalue()

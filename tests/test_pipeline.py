@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from qsprep import blockenc, pipeline
+from qsprep.amplifier import amplify_state
 from qsprep.errors import DimensionError, InfeasibleError, InputError
 from qsprep.oracle import AmplitudeOracle, ValueClasses, _quantize
 from qsprep.phases import _memo
@@ -174,13 +175,13 @@ def test_grover_at_32_qubits_passes_every_check_without_a_table(monkeypatch):
 
     monkeypatch.setattr(ValueClasses, "expand", no_table)
     cfg = PrepConfig(oracle=AmplitudeOracle.indicator(32, 5, 8), epsilon=0.05, delta=0.1)
-    stage = pipeline._table_stage(cfg.oracle, cfg.epsilon)
-    amp = pipeline._amplify(stage, cfg.delta)
-    rep = pipeline._report(cfg, stage, amp, bounds=True)
+    rep = verify_error_bounds(cfg)
     assert rep.all_passed, [c.name for c in rep.bound_checks if not c.passed]
     assert rep.degrees[1] == 634469 and rep.info["levels"] == 2
-    sigma = np.sqrt(stage.counts @ stage.encoding.diagonal**2 / 2**32)
-    assert abs(rep.success_probability - amp.plan.predicted_success(sigma)) <= 1e-10
+    stage, encoding = pipeline._table_stage(cfg.oracle, cfg.epsilon)
+    sigma = np.sqrt(stage.counts @ encoding.diagonal**2 / 2**32)
+    plan = pipeline.plan_amplification(rep.info["sigma"], cfg.delta)
+    assert abs(rep.success_probability - plan.predicted_success(sigma)) <= 1e-10
     assert rep.info["gamma"] == 2.0**-32
 
 
@@ -196,17 +197,18 @@ def test_every_report_checks_the_amplification_premise(oracle):
     # form, in prepare_state's report and verify_error_bounds' alike, which
     # both amplify the stage the oracle keeps
     cfg = PrepConfig(oracle=oracle, epsilon=0.05, delta=0.1)
-    stage = pipeline._table_stage(oracle, cfg.epsilon)
-    amp = pipeline._amplify(stage, cfg.delta)
+    stage, encoding = pipeline._table_stage(oracle, cfg.epsilon)
+    plan = pipeline.plan_amplification(pipeline.BETA * np.sqrt(stage.gamma_quant) / 2, cfg.delta)
+    _, _, sigma = amplify_state(encoding.diagonal, stage.counts, plan)
     # the encoded diagonal is BETA / 2 times the realized amplitudes
-    assert amp.sigma == pytest.approx(pipeline.BETA * np.sqrt(stage.gamma_realized) / 2, rel=1e-15)
+    assert sigma == pytest.approx(pipeline.BETA * np.sqrt(stage.gamma_realized) / 2, rel=1e-15)
     for rep in (prepare_state(cfg), verify_error_bounds(cfg)):
-        assert pipeline._table_stage(oracle, cfg.epsilon) is stage
+        assert oracle._stage is stage
         checks = {c.name: c for c in rep.bound_checks}
         edge, gap = checks["sigma_ge_band_edge"], checks["success_gap_to_predicted_le_1e-10"]
-        assert edge.passed and edge.lhs == amp.plan.band_edge and edge.rhs == amp.sigma
+        assert edge.passed and edge.lhs == plan.band_edge and edge.rhs == sigma
         assert gap.passed and gap.rhs == 1e-10
-        assert gap.lhs == abs(rep.success_probability - amp.plan.predicted_success(amp.sigma))
+        assert gap.lhs == abs(rep.success_probability - plan.predicted_success(sigma))
 
 
 def test_grover_rejects_out_of_range():
@@ -472,10 +474,13 @@ def _counting(monkeypatch, owner, name, seen, wrap=lambda f: f):
 
 def test_sweep_builds_each_oracle_once(monkeypatch):
     # one oracle per (n, dist), whose stage the rows of one epsilon share;
-    # a dist that fails to parse still gives one error row per (eps, delta)
-    built, stages = [], []
+    # every ok row still reads its encoding from one encoding call of its
+    # own; a dist that fails to parse still gives one error row per (eps,
+    # delta)
+    built, stages, encodings = [], [], []
     _counting(monkeypatch, AmplitudeOracle, "from_dist", built, staticmethod)
     _counting(monkeypatch, pipeline, "_new_stage", stages)
+    _counting(monkeypatch, pipeline, "hamiltonian_from_unitary", encodings)
     grid = {"n": [2, 3], "dist": ["indicator:1", "gaussian:1", "gaussian:1,1"],
             "epsilon": [0.9, 0.05, 0.1], "delta": [0.1, 0.2]}
     rows = sweep(SweepSpec.from_dict(grid))
@@ -486,6 +491,7 @@ def test_sweep_builds_each_oracle_once(monkeypatch):
         (n, eps) for n in grid["n"] for _ in range(2) for eps in (0.9, 0.9, 0.05, 0.1)]
     bad = [row["status"] for row in rows if row["status"].startswith("error: bad distribution")]
     assert len(bad) == 2 * 3 * 2 and len(set(bad)) == 1
+    assert len(encodings) == sum(row["status"] == "ok" for row in rows) == 2 * 2 * 2 * 2
 
 
 def test_sweep_rows_and_reports_equal_rows_run_alone(monkeypatch):
@@ -533,7 +539,7 @@ def test_an_oracle_keeps_one_stage_and_recomputes_it_at_a_new_epsilon(monkeypatc
     # a new epsilon, or an equal one of another type, replaces the kept stage
     assert [eps for _, eps in stages] == [0.05, 0.1, 0.05, 0.5, 0.5]
     assert type(stages[-1][1]) is np.float64
-    assert oracle._stage is pipeline._table_stage(oracle, np.float64(0.5))
+    assert oracle._stage is pipeline._table_stage(oracle, np.float64(0.5))[0]
     assert _outcome(reports[-1]) == _outcome(reports[-2])
     # reports of one stage share no mutable part: grover_case writes to info
     first, second = reports[:2]
@@ -549,13 +555,49 @@ def test_a_failed_stage_is_not_kept_and_fails_again(monkeypatch):
     _counting(monkeypatch, pipeline, "_new_stage", stages)
     oracle = AmplitudeOracle.uniform(2, 8)
     verify_error_bounds(PrepConfig(oracle=oracle, epsilon=0.1, delta=0.1))
-    kept = oracle._stage
+    assert oracle._stage is not None
+    # the kept stage is dropped before a new one is computed, and the one
+    # that raises is not kept in its place
     for _ in range(2):
         with pytest.raises(InfeasibleError, match="infeasible"):
             verify_error_bounds(PrepConfig(oracle=oracle, epsilon=0.9, delta=0.1))
-        assert oracle._stage is kept
-    assert [eps for _, eps in stages] == [0.1, 0.9, 0.9]
-    assert pipeline._table_stage(oracle, 0.1) is kept
+        assert oracle._stage is None
+    verify_error_bounds(PrepConfig(oracle=oracle, epsilon=0.1, delta=0.2))
+    assert [eps for _, eps in stages] == [0.1, 0.9, 0.9, 0.1]
+
+
+def test_a_new_epsilon_drops_the_kept_stage_before_computing_its_own():
+    # a random n = 16 table at eps 1e-6 and 1e-5 has about one level per
+    # index, so the stage its oracle keeps is about 24 B per index; a run at
+    # a new epsilon drops it first, so it grows the traced memory by that
+    # much less than the same run on an oracle that keeps no stage
+    import tracemalloc
+
+    n = 16
+    values = np.random.default_rng(12).uniform(0.0, 1.0, 2**n)
+
+    def run(oracle, eps):
+        verify_error_bounds(PrepConfig(oracle=oracle, epsilon=eps, delta=0.1))
+
+    run(AmplitudeOracle(n, 8, values), 1e-5)  # warms the memos
+    fresh, kept = AmplitudeOracle(n, 8, values), AmplitudeOracle(n, 8, values)
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        run(fresh, 1e-5)
+        fresh_growth = tracemalloc.get_traced_memory()[1] - base
+        base = tracemalloc.get_traced_memory()[0]
+        run(kept, 1e-6)
+        stage = tracemalloc.get_traced_memory()[0] - base
+        base += stage
+        tracemalloc.reset_peak()
+        run(kept, 1e-5)
+        kept_growth = tracemalloc.get_traced_memory()[1] - base
+    finally:
+        tracemalloc.stop()
+    # 24.0 B per index kept, and 72.8 and 48.8 B per index grown
+    assert stage / 2**n >= 20
+    assert kept_growth <= fresh_growth - stage * 0.9
 
 
 @pytest.mark.parametrize("oracle", [
@@ -576,13 +618,14 @@ def test_final_state_is_the_per_class_expansion_of_the_realized_levels(oracle):
 
 def test_sweep_csv_is_the_dict_writer_csv():
     # ok rows, rows of an infeasible epsilon and rows of a bad dist, whose
-    # status holds a comma and quotes
+    # status holds a comma and quotes, and a row that lacks columns
     import csv
     import io
 
     rows = sweep(SweepSpec.from_dict({"n": [2, 3], "dist": ["indicator:1", "gaussian:1"],
                                       "epsilon": [0.9, 0.05], "delta": [0.1]}))
     assert {row["status"][:12] for row in rows} == {"ok", "error: epsil", "error: bad d"}
+    rows.append({"n": 4, "status": "ok"})  # a row of the caller's with columns missing
     buf = io.StringIO()
     writer = csv.DictWriter(buf, fieldnames=pipeline.SWEEP_COLUMNS, lineterminator="\n")
     writer.writeheader()
@@ -608,10 +651,10 @@ def test_encoding_memo_keeps_no_fine_grained_level_sets():
         assert levels > blockenc._MEMO_MAX_LEVELS
         assert blockenc._encoding.cache_info().currsize == 0
         del rep
-        # what stays is the oracle's stage, O(levels): its encoded diagonal,
-        # level counts and realized levels, 24 B per level, and the memos'
-        # few polynomials; 33.0 B per level traced
-        assert tracemalloc.get_traced_memory()[0] - base <= 40 * levels
+        # what stays is the oracle's stage, O(levels): the encoding's sines,
+        # the level counts and the realized levels, 24 B per level, and the
+        # memos' few polynomials, 9 B per level here; 33.2 B per level traced
+        assert tracemalloc.get_traced_memory()[0] - base <= 36 * levels
     finally:
         tracemalloc.stop()
 
@@ -640,18 +683,18 @@ def test_encoding_memo_serves_default_m_sweep_and_search_tables(monkeypatch):
     assert not hit(lambda: verify_error_bounds(PrepConfig(oracle=oracle, epsilon=0.01, delta=0.1)))
     assert hit(lambda: verify_error_bounds(
         PrepConfig(oracle=AmplitudeOracle(14, 8, values), epsilon=0.01, delta=0.2)))
-    before = lookups()
-    verify_error_bounds(PrepConfig(oracle=oracle, epsilon=0.01, delta=0.2))
-    assert lookups() == before
-    # sweep rows that differ only in delta share the table's stage: the
-    # first looks the encoding up, the second looks nothing up
+    # the oracle run again at another delta reuses the stage it keeps and
+    # reads the stage's encoding from the memo
+    assert hit(lambda: verify_error_bounds(PrepConfig(oracle=oracle, epsilon=0.01, delta=0.2)))
+    # sweep rows that differ only in delta share the table's stage, and each
+    # row looks its encoding up once: the second row of a stage hits
     looked = []
     inner = pipeline.verify_error_bounds
 
     def recording(cfg):
-        before = lookups()
+        before, hits = lookups(), blockenc._encoding.cache_info().hits
         rep = inner(cfg)
-        looked.append(lookups() > before)
+        looked.append((lookups() - before, blockenc._encoding.cache_info().hits > hits))
         return rep
 
     monkeypatch.setattr(pipeline, "verify_error_bounds", recording)
@@ -659,7 +702,8 @@ def test_encoding_memo_serves_default_m_sweep_and_search_tables(monkeypatch):
     rows = sweep(SweepSpec.from_dict({"n": [2, 8], "dist": ["indicator:1", "gaussian:2,1.5"],
                                       "epsilon": [0.05, 0.1], "delta": [0.1, 0.2]}))
     assert all(row["status"] == "ok" for row in rows)
-    assert looked == [True, False] * (len(rows) // 2)
+    assert [n for n, _ in looked] == [1] * len(rows)
+    assert all(hit for _, hit in looked[1::2])
 
 
 @pytest.mark.parametrize("values", [
