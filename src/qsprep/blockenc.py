@@ -31,8 +31,8 @@ import numpy as np
 
 from . import oracle
 from .errors import DimensionError, InfeasibleError, InputError
-from .phases import _MEMO_SIZE, PhaseSequence, conjugate_phases, real_target_phases
-from .polyapprox import Polynomial, _arcsin_degree, _arcsin_series, _economized_length, _truncate
+from .phases import PhaseSequence, conjugate_phases, real_target_phases
+from .polyapprox import _arcsin_degree, _arcsin_series, _economized_length
 from .simulator import (
     Projector,
     UnitaryMatrix,
@@ -278,6 +278,8 @@ def hamiltonian_from_unitary(sines: np.ndarray, epsilon: float, delta: float) ->
     return _encoding(sines.tobytes(), epsilon, delta)
 
 
+# distinct encodings, and distinct arcsin cuts, whose results stay memoized
+_MEMO_SIZE = 64
 # Most levels of an encoding the memo keeps. An entry holds 16 bytes per
 # level (the 8-byte key and the 8-byte diagonal), so the memo holds at most
 # _MEMO_SIZE * 16 * 2^12 bytes, 4 MiB. Search tables have 2 levels, and a
@@ -316,7 +318,7 @@ def _arcsin_phases(epsilon: float, delta: float) -> PhaseSequence:
     ``arcsin_taylor`` finds for most of the budget, 0.9 epsilon, with the
     Chebyshev tail that a slice, 0.05 epsilon, pays for economized away. The
     target is fixed by those two cuts, which scalar loops over the cached
-    series find, so the target is built only when its cut is new.
+    series find, so its angles are found only when its cut is new.
     """
     degree = _arcsin_degree(0.9 * epsilon, delta)
     return _phases_at_cut(degree, _economized_length(_arcsin_series(degree), 0.05 * epsilon))
@@ -324,5 +326,5 @@ def _arcsin_phases(epsilon: float, delta: float) -> PhaseSequence:
 
 @functools.lru_cache(maxsize=_MEMO_SIZE)
 def _phases_at_cut(degree: int, keep: int) -> PhaseSequence:
-    # looked up as a module global, so a tracer's wrapper sees every target built
-    return real_target_phases(_truncate(Polynomial(_arcsin_series(degree), "odd"), keep))
+    # the one angle memo; real_target_phases is a module global, so a tracer's wrapper sees every solve
+    return real_target_phases(_arcsin_series(degree)[:keep].real)

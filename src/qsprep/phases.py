@@ -10,7 +10,7 @@ determinant -1, so the top row (a, b) of a k-factor prefix fixes the whole
 prefix as [[a, b], [-D conj(b), D conj(a)]] with D = (-1)^k. One top-row
 recurrence, ``_prefix_rows``, therefore gives the reconstruction, the
 Jacobian of the least-squares polish, the Chebyshev series of Re a
-(``PhaseSequence.real_part``, sampled once per angle set), from which
+(``_real_part``, kept per angle set by ``PhaseSequence.real_part``) from which
 ``blockenc._level_diagonal`` sums the engine's encoded generator at each
 distinct oracle entry, and the whole fixed-point amplification, which is
 this product at x = sigma (``amplifier.amplify_state``).
@@ -34,18 +34,14 @@ result follows the Python hash seed and the BLAS thread count), and scipy
 is imported only when a polish runs. Each escalation is logged at DEBUG
 level on the ``qsprep.phases`` logger.
 
-The pipeline reaches both steps through ``real_target_phases``, which
-completes a real target and finds its angles once per process: the angles
-are memoized on the target's exact Chebyshev coefficients, which many
-preparations share (the arcsin target is cut from one fixed series). The
-completion's Q is not passed along; ``find_phases`` recomputes it from the
-completed P (``_completion_q``), 0.1-0.3 ms at the arcsin degrees, paid
-once per target.
+The pipeline's real targets get their angles from ``real_target_phases``, a
+fixed-point iteration on Re a alone; completion, stripping, extended
+precision and the polish serve ``qsprep phases`` and complex targets.
 
 Note on conventions: other codebases often parameterize the ansatz with the
 x-rotation W(x) instead of the reflection R(x); the two differ by a pi/2
-shift of the interior phases and fixed boundary offsets. Everything here is
-native to the reflection form, so no shift is ever applied.
+shift of the interior phases and fixed boundary offsets. Everything here but
+``real_target_phases`` (a W-form iteration) is native to the reflection form.
 """
 from __future__ import annotations
 
@@ -71,7 +67,6 @@ from .polyapprox import (
     MAX_DEGREE,
     Polynomial,
     _check_qsp_conditions,
-    complete_to_complex,
     evaluate,
     lobatto_values,
 )
@@ -79,8 +74,8 @@ from .polyapprox import (
 log = logging.getLogger(__name__)
 
 TOL = 1e-7  # largest reconstruction residual find_phases accepts
-# distinct real targets whose angles stay memoized
-_MEMO_SIZE = 64
+# most steps of real_target_phases; an arcsin target reaches its floor in 15-21
+_MAX_STEPS = 100
 
 
 def _normalize_angles(phis: np.ndarray) -> np.ndarray:
@@ -113,30 +108,33 @@ class PhaseSequence:
 
     @functools.cached_property
     def real_part(self) -> tuple[np.ndarray, int]:
-        """Chebyshev coefficients of Re a, and the ansatz layers that sampled it.
-
-        Built on first read and kept with the angles, so the memoized angles
-        of ``real_target_phases`` pay for it once per process. One
-        ``_prefix_rows`` pass samples Re a on the (d + 2)-point Lobatto grid,
-        where a degree-d series is exact, and one inverse DCT-I turns the
-        samples into coefficients: ``lobatto_values`` of the samples with the
-        two end samples halved, scaled by 2 / (d + 1), with the two end
-        coefficients halved. The grid points are taken as sines, exact at the
-        ends and symmetric about 0. The coefficients are read-only.
-        """
-        n = self.phases.size + 2
-        xs = np.sin(np.pi * np.arange(n - 1, -n, -2) / (2 * (n - 1)))
-        for layers, (a, _) in enumerate(_prefix_rows(self.phases, xs)):
-            pass
-        samples = a.real.copy()
-        samples[[0, -1]] /= 2
-        coefficients = lobatto_values(samples, n) * (2.0 / (n - 1))
-        coefficients[[0, -1]] /= 2
-        coefficients.flags.writeable = False
-        return coefficients, layers
+        """``_real_part`` of the angles, built on first read and kept with them."""
+        return _real_part(self.phases)
 
     def __iter__(self):
         return iter(self.phases)
+
+
+def _real_part(phases: np.ndarray) -> tuple[np.ndarray, int]:
+    """Chebyshev coefficients of Re a for raw angles, and the layers that sampled it.
+
+    One ``_prefix_rows`` pass samples Re a on the (d + 2)-point Lobatto grid,
+    where a degree-d series is exact, and one inverse DCT-I turns the samples
+    into coefficients: ``lobatto_values`` of the samples with the two end
+    samples halved, scaled by 2 / (d + 1), with the two end coefficients
+    halved. The grid points are taken as sines, exact at the ends and
+    symmetric about 0. The coefficients are read-only.
+    """
+    n = phases.size + 2
+    xs = np.sin(np.pi * np.arange(n - 1, -n, -2) / (2 * (n - 1)))
+    for layers, (a, _) in enumerate(_prefix_rows(phases, xs)):
+        pass
+    samples = a.real.copy()
+    samples[[0, -1]] /= 2
+    coefficients = lobatto_values(samples, n) * (2.0 / (n - 1))
+    coefficients[[0, -1]] /= 2
+    coefficients.flags.writeable = False
+    return coefficients, layers
 
 
 def phases_to_text(phi: PhaseSequence) -> str:
@@ -471,21 +469,33 @@ def find_phases(p: Polynomial) -> PhaseSequence:
     return PhaseSequence(best)
 
 
-def real_target_phases(p_r: Polynomial) -> PhaseSequence:
-    """Angles of the ``complete_to_complex`` completion of a real target.
+def real_target_phases(c: np.ndarray) -> PhaseSequence:
+    """Angles whose ansatz has Re a = the odd real series c; c[k] multiplies T_k.
 
-    Memoized per process on the exact bytes of the target's Chebyshev
-    coefficients, the whole input of both steps, so a hit returns what a
-    cold call would; the ``_MEMO_SIZE`` most recently used targets are kept
-    and exceptions are not cached. Every caller gets the same read-only
-    ``PhaseSequence``.
+    The fixed-point iteration of Dong, Lin, Ni & Wang (arXiv:2209.10162) on
+    their symmetric W-form angles r, here phi_1 = 2 r_0 and phi_{j+1} =
+    phi_{d-j+1} = r_j - pi/2: r <- r - (F(r) - c) / 2 from r = 0, F(r) the
+    T_d, T_{d-2}, .., T_1 coefficients of Re a (one ``_real_part``). It
+    converges for sum |c| <= 0.861 (arcsin targets: at most 1/2); Re a is
+    even in r, so the opposite step only negates the iterates. It runs while
+    the l1 miss sum |F - c| falls, to the rounding floor of the angles
+    (doubles near +-pi/2), and returns those of the least miss; a least miss
+    above max(1e-14, d 2^-52), the floor's growth past d ~ 150, raises
+    PhaseFindingError.
     """
-    return _memo(p_r.coefficients.tobytes())
-
-
-@functools.lru_cache(maxsize=_MEMO_SIZE)
-def _memo(key: bytes) -> PhaseSequence:
-    # both steps are looked up as module globals, so wrappers put around
-    # them (such as a tracer's) still see every miss
-    comp = complete_to_complex(Polynomial(np.frombuffer(key, dtype=complex)))
-    return find_phases(comp)
+    d = c.size - 1
+    target, r, phis, least = c[d::-2], np.zeros((d + 1) // 2), np.empty(d), np.inf
+    for step in range(1, _MAX_STEPS + 1):
+        phis[0] = 2 * r[0]
+        phis[1 : (d + 1) // 2] = r[1:] - np.pi / 2
+        phis[(d + 1) // 2 :] = phis[(d - 1) // 2 : 0 : -1]
+        angles = _normalize_angles(phis)
+        miss = _real_part(angles)[0][d::-2] - target
+        l1 = float(np.abs(miss).sum())
+        if not l1 < least:
+            break
+        least, best = l1, angles
+        r -= miss / 2
+    if least <= max(1e-14, d * 2.0**-52):
+        return PhaseSequence._from_normalized(best)
+    raise PhaseFindingError(f"no convergence: l1 miss {least:.3e} after {step} steps", residual=least)

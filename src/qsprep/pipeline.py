@@ -88,6 +88,8 @@ class PrepConfig:
             raise InputError(f"delta must lie in (0, 1), got {self.delta!r}")
         if not _is_real(self.epsilon) or not 0 < self.epsilon < np.inf:
             raise InputError(f"epsilon must be positive, got {self.epsilon!r}")
+        object.__setattr__(self, "epsilon", float(self.epsilon))
+        object.__setattr__(self, "delta", float(self.delta))
 
 
 def _is_real(value) -> bool:
@@ -230,6 +232,7 @@ class _TableStage:
         checks = [
             BoundCheck.le("final_error_le_epsilon", self.final_error, self.epsilon),
             BoundCheck.le("gamma_diff_le_2eps", abs(gt - g), 2.0 * eps, slack=1e-12),
+            BoundCheck.le("eps_measured_le_eps_gamma_over_3", eps, self.epsilon * g / 3.0),
             BoundCheck.le("premise_eps_le_gamma_over_4", eps, g / 4.0),
         ]
         if checks[-1].passed:
@@ -258,8 +261,7 @@ def _table_stage(oracle: AmplitudeOracle, epsilon: float) -> tuple[_TableStage, 
     encoding call of its own.
     """
     stage = oracle._stage
-    # an equal epsilon of another numpy type may compute in that type
-    if stage is not None and stage.epsilon == epsilon and type(stage.epsilon) is type(epsilon):
+    if stage is not None and stage.epsilon == epsilon:
         return stage, hamiltonian_from_unitary(stage.sines, stage.generator_error, DELTA_MARGIN)
     # neither this frame nor the oracle holds the old stage while the new one is computed
     del stage
@@ -435,14 +437,15 @@ def verify_error_bounds(cfg: PrepConfig) -> PrepReport:
     The measured error substitutes for its bound: with eps the largest
     realized per-amplitude deviation max |c~(x) - c(x)| (twice the spectral
     distance of the half-amplitude generators, which is the unit the
-    analysis manipulates), the checks are |gamma~ - gamma| <= 2 eps; when
-    eps <= gamma/4 also gamma~ >= gamma/2, |sqrt(gamma) - sqrt(gamma~)| <=
-    eps, and the realized state, which post-selection leaves as the final
-    state, sits within 3 eps / gamma of the target (its two checks read the
-    one distance). The square-root bound is the reverse triangle
-    inequality: with ||c||_2 = sqrt(N gamma), |sqrt(gamma) - sqrt(gamma~)|
-    = | ||c||_2 - ||c~||_2 | / sqrt(N) <= ||c - c~||_2 / sqrt(N) <= eps, and
-    a constant table with a constant error meets it with equality.
+    analysis manipulates), the checks are |gamma~ - gamma| <= 2 eps, the
+    run's own aim eps <= epsilon gamma / 3, and when eps <= gamma/4 also
+    gamma~ >= gamma/2, |sqrt(gamma) - sqrt(gamma~)| <= eps, and the realized
+    state, which post-selection leaves as the final state, sits within 3 eps
+    / gamma of the target (its two checks read the one distance). The
+    square-root bound is the reverse triangle inequality: with ||c||_2 =
+    sqrt(N gamma), |sqrt(gamma) - sqrt(gamma~)| = | ||c||_2 - ||c~||_2 | /
+    sqrt(N) <= ||c - c~||_2 / sqrt(N) <= eps, and a constant table with a
+    constant error meets it with equality.
     """
     return _run(cfg, bounds=True)
 

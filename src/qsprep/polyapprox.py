@@ -127,8 +127,11 @@ def lobatto_values(c: np.ndarray, n: int) -> np.ndarray:
 
 
 def chebyshev_economize(p: Polynomial, budget: float) -> Polynomial:
-    """Truncate the Chebyshev tail, spending at most ``budget`` in sup norm."""
-    return _truncate(p, _economized_length(p.coefficients, budget))
+    """Truncate the Chebyshev tail, spending at most ``budget`` in sup norm; zero cross-parity terms."""
+    c = p.coefficients[: _economized_length(p.coefficients, budget)].copy()
+    if p.parity != "none":
+        c[(1 if p.parity == "even" else 0)::2] = 0.0
+    return Polynomial(c, p.parity)
 
 
 def _economized_length(c: np.ndarray, budget: float) -> int:
@@ -139,15 +142,6 @@ def _economized_length(c: np.ndarray, budget: float) -> int:
         spent += mags[keep - 1]
         keep -= 1
     return keep
-
-
-def _truncate(p: Polynomial, keep: int) -> Polynomial:
-    """The first ``keep`` coefficients of p, the cross-parity ones set to zero."""
-    c = p.coefficients[:keep].copy()
-    if p.parity != "none":
-        off = 1 if p.parity == "even" else 0
-        c[off::2] = 0.0
-    return Polynomial(c, p.parity)
 
 
 def poly_to_text(p: Polynomial) -> str:

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 import scipy.linalg
 
-from qsprep import blockenc, phases
+from qsprep import blockenc
 from qsprep.blockenc import (
     BlockEncoding,
     extract_block,
@@ -333,7 +333,6 @@ def test_encoding_memory_per_level():
 def _encode_cold_then_warm(levels, epsilon, delta):
     blockenc._encoding.cache_clear()
     blockenc._phases_at_cut.cache_clear()
-    phases._memo.cache_clear()
     cold = hamiltonian_from_unitary(levels, epsilon, delta)
     blockenc._encoding.cache_clear()  # a second cold build, from the same angles
     again = hamiltonian_from_unitary(levels, epsilon, delta)
@@ -365,21 +364,22 @@ def test_encoding_memo_results_are_read_only():
 
 def test_encoding_memo_hit_builds_no_arcsin_target(monkeypatch):
     # a tracer that rebinds blockenc.real_target_phases sees every arcsin
-    # target built: none on a memo hit, and none on a miss whose target's
-    # cut (Taylor degree and kept length) is known; a new cut builds one
+    # solve, at the degree of the angles it returns: none on a memo hit, and
+    # none on a miss whose target's cut (Taylor degree and kept length) is
+    # known; a new cut solves once
     calls = []
     inner = blockenc.real_target_phases
 
-    def counting(p_r):
-        calls.append(p_r.degree)
-        return inner(p_r)
+    def counting(c):
+        calls.append(c.size - 1)
+        return inner(c)
 
     monkeypatch.setattr(blockenc, "real_target_phases", counting)
     blockenc._encoding.cache_clear()
     blockenc._phases_at_cut.cache_clear()
     levels = np.sin(np.pi * np.array([0.05, 0.15]))
     first = hamiltonian_from_unitary(levels, 1e-3, 0.25)
-    assert len(calls) == 1
+    assert calls == [len(first.phases)]
     assert hamiltonian_from_unitary(levels.copy(), 1e-3, 0.25) is first
     assert len(calls) == 1
     # new levels and a new epsilon, of the same cut
@@ -392,8 +392,8 @@ def test_encoding_memo_hit_builds_no_arcsin_target(monkeypatch):
 
 @pytest.mark.parametrize("delta", [DELTA_MARGIN, 0.1, 0.5])
 def test_arcsin_cut_finds_the_economized_target(monkeypatch, delta):
-    # the cut the scalar loops find is that of the target the pipeline used
-    # to build for every encoding, bit for bit
+    # the cut the scalar loops find is the economized target's, and the
+    # iteration gets its real coefficients bit for bit
     built = []
     monkeypatch.setattr(blockenc, "real_target_phases", built.append)
     try:
@@ -402,7 +402,7 @@ def test_arcsin_cut_finds_the_economized_target(monkeypatch, delta):
             built.clear()
             blockenc._arcsin_phases(eps, delta)
             want = chebyshev_economize(arcsin_taylor(0.9 * eps, delta), 0.05 * eps)
-            assert [p.coefficients.tobytes() for p in built] == [want.coefficients.tobytes()], eps
+            assert [c.tobytes() for c in built] == [want.coefficients.real.tobytes()], eps
     finally:
         blockenc._phases_at_cut.cache_clear()
 

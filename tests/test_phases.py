@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 from numpy.polynomial import chebyshev as cheb
 
-from qsprep import _factor, blockenc, phases
+from qsprep import _factor, blockenc, phases, polyapprox
 from qsprep._factor import complementary_q
 from qsprep.errors import (
     CompletionError,
@@ -26,9 +26,13 @@ from qsprep.phases import (
     reconstruct,
     real_target_phases,
 )
-from qsprep.pipeline import grover_case
+from qsprep.oracle import AmplitudeOracle
+from qsprep.pipeline import DELTA_MARGIN, PrepConfig, grover_case, verify_error_bounds
 from qsprep.polyapprox import (
     Polynomial,
+    _arcsin_degree,
+    _arcsin_series,
+    _economized_length,
     arcsin_taylor,
     complete_to_complex,
     evaluate,
@@ -468,45 +472,86 @@ def test_complex_complement_takes_the_full_strip(monkeypatch):
     assert np.abs(reconstruct(phi, xs) - evaluate(target, xs)).max() <= 1e-7
 
 
-def test_pipeline_solve_strips_every_level(monkeypatch):
+def test_preparation_reaches_no_completion_or_stripping(monkeypatch):
+    # the pipeline's arcsin angles come from the real-target iteration alone:
+    # a search and a random table pass with the complex route refused
+    def refuse(*args):
+        raise AssertionError("a preparation reached the complex route")
+
+    monkeypatch.setattr(polyapprox, "complete_to_complex", refuse)
+    monkeypatch.setattr(phases, "find_phases", refuse)
+    monkeypatch.setattr(_factor, "complete_real", refuse)
     blockenc._encoding.cache_clear()
     blockenc._phases_at_cut.cache_clear()
-    phases._memo.cache_clear()
-    levels = count_stripped_levels(monkeypatch)
-    rep = grover_case(4, 11, 0.1, 0.05)
-    # the arcsin target is the pipeline's only solve; the amplifier's angles
-    # are closed-form
-    assert levels == [rep.degrees[0] - 1]
-    assert all(c.passed for c in rep.bound_checks)
+    table = AmplitudeOracle(7, 8, np.random.default_rng(5).uniform(0.0, 1.0, 2**7))
+    for rep in (grover_case(4, 11, 0.1, 0.05), verify_error_bounds(PrepConfig(table, 0.05, 0.1))):
+        assert rep.all_passed, [c for c in rep.bound_checks if not c.passed]
 
 
-def test_arcsin_encoding_reaches_find_phases_by_its_module_name(monkeypatch):
-    # a tracer that rebinds phases.find_phases sees every arcsin solve the
-    # memo misses, and none that it serves
-    from qsprep.blockenc import hamiltonian_from_unitary
+def _pipeline_arcsin_cuts():
+    """The (Taylor degree, kept length) of every arcsin target the pipeline builds.
 
-    degrees = []
-    inner = phases.find_phases
-
-    def counting(p):
-        degrees.append(p.degree)
-        return inner(p)
-
-    monkeypatch.setattr(phases, "find_phases", counting)
-    blockenc._encoding.cache_clear()
-    blockenc._phases_at_cut.cache_clear()
-    phases._memo.cache_clear()
-    sines = np.sin(np.pi * np.linspace(0.0, 0.25, 8))
-    encoding = hamiltonian_from_unitary(sines, 0.01, 0.25)
-    assert degrees == [len(encoding.phases)]
-    hamiltonian_from_unitary(sines, 0.01, 0.25)
-    assert len(degrees) == 1
+    A run's generator error is BETA eps_poly / 2 with eps_poly at most 2^-6
+    (m >= 4 and epsilon gamma / 3 <= 1/4) and above 2^-54 (eps_poly >=
+    epsilon gamma / 48 > 2^-MAX_BITS / 16), so its cuts are those of the
+    errors from 2^-8 down to 2^-56.
+    """
+    cuts = set()
+    for error in np.geomspace(2.0**-8, 2.0**-56, 4000):
+        degree = _arcsin_degree(0.9 * error, DELTA_MARGIN)
+        cuts.add((degree, _economized_length(_arcsin_series(degree), 0.05 * error)))
+    return sorted(cuts)
 
 
-def test_memoized_completion_and_angles_are_read_only():
-    # every caller of real_target_phases shares the memoized angles
-    phi = real_target_phases(arcsin_taylor(0.01, 0.29))
-    assert real_target_phases(arcsin_taylor(0.01, 0.29)) is phi
+def test_real_target_phases_realize_every_arcsin_cut_of_the_pipeline():
+    # each cut's angles realize its whole target to an l1 miss of 1e-14, by
+    # the iteration's own sampler and by the independent reference
+    # polynomial_from_phases
+    cuts = _pipeline_arcsin_cuts()
+    assert {keep - 1 for _, keep in cuts} >= {5, 29, 53, 71}
+    for degree, keep in cuts:
+        c = _arcsin_series(degree)[:keep].real
+        phi = real_target_phases(c)
+        assert len(phi) == keep - 1
+        assert np.abs(phi.real_part[0][1:keep:2] - c[1::2]).sum() <= 1e-14, degree
+        exact = polynomial_from_phases(phi).coefficients.real
+        assert np.abs(exact - c).sum() <= 1e-14, degree
+
+
+def test_real_target_phases_accept_the_rounding_floor_of_a_high_degree():
+    # at degree 363 (delta 0.01) the rounding of the angles leaves the l1
+    # miss at 2.5e-14, above 1e-14: the least miss is accepted up to d 2^-52
+    degree = _arcsin_degree(0.9e-15, 0.01)
+    c = _arcsin_series(degree)[: _economized_length(_arcsin_series(degree), 0.05e-15)].real
+    phi = real_target_phases(c)
+    d = len(phi)
+    assert d == c.size - 1 == 363
+    assert np.abs(phi.real_part[0][1 : d + 1 : 2] - c[1::2]).sum() <= d * 2.0**-52
+
+
+def test_real_target_step_sign_picks_the_negative_degree_one_angle():
+    # Re a is even in the reduced angles (negated angles conjugate a), so
+    # either sign of the step converges, to negated angles realizing the
+    # same Re a. At degree 1, Re a = cos(phi_1) x = cos(2 r_0) x, and the
+    # step r <- r - (F(r) - c) / 2 from 0 moves r_0 down to -arccos(c_1) / 2
+    phi = real_target_phases(np.array([0.0, 0.3]))
+    assert abs(phi.phases[0] + np.arccos(0.3)) <= 1e-13
+    phi = real_target_phases(_arcsin_series(37)[:30].real)
+    assert np.array_equal(phases._real_part(-phi.phases)[0], phi.real_part[0])
+
+
+def test_real_target_phases_refuse_a_target_no_angles_reach():
+    # |a| <= 1, and this target reaches 1.8 at x = 1: the miss stops falling
+    # far above any floor
+    with pytest.raises(PhaseFindingError, match="no convergence") as info:
+        real_target_phases(np.array([0.0, 0.9, 0.0, 0.9]))
+    assert info.value.residual > 0.1
+
+
+def test_memoized_arcsin_angles_are_read_only():
+    # every encoding of one cut shares the memoized angles
+    phi = blockenc._arcsin_phases(0.01, 0.29)
+    assert blockenc._arcsin_phases(0.01, 0.29) is phi
     with pytest.raises(ValueError):
         phi.phases[0] = 0.0
     with pytest.raises(FrozenInstanceError):
@@ -515,11 +560,11 @@ def test_memoized_completion_and_angles_are_read_only():
 
 def test_real_part_series_is_kept_with_the_memoized_angles(monkeypatch):
     # the series of Re a is built on its first read and kept with the angles,
-    # so every later caller of the same target reuses it without a new
+    # so every later encoding of the same cut reuses it without a new
     # sampling pass; it is read-only and equals the realized polynomial's
     # real part
-    phases._memo.cache_clear()
-    phi = real_target_phases(arcsin_taylor(0.001, 0.29))
+    blockenc._phases_at_cut.cache_clear()
+    phi = blockenc._arcsin_phases(0.001, 0.29)
     coefficients, layers = phi.real_part
     assert layers == len(phi)
     exact = polynomial_from_phases(phi).coefficients.real
@@ -531,6 +576,6 @@ def test_real_part_series_is_kept_with_the_memoized_angles(monkeypatch):
     def no_sampling(*args):
         raise AssertionError("the series was sampled again")
 
-    monkeypatch.setattr(phases, "_prefix_rows", no_sampling)
-    again = real_target_phases(arcsin_taylor(0.001, 0.29))
+    monkeypatch.setattr(phases, "_real_part", no_sampling)
+    again = blockenc._arcsin_phases(0.001, 0.29)
     assert again is phi and again.real_part[0] is coefficients

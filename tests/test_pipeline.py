@@ -7,7 +7,6 @@ from qsprep import blockenc, pipeline
 from qsprep.amplifier import amplify_state
 from qsprep.errors import DimensionError, InfeasibleError, InputError
 from qsprep.oracle import AmplitudeOracle, ValueClasses, _quantize
-from qsprep.phases import _memo
 from qsprep.pipeline import (
     PrepConfig,
     SweepSpec,
@@ -372,7 +371,6 @@ def _outcome(rep):
 def _clear_memos():
     blockenc._encoding.cache_clear()
     blockenc._phases_at_cut.cache_clear()
-    _memo.cache_clear()
 
 
 def _cold_then_warm(run):
@@ -535,11 +533,12 @@ def test_an_oracle_keeps_one_stage_and_recomputes_it_at_a_new_epsilon(monkeypatc
     oracle = AmplitudeOracle(4, 8, np.random.default_rng(8).uniform(0.1, 1.0, 16))
     reports = [verify_error_bounds(PrepConfig(oracle=oracle, epsilon=eps, delta=delta))
                for eps, delta in [(0.05, 0.1), (0.05, 0.2), (0.1, 0.1), (0.05, 0.3), (0.05, 0.1),
-                                  (0.5, 0.1), (np.float64(0.5), 0.1)]]
-    # a new epsilon, or an equal one of another type, replaces the kept stage
-    assert [eps for _, eps in stages] == [0.05, 0.1, 0.05, 0.5, 0.5]
-    assert type(stages[-1][1]) is np.float64
-    assert oracle._stage is pipeline._table_stage(oracle, np.float64(0.5))[0]
+                                  (0.5, 0.1), (np.float32(0.5), 0.1)]]
+    # a new epsilon replaces the kept stage; an equal one of another type is
+    # the same Python float in its config, and reuses it
+    assert [eps for _, eps in stages] == [0.05, 0.1, 0.05, 0.5]
+    assert all(type(eps) is float for _, eps in stages)
+    assert oracle._stage is pipeline._table_stage(oracle, 0.5)[0]
     assert _outcome(reports[-1]) == _outcome(reports[-2])
     # reports of one stage share no mutable part: grover_case writes to info
     first, second = reports[:2]
@@ -548,6 +547,31 @@ def test_an_oracle_keeps_one_stage_and_recomputes_it_at_a_new_epsilon(monkeypatc
     fresh = verify_error_bounds(PrepConfig(oracle=AmplitudeOracle(4, 8, oracle.values), epsilon=0.1,
                                            delta=0.1))
     assert _outcome(reports[2]) == _outcome(fresh)
+
+
+def test_a_float32_config_runs_as_python_floats():
+    # numpy casts a float32 ratio against the largest double with an
+    # overflow warning, which this suite raises; the config keeps floats
+    oracle = AmplitudeOracle(4, 8, np.random.default_rng(3).uniform(0.1, 1.0, 16))
+    cfg = PrepConfig(oracle=oracle, epsilon=np.float32(0.5), delta=np.float32(0.25))
+    assert type(cfg.epsilon) is float and type(cfg.delta) is float
+    rep = verify_error_bounds(cfg)
+    assert rep.all_passed, [c for c in rep.bound_checks if not c.passed]
+    plain = verify_error_bounds(PrepConfig(oracle=AmplitudeOracle(4, 8, oracle.values), epsilon=0.5,
+                                           delta=0.25))
+    assert _outcome(rep) == _outcome(plain)
+
+
+@pytest.mark.parametrize("n, epsilon", [(16, 1e-8), (20, 1e-8), (20, 1e-6)])
+def test_search_meets_its_own_amplitude_aim_at_small_epsilon(n, epsilon):
+    # the quantization and polynomial budgets are sized for eps_measured <=
+    # epsilon gamma / 3; angles that realize a target truncated at 1e-12
+    # missed it here by up to 175x
+    rep = verify_error_bounds(PrepConfig(AmplitudeOracle.indicator(n, 5, 8), epsilon, 0.1))
+    aim = [c for c in rep.bound_checks if c.name == "eps_measured_le_eps_gamma_over_3"]
+    assert aim == [("eps_measured_le_eps_gamma_over_3", rep.info["eps_measured"],
+                    epsilon * rep.info["gamma"] / 3.0, True, "<=")]
+    assert rep.all_passed, [c for c in rep.bound_checks if not c.passed]
 
 
 def test_a_failed_stage_is_not_kept_and_fails_again(monkeypatch):
