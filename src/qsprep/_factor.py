@@ -162,7 +162,7 @@ def _interleave_by_magnitude(values):
     return out
 
 
-def _real_part(v: np.ndarray) -> tuple[np.ndarray, float]:
+def _real_and_dust(v: np.ndarray) -> tuple[np.ndarray, float]:
     """Real part of a coefficient vector and the largest imaginary part dropped."""
     if v.dtype != object:
         return v.real, float(np.abs(v.imag).max())
@@ -186,7 +186,7 @@ def complementary_q(p_cheb: np.ndarray) -> np.ndarray:
     d = len(p) - 1
     v = -cheb.chebmul(p, p.conj())
     v[0] += 1
-    v, dust = _real_part(v)
+    v, dust = _real_and_dust(v)
     if not dust <= 1e-10:
         raise CompletionError("1 - P P* has a non-real coefficient")
     g, rem = divide_one_minus_x2(v)

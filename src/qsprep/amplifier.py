@@ -23,17 +23,14 @@ the initial state is fixed.
 
 ``amplify`` forms the whole amplification unitary and is the dense
 reference. The pipeline uses ``amplify_state``, which applies the same
-product to |0..0>|+^n> when C is a direct sum of per-index blocks, given
-the flagged entry of one block per class of indices with equal blocks.
-The initial-state projector is rank one, so by Jordan's lemma the L rounds
-never leave one two-dimensional subspace, where C is the reflection
-R(sigma) and each projector phase is e^{i phi Z}: the product is the phase
-ansatz of ``phases`` at the single point sigma, which only multiplies the
-flagged direction by one complex number. Post-selecting the flag therefore
-keeps the flagged part of C|Psi>, the encoded diagonal, normalized, and
-``amplify_state`` returns only that number: it applies C once, evaluates
-the ansatz there in O(L) scalar operations and spends O(K + L) in all for
-K classes, not O(N L).
+product to the initial state given sigma alone. The initial-state
+projector is rank one, so by Jordan's lemma the L rounds never leave one
+two-dimensional subspace, where C is the reflection R(sigma) and each
+projector phase is e^{i phi Z}: the product is the phase ansatz of
+``phases`` at the single point sigma, which only multiplies the flagged
+direction by one complex number. Post-selecting the flag therefore keeps
+the flagged part of C|Psi> normalized, and ``amplify_state`` returns only
+that number, in O(L) scalar operations and no array of the state's size.
 """
 from __future__ import annotations
 
@@ -44,7 +41,7 @@ import numpy as np
 
 from .blockenc import BlockEncoding, qsvt_circuit
 from .errors import DegreeOverflowError, DimensionError, InputError
-from .phases import PhaseSequence, _prefix_rows
+from .phases import PhaseSequence, _top_row
 from .simulator import Projector, UnitaryMatrix
 
 # Most rounds a plan may take. Search at n = 32 plans 634469 rounds at
@@ -183,28 +180,20 @@ def amplify(c_unitary: UnitaryMatrix, s_unitary: UnitaryMatrix, plan: Amplificat
     return out.unitary
 
 
-def amplify_state(diagonal: np.ndarray, counts: np.ndarray, plan: AmplificationPlan) -> tuple[complex, int, float]:
-    """The factor ``amplify`` puts on the flagged direction of |0..0>|+^n>, for C a direct sum of blocks.
+def amplify_state(sigma: float, plan: AmplificationPlan) -> tuple[complex, int]:
+    """The factor ``amplify`` puts on the flagged direction of |Psi>, given sigma.
 
-    The N data indices fall into classes whose blocks are equal: class k
-    holds ``counts[k]`` indices, and ``diagonal[k]`` is the flagged entry of
-    column 0 of their block. C acts on index x through its block, so C|Psi>
-    is sigma |w> + sqrt(1 - sigma^2) |g> with |w> flagged and |g> not, and
-    |w> is ``diagonal[k]`` over sigma sqrt(N) at every index of class k. The
-    initial-state projector is rank one, so the compression is exactly
-    sigma |w><Psi|, and by Jordan's lemma (Gilyen, Su, Low & Wiebe,
+    C|Psi> is sigma |w> + sqrt(1 - sigma^2) |g> with |w> flagged and |g>
+    not. The initial-state projector is rank one, so the compression is
+    exactly sigma |w><Psi|, and by Jordan's lemma (Gilyen, Su, Low & Wiebe,
     arXiv:1806.01838) the product acts on span{|Psi>, |Psi'>} and span{|w>,
     |g>} alone. In those bases C and C-dagger are the reflection R(sigma)
     and both projector phases are e^{i phi Z}, so the whole product is the
     ansatz M(phases, sigma), whose flagged part is M_00 |w>: the L rounds
-    only rescale |w>, whose direction the diagonal already gives, so no
-    state is formed. Returns M_00(sigma), with which post-selecting the flag
-    succeeds with probability |M_00|^2, the number of applications of C
-    and C-dagger, counted as the recurrence yields each layer, and sigma, at
-    which the plan's guarantee and ``predicted_success`` can be checked. At
-    sigma = 0 an odd L gives M_00 = 0 exactly.
+    only rescale |w>, so no state is formed. Returns M_00(sigma), with which
+    post-selecting the flag succeeds with probability |M_00|^2, and the
+    number of applications of C and C-dagger, counted as the recurrence
+    yields each layer. At sigma = 0 an odd L gives M_00 = 0 exactly.
     """
-    sigma = math.sqrt(diagonal**2 @ counts) / math.sqrt(counts.sum())
-    for applications, (a, _) in enumerate(_prefix_rows(plan.phases.phases, sigma)):
-        pass
-    return a, applications, sigma
+    a, _, applications = _top_row(plan.phases.phases, float(sigma))
+    return a, applications

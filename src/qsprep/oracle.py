@@ -155,10 +155,6 @@ class AmplitudeOracle:
 
     n: int
     m: int
-    # the latest stage ``pipeline._table_stage`` computed from this table,
-    # which writes it into the instance's ``__dict__`` beside ``classes``
-    # and ``values``
-    _stage = None
 
     def __init__(self, n: int, m: int, values):
         if not (_is_int(n) and n >= 0):

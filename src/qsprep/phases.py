@@ -68,7 +68,7 @@ from .polyapprox import (
     Polynomial,
     _check_qsp_conditions,
     evaluate,
-    lobatto_values,
+    lobatto_coefficients,
 )
 
 log = logging.getLogger(__name__)
@@ -118,21 +118,15 @@ class PhaseSequence:
 def _real_part(phases: np.ndarray) -> tuple[np.ndarray, int]:
     """Chebyshev coefficients of Re a for raw angles, and the layers that sampled it.
 
-    One ``_prefix_rows`` pass samples Re a on the (d + 2)-point Lobatto grid,
-    where a degree-d series is exact, and one inverse DCT-I turns the samples
-    into coefficients: ``lobatto_values`` of the samples with the two end
-    samples halved, scaled by 2 / (d + 1), with the two end coefficients
-    halved. The grid points are taken as sines, exact at the ends and
-    symmetric about 0. The coefficients are read-only.
+    One ``_top_row`` pass samples Re a on the (d + 2)-point Lobatto grid,
+    where a degree-d series is exact, and ``lobatto_coefficients`` turns the
+    samples into coefficients. The grid points are taken as sines, exact at
+    the ends and symmetric about 0. The coefficients are read-only.
     """
     n = phases.size + 2
     xs = np.sin(np.pi * np.arange(n - 1, -n, -2) / (2 * (n - 1)))
-    for layers, (a, _) in enumerate(_prefix_rows(phases, xs)):
-        pass
-    samples = a.real.copy()
-    samples[[0, -1]] /= 2
-    coefficients = lobatto_values(samples, n) * (2.0 / (n - 1))
-    coefficients[[0, -1]] /= 2
+    a, _, layers = _top_row(phases, xs)
+    coefficients = lobatto_coefficients(a.real)
     coefficients.flags.writeable = False
     return coefficients, layers
 
@@ -187,10 +181,10 @@ def _prefix_rows(phases: np.ndarray, xs):
 
 
 def _top_row(phases: np.ndarray, xs):
-    """Top row (a, b) of the whole product, keeping only the running prefix."""
-    for a, b in _prefix_rows(phases, xs):
+    """Top row (a, b) of the whole product and its number of layers, keeping only the running prefix."""
+    for layers, (a, b) in enumerate(_prefix_rows(phases, xs)):
         pass
-    return a, b
+    return a, b, layers
 
 
 def reconstruct(phi: PhaseSequence, x):

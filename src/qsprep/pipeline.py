@@ -160,7 +160,7 @@ def default_bits(epsilon: float, gamma_value: float) -> int:
 
 
 def _levels(classes: ValueClasses, m: int) -> tuple[np.ndarray, np.ndarray | slice, np.ndarray]:
-    """The table's levels, each class's level, and how many indices each level holds.
+    """The table's levels, each class's level, and how many indices each level holds (doubles).
 
     The block of an index depends only on the m-bit integer q the bit oracle
     writes for it, so the engine runs on the K distinct q, ascending. Level
@@ -187,7 +187,7 @@ def _levels(classes: ValueClasses, m: int) -> tuple[np.ndarray, np.ndarray | sli
         level_of, counts = rank[q], bins[distinct]
     else:
         distinct, level_of, counts = np.unique(q, return_inverse=True, return_counts=True)
-    return (distinct + 0.5) / 2.0**m, level_of, counts
+    return (distinct + 0.5) / 2.0**m, level_of, counts.astype(float)
 
 
 @dataclass(eq=False, slots=True)
@@ -197,24 +197,24 @@ class _TableStage:
     The quantization, the grouping into levels, the sine encoding's inputs,
     gamma with its quantized and realized values, the measured error, the
     distance to the target and the checks on them (``checks``, built with
-    the stage) read no delta. A stage holds O(K) data for K levels and no
-    array per index: each class's level, the final state and the target at
-    every class exist only while the stage is computed. It keeps the
-    encoding's inputs, not the encoding: ``hamiltonian_from_unitary`` keeps
-    encodings of few levels in its memo, and builds one of more levels
-    again on each call. Nothing changes a stage once built (it is not
-    frozen only because a frozen dataclass takes twice as long to build, a
-    few us of a search run).
+    the stage) read no delta, nor does sigma, all the amplification reads.
+    A stage holds two reals per level and no array per index: each class's
+    level, the level counts, the final state and the target at every class
+    exist only while the stage is computed. It keeps the encoding's inputs,
+    not the encoding: ``hamiltonian_from_unitary`` keeps encodings of few
+    levels in its memo, and builds one of more levels again on each call.
+    Nothing changes a stage once built (it is not frozen only because a
+    frozen dataclass takes twice as long to build, a few us of a search run).
     """
 
     epsilon: float
     m: int
     sines: np.ndarray  # sin(pi BETA level / 2) at each level, the encoding's input
     generator_error: float  # the encoding's target error, in generator units
-    counts: np.ndarray  # how many indices each level holds
     gamma_exact: float
     gamma_quant: float
     gamma_realized: float
+    sigma: float  # C|Psi>'s flagged singular value, BETA / 2 times sqrt(gamma_realized)
     eps_measured: float
     # the realized state's amplitude at each level; post-selection leaves
     # the realized state, so it is also the final state's
@@ -260,7 +260,7 @@ def _table_stage(oracle: AmplitudeOracle, epsilon: float) -> tuple[_TableStage, 
     most ``_MEMO_MAX_LEVELS`` levels, so each run's degree comes from an
     encoding call of its own.
     """
-    stage = oracle._stage
+    stage = oracle.__dict__.get("_stage")
     if stage is not None and stage.epsilon == epsilon:
         return stage, hamiltonian_from_unitary(stage.sines, stage.generator_error, DELTA_MARGIN)
     # neither this frame nor the oracle holds the old stage while the new one is computed
@@ -294,10 +294,11 @@ def _new_stage(oracle: AmplitudeOracle, epsilon: float) -> tuple[_TableStage, Le
 
     # quantization's share of the amplitude-error budget
     q_part = 2.0**-m
-    if eps_hat_target - q_part <= 0:
+    # with m capped, the quantization must leave the polynomial its least share
+    if eps_hat_target - q_part < eps_hat_target / 16.0:
         raise InfeasibleError(
-            f"m = {m} value bits leave no room in the error budget; "
-            f"quantization alone contributes {q_part:.3e} >= {eps_hat_target:.3e}"
+            f"m = {m} value bits leave no room in the error budget; quantization "
+            f"alone contributes {q_part:.3e}, more than 15/16 of {eps_hat_target:.3e}"
         )
     # keep the polynomial's (smooth, sign-coherent) error well below the
     # quantization noise so the realized per-amplitude error profile stays
@@ -316,8 +317,11 @@ def _new_stage(oracle: AmplitudeOracle, epsilon: float) -> tuple[_TableStage, Le
     deviation = c_level[level_of] - classes.values
     eps_measured = float(np.abs(deviation, out=deviation).max())
     del deviation
-    g_realized = float(counts @ c_level**2) / size
+    # the flagged sum S = sum of n_k c~_k^2 gives gamma~ = S / N, and sigma
+    flagged = float(counts @ c_level**2)
+    g_realized = flagged / size
     g_quant = float(counts @ levels**2) / size
+    del counts  # N doubles on an ascending table, dropped before the two states exist
     realized_level = c_level / math.sqrt(size * g_realized)
 
     # the final state and the target, each real and at one index of every
@@ -334,10 +338,10 @@ def _new_stage(oracle: AmplitudeOracle, epsilon: float) -> tuple[_TableStage, Le
         m=m,
         sines=sines,
         generator_error=generator_error,
-        counts=counts,
         gamma_exact=g_exact,
         gamma_quant=g_quant,
         gamma_realized=g_realized,
+        sigma=BETA / 2.0 * math.sqrt(flagged) / math.sqrt(size),
         eps_measured=eps_measured,
         realized_level=realized_level,
         fidelity=fidelity,
@@ -348,7 +352,7 @@ def _new_stage(oracle: AmplitudeOracle, epsilon: float) -> tuple[_TableStage, Le
 
 def _final_state(classes: ValueClasses, m: int, realized_level: np.ndarray) -> StateVector:
     """The final state at every index, from the table grouped into its levels again."""
-    _, level_of, _ = _levels(classes, m)
+    level_of = _levels(classes, m)[1]
     return StateVector(classes.expand(realized_level[level_of]))
 
 
@@ -358,24 +362,23 @@ def _run(cfg: PrepConfig, bounds: bool) -> PrepReport:
     plan = plan_amplification(BETA * math.sqrt(stage.gamma_quant) / 2.0, cfg.delta)
     # the L rounds multiply the flagged part of C|Psi>, the encoded diagonal,
     # by one number, so post-selecting the flag leaves the realized state
-    amplitude, applications, sigma = amplify_state(encoding.diagonal, stage.counts, plan)
+    amplitude, applications = amplify_state(stage.sigma, plan)
     # each use of C or its adjoint runs every transform layer, and each layer
     # queries the controlled phase unitary and its adjoint (both select
     # branches share them); each query is an O_c pair
     oracle_calls = applications * encoding.info["cu_calls"] * 2 * 2
-    return _report(cfg, stage, encoding.info["arcsin_degree"], plan, abs(amplitude) ** 2, sigma,
+    return _report(cfg, stage, encoding.info["arcsin_degree"], plan, abs(amplitude) ** 2,
                    oracle_calls, bounds)
 
 
 def _report(cfg: PrepConfig, stage: _TableStage, d_a: int, plan: AmplificationPlan, success: float,
-            sigma: float, oracle_calls: int, bounds: bool) -> PrepReport:
+            oracle_calls: int, bounds: bool) -> PrepReport:
     """A report with its own check list and ``info``.
 
     It is read from the stage, the encoding's degree ``d_a`` and what the
-    amplification at delta gave: its success, the singular value it read off
-    the encoded diagonal and its counted calls.
+    amplification at delta gave: its success and its counted calls.
     """
-    d_s = plan.rounds
+    d_s, sigma = plan.rounds, stage.sigma
     first, *analysis = stage.checks
     checks = [
         first,

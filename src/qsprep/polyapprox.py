@@ -12,7 +12,7 @@ FFT in O(d log d) (``_factor.complete_real``).
 
 Checks on a grid use Chebyshev-Lobatto points cos(pi j / (N - 1)), where a
 series' N values are one DCT-I of its coefficients, a real FFT of their
-even extension (``lobatto_values``):
+even extension (``lobatto_values``; ``lobatto_coefficients`` inverts it):
 the completion's sup, identity-residual and drift checks (N = max(4001,
 4d + 1)) and the on-interval bound of ``_check_qsp_conditions`` (N =
 max(2001, 4d + 1)), next to the exact endpoint values P(1) = sum c_k and
@@ -124,6 +124,21 @@ def lobatto_values(c: np.ndarray, n: int) -> np.ndarray:
         if np.iscomplexobj(a):
             out.imag = np.fft.rfft(ext.imag).real
     return out
+
+
+def lobatto_coefficients(values: np.ndarray) -> np.ndarray:
+    """The degree-(n - 1) Chebyshev series with these n values on the n-point Lobatto grid.
+
+    The inverse of ``lobatto_values``, one DCT-I: ``lobatto_values`` of the
+    values with the two end values halved, times 2 / (n - 1), with the two
+    end coefficients halved. Returns a new array.
+    """
+    n = values.size
+    ends_halved = values.copy()
+    ends_halved[[0, -1]] /= 2
+    coefficients = lobatto_values(ends_halved, n) * (2.0 / (n - 1))
+    coefficients[[0, -1]] /= 2
+    return coefficients
 
 
 def chebyshev_economize(p: Polynomial, budget: float) -> Polynomial:

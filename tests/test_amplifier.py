@@ -135,13 +135,8 @@ def test_plan_arrays_are_read_only():
     np.testing.assert_array_equal(again.phases.phases, angles)
 
 
-def one_index_diagonal(sigma):
-    """The flagged entry of a one-index C whose flagged compression is exactly sigma."""
-    return np.array([sigma])
-
-
-def engine_success(diagonal, counts, plan):
-    amplitude, _, _ = amplify_state(diagonal, counts, plan)
+def engine_success(sigma, plan):
+    amplitude, _ = amplify_state(sigma, plan)
     return abs(amplitude) ** 2
 
 
@@ -151,21 +146,20 @@ class Captured(Exception):
 
 @pytest.mark.parametrize("n", range(3, 21))
 def test_predicted_success_equals_the_engine_on_search_cases(monkeypatch, n):
-    # the encoding and plan grover_case(n, 2^n - 3, 0.1, 0.05) amplifies, on
-    # its two classes of indices up to n = 20 (L = 9915)
+    # the sigma and plan grover_case(n, 2^n - 3, 0.1, 0.05) amplifies, up to
+    # n = 20 (L = 9915)
     captured = []
 
-    def capture(diagonal, counts, plan):
-        captured.append((diagonal, counts, plan))
+    def capture(sigma, plan):
+        captured.append((sigma, plan))
         raise Captured
 
     monkeypatch.setattr(pipeline, "amplify_state", capture)
     with pytest.raises(Captured):
         grover_case(n, 2**n - 3, 0.1, 0.05)
-    diagonal, counts, plan = captured[0]
-    assert counts.tolist() == [2**n - 1, 1]
-    sigma = float(np.sqrt(diagonal**2 @ counts / 2**n))
-    assert abs(engine_success(diagonal, counts, plan) - plan.predicted_success(sigma)) <= 1e-10
+    sigma, plan = captured[0]
+    assert type(sigma) is float
+    assert abs(engine_success(sigma, plan) - plan.predicted_success(sigma)) <= 1e-10
 
 
 @pytest.mark.parametrize(
@@ -178,14 +172,13 @@ def test_amplify_state_at_the_ends_of_the_band(sigma, plan):
     # amplification rotates between is missing, and the flagged direction
     # keeps all of the state or none of it; at sigma = 0 an odd L gives
     # M_00(0) = 0 exactly
-    amplitude, applications, read = amplify_state(one_index_diagonal(sigma), np.array([1]), plan)
+    amplitude, applications = amplify_state(sigma, plan)
     assert np.isfinite(amplitude)
     if sigma == 0.0:
         assert amplitude == 0
     else:
         assert abs(abs(amplitude) - 1.0) <= 1e-12
     assert applications == plan.rounds
-    assert read == sigma
 
 
 def random_plans(count, seed):
@@ -246,7 +239,7 @@ def test_angles_match_the_fixed_point_search_iterates(plan):
     rng = np.random.default_rng(plan.rounds)
     for s in (plan.sigma, *rng.uniform(0.0, 1.0, 3)):
         direct = fixed_point_search_success(s * s, plan.rounds, plan.delta)
-        assert abs(engine_success(one_index_diagonal(s), np.array([1]), plan) - direct) <= 1e-10
+        assert abs(engine_success(s, plan) - direct) <= 1e-10
         assert abs(plan.predicted_success(s) - direct) <= 1e-10
 
 

@@ -142,6 +142,14 @@ def test_error_exit_code(tmp_path, capsys):
     assert "error" in capsys.readouterr().err
 
 
+def test_search_past_its_capped_aim_exits_2(capsys):
+    # m caps at 50 bits, whose quantization error leaves the polynomial less
+    # than a sixteenth of the aim epsilon gamma / 3 = 9.2e-16
+    rc = main(["grover", "--n", "24", "--x0", "1", "--eps", "4.64e-8", "--delta", "0.1"])
+    assert rc == 2
+    assert "no room in the error budget" in capsys.readouterr().err
+
+
 @pytest.mark.parametrize("command", ["prepare", "verify-bounds", "grover"])
 @pytest.mark.parametrize("option", ["--m", "--total-failure"])
 def test_runs_reject_value_bits_and_total_failure_options(tmp_path, capsys, command, option):

@@ -151,7 +151,7 @@ def dense_run(run):
         fidelity=abs(float(realized @ target)),
         final_error=float(np.linalg.norm(realized - target)),
     )
-    report = _report(cfg, stage, d_a, run.plan, success, run.sigma, 4 * d_a * d_s, bounds=True)
+    report = _report(cfg, stage, d_a, run.plan, success, 4 * d_a * d_s, bounds=True)
     return dataclasses.replace(run, stage=stage, report=report), realized, be, data
 
 
@@ -340,9 +340,12 @@ def test_whole_amplified_state_matches_dense_reference(values):
     psi0[: 2**n] = s.entries[:, 0]
     inverse, counts = value_classes(run)
     diagonal = run.encoding.diagonal
-    amplitude, applications, _ = amplify_state(diagonal, counts, run.plan)
+    # the stage's sigma is the norm of the encoded diagonal over sqrt(N), bit for bit
+    norm = np.sqrt(diagonal**2 @ counts)
+    assert run.stage.sigma == norm / np.sqrt(counts.sum())
+    amplitude, applications = amplify_state(run.stage.sigma, run.plan)
     assert applications == run.plan.rounds
-    flagged = diagonal[inverse] * amplitude / np.sqrt(diagonal**2 @ counts)
+    flagged = diagonal[inverse] * amplitude / norm
     dense = amplify(be.unitary, s, run.plan).entries @ psi0
     assert np.abs(flagged - dense[: 2**n]).max() <= TOL
 
@@ -427,10 +430,9 @@ def test_run_memory_per_index():
 
 
 def test_read_final_state_holds_one_state_per_index():
-    # unread, a report holds O(levels): the oracle's stage keeps three reals
-    # per level (the encoding's sines, the level counts and the realized
-    # levels), and the final state is built from it when read (a real
-    # per-class final state took 8 B per index, a complex one 16 B); once
+    # unread, a report holds O(levels): the oracle's stage keeps two reals
+    # per level (the encoding's sines and the realized levels), and the
+    # final state is built from it when read; once
     # read, it holds the 16-byte complex final state per index; once
     # dropped, the oracle still keeps its stage, O(levels) again; the unit
     # class counts of a table are one scalar, not an N-sized array

@@ -7,7 +7,7 @@ import pytest
 from numpy.polynomial import chebyshev as cheb
 
 from qsprep._factor import mul_one_minus_x2, mulx, to_mp, u_series_to_t
-from qsprep.polyapprox import _scaled_values, lobatto_values
+from qsprep.polyapprox import _scaled_values, lobatto_coefficients, lobatto_values
 
 ONE_MINUS_X2 = np.array([0.5, 0.0, -0.5])
 
@@ -49,6 +49,22 @@ def test_lobatto_values_on_the_check_grid():
             basis = np.cos(np.pi * ((k * j) % (2 * (n - 1))) / (n - 1))
             want = complex(math.fsum(c.real * basis), math.fsum(c.imag * basis))
             assert abs(val - want) <= 1e-13 * np.abs(c).sum(), (size, j)
+
+
+@pytest.mark.parametrize("n", [2, 3, 9, 33, 129])
+@pytest.mark.parametrize("complex_", [False, True], ids=["real", "complex"])
+def test_lobatto_coefficients_invert_lobatto_values(n, complex_):
+    # a degree-(n - 1) series is fixed by its n values on the n-point grid
+    rng = np.random.default_rng(n)
+    c = _series(rng, n, complex_)
+    values = lobatto_values(c, n)
+    kept = values.copy()
+    got = lobatto_coefficients(values)
+    assert np.abs(got - c).max() <= 1e-14 * np.abs(c).sum()
+    assert values.tobytes() == kept.tobytes()
+    assert np.abs(lobatto_values(got, n) - values).max() <= 1e-14 * np.abs(c).sum()
+    xs = np.cos(np.linspace(0.0, np.pi, n))
+    assert np.abs(cheb.chebval(xs, got) - values).max() <= 1e-13 * np.abs(c).sum()
 
 
 @pytest.mark.parametrize("size", [1, 2, 3, 8, 75])

@@ -4,7 +4,6 @@ import numpy as np
 import pytest
 
 from qsprep import blockenc, pipeline
-from qsprep.amplifier import amplify_state
 from qsprep.errors import DimensionError, InfeasibleError, InputError
 from qsprep.oracle import AmplitudeOracle, ValueClasses, _quantize
 from qsprep.pipeline import (
@@ -178,7 +177,7 @@ def test_grover_at_32_qubits_passes_every_check_without_a_table(monkeypatch):
     assert rep.all_passed, [c.name for c in rep.bound_checks if not c.passed]
     assert rep.degrees[1] == 634469 and rep.info["levels"] == 2
     stage, encoding = pipeline._table_stage(cfg.oracle, cfg.epsilon)
-    sigma = np.sqrt(stage.counts @ encoding.diagonal**2 / 2**32)
+    sigma = np.sqrt(np.array([2.0**32 - 1, 1.0]) @ encoding.diagonal**2 / 2**32)
     plan = pipeline.plan_amplification(rep.info["sigma"], cfg.delta)
     assert abs(rep.success_probability - plan.predicted_success(sigma)) <= 1e-10
     assert rep.info["gamma"] == 2.0**-32
@@ -191,14 +190,16 @@ def test_grover_at_32_qubits_passes_every_check_without_a_table(monkeypatch):
     ids=["uniform-n3", "indicator-n20", "random-n6"],
 )
 def test_every_report_checks_the_amplification_premise(oracle):
-    # the sigma the amplification read off the encoded diagonal sits at or
-    # above the plan's band edge, and the success there is the plan's closed
-    # form, in prepare_state's report and verify_error_bounds' alike, which
-    # both amplify the stage the oracle keeps
+    # the sigma the amplification reads, the norm of the encoded diagonal
+    # over sqrt(N), sits at or above the plan's band edge, and the success
+    # there is the plan's closed form, in prepare_state's report and
+    # verify_error_bounds' alike, which both amplify the stage the oracle keeps
     cfg = PrepConfig(oracle=oracle, epsilon=0.05, delta=0.1)
     stage, encoding = pipeline._table_stage(oracle, cfg.epsilon)
     plan = pipeline.plan_amplification(pipeline.BETA * np.sqrt(stage.gamma_quant) / 2, cfg.delta)
-    _, _, sigma = amplify_state(encoding.diagonal, stage.counts, plan)
+    _, _, counts = pipeline._levels(oracle.classes, stage.m)
+    sigma = stage.sigma
+    assert sigma == np.sqrt(encoding.diagonal**2 @ counts) / np.sqrt(oracle.size)
     # the encoded diagonal is BETA / 2 times the realized amplitudes
     assert sigma == pytest.approx(pipeline.BETA * np.sqrt(stage.gamma_realized) / 2, rel=1e-15)
     for rep in (prepare_state(cfg), verify_error_bounds(cfg)):
@@ -592,7 +593,7 @@ def test_a_failed_stage_is_not_kept_and_fails_again(monkeypatch):
 
 def test_a_new_epsilon_drops_the_kept_stage_before_computing_its_own():
     # a random n = 16 table at eps 1e-6 and 1e-5 has about one level per
-    # index, so the stage its oracle keeps is about 24 B per index; a run at
+    # index, so the stage its oracle keeps is about 16 B per index; a run at
     # a new epsilon drops it first, so it grows the traced memory by that
     # much less than the same run on an oracle that keeps no stage
     import tracemalloc
@@ -619,9 +620,34 @@ def test_a_new_epsilon_drops_the_kept_stage_before_computing_its_own():
         kept_growth = tracemalloc.get_traced_memory()[1] - base
     finally:
         tracemalloc.stop()
-    # 24.0 B per index kept, and 72.8 and 48.8 B per index grown
-    assert stage / 2**n >= 20
+    # 16.1 B per index kept (two reals per level), and 72.8 and 56.8 B per
+    # index grown
+    assert stage / 2**n >= 14
     assert kept_growth <= fresh_growth - stage * 0.9
+
+
+def test_a_stage_hit_allocates_nothing_per_level_but_the_memo_key():
+    # the ascending table (x + 1/2) / 2^12 at epsilon 1e-6 has K = N = 4096
+    # levels on the identity path, which the encoding memo keeps: a run at
+    # the kept stage looks its encoding up by a copy of the sines, 8 B per
+    # level, and amplifies at the stage's sigma alone
+    import tracemalloc
+
+    n = 12
+    oracle = AmplitudeOracle(n, 8, (np.arange(2**n) + 0.5) / 2**n)
+    for delta in (0.1, 0.15):
+        verify_error_bounds(PrepConfig(oracle=oracle, epsilon=1e-6, delta=delta))
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        rep = verify_error_bounds(PrepConfig(oracle=oracle, epsilon=1e-6, delta=0.2))
+        peak = tracemalloc.get_traced_memory()[1] - base
+    finally:
+        tracemalloc.stop()
+    assert rep.info["levels"] == 2**n
+    # 8.0 B per level; a hit that weighted the levels by their counts again
+    # traced 16.3
+    assert peak / 2**n <= 9
 
 
 @pytest.mark.parametrize("oracle", [
@@ -807,9 +833,11 @@ def test_levels_equal_a_sort_of_the_quantized_values(monkeypatch, values, m, sid
     monkeypatch.undo()
     want = np.unique(_quantize(values, m) + 2.0 ** -(m + 1), return_inverse=True, return_counts=True)
     assert ran == {"bins": ["bincount"], "sort": ["unique"], "identity": []}[side]
+    # the counts come as doubles on every path, cast once for the sums they weight
+    assert counts.dtype == np.float64
     assert levels.tobytes() == want[0].tobytes()
     assert np.arange(levels.size)[level_of].tolist() == want[1].tolist()
-    assert np.asarray(counts).tolist() == want[2].tolist()
+    assert counts.tolist() == want[2].tolist()
 
 
 def test_bound_check_is_immutable_and_prints_its_fields():
