@@ -30,7 +30,27 @@ projector phase is e^{i phi Z}: the product is the phase ansatz of
 ``phases`` at the single point sigma, which only multiplies the flagged
 direction by one complex number. Post-selecting the flag therefore keeps
 the flagged part of C|Psi> normalized, and ``amplify_state`` returns only
-that number, in O(L) scalar operations and no array of the state's size.
+that number.
+
+It does so over half the rounds, in O(1) memory. The angles have phi_0 =
+0 and phi_k = phi_{L-k} for k = 1 .. L - 1. Write F_k = D_k R for the
+factors, with D_k = e^{i phi_k Z}, R = R(sigma) and F_0 = R; let
+h = (L - 1) / 2 and C = F_0 F_1 ... F_h = R D_1 R ... D_h R. D_k and R are
+symmetric, so C^T = R D_h R ... D_1 R; R^2 = I; and by the palindrome the
+second half is
+
+    F_{h+1} ... F_{L-1} = D_h R ... D_1 R = R (R D_h R ... D_1 R) = R C^T.
+
+The whole product is M = C R C^T = C (C R)^T, and its flagged entry M_00 =
+a (a x + b s) + b (a s - b x) needs only C's top row (a, b), with x = sigma
+and s = sqrt(1 - sigma^2). The loop runs the (L + 1) / 2 factors of C and
+forms each factor's e^{i phi} from its closed form as it goes, so it keeps
+no angle array and no list of factors. C is unitary, so (a, b) has unit
+norm, and M_00 is divided by the computed |a|^2 + |b|^2: the rounding's
+radial part, which the L factors pile up, drops out. Against a 40-digit
+product of the exact angles, the success of a search run at n = 21 (L =
+14021) is then off by 7e-16, where the whole product in doubles is off by
+1.05e-12.
 """
 from __future__ import annotations
 
@@ -41,15 +61,15 @@ import numpy as np
 
 from .blockenc import BlockEncoding, qsvt_circuit
 from .errors import DegreeOverflowError, DimensionError, InputError
-from .phases import PhaseSequence, _top_row
+from .phases import PhaseSequence
 from .simulator import Projector, UnitaryMatrix
 
 # Most rounds a plan may take. Search at n = 32 plans 634469 rounds at
-# delta = 0.1 and 973153 at delta = 0.01, and at n = 34 1268937, which is
-# refused. The angles and the amplification's scalar recurrence cost O(L),
-# about 0.4 s at 634469 rounds on a 2-vCPU x86 host, and the limit stops a
-# tiny sigma from allocating angles without end.
-MAX_ROUNDS = 2**20
+# delta = 0.1, n = 40 10151485 and n = 41 14356367, and at n = 42 20302969,
+# which is refused. ``amplify_state`` costs O(L) time and O(1) memory, 4 to 7
+# s at 10151485 rounds on a 2-vCPU x86 host, so the limit bounds the time a
+# tiny sigma may ask for.
+MAX_ROUNDS = 2**24
 
 
 def _lift(delta: float) -> float:
@@ -62,14 +82,15 @@ class AmplificationPlan:
     """Resolved amplification parameters.
 
     rounds is the degree L of the fixed-point polynomial and the number of
-    C (and S) uses, counting adjoints; it is always odd. ``phases`` are the
-    closed-form angles in ``amplify_state``'s order, and ``predicted_success``
-    evaluates |P(s)|^2 from delta and L alone.
+    C (and S) uses, counting adjoints; it is always odd. A plan holds no
+    angles: ``phases`` builds the L closed-form angles in the ansatz order on
+    each read, for the dense reference ``amplify`` and the tests, while
+    ``amplify_state`` forms them as its loop reaches them.
+    ``predicted_success`` evaluates |P(s)|^2 from delta and L alone.
     """
 
     sigma: float
     delta: float
-    phases: PhaseSequence
     rounds: int
 
     def __post_init__(self):
@@ -77,6 +98,11 @@ class AmplificationPlan:
             raise ValueError("sigma must lie in (0, 1]")
         if self.rounds % 2 == 0:
             raise ValueError("rounds must be odd for an odd polynomial")
+
+    @property
+    def phases(self) -> PhaseSequence:
+        """The L angles, phi_0 = 0 first; built on each read, and read by no preparation."""
+        return _fixed_point_phases(self.rounds, self.band_edge)
 
     @property
     def band_edge(self) -> float:
@@ -126,8 +152,8 @@ def plan_amplification(sigma: float, delta: float) -> AmplificationPlan:
     error a quantized amplitude table induces on sigma: L is the least odd
     integer with w = tanh(acosh(1 / delta_Y) / L) <= 0.9 * sigma. Near sigma
     = 1 that can be L = 1, the angle 0 with success sigma^2. An L above
-    ``MAX_ROUNDS`` raises DegreeOverflowError with L in ``needed``, before
-    any angle is computed.
+    ``MAX_ROUNDS`` raises DegreeOverflowError with L in ``needed``. No angle
+    is computed.
     """
     if not 0 < sigma <= 1:
         raise InputError("sigma must lie in (0, 1]")
@@ -142,17 +168,18 @@ def plan_amplification(sigma: float, delta: float) -> AmplificationPlan:
             f"for sigma={sigma}, delta={delta}",
             needed=rounds,
         )
-    return AmplificationPlan(sigma, delta, _fixed_point_phases(rounds, math.tanh(lift / rounds)), rounds)
+    return AmplificationPlan(sigma, delta, rounds)
 
 
 def _fixed_point_phases(rounds: int, edge: float) -> PhaseSequence:
-    """The Yoder-Low-Chuang angles in ``amplify_state``'s order.
+    """The Yoder-Low-Chuang angles in the ansatz order.
 
     With l = (L - 1) / 2 and the band edge w, alpha_j = 2 cot^-1(tan(2 pi
     j / L) w) for j = 1 .. l (cot^-1 in (0, pi)) and beta_j =
     -alpha_{l-j+1}; the angles are phi_0 = 0, phi_{2i-1} = -alpha_{l-i+1} / 2
-    and phi_{2i} = beta_{l-i+1} / 2 = -alpha_i / 2. Each lies in (-pi, 0], so
-    the sequence takes them without normalizing them again.
+    and phi_{2i} = beta_{l-i+1} / 2 = -alpha_i / 2, so phi_k = phi_{L-k}. Each
+    lies in (-pi, 0], so the sequence takes them without normalizing them
+    again.
     """
     j = np.arange(1.0, (rounds - 1) // 2 + 1)
     minus_half_alpha = np.arctan2(-1.0, np.tan(2.0 * np.pi * j / rounds) * edge)
@@ -192,8 +219,35 @@ def amplify_state(sigma: float, plan: AmplificationPlan) -> tuple[complex, int]:
     ansatz M(phases, sigma), whose flagged part is M_00 |w>: the L rounds
     only rescale |w>, so no state is formed. Returns M_00(sigma), with which
     post-selecting the flag succeeds with probability |M_00|^2, and the
-    number of applications of C and C-dagger, counted as the recurrence
-    yields each layer. At sigma = 0 an odd L gives M_00 = 0 exactly.
+    number of applications of C and C-dagger.
+
+    The loop keeps C's running top row (a, b) over the (L + 1) / 2 factors
+    of the palindromic half (module docstring) and closes the product with
+    M_00 = (a (a x + b s) + b (a s - b x)) / (|a|^2 + |b|^2), where the
+    divisor is 1 up to rounding. Factor k = 2i - 1 takes the angle
+    of j = h - i + 1 and k = 2i that of j = i, each met once, as
+    e^{i phi} = (t - i) / hypot(t, 1) with t = w tan(2 pi j / L): phi =
+    atan2(-1, t), so neither atan2 nor exp is called. Each round after the
+    first stands for two applications, one in C and its mirror in C^T, so
+    the count is L. At sigma = 0 an odd L gives M_00 = 0 exactly.
     """
-    a, _, applications = _top_row(plan.phases.phases, float(sigma))
-    return a, applications
+    x = float(sigma)
+    s = math.sqrt(max(1.0 - x * x, 0.0))
+    rounds = plan.rounds
+    half = (rounds - 1) // 2
+    edge = plan.band_edge
+    turn = 2.0 * math.pi
+    # the first factor is R itself (phi_0 = 0)
+    a, b = complex(x), complex(s)
+    applications = 1
+    for k in range(1, half + 1):
+        j = half - k // 2 if k % 2 else k // 2
+        t = math.tan(turn * j / rounds) * edge
+        e = complex(t, -1.0) / math.hypot(t, 1.0)
+        # x and s are real, so the conjugate factor's products are conjugates
+        ex, es = e * x, e * s
+        a, b = a * ex + b * es.conjugate(), a * es - b * ex.conjugate()
+        applications += 2
+    # M_00 is quadratic in the row, whose norm is 1 but for rounding
+    norm = a.real * a.real + a.imag * a.imag + b.real * b.real + b.imag * b.imag
+    return (a * (a * x + b * s) + b * (a * s - b * x)) / norm, applications

@@ -12,8 +12,9 @@ recurrence, ``_prefix_rows``, therefore gives the reconstruction, the
 Jacobian of the least-squares polish, the Chebyshev series of Re a
 (``_real_part``, kept per angle set by ``PhaseSequence.real_part``) from which
 ``blockenc._level_diagonal`` sums the engine's encoded generator at each
-distinct oracle entry, and the whole fixed-point amplification, which is
-this product at x = sigma (``amplifier.amplify_state``).
+distinct oracle entry. The fixed-point amplification is this product at
+the one point x = sigma; ``amplifier.amplify_state`` evaluates it with a
+scalar loop of its own over half the factors.
 
 ``find_phases`` inverts the map by layer stripping (peel phi_d off the
 leading coefficients, reduce the degree, repeat) in double precision. Each
@@ -47,7 +48,6 @@ from __future__ import annotations
 
 import functools
 import logging
-import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -155,24 +155,16 @@ def _nodes(grid: int) -> np.ndarray:
     return np.cos(np.pi * (np.arange(grid) + 0.5) / grid)
 
 
-def _prefix_rows(phases: np.ndarray, xs):
+def _prefix_rows(phases: np.ndarray, xs: np.ndarray):
     """Yield the top rows (a_k, b_k) of the prefix products F_1 ... F_k, k = 0 .. d.
 
-    F_j = e^{i phi_j Z} R(x). ``xs`` is either an array of points, and each
-    row is then a pair of arrays over them, or one float, and each row is
-    then a pair of Python complex numbers: at a single point the recurrence
-    costs a few scalar operations per angle instead of a few array calls.
-    The factors e^{i phi_j} are computed once for all angles.
+    F_j = e^{i phi_j Z} R(x), and each row is a pair of arrays over the
+    points ``xs``. The factors e^{i phi_j} are computed once for all angles.
     """
     es = np.exp(1j * phases).tolist()
-    if isinstance(xs, float):
-        xs = float(xs)
-        ss = math.sqrt(max(1.0 - xs * xs, 0.0))
-        a, b = 1.0 + 0j, 0j
-    else:
-        ss = np.sqrt(np.clip(1.0 - xs * xs, 0.0, None))
-        a = np.ones(xs.size, dtype=complex)
-        b = np.zeros_like(a)
+    ss = np.sqrt(np.clip(1.0 - xs * xs, 0.0, None))
+    a = np.ones(xs.size, dtype=complex)
+    b = np.zeros_like(a)
     yield a, b
     for e in es:
         ec = e.conjugate()
@@ -180,7 +172,7 @@ def _prefix_rows(phases: np.ndarray, xs):
         yield a, b
 
 
-def _top_row(phases: np.ndarray, xs):
+def _top_row(phases: np.ndarray, xs: np.ndarray):
     """Top row (a, b) of the whole product and its number of layers, keeping only the running prefix."""
     for layers, (a, b) in enumerate(_prefix_rows(phases, xs)):
         pass
@@ -188,10 +180,10 @@ def _top_row(phases: np.ndarray, xs):
 
 
 def reconstruct(phi: PhaseSequence, x):
-    """Top-left entry of the ansatz product; vectorized over x."""
+    """Top-left entry of the ansatz product; vectorized over x, a Python complex at one point."""
     if np.ndim(x):
         return _top_row(phi.phases, np.asarray(x, dtype=float))[0]
-    return _top_row(phi.phases, float(x))[0]
+    return complex(_top_row(phi.phases, np.array([float(x)]))[0][0])
 
 
 def conjugate_phases(phi: PhaseSequence) -> PhaseSequence:

@@ -160,14 +160,16 @@ def default_bits(epsilon: float, gamma_value: float) -> int:
 
 
 def _levels(classes: ValueClasses, m: int) -> tuple[np.ndarray, np.ndarray | slice, np.ndarray]:
-    """The table's levels, each class's level, and how many indices each level holds (doubles).
+    """The table's levels, each class's level, and how many indices each level holds (integers).
 
     The block of an index depends only on the m-bit integer q the bit oracle
     writes for it, so the engine runs on the K distinct q, ascending. Level
     k is (q_k + 1/2) / 2^m: the truncated value recentred by half a step,
     one classically-known global phase that turns the one-sided floor error
     into a symmetric one. ``level_of`` maps each class to its level, and
-    ``counts[k]`` is the number of indices at level k.
+    ``counts[k]`` is the number of indices at level k, uncast: on ascending
+    classes they are the classes' own counts, and the final-state read,
+    which takes only ``level_of``, builds no array from them.
     """
     q = _register_contents(classes.values, m)
     if (q[1:] > q[:-1]).all():
@@ -187,7 +189,7 @@ def _levels(classes: ValueClasses, m: int) -> tuple[np.ndarray, np.ndarray | sli
         level_of, counts = rank[q], bins[distinct]
     else:
         distinct, level_of, counts = np.unique(q, return_inverse=True, return_counts=True)
-    return (distinct + 0.5) / 2.0**m, level_of, counts.astype(float)
+    return (distinct + 0.5) / 2.0**m, level_of, counts
 
 
 @dataclass(eq=False, slots=True)
@@ -306,6 +308,7 @@ def _new_stage(oracle: AmplitudeOracle, epsilon: float) -> tuple[_TableStage, Le
     eps_poly = max(min(eps_hat_target - q_part, q_part / 4.0), eps_hat_target / 16.0)
 
     levels, level_of, counts = _levels(classes, m)
+    counts = counts.astype(float)  # cast once for the two sums they weight
     size = oracle.size
     sines = np.sin(np.pi * BETA * levels / 2.0)  # the oracle's diagonal is e^{i pi BETA levels / 2}
     generator_error = BETA * eps_poly / 2.0  # generator units: BETA * amplitude / 2

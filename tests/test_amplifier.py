@@ -1,17 +1,22 @@
+import tracemalloc
+
+import mpmath as mp
 import numpy as np
 import pytest
 
 from qsprep import amplifier, pipeline
 from qsprep.amplifier import (
     MAX_ROUNDS,
+    _fixed_point_phases,
     amplify,
     amplify_state,
     build_projectors,
     plan_amplification,
 )
 from qsprep.errors import DegreeOverflowError, InputError
-from qsprep.phases import reconstruct
-from qsprep.pipeline import grover_case
+from qsprep.oracle import AmplitudeOracle
+from qsprep.phases import _top_row, reconstruct
+from qsprep.pipeline import PrepConfig, grover_case, verify_error_bounds
 from qsprep.simulator import (
     StateVector,
     UnitaryMatrix,
@@ -102,21 +107,22 @@ def test_plan_rounds_scale_linearly_in_inverse_sigma():
 
 def test_plan_degree_limit(monkeypatch):
     # the n = 16 search instance plans 2479 rounds, n = 18 4957, n = 24
-    # 39655 and n = 32 634469
+    # 39655, n = 32 634469 and n = 40 10151485; a plan computes no angle
+    def no_angles(rounds, edge):
+        raise AssertionError("angles computed")
+
+    monkeypatch.setattr(amplifier, "_fixed_point_phases", no_angles)
     plan = plan_amplification(0.25 * 2.0**-8, 0.1)
     assert plan.rounds == 2479
     assert plan.predicted_success() >= 1 - 0.1 / 2
     assert plan_amplification(0.25 * 2.0**-9, 0.1).rounds == 4957
     assert plan_amplification(0.25 * 2.0**-12, 0.1).rounds == 39655
     assert plan_amplification(0.25 * 2.0**-16, 0.1).rounds == 634469
-    # a smaller sigma's round count is refused before any angle is computed
-    def no_angles(rounds, edge):
-        raise AssertionError("angles computed")
-
-    monkeypatch.setattr(amplifier, "_fixed_point_phases", no_angles)
+    assert plan_amplification(0.25 * 2.0**-20, 0.1).rounds == 10151485
+    # a smaller sigma's round count is refused
     with pytest.raises(DegreeOverflowError) as exc:
-        plan_amplification(2e-6, 0.1)
-    assert exc.value.needed == 1210153 > MAX_ROUNDS
+        plan_amplification(1e-7, 0.1)
+    assert exc.value.needed == 24203025 > MAX_ROUNDS
 
 
 @pytest.mark.parametrize("sigma, delta", [(np.nan, 0.1), (0.0, 0.1), (1.5, 0.1),
@@ -241,6 +247,107 @@ def test_angles_match_the_fixed_point_search_iterates(plan):
         direct = fixed_point_search_success(s * s, plan.rounds, plan.delta)
         assert abs(engine_success(s, plan) - direct) <= 1e-10
         assert abs(plan.predicted_success(s) - direct) <= 1e-10
+
+
+@pytest.mark.parametrize("edge", [1e-6, 0.01, 0.3, 0.999])
+def test_fixed_point_angles_are_a_zero_and_a_palindrome(edge):
+    # the symmetry amplify_state closes its product with: phi_0 = 0 and
+    # phi_k = phi_{L-k}, bit for bit, at every odd L up to 201
+    for rounds in range(1, 202, 2):
+        phi = _fixed_point_phases(rounds, edge).phases
+        assert phi.size == rounds and phi[0] == 0.0
+        assert phi[1:].tobytes() == phi[1:][::-1].tobytes()
+
+
+# the search plans at n = 0 .. 20 (L = 11 .. 9915, sigma = 2^-(n/2) / 4)
+# and random draws
+@pytest.mark.parametrize("plan", [*(plan_amplification(0.25 * 2.0 ** (-n / 2), 0.1) for n in range(21)),
+                                  *random_plans(6, 53)], ids=lambda p: f"L{p.rounds}")
+def test_amplify_state_equals_the_whole_product(plan):
+    # the half loop closed by the palindrome gives the L-factor ansatz
+    # product's flagged entry, and counts every factor
+    amplitude, applications = amplify_state(plan.sigma, plan)
+    a, _, layers = _top_row(plan.phases.phases, np.array([plan.sigma]))
+    assert abs(amplitude - a[0]) <= 1e-13
+    assert applications == layers == plan.rounds
+
+
+def test_amplify_state_equals_the_whole_product_at_634469_rounds():
+    # the n = 32 search plan; the L factors e^{i phi} multiplied one by one,
+    # in Python complex arithmetic, as the recurrence runs at one point
+    plan = plan_amplification(0.25 * 2.0**-16, 0.1)
+    assert plan.rounds == 634469
+    x = plan.sigma
+    s = np.sqrt(1.0 - x * x)
+    a, b = 1.0 + 0j, 0j
+    for e in np.exp(1j * plan.phases.phases).tolist():
+        ec = e.conjugate()
+        a, b = a * (e * x) + b * (ec * s), a * (e * s) - b * (ec * x)
+    amplitude, applications = amplify_state(x, plan)
+    assert abs(amplitude - a) <= 1e-12
+    assert applications == plan.rounds
+
+
+def extended_product(plan, x, dps=40):
+    """M_00(x) of the L-factor product, at ``dps`` digits from angles computed at ``dps`` digits."""
+    with mp.workdps(dps):
+        rounds = plan.rounds
+        w = mp.tanh(mp.acosh(mp.sqrt(2 / mp.mpf(plan.delta))) / rounds)
+        half = (rounds - 1) // 2
+        minus_half_alpha = [mp.atan2(-1, mp.tan(2 * mp.pi * j / rounds) * w) for j in range(1, half + 1)]
+        phi = [mp.mpf(0)] * rounds
+        phi[1::2] = minus_half_alpha[::-1]
+        phi[2::2] = minus_half_alpha
+        x = mp.mpf(x)
+        s = mp.sqrt(1 - x * x)
+        a, b = mp.mpc(1), mp.mpc(0)
+        for p in phi:
+            e = mp.expj(p)
+            ec = mp.conj(e)
+            a, b = a * e * x + b * ec * s, a * e * s - b * ec * x
+        return complex(a)
+
+
+# the search plans at even n up to 16 (L = 11 .. 2479) and two tighter deltas
+@pytest.mark.parametrize("plan", [*(plan_amplification(0.25 * 2.0 ** (-n / 2), 0.1) for n in range(0, 17, 2)),
+                                  plan_amplification(0.3, 0.01), plan_amplification(0.05, 0.001)],
+                         ids=lambda p: f"L{p.rounds}")
+def test_amplify_state_is_as_accurate_as_the_whole_product(plan):
+    # against a 40-digit product, the half loop errs no more than the
+    # materialized L-factor product in doubles, up to 1e-15
+    points = np.array([plan.sigma, 0.5, 0.9])
+    whole = _top_row(plan.phases.phases, points)[0]
+    for x, materialized in zip(points, whole):
+        exact = extended_product(plan, x)
+        assert abs(amplify_state(x, plan)[0] - exact) <= abs(materialized - exact) + 1e-15
+
+
+def test_amplify_state_keeps_no_array_of_the_rounds():
+    # the n = 24 search plan, whose L factors as a list of Python complex
+    # numbers alone would take 1.6 MB (tracing slows the loop some 20-fold,
+    # so a larger L would cost seconds)
+    plan = plan_amplification(0.25 * 2.0**-12, 0.1)
+    tracemalloc.start()
+    try:
+        amplitude, applications = amplify_state(plan.sigma, plan)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert applications == plan.rounds == 39655
+    assert abs(amplitude) ** 2 >= 1 - plan.delta / 2
+    assert peak < 2**16
+
+
+@pytest.mark.parametrize("oracle", [AmplitudeOracle.indicator(12, 5, 8),
+                                    AmplitudeOracle(5, 8, np.random.default_rng(7).uniform(0, 1, 32))],
+                         ids=["indicator-n12", "random-n5"])
+def test_a_run_builds_no_angle_array(monkeypatch, oracle):
+    def no_angles(rounds, edge):
+        raise AssertionError("angles computed")
+
+    monkeypatch.setattr(amplifier, "_fixed_point_phases", no_angles)
+    rep = verify_error_bounds(PrepConfig(oracle=oracle, epsilon=0.05, delta=0.1))
+    assert rep.all_passed, [c.name for c in rep.bound_checks if not c.passed]
 
 
 def test_amplify_boosts_rank_one_instances():

@@ -373,14 +373,14 @@ def test_make_oracle_refuses_a_generated_table_past_the_engine_limit(capsys):
     assert len(lines) == 1 and lines[0].startswith("error: ") and "n = 30" in lines[0]
 
 
-def test_grover_refuses_34_qubits_by_its_round_count(capsys):
+def test_grover_refuses_42_qubits_by_its_round_count(capsys):
     start = time.perf_counter()
-    rc = main(["grover", "--n", "34", "--x0", "5"])
+    rc = main(["grover", "--n", "42", "--x0", "5"])
     elapsed = time.perf_counter() - start
     captured = capsys.readouterr()
     assert rc == 2 and captured.out == ""
     lines = captured.err.splitlines()
-    assert len(lines) == 1 and lines[0].startswith("error: ") and "1268937" in lines[0]
+    assert len(lines) == 1 and lines[0].startswith("error: ") and "20302969" in lines[0]
     assert elapsed < 1.0
 
 

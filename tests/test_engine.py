@@ -48,7 +48,7 @@ from qsprep.blockenc import (
 )
 from qsprep.errors import DimensionError, InputError
 from qsprep.oracle import AmplitudeOracle
-from qsprep.phases import _prefix_rows
+from qsprep.phases import _top_row
 from qsprep.pipeline import (
     BETA,
     PrepConfig,
@@ -247,9 +247,8 @@ def per_index_run(run):
     entry, layers = _level_diagonal(diagonal.imag, run.encoding.phases)
     flagged = np.linalg.norm(entry)
     sigma = float(flagged / np.sqrt(diagonal.size))
-    for rounds, (a, _) in enumerate(_prefix_rows(run.plan.phases.phases, sigma)):
-        pass
-    flag_row = entry * (a / flagged)
+    a, _, rounds = _top_row(run.plan.phases.phases, np.array([sigma]))
+    flag_row = entry * (a[0] / flagged)
     success = float(np.linalg.norm(flag_row) ** 2)
     c_realized = 2.0 * entry / BETA
     realized = c_realized / np.linalg.norm(c_realized)

@@ -17,7 +17,6 @@ from qsprep.errors import (
 )
 from qsprep.phases import (
     PhaseSequence,
-    _prefix_rows,
     conjugate_phases,
     find_phases,
     phases_from_text,
@@ -79,18 +78,6 @@ def test_reconstruct_half_pi_pair():
     # independent product: realizes 1 - 2 x^2
     assert abs(product_matrix([np.pi / 2, np.pi / 2], 0.5)[0, 0] - 0.5) < 1e-14
     assert abs(reconstruct(phi, 0.5) - 0.5) < 1e-14
-
-
-def test_prefix_rows_at_one_point_equal_the_array_rows():
-    rng = np.random.default_rng(8)
-    for d in (0, 1, 2, 7, 40, 301):
-        angles = rng.uniform(-np.pi, np.pi, d)
-        for x in (-1.0, -0.6, 0.0, 0.25, 1.0):
-            rows = list(_prefix_rows(angles, x))
-            assert len(rows) == d + 1
-            for (a, b), (ar, br) in zip(rows, _prefix_rows(angles, np.array([x]))):
-                assert type(a) is type(b) is complex
-                assert max(abs(a - ar[0]), abs(b - br[0])) <= 1e-13 * max(d, 1)
 
 
 def test_reconstruct_has_definite_parity():

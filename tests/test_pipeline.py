@@ -833,11 +833,35 @@ def test_levels_equal_a_sort_of_the_quantized_values(monkeypatch, values, m, sid
     monkeypatch.undo()
     want = np.unique(_quantize(values, m) + 2.0 ** -(m + 1), return_inverse=True, return_counts=True)
     assert ran == {"bins": ["bincount"], "sort": ["unique"], "identity": []}[side]
-    # the counts come as doubles on every path, cast once for the sums they weight
-    assert counts.dtype == np.float64
+    # the counts come as integers on every path; the stage casts them once
+    # for the sums they weight
+    assert counts.dtype == np.int64
     assert levels.tobytes() == want[0].tobytes()
     assert np.arange(levels.size)[level_of].tolist() == want[1].tolist()
     assert counts.tolist() == want[2].tolist()
+
+
+def test_final_state_read_builds_nothing_from_the_level_counts(monkeypatch):
+    # on an ascending table the levels are the classes, and their counts are
+    # the classes' own unit view: the final-state read, which takes only
+    # each class's level, gets them uncast, and the stage casts them once
+    values = (np.arange(2**10) + 0.5) / 2**10
+    oracle = AmplitudeOracle(10, 8, values)
+    rep = prepare_state(PrepConfig(oracle=oracle, epsilon=1e-6, delta=0.1))
+    stage = oracle._stage
+    assert stage.realized_level.size == values.size
+    got = []
+    inner = pipeline._levels
+
+    def spy(classes, m):
+        out = inner(classes, m)
+        got.append((classes, out[2]))
+        return out
+
+    monkeypatch.setattr(pipeline, "_levels", spy)
+    rep.final_state
+    [(classes, counts)] = got
+    assert counts is classes.counts and counts.dtype == np.int64
 
 
 def test_bound_check_is_immutable_and_prints_its_fields():
