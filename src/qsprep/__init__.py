@@ -69,6 +69,7 @@ from .pipeline import (
 )
 from .polyapprox import (
     Polynomial,
+    arcsin_target,
     arcsin_taylor,
     chebyshev_economize,
     complete_to_complex,

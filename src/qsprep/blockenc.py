@@ -8,12 +8,22 @@ the encoded generator, which is diagonal and real, and its entry at a
 level is one fixed real polynomial of the angles, Re P, at the level's
 sine. So ``hamiltonian_from_unitary`` takes the sines of the K distinct
 entries, one real each, and computes one real per entry: the series of Re
-P is sampled from the one ansatz recurrence once per angle set
-(``PhaseSequence.real_part``) and summed at the K sines in O(K d) time and
-O(K) memory. The dense functions
+P is kept with the angles that found it (``PhaseSequence.exact_real_part``)
+and summed at the K sines in O(K d) time and O(K) memory. The dense functions
 (``sine_block_encoding``, ``qsvt_circuit``, ``lcu_real_part``,
 ``extract_block``) build the same encoding as one unitary and are the
 reference the entries are tested against.
+
+P is the arcsin target (``polyapprox.arcsin_target``), economized on the
+sines' interval [-(1 - delta), 1 - delta] alone, since outside it the
+transform only needs |P| <= 1. That halves its degree, and so the oracle
+calls, against a target economized on all of [-1, 1]. A target is fixed
+by its cut (Taylor degree, kept length) and delta, so both its angles and
+the encodings built from them are memoized on the cut, not on epsilon.
+Its angles are found in extended precision and their series is summed in
+double, which misses the target by at most ``polyapprox.ARCSIN_ROUNDING``
+= 2^-52; the cut leaves that much of epsilon to the rounding, and a
+generator error under 2^-51 is refused.
 
 Ancilla registers sit in front of the data register, so an encoded matrix is
 always the literal top-left block. Projector-controlled phases are applied
@@ -32,7 +42,7 @@ import numpy as np
 from . import oracle
 from .errors import DimensionError, InfeasibleError, InputError
 from .phases import PhaseSequence, conjugate_phases, real_target_phases
-from .polyapprox import _arcsin_degree, _arcsin_series, _economized_length
+from .polyapprox import _arcsin_cut, _arcsin_target
 from .simulator import (
     Projector,
     UnitaryMatrix,
@@ -217,15 +227,16 @@ def _level_diagonal(sines: np.ndarray, phi: PhaseSequence) -> tuple[np.ndarray, 
     e^{i phi Z} and leaves the top-left entry alone: the +phi transform has
     the ansatz's a at x = s there, the -phi transform conj(a), and the
     real-part combination (a + conj(a)) / 2 = Re a, one fixed real
-    polynomial of the angles. Its Chebyshev series (``phi.real_part``) is
-    sampled from the ansatz once per angle set, and its layers are counted
-    there. The arcsin target is odd, so its angles are odd in number and
+    polynomial of the angles. Its Chebyshev series, with its layers, is
+    ``phi.exact_real_part``: the one ``real_target_phases`` kept for the
+    unrounded angles it found, or else ``phi.real_part``, sampled from the
+    ansatz once per angle set. The arcsin target is odd, so its angles are odd in number and
     the series is odd, c_1 T_1 + c_3 T_3 + ..., and since T_{2j+1}(x) =
     x (U_j(y) - U_{j-1}(y)) at y = 2x^2 - 1, Re a(x) = x sum_j g_j U_j(y)
     with g_j = c_{2j+1} - c_{2j+3}, summed by Clenshaw's recurrence in
     (d + 1) / 2 steps of O(K) memory.
     """
-    coefficients, layers = phi.real_part
+    coefficients, layers = phi.exact_real_part
     odd = coefficients[1::2]
     g = (odd - np.append(odd[1:], 0.0)).tolist()
     x = sines
@@ -246,18 +257,24 @@ def hamiltonian_from_unitary(sines: np.ndarray, epsilon: float, delta: float) ->
     A non-finite sine, or one outside [-1, 1], raises InputError. Requires
     ||sin(pi H)|| <= 1 - delta so the arcsin approximant's accuracy
     interval covers the spectrum, and raises InfeasibleError otherwise; the
-    encoded generator is then within epsilon of H. Its diagonal equals the
+    encoded generator is then within epsilon of H. An epsilon under 2^-51,
+    twice the rounding floor the arcsin cut leaves, raises InfeasibleError. Its diagonal equals the
     top-left block's diagonal in the dense ``lcu_real_part`` of the sine
     encoding. Records the polynomial degree and the counted transform
-    layers; each layer queries the controlled phase unitary and its
-    adjoint, shared by both branches of the real-part combination.
+    layers, where each layer queries the controlled phase unitary and its
+    adjoint, shared by both branches of the real-part combination, and the
+    target's cut (Taylor degree, kept length) and Chebyshev l1 norm.
 
-    Memoized per process on the exact bytes of the sines, epsilon and
-    delta, the whole input: the ``_MEMO_SIZE`` most recently used encodings
-    of at most ``_MEMO_MAX_LEVELS`` levels are kept, a hit returns the
-    read-only result a cold call built, and exceptions are not cached. An
-    encoding of more levels is built afresh on every call, and no key is
-    made for it.
+    Memoized per process on the exact bytes of the sines, the target's cut
+    and delta: epsilon enters only through the cut, which scalar loops find
+    before the memo is looked up (``polyapprox._arcsin_cut``, which keeps
+    the cuts of the 64 latest budgets), so two epsilons of one cut share an
+    encoding. The ``_MEMO_SIZE`` most recently used encodings of at most
+    ``_MEMO_MAX_LEVELS`` levels are kept, a hit returns the read-only result
+    a cold call built, and exceptions are not cached. An encoding of more
+    levels is built afresh on every call, and no key is made for it; its
+    angles still come from the one angle memo, ``_phases_at_cut``, keyed on
+    the same cut.
     """
     sines = np.asarray(sines)
     if sines.ndim != 1 or sines.size < 1:
@@ -273,9 +290,10 @@ def hamiltonian_from_unitary(sines: np.ndarray, epsilon: float, delta: float) ->
     # written so that a NaN fails it, and before the memo sees the key
     if not (0 < epsilon < 1 and 0 < delta < 1):
         raise InputError(f"epsilon and delta must lie in (0, 1), got {epsilon!r} and {delta!r}")
+    degree, keep = _arcsin_cut(epsilon, delta)
     if sines.size > _MEMO_MAX_LEVELS:
-        return _encode(sines, epsilon, delta)
-    return _encoding(sines.tobytes(), epsilon, delta)
+        return _encode(sines, degree, keep, delta)
+    return _encoding(sines.tobytes(), degree, keep, delta)
 
 
 # distinct encodings, and distinct arcsin cuts, whose results stay memoized
@@ -290,11 +308,11 @@ _MEMO_MAX_LEVELS = 2**12
 
 
 @functools.lru_cache(maxsize=_MEMO_SIZE)
-def _encoding(key: bytes, epsilon: float, delta: float) -> LevelEncoding:
-    return _encode(np.frombuffer(key), epsilon, delta)
+def _encoding(key: bytes, degree: int, keep: int, delta: float) -> LevelEncoding:
+    return _encode(np.frombuffer(key), degree, keep, delta)
 
 
-def _encode(sines: np.ndarray, epsilon: float, delta: float) -> LevelEncoding:
+def _encode(sines: np.ndarray, degree: int, keep: int, delta: float) -> LevelEncoding:
     # one pass for both guards, written so that a NaN fails the first
     sine_norm = float(max(sines.max(), -sines.min()))
     if not sine_norm <= 1.0:
@@ -304,27 +322,29 @@ def _encode(sines: np.ndarray, epsilon: float, delta: float) -> LevelEncoding:
             f"||sin(pi H)|| = {sine_norm:.6f} exceeds 1 - delta = {1 - delta:.6f}; "
             "rescale the amplitudes or widen delta"
         )
-    ang = _arcsin_phases(epsilon, delta)
+    ang, l1 = _phases_at_cut(degree, keep, delta)
     diagonal, layers = _level_diagonal(sines, ang)
     diagonal.flags.writeable = False
-    info = MappingProxyType({"arcsin_degree": len(ang), "cu_calls": layers})
+    info = MappingProxyType({"arcsin_degree": len(ang), "cu_calls": layers,
+                             "arcsin_cut": (degree, keep), "arcsin_l1": l1})
     return LevelEncoding(diagonal, ang, info)
 
 
 def _arcsin_phases(epsilon: float, delta: float) -> PhaseSequence:
     """Angles of the arcsin target for a generator error epsilon, found by its cut.
 
-    The target is the Taylor series of arcsin(x)/pi cut at the degree
-    ``arcsin_taylor`` finds for most of the budget, 0.9 epsilon, with the
-    Chebyshev tail that a slice, 0.05 epsilon, pays for economized away. The
-    target is fixed by those two cuts, which scalar loops over the cached
-    series find, so its angles are found only when its cut is new.
+    The target (``polyapprox.arcsin_target``) is the Taylor series of
+    arcsin(y)/pi cut for 0.5 epsilon at |y| = 1 - delta, rewritten in t = y
+    / (1 - delta) and economized there for 0.45 epsilon: it is fixed by its
+    cut (Taylor degree, kept length) and delta, which scalar loops over the
+    cached series find, so its angles are found only when its cut is new.
     """
-    degree = _arcsin_degree(0.9 * epsilon, delta)
-    return _phases_at_cut(degree, _economized_length(_arcsin_series(degree), 0.05 * epsilon))
+    return _phases_at_cut(*_arcsin_cut(epsilon, delta), delta)[0]
 
 
 @functools.lru_cache(maxsize=_MEMO_SIZE)
-def _phases_at_cut(degree: int, keep: int) -> PhaseSequence:
-    # the one angle memo; real_target_phases is a module global, so a tracer's wrapper sees every solve
-    return real_target_phases(_arcsin_series(degree)[:keep].real)
+def _phases_at_cut(degree: int, keep: int, delta: float) -> tuple[PhaseSequence, float]:
+    # the one angle memo, with the target's l1 norm; real_target_phases is a
+    # module global, so a tracer's wrapper sees every solve
+    target = _arcsin_target(degree, keep, delta)
+    return real_target_phases(target), float(np.abs(target).sum())

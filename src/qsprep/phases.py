@@ -9,10 +9,12 @@ degree-d polynomial of parity d mod 2. Every factor is unitary with
 determinant -1, so the top row (a, b) of a k-factor prefix fixes the whole
 prefix as [[a, b], [-D conj(b), D conj(a)]] with D = (-1)^k. One top-row
 recurrence, ``_prefix_rows``, therefore gives the reconstruction, the
-Jacobian of the least-squares polish, the Chebyshev series of Re a
-(``_real_part``, kept per angle set by ``PhaseSequence.real_part``) from which
+Jacobian of the least-squares polish, and the Chebyshev series of Re a
+(``_real_part``, kept per angle set by ``PhaseSequence.real_part``).
 ``blockenc._level_diagonal`` sums the engine's encoded generator at each
-distinct oracle entry. The fixed-point amplification is this product at
+distinct oracle entry from ``PhaseSequence.exact_real_part``, the same
+series, which ``real_target_phases`` keeps for the long-double angles it
+found. The fixed-point amplification is this product at
 the one point x = sigma; ``amplifier.amplify_state`` evaluates it with a
 scalar loop of its own over half the factors.
 
@@ -36,8 +38,9 @@ is imported only when a polish runs. Each escalation is logged at DEBUG
 level on the ``qsprep.phases`` logger.
 
 The pipeline's real targets get their angles from ``real_target_phases``, a
-fixed-point iteration on Re a alone; completion, stripping, extended
-precision and the polish serve ``qsprep phases`` and complex targets.
+fixed-point iteration on Re a alone, in ``np.longdouble``; completion,
+stripping, mpmath's extended precision and the polish serve ``qsprep
+phases`` and complex targets.
 
 Note on conventions: other codebases often parameterize the ansatz with the
 x-rotation W(x) instead of the reflection R(x); the two differ by a pi/2
@@ -65,6 +68,7 @@ from .errors import (
 )
 from .polyapprox import (
     MAX_DEGREE,
+    PI_LD,
     Polynomial,
     _check_qsp_conditions,
     evaluate,
@@ -74,7 +78,8 @@ from .polyapprox import (
 log = logging.getLogger(__name__)
 
 TOL = 1e-7  # largest reconstruction residual find_phases accepts
-# most steps of real_target_phases; an arcsin target reaches its floor in 15-21
+# most steps of each of real_target_phases' two passes; an arcsin target
+# reaches its floor in 16-24 steps in double and 4-10 more in long double
 _MAX_STEPS = 100
 
 
@@ -110,6 +115,17 @@ class PhaseSequence:
     def real_part(self) -> tuple[np.ndarray, int]:
         """``_real_part`` of the angles, built on first read and kept with them."""
         return _real_part(self.phases)
+
+    @functools.cached_property
+    def exact_real_part(self) -> tuple[np.ndarray, int]:
+        """The series of Re a of the angles before their rounding to doubles, and its layers.
+
+        ``real_target_phases`` keeps it with the angles it returns: the
+        series of the long-double angles it found, from which the doubles'
+        own ``real_part`` differs by up to ~1e-15, the rounding of angles
+        near +-pi/2. For other angles it is ``real_part``.
+        """
+        return self.real_part
 
     def __iter__(self):
         return iter(self.phases)
@@ -159,9 +175,12 @@ def _prefix_rows(phases: np.ndarray, xs: np.ndarray):
     """Yield the top rows (a_k, b_k) of the prefix products F_1 ... F_k, k = 0 .. d.
 
     F_j = e^{i phi_j Z} R(x), and each row is a pair of arrays over the
-    points ``xs``. The factors e^{i phi_j} are computed once for all angles.
+    points ``xs``. The factors e^{i phi_j} are computed once for all angles,
+    in the precision of ``phases`` (``real_target_phases`` passes long
+    doubles).
     """
-    es = np.exp(1j * phases).tolist()
+    es = np.exp(1j * phases)
+    es = es.tolist() if es.dtype == complex else es  # Python complex multiplies faster
     ss = np.sqrt(np.clip(1.0 - xs * xs, 0.0, None))
     a = np.ones(xs.size, dtype=complex)
     b = np.zeros_like(a)
@@ -461,27 +480,54 @@ def real_target_phases(c: np.ndarray) -> PhaseSequence:
     The fixed-point iteration of Dong, Lin, Ni & Wang (arXiv:2209.10162) on
     their symmetric W-form angles r, here phi_1 = 2 r_0 and phi_{j+1} =
     phi_{d-j+1} = r_j - pi/2: r <- r - (F(r) - c) / 2 from r = 0, F(r) the
-    T_d, T_{d-2}, .., T_1 coefficients of Re a (one ``_real_part``). It
-    converges for sum |c| <= 0.861 (arcsin targets: at most 1/2); Re a is
-    even in r, so the opposite step only negates the iterates. It runs while
-    the l1 miss sum |F - c| falls, to the rounding floor of the angles
-    (doubles near +-pi/2), and returns those of the least miss; a least miss
-    above max(1e-14, d 2^-52), the floor's growth past d ~ 150, raises
+    T_d, T_{d-2}, .., T_1 coefficients of Re a, sampled as ``_real_part``
+    samples it. It converges for sum |c| <= 0.861 (arcsin targets: at most
+    1/2); Re a is even in r, so the opposite step only negates the iterates.
+    It runs while the l1 miss sum |F - c| falls: in double to its floor
+    near 1e-15, where a step costs less, then on from there in
+    ``np.longdouble`` (a 64-bit mantissa on x86-64), angles and samples
+    alike, to ~1e-19. It returns the doubles nearest the angles of the
+    least miss and keeps that
+    F, rounded to doubles, as their ``exact_real_part``. Rounding an angle
+    near +-pi/2 to a double moves Re a by up to ~1e-15, so the doubles
+    themselves miss c by about as much as the least miss of an iteration in
+    double did. A least miss above max(1e-14, d 2^-52) raises
     PhaseFindingError.
     """
     d = c.size - 1
-    target, r, phis, least = c[d::-2], np.zeros((d + 1) // 2), np.empty(d), np.inf
+    xs = np.sin(PI_LD * np.arange(d + 1, -d - 2, -2) / (2 * (d + 1)))  # the d + 2 Lobatto points
+    # to its floor in double, where a step costs less, then on in long double
+    r = _real_target_steps(c, np.zeros((d + 1) // 2), xs.astype(float))[0]
+    best, best_series, least, step = _real_target_steps(c, r.astype(np.longdouble), xs)
+    if not least <= max(1e-14, d * 2.0**-52):
+        raise PhaseFindingError(f"no convergence: l1 miss {least:.3e} after {step} steps", residual=least)
+    out = PhaseSequence(_w_form_angles(best).astype(float))
+    exact = best_series.astype(float)
+    exact.flags.writeable = False
+    out.__dict__["exact_real_part"] = (exact, d)  # the frozen instance's cached property
+    return out
+
+
+def _w_form_angles(r: np.ndarray) -> np.ndarray:
+    """phi_1 = 2 r_0 and phi_{j+1} = phi_{d-j+1} = r_j - pi/2, in the precision of r."""
+    phis = np.empty(2 * r.size - 1, r.dtype)
+    phis[0] = 2 * r[0]
+    phis[1 : r.size] = r[1:] - r.dtype.type(PI_LD) / 2
+    phis[r.size :] = phis[r.size - 1 : 0 : -1]
+    return phis
+
+
+def _real_target_steps(c: np.ndarray, r: np.ndarray, xs: np.ndarray):
+    """The iteration from r while the l1 miss falls: (least-miss r, its series, the miss, steps)."""
+    d = c.size - 1
+    target, least = c[d::-2].astype(r.dtype), np.inf
     for step in range(1, _MAX_STEPS + 1):
-        phis[0] = 2 * r[0]
-        phis[1 : (d + 1) // 2] = r[1:] - np.pi / 2
-        phis[(d + 1) // 2 :] = phis[(d - 1) // 2 : 0 : -1]
-        angles = _normalize_angles(phis)
-        miss = _real_part(angles)[0][d::-2] - target
+        series = lobatto_coefficients(_top_row(_w_form_angles(r), xs)[0].real)
+        miss = series[d::-2] - target
         l1 = float(np.abs(miss).sum())
         if not l1 < least:
             break
-        least, best = l1, angles
-        r -= miss / 2
-    if least <= max(1e-14, d * 2.0**-52):
-        return PhaseSequence._from_normalized(best)
-    raise PhaseFindingError(f"no convergence: l1 miss {least:.3e} after {step} steps", residual=least)
+        least, best, best_series = l1, r, series
+        r = r - miss / 2
+    return best, best_series, least, step
+

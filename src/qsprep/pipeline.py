@@ -43,6 +43,7 @@ from .amplifier import AmplificationPlan, amplify_state, plan_amplification
 from .blockenc import LevelEncoding, hamiltonian_from_unitary
 from .errors import InfeasibleError, InputError, QsprepError
 from .oracle import MAX_BITS, AmplitudeOracle, ValueClasses, _is_int, _register_contents, gamma
+from .polyapprox import ARCSIN_ROUNDING
 from .simulator import StateVector
 
 SWEEP_COLUMNS = [
@@ -296,16 +297,20 @@ def _new_stage(oracle: AmplitudeOracle, epsilon: float) -> tuple[_TableStage, Le
 
     # quantization's share of the amplitude-error budget
     q_part = 2.0**-m
-    # with m capped, the quantization must leave the polynomial its least share
-    if eps_hat_target - q_part < eps_hat_target / 16.0:
+    # with m capped, the quantization must leave the polynomial its least
+    # share: a sixteenth of the aim, and no less than the amplitude of the
+    # least generator error the arcsin cut takes, 2 ARCSIN_ROUNDING
+    least = max(eps_hat_target / 16.0, 2.0 / BETA * (2.0 * ARCSIN_ROUNDING))
+    if eps_hat_target - q_part < least:
         raise InfeasibleError(
-            f"m = {m} value bits leave no room in the error budget; quantization "
-            f"alone contributes {q_part:.3e}, more than 15/16 of {eps_hat_target:.3e}"
+            f"m = {m} value bits leave no room in the error budget; of the aim "
+            f"{eps_hat_target:.3e}, quantization alone takes {q_part:.3e}, which "
+            f"leaves the polynomial less than its least share {least:.3e}"
         )
     # keep the polynomial's (smooth, sign-coherent) error well below the
     # quantization noise so the realized per-amplitude error profile stays
     # incoherent; costs only a few extra polynomial terms
-    eps_poly = max(min(eps_hat_target - q_part, q_part / 4.0), eps_hat_target / 16.0)
+    eps_poly = max(min(eps_hat_target - q_part, q_part / 4.0), least)
 
     levels, level_of, counts = _levels(classes, m)
     counts = counts.astype(float)  # cast once for the two sums they weight
@@ -370,8 +375,12 @@ def _run(cfg: PrepConfig, bounds: bool) -> PrepReport:
     # queries the controlled phase unitary and its adjoint (both select
     # branches share them); each query is an O_c pair
     oracle_calls = applications * encoding.info["cu_calls"] * 2 * 2
-    return _report(cfg, stage, encoding.info["arcsin_degree"], plan, abs(amplitude) ** 2,
-                   oracle_calls, bounds)
+    report = _report(cfg, stage, encoding.info["arcsin_degree"], plan, abs(amplitude) ** 2,
+                     oracle_calls, bounds)
+    # the arcsin target's cut (Taylor degree, kept length) and Chebyshev l1 norm
+    report.info["arcsin_cut"] = encoding.info["arcsin_cut"]
+    report.info["arcsin_l1"] = encoding.info["arcsin_l1"]
+    return report
 
 
 def _report(cfg: PrepConfig, stage: _TableStage, d_a: int, plan: AmplificationPlan, success: float,

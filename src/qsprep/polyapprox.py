@@ -2,13 +2,15 @@
 
 Every polynomial is a Chebyshev series with a parity (``Polynomial``), and
 files hold the same coefficients. The arcsin Taylor series is converted
-once per degree, by numpy's ``poly2cheb``, when it is first built.
+once per degree (and, in t = y / (1 - delta), once per degree and delta),
+by numpy's ``poly2cheb``, when it is first built.
 
-Provides the truncated arcsin Taylor series, an erf-based approximant of the
-sign function with closed-form Chebyshev coefficients, and the spectral
-factorization that equips a bounded real polynomial with the imaginary part
-required by the reflection ansatz, read off the cepstrum of 1 - P_R^2 by
-FFT in O(d log d) (``_factor.complete_real``).
+Provides the truncated arcsin Taylor series, the pipeline's arcsin target
+economized on [-(1 - delta), 1 - delta] (``arcsin_target``), an erf-based
+approximant of the sign function with closed-form Chebyshev coefficients,
+and the spectral factorization that equips a bounded real polynomial with
+the imaginary part required by the reflection ansatz, read off the
+cepstrum of 1 - P_R^2 by FFT in O(d log d) (``_factor.complete_real``).
 
 Checks on a grid use Chebyshev-Lobatto points cos(pi j / (N - 1)), where a
 series' N values are one DCT-I of its coefficients, a real FFT of their
@@ -39,7 +41,7 @@ import numpy as np
 from numpy.polynomial import chebyshev as cheb
 
 from . import _factor
-from .errors import CompletionError, ConditionError, DegreeOverflowError, InputError
+from .errors import CompletionError, ConditionError, DegreeOverflowError, InfeasibleError, InputError
 
 COEFF_TOL = 1e-12
 MAX_DEGREE = 10_000  # largest degree any approximant or completion may reach
@@ -247,14 +249,111 @@ def _next_arcsin_term(term: float, k: int) -> float:
 @functools.lru_cache(maxsize=64)
 def _arcsin_series(degree: int) -> np.ndarray:
     """Read-only Chebyshev coefficients of the series cut at ``degree``."""
+    chebyshev = cheb.poly2cheb(_arcsin_monomials(degree).astype(complex))
+    chebyshev.flags.writeable = False
+    return chebyshev
+
+
+def _arcsin_monomials(degree: int) -> np.ndarray:
+    """The monomial coefficients of the series cut at ``degree``, a new array."""
     terms = [1.0 / np.pi]
     for k in range((degree - 1) // 2):
         terms.append(_next_arcsin_term(terms[-1], k))
-    coeffs = np.zeros(degree + 1, dtype=complex)
+    coeffs = np.zeros(degree + 1)
     coeffs[1::2] = terms  # of x^(2k+1)
+    return coeffs
+
+
+# pi to the 64-bit mantissa of x86-64's long double
+PI_LD = 4 * np.arctan(np.longdouble(1))
+
+# Chebyshev l1 norm an arcsin target may reach: it bounds |p| on [-1, 1],
+# and it is the convergence condition of the real-target iteration
+# (``phases.real_target_phases``)
+REAL_TARGET_L1 = 0.861
+
+
+def arcsin_target(epsilon: float, delta: float) -> Polynomial:
+    """The odd polynomial within epsilon of arcsin(y)/pi on [-(1 - delta), 1 - delta].
+
+    The Taylor series is cut where its tail at |y| = 1 - delta fits in 0.5
+    epsilon (``arcsin_taylor``). The cut series is rewritten in t = y / (1 -
+    delta), where the interval is [-1, 1], as a Chebyshev series; its
+    monomials are positive and map to positive combinations, so nothing
+    cancels. The t-tail that 0.45 epsilon pays for is dropped, exactly,
+    since |T_k(t)| <= 1 there. Outside the interval the transform only needs
+    |p| <= 1, which the coefficients' l1 norm bounds: a target above
+    ``REAL_TARGET_L1`` raises ConditionError. The degree is about half that
+    of the series economized on all of [-1, 1] (25 against 47 at epsilon
+    1e-12 and delta 0.29). The rest of epsilon, 0.05 epsilon, is left to
+    the rounding of the target's and the transform's doubles; where
+    ``ARCSIN_ROUNDING`` is more, it is left that, and the two tails shrink
+    in proportion. An epsilon under twice that floor raises
+    InfeasibleError.
+    """
+    return Polynomial(_arcsin_target(*_arcsin_cut(epsilon, delta), delta), "odd")
+
+
+# what the realized arcsin transform may miss by past its polynomial's error,
+# in generator units: the rounding of the target's doubles, of the angles'
+# series and of its sum at the sines. In 40-digit checks at generator errors
+# 2^-8 .. 2^-51 and delta 0.01 .. 0.5 the encoding missed the target by at
+# most 1.2e-16, and arcsin / pi by at most 0.92 of the generator error. A
+# generator error under twice it is refused
+ARCSIN_ROUNDING = 2.0**-52
+
+
+# cuts kept found: every encoding call finds its cut before its memo lookup,
+# and a run's delta rows ask for one generator error in a row
+@functools.lru_cache(maxsize=64)
+def _arcsin_cut(epsilon: float, delta: float) -> tuple[int, int]:
+    """The target's cut (Taylor degree, kept length in t), by scalar loops over cached series.
+
+    The Taylor tail gets 0.5 and the t-tail 0.45 of the share; the share is
+    epsilon, or (epsilon - ARCSIN_ROUNDING) / 0.95 where 0.05 epsilon would
+    leave the rounding less than ``ARCSIN_ROUNDING``.
+    """
+    if 0 < epsilon < 2 * ARCSIN_ROUNDING:
+        raise InfeasibleError(
+            f"a generator error of {epsilon:.3e} is under 2^-51, twice the {ARCSIN_ROUNDING:.2e} "
+            "the arcsin transform may miss by in double precision"
+        )
+    share = epsilon if 0.05 * epsilon >= ARCSIN_ROUNDING else (epsilon - ARCSIN_ROUNDING) / 0.95
+    degree = _arcsin_degree(0.5 * share, delta)
+    return degree, max(_economized_length(_arcsin_t_series(degree, delta), 0.45 * share), 2)
+
+
+# t-series kept built, each one (degree, delta)'s O(d) coefficients
+@functools.lru_cache(maxsize=64)
+def _arcsin_t_series(degree: int, delta: float) -> np.ndarray:
+    """Read-only real Chebyshev coefficients in t = y / (1 - delta) of the series cut at ``degree``."""
+    coeffs = _arcsin_monomials(degree)
+    coeffs[1::2] *= (1.0 - delta) ** np.arange(1, degree + 1, 2)  # of t^(2k+1)
     chebyshev = cheb.poly2cheb(coeffs)
     chebyshev.flags.writeable = False
     return chebyshev
+
+
+def _arcsin_target(degree: int, keep: int, delta: float) -> np.ndarray:
+    """The target of a cut as real Chebyshev coefficients in y, a new array.
+
+    The kept t-series, of degree d = keep - 1, is sampled at the d + 1
+    Lobatto points of y in [-1, 1], t = y / (1 - delta), and turned into its
+    y-series by one DCT-I, both in ``np.longdouble`` (in double they lost up
+    to 4e-16 at delta 0.01, d = 201); the even coefficients, rounding only,
+    are zeroed.
+    """
+    d = keep - 1
+    t = np.cos(PI_LD * np.arange(d + 1) / d) / (1 - np.longdouble(delta))
+    c = lobatto_coefficients(cheb.chebval(t, _arcsin_t_series(degree, delta)[:keep])).astype(float)
+    c[0::2] = 0.0
+    l1 = float(np.abs(c).sum())
+    if not l1 <= REAL_TARGET_L1:
+        raise ConditionError(
+            f"the arcsin target of degree {d} has Chebyshev l1 norm {l1:.4f} > "
+            f"{REAL_TARGET_L1}, where the real-target iteration may not converge"
+        )
+    return c
 
 
 def sign_approx(Delta: float, delta: float) -> Polynomial:

@@ -1,6 +1,7 @@
 import tracemalloc
 from dataclasses import FrozenInstanceError
 
+import mpmath as mp
 import numpy as np
 import pytest
 import scipy.linalg
@@ -19,9 +20,12 @@ from qsprep.errors import DimensionError, InfeasibleError, InputError
 from qsprep.phases import PhaseSequence, find_phases, polynomial_from_phases, reconstruct
 from qsprep.pipeline import DELTA_MARGIN
 from qsprep.polyapprox import (
+    ARCSIN_ROUNDING,
+    REAL_TARGET_L1,
     Polynomial,
+    _arcsin_cut,
+    arcsin_target,
     arcsin_taylor,
-    chebyshev_economize,
     complete_to_complex,
     evaluate,
 )
@@ -264,6 +268,34 @@ def test_hamiltonian_extraction_error_tracks_polynomial_error():
         assert op_dist(generator_block(be), np.diag(hvals)) <= eps
 
 
+@pytest.mark.parametrize("delta, exponents", [(DELTA_MARGIN, (8, 14, 20, 26, 32, 38, 44, 48, 50, 51)),
+                                               (0.1, (8, 14, 20, 26, 32, 38, 44, 48, 50, 51)),
+                                               (0.5, (8, 14, 20, 26, 32, 38, 44, 48, 50, 51)),
+                                               (0.01, (51,))])
+def test_encoded_generator_is_within_epsilon_down_to_the_rounding_floor(delta, exponents):
+    # the realized encoding, double-precision series and sum included,
+    # against a 40-digit arcsin / pi at 2d + 1 sines up to 1 - delta: it
+    # misses by at most epsilon at generator errors 2^-k from 2^-8 down to
+    # 2^-51, and the target's own double coefficients, summed in 40 digits,
+    # by ARCSIN_ROUNDING; a smaller epsilon is refused. At delta 0.01 (d =
+    # 201) a target resampled in double missed by 1.44 epsilon
+    with mp.workdps(40):
+        for k in exponents:
+            epsilon = 2.0**-k
+            sines = (1 - delta) * np.linspace(0.0, 1.0, 2 * (1 + _arcsin_cut(epsilon, delta)[1]))
+            encoding = hamiltonian_from_unitary(sines, epsilon, delta)
+            target = arcsin_target(epsilon, delta).coefficients.real
+            for y, h in zip(sines.tolist(), encoding.diagonal.tolist()):
+                exact = mp.asin(y) / mp.pi
+                assert abs(h - exact) <= epsilon, (k, y, float(abs(h - exact)) / epsilon)
+                t0, t1, p = mp.mpf(1), mp.mpf(y), mp.mpf(0)
+                for ck in target.tolist():
+                    p, t0, t1 = p + ck * t0, t1, 2 * y * t1 - t0
+                assert abs(h - p) <= ARCSIN_ROUNDING, (k, y, float(abs(h - p)))
+    with pytest.raises(InfeasibleError, match="under 2\\^-51"):
+        hamiltonian_from_unitary(np.array([0.1]), 2.0**-52, delta)
+
+
 def test_hamiltonian_call_count_grows_logarithmically():
     u = sines_of(diag_unitary([0.25, -0.1]))
     epss = (1e-2, 1e-3, 1e-4, 1e-5, 1e-6)
@@ -287,7 +319,7 @@ def _levels_within_a_quarter(count, seed):
 
 
 def _pipeline_arcsin_phases():
-    """The distinct angle sets of the pipeline's arcsin transform up to d_a = 47."""
+    """The distinct angle sets of the pipeline's arcsin transform up to d_a = 31."""
     found = {}
     for eps in 10.0 ** -np.arange(1.0, 15.0, 0.25):
         phi = hamiltonian_from_unitary(np.zeros(1), eps, DELTA_MARGIN).phases
@@ -301,7 +333,7 @@ def test_level_diagonal_matches_the_ansatz():
     # recurrence it replaces, at random levels inside the arcsin interval
     levels = _levels_within_a_quarter(2000, 7)
     arcsin_sets = _pipeline_arcsin_phases()
-    assert {len(phi) for phi in arcsin_sets} >= {3, 47}
+    assert {len(phi) for phi in arcsin_sets} >= {3, 31}
     rng = np.random.default_rng(8)
     random_sets = [PhaseSequence(rng.uniform(-np.pi, np.pi, d)) for d in range(1, 102, 4)]
     for sets, tol in ((arcsin_sets, 4e-15), (random_sets, 2e-14)):
@@ -319,7 +351,7 @@ def test_encoding_memory_per_level():
     # 8 B more again, and the per-level ansatz recurrence 104.5 B in all)
     count = 2**18
     warm = hamiltonian_from_unitary(_levels_within_a_quarter(count, 1), 1e-7, 0.29)
-    assert len(warm.phases) == 23
+    assert len(warm.phases) == 13
     levels = _levels_within_a_quarter(count, 2)
     tracemalloc.start()
     try:
@@ -390,6 +422,22 @@ def test_encoding_memo_hit_builds_no_arcsin_target(monkeypatch):
     assert len(calls) == 2
 
 
+def test_encoding_memo_is_keyed_on_the_cut():
+    # two generator errors of one cut give the same target and angles, so
+    # the same sines at both share one encoding: one miss, then one hit
+    levels = np.sin(np.pi * np.array([0.05, 0.15]))
+    cut = _arcsin_cut(1e-3, 0.25)
+    assert _arcsin_cut(1.01e-3, 0.25) == cut
+    blockenc._encoding.cache_clear()
+    first = hamiltonian_from_unitary(levels, 1e-3, 0.25)
+    second = hamiltonian_from_unitary(levels, 1.01e-3, 0.25)
+    info = blockenc._encoding.cache_info()
+    assert (info.misses, info.hits) == (1, 1)
+    assert second is first
+    assert first.info["arcsin_cut"] == cut and first.info["arcsin_degree"] == cut[1] - 1
+    assert 0 < first.info["arcsin_l1"] <= REAL_TARGET_L1
+
+
 @pytest.mark.parametrize("delta", [DELTA_MARGIN, 0.1, 0.5])
 def test_arcsin_cut_finds_the_economized_target(monkeypatch, delta):
     # the cut the scalar loops find is the economized target's, and the
@@ -401,7 +449,7 @@ def test_arcsin_cut_finds_the_economized_target(monkeypatch, delta):
             blockenc._phases_at_cut.cache_clear()
             built.clear()
             blockenc._arcsin_phases(eps, delta)
-            want = chebyshev_economize(arcsin_taylor(0.9 * eps, delta), 0.05 * eps)
+            want = arcsin_target(eps, delta)
             assert [c.tobytes() for c in built] == [want.coefficients.real.tobytes()], eps
     finally:
         blockenc._phases_at_cut.cache_clear()

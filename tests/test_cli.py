@@ -12,13 +12,15 @@ import numpy as np
 import pytest
 
 import qsprep
-from qsprep import cli
+from qsprep import blockenc, cli, polyapprox
 from qsprep.cli import main
+from qsprep.errors import QsprepError
 from qsprep.oracle import AmplitudeOracle, ValueClasses, oracle_to_text
 from qsprep.phases import phases_from_text, reconstruct
 from qsprep.pipeline import BoundCheck, prepare_state, verify_error_bounds
 from qsprep.polyapprox import (
     Polynomial,
+    arcsin_target,
     complete_to_complex,
     evaluate,
     poly_to_text,
@@ -148,6 +150,40 @@ def test_search_past_its_capped_aim_exits_2(capsys):
     rc = main(["grover", "--n", "24", "--x0", "1", "--eps", "4.64e-8", "--delta", "0.1"])
     assert rc == 2
     assert "no room in the error budget" in capsys.readouterr().err
+
+
+def test_search_whose_capped_aim_leaves_the_arcsin_transform_under_its_floor_exits_2(capsys):
+    # aim 2.5e-15: after the 2^-50 quantization the polynomial would get
+    # 1.7e-15, under the 1.8e-15 (generator error 2^-51) the double-precision
+    # transform needs; the run is refused, where it once ran at 2^-54 and
+    # passed or failed its aim by rounding
+    rc = main(["grover", "--n", "17", "--x0", "1", "--eps", "1e-9", "--delta", "0.1"])
+    err = capsys.readouterr().err
+    assert rc == 2
+    assert "no room in the error budget" in err and "least share 1.776e-15" in err
+
+
+def test_arcsin_target_over_the_l1_limit_is_refused(capsys, monkeypatch):
+    # a target whose Chebyshev l1 norm exceeds the real-target iteration's
+    # convergence condition is refused, by the library as a QsprepError and
+    # by the command line with exit code 2; the memos are emptied on both
+    # sides, so no target checked against the other limit is reused
+    blockenc._encoding.cache_clear()
+    blockenc._phases_at_cut.cache_clear()
+    monkeypatch.setattr(polyapprox, "REAL_TARGET_L1", 0.3)
+    try:
+        with pytest.raises(QsprepError, match="l1 norm"):
+            arcsin_target(1e-6, 0.29)
+        with pytest.raises(QsprepError, match="l1 norm"):
+            blockenc.hamiltonian_from_unitary(np.array([0.1, 0.5]), 1e-6, 0.29)
+        rc = main(["grover", "--n", "3", "--x0", "5", "--eps", "0.05", "--delta", "0.1"])
+        captured = capsys.readouterr()
+        assert rc == 2
+        assert captured.err.startswith("error: ") and "l1 norm" in captured.err
+        assert "Traceback" not in captured.err + captured.out
+    finally:
+        blockenc._encoding.cache_clear()
+        blockenc._phases_at_cut.cache_clear()
 
 
 @pytest.mark.parametrize("command", ["prepare", "verify-bounds", "grover"])

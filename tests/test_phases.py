@@ -29,8 +29,10 @@ from qsprep.oracle import AmplitudeOracle
 from qsprep.pipeline import DELTA_MARGIN, PrepConfig, grover_case, verify_error_bounds
 from qsprep.polyapprox import (
     Polynomial,
+    _arcsin_cut,
     _arcsin_degree,
     _arcsin_series,
+    _arcsin_target,
     _economized_length,
     arcsin_taylor,
     complete_to_complex,
@@ -500,6 +502,25 @@ def test_real_target_phases_realize_every_arcsin_cut_of_the_pipeline():
         c = _arcsin_series(degree)[:keep].real
         phi = real_target_phases(c)
         assert len(phi) == keep - 1
+        assert np.abs(phi.real_part[0][1:keep:2] - c[1::2]).sum() <= 1e-14, degree
+        exact = polynomial_from_phases(phi).coefficients.real
+        assert np.abs(exact - c).sum() <= 1e-14, degree
+
+
+def test_real_target_phases_realize_every_economized_arcsin_cut():
+    # the targets economized on the levels' interval (``arcsin_target``) at
+    # the generator errors a run may ask for, 2^-8 .. 2^-51: the unrounded
+    # W-form angles realize each to an l1 miss of 1e-18 (8.4e-19 at most),
+    # and their doubles to 1e-14, by the double sampler and by the
+    # independent reference polynomial_from_phases
+    cuts = {_arcsin_cut(error, DELTA_MARGIN) for error in np.geomspace(2.0**-8, 2.0**-51, 4000)}
+    assert {keep - 1 for _, keep in cuts} >= {3, 7, 27, 33}
+    for degree, keep in sorted(cuts):
+        c = _arcsin_target(degree, keep, DELTA_MARGIN)
+        phi = real_target_phases(c)
+        assert len(phi) == keep - 1
+        series, layers = phi.exact_real_part
+        assert layers == len(phi) and np.abs(series[1:keep:2] - c[1::2]).sum() <= 1e-18, degree
         assert np.abs(phi.real_part[0][1:keep:2] - c[1::2]).sum() <= 1e-14, degree
         exact = polynomial_from_phases(phi).coefficients.real
         assert np.abs(exact - c).sum() <= 1e-14, degree

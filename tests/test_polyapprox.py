@@ -1,15 +1,19 @@
 import time
 
+import mpmath as mp
 import numpy as np
 import pytest
 from numpy.polynomial import chebyshev as cheb
 from scipy.special import erfinv, ive
 
 from qsprep import _factor, polyapprox
-from qsprep.errors import CompletionError, ConditionError, DegreeOverflowError, InputError
+from qsprep.errors import CompletionError, ConditionError, DegreeOverflowError, InfeasibleError, InputError
 from qsprep.phases import find_phases
+from qsprep.pipeline import DELTA_MARGIN
 from qsprep.polyapprox import (
+    REAL_TARGET_L1,
     Polynomial,
+    arcsin_target,
     arcsin_taylor,
     chebyshev_economize,
     complete_to_complex,
@@ -145,6 +149,46 @@ def test_arcsin_degree_overflow(monkeypatch):
 def test_arcsin_refuses_budget_outside_unit_interval(epsilon, delta):
     with pytest.raises(InputError, match="must lie in"):
         arcsin_taylor(epsilon, delta)
+
+
+@pytest.mark.parametrize("delta", [DELTA_MARGIN, 0.1, 0.5])
+def test_arcsin_target_is_within_epsilon_on_the_levels_interval(delta):
+    # against a 40-digit arcsin / pi, with the double coefficients summed in
+    # 40 digits too, at the generator errors a run may ask for (2^-8 ..
+    # 2^-51): the target misses by at most epsilon; under 2^-51, twice the
+    # rounding floor the cut leaves the transform, it is refused
+    with mp.workdps(40):
+        a = 1 - mp.mpf(delta)
+        for k in [*range(8, 51, 3), 51]:
+            epsilon = 2.0**-k
+            c = arcsin_target(epsilon, delta).coefficients.real
+            d = c.size - 1
+            terms = [mp.mpf(float(ck)) for ck in c[:0:-1]]
+            miss = mp.mpf(0)
+            for j in range(4 * d + 1):  # the function and the target are odd
+                y = a * j / (4 * d)
+                b1 = b2 = mp.mpf(0)
+                for ck in terms:
+                    b1, b2 = 2 * y * b1 - b2 + ck, b1
+                miss = max(miss, abs(y * b1 - b2 - mp.asin(y) / mp.pi))
+            assert float(miss) <= epsilon, (k, float(miss) / epsilon)
+    for k in (52, 56):
+        with pytest.raises(InfeasibleError, match="under 2\\^-51"):
+            arcsin_target(2.0**-k, delta)
+
+
+@pytest.mark.parametrize("delta", [DELTA_MARGIN, 0.1, 0.5])
+def test_arcsin_target_is_bounded_by_its_l1_norm_on_the_whole_interval(delta):
+    # outside the levels' interval the transform only needs |p| <= 1, which
+    # the l1 norm bounds; it is also the real-target iteration's condition.
+    # |p(1)| = l1 when every coefficient is positive, so the two sums may
+    # differ by their rounding
+    for k in [*range(8, 51, 3), 51]:
+        p = arcsin_target(2.0**-k, delta)
+        l1 = float(np.abs(p.coefficients).sum())
+        assert l1 <= REAL_TARGET_L1
+        assert np.abs(lobatto_values(p.coefficients.real, 4001)).max() <= l1 * (1 + 1e-14)
+        assert p.parity == "odd" and p.is_real(0.0)
 
 
 # ---------------------------------------------------------------------------
