@@ -8,8 +8,9 @@ the encoded generator, which is diagonal and real, and its entry at a
 level is one fixed real polynomial of the angles, Re P, at the level's
 sine. So ``hamiltonian_from_unitary`` takes the sines of the K distinct
 entries, one real each, and computes one real per entry: the series of Re
-P is kept with the angles that found it (``PhaseSequence.exact_real_part``)
-and summed at the K sines in O(K d) time and O(K) memory. The dense functions
+P that ``real_target_phases`` returns with the angles is kept with them in
+the one angle memo (``_phases_at_cut``) and summed at the K sines in O(K
+d) time and O(K) memory. The dense functions
 (``sine_block_encoding``, ``qsvt_circuit``, ``lcu_real_part``,
 ``extract_block``) build the same encoding as one unitary and are the
 reference the entries are tested against.
@@ -216,8 +217,8 @@ class LevelEncoding:
     info: Mapping
 
 
-def _level_diagonal(sines: np.ndarray, phi: PhaseSequence) -> tuple[np.ndarray, int]:
-    """Each level's encoded generator entry and the number of transform layers.
+def _level_diagonal(sines: np.ndarray, series: np.ndarray) -> np.ndarray:
+    """Each level's encoded generator entry, summed from the odd Chebyshev series of Re a.
 
     Per level the sine encoding is the Hermitian W = [[s, ic], [-ic, -s]] with
     s = sin(pi h), c = cos(pi h) (so the dense circuit's U and U-dagger
@@ -227,24 +228,22 @@ def _level_diagonal(sines: np.ndarray, phi: PhaseSequence) -> tuple[np.ndarray, 
     e^{i phi Z} and leaves the top-left entry alone: the +phi transform has
     the ansatz's a at x = s there, the -phi transform conj(a), and the
     real-part combination (a + conj(a)) / 2 = Re a, one fixed real
-    polynomial of the angles. Its Chebyshev series, with its layers, is
-    ``phi.exact_real_part``: the one ``real_target_phases`` kept for the
-    unrounded angles it found, or else ``phi.real_part``, sampled from the
-    ansatz once per angle set. The arcsin target is odd, so its angles are odd in number and
-    the series is odd, c_1 T_1 + c_3 T_3 + ..., and since T_{2j+1}(x) =
+    polynomial of the angles. Its Chebyshev series is the one
+    ``real_target_phases`` returns for the unrounded angles it found. The
+    arcsin target is odd, so its angles are odd in number and the series
+    is odd, c_1 T_1 + c_3 T_3 + ..., and since T_{2j+1}(x) =
     x (U_j(y) - U_{j-1}(y)) at y = 2x^2 - 1, Re a(x) = x sum_j g_j U_j(y)
     with g_j = c_{2j+1} - c_{2j+3}, summed by Clenshaw's recurrence in
     (d + 1) / 2 steps of O(K) memory.
     """
-    coefficients, layers = phi.exact_real_part
-    odd = coefficients[1::2]
+    odd = series[1::2]
     g = (odd - np.append(odd[1:], 0.0)).tolist()
     x = sines
     two_y = 4.0 * x * x - 2.0
     b1, b2 = g[-1], 0.0
     for gj in g[-2::-1]:
         b1, b2 = two_y * b1 - b2 + gj, b1
-    return x * b1, layers
+    return x * b1
 
 
 def hamiltonian_from_unitary(sines: np.ndarray, epsilon: float, delta: float) -> LevelEncoding:
@@ -322,29 +321,19 @@ def _encode(sines: np.ndarray, degree: int, keep: int, delta: float) -> LevelEnc
             f"||sin(pi H)|| = {sine_norm:.6f} exceeds 1 - delta = {1 - delta:.6f}; "
             "rescale the amplitudes or widen delta"
         )
-    ang, l1 = _phases_at_cut(degree, keep, delta)
-    diagonal, layers = _level_diagonal(sines, ang)
+    ang, series, layers, l1 = _phases_at_cut(degree, keep, delta)
+    diagonal = _level_diagonal(sines, series)
     diagonal.flags.writeable = False
     info = MappingProxyType({"arcsin_degree": len(ang), "cu_calls": layers,
                              "arcsin_cut": (degree, keep), "arcsin_l1": l1})
     return LevelEncoding(diagonal, ang, info)
 
 
-def _arcsin_phases(epsilon: float, delta: float) -> PhaseSequence:
-    """Angles of the arcsin target for a generator error epsilon, found by its cut.
-
-    The target (``polyapprox.arcsin_target``) is the Taylor series of
-    arcsin(y)/pi cut for 0.5 epsilon at |y| = 1 - delta, rewritten in t = y
-    / (1 - delta) and economized there for 0.45 epsilon: it is fixed by its
-    cut (Taylor degree, kept length) and delta, which scalar loops over the
-    cached series find, so its angles are found only when its cut is new.
-    """
-    return _phases_at_cut(*_arcsin_cut(epsilon, delta), delta)[0]
-
-
 @functools.lru_cache(maxsize=_MEMO_SIZE)
-def _phases_at_cut(degree: int, keep: int, delta: float) -> tuple[PhaseSequence, float]:
-    # the one angle memo, with the target's l1 norm; real_target_phases is a
-    # module global, so a tracer's wrapper sees every solve
-    target = _arcsin_target(degree, keep, delta)
-    return real_target_phases(target), float(np.abs(target).sum())
+def _phases_at_cut(degree: int, keep: int, delta: float) -> tuple[PhaseSequence, np.ndarray, int, float]:
+    # the one angle memo: the angles, their read-only series of Re a and the
+    # layers that sampled it (``real_target_phases``), and the target's l1
+    # norm; real_target_phases is a module global, so a tracer's wrapper
+    # sees every solve
+    target, l1 = _arcsin_target(degree, keep, delta)
+    return (*real_target_phases(target), l1)

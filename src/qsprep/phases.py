@@ -10,13 +10,12 @@ determinant -1, so the top row (a, b) of a k-factor prefix fixes the whole
 prefix as [[a, b], [-D conj(b), D conj(a)]] with D = (-1)^k. One top-row
 recurrence, ``_prefix_rows``, therefore gives the reconstruction, the
 Jacobian of the least-squares polish, and the Chebyshev series of Re a
-(``_real_part``, kept per angle set by ``PhaseSequence.real_part``).
+that ``real_target_phases`` samples at each step. It returns the series
+of the long-double angles it found with their doubles, and
 ``blockenc._level_diagonal`` sums the engine's encoded generator at each
-distinct oracle entry from ``PhaseSequence.exact_real_part``, the same
-series, which ``real_target_phases`` keeps for the long-double angles it
-found. The fixed-point amplification is this product at
-the one point x = sigma; ``amplifier.amplify_state`` evaluates it with a
-scalar loop of its own over half the factors.
+distinct oracle entry from that series. The fixed-point amplification
+is this product at the one point x = sigma; ``amplifier.amplify_state``
+evaluates it with a scalar loop of its own over half the factors.
 
 ``find_phases`` inverts the map by layer stripping (peel phi_d off the
 leading coefficients, reduce the degree, repeat) in double precision. Each
@@ -49,7 +48,6 @@ shift of the interior phases and fixed boundary offsets. Everything here but
 """
 from __future__ import annotations
 
-import functools
 import logging
 from dataclasses import dataclass
 
@@ -111,40 +109,8 @@ class PhaseSequence:
     def __len__(self) -> int:
         return self.phases.size
 
-    @functools.cached_property
-    def real_part(self) -> tuple[np.ndarray, int]:
-        """``_real_part`` of the angles, built on first read and kept with them."""
-        return _real_part(self.phases)
-
-    @functools.cached_property
-    def exact_real_part(self) -> tuple[np.ndarray, int]:
-        """The series of Re a of the angles before their rounding to doubles, and its layers.
-
-        ``real_target_phases`` keeps it with the angles it returns: the
-        series of the long-double angles it found, from which the doubles'
-        own ``real_part`` differs by up to ~1e-15, the rounding of angles
-        near +-pi/2. For other angles it is ``real_part``.
-        """
-        return self.real_part
-
     def __iter__(self):
         return iter(self.phases)
-
-
-def _real_part(phases: np.ndarray) -> tuple[np.ndarray, int]:
-    """Chebyshev coefficients of Re a for raw angles, and the layers that sampled it.
-
-    One ``_top_row`` pass samples Re a on the (d + 2)-point Lobatto grid,
-    where a degree-d series is exact, and ``lobatto_coefficients`` turns the
-    samples into coefficients. The grid points are taken as sines, exact at
-    the ends and symmetric about 0. The coefficients are read-only.
-    """
-    n = phases.size + 2
-    xs = np.sin(np.pi * np.arange(n - 1, -n, -2) / (2 * (n - 1)))
-    a, _, layers = _top_row(phases, xs)
-    coefficients = lobatto_coefficients(a.real)
-    coefficients.flags.writeable = False
-    return coefficients, layers
 
 
 def phases_to_text(phi: PhaseSequence) -> str:
@@ -474,22 +440,25 @@ def find_phases(p: Polynomial) -> PhaseSequence:
     return PhaseSequence(best)
 
 
-def real_target_phases(c: np.ndarray) -> PhaseSequence:
+def real_target_phases(c: np.ndarray) -> tuple[PhaseSequence, np.ndarray, int]:
     """Angles whose ansatz has Re a = the odd real series c; c[k] multiplies T_k.
 
     The fixed-point iteration of Dong, Lin, Ni & Wang (arXiv:2209.10162) on
     their symmetric W-form angles r, here phi_1 = 2 r_0 and phi_{j+1} =
     phi_{d-j+1} = r_j - pi/2: r <- r - (F(r) - c) / 2 from r = 0, F(r) the
-    T_d, T_{d-2}, .., T_1 coefficients of Re a, sampled as ``_real_part``
-    samples it. It converges for sum |c| <= 0.861 (arcsin targets: at most
-    1/2); Re a is even in r, so the opposite step only negates the iterates.
-    It runs while the l1 miss sum |F - c| falls: in double to its floor
-    near 1e-15, where a step costs less, then on from there in
-    ``np.longdouble`` (a 64-bit mantissa on x86-64), angles and samples
-    alike, to ~1e-19. It returns the doubles nearest the angles of the
-    least miss and keeps that
-    F, rounded to doubles, as their ``exact_real_part``. Rounding an angle
-    near +-pi/2 to a double moves Re a by up to ~1e-15, so the doubles
+    T_d, T_{d-2}, .., T_1 coefficients of Re a. One ``_top_row`` pass
+    samples Re a on the d + 2 Lobatto points, where a degree-d series is
+    exact, and ``lobatto_coefficients`` turns the samples into F. It
+    converges for sum |c| <= 0.861 (arcsin targets: at most 1/2); Re a is
+    even in r, so the opposite step only negates the iterates. It runs
+    while the l1 miss sum |F - c| falls: in double to its floor near 1e-15,
+    where a step costs less, then on from there in ``np.longdouble`` (a
+    64-bit mantissa on x86-64), angles and samples alike, to ~1e-19.
+
+    Returns the doubles nearest the angles of the least miss, that F
+    rounded to doubles (read-only; the series the encoding sums), and the
+    layers of the ``_top_row`` pass that sampled it. Rounding an angle near
+    +-pi/2 to a double moves Re a by up to ~1e-15, so the doubles
     themselves miss c by about as much as the least miss of an iteration in
     double did. A least miss above max(1e-14, d 2^-52) raises
     PhaseFindingError.
@@ -498,14 +467,12 @@ def real_target_phases(c: np.ndarray) -> PhaseSequence:
     xs = np.sin(PI_LD * np.arange(d + 1, -d - 2, -2) / (2 * (d + 1)))  # the d + 2 Lobatto points
     # to its floor in double, where a step costs less, then on in long double
     r = _real_target_steps(c, np.zeros((d + 1) // 2), xs.astype(float))[0]
-    best, best_series, least, step = _real_target_steps(c, r.astype(np.longdouble), xs)
+    best, (series, layers), least, step = _real_target_steps(c, r.astype(np.longdouble), xs)
     if not least <= max(1e-14, d * 2.0**-52):
         raise PhaseFindingError(f"no convergence: l1 miss {least:.3e} after {step} steps", residual=least)
-    out = PhaseSequence(_w_form_angles(best).astype(float))
-    exact = best_series.astype(float)
-    exact.flags.writeable = False
-    out.__dict__["exact_real_part"] = (exact, d)  # the frozen instance's cached property
-    return out
+    series = series.astype(float)
+    series.flags.writeable = False
+    return PhaseSequence(_w_form_angles(best).astype(float)), series, layers
 
 
 def _w_form_angles(r: np.ndarray) -> np.ndarray:
@@ -518,16 +485,21 @@ def _w_form_angles(r: np.ndarray) -> np.ndarray:
 
 
 def _real_target_steps(c: np.ndarray, r: np.ndarray, xs: np.ndarray):
-    """The iteration from r while the l1 miss falls: (least-miss r, its series, the miss, steps)."""
+    """The iteration from r while the l1 miss falls.
+
+    Returns the least-miss r, (its series, the layers that sampled it), the
+    miss and the steps taken.
+    """
     d = c.size - 1
     target, least = c[d::-2].astype(r.dtype), np.inf
     for step in range(1, _MAX_STEPS + 1):
-        series = lobatto_coefficients(_top_row(_w_form_angles(r), xs)[0].real)
+        a, _, layers = _top_row(_w_form_angles(r), xs)
+        series = lobatto_coefficients(a.real)
         miss = series[d::-2] - target
         l1 = float(np.abs(miss).sum())
         if not l1 < least:
             break
-        least, best, best_series = l1, r, series
+        least, best, kept = l1, r, (series, layers)
         r = r - miss / 2
-    return best, best_series, least, step
+    return best, kept, least, step
 

@@ -2,8 +2,9 @@
 
 Every polynomial is a Chebyshev series with a parity (``Polynomial``), and
 files hold the same coefficients. The arcsin Taylor series is converted
-once per degree (and, in t = y / (1 - delta), once per degree and delta),
-by numpy's ``poly2cheb``, when it is first built.
+to Chebyshev coefficients in t = y / (1 - delta) once per degree and
+delta, by numpy's ``poly2cheb``, when it is first built; at delta 0 that
+is the series in y that ``arcsin_taylor`` returns.
 
 Provides the truncated arcsin Taylor series, the pipeline's arcsin target
 economized on [-(1 - delta), 1 - delta] (``arcsin_target``), an erf-based
@@ -209,13 +210,13 @@ def arcsin_taylor(epsilon: float, delta: float) -> Polynomial:
     Coefficient of x^(2k+1) is binom(2k, k) / (pi * 4^k * (2k+1)); terms are
     kept until the geometric tail bound at |x| = 1 - delta drops below
     epsilon. The resulting degree grows like (1/delta) * log(1/epsilon).
-    The Chebyshev coefficients of the series cut at each degree are built
-    once per process (``_arcsin_series``) and returned read-only, so a call
-    only finds the degree (``_arcsin_degree``).
+    The series is the pipeline's t-series at delta 0, where t = x, so a
+    warm call only finds the degree (``_arcsin_degree``); its coefficients
+    are a new complex copy of that read-only series.
     """
     # the terms are positive and sum to at most arcsin(1)/pi = 1/2 at x = 1,
     # so |P| < 1 on [-1, 1] and no rescale is needed
-    return Polynomial(_arcsin_series(_arcsin_degree(epsilon, delta)), "odd")
+    return Polynomial(_arcsin_t_series(_arcsin_degree(epsilon, delta), 0.0), "odd")
 
 
 def _arcsin_degree(epsilon: float, delta: float) -> int:
@@ -243,15 +244,6 @@ def _arcsin_degree(epsilon: float, delta: float) -> int:
 def _next_arcsin_term(term: float, k: int) -> float:
     """The Taylor coefficient of x^(2k+3) from that of x^(2k+1)."""
     return term * (2 * k + 1) ** 2 / (2.0 * (k + 1) * (2 * k + 3))
-
-
-# arcsin series kept built, each one degree's O(d) coefficients
-@functools.lru_cache(maxsize=64)
-def _arcsin_series(degree: int) -> np.ndarray:
-    """Read-only Chebyshev coefficients of the series cut at ``degree``."""
-    chebyshev = cheb.poly2cheb(_arcsin_monomials(degree).astype(complex))
-    chebyshev.flags.writeable = False
-    return chebyshev
 
 
 def _arcsin_monomials(degree: int) -> np.ndarray:
@@ -291,7 +283,7 @@ def arcsin_target(epsilon: float, delta: float) -> Polynomial:
     in proportion. An epsilon under twice that floor raises
     InfeasibleError.
     """
-    return Polynomial(_arcsin_target(*_arcsin_cut(epsilon, delta), delta), "odd")
+    return Polynomial(_arcsin_target(*_arcsin_cut(epsilon, delta), delta)[0], "odd")
 
 
 # what the realized arcsin transform may miss by past its polynomial's error,
@@ -334,8 +326,8 @@ def _arcsin_t_series(degree: int, delta: float) -> np.ndarray:
     return chebyshev
 
 
-def _arcsin_target(degree: int, keep: int, delta: float) -> np.ndarray:
-    """The target of a cut as real Chebyshev coefficients in y, a new array.
+def _arcsin_target(degree: int, keep: int, delta: float) -> tuple[np.ndarray, float]:
+    """The target of a cut as real Chebyshev coefficients in y, a new array, and their l1 norm.
 
     The kept t-series, of degree d = keep - 1, is sampled at the d + 1
     Lobatto points of y in [-1, 1], t = y / (1 - delta), and turned into its
@@ -353,7 +345,7 @@ def _arcsin_target(degree: int, keep: int, delta: float) -> np.ndarray:
             f"the arcsin target of degree {d} has Chebyshev l1 norm {l1:.4f} > "
             f"{REAL_TARGET_L1}, where the real-target iteration may not converge"
         )
-    return c
+    return c, l1
 
 
 def sign_approx(Delta: float, delta: float) -> Polynomial:

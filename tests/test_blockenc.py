@@ -318,28 +318,32 @@ def _levels_within_a_quarter(count, seed):
     return np.sin(np.pi * np.random.default_rng(seed).uniform(-0.25, 0.25, count))
 
 
-def _pipeline_arcsin_phases():
-    """The distinct angle sets of the pipeline's arcsin transform up to d_a = 31."""
+def _pipeline_arcsin_sets():
+    """The distinct angle sets of the pipeline's arcsin transform up to d_a = 31, with their series."""
     found = {}
     for eps in 10.0 ** -np.arange(1.0, 15.0, 0.25):
-        phi = hamiltonian_from_unitary(np.zeros(1), eps, DELTA_MARGIN).phases
+        phi, series, layers, _ = blockenc._phases_at_cut(*_arcsin_cut(eps, DELTA_MARGIN), DELTA_MARGIN)
+        assert layers == len(phi)
         if 3 <= len(phi) <= 47:
-            found.setdefault(len(phi), phi)
+            found.setdefault(len(phi), (phi, series))
     return [found[d] for d in sorted(found)]
 
 
 def test_level_diagonal_matches_the_ansatz():
-    # the series of Re a, sampled once per angle set, against the ansatz
-    # recurrence it replaces, at random levels inside the arcsin interval
+    # the series of Re a, the iteration's for the arcsin angles and the
+    # realized polynomial's for random angles, summed at random levels
+    # inside the arcsin interval, against the ansatz recurrence it replaces
     levels = _levels_within_a_quarter(2000, 7)
-    arcsin_sets = _pipeline_arcsin_phases()
-    assert {len(phi) for phi in arcsin_sets} >= {3, 31}
+    arcsin_sets = _pipeline_arcsin_sets()
+    assert {len(phi) for phi, _ in arcsin_sets} >= {3, 31}
     rng = np.random.default_rng(8)
-    random_sets = [PhaseSequence(rng.uniform(-np.pi, np.pi, d)) for d in range(1, 102, 4)]
+    random_sets = []
+    for d in range(1, 102, 4):
+        phi = PhaseSequence(rng.uniform(-np.pi, np.pi, d))
+        random_sets.append((phi, polynomial_from_phases(phi).coefficients.real))
     for sets, tol in ((arcsin_sets, 4e-15), (random_sets, 2e-14)):
-        for phi in sets:
-            diagonal, layers = blockenc._level_diagonal(levels, phi)
-            assert layers == len(phi)
+        for phi, series in sets:
+            diagonal = blockenc._level_diagonal(levels, series)
             gap = np.abs(diagonal - reconstruct(phi, levels).real).max()
             assert gap <= tol, (len(phi), gap)
 
@@ -443,12 +447,12 @@ def test_arcsin_cut_finds_the_economized_target(monkeypatch, delta):
     # the cut the scalar loops find is the economized target's, and the
     # iteration gets its real coefficients bit for bit
     built = []
-    monkeypatch.setattr(blockenc, "real_target_phases", built.append)
+    monkeypatch.setattr(blockenc, "real_target_phases", lambda c: built.append(c) or (None, None, 0))
     try:
         for eps in 10.0 ** -np.arange(1.0, 12.0, 0.1):
             blockenc._phases_at_cut.cache_clear()
             built.clear()
-            blockenc._arcsin_phases(eps, delta)
+            blockenc._phases_at_cut(*_arcsin_cut(eps, delta), delta)
             want = arcsin_target(eps, delta)
             assert [c.tobytes() for c in built] == [want.coefficients.real.tobytes()], eps
     finally:

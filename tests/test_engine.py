@@ -41,6 +41,7 @@ from qsprep.amplifier import (
 from qsprep.blockenc import (
     LevelEncoding,
     _level_diagonal,
+    _phases_at_cut,
     extract_block,
     hamiltonian_from_unitary,
     lcu_real_part,
@@ -51,6 +52,7 @@ from qsprep.oracle import AmplitudeOracle
 from qsprep.phases import _top_row
 from qsprep.pipeline import (
     BETA,
+    DELTA_MARGIN,
     PrepConfig,
     PrepReport,
     _final_state,
@@ -238,13 +240,14 @@ def per_index_run(run):
     """The amplified state and success evaluated at every index on its own.
 
     The flagged entry of each index's block is read through the engine's
-    own ``_level_diagonal`` at all N diagonal entries, and C|Psi> is
-    normalized over all N indices, as if no two indices shared a value; so
-    this checks the grouping into levels, and
-    ``test_level_diagonal_matches_the_ansatz`` checks the entries.
+    own ``_level_diagonal`` at all N diagonal entries, from the series the
+    angle memo keeps, and C|Psi> is normalized over all N indices, as if no
+    two indices shared a value; so this checks the grouping into levels,
+    and ``test_level_diagonal_matches_the_ansatz`` checks the entries.
     """
     diagonal = oracle_diagonal(run)
-    entry, layers = _level_diagonal(diagonal.imag, run.encoding.phases)
+    _, series, layers, _ = _phases_at_cut(*run.encoding.info["arcsin_cut"], DELTA_MARGIN)
+    entry = _level_diagonal(diagonal.imag, series)
     flagged = np.linalg.norm(entry)
     sigma = float(flagged / np.sqrt(diagonal.size))
     a, _, rounds = _top_row(run.plan.phases.phases, np.array([sigma]))

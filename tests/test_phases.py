@@ -31,7 +31,7 @@ from qsprep.polyapprox import (
     Polynomial,
     _arcsin_cut,
     _arcsin_degree,
-    _arcsin_series,
+    _arcsin_t_series,
     _arcsin_target,
     _economized_length,
     arcsin_taylor,
@@ -477,51 +477,20 @@ def test_preparation_reaches_no_completion_or_stripping(monkeypatch):
         assert rep.all_passed, [c for c in rep.bound_checks if not c.passed]
 
 
-def _pipeline_arcsin_cuts():
-    """The (Taylor degree, kept length) of every arcsin target the pipeline builds.
-
-    A run's generator error is BETA eps_poly / 2 with eps_poly at most 2^-6
-    (m >= 4 and epsilon gamma / 3 <= 1/4) and above 2^-54 (eps_poly >=
-    epsilon gamma / 48 > 2^-MAX_BITS / 16), so its cuts are those of the
-    errors from 2^-8 down to 2^-56.
-    """
-    cuts = set()
-    for error in np.geomspace(2.0**-8, 2.0**-56, 4000):
-        degree = _arcsin_degree(0.9 * error, DELTA_MARGIN)
-        cuts.add((degree, _economized_length(_arcsin_series(degree), 0.05 * error)))
-    return sorted(cuts)
-
-
-def test_real_target_phases_realize_every_arcsin_cut_of_the_pipeline():
-    # each cut's angles realize its whole target to an l1 miss of 1e-14, by
-    # the iteration's own sampler and by the independent reference
-    # polynomial_from_phases
-    cuts = _pipeline_arcsin_cuts()
-    assert {keep - 1 for _, keep in cuts} >= {5, 29, 53, 71}
-    for degree, keep in cuts:
-        c = _arcsin_series(degree)[:keep].real
-        phi = real_target_phases(c)
-        assert len(phi) == keep - 1
-        assert np.abs(phi.real_part[0][1:keep:2] - c[1::2]).sum() <= 1e-14, degree
-        exact = polynomial_from_phases(phi).coefficients.real
-        assert np.abs(exact - c).sum() <= 1e-14, degree
-
-
 def test_real_target_phases_realize_every_economized_arcsin_cut():
     # the targets economized on the levels' interval (``arcsin_target``) at
     # the generator errors a run may ask for, 2^-8 .. 2^-51: the unrounded
     # W-form angles realize each to an l1 miss of 1e-18 (8.4e-19 at most),
-    # and their doubles to 1e-14, by the double sampler and by the
-    # independent reference polynomial_from_phases
+    # by the series the iteration returns, sampled in as many layers as
+    # there are angles, and their doubles to 1e-14, by the independent
+    # reference polynomial_from_phases
     cuts = {_arcsin_cut(error, DELTA_MARGIN) for error in np.geomspace(2.0**-8, 2.0**-51, 4000)}
     assert {keep - 1 for _, keep in cuts} >= {3, 7, 27, 33}
     for degree, keep in sorted(cuts):
-        c = _arcsin_target(degree, keep, DELTA_MARGIN)
-        phi = real_target_phases(c)
+        c = _arcsin_target(degree, keep, DELTA_MARGIN)[0]
+        phi, series, layers = real_target_phases(c)
         assert len(phi) == keep - 1
-        series, layers = phi.exact_real_part
         assert layers == len(phi) and np.abs(series[1:keep:2] - c[1::2]).sum() <= 1e-18, degree
-        assert np.abs(phi.real_part[0][1:keep:2] - c[1::2]).sum() <= 1e-14, degree
         exact = polynomial_from_phases(phi).coefficients.real
         assert np.abs(exact - c).sum() <= 1e-14, degree
 
@@ -530,11 +499,13 @@ def test_real_target_phases_accept_the_rounding_floor_of_a_high_degree():
     # at degree 363 (delta 0.01) the rounding of the angles leaves the l1
     # miss at 2.5e-14, above 1e-14: the least miss is accepted up to d 2^-52
     degree = _arcsin_degree(0.9e-15, 0.01)
-    c = _arcsin_series(degree)[: _economized_length(_arcsin_series(degree), 0.05e-15)].real
-    phi = real_target_phases(c)
+    series = _arcsin_t_series(degree, 0.0)  # the Taylor series in y
+    c = series[: _economized_length(series, 0.05e-15)]
+    phi = real_target_phases(c)[0]
     d = len(phi)
     assert d == c.size - 1 == 363
-    assert np.abs(phi.real_part[0][1 : d + 1 : 2] - c[1::2]).sum() <= d * 2.0**-52
+    exact = polynomial_from_phases(phi).coefficients.real
+    assert np.abs(exact[1 : d + 1 : 2] - c[1::2]).sum() <= d * 2.0**-52
 
 
 def test_real_target_step_sign_picks_the_negative_degree_one_angle():
@@ -542,10 +513,11 @@ def test_real_target_step_sign_picks_the_negative_degree_one_angle():
     # either sign of the step converges, to negated angles realizing the
     # same Re a. At degree 1, Re a = cos(phi_1) x = cos(2 r_0) x, and the
     # step r <- r - (F(r) - c) / 2 from 0 moves r_0 down to -arccos(c_1) / 2
-    phi = real_target_phases(np.array([0.0, 0.3]))
+    phi = real_target_phases(np.array([0.0, 0.3]))[0]
     assert abs(phi.phases[0] + np.arccos(0.3)) <= 1e-13
-    phi = real_target_phases(_arcsin_series(37)[:30].real)
-    assert np.array_equal(phases._real_part(-phi.phases)[0], phi.real_part[0])
+    phi = real_target_phases(_arcsin_t_series(37, 0.0)[:30])[0]
+    xs = cheb_nodes(4 * len(phi))
+    assert np.array_equal(phases._top_row(-phi.phases, xs)[0].real, phases._top_row(phi.phases, xs)[0].real)
 
 
 def test_real_target_phases_refuse_a_target_no_angles_reach():
@@ -558,32 +530,37 @@ def test_real_target_phases_refuse_a_target_no_angles_reach():
 
 def test_memoized_arcsin_angles_are_read_only():
     # every encoding of one cut shares the memoized angles
-    phi = blockenc._arcsin_phases(0.01, 0.29)
-    assert blockenc._arcsin_phases(0.01, 0.29) is phi
+    phi = blockenc._phases_at_cut(*_arcsin_cut(0.01, 0.29), 0.29)[0]
+    assert blockenc._phases_at_cut(*_arcsin_cut(0.01, 0.29), 0.29)[0] is phi
     with pytest.raises(ValueError):
         phi.phases[0] = 0.0
     with pytest.raises(FrozenInstanceError):
         phi.phases = None
 
 
-def test_real_part_series_is_kept_with_the_memoized_angles(monkeypatch):
-    # the series of Re a is built on its first read and kept with the angles,
-    # so every later encoding of the same cut reuses it without a new
-    # sampling pass; it is read-only and equals the realized polynomial's
-    # real part
+def test_warm_cut_samples_nothing(monkeypatch):
+    # the series of Re a is kept with the memoized angles, so a second
+    # encoding of the same cut, at new sines, runs no sampling pass (no
+    # _top_row and no lobatto_coefficients) and sums the series the memo
+    # holds; it is read-only and equals the realized polynomial's real part
+    blockenc._encoding.cache_clear()
     blockenc._phases_at_cut.cache_clear()
-    phi = blockenc._arcsin_phases(0.001, 0.29)
-    coefficients, layers = phi.real_part
-    assert layers == len(phi)
+    first = blockenc.hamiltonian_from_unitary(np.sin(np.pi * np.array([0.05, 0.15])), 0.001, 0.29)
+    phi, series, layers, _ = blockenc._phases_at_cut(*_arcsin_cut(0.001, 0.29), 0.29)
+    assert first.phases is phi and first.info["cu_calls"] == layers == len(phi)
     exact = polynomial_from_phases(phi).coefficients.real
-    assert np.abs(coefficients[: exact.size] - exact).max() <= 1e-15
-    assert np.abs(coefficients[exact.size:]).max(initial=0.0) <= 1e-15
+    assert np.abs(series[: exact.size] - exact).max() <= 1e-15
+    assert np.abs(series[exact.size:]).max(initial=0.0) <= 1e-15
     with pytest.raises(ValueError):
-        coefficients[1] = 0.0
+        series[1] = 0.0
 
     def no_sampling(*args):
         raise AssertionError("the series was sampled again")
 
-    monkeypatch.setattr(phases, "_real_part", no_sampling)
-    again = blockenc._arcsin_phases(0.001, 0.29)
-    assert again is phi and again.real_part[0] is coefficients
+    monkeypatch.setattr(phases, "_top_row", no_sampling)
+    monkeypatch.setattr(phases, "lobatto_coefficients", no_sampling)
+    monkeypatch.setattr(polyapprox, "lobatto_coefficients", no_sampling)
+    sines = np.sin(np.pi * np.array([0.02, 0.11, 0.2]))
+    again = blockenc.hamiltonian_from_unitary(sines, 0.001, 0.29)
+    assert again is not first and again.phases is phi
+    assert again.diagonal.tobytes() == blockenc._level_diagonal(sines, series).tobytes()

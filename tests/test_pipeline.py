@@ -339,10 +339,10 @@ def test_pipeline_compression_is_rank_one():
 
 
 def test_extraction_error_bounded_by_polynomial_sup_error():
-    # the realized generator error never exceeds the arcsin approximant's
-    # sup error over the interval containing the sine spectrum
+    # the realized generator error never exceeds the arcsin target's sup
+    # error over the interval containing the sine spectrum
     from qsprep.blockenc import hamiltonian_from_unitary
-    from qsprep.polyapprox import arcsin_taylor, evaluate
+    from qsprep.polyapprox import arcsin_target, evaluate
     from qsprep.simulator import op_dist
 
     rng = np.random.default_rng(32)
@@ -350,7 +350,7 @@ def test_extraction_error_bounded_by_polynomial_sup_error():
     eps, margin = 1e-5, 0.29
     be = hamiltonian_from_unitary(np.sin(np.pi * h), eps, margin)
     ys = np.linspace(-1 + margin, 1 - margin, 20001)
-    ref = arcsin_taylor(0.9 * eps, margin)
+    ref = arcsin_target(eps, margin)
     sup_err = np.abs(evaluate(ref, ys).real - np.arcsin(ys) / np.pi).max()
     measured = op_dist(np.diag(be.diagonal), np.diag(h))
     assert measured <= max(sup_err, 1e-12) * (1 + 1e-6) + 0.05 * eps

@@ -118,12 +118,13 @@ def loop_arcsin_coefficients(epsilon, delta):
 @pytest.mark.parametrize("eps, delta", [(0.1, 0.05), (1e-3, 0.29), (3e-5, 0.29), (1e-6, 0.05)])
 def test_arcsin_series_built_once_equals_the_loop(eps, delta):
     # the memoized Chebyshev series is bit-identical to the conversion of
-    # the term-by-term series, so memo keys built on its bytes do not change
+    # the term-by-term series, so memo keys built on its bytes do not change;
+    # each call returns a new copy of it, so writing into one changes no other
     want = cheb.poly2cheb(loop_arcsin_coefficients(eps, delta).astype(complex))
     for _ in range(2):
         p = arcsin_taylor(eps, delta)
         assert p.coefficients.tobytes() == want.tobytes()
-    assert not p.coefficients.flags.writeable
+        p.coefficients[1] = 0.0
 
 
 def test_warm_arcsin_target_converts_nothing(monkeypatch):
