@@ -23,8 +23,10 @@ by its cut (Taylor degree, kept length) and delta, so both its angles and
 the encodings built from them are memoized on the cut, not on epsilon.
 Its angles are found in extended precision and their series is summed in
 double, which misses the target by at most ``polyapprox.ARCSIN_ROUNDING``
-= 2^-52; the cut leaves that much of epsilon to the rounding, and a
-generator error under 2^-51 is refused.
+= 2^-52; the cut leaves exactly that much of epsilon to the rounding, and
+a generator error under 2^-51 is refused. Of the rest it spends 0.95 on
+the dropped t-tail, which sets the degree, and 0.05 on the Taylor tail,
+whose terms the economization drops again.
 
 Ancilla registers sit in front of the data register, so an encoded matrix is
 always the literal top-left block. Projector-controlled phases are applied

@@ -268,20 +268,20 @@ REAL_TARGET_L1 = 0.861
 def arcsin_target(epsilon: float, delta: float) -> Polynomial:
     """The odd polynomial within epsilon of arcsin(y)/pi on [-(1 - delta), 1 - delta].
 
-    The Taylor series is cut where its tail at |y| = 1 - delta fits in 0.5
-    epsilon (``arcsin_taylor``). The cut series is rewritten in t = y / (1 -
-    delta), where the interval is [-1, 1], as a Chebyshev series; its
-    monomials are positive and map to positive combinations, so nothing
-    cancels. The t-tail that 0.45 epsilon pays for is dropped, exactly,
-    since |T_k(t)| <= 1 there. Outside the interval the transform only needs
-    |p| <= 1, which the coefficients' l1 norm bounds: a target above
+    ``ARCSIN_ROUNDING`` of epsilon is left to the rounding of the target's
+    and the transform's doubles, and the rest is the share the two tails
+    spend (``_arcsin_cut``). The Taylor series is cut where its tail at |y|
+    = 1 - delta fits in 0.05 of the share (``arcsin_taylor``). The cut
+    series is rewritten in t = y / (1 - delta), where the interval is [-1,
+    1], as a Chebyshev series; its monomials are positive and map to
+    positive combinations, so nothing cancels. The t-tail that the other
+    0.95 of the share pays for is dropped, exactly, since |T_k(t)| <= 1
+    there; it sets the degree. Outside the interval the transform only
+    needs |p| <= 1, which the coefficients' l1 norm bounds: a target above
     ``REAL_TARGET_L1`` raises ConditionError. The degree is about half that
-    of the series economized on all of [-1, 1] (25 against 47 at epsilon
-    1e-12 and delta 0.29). The rest of epsilon, 0.05 epsilon, is left to
-    the rounding of the target's and the transform's doubles; where
-    ``ARCSIN_ROUNDING`` is more, it is left that, and the two tails shrink
-    in proportion. An epsilon under twice that floor raises
-    InfeasibleError.
+    of the series cut alike and economized on all of [-1, 1] (19 against 39
+    at epsilon 1e-10 and delta 0.29, 25 against 47 at 1e-12). An epsilon
+    under twice the rounding floor raises InfeasibleError.
     """
     return Polynomial(_arcsin_target(*_arcsin_cut(epsilon, delta), delta)[0], "odd")
 
@@ -301,18 +301,19 @@ ARCSIN_ROUNDING = 2.0**-52
 def _arcsin_cut(epsilon: float, delta: float) -> tuple[int, int]:
     """The target's cut (Taylor degree, kept length in t), by scalar loops over cached series.
 
-    The Taylor tail gets 0.5 and the t-tail 0.45 of the share; the share is
-    epsilon, or (epsilon - ARCSIN_ROUNDING) / 0.95 where 0.05 epsilon would
-    leave the rounding less than ``ARCSIN_ROUNDING``.
+    The rounding gets ``ARCSIN_ROUNDING`` and the share, epsilon less that,
+    is split where it buys degree: the Taylor tail gets 0.05 of it, since
+    the economization drops those terms again, and the t-tail, which sets
+    the degree, gets the other 0.95.
     """
     if 0 < epsilon < 2 * ARCSIN_ROUNDING:
         raise InfeasibleError(
             f"a generator error of {epsilon:.3e} is under 2^-51, twice the {ARCSIN_ROUNDING:.2e} "
             "the arcsin transform may miss by in double precision"
         )
-    share = epsilon if 0.05 * epsilon >= ARCSIN_ROUNDING else (epsilon - ARCSIN_ROUNDING) / 0.95
-    degree = _arcsin_degree(0.5 * share, delta)
-    return degree, max(_economized_length(_arcsin_t_series(degree, delta), 0.45 * share), 2)
+    share = epsilon - ARCSIN_ROUNDING
+    degree = _arcsin_degree(0.05 * share, delta)
+    return degree, max(_economized_length(_arcsin_t_series(degree, delta), 0.95 * share), 2)
 
 
 # t-series kept built, each one (degree, delta)'s O(d) coefficients

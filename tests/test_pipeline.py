@@ -285,6 +285,24 @@ def test_constant_table_meets_sqrt_gamma_bound_with_equality():
     assert rep.all_passed, [c.name for c in rep.bound_checks if not c.passed]
 
 
+def test_gamma_checks_slack_scales_with_gamma():
+    # search at n = 36 has gamma 1.5e-11 and eps_measured 4.5e-14, where an
+    # absolute slack of 1e-12 would pass either gamma check at 10x its bound
+    g, eps = 2.0**-36, 4.5e-14
+
+    def passed(g_realized):
+        stage = pipeline._TableStage(
+            epsilon=0.05, m=40, sines=np.zeros(1), generator_error=1e-14, gamma_exact=g,
+            gamma_quant=g, gamma_realized=g_realized, sigma=0.0, eps_measured=eps,
+            realized_level=np.zeros(1), fidelity=1.0, final_error=0.0)
+        return {c.name: c.passed for c in stage.checks}
+
+    assert passed(g + 2.0 * eps)["gamma_diff_le_2eps"]
+    assert not passed(g + 20.0 * eps)["gamma_diff_le_2eps"]
+    assert passed((g**0.5 + eps) ** 2)["sqrt_gamma_diff_le_eps"]
+    assert not passed((g**0.5 + 10.0 * eps) ** 2)["sqrt_gamma_diff_le_eps"]
+
+
 def test_final_state_close_to_realized_amplitudes():
     rng = np.random.default_rng(3)
     oracle = AmplitudeOracle(3, 8, rng.uniform(0.2, 1.0, 8))
@@ -573,6 +591,22 @@ def test_search_meets_its_own_amplitude_aim_at_small_epsilon(n, epsilon):
     assert aim == [("eps_measured_le_eps_gamma_over_3", rep.info["eps_measured"],
                     epsilon * rep.info["gamma"] / 3.0, True, "<=")]
     assert rep.all_passed, [c for c in rep.bound_checks if not c.passed]
+
+
+def test_random_n7_tables_and_search_at_n3_run_at_arcsin_degree_5():
+    # the benchmark's kinds of run at eps 0.05 and delta 0.1: the arcsin
+    # target spends half a quantization step, and its final error stays
+    # under 0.014 eps (measured: at most 0.0124 eps on these tables, 0.0129
+    # eps on search)
+    eps = 0.05
+    tables = [np.random.default_rng(seed).uniform(0.0, 1.0, 2**7) for seed in range(30)]
+    reports = [verify_error_bounds(PrepConfig(AmplitudeOracle(7, 8, values), eps, 0.1))
+               for values in tables]
+    reports += [grover_case(3, x0, 0.1, eps) for x0 in range(8)]
+    for rep in reports:
+        assert rep.degrees[0] == 5, rep.degrees
+        assert rep.all_passed, [c for c in rep.bound_checks if not c.passed]
+        assert rep.info["final_error"] <= 0.014 * eps, rep.info["final_error"] / eps
 
 
 def test_a_failed_stage_is_not_kept_and_fails_again(monkeypatch):

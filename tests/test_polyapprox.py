@@ -1,3 +1,4 @@
+import math
 import time
 
 import mpmath as mp
@@ -176,6 +177,24 @@ def test_arcsin_target_is_within_epsilon_on_the_levels_interval(delta):
     for k in (52, 56):
         with pytest.raises(InfeasibleError, match="under 2\\^-51"):
             arcsin_target(2.0**-k, delta)
+
+
+@pytest.mark.parametrize("delta", [DELTA_MARGIN, 0.1, 0.5])
+def test_arcsin_cut_spends_its_share_part_by_part(delta):
+    # the cut leaves 2^-52 to rounding and splits the rest, the share: the
+    # Taylor tail at 1 - delta, bounded by its first term over 1 - y^2, fits
+    # in 0.05 of it, and the dropped t-tail's l1 norm in 0.95, with no odd
+    # coefficient to spare, at every half power of 2 from 2^-8 to 2^-51
+    y = 1.0 - delta
+    for epsilon in np.exp2(-np.arange(16, 103) / 2.0):
+        share = epsilon - 2.0**-52
+        degree, keep = polyapprox._arcsin_cut(epsilon, delta)
+        j = (degree + 1) // 2  # the first dropped term is of y^(2j+1)
+        first_dropped = math.comb(2 * j, j) / (np.pi * 4**j * (2 * j + 1)) * y ** (2 * j + 1)
+        assert first_dropped / (1.0 - y * y) <= 0.05 * share, (epsilon, degree)
+        t_series = np.abs(polyapprox._arcsin_t_series(degree, delta))
+        assert t_series[keep:].sum() <= 0.95 * share, (epsilon, keep)
+        assert keep == 2 or t_series[keep - 1:].sum() > 0.95 * share, (epsilon, keep)
 
 
 @pytest.mark.parametrize("delta", [DELTA_MARGIN, 0.1, 0.5])
