@@ -64,11 +64,12 @@ from .errors import DegreeOverflowError, DimensionError, InputError
 from .phases import PhaseSequence
 from .simulator import Projector, UnitaryMatrix
 
-# Most rounds a plan may take. Search at n = 32 plans 634469 rounds at
-# delta = 0.1, n = 40 10151485 and n = 41 14356367, and at n = 42 20302969,
-# which is refused. ``amplify_state`` costs O(L) time and O(1) memory, 4 to 7
-# s at 10151485 rounds on a 2-vCPU x86 host, so the limit bounds the time a
-# tiny sigma may ask for.
+# Most rounds a plan may take. Search at delta = 0.1 plans 396543 rounds at
+# n = 32, 6344679 at n = 40 and 12689357 at n = 42, which fits; from n = 43
+# the value-bit budget refuses it first, and n = 42 at delta = 0.01 needs
+# 19463049 rounds, which are refused. ``amplify_state`` costs O(L) time and
+# O(1) memory, 5 to 6 s at 12689357 rounds on a 2-vCPU x86 host, so the
+# limit bounds the time a tiny sigma may ask for.
 MAX_ROUNDS = 2**24
 
 

@@ -15,18 +15,23 @@ d) time and O(K) memory. The dense functions
 ``extract_block``) build the same encoding as one unitary and are the
 reference the entries are tested against.
 
-P is the arcsin target (``polyapprox.arcsin_target``), economized on the
-sines' interval [-(1 - delta), 1 - delta] alone, since outside it the
+P is G = ``ARCSIN_GAIN`` = 1.6 times the arcsin target
+(``polyapprox.arcsin_target``), so the encoded generator is G H: the
+larger flagged amplitude saves amplification rounds, and the scaled target
+stays inside the phase iteration's l1 limit. The target is economized on
+the sines' interval [-(1 - delta), 1 - delta] alone, since outside it the
 transform only needs |P| <= 1. That halves its degree, and so the oracle
 calls, against a target economized on all of [-1, 1]. A target is fixed
 by its cut (Taylor degree, kept length) and delta, so both its angles and
 the encodings built from them are memoized on the cut, not on epsilon.
-Its angles are found in extended precision and their series is summed in
-double, which misses the target by at most ``polyapprox.ARCSIN_ROUNDING``
-= 2^-52; the cut leaves exactly that much of epsilon to the rounding, and
-a generator error under 2^-51 is refused. Of the rest it spends 0.95 on
-the dropped t-tail, which sets the degree, and 0.05 on the Taylor tail,
-whose terms the economization drops again.
+The cut is asked for in the units of arcsin / pi, and the encoding misses
+G H by at most G times it. The angles are found in extended precision and
+their series is summed in double, which misses the scaled target by at
+most G ``polyapprox.ARCSIN_ROUNDING`` = G 2^-52; the cut leaves exactly
+that much of epsilon to the rounding, and an epsilon under 2^-51 is
+refused. Of the rest it spends 0.95 on the dropped t-tail, which sets the
+degree, and 0.05 on the Taylor tail, whose terms the economization drops
+again.
 
 Ancilla registers sit in front of the data register, so an encoded matrix is
 always the literal top-left block. Projector-controlled phases are applied
@@ -45,7 +50,7 @@ import numpy as np
 from . import oracle
 from .errors import DimensionError, InfeasibleError, InputError
 from .phases import PhaseSequence, conjugate_phases, real_target_phases
-from .polyapprox import _arcsin_cut, _arcsin_target
+from .polyapprox import _arcsin_cut, _arcsin_target, _target_l1
 from .simulator import (
     Projector,
     UnitaryMatrix,
@@ -55,6 +60,16 @@ from .simulator import (
     hadamard,
     pauli_y,
 )
+
+# Gain on the arcsin transform: the phase solver gets G arcsin(y) / pi, so
+# the encoded generator, and the flagged amplitude the amplification reads,
+# is G times larger, and the fixed-point plan needs about 1 / G the rounds.
+# The real-target iteration converges for a Chebyshev l1 norm up to
+# ``polyapprox.REAL_TARGET_L1`` = 0.861, which also bounds |G p| <= 1 off the
+# levels' interval. An arcsin target's own l1 norm approaches arcsin(1) / pi
+# = 1/2 as delta falls (0.49 at delta 0.01), so G = 1.6 keeps the scaled
+# target under 0.8, with room below the limit
+ARCSIN_GAIN = 1.6
 
 
 @dataclass
@@ -258,13 +273,16 @@ def hamiltonian_from_unitary(sines: np.ndarray, epsilon: float, delta: float) ->
     A non-finite sine, or one outside [-1, 1], raises InputError. Requires
     ||sin(pi H)|| <= 1 - delta so the arcsin approximant's accuracy
     interval covers the spectrum, and raises InfeasibleError otherwise; the
-    encoded generator is then within epsilon of H. An epsilon under 2^-51,
-    twice the rounding floor the arcsin cut leaves, raises InfeasibleError. Its diagonal equals the
-    top-left block's diagonal in the dense ``lcu_real_part`` of the sine
-    encoding. Records the polynomial degree and the counted transform
-    layers, where each layer queries the controlled phase unitary and its
-    adjoint, shared by both branches of the real-part combination, and the
-    target's cut (Taylor degree, kept length) and Chebyshev l1 norm.
+    encoded generator is then within G epsilon of G H, G = ``ARCSIN_GAIN``:
+    epsilon, like the cut it picks, is in the units of arcsin / pi. An
+    epsilon under 2^-51, twice the rounding floor the arcsin cut leaves,
+    raises InfeasibleError. Its diagonal equals the top-left block's
+    diagonal in the dense ``lcu_real_part`` of the sine encoding. Records
+    the polynomial degree and the counted transform layers, where each
+    layer queries the controlled phase unitary and its adjoint, shared by
+    both branches of the real-part combination, and the target's cut
+    (Taylor degree, kept length) and the Chebyshev l1 norm of the scaled
+    target the phase iteration was given.
 
     Memoized per process on the exact bytes of the sines, the target's cut
     and delta: epsilon enters only through the cut, which scalar loops find
@@ -334,8 +352,10 @@ def _encode(sines: np.ndarray, degree: int, keep: int, delta: float) -> LevelEnc
 @functools.lru_cache(maxsize=_MEMO_SIZE)
 def _phases_at_cut(degree: int, keep: int, delta: float) -> tuple[PhaseSequence, np.ndarray, int, float]:
     # the one angle memo: the angles, their read-only series of Re a and the
-    # layers that sampled it (``real_target_phases``), and the target's l1
-    # norm; real_target_phases is a module global, so a tracer's wrapper
-    # sees every solve
-    target, l1 = _arcsin_target(degree, keep, delta)
+    # layers that sampled it (``real_target_phases``), and the l1 norm of
+    # the scaled target the iteration is given, which it checks;
+    # real_target_phases is a module global, so a tracer's wrapper sees
+    # every solve
+    target = ARCSIN_GAIN * _arcsin_target(degree, keep, delta)
+    l1 = _target_l1(target)
     return (*real_target_phases(target), l1)

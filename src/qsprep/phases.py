@@ -76,8 +76,9 @@ from .polyapprox import (
 log = logging.getLogger(__name__)
 
 TOL = 1e-7  # largest reconstruction residual find_phases accepts
-# most steps of each of real_target_phases' two passes; an arcsin target
-# reaches its floor in 16-24 steps in double and 4-10 more in long double
+# most steps of each of real_target_phases' two passes; the pipeline's
+# arcsin target, scaled by blockenc.ARCSIN_GAIN, reaches its floor in 26-40
+# steps in double and 7-16 more in long double
 _MAX_STEPS = 100
 
 
@@ -449,8 +450,9 @@ def real_target_phases(c: np.ndarray) -> tuple[PhaseSequence, np.ndarray, int]:
     T_d, T_{d-2}, .., T_1 coefficients of Re a. One ``_top_row`` pass
     samples Re a on the d + 2 Lobatto points, where a degree-d series is
     exact, and ``lobatto_coefficients`` turns the samples into F. It
-    converges for sum |c| <= 0.861 (arcsin targets: at most 1/2); Re a is
-    even in r, so the opposite step only negates the iterates. It runs
+    converges for sum |c| <= 0.861 (the pipeline's arcsin targets, scaled
+    by ``blockenc.ARCSIN_GAIN`` = 1.6: at most 0.79 down to delta 0.01); Re
+    a is even in r, so the opposite step only negates the iterates. It runs
     while the l1 miss sum |F - c| falls: in double to its floor near 1e-15,
     where a step costs less, then on from there in ``np.longdouble`` (a
     64-bit mantissa on x86-64), angles and samples alike, to ~1e-19.

@@ -3,8 +3,10 @@ special case, and parameter sweeps.
 
 The pipeline compiles the phase unitary from the quantized amplitude table
 (with the amplitudes internally rescaled by ``BETA``), extracts the generator
-through the sine encoding and an arcsin transform, and amplifies the flagged
-component with a fixed-point plan of closed-form angles. The user-facing
+through the sine encoding and an arcsin transform scaled by
+``blockenc.ARCSIN_GAIN``, and amplifies the flagged component, 0.4 times
+each amplitude (``GENERATOR_UNIT``), with a fixed-point plan of
+closed-form angles. The user-facing
 accuracy target is met by aiming the internal generator error at
 epsilon * gamma / 3; that premise is checked against gamma / 4 before any
 circuit is built.
@@ -40,7 +42,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .amplifier import AmplificationPlan, amplify_state, plan_amplification
-from .blockenc import LevelEncoding, hamiltonian_from_unitary
+from .blockenc import ARCSIN_GAIN, LevelEncoding, hamiltonian_from_unitary
 from .errors import InfeasibleError, InputError, QsprepError
 from .oracle import MAX_BITS, AmplitudeOracle, ValueClasses, _is_int, _register_contents, gamma
 from .polyapprox import ARCSIN_ROUNDING
@@ -69,6 +71,10 @@ SWEEP_COLUMNS = [
 BETA = 0.5
 # margin of the arcsin approximant's interval below 1: 1 - sin(pi BETA / 2)
 DELTA_MARGIN = float(1.0 - np.sin(np.pi * BETA / 2.0))
+# The encoded generator per unit amplitude: the oracle's phase is pi BETA c
+# / 2, and the arcsin transform returns ARCSIN_GAIN times the generator
+# BETA c / 2, so the flagged amplitude of an index is 0.4 c
+GENERATOR_UNIT = BETA * ARCSIN_GAIN / 2.0
 
 
 @dataclass(frozen=True, slots=True)
@@ -213,11 +219,13 @@ class _TableStage:
     epsilon: float
     m: int
     sines: np.ndarray  # sin(pi BETA level / 2) at each level, the encoding's input
-    generator_error: float  # the encoding's target error, in generator units
+    generator_error: float  # the encoding's target error, GENERATOR_UNIT times an amplitude's
     gamma_exact: float
     gamma_quant: float
     gamma_realized: float
-    sigma: float  # C|Psi>'s flagged singular value, BETA / 2 times sqrt(gamma_realized)
+    # C|Psi>'s flagged singular value, the norm of the encoded diagonal over
+    # sqrt(N): GENERATOR_UNIT times sqrt(gamma_realized), up to rounding
+    sigma: float
     eps_measured: float
     # the realized state's amplitude at each level; post-selection leaves
     # the realized state, so it is also the final state's
@@ -267,7 +275,8 @@ def _table_stage(oracle: AmplitudeOracle, epsilon: float) -> tuple[_TableStage, 
     """
     stage = oracle.__dict__.get("_stage")
     if stage is not None and stage.epsilon == epsilon:
-        return stage, hamiltonian_from_unitary(stage.sines, stage.generator_error, DELTA_MARGIN)
+        return stage, hamiltonian_from_unitary(stage.sines, stage.generator_error / ARCSIN_GAIN,
+                                               DELTA_MARGIN)
     # neither this frame nor the oracle holds the old stage while the new one is computed
     del stage
     oracle.__dict__["_stage"] = None
@@ -301,8 +310,9 @@ def _new_stage(oracle: AmplitudeOracle, epsilon: float) -> tuple[_TableStage, Le
     q_part = 2.0**-m
     # with m capped, the quantization must leave the polynomial its least
     # share: a sixteenth of the aim, and no less than the amplitude of the
-    # least generator error the arcsin cut takes, 2 ARCSIN_ROUNDING
-    least = max(eps_hat_target / 16.0, 2.0 / BETA * (2.0 * ARCSIN_ROUNDING))
+    # least generator error the arcsin cut takes, ARCSIN_GAIN times 2
+    # ARCSIN_ROUNDING
+    least = max(eps_hat_target / 16.0, ARCSIN_GAIN * (2.0 * ARCSIN_ROUNDING) / GENERATOR_UNIT)
     if eps_hat_target - q_part < least:
         raise InfeasibleError(
             f"m = {m} value bits leave no room in the error budget; of the aim "
@@ -317,18 +327,21 @@ def _new_stage(oracle: AmplitudeOracle, epsilon: float) -> tuple[_TableStage, Le
     counts = counts.astype(float)  # cast once for the two sums they weight
     size = oracle.size
     sines = np.sin(np.pi * BETA * levels / 2.0)  # the oracle's diagonal is e^{i pi BETA levels / 2}
-    generator_error = BETA * eps_poly / 2.0  # generator units: BETA * amplitude / 2
-    encoding = hamiltonian_from_unitary(sines, generator_error, DELTA_MARGIN)
+    generator_error = GENERATOR_UNIT * eps_poly
+    # the encoding's cut is asked for in the units of arcsin / pi
+    encoding = hamiltonian_from_unitary(sines, generator_error / ARCSIN_GAIN, DELTA_MARGIN)
 
     # the encoded generator is diagonal (and real), so its spectral distance
     # to the table is the largest per-index deviation
-    c_level = 2.0 * encoding.diagonal / BETA
+    c_level = encoding.diagonal / GENERATOR_UNIT
     deviation = c_level[level_of] - classes.values
     eps_measured = float(np.abs(deviation, out=deviation).max())
     del deviation
-    # the flagged sum S = sum of n_k c~_k^2 gives gamma~ = S / N, and sigma
-    flagged = float(counts @ c_level**2)
-    g_realized = flagged / size
+    # the flagged sum S = sum of n_k c~_k^2 gives gamma~ = S / N; sigma is
+    # read from the encoded diagonal itself, since GENERATOR_UNIT is not a
+    # power of two and would not scale the sum back exactly
+    g_realized = float(counts @ c_level**2) / size
+    sigma = math.sqrt(float(counts @ encoding.diagonal**2)) / math.sqrt(size)
     g_quant = float(counts @ levels**2) / size
     del counts  # N doubles on an ascending table, dropped before the two states exist
     realized_level = c_level / math.sqrt(size * g_realized)
@@ -350,7 +363,7 @@ def _new_stage(oracle: AmplitudeOracle, epsilon: float) -> tuple[_TableStage, Le
         gamma_exact=g_exact,
         gamma_quant=g_quant,
         gamma_realized=g_realized,
-        sigma=BETA / 2.0 * math.sqrt(flagged) / math.sqrt(size),
+        sigma=sigma,
         eps_measured=eps_measured,
         realized_level=realized_level,
         fidelity=fidelity,
@@ -368,7 +381,7 @@ def _final_state(classes: ValueClasses, m: int, realized_level: np.ndarray) -> S
 def _run(cfg: PrepConfig, bounds: bool) -> PrepReport:
     """The table stage, then the amplification at delta; ``bounds`` adds the analysis' checks."""
     stage, encoding = _table_stage(cfg.oracle, cfg.epsilon)
-    plan = plan_amplification(BETA * math.sqrt(stage.gamma_quant) / 2.0, cfg.delta)
+    plan = plan_amplification(GENERATOR_UNIT * math.sqrt(stage.gamma_quant), cfg.delta)
     # the L rounds multiply the flagged part of C|Psi>, the encoded diagonal,
     # by one number, so post-selecting the flag leaves the realized state
     amplitude, applications = amplify_state(stage.sigma, plan)
@@ -378,7 +391,8 @@ def _run(cfg: PrepConfig, bounds: bool) -> PrepReport:
     oracle_calls = applications * encoding.info["cu_calls"] * 2 * 2
     report = _report(cfg, stage, encoding.info["arcsin_degree"], plan, abs(amplitude) ** 2,
                      oracle_calls, bounds)
-    # the arcsin target's cut (Taylor degree, kept length) and Chebyshev l1 norm
+    # the arcsin target's cut (Taylor degree, kept length) and the Chebyshev
+    # l1 norm of the scaled target the phase iteration was given
     report.info["arcsin_cut"] = encoding.info["arcsin_cut"]
     report.info["arcsin_l1"] = encoding.info["arcsin_l1"]
     return report
@@ -411,6 +425,7 @@ def _report(cfg: PrepConfig, stage: _TableStage, d_a: int, plan: AmplificationPl
         "n": cfg.oracle.n,
         "m": stage.m,
         "beta": BETA,
+        "arcsin_gain": ARCSIN_GAIN,  # sigma is beta arcsin_gain / 2 = 0.4 times sqrt(gamma~)
         "gamma": stage.gamma_exact,
         "gamma_quantized": stage.gamma_quant,
         "gamma_realized": stage.gamma_realized,

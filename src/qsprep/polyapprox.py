@@ -283,15 +283,18 @@ def arcsin_target(epsilon: float, delta: float) -> Polynomial:
     at epsilon 1e-10 and delta 0.29, 25 against 47 at 1e-12). An epsilon
     under twice the rounding floor raises InfeasibleError.
     """
-    return Polynomial(_arcsin_target(*_arcsin_cut(epsilon, delta), delta)[0], "odd")
+    c = _arcsin_target(*_arcsin_cut(epsilon, delta), delta)
+    _target_l1(c)
+    return Polynomial(c, "odd")
 
 
 # what the realized arcsin transform may miss by past its polynomial's error,
-# in generator units: the rounding of the target's doubles, of the angles'
-# series and of its sum at the sines. In 40-digit checks at generator errors
-# 2^-8 .. 2^-51 and delta 0.01 .. 0.5 the encoding missed the target by at
-# most 1.2e-16, and arcsin / pi by at most 0.92 of the generator error. A
-# generator error under twice it is refused
+# in the units of arcsin / pi (the encoding scales both by
+# ``blockenc.ARCSIN_GAIN``, G): the rounding of the target's doubles, of the
+# angles' series and of its sum at the sines. In 40-digit checks at errors
+# 2^-8 .. 2^-51 and delta 0.01 .. 0.5 the encoding missed G times the target
+# by at most 1.4e-16, 0.38 of G 2^-52, and G arcsin / pi by at most 0.97 of
+# G epsilon. An error under twice it is refused
 ARCSIN_ROUNDING = 2.0**-52
 
 
@@ -327,8 +330,8 @@ def _arcsin_t_series(degree: int, delta: float) -> np.ndarray:
     return chebyshev
 
 
-def _arcsin_target(degree: int, keep: int, delta: float) -> tuple[np.ndarray, float]:
-    """The target of a cut as real Chebyshev coefficients in y, a new array, and their l1 norm.
+def _arcsin_target(degree: int, keep: int, delta: float) -> np.ndarray:
+    """The target of a cut as real Chebyshev coefficients in y, a new array.
 
     The kept t-series, of degree d = keep - 1, is sampled at the d + 1
     Lobatto points of y in [-1, 1], t = y / (1 - delta), and turned into its
@@ -340,13 +343,18 @@ def _arcsin_target(degree: int, keep: int, delta: float) -> tuple[np.ndarray, fl
     t = np.cos(PI_LD * np.arange(d + 1) / d) / (1 - np.longdouble(delta))
     c = lobatto_coefficients(cheb.chebval(t, _arcsin_t_series(degree, delta)[:keep])).astype(float)
     c[0::2] = 0.0
+    return c
+
+
+def _target_l1(c: np.ndarray) -> float:
+    """The Chebyshev l1 norm of a real target; one above ``REAL_TARGET_L1`` raises ConditionError."""
     l1 = float(np.abs(c).sum())
     if not l1 <= REAL_TARGET_L1:
         raise ConditionError(
-            f"the arcsin target of degree {d} has Chebyshev l1 norm {l1:.4f} > "
+            f"the arcsin target of degree {c.size - 1} has Chebyshev l1 norm {l1:.4f} > "
             f"{REAL_TARGET_L1}, where the real-target iteration may not converge"
         )
-    return c, l1
+    return l1
 
 
 def sign_approx(Delta: float, delta: float) -> Polynomial:

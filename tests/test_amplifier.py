@@ -106,8 +106,9 @@ def test_plan_rounds_scale_linearly_in_inverse_sigma():
 
 
 def test_plan_degree_limit(monkeypatch):
-    # the n = 16 search instance plans 2479 rounds, n = 18 4957, n = 24
-    # 39655, n = 32 634469 and n = 40 10151485; a plan computes no angle
+    # at the search instances' sigma = 2^(-n/2) / 4 of an unscaled arcsin
+    # transform, n = 16 plans 2479 rounds, n = 18 4957, n = 24 39655, n = 32
+    # 634469 and n = 40 10151485; a plan computes no angle
     def no_angles(rounds, edge):
         raise AssertionError("angles computed")
 
@@ -273,7 +274,8 @@ def test_amplify_state_equals_the_whole_product(plan):
 
 
 def test_amplify_state_equals_the_whole_product_at_634469_rounds():
-    # the n = 32 search plan; the L factors e^{i phi} multiplied one by one,
+    # the n = 32 search plan of an unscaled arcsin transform, sigma = 2^-16
+    # / 4; the L factors e^{i phi} multiplied one by one,
     # in Python complex arithmetic, as the recurrence runs at one point
     plan = plan_amplification(0.25 * 2.0**-16, 0.1)
     assert plan.rounds == 634469
@@ -323,9 +325,9 @@ def test_amplify_state_is_as_accurate_as_the_whole_product(plan):
 
 
 def test_amplify_state_keeps_no_array_of_the_rounds():
-    # the n = 24 search plan, whose L factors as a list of Python complex
-    # numbers alone would take 1.6 MB (tracing slows the loop some 20-fold,
-    # so a larger L would cost seconds)
+    # the n = 24 search plan of an unscaled arcsin transform, whose L
+    # factors as a list of Python complex numbers alone would take 1.6 MB
+    # (tracing slows the loop some 20-fold, so a larger L would cost seconds)
     plan = plan_amplification(0.25 * 2.0**-12, 0.1)
     tracemalloc.start()
     try:

@@ -8,6 +8,7 @@ import scipy.linalg
 
 from qsprep import blockenc
 from qsprep.blockenc import (
+    ARCSIN_GAIN,
     BlockEncoding,
     extract_block,
     hamiltonian_from_unitary,
@@ -243,7 +244,7 @@ def test_hamiltonian_extraction_matches_matrix_log():
     u = diag_unitary([0.25, -0.1])
     be = hamiltonian_from_unitary(sines_of(u), 1e-4, 0.2)
     brute = scipy.linalg.logm(u.entries) / (1j * np.pi)
-    assert op_dist(generator_block(be), brute) <= 1e-4
+    assert op_dist(generator_block(be), ARCSIN_GAIN * brute) <= ARCSIN_GAIN * 1e-4
     assert be.info["cu_calls"] == be.info["arcsin_degree"]
 
 
@@ -257,7 +258,8 @@ def test_hamiltonian_extraction_on_levels_with_a_negative_cosine():
     assert enc.diagonal.dtype == np.float64 and enc.diagonal.shape == h.shape
     dense = np.diag(extract_block(lcu_real_part(sine_block_encoding(u), enc.phases)))
     assert np.abs(enc.diagonal - dense).max() <= 1e-12
-    assert np.abs(enc.diagonal - np.arcsin(np.sin(np.pi * h)) / np.pi).max() <= 1e-4
+    scaled = ARCSIN_GAIN * np.arcsin(np.sin(np.pi * h)) / np.pi
+    assert np.abs(enc.diagonal - scaled).max() <= ARCSIN_GAIN * 1e-4
 
 
 def test_hamiltonian_extraction_error_tracks_polynomial_error():
@@ -265,7 +267,7 @@ def test_hamiltonian_extraction_error_tracks_polynomial_error():
     u = diag_unitary(hvals)
     for eps in (1e-3, 1e-5):
         be = hamiltonian_from_unitary(sines_of(u), eps, 0.1)
-        assert op_dist(generator_block(be), np.diag(hvals)) <= eps
+        assert op_dist(generator_block(be), ARCSIN_GAIN * np.diag(hvals)) <= ARCSIN_GAIN * eps
 
 
 @pytest.mark.parametrize("delta, exponents", [(DELTA_MARGIN, (8, 14, 20, 26, 32, 38, 44, 48, 50, 51)),
@@ -274,24 +276,25 @@ def test_hamiltonian_extraction_error_tracks_polynomial_error():
                                                (0.01, (51,))])
 def test_encoded_generator_is_within_epsilon_down_to_the_rounding_floor(delta, exponents):
     # the realized encoding, double-precision series and sum included,
-    # against a 40-digit arcsin / pi at 2d + 1 sines up to 1 - delta: it
-    # misses by at most epsilon at generator errors 2^-k from 2^-8 down to
-    # 2^-51, and the target's own double coefficients, summed in 40 digits,
-    # by ARCSIN_ROUNDING; a smaller epsilon is refused. At delta 0.01 (d =
-    # 201) a target resampled in double missed by 1.44 epsilon
+    # against a 40-digit G arcsin / pi, G = ARCSIN_GAIN, at 2d + 1 sines up
+    # to 1 - delta: it misses by at most G epsilon at errors 2^-k from 2^-8
+    # down to 2^-51, and the scaled double coefficients the phase iteration
+    # is given, summed in 40 digits, by G ARCSIN_ROUNDING; a smaller epsilon
+    # is refused. At delta 0.01 (d = 201) a target resampled in double
+    # missed by 1.44 epsilon
     with mp.workdps(40):
         for k in exponents:
             epsilon = 2.0**-k
             sines = (1 - delta) * np.linspace(0.0, 1.0, 2 * (1 + _arcsin_cut(epsilon, delta)[1]))
             encoding = hamiltonian_from_unitary(sines, epsilon, delta)
-            target = arcsin_target(epsilon, delta).coefficients.real
+            target = ARCSIN_GAIN * arcsin_target(epsilon, delta).coefficients.real
             for y, h in zip(sines.tolist(), encoding.diagonal.tolist()):
-                exact = mp.asin(y) / mp.pi
-                assert abs(h - exact) <= epsilon, (k, y, float(abs(h - exact)) / epsilon)
+                exact = ARCSIN_GAIN * mp.asin(y) / mp.pi
+                assert abs(h - exact) <= ARCSIN_GAIN * epsilon, (k, y, float(abs(h - exact)) / epsilon)
                 t0, t1, p = mp.mpf(1), mp.mpf(y), mp.mpf(0)
                 for ck in target.tolist():
                     p, t0, t1 = p + ck * t0, t1, 2 * y * t1 - t0
-                assert abs(h - p) <= ARCSIN_ROUNDING, (k, y, float(abs(h - p)))
+                assert abs(h - p) <= ARCSIN_GAIN * ARCSIN_ROUNDING, (k, y, float(abs(h - p)))
     with pytest.raises(InfeasibleError, match="under 2\\^-51"):
         hamiltonian_from_unitary(np.array([0.1]), 2.0**-52, delta)
 
@@ -445,7 +448,7 @@ def test_encoding_memo_is_keyed_on_the_cut():
 @pytest.mark.parametrize("delta", [DELTA_MARGIN, 0.1, 0.5])
 def test_arcsin_cut_finds_the_economized_target(monkeypatch, delta):
     # the cut the scalar loops find is the economized target's, and the
-    # iteration gets its real coefficients bit for bit
+    # iteration gets its real coefficients times ARCSIN_GAIN bit for bit
     built = []
     monkeypatch.setattr(blockenc, "real_target_phases", lambda c: built.append(c) or (None, None, 0))
     try:
@@ -454,7 +457,8 @@ def test_arcsin_cut_finds_the_economized_target(monkeypatch, delta):
             built.clear()
             blockenc._phases_at_cut(*_arcsin_cut(eps, delta), delta)
             want = arcsin_target(eps, delta)
-            assert [c.tobytes() for c in built] == [want.coefficients.real.tobytes()], eps
+            scaled = ARCSIN_GAIN * want.coefficients.real
+            assert [c.tobytes() for c in built] == [scaled.tobytes()], eps
     finally:
         blockenc._phases_at_cut.cache_clear()
 

@@ -410,13 +410,15 @@ def test_make_oracle_refuses_a_generated_table_past_the_engine_limit(capsys):
 
 
 def test_grover_refuses_42_qubits_by_its_round_count(capsys):
+    # at delta 0.1 the n = 42 search runs in 12689357 rounds; at delta 0.01
+    # it needs more than amplifier.MAX_ROUNDS and is refused before amplifying
     start = time.perf_counter()
-    rc = main(["grover", "--n", "42", "--x0", "5"])
+    rc = main(["grover", "--n", "42", "--x0", "5", "--delta", "0.01"])
     elapsed = time.perf_counter() - start
     captured = capsys.readouterr()
     assert rc == 2 and captured.out == ""
     lines = captured.err.splitlines()
-    assert len(lines) == 1 and lines[0].startswith("error: ") and "20302969" in lines[0]
+    assert len(lines) == 1 and lines[0].startswith("error: ") and "19463049" in lines[0]
     assert elapsed < 1.0
 
 
@@ -428,7 +430,7 @@ def test_grover_reports_32_qubits_without_building_a_state(capsys, monkeypatch):
     rc = main(["grover", "--n", "32", "--x0", "5", "--eps", "0.05", "--delta", "0.1"])
     out = capsys.readouterr().out
     assert rc == 0
-    assert "sign_degree          634469" in out and "[FAIL]" not in out
+    assert "sign_degree          396543" in out and "[FAIL]" not in out
     assert "calls_per_sqrt_n" in out
 
 

@@ -28,6 +28,7 @@ from qsprep.phases import (
 from qsprep.oracle import AmplitudeOracle
 from qsprep.pipeline import DELTA_MARGIN, PrepConfig, grover_case, verify_error_bounds
 from qsprep.polyapprox import (
+    REAL_TARGET_L1,
     Polynomial,
     _arcsin_cut,
     _arcsin_degree,
@@ -477,22 +478,44 @@ def test_preparation_reaches_no_completion_or_stripping(monkeypatch):
         assert rep.all_passed, [c for c in rep.bound_checks if not c.passed]
 
 
-def test_real_target_phases_realize_every_economized_arcsin_cut():
-    # the targets economized on the levels' interval (``arcsin_target``) at
-    # the generator errors a run may ask for, 2^-8 .. 2^-51: the unrounded
-    # W-form angles realize each to an l1 miss of 1e-18 (8.4e-19 at most),
-    # by the series the iteration returns, sampled in as many layers as
-    # there are angles, and their doubles to 1e-14, by the independent
-    # reference polynomial_from_phases
-    cuts = {_arcsin_cut(error, DELTA_MARGIN) for error in np.geomspace(2.0**-8, 2.0**-51, 4000)}
-    assert {keep - 1 for _, keep in cuts} >= {3, 7, 27, 33}
+def _assert_scaled_targets_realized(delta, errors, miss):
+    """The scaled targets the phase iteration is given at each error's cut.
+
+    Each is ARCSIN_GAIN times the target economized on the levels' interval
+    (``arcsin_target``), has l1 norm at most ``REAL_TARGET_L1``, and is
+    realized by the unrounded W-form angles to an l1 miss of ``miss``, by
+    the series the iteration returns, sampled in as many layers as there
+    are angles, and by their doubles to the iteration's own floor, max(1e-14,
+    d 2^-52), by the independent reference polynomial_from_phases. Returns
+    the degrees.
+    """
+    cuts = {_arcsin_cut(error, delta) for error in errors}
     for degree, keep in sorted(cuts):
-        c = _arcsin_target(degree, keep, DELTA_MARGIN)[0]
+        c = blockenc.ARCSIN_GAIN * _arcsin_target(degree, keep, delta)
+        assert np.abs(c).sum() <= REAL_TARGET_L1, degree
         phi, series, layers = real_target_phases(c)
         assert len(phi) == keep - 1
-        assert layers == len(phi) and np.abs(series[1:keep:2] - c[1::2]).sum() <= 1e-18, degree
+        assert layers == len(phi) and np.abs(series[1:keep:2] - c[1::2]).sum() <= miss, degree
         exact = polynomial_from_phases(phi).coefficients.real
-        assert np.abs(exact - c).sum() <= 1e-14, degree
+        assert np.abs(exact - c).sum() <= max(1e-14, len(phi) * 2.0**-52), degree
+    return {keep - 1 for _, keep in cuts}
+
+
+def test_real_target_phases_realize_every_economized_arcsin_cut():
+    # every cut at the generator errors a run may ask for, 2^-8 .. 2^-51:
+    # the scaled targets reach l1 0.741 at most, the unrounded angles miss
+    # by 8.4e-19 at most, and the doubles by 3.2e-15
+    errors = np.geomspace(2.0**-8, 2.0**-51, 4000)
+    assert _assert_scaled_targets_realized(DELTA_MARGIN, errors, 1e-18) >= {3, 7, 27, 33}
+
+
+@pytest.mark.parametrize("delta", [0.1, 0.01])
+def test_scaled_arcsin_targets_converge_at_small_deltas(delta):
+    # at errors 2^-k, k = 8 .. 51, a smaller delta raises the degree (to 61
+    # at 0.1 and 195 at 0.01) and the l1 norm (0.766 and 0.789 at most, of
+    # the limit 0.861); the unrounded angles miss by 1.6e-18 and 5.4e-18 at
+    # most, and the doubles by 0.44 and 0.82 of the floor
+    _assert_scaled_targets_realized(delta, 2.0 ** -np.arange(8, 52), 1e-17)
 
 
 def test_real_target_phases_accept_the_rounding_floor_of_a_high_degree():

@@ -136,9 +136,9 @@ def test_grover_small_case():
 def test_grover_past_sign_degree_2000():
     # n = 13 once needed sign degree 2329, where the completion's root
     # product overflowed before it was taken in logarithms; the fixed-point
-    # plan amplifies it in 877 rounds
+    # plan amplifies it in 549 rounds
     rep = grover_case(13, 8189, 0.1, 0.05)
-    assert rep.degrees[1] == 877
+    assert rep.degrees[1] == 549
     assert rep.all_passed, [c.name for c in rep.bound_checks if not c.passed]
     assert int(np.argmax(np.abs(rep.final_state.amplitudes))) == 8189
 
@@ -166,7 +166,7 @@ def test_generated_oracles_run_like_the_table_built_by_hand(n):
 
 def test_grover_at_32_qubits_passes_every_check_without_a_table(monkeypatch):
     # 2^32 indices in two classes: no 2^n-sized array is built, and the
-    # 634469 amplification rounds reach the success the plan predicts at
+    # 396543 amplification rounds reach the success the plan predicts at
     # the singular value the engine actually amplifies
     def no_table(*args):
         raise AssertionError("a 2^n-sized array was built")
@@ -175,7 +175,7 @@ def test_grover_at_32_qubits_passes_every_check_without_a_table(monkeypatch):
     cfg = PrepConfig(oracle=AmplitudeOracle.indicator(32, 5, 8), epsilon=0.05, delta=0.1)
     rep = verify_error_bounds(cfg)
     assert rep.all_passed, [c.name for c in rep.bound_checks if not c.passed]
-    assert rep.degrees[1] == 634469 and rep.info["levels"] == 2
+    assert rep.degrees[1] == 396543 and rep.info["levels"] == 2
     stage, encoding = pipeline._table_stage(cfg.oracle, cfg.epsilon)
     sigma = np.sqrt(np.array([2.0**32 - 1, 1.0]) @ encoding.diagonal**2 / 2**32)
     plan = pipeline.plan_amplification(rep.info["sigma"], cfg.delta)
@@ -196,14 +196,17 @@ def test_every_report_checks_the_amplification_premise(oracle):
     # verify_error_bounds' alike, which both amplify the stage the oracle keeps
     cfg = PrepConfig(oracle=oracle, epsilon=0.05, delta=0.1)
     stage, encoding = pipeline._table_stage(oracle, cfg.epsilon)
-    plan = pipeline.plan_amplification(pipeline.BETA * np.sqrt(stage.gamma_quant) / 2, cfg.delta)
+    plan = pipeline.plan_amplification(pipeline.GENERATOR_UNIT * np.sqrt(stage.gamma_quant), cfg.delta)
     _, _, counts = pipeline._levels(oracle.classes, stage.m)
     sigma = stage.sigma
     assert sigma == np.sqrt(encoding.diagonal**2 @ counts) / np.sqrt(oracle.size)
-    # the encoded diagonal is BETA / 2 times the realized amplitudes
-    assert sigma == pytest.approx(pipeline.BETA * np.sqrt(stage.gamma_realized) / 2, rel=1e-15)
+    # the encoded diagonal is GENERATOR_UNIT times the realized amplitudes
+    assert sigma == pytest.approx(pipeline.GENERATOR_UNIT * np.sqrt(stage.gamma_realized), rel=1e-15)
     for rep in (prepare_state(cfg), verify_error_bounds(cfg)):
         assert oracle._stage is stage
+        # the plan's sigma can be read off the report
+        info = rep.info
+        assert info["sigma"] == info["beta"] * info["arcsin_gain"] / 2 * np.sqrt(info["gamma_quantized"])
         checks = {c.name: c for c in rep.bound_checks}
         edge, gap = checks["sigma_ge_band_edge"], checks["success_gap_to_predicted_le_1e-10"]
         assert edge.passed and edge.lhs == plan.band_edge and edge.rhs == sigma
@@ -357,9 +360,10 @@ def test_pipeline_compression_is_rank_one():
 
 
 def test_extraction_error_bounded_by_polynomial_sup_error():
-    # the realized generator error never exceeds the arcsin target's sup
-    # error over the interval containing the sine spectrum
-    from qsprep.blockenc import hamiltonian_from_unitary
+    # the realized generator error never exceeds ARCSIN_GAIN times the
+    # arcsin target's sup error over the interval containing the sine
+    # spectrum
+    from qsprep.blockenc import ARCSIN_GAIN, hamiltonian_from_unitary
     from qsprep.polyapprox import arcsin_target, evaluate
     from qsprep.simulator import op_dist
 
@@ -370,8 +374,8 @@ def test_extraction_error_bounded_by_polynomial_sup_error():
     ys = np.linspace(-1 + margin, 1 - margin, 20001)
     ref = arcsin_target(eps, margin)
     sup_err = np.abs(evaluate(ref, ys).real - np.arcsin(ys) / np.pi).max()
-    measured = op_dist(np.diag(be.diagonal), np.diag(h))
-    assert measured <= max(sup_err, 1e-12) * (1 + 1e-6) + 0.05 * eps
+    measured = op_dist(np.diag(be.diagonal), ARCSIN_GAIN * np.diag(h))
+    assert measured <= ARCSIN_GAIN * (max(sup_err, 1e-12) * (1 + 1e-6) + 0.05 * eps)
 
 
 def _outcome(rep):
