@@ -32,25 +32,18 @@ direction by one complex number. Post-selecting the flag therefore keeps
 the flagged part of C|Psi> normalized, and ``amplify_state`` returns only
 that number.
 
-It does so over half the rounds, in O(1) memory. The angles have phi_0 =
-0 and phi_k = phi_{L-k} for k = 1 .. L - 1. Write F_k = D_k R for the
-factors, with D_k = e^{i phi_k Z}, R = R(sigma) and F_0 = R; let
-h = (L - 1) / 2 and C = F_0 F_1 ... F_h = R D_1 R ... D_h R. D_k and R are
-symmetric, so C^T = R D_h R ... D_1 R; R^2 = I; and by the palindrome the
-second half is
-
-    F_{h+1} ... F_{L-1} = D_h R ... D_1 R = R (R D_h R ... D_1 R) = R C^T.
-
-The whole product is M = C R C^T = C (C R)^T, and its flagged entry M_00 =
-a (a x + b s) + b (a s - b x) needs only C's top row (a, b), with x = sigma
-and s = sqrt(1 - sigma^2). The loop runs the (L + 1) / 2 factors of C and
-forms each factor's e^{i phi} from its closed form as it goes, so it keeps
-no angle array and no list of factors. C is unitary, so (a, b) has unit
-norm, and M_00 is divided by the computed |a|^2 + |b|^2: the rounding's
-radial part, which the L factors pile up, drops out. Against a 40-digit
-product of the exact angles, the success of a search run at n = 21 (L =
-14021) is then off by 7e-16, where the whole product in doubles is off by
-1.05e-12.
+It does so over half the rounds, in O(1) memory. The angles are phi_0 = 0
+and a palindrome, phi_k = phi_{L-k}, so ``phases.palindrome_top_left``,
+the evaluator the arcsin angles' solver samples through as well, closes
+the product from the (L - 1) / 2 factors of its first half; its docstring
+derives the closing. ``_fixed_point_factors`` forms each factor from its
+closed form as the loop reaches it, and ``_fixed_point_phases`` reads the
+same factors for the dense reference, so the formula exists once. The
+closing divides by the computed norm of the half's top row, so the
+rounding's radial part, which the factors pile up, drops out: against a
+40-digit product of the exact angles, the success of a search run at n =
+21 (L = 14021) is off by 7e-16, where the whole product in doubles is off
+by 1.05e-12.
 """
 from __future__ import annotations
 
@@ -61,7 +54,7 @@ import numpy as np
 
 from .blockenc import BlockEncoding, qsvt_circuit
 from .errors import DegreeOverflowError, DimensionError, InputError
-from .phases import PhaseSequence
+from .phases import PhaseSequence, palindrome_top_left
 from .simulator import Projector, UnitaryMatrix
 
 # Most rounds a plan may take. Search at delta = 0.1 plans 396543 rounds at
@@ -71,6 +64,14 @@ from .simulator import Projector, UnitaryMatrix
 # O(1) memory, 5 to 6 s at 12689357 rounds on a 2-vCPU x86 host, so the
 # limit bounds the time a tiny sigma may ask for.
 MAX_ROUNDS = 2**24
+
+
+def _check_band(sigma: float, delta: float) -> None:
+    """InputError unless sigma lies in (0, 1] and delta in (0, 1); a NaN fails both."""
+    if not 0 < sigma <= 1:
+        raise InputError("sigma must lie in (0, 1]")
+    if not 0 < delta < 1:
+        raise InputError("delta must lie in (0, 1)")
 
 
 def _lift(delta: float) -> float:
@@ -86,8 +87,12 @@ class AmplificationPlan:
     C (and S) uses, counting adjoints; it is always odd. A plan holds no
     angles: ``phases`` builds the L closed-form angles in the ansatz order on
     each read, for the dense reference ``amplify`` and the tests, while
-    ``amplify_state`` forms them as its loop reaches them.
+    ``amplify_state`` forms their factors as its loop reaches them.
     ``predicted_success`` evaluates |P(s)|^2 from delta and L alone.
+    A plan checks its fields as ``plan_amplification`` checks its inputs:
+    sigma in (0, 1] and delta in (0, 1) or InputError, rounds a positive
+    odd int or InputError, and at most ``MAX_ROUNDS`` or
+    DegreeOverflowError.
     """
 
     sigma: float
@@ -95,10 +100,15 @@ class AmplificationPlan:
     rounds: int
 
     def __post_init__(self):
-        if not 0 < self.sigma <= 1:
-            raise ValueError("sigma must lie in (0, 1]")
-        if self.rounds % 2 == 0:
-            raise ValueError("rounds must be odd for an odd polynomial")
+        _check_band(self.sigma, self.delta)
+        if not (isinstance(self.rounds, int) and self.rounds > 0 and self.rounds % 2 == 1):
+            raise InputError(f"rounds must be a positive odd integer, not {self.rounds!r}")
+        if self.rounds > MAX_ROUNDS:
+            raise DegreeOverflowError(
+                f"fixed-point amplification needs {self.rounds} rounds (> max {MAX_ROUNDS}) "
+                f"for sigma={self.sigma}, delta={self.delta}",
+                needed=self.rounds,
+            )
 
     @property
     def phases(self) -> PhaseSequence:
@@ -156,38 +166,37 @@ def plan_amplification(sigma: float, delta: float) -> AmplificationPlan:
     ``MAX_ROUNDS`` raises DegreeOverflowError with L in ``needed``. No angle
     is computed.
     """
-    if not 0 < sigma <= 1:
-        raise InputError("sigma must lie in (0, 1]")
-    if not 0 < delta < 1:
-        raise InputError("delta must lie in (0, 1)")
-    lift = _lift(delta)
-    rounds = math.ceil(lift / math.atanh(0.9 * sigma))
-    rounds += 1 - rounds % 2
-    if rounds > MAX_ROUNDS:
-        raise DegreeOverflowError(
-            f"fixed-point amplification needs {rounds} rounds (> max {MAX_ROUNDS}) "
-            f"for sigma={sigma}, delta={delta}",
-            needed=rounds,
-        )
-    return AmplificationPlan(sigma, delta, rounds)
+    _check_band(sigma, delta)
+    rounds = math.ceil(_lift(delta) / math.atanh(0.9 * sigma))
+    return AmplificationPlan(sigma, delta, rounds + 1 - rounds % 2)
+
+
+def _fixed_point_factors(rounds: int, edge: float):
+    """Yield e^{i phi_k}, k = 1 .. (L - 1) / 2: the first half of the Yoder-Low-Chuang angles.
+
+    With h = (L - 1) / 2 and the band edge w, alpha_j = 2 cot^-1(tan(2 pi
+    j / L) w) for j = 1 .. h (cot^-1 in (0, pi)) and beta_j =
+    -alpha_{h-j+1}; the angles are phi_0 = 0, phi_{2i-1} = -alpha_{h-i+1} /
+    2 and phi_{2i} = beta_{h-i+1} / 2 = -alpha_i / 2, so phi_k = phi_{L-k}.
+    Factor k = 2i - 1 takes j = h - i + 1 and k = 2i takes j = i, as
+    e^{i phi} = (t - i) / hypot(t, 1) with t = w tan(2 pi j / L): phi =
+    atan2(-1, t) lies in (-pi, 0), and neither atan2 nor exp is called.
+    """
+    half = (rounds - 1) // 2
+    turn = 2.0 * math.pi
+    tan, hypot = math.tan, math.hypot  # local names: a lookup less per factor
+    for k in range(1, half + 1):
+        j = half - k // 2 if k % 2 else k // 2
+        t = tan(turn * j / rounds) * edge
+        norm = hypot(t, 1.0)
+        # the bits of complex(t, -1.0) / norm, without a complex division
+        yield complex(t / norm, -1.0 / norm)
 
 
 def _fixed_point_phases(rounds: int, edge: float) -> PhaseSequence:
-    """The Yoder-Low-Chuang angles in the ansatz order.
-
-    With l = (L - 1) / 2 and the band edge w, alpha_j = 2 cot^-1(tan(2 pi
-    j / L) w) for j = 1 .. l (cot^-1 in (0, pi)) and beta_j =
-    -alpha_{l-j+1}; the angles are phi_0 = 0, phi_{2i-1} = -alpha_{l-i+1} / 2
-    and phi_{2i} = beta_{l-i+1} / 2 = -alpha_i / 2, so phi_k = phi_{L-k}. Each
-    lies in (-pi, 0], so the sequence takes them without normalizing them
-    again.
-    """
-    j = np.arange(1.0, (rounds - 1) // 2 + 1)
-    minus_half_alpha = np.arctan2(-1.0, np.tan(2.0 * np.pi * j / rounds) * edge)
-    phi = np.zeros(rounds)
-    phi[1::2] = minus_half_alpha[::-1]
-    phi[2::2] = minus_half_alpha
-    return PhaseSequence._from_normalized(phi)
+    """The L angles in the ansatz order: phi_0 = 0, then ``_fixed_point_factors``' half and its mirror."""
+    half = np.angle(np.fromiter(_fixed_point_factors(rounds, edge), complex, (rounds - 1) // 2))
+    return PhaseSequence(np.concatenate(([0.0], half, half[::-1])))
 
 
 def amplify(c_unitary: UnitaryMatrix, s_unitary: UnitaryMatrix, plan: AmplificationPlan) -> UnitaryMatrix:
@@ -222,33 +231,10 @@ def amplify_state(sigma: float, plan: AmplificationPlan) -> tuple[complex, int]:
     post-selecting the flag succeeds with probability |M_00|^2, and the
     number of applications of C and C-dagger.
 
-    The loop keeps C's running top row (a, b) over the (L + 1) / 2 factors
-    of the palindromic half (module docstring) and closes the product with
-    M_00 = (a (a x + b s) + b (a s - b x)) / (|a|^2 + |b|^2), where the
-    divisor is 1 up to rounding. Factor k = 2i - 1 takes the angle
-    of j = h - i + 1 and k = 2i that of j = i, each met once, as
-    e^{i phi} = (t - i) / hypot(t, 1) with t = w tan(2 pi j / L): phi =
-    atan2(-1, t), so neither atan2 nor exp is called. Each round after the
-    first stands for two applications, one in C and its mirror in C^T, so
-    the count is L. At sigma = 0 an odd L gives M_00 = 0 exactly.
+    The angles are a zero and a palindrome, so ``phases.palindrome_top_left``
+    closes the product from the (L - 1) / 2 factors of its first half,
+    which ``_fixed_point_factors`` forms one by one from their closed form:
+    no angle array and no list of factors is kept. Its count is L. At sigma
+    = 0 an odd L gives M_00 = 0 exactly.
     """
-    x = float(sigma)
-    s = math.sqrt(max(1.0 - x * x, 0.0))
-    rounds = plan.rounds
-    half = (rounds - 1) // 2
-    edge = plan.band_edge
-    turn = 2.0 * math.pi
-    # the first factor is R itself (phi_0 = 0)
-    a, b = complex(x), complex(s)
-    applications = 1
-    for k in range(1, half + 1):
-        j = half - k // 2 if k % 2 else k // 2
-        t = math.tan(turn * j / rounds) * edge
-        e = complex(t, -1.0) / math.hypot(t, 1.0)
-        # x and s are real, so the conjugate factor's products are conjugates
-        ex, es = e * x, e * s
-        a, b = a * ex + b * es.conjugate(), a * es - b * ex.conjugate()
-        applications += 2
-    # M_00 is quadratic in the row, whose norm is 1 but for rounding
-    norm = a.real * a.real + a.imag * a.imag + b.real * b.real + b.imag * b.imag
-    return (a * (a * x + b * s) + b * (a * s - b * x)) / norm, applications
+    return palindrome_top_left(_fixed_point_factors(plan.rounds, plan.band_edge), float(sigma))

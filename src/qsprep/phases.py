@@ -8,14 +8,19 @@ with R(x) = [[x, s], [s, -x]], s = sqrt(1 - x^2). Its top-left entry is a
 degree-d polynomial of parity d mod 2. Every factor is unitary with
 determinant -1, so the top row (a, b) of a k-factor prefix fixes the whole
 prefix as [[a, b], [-D conj(b), D conj(a)]] with D = (-1)^k. One top-row
-recurrence, ``_prefix_rows``, therefore gives the reconstruction, the
-Jacobian of the least-squares polish, and the Chebyshev series of Re a
-that ``real_target_phases`` samples at each step. It returns the series
-of the long-double angles it found with their doubles, and
-``blockenc._level_diagonal`` sums the engine's encoded generator at each
-distinct oracle entry from that series. The fixed-point amplification
-is this product at the one point x = sigma; ``amplifier.amplify_state``
-evaluates it with a scalar loop of its own over half the factors.
+recurrence, ``_prefix_rows``, therefore gives the reconstruction and the
+Jacobian of the least-squares polish. Both products the pipeline applies
+are palindromes past their first factor: the symmetric angles of
+``real_target_phases`` and the fixed-point amplification's. One evaluator,
+``palindrome_top_left``, runs their top row over the first half of the
+factors and closes the product from it: it samples Re a on an array of
+points, in long double, at each step of ``real_target_phases``, and
+``amplifier.amplify_state`` evaluates the amplification with it at the one
+point x = sigma in Python complex arithmetic. ``_top_row`` of the whole
+product stays the tests' reference for both. ``real_target_phases``
+returns the series of the long-double angles it found with their doubles,
+and ``blockenc._level_diagonal`` sums the engine's encoded generator at
+each distinct oracle entry from that series.
 
 ``find_phases`` inverts the map by layer stripping (peel phi_d off the
 leading coefficients, reduce the degree, repeat) in double precision. Each
@@ -49,6 +54,7 @@ shift of the interior phases and fixed boundary offsets. Everything here but
 from __future__ import annotations
 
 import logging
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -98,14 +104,6 @@ class PhaseSequence:
         phases = _normalize_angles(np.atleast_1d(self.phases))
         phases.flags.writeable = False
         object.__setattr__(self, "phases", phases)
-
-    @classmethod
-    def _from_normalized(cls, phases: np.ndarray) -> "PhaseSequence":
-        """Take a float array already in (-pi, pi] as it is, without normalizing it again."""
-        phases.flags.writeable = False
-        out = object.__new__(cls)
-        object.__setattr__(out, "phases", phases)
-        return out
 
     def __len__(self) -> int:
         return self.phases.size
@@ -163,6 +161,47 @@ def _top_row(phases: np.ndarray, xs: np.ndarray):
     for layers, (a, b) in enumerate(_prefix_rows(phases, xs)):
         pass
     return a, b, layers
+
+
+def palindrome_top_left(half, x):
+    """M_00(x) of a palindromic product R F_1 ... F_{L-1} from its first half, and its layers L.
+
+    F_k = D_k R with D_k = e^{i phi_k Z} and R = R(x), and the angles are a
+    palindrome, phi_k = phi_{L-k} for k = 1 .. L - 1, L odd. ``half``
+    yields the first half's factors e^{i phi_k}, k = 1 .. h = (L - 1) / 2,
+    in order: Python complex numbers at a Python float x, or numpy scalars
+    of the precision of x, a numpy scalar or an array of points.
+
+    Let C = R F_1 ... F_h = R D_1 R ... D_h R. D_k and R are symmetric, so
+    C^T = R D_h R ... D_1 R; R^2 = I; and by the palindrome the second half
+    is
+
+        F_{h+1} ... F_{L-1} = D_h R ... D_1 R = R (R D_h R ... D_1 R) = R C^T.
+
+    The whole product is M = C R C^T, and M_00 = a (a x + b s) + b (a s -
+    b x) needs only C's top row (a, b), s = sqrt(1 - x^2). The row starts
+    at R's, (x, s), and each factor takes it to (a e x + b conj(e) s, a e s
+    - b conj(e) x); x and s are real, so the conjugate factor's products
+    are the conjugates of e x and e s. Only the running row is kept, so a
+    generator of factors costs O(1) memory. C is unitary, so (a, b) has
+    unit norm, and M_00 is divided by the computed |a|^2 + |b|^2: the
+    rounding's radial part, which the factors pile up, drops out. Each
+    factor of the half stands for two layers, one in C and its mirror in
+    R C^T, so the count is L.
+    """
+    if isinstance(x, float):  # on Python complex numbers the loop runs several times faster
+        s = math.sqrt(max(1.0 - x * x, 0.0))
+    else:
+        s = np.sqrt(np.clip(1.0 - x * x, 0.0, None))
+    a, b = x + 0j, s + 0j
+    layers = 1
+    for e in half:
+        ex, es = e * x, e * s
+        a, b = a * ex + b * es.conjugate(), a * es - b * ex.conjugate()
+        layers += 2
+    # M_00 is quadratic in the row, whose norm is 1 but for rounding
+    norm = a.real * a.real + a.imag * a.imag + b.real * b.real + b.imag * b.imag
+    return (a * (a * x + b * s) + b * (a * s - b * x)) / norm, layers
 
 
 def reconstruct(phi: PhaseSequence, x):
@@ -447,10 +486,12 @@ def real_target_phases(c: np.ndarray) -> tuple[PhaseSequence, np.ndarray, int]:
     The fixed-point iteration of Dong, Lin, Ni & Wang (arXiv:2209.10162) on
     their symmetric W-form angles r, here phi_1 = 2 r_0 and phi_{j+1} =
     phi_{d-j+1} = r_j - pi/2: r <- r - (F(r) - c) / 2 from r = 0, F(r) the
-    T_d, T_{d-2}, .., T_1 coefficients of Re a. One ``_top_row`` pass
-    samples Re a on the d + 2 Lobatto points, where a degree-d series is
-    exact, and ``lobatto_coefficients`` turns the samples into F. It
-    converges for sum |c| <= 0.861 (the pipeline's arcsin targets, scaled
+    T_d, T_{d-2}, .., T_1 coefficients of Re a. phi_2 .. phi_d are a
+    palindrome, so one ``palindrome_top_left`` pass over the (d - 1) / 2
+    factors e^{i (r_j - pi/2)}, turned by e^{2 i r_0}, samples Re a on the
+    d + 2 Lobatto points, where a degree-d series is exact, and
+    ``lobatto_coefficients`` turns the samples into F. It converges for
+    sum |c| <= 0.861 (the pipeline's arcsin targets, scaled
     by ``blockenc.ARCSIN_GAIN`` = 1.6: at most 0.79 down to delta 0.01); Re
     a is even in r, so the opposite step only negates the iterates. It runs
     while the l1 miss sum |F - c| falls: in double to its floor near 1e-15,
@@ -459,7 +500,7 @@ def real_target_phases(c: np.ndarray) -> tuple[PhaseSequence, np.ndarray, int]:
 
     Returns the doubles nearest the angles of the least miss, that F
     rounded to doubles (read-only; the series the encoding sums), and the
-    layers of the ``_top_row`` pass that sampled it. Rounding an angle near
+    layers of the pass that sampled it, d. Rounding an angle near
     +-pi/2 to a double moves Re a by up to ~1e-15, so the doubles
     themselves miss c by about as much as the least miss of an iteration in
     double did. A least miss above max(1e-14, d 2^-52) raises
@@ -494,9 +535,12 @@ def _real_target_steps(c: np.ndarray, r: np.ndarray, xs: np.ndarray):
     """
     d = c.size - 1
     target, least = c[d::-2].astype(r.dtype), np.inf
+    quarter_turn = r.dtype.type(PI_LD) / 2
     for step in range(1, _MAX_STEPS + 1):
-        a, _, layers = _top_row(_w_form_angles(r), xs)
-        series = lobatto_coefficients(a.real)
+        # phi_1 = 2 r_0 turns M_00 by e^{2 i r_0}, and phi_2 .. phi_d, r_j
+        # - pi/2 and their mirror, are a palindrome of d layers
+        m00, layers = palindrome_top_left(np.exp(1j * (r[1:] - quarter_turn)), xs)
+        series = lobatto_coefficients((np.exp(2j * r[0]) * m00).real)
         miss = series[d::-2] - target
         l1 = float(np.abs(miss).sum())
         if not l1 < least:

@@ -7,6 +7,7 @@ import pytest
 from qsprep import amplifier, pipeline
 from qsprep.amplifier import (
     MAX_ROUNDS,
+    AmplificationPlan,
     _fixed_point_phases,
     amplify,
     amplify_state,
@@ -131,6 +132,24 @@ def test_plan_degree_limit(monkeypatch):
 def test_plan_refuses_sigma_or_delta_out_of_range(sigma, delta):
     with pytest.raises(InputError, match="must lie in"):
         plan_amplification(sigma, delta)
+
+
+# a hand-built plan takes no field plan_amplification would not give: before
+# it checked them, delta = 2 gave band edge 0 and success 1.0, delta = 5 and
+# rounds = -1 a bare math domain error, delta = 0 ZeroDivisionError, a NaN
+# delta a NaN success, and 2^24 + 1 rounds passed
+@pytest.mark.parametrize("sigma, delta, rounds, error", [
+    (0.3, 2.0, 17, InputError), (0.3, 5.0, 17, InputError), (0.3, 0.1, -1, InputError),
+    (0.3, 0.0, 17, InputError), (0.3, np.nan, 17, InputError), (0.3, 1.0, 17, InputError),
+    (0.0, 0.1, 17, InputError), (1.5, 0.1, 17, InputError), (np.nan, 0.1, 17, InputError),
+    (0.3, 0.1, 16, InputError), (0.3, 0.1, 0, InputError), (0.3, 0.1, 17.0, InputError),
+    (1e-7, 0.1, MAX_ROUNDS + 1, DegreeOverflowError),
+])
+def test_plan_checks_its_own_fields(sigma, delta, rounds, error):
+    with pytest.raises(error) as info:
+        AmplificationPlan(sigma, delta, rounds)
+    if error is DegreeOverflowError:
+        assert info.value.needed == MAX_ROUNDS + 1
 
 
 def test_plan_arrays_are_read_only():
@@ -310,15 +329,33 @@ def extended_product(plan, x, dps=40):
         return complex(a)
 
 
+def closed_form_angles(plan):
+    """The L angles, each atan2(-1, w tan(2 pi j / L)) rounded once to a double.
+
+    ``plan.phases`` takes them from the factors ``amplify_state`` multiplies
+    and normalizes them, which can move an angle by an ulp or two.
+    """
+    rounds = plan.rounds
+    j = np.arange(1.0, (rounds - 1) // 2 + 1)
+    minus_half_alpha = np.arctan2(-1.0, np.tan(2.0 * np.pi * j / rounds) * plan.band_edge)
+    phi = np.zeros(rounds)
+    phi[1::2] = minus_half_alpha[::-1]
+    phi[2::2] = minus_half_alpha
+    return phi
+
+
 # the search plans at even n up to 16 (L = 11 .. 2479) and two tighter deltas
 @pytest.mark.parametrize("plan", [*(plan_amplification(0.25 * 2.0 ** (-n / 2), 0.1) for n in range(0, 17, 2)),
                                   plan_amplification(0.3, 0.01), plan_amplification(0.05, 0.001)],
                          ids=lambda p: f"L{p.rounds}")
 def test_amplify_state_is_as_accurate_as_the_whole_product(plan):
     # against a 40-digit product, the half loop errs no more than the
-    # materialized L-factor product in doubles, up to 1e-15
+    # materialized L-factor product in doubles of the closed-form angles,
+    # up to 1e-15; the plan's own angles agree with them to a few ulps
     points = np.array([plan.sigma, 0.5, 0.9])
-    whole = _top_row(plan.phases.phases, points)[0]
+    angles = closed_form_angles(plan)
+    assert np.abs(plan.phases.phases - angles).max() <= 4 * np.finfo(float).eps * np.pi
+    whole = _top_row(angles, points)[0]
     for x, materialized in zip(points, whole):
         exact = extended_product(plan, x)
         assert abs(amplify_state(x, plan)[0] - exact) <= abs(materialized - exact) + 1e-15

@@ -543,6 +543,50 @@ def test_real_target_step_sign_picks_the_negative_degree_one_angle():
     assert np.array_equal(phases._top_row(-phi.phases, xs)[0].real, phases._top_row(phi.phases, xs)[0].real)
 
 
+@pytest.mark.parametrize("dtype", [float, np.longdouble])
+def test_palindrome_top_left_equals_the_whole_product(dtype):
+    # the first half's factors, closed as C R C^T, give the whole palindromic
+    # product's M_00 and count its L layers, at every odd L up to 201: over
+    # an array of points, and at one point (a Python float with Python
+    # complex factors, or a long-double scalar), to L ulps of the precision
+    rng = np.random.default_rng(41)
+    xs = cheb_nodes(12).astype(dtype)
+    zero = np.zeros(1, dtype)
+    for rounds in range(1, 202, 2):
+        half = rng.uniform(-np.pi, np.pi, (rounds - 1) // 2).astype(dtype)
+        exact = phases._top_row(np.concatenate((zero, half, half[::-1])), xs)[0]
+        tol = rounds * np.finfo(dtype).eps
+        factors = np.exp(1j * half)
+        got, layers = phases.palindrome_top_left(factors, xs)
+        assert layers == rounds and got.dtype == exact.dtype
+        assert np.abs(got - exact).max() <= tol, rounds
+        if dtype is float:
+            got, layers = phases.palindrome_top_left(factors.tolist(), float(xs[5]))
+            assert type(got) is complex
+        else:
+            got, layers = phases.palindrome_top_left(factors, xs[5])
+            assert got.dtype == np.clongdouble
+        assert layers == rounds and abs(got - exact[5]) <= tol, rounds
+
+
+def test_palindrome_top_left_samples_the_w_form_product():
+    # real_target_phases samples Re a as Re(e^{2 i r_0} M_00) of the
+    # palindrome phi_2 .. phi_d = r_j - pi/2: at the pipeline's cuts, errors
+    # 2^-8 .. 2^-51 at DELTA_MARGIN (degrees 3 .. 33), that equals the whole
+    # W-form product's a in long double to 1e-18 (9.4e-19 at most)
+    for degree, keep in sorted({_arcsin_cut(float(e), DELTA_MARGIN) for e in 2.0 ** -np.arange(8, 52)}):
+        phi = blockenc._phases_at_cut(degree, keep, DELTA_MARGIN)[0].phases
+        d = len(phi)
+        r = phi[: (d + 1) // 2].astype(np.longdouble)
+        r[0] /= 2
+        r[1:] += polyapprox.PI_LD / 2
+        xs = np.sin(polyapprox.PI_LD * np.arange(d + 1, -d - 2, -2) / (2 * (d + 1)))
+        exact = phases._top_row(phases._w_form_angles(r), xs)[0]
+        m00, layers = phases.palindrome_top_left(np.exp(1j * (r[1:] - polyapprox.PI_LD / 2)), xs)
+        assert layers == d
+        assert np.abs(np.exp(2j * r[0]) * m00 - exact).max() <= 1e-18, d
+
+
 def test_real_target_phases_refuse_a_target_no_angles_reach():
     # |a| <= 1, and this target reaches 1.8 at x = 1: the miss stops falling
     # far above any floor
@@ -564,8 +608,9 @@ def test_memoized_arcsin_angles_are_read_only():
 def test_warm_cut_samples_nothing(monkeypatch):
     # the series of Re a is kept with the memoized angles, so a second
     # encoding of the same cut, at new sines, runs no sampling pass (no
-    # _top_row and no lobatto_coefficients) and sums the series the memo
-    # holds; it is read-only and equals the realized polynomial's real part
+    # palindrome_top_left and no lobatto_coefficients) and sums the series
+    # the memo holds; it is read-only and equals the realized polynomial's
+    # real part
     blockenc._encoding.cache_clear()
     blockenc._phases_at_cut.cache_clear()
     first = blockenc.hamiltonian_from_unitary(np.sin(np.pi * np.array([0.05, 0.15])), 0.001, 0.29)
@@ -580,7 +625,7 @@ def test_warm_cut_samples_nothing(monkeypatch):
     def no_sampling(*args):
         raise AssertionError("the series was sampled again")
 
-    monkeypatch.setattr(phases, "_top_row", no_sampling)
+    monkeypatch.setattr(phases, "palindrome_top_left", no_sampling)
     monkeypatch.setattr(phases, "lobatto_coefficients", no_sampling)
     monkeypatch.setattr(polyapprox, "lobatto_coefficients", no_sampling)
     sines = np.sin(np.pi * np.array([0.02, 0.11, 0.2]))
