@@ -57,10 +57,10 @@ from .errors import DegreeOverflowError, DimensionError, InputError
 from .phases import PhaseSequence, palindrome_top_left
 from .simulator import Projector, UnitaryMatrix
 
-# Most rounds a plan may take. Search at delta = 0.1 plans 396543 rounds at
-# n = 32, 6344679 at n = 40 and 12689357 at n = 42, which fits; from n = 43
-# the value-bit budget refuses it first, and n = 42 at delta = 0.01 needs
-# 19463049 rounds, which are refused. ``amplify_state`` costs O(L) time and
+# Most rounds a plan may take. Search at delta = 0.1 plans 317235 rounds at
+# n = 32, 5075743 at n = 40 and 10151485 at n = 42, which fits; from n = 43
+# the value-bit budget refuses it first, and n = 42 at delta = 0.001 needs
+# 20941105 rounds, which are refused. ``amplify_state`` costs O(L) time and
 # O(1) memory, 5 to 6 s at 12689357 rounds on a 2-vCPU x86 host, so the
 # limit bounds the time a tiny sigma may ask for.
 MAX_ROUNDS = 2**24
@@ -163,11 +163,16 @@ def plan_amplification(sigma: float, delta: float) -> AmplificationPlan:
     error a quantized amplitude table induces on sigma: L is the least odd
     integer with w = tanh(acosh(1 / delta_Y) / L) <= 0.9 * sigma. Near sigma
     = 1 that can be L = 1, the angle 0 with success sigma^2. An L above
-    ``MAX_ROUNDS`` raises DegreeOverflowError with L in ``needed``. No angle
-    is computed.
+    ``MAX_ROUNDS`` raises DegreeOverflowError with L in ``needed``, or 2^53,
+    a lower bound, when L is past what a double counts exactly (it is
+    infinite from sigma ~ 1e-308 on). No angle is computed.
     """
     _check_band(sigma, delta)
-    rounds = math.ceil(_lift(delta) / math.atanh(0.9 * sigma))
+    rounds = _lift(delta) / math.atanh(0.9 * sigma)
+    if not rounds <= 2**53:
+        raise DegreeOverflowError(f"fixed-point amplification needs more than 2^53 rounds (> max {MAX_ROUNDS}) "
+                                  f"for sigma={sigma:.3e}, delta={delta}", needed=2**53)
+    rounds = math.ceil(rounds)
     return AmplificationPlan(sigma, delta, rounds + 1 - rounds % 2)
 
 

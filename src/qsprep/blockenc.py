@@ -15,11 +15,12 @@ d) time and O(K) memory. The dense functions
 ``extract_block``) build the same encoding as one unitary and are the
 reference the entries are tested against.
 
-P is G = ``ARCSIN_GAIN`` = 1.6 times the arcsin target
-(``polyapprox.arcsin_target``), so the encoded generator is G H: the
-larger flagged amplitude saves amplification rounds, and the scaled target
-stays inside the phase iteration's l1 limit. The target is economized on
-the sines' interval [-(1 - delta), 1 - delta] alone, since outside it the
+P is G times the arcsin target (``polyapprox.arcsin_target``), so the
+encoded generator is G H: the larger flagged amplitude saves amplification
+rounds. G is the cut's: ``ARCSIN_GAIN`` = 2, or less where that would take
+the target's sup past ``polyapprox.REAL_TARGET_SUP`` = 0.95, which no cut at
+the pipeline's margin does. The target is economized on the sines'
+interval [-(1 - delta), 1 - delta] alone, since outside it the
 transform only needs |P| <= 1. That halves its degree, and so the oracle
 calls, against a target economized on all of [-1, 1]. A target is fixed
 by its cut (Taylor degree, kept length) and delta, so both its angles and
@@ -50,7 +51,7 @@ import numpy as np
 from . import oracle
 from .errors import DimensionError, InfeasibleError, InputError
 from .phases import PhaseSequence, conjugate_phases, real_target_phases
-from .polyapprox import _arcsin_cut, _arcsin_target, _target_l1
+from .polyapprox import REAL_TARGET_SUP, _arcsin_cut, _arcsin_target, _target_l1
 from .simulator import (
     Projector,
     UnitaryMatrix,
@@ -61,15 +62,18 @@ from .simulator import (
     pauli_y,
 )
 
-# Gain on the arcsin transform: the phase solver gets G arcsin(y) / pi, so
-# the encoded generator, and the flagged amplitude the amplification reads,
-# is G times larger, and the fixed-point plan needs about 1 / G the rounds.
-# The real-target iteration converges for a Chebyshev l1 norm up to
-# ``polyapprox.REAL_TARGET_L1`` = 0.861, which also bounds |G p| <= 1 off the
-# levels' interval. An arcsin target's own l1 norm approaches arcsin(1) / pi
-# = 1/2 as delta falls (0.49 at delta 0.01), so G = 1.6 keeps the scaled
-# target under 0.8, with room below the limit
-ARCSIN_GAIN = 1.6
+# Most gain on the arcsin transform: the phase solver gets G arcsin(y) / pi,
+# so the encoded generator, and the flagged amplitude the amplification
+# reads, is G times larger, and the fixed-point plan needs about 1 / G the
+# rounds. QSP asks only |G p| <= 1 on [-1, 1]; an arcsin target's
+# coefficients are non-negative, so its sup is its Chebyshev l1 norm, and a
+# cut takes G = min(ARCSIN_GAIN, ``polyapprox.REAL_TARGET_SUP`` / l1). That
+# l1 approaches arcsin(1) / pi = 1/2 as delta falls; at the pipeline's
+# margin it is at most 0.465, so every run gets the whole cap. Filling 0.95
+# there instead (G up to 2.44) cuts more rounds but leaves the amplification
+# less room: at G = 2.3 the least success over the benchmark's sweep inputs
+# fell from 0.961 to 0.932
+ARCSIN_GAIN = 2.0
 
 
 @dataclass
@@ -273,16 +277,17 @@ def hamiltonian_from_unitary(sines: np.ndarray, epsilon: float, delta: float) ->
     A non-finite sine, or one outside [-1, 1], raises InputError. Requires
     ||sin(pi H)|| <= 1 - delta so the arcsin approximant's accuracy
     interval covers the spectrum, and raises InfeasibleError otherwise; the
-    encoded generator is then within G epsilon of G H, G = ``ARCSIN_GAIN``:
-    epsilon, like the cut it picks, is in the units of arcsin / pi. An
+    encoded generator is then within G epsilon of G H, G the cut's gain
+    (``ARCSIN_GAIN`` at most, in ``info["arcsin_gain"]``): epsilon, like
+    the cut it picks, is in the units of arcsin / pi. An
     epsilon under 2^-51, twice the rounding floor the arcsin cut leaves,
     raises InfeasibleError. Its diagonal equals the top-left block's
     diagonal in the dense ``lcu_real_part`` of the sine encoding. Records
     the polynomial degree and the counted transform layers, where each
     layer queries the controlled phase unitary and its adjoint, shared by
     both branches of the real-part combination, and the target's cut
-    (Taylor degree, kept length) and the Chebyshev l1 norm of the scaled
-    target the phase iteration was given.
+    (Taylor degree, kept length), the Chebyshev l1 norm of the scaled
+    target the phase iteration was given and its gain.
 
     Memoized per process on the exact bytes of the sines, the target's cut
     and delta: epsilon enters only through the cut, which scalar loops find
@@ -341,21 +346,23 @@ def _encode(sines: np.ndarray, degree: int, keep: int, delta: float) -> LevelEnc
             f"||sin(pi H)|| = {sine_norm:.6f} exceeds 1 - delta = {1 - delta:.6f}; "
             "rescale the amplitudes or widen delta"
         )
-    ang, series, layers, l1 = _phases_at_cut(degree, keep, delta)
+    ang, series, layers, l1, gain = _phases_at_cut(degree, keep, delta)
     diagonal = _level_diagonal(sines, series)
     diagonal.flags.writeable = False
     info = MappingProxyType({"arcsin_degree": len(ang), "cu_calls": layers,
-                             "arcsin_cut": (degree, keep), "arcsin_l1": l1})
+                             "arcsin_cut": (degree, keep), "arcsin_l1": l1,
+                             "arcsin_gain": gain})
     return LevelEncoding(diagonal, ang, info)
 
 
 @functools.lru_cache(maxsize=_MEMO_SIZE)
-def _phases_at_cut(degree: int, keep: int, delta: float) -> tuple[PhaseSequence, np.ndarray, int, float]:
+def _phases_at_cut(degree: int, keep: int, delta: float) -> tuple[PhaseSequence, np.ndarray, int, float, float]:
     # the one angle memo: the angles, their read-only series of Re a and the
-    # layers that sampled it (``real_target_phases``), and the l1 norm of
-    # the scaled target the iteration is given, which it checks;
-    # real_target_phases is a module global, so a tracer's wrapper sees
-    # every solve
-    target = ARCSIN_GAIN * _arcsin_target(degree, keep, delta)
+    # layers that sampled it (``real_target_phases``), the l1 norm of the
+    # scaled target the iteration is given and the gain, at least 1, since
+    # an unscaled target above REAL_TARGET_SUP is refused; real_target_phases
+    # is a module global, so a tracer's wrapper sees every solve
+    target = _arcsin_target(degree, keep, delta)
     l1 = _target_l1(target)
-    return (*real_target_phases(target), l1)
+    gain = min(ARCSIN_GAIN, REAL_TARGET_SUP / l1)
+    return (*real_target_phases(gain * target), gain * l1, gain)

@@ -9,12 +9,14 @@ degree-d polynomial of parity d mod 2. Every factor is unitary with
 determinant -1, so the top row (a, b) of a k-factor prefix fixes the whole
 prefix as [[a, b], [-D conj(b), D conj(a)]] with D = (-1)^k. One top-row
 recurrence, ``_prefix_rows``, therefore gives the reconstruction and the
-Jacobian of the least-squares polish. Both products the pipeline applies
-are palindromes past their first factor: the symmetric angles of
-``real_target_phases`` and the fixed-point amplification's. One evaluator,
-``palindrome_top_left``, runs their top row over the first half of the
-factors and closes the product from it: it samples Re a on an array of
-points, in long double, at each step of ``real_target_phases``, and
+derivatives in the angles (``_top_left_derivatives``) that the
+least-squares polish and the real-target Newton steps take. Both products
+the pipeline applies are palindromes past their first factor: the
+symmetric angles of ``real_target_phases`` and the fixed-point
+amplification's. One evaluator, ``palindrome_top_left``, runs their top
+row over the first half of the factors and closes the product from it: it
+samples Re a on an array of points, in long double, at each step of
+``real_target_phases``, and
 ``amplifier.amplify_state`` evaluates the amplification with it at the one
 point x = sigma in Python complex arithmetic. ``_top_row`` of the whole
 product stays the tests' reference for both. ``real_target_phases``
@@ -41,8 +43,8 @@ result follows the Python hash seed and the BLAS thread count), and scipy
 is imported only when a polish runs. Each escalation is logged at DEBUG
 level on the ``qsprep.phases`` logger.
 
-The pipeline's real targets get their angles from ``real_target_phases``, a
-fixed-point iteration on Re a alone, in ``np.longdouble``; completion,
+The pipeline's real targets get their angles from ``real_target_phases``,
+Newton's method on Re a alone, in ``np.longdouble``; completion,
 stripping, mpmath's extended precision and the polish serve ``qsprep
 phases`` and complex targets.
 
@@ -82,9 +84,10 @@ from .polyapprox import (
 log = logging.getLogger(__name__)
 
 TOL = 1e-7  # largest reconstruction residual find_phases accepts
-# most steps of each of real_target_phases' two passes; the pipeline's
-# arcsin target, scaled by blockenc.ARCSIN_GAIN, reaches its floor in 26-40
-# steps in double and 7-16 more in long double
+# most samplings of each of real_target_phases' two passes; the pipeline's
+# scaled arcsin targets reach their floor after 5-9 Newton steps in double
+# and 1-4 more in long double, 7-11 and 3-6 samplings with the one that ends
+# each pass
 _MAX_STEPS = 100
 
 
@@ -323,27 +326,31 @@ def _residual(phis: np.ndarray, xs: np.ndarray, target: np.ndarray) -> float:
     return float(np.abs(_top_row(phis, xs)[0] - target).max())
 
 
-def _polish(phi0: np.ndarray, xs: np.ndarray, target: np.ndarray) -> np.ndarray:
-    """One Levenberg-Marquardt least-squares run from phi0 on Chebyshev nodes.
+def _top_left_derivatives(phis: np.ndarray, xs: np.ndarray) -> np.ndarray:
+    """The derivatives of the top-left entry P in phi_1 .. phi_d, one row of points each.
 
     With (a_j, b_j) the top row and D_j = (-1)^j the determinant of the
-    j-factor prefix, the derivative of the top-left entry P in phi_{j+1} is
-    i (|a_j|^2 - |b_j|^2) P - 2i D_j a_j b_j M_10, M_10 = -(-1)^d conj(M_01).
+    j-factor prefix, the derivative in phi_{j+1} is i (|a_j|^2 - |b_j|^2) P
+    - 2i D_j a_j b_j M_10, M_10 = -(-1)^d conj(M_01): one pass of
+    ``_prefix_rows``, kept whole.
     """
-    from scipy.optimize import least_squares  # 0.3-0.4 s to import, and rarely reached
+    a, b = map(np.array, zip(*_prefix_rows(phis, xs)))
+    det = (-1.0) ** np.arange(a.shape[0])[:, None]
+    top, m10 = a[-1], -det[-1] * np.conj(b[-1])
+    a, b = a[:-1], b[:-1]
+    return 1j * (np.abs(a) ** 2 - np.abs(b) ** 2) * top - 2j * det[:-1] * a * b * m10
 
-    d = len(phi0)
-    det = (-1.0) ** np.arange(d + 1)[:, None]
+
+def _polish(phi0: np.ndarray, xs: np.ndarray, target: np.ndarray) -> np.ndarray:
+    """One Levenberg-Marquardt least-squares run from phi0 on Chebyshev nodes."""
+    from scipy.optimize import least_squares  # 0.3-0.4 s to import, and rarely reached
 
     def resid(phis):
         r = _top_row(phis, xs)[0] - target
         return np.concatenate([r.real, r.imag])
 
     def jac(phis):
-        a, b = map(np.array, zip(*_prefix_rows(phis, xs)))
-        top, m10 = a[-1], -det[d] * np.conj(b[-1])
-        a, b = a[:-1], b[:-1]
-        cols = 1j * (np.abs(a) ** 2 - np.abs(b) ** 2) * top - 2j * det[:-1] * a * b * m10
+        cols = _top_left_derivatives(phis, xs)
         return np.concatenate([cols.real, cols.imag], axis=1).T
 
     # at 400 evaluations the run stalls just above 1e-7 on some hint-less
@@ -483,20 +490,26 @@ def find_phases(p: Polynomial) -> PhaseSequence:
 def real_target_phases(c: np.ndarray) -> tuple[PhaseSequence, np.ndarray, int]:
     """Angles whose ansatz has Re a = the odd real series c; c[k] multiplies T_k.
 
-    The fixed-point iteration of Dong, Lin, Ni & Wang (arXiv:2209.10162) on
-    their symmetric W-form angles r, here phi_1 = 2 r_0 and phi_{j+1} =
-    phi_{d-j+1} = r_j - pi/2: r <- r - (F(r) - c) / 2 from r = 0, F(r) the
-    T_d, T_{d-2}, .., T_1 coefficients of Re a. phi_2 .. phi_d are a
-    palindrome, so one ``palindrome_top_left`` pass over the (d - 1) / 2
-    factors e^{i (r_j - pi/2)}, turned by e^{2 i r_0}, samples Re a on the
-    d + 2 Lobatto points, where a degree-d series is exact, and
-    ``lobatto_coefficients`` turns the samples into F. It converges for
-    sum |c| <= 0.861 (the pipeline's arcsin targets, scaled
-    by ``blockenc.ARCSIN_GAIN`` = 1.6: at most 0.79 down to delta 0.01); Re
-    a is even in r, so the opposite step only negates the iterates. It runs
-    while the l1 miss sum |F - c| falls: in double to its floor near 1e-15,
-    where a step costs less, then on from there in ``np.longdouble`` (a
-    64-bit mantissa on x86-64), angles and samples alike, to ~1e-19.
+    Newton's method for F(r) = c on the symmetric W-form angles r of Dong,
+    Lin, Ni & Wang, here phi_1 = 2 r_0 and phi_{j+1} = phi_{d-j+1} = r_j -
+    pi/2, F(r) the T_d, T_{d-2}, .., T_1 coefficients of Re a. phi_2 ..
+    phi_d are a palindrome, so one ``palindrome_top_left`` pass over the (d
+    - 1) / 2 factors e^{i (r_j - pi/2)}, turned by e^{2 i r_0}, samples Re a
+    on the d + 2 Lobatto points, where a degree-d series is exact, and
+    ``lobatto_coefficients`` turns the samples into F. It starts at r_0 =
+    (-1)^h pi / 4 and r_j = 0, h = (d + 1) / 2 angles, where F = 0 and the
+    Jacobian is twice the identity, so its first step is one of their
+    fixed-point iteration r <- r - (F(r) - c) / 2 (arXiv:2209.10162), which
+    converges only for sum |c| <= 0.861; Newton's method (arXiv:2307.12468)
+    converges up to sup |Re a| < 1, and the arcsin targets, whose
+    coefficients are non-negative, take sum |c| up to 0.95. Re a is even in
+    r, so its Jacobian vanishes at r = 0, and negated angles realize the
+    same Re a. A step takes the miss's values at the h positive Lobatto
+    points, where an odd degree-d series is fixed by its values, and their
+    Jacobian in double (``_real_target_jacobian``). It runs while the l1
+    miss sum |F - c| falls: in double to its floor near 1e-15, where a step
+    costs less, then on from there in ``np.longdouble`` (a 64-bit mantissa
+    on x86-64), angles and samples alike, to ~1e-19.
 
     Returns the doubles nearest the angles of the least miss, that F
     rounded to doubles (read-only; the series the encoding sums), and the
@@ -508,8 +521,11 @@ def real_target_phases(c: np.ndarray) -> tuple[PhaseSequence, np.ndarray, int]:
     """
     d = c.size - 1
     xs = np.sin(PI_LD * np.arange(d + 1, -d - 2, -2) / (2 * (d + 1)))  # the d + 2 Lobatto points
+    # Newton's method starts where F = 0 and its Jacobian is twice the identity
+    start = np.zeros((d + 1) // 2)
+    start[0] = (-1) ** start.size * np.pi / 4
     # to its floor in double, where a step costs less, then on in long double
-    r = _real_target_steps(c, np.zeros((d + 1) // 2), xs.astype(float))[0]
+    r = _real_target_steps(c, start, xs.astype(float))[0]
     best, (series, layers), least, step = _real_target_steps(c, r.astype(np.longdouble), xs)
     if not least <= max(1e-14, d * 2.0**-52):
         raise PhaseFindingError(f"no convergence: l1 miss {least:.3e} after {step} steps", residual=least)
@@ -528,14 +544,17 @@ def _w_form_angles(r: np.ndarray) -> np.ndarray:
 
 
 def _real_target_steps(c: np.ndarray, r: np.ndarray, xs: np.ndarray):
-    """The iteration from r while the l1 miss falls.
+    """Newton's method from r while the l1 miss falls.
 
     Returns the least-miss r, (its series, the layers that sampled it), the
     miss and the steps taken.
     """
-    d = c.size - 1
+    d, h = c.size - 1, r.size
     target, least = c[d::-2].astype(r.dtype), np.inf
     quarter_turn = r.dtype.type(PI_LD) / 2
+    # T_d, T_{d-2}, .., T_1 at the h positive Lobatto points, cos(pi i / (d +
+    # 1)), where an odd degree-d series is fixed by its values
+    basis = np.cos(np.pi / (d + 1) * np.outer(np.arange(h), np.arange(d, 0, -2)))
     for step in range(1, _MAX_STEPS + 1):
         # phi_1 = 2 r_0 turns M_00 by e^{2 i r_0}, and phi_2 .. phi_d, r_j
         # - pi/2 and their mirror, are a palindrome of d layers
@@ -546,6 +565,17 @@ def _real_target_steps(c: np.ndarray, r: np.ndarray, xs: np.ndarray):
         if not l1 < least:
             break
         least, best, kept = l1, r, (series, layers)
-        r = r - miss / 2
+        # Newton's step on the miss's values there, in double
+        r = r - np.linalg.solve(_real_target_jacobian(r, xs[:h]), basis @ miss.astype(float))
     return best, kept, least, step
 
+
+def _real_target_jacobian(r: np.ndarray, xs: np.ndarray) -> np.ndarray:
+    """The derivatives of Re a in r_0 .. r_{h-1} at the points, in double; a row per point."""
+    cols = _top_left_derivatives(_w_form_angles(r.astype(float)), xs.astype(float)).real
+    h = r.size
+    # r_0 enters as phi_1 = 2 r_0, and r_j as phi_{j+1} and its mirror phi_{d-j+1}
+    jac = cols[:h]
+    jac[0] *= 2
+    jac[1:] += cols[:h - 1:-1]
+    return jac.T

@@ -4,7 +4,7 @@ special case, and parameter sweeps.
 The pipeline compiles the phase unitary from the quantized amplitude table
 (with the amplitudes internally rescaled by ``BETA``), extracts the generator
 through the sine encoding and an arcsin transform scaled by
-``blockenc.ARCSIN_GAIN``, and amplifies the flagged component, 0.4 times
+``blockenc.ARCSIN_GAIN``, and amplifies the flagged component, 0.5 times
 each amplitude (``GENERATOR_UNIT``), with a fixed-point plan of
 closed-form angles. The user-facing
 accuracy target is met by aiming the internal generator error at
@@ -73,7 +73,8 @@ BETA = 0.5
 DELTA_MARGIN = float(1.0 - np.sin(np.pi * BETA / 2.0))
 # The encoded generator per unit amplitude: the oracle's phase is pi BETA c
 # / 2, and the arcsin transform returns ARCSIN_GAIN times the generator
-# BETA c / 2, so the flagged amplitude of an index is 0.4 c
+# BETA c / 2 (every cut at DELTA_MARGIN takes the whole gain), so the
+# flagged amplitude of an index is 0.5 c, a power of two
 GENERATOR_UNIT = BETA * ARCSIN_GAIN / 2.0
 
 
@@ -338,8 +339,9 @@ def _new_stage(oracle: AmplitudeOracle, epsilon: float) -> tuple[_TableStage, Le
     eps_measured = float(np.abs(deviation, out=deviation).max())
     del deviation
     # the flagged sum S = sum of n_k c~_k^2 gives gamma~ = S / N; sigma is
-    # read from the encoded diagonal itself, since GENERATOR_UNIT is not a
-    # power of two and would not scale the sum back exactly
+    # read from the encoded diagonal itself, the amplitude C carries: it is
+    # GENERATOR_UNIT sqrt(gamma~) but for the rounding of the division and
+    # the square roots, since scaling by a power of two is exact
     g_realized = float(counts @ c_level**2) / size
     sigma = math.sqrt(float(counts @ encoding.diagonal**2)) / math.sqrt(size)
     g_quant = float(counts @ levels**2) / size
@@ -391,10 +393,12 @@ def _run(cfg: PrepConfig, bounds: bool) -> PrepReport:
     oracle_calls = applications * encoding.info["cu_calls"] * 2 * 2
     report = _report(cfg, stage, encoding.info["arcsin_degree"], plan, abs(amplitude) ** 2,
                      oracle_calls, bounds)
-    # the arcsin target's cut (Taylor degree, kept length) and the Chebyshev
-    # l1 norm of the scaled target the phase iteration was given
+    # the arcsin target's cut (Taylor degree, kept length), the Chebyshev
+    # l1 norm of the scaled target the phase iteration was given and its
+    # gain: sigma is beta gain / 2 = 0.5 times sqrt(gamma~)
     report.info["arcsin_cut"] = encoding.info["arcsin_cut"]
     report.info["arcsin_l1"] = encoding.info["arcsin_l1"]
+    report.info["arcsin_gain"] = encoding.info["arcsin_gain"]
     return report
 
 
@@ -425,7 +429,6 @@ def _report(cfg: PrepConfig, stage: _TableStage, d_a: int, plan: AmplificationPl
         "n": cfg.oracle.n,
         "m": stage.m,
         "beta": BETA,
-        "arcsin_gain": ARCSIN_GAIN,  # sigma is beta arcsin_gain / 2 = 0.4 times sqrt(gamma~)
         "gamma": stage.gamma_exact,
         "gamma_quantized": stage.gamma_quant,
         "gamma_realized": stage.gamma_realized,

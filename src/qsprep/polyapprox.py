@@ -260,9 +260,11 @@ def _arcsin_monomials(degree: int) -> np.ndarray:
 PI_LD = 4 * np.arctan(np.longdouble(1))
 
 # Chebyshev l1 norm an arcsin target may reach: it bounds |p| on [-1, 1],
-# and it is the convergence condition of the real-target iteration
-# (``phases.real_target_phases``)
-REAL_TARGET_L1 = 0.861
+# where the real-target Newton iteration (``phases.real_target_phases``)
+# converges for any sup |p| < 1; an arcsin target's coefficients are
+# non-negative, so its sup is its l1 norm. ``blockenc`` scales each target
+# up to it, with room below 1
+REAL_TARGET_SUP = 0.95
 
 
 def arcsin_target(epsilon: float, delta: float) -> Polynomial:
@@ -278,7 +280,7 @@ def arcsin_target(epsilon: float, delta: float) -> Polynomial:
     0.95 of the share pays for is dropped, exactly, since |T_k(t)| <= 1
     there; it sets the degree. Outside the interval the transform only
     needs |p| <= 1, which the coefficients' l1 norm bounds: a target above
-    ``REAL_TARGET_L1`` raises ConditionError. The degree is about half that
+    ``REAL_TARGET_SUP`` raises ConditionError. The degree is about half that
     of the series cut alike and economized on all of [-1, 1] (19 against 39
     at epsilon 1e-10 and delta 0.29, 25 against 47 at 1e-12). An epsilon
     under twice the rounding floor raises InfeasibleError.
@@ -289,12 +291,12 @@ def arcsin_target(epsilon: float, delta: float) -> Polynomial:
 
 
 # what the realized arcsin transform may miss by past its polynomial's error,
-# in the units of arcsin / pi (the encoding scales both by
-# ``blockenc.ARCSIN_GAIN``, G): the rounding of the target's doubles, of the
-# angles' series and of its sum at the sines. In 40-digit checks at errors
-# 2^-8 .. 2^-51 and delta 0.01 .. 0.5 the encoding missed G times the target
-# by at most 1.4e-16, 0.38 of G 2^-52, and G arcsin / pi by at most 0.97 of
-# G epsilon. An error under twice it is refused
+# in the units of arcsin / pi (the encoding scales both by its cut's gain G,
+# ``blockenc.ARCSIN_GAIN`` at most): the rounding of the target's doubles, of
+# the angles' series and of its sum at the sines. In 40-digit checks at
+# errors 2^-8 .. 2^-51 and delta 0.01 .. 0.5 the encoding missed G times the
+# target by at most 1.2e-16, 0.29 of G 2^-52, and G arcsin / pi by at most
+# 0.97 of G epsilon. An error under twice it is refused
 ARCSIN_ROUNDING = 2.0**-52
 
 
@@ -347,12 +349,12 @@ def _arcsin_target(degree: int, keep: int, delta: float) -> np.ndarray:
 
 
 def _target_l1(c: np.ndarray) -> float:
-    """The Chebyshev l1 norm of a real target; one above ``REAL_TARGET_L1`` raises ConditionError."""
+    """The Chebyshev l1 norm of a real target; one above ``REAL_TARGET_SUP`` raises ConditionError."""
     l1 = float(np.abs(c).sum())
-    if not l1 <= REAL_TARGET_L1:
+    if not l1 <= REAL_TARGET_SUP:
         raise ConditionError(
             f"the arcsin target of degree {c.size - 1} has Chebyshev l1 norm {l1:.4f} > "
-            f"{REAL_TARGET_L1}, where the real-target iteration may not converge"
+            f"{REAL_TARGET_SUP}, too close to 1 for the real-target iteration"
         )
     return l1
 

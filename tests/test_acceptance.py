@@ -27,7 +27,7 @@ from qsprep.phases import (
 from qsprep.pipeline import PrepConfig, grover_case, verify_error_bounds
 from qsprep.polyapprox import (
     Polynomial,
-    arcsin_taylor,
+    arcsin_target,
     complete_to_complex,
     evaluate,
 )
@@ -76,10 +76,12 @@ def test_criterion_2_arcsin_approximation():
     worst_ratio_by_delta = {}
     ok = True
     detail = []
+    # the polynomial the pipeline's transform realizes, economized on the
+    # interval [-1 + delta, 1 - delta] where the bound is checked
     for delta in (0.1, 0.29):
         ratios = []
         for eps in (1e-2, 1e-4, 1e-6):
-            p = arcsin_taylor(eps, delta)
+            p = arcsin_target(eps, delta)
             xs = np.linspace(-1 + delta, 1 - delta, 10_000)
             err = np.abs(evaluate(p, xs).real - np.arcsin(xs) / np.pi).max()
             ok = ok and err <= eps

@@ -127,6 +127,17 @@ def test_plan_degree_limit(monkeypatch):
     assert exc.value.needed == 24203025 > MAX_ROUNDS
 
 
+@pytest.mark.parametrize("sigma", [1e-300, 1e-308, 5e-324])
+def test_plan_refuses_a_round_count_past_2_to_the_53(sigma):
+    # the count is 3e300 rounds at sigma = 1e-300 and infinite from about
+    # 1e-308 on, where math.ceil raised a bare OverflowError; it is refused
+    # as a float, with 2^53 as a lower bound and a message of one line
+    with pytest.raises(DegreeOverflowError, match="more than 2\\^53 rounds") as exc:
+        plan_amplification(sigma, 0.1)
+    assert exc.value.needed == 2**53
+    assert len(str(exc.value)) < 120
+
+
 @pytest.mark.parametrize("sigma, delta", [(np.nan, 0.1), (0.0, 0.1), (1.5, 0.1),
                                           (0.3, np.nan), (0.3, 0.0), (0.3, 1.0)])
 def test_plan_refuses_sigma_or_delta_out_of_range(sigma, delta):
@@ -349,16 +360,15 @@ def closed_form_angles(plan):
                                   plan_amplification(0.3, 0.01), plan_amplification(0.05, 0.001)],
                          ids=lambda p: f"L{p.rounds}")
 def test_amplify_state_is_as_accurate_as_the_whole_product(plan):
-    # against a 40-digit product, the half loop errs no more than the
-    # materialized L-factor product in doubles of the closed-form angles,
-    # up to 1e-15; the plan's own angles agree with them to a few ulps
-    points = np.array([plan.sigma, 0.5, 0.9])
-    angles = closed_form_angles(plan)
-    assert np.abs(plan.phases.phases - angles).max() <= 4 * np.finfo(float).eps * np.pi
-    whole = _top_row(angles, points)[0]
-    for x, materialized in zip(points, whole):
+    # against a 40-digit product, the half loop errs by at most L 2^-52 / 2,
+    # the scale of the whole product's rounding (0.33 of it at most, at L101
+    # and L1241, x = 0.9). The whole product in doubles is no reference: its
+    # own error moves by more than 1e-15 when an angle moves by an ulp. The
+    # plan's own angles agree with the closed form to a few ulps
+    assert np.abs(plan.phases.phases - closed_form_angles(plan)).max() <= 4 * np.finfo(float).eps * np.pi
+    for x in (plan.sigma, 0.5, 0.9):
         exact = extended_product(plan, x)
-        assert abs(amplify_state(x, plan)[0] - exact) <= abs(materialized - exact) + 1e-15
+        assert abs(amplify_state(x, plan)[0] - exact) <= 0.5 * plan.rounds * 2.0**-52, x
 
 
 def test_amplify_state_keeps_no_array_of_the_rounds():

@@ -22,7 +22,7 @@ from qsprep.phases import PhaseSequence, find_phases, polynomial_from_phases, re
 from qsprep.pipeline import DELTA_MARGIN
 from qsprep.polyapprox import (
     ARCSIN_ROUNDING,
-    REAL_TARGET_L1,
+    REAL_TARGET_SUP,
     Polynomial,
     _arcsin_cut,
     arcsin_target,
@@ -276,25 +276,29 @@ def test_hamiltonian_extraction_error_tracks_polynomial_error():
                                                (0.01, (51,))])
 def test_encoded_generator_is_within_epsilon_down_to_the_rounding_floor(delta, exponents):
     # the realized encoding, double-precision series and sum included,
-    # against a 40-digit G arcsin / pi, G = ARCSIN_GAIN, at 2d + 1 sines up
-    # to 1 - delta: it misses by at most G epsilon at errors 2^-k from 2^-8
-    # down to 2^-51, and the scaled double coefficients the phase iteration
-    # is given, summed in 40 digits, by G ARCSIN_ROUNDING; a smaller epsilon
-    # is refused. At delta 0.01 (d = 201) a target resampled in double
-    # missed by 1.44 epsilon
+    # against a 40-digit G arcsin / pi, G the cut's gain (ARCSIN_GAIN, or
+    # less where the target's l1 norm is above REAL_TARGET_SUP / ARCSIN_GAIN),
+    # at 2d + 1 sines up to 1 - delta: it misses by at most G epsilon at
+    # errors 2^-k from 2^-8 down to 2^-51, and the scaled double coefficients
+    # the phase iteration is given, summed in 40 digits, by G
+    # ARCSIN_ROUNDING; a smaller epsilon is refused. At delta 0.01 (d = 201)
+    # a target resampled in double missed by 1.44 epsilon
     with mp.workdps(40):
         for k in exponents:
             epsilon = 2.0**-k
             sines = (1 - delta) * np.linspace(0.0, 1.0, 2 * (1 + _arcsin_cut(epsilon, delta)[1]))
             encoding = hamiltonian_from_unitary(sines, epsilon, delta)
-            target = ARCSIN_GAIN * arcsin_target(epsilon, delta).coefficients.real
+            gain = encoding.info["arcsin_gain"]
+            target = arcsin_target(epsilon, delta).coefficients.real
+            assert gain == min(ARCSIN_GAIN, REAL_TARGET_SUP / np.abs(target).sum()) >= 1.0, k
+            target = gain * target
             for y, h in zip(sines.tolist(), encoding.diagonal.tolist()):
-                exact = ARCSIN_GAIN * mp.asin(y) / mp.pi
-                assert abs(h - exact) <= ARCSIN_GAIN * epsilon, (k, y, float(abs(h - exact)) / epsilon)
+                exact = gain * mp.asin(y) / mp.pi
+                assert abs(h - exact) <= gain * epsilon, (k, y, float(abs(h - exact)) / epsilon)
                 t0, t1, p = mp.mpf(1), mp.mpf(y), mp.mpf(0)
                 for ck in target.tolist():
                     p, t0, t1 = p + ck * t0, t1, 2 * y * t1 - t0
-                assert abs(h - p) <= ARCSIN_GAIN * ARCSIN_ROUNDING, (k, y, float(abs(h - p)))
+                assert abs(h - p) <= gain * ARCSIN_ROUNDING, (k, y, float(abs(h - p)))
     with pytest.raises(InfeasibleError, match="under 2\\^-51"):
         hamiltonian_from_unitary(np.array([0.1]), 2.0**-52, delta)
 
@@ -325,7 +329,7 @@ def _pipeline_arcsin_sets():
     """The distinct angle sets of the pipeline's arcsin transform up to d_a = 31, with their series."""
     found = {}
     for eps in 10.0 ** -np.arange(1.0, 15.0, 0.25):
-        phi, series, layers, _ = blockenc._phases_at_cut(*_arcsin_cut(eps, DELTA_MARGIN), DELTA_MARGIN)
+        phi, series, layers, *_ = blockenc._phases_at_cut(*_arcsin_cut(eps, DELTA_MARGIN), DELTA_MARGIN)
         assert layers == len(phi)
         if 3 <= len(phi) <= 47:
             found.setdefault(len(phi), (phi, series))
@@ -442,23 +446,24 @@ def test_encoding_memo_is_keyed_on_the_cut():
     assert (info.misses, info.hits) == (1, 1)
     assert second is first
     assert first.info["arcsin_cut"] == cut and first.info["arcsin_degree"] == cut[1] - 1
-    assert 0 < first.info["arcsin_l1"] <= REAL_TARGET_L1
+    assert 0 < first.info["arcsin_l1"] <= REAL_TARGET_SUP
 
 
 @pytest.mark.parametrize("delta", [DELTA_MARGIN, 0.1, 0.5])
 def test_arcsin_cut_finds_the_economized_target(monkeypatch, delta):
     # the cut the scalar loops find is the economized target's, and the
-    # iteration gets its real coefficients times ARCSIN_GAIN bit for bit
+    # iteration gets its real coefficients times the cut's gain bit for bit:
+    # ARCSIN_GAIN, or the gain that takes the l1 norm to REAL_TARGET_SUP
     built = []
     monkeypatch.setattr(blockenc, "real_target_phases", lambda c: built.append(c) or (None, None, 0))
     try:
         for eps in 10.0 ** -np.arange(1.0, 12.0, 0.1):
             blockenc._phases_at_cut.cache_clear()
             built.clear()
-            blockenc._phases_at_cut(*_arcsin_cut(eps, delta), delta)
-            want = arcsin_target(eps, delta)
-            scaled = ARCSIN_GAIN * want.coefficients.real
-            assert [c.tobytes() for c in built] == [scaled.tobytes()], eps
+            *_, l1, gain = blockenc._phases_at_cut(*_arcsin_cut(eps, delta), delta)
+            want = arcsin_target(eps, delta).coefficients.real
+            assert gain == min(ARCSIN_GAIN, REAL_TARGET_SUP / np.abs(want).sum()) and l1 <= REAL_TARGET_SUP
+            assert [c.tobytes() for c in built] == [(gain * want).tobytes()], eps
     finally:
         blockenc._phases_at_cut.cache_clear()
 

@@ -164,13 +164,13 @@ def test_search_whose_capped_aim_leaves_the_arcsin_transform_under_its_floor_exi
 
 
 def test_arcsin_target_over_the_l1_limit_is_refused(capsys, monkeypatch):
-    # a target whose Chebyshev l1 norm exceeds the real-target iteration's
-    # convergence condition is refused, by the library as a QsprepError and
+    # a target whose Chebyshev l1 norm, its sup, exceeds REAL_TARGET_SUP
+    # before any gain is refused, by the library as a QsprepError and
     # by the command line with exit code 2; the memos are emptied on both
     # sides, so no target checked against the other limit is reused
     blockenc._encoding.cache_clear()
     blockenc._phases_at_cut.cache_clear()
-    monkeypatch.setattr(polyapprox, "REAL_TARGET_L1", 0.3)
+    monkeypatch.setattr(polyapprox, "REAL_TARGET_SUP", 0.3)
     try:
         with pytest.raises(QsprepError, match="l1 norm"):
             arcsin_target(1e-6, 0.29)
@@ -410,15 +410,15 @@ def test_make_oracle_refuses_a_generated_table_past_the_engine_limit(capsys):
 
 
 def test_grover_refuses_42_qubits_by_its_round_count(capsys):
-    # at delta 0.1 the n = 42 search runs in 12689357 rounds; at delta 0.01
+    # at delta 0.1 the n = 42 search runs in 10151485 rounds; at delta 0.001
     # it needs more than amplifier.MAX_ROUNDS and is refused before amplifying
     start = time.perf_counter()
-    rc = main(["grover", "--n", "42", "--x0", "5", "--delta", "0.01"])
+    rc = main(["grover", "--n", "42", "--x0", "5", "--delta", "0.001"])
     elapsed = time.perf_counter() - start
     captured = capsys.readouterr()
     assert rc == 2 and captured.out == ""
     lines = captured.err.splitlines()
-    assert len(lines) == 1 and lines[0].startswith("error: ") and "19463049" in lines[0]
+    assert len(lines) == 1 and lines[0].startswith("error: ") and "20941105" in lines[0]
     assert elapsed < 1.0
 
 
@@ -430,7 +430,7 @@ def test_grover_reports_32_qubits_without_building_a_state(capsys, monkeypatch):
     rc = main(["grover", "--n", "32", "--x0", "5", "--eps", "0.05", "--delta", "0.1"])
     out = capsys.readouterr().out
     assert rc == 0
-    assert "sign_degree          396543" in out and "[FAIL]" not in out
+    assert "sign_degree          317235" in out and "[FAIL]" not in out
     assert "calls_per_sqrt_n" in out
 
 

@@ -2,6 +2,7 @@ import logging
 import time
 from dataclasses import FrozenInstanceError
 
+import mpmath as mp
 import numpy as np
 import pytest
 from numpy.polynomial import chebyshev as cheb
@@ -28,7 +29,7 @@ from qsprep.phases import (
 from qsprep.oracle import AmplitudeOracle
 from qsprep.pipeline import DELTA_MARGIN, PrepConfig, grover_case, verify_error_bounds
 from qsprep.polyapprox import (
-    REAL_TARGET_L1,
+    REAL_TARGET_SUP,
     Polynomial,
     _arcsin_cut,
     _arcsin_degree,
@@ -435,8 +436,6 @@ def test_even_degree_strip_peels_the_centre_angle(d, monkeypatch):
 
 
 def test_extended_precision_strip_matches_double(monkeypatch):
-    import mpmath as mp
-
     comp = complete_to_complex(sign_approx(0.3, 0.2))
     d = comp.degree
     c = comp.coefficients[: d + 1]
@@ -481,19 +480,19 @@ def test_preparation_reaches_no_completion_or_stripping(monkeypatch):
 def _assert_scaled_targets_realized(delta, errors, miss):
     """The scaled targets the phase iteration is given at each error's cut.
 
-    Each is ARCSIN_GAIN times the target economized on the levels' interval
-    (``arcsin_target``), has l1 norm at most ``REAL_TARGET_L1``, and is
-    realized by the unrounded W-form angles to an l1 miss of ``miss``, by
-    the series the iteration returns, sampled in as many layers as there
-    are angles, and by their doubles to the iteration's own floor, max(1e-14,
-    d 2^-52), by the independent reference polynomial_from_phases. Returns
-    the degrees.
+    Each is the cut's gain times the target economized on the levels'
+    interval (``arcsin_target``), has l1 norm at most ``REAL_TARGET_SUP``,
+    and is realized by the unrounded W-form angles to an l1 miss of
+    ``miss``, by the series the iteration returns, sampled in as many layers
+    as there are angles, and by their doubles to the iteration's own floor,
+    max(1e-14, d 2^-52), by the independent reference
+    polynomial_from_phases. Returns the degrees.
     """
     cuts = {_arcsin_cut(error, delta) for error in errors}
     for degree, keep in sorted(cuts):
-        c = blockenc.ARCSIN_GAIN * _arcsin_target(degree, keep, delta)
-        assert np.abs(c).sum() <= REAL_TARGET_L1, degree
-        phi, series, layers = real_target_phases(c)
+        phi, series, layers, l1, gain = blockenc._phases_at_cut(degree, keep, delta)
+        c = gain * _arcsin_target(degree, keep, delta)
+        assert 1.0 <= gain <= blockenc.ARCSIN_GAIN and l1 <= REAL_TARGET_SUP, degree
         assert len(phi) == keep - 1
         assert layers == len(phi) and np.abs(series[1:keep:2] - c[1::2]).sum() <= miss, degree
         exact = polynomial_from_phases(phi).coefficients.real
@@ -502,9 +501,9 @@ def _assert_scaled_targets_realized(delta, errors, miss):
 
 
 def test_real_target_phases_realize_every_economized_arcsin_cut():
-    # every cut at the generator errors a run may ask for, 2^-8 .. 2^-51:
-    # the scaled targets reach l1 0.741 at most, the unrounded angles miss
-    # by 8.4e-19 at most, and the doubles by 3.2e-15
+    # every cut at the generator errors a run may ask for, 2^-8 .. 2^-51,
+    # takes the whole gain: the scaled targets reach l1 0.926 at most, the
+    # unrounded angles miss by 7.7e-19 at most, and the doubles by 3.3e-15
     errors = np.geomspace(2.0**-8, 2.0**-51, 4000)
     assert _assert_scaled_targets_realized(DELTA_MARGIN, errors, 1e-18) >= {3, 7, 27, 33}
 
@@ -512,9 +511,10 @@ def test_real_target_phases_realize_every_economized_arcsin_cut():
 @pytest.mark.parametrize("delta", [0.1, 0.01])
 def test_scaled_arcsin_targets_converge_at_small_deltas(delta):
     # at errors 2^-k, k = 8 .. 51, a smaller delta raises the degree (to 61
-    # at 0.1 and 195 at 0.01) and the l1 norm (0.766 and 0.789 at most, of
-    # the limit 0.861); the unrounded angles miss by 1.6e-18 and 5.4e-18 at
-    # most, and the doubles by 0.44 and 0.82 of the floor
+    # at 0.1 and 195 at 0.01) and the l1 norm, so that some cuts fill
+    # REAL_TARGET_SUP at a gain of 1.985 and 1.926 at least; the unrounded
+    # angles miss by 1.6e-18 and 5.2e-18 at most, and the doubles by 0.50
+    # and 0.73 of the floor
     _assert_scaled_targets_realized(delta, 2.0 ** -np.arange(8, 52), 1e-17)
 
 
@@ -533,9 +533,9 @@ def test_real_target_phases_accept_the_rounding_floor_of_a_high_degree():
 
 def test_real_target_step_sign_picks_the_negative_degree_one_angle():
     # Re a is even in the reduced angles (negated angles conjugate a), so
-    # either sign of the step converges, to negated angles realizing the
-    # same Re a. At degree 1, Re a = cos(phi_1) x = cos(2 r_0) x, and the
-    # step r <- r - (F(r) - c) / 2 from 0 moves r_0 down to -arccos(c_1) / 2
+    # negated angles realize the same Re a. At degree 1, Re a = cos(phi_1) x
+    # = cos(2 r_0) x, and Newton's method from r_0 = -pi/4, where Re a = 0,
+    # moves r_0 to -arccos(c_1) / 2
     phi = real_target_phases(np.array([0.0, 0.3]))[0]
     assert abs(phi.phases[0] + np.arccos(0.3)) <= 1e-13
     phi = real_target_phases(_arcsin_t_series(37, 0.0)[:30])[0]
@@ -573,18 +573,32 @@ def test_palindrome_top_left_samples_the_w_form_product():
     # real_target_phases samples Re a as Re(e^{2 i r_0} M_00) of the
     # palindrome phi_2 .. phi_d = r_j - pi/2: at the pipeline's cuts, errors
     # 2^-8 .. 2^-51 at DELTA_MARGIN (degrees 3 .. 33), that equals the whole
-    # W-form product's a in long double to 1e-18 (9.4e-19 at most)
-    for degree, keep in sorted({_arcsin_cut(float(e), DELTA_MARGIN) for e in 2.0 ** -np.arange(8, 52)}):
-        phi = blockenc._phases_at_cut(degree, keep, DELTA_MARGIN)[0].phases
-        d = len(phi)
-        r = phi[: (d + 1) // 2].astype(np.longdouble)
-        r[0] /= 2
-        r[1:] += polyapprox.PI_LD / 2
-        xs = np.sin(polyapprox.PI_LD * np.arange(d + 1, -d - 2, -2) / (2 * (d + 1)))
-        exact = phases._top_row(phases._w_form_angles(r), xs)[0]
-        m00, layers = phases.palindrome_top_left(np.exp(1j * (r[1:] - polyapprox.PI_LD / 2)), xs)
-        assert layers == d
-        assert np.abs(np.exp(2j * r[0]) * m00 - exact).max() <= 1e-18, d
+    # W-form product's a, taken in 40 digits from the same long-double
+    # angles and points, to 1e-18 (5.3e-19 at most). The whole product in
+    # long double is no reference at that bound: it misses the 40-digit one
+    # by up to 1.3e-18 itself
+    def exact(v):  # a long double is the sum of two doubles
+        hi = float(v)
+        return mp.mpf(hi) + float(v - np.longdouble(hi))
+
+    with mp.workdps(40):
+        for degree, keep in sorted({_arcsin_cut(float(e), DELTA_MARGIN) for e in 2.0 ** -np.arange(8, 52)}):
+            phi = blockenc._phases_at_cut(degree, keep, DELTA_MARGIN)[0].phases
+            d = len(phi)
+            r = phi[: (d + 1) // 2].astype(np.longdouble)
+            r[0] /= 2
+            r[1:] += polyapprox.PI_LD / 2
+            xs = np.sin(polyapprox.PI_LD * np.arange(d + 1, -d - 2, -2) / (2 * (d + 1)))
+            m00, layers = phases.palindrome_top_left(np.exp(1j * (r[1:] - polyapprox.PI_LD / 2)), xs)
+            assert layers == d
+            factors = [mp.expj(exact(p)) for p in phases._w_form_angles(r)]
+            for x, got in zip(xs, np.exp(2j * r[0]) * m00):
+                x = exact(x)
+                s = mp.sqrt(1 - x * x)
+                a, b = mp.mpc(1), mp.mpc(0)
+                for e in factors:
+                    a, b = a * e * x + b * mp.conj(e) * s, a * e * s - b * mp.conj(e) * x
+                assert abs(mp.mpc(exact(got.real), exact(got.imag)) - a) <= 1e-18, d
 
 
 def test_real_target_phases_refuse_a_target_no_angles_reach():
@@ -614,7 +628,7 @@ def test_warm_cut_samples_nothing(monkeypatch):
     blockenc._encoding.cache_clear()
     blockenc._phases_at_cut.cache_clear()
     first = blockenc.hamiltonian_from_unitary(np.sin(np.pi * np.array([0.05, 0.15])), 0.001, 0.29)
-    phi, series, layers, _ = blockenc._phases_at_cut(*_arcsin_cut(0.001, 0.29), 0.29)
+    phi, series, layers, *_ = blockenc._phases_at_cut(*_arcsin_cut(0.001, 0.29), 0.29)
     assert first.phases is phi and first.info["cu_calls"] == layers == len(phi)
     exact = polynomial_from_phases(phi).coefficients.real
     assert np.abs(series[: exact.size] - exact).max() <= 1e-15

@@ -136,9 +136,9 @@ def test_grover_small_case():
 def test_grover_past_sign_degree_2000():
     # n = 13 once needed sign degree 2329, where the completion's root
     # product overflowed before it was taken in logarithms; the fixed-point
-    # plan amplifies it in 549 rounds
+    # plan amplifies it in 439 rounds
     rep = grover_case(13, 8189, 0.1, 0.05)
-    assert rep.degrees[1] == 549
+    assert rep.degrees[1] == 439
     assert rep.all_passed, [c.name for c in rep.bound_checks if not c.passed]
     assert int(np.argmax(np.abs(rep.final_state.amplitudes))) == 8189
 
@@ -166,7 +166,7 @@ def test_generated_oracles_run_like_the_table_built_by_hand(n):
 
 def test_grover_at_32_qubits_passes_every_check_without_a_table(monkeypatch):
     # 2^32 indices in two classes: no 2^n-sized array is built, and the
-    # 396543 amplification rounds reach the success the plan predicts at
+    # 317235 amplification rounds reach the success the plan predicts at
     # the singular value the engine actually amplifies
     def no_table(*args):
         raise AssertionError("a 2^n-sized array was built")
@@ -175,7 +175,7 @@ def test_grover_at_32_qubits_passes_every_check_without_a_table(monkeypatch):
     cfg = PrepConfig(oracle=AmplitudeOracle.indicator(32, 5, 8), epsilon=0.05, delta=0.1)
     rep = verify_error_bounds(cfg)
     assert rep.all_passed, [c.name for c in rep.bound_checks if not c.passed]
-    assert rep.degrees[1] == 396543 and rep.info["levels"] == 2
+    assert rep.degrees[1] == 317235 and rep.info["levels"] == 2
     stage, encoding = pipeline._table_stage(cfg.oracle, cfg.epsilon)
     sigma = np.sqrt(np.array([2.0**32 - 1, 1.0]) @ encoding.diagonal**2 / 2**32)
     plan = pipeline.plan_amplification(rep.info["sigma"], cfg.delta)

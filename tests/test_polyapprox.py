@@ -12,7 +12,7 @@ from qsprep.errors import CompletionError, ConditionError, DegreeOverflowError, 
 from qsprep.phases import find_phases
 from qsprep.pipeline import DELTA_MARGIN
 from qsprep.polyapprox import (
-    REAL_TARGET_L1,
+    REAL_TARGET_SUP,
     Polynomial,
     arcsin_target,
     arcsin_taylor,
@@ -206,7 +206,7 @@ def test_arcsin_target_is_bounded_by_its_l1_norm_on_the_whole_interval(delta):
     for k in [*range(8, 51, 3), 51]:
         p = arcsin_target(2.0**-k, delta)
         l1 = float(np.abs(p.coefficients).sum())
-        assert l1 <= REAL_TARGET_L1
+        assert l1 <= REAL_TARGET_SUP
         assert np.abs(lobatto_values(p.coefficients.real, 4001)).max() <= l1 * (1 + 1e-14)
         assert p.parity == "odd" and p.is_real(0.0)
 
