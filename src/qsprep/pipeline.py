@@ -19,15 +19,19 @@ and an oracle with few classes costs no 2^n-sized array unless a caller
 reads the prepared state.
 
 A run has two stages. The table stage (``_TableStage``) depends on the
-table and epsilon alone: the quantization, the grouping into levels, the
-sine encoding's inputs, gamma, the measured error, the distance to the
-target and the checks on them. It holds O(levels) data, and the oracle
-keeps its latest one, so runs of one oracle at one epsilon (a sweep's delta
-rows) compute it once. The amplification at delta reads the encoding
-through ``hamiltonian_from_unitary`` (a memo lookup for a kept stage of at
-most ``blockenc._MEMO_MAX_LEVELS`` levels), plans the rounds, amplifies and
+table's class values and counts and epsilon alone: the quantization, the
+grouping into levels, the sine encoding's inputs, gamma, the measured
+error, the distance to the target and the checks on them. It holds
+O(levels) data. A generated oracle's stage is kept per class profile and
+epsilon in one memo, so every search at one (n, epsilon) computes it once,
+whatever its marked item; a table given as values keeps its latest stage
+on its oracle, so runs of one table at one epsilon (a sweep's delta rows)
+compute it once. The amplification at delta reads the encoding through
+``hamiltonian_from_unitary`` (a memo lookup for a kept stage of at most
+``blockenc._MEMO_MAX_LEVELS`` levels), plans the rounds, amplifies and
 checks the amplification's premise. A report's ``final_state`` is built
-from the table, its m and the realized levels when it is read.
+from its own oracle's classes, its m and the realized levels when it is
+read.
 """
 from __future__ import annotations
 
@@ -42,7 +46,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .amplifier import AmplificationPlan, amplify_state, plan_amplification
-from .blockenc import ARCSIN_GAIN, LevelEncoding, hamiltonian_from_unitary
+from .blockenc import _MEMO_SIZE, ARCSIN_GAIN, LevelEncoding, hamiltonian_from_unitary
 from .errors import InfeasibleError, InputError, QsprepError
 from .oracle import MAX_BITS, AmplitudeOracle, ValueClasses, _is_int, _register_contents, gamma
 from .polyapprox import ARCSIN_ROUNDING
@@ -127,11 +131,10 @@ class PrepReport:
     """What a preparation reports; ``final_state`` is built on first read.
 
     Every number here is a count-weighted sum or a max over the oracle's
-    classes, taken once per table and epsilon in the table stage the oracle
-    keeps (``_TableStage``). Unread, a
-    report holds O(levels), not O(2^n): the table's classes, the m it ran
-    at and one real amplitude per level, from which ``final_state`` spells
-    the state out.
+    classes, taken once per class profile and epsilon in the kept table
+    stage (``_TableStage``). Unread, a report holds O(levels), not O(2^n):
+    its oracle's classes, the m it ran at and one real amplitude per level,
+    from which ``final_state`` spells the state out.
     """
 
     fidelity_to_target: float
@@ -202,7 +205,7 @@ def _levels(classes: ValueClasses, m: int) -> tuple[np.ndarray, np.ndarray | sli
 
 @dataclass(eq=False, slots=True)
 class _TableStage:
-    """What a run computes before the amplification, from the table and epsilon alone.
+    """What a run computes before the amplification, from the class profile and epsilon alone.
 
     The quantization, the grouping into levels, the sine encoding's inputs,
     gamma with its quantized and realized values, the measured error, the
@@ -262,22 +265,50 @@ class _TableStage:
         self.checks = tuple(checks)
 
 
-def _table_stage(oracle: AmplitudeOracle, epsilon: float) -> tuple[_TableStage, LevelEncoding]:
-    """The oracle's stage at epsilon, and the sine encoding a run at it amplifies.
+# The table stages of generated oracles, keyed by (the classes' values'
+# bytes, their counts' bytes, epsilon), least recently used first: at most
+# _MEMO_SIZE, of one or two levels each
+_STAGES: dict[tuple[bytes, bytes, float], _TableStage] = {}
 
-    The oracle keeps one stage, its latest, in its ``__dict__`` beside
-    ``classes`` and ``values``, so the rows of a sweep that differ only in
-    delta share it. The kept stage is dropped before a new one is computed,
-    so two never coexist, and a stage that raises is not kept: the next
-    call raises again. Every call reads its encoding from one call of
-    ``hamiltonian_from_unitary``, a memo lookup when the kept stage has at
-    most ``_MEMO_MAX_LEVELS`` levels, so each run's degree comes from an
-    encoding call of its own.
+
+def _stage_encoding(sines: np.ndarray, generator_error: float) -> LevelEncoding:
+    # the encoding's cut is asked for in the units of arcsin / pi
+    return hamiltonian_from_unitary(sines, generator_error / ARCSIN_GAIN, DELTA_MARGIN)
+
+
+def _table_stage(oracle: AmplitudeOracle, epsilon: float) -> tuple[_TableStage, LevelEncoding]:
+    """The stage of the oracle's table at epsilon, and the sine encoding a run at it amplifies.
+
+    A stage reads the classes' values and counts and epsilon, never which
+    index is in which class. So a generated oracle's stage is looked up in
+    ``_STAGES`` by its class profile and epsilon: every search at one (n,
+    epsilon), whatever its marked item, shares one stage. A table given as
+    values keeps its one latest stage in its ``__dict__`` beside
+    ``classes`` and ``values`` instead (a key of its bytes would copy and
+    hash the whole table), so the rows of a sweep that differ only in delta
+    share it; the kept stage is dropped before a new one is computed, so two
+    never coexist. A stage that raises is kept by neither: the next call
+    raises again. Every call reads its encoding from one call of
+    ``hamiltonian_from_unitary``, a memo lookup when the stage has at most
+    ``_MEMO_MAX_LEVELS`` levels, so each run's degree comes from an encoding
+    call of its own.
     """
+    classes = oracle.classes
+    if classes.singles is not None:
+        key = (classes.values.tobytes(), classes.counts.tobytes(), epsilon)
+        # popped and put back, so the dict's order is least recently used first
+        stage = _STAGES.pop(key, None)
+        if stage is None:
+            stage, encoding = _new_stage(oracle, epsilon)
+        else:
+            encoding = _stage_encoding(stage.sines, stage.generator_error)
+        _STAGES[key] = stage
+        if len(_STAGES) > _MEMO_SIZE:
+            del _STAGES[next(iter(_STAGES))]
+        return stage, encoding
     stage = oracle.__dict__.get("_stage")
     if stage is not None and stage.epsilon == epsilon:
-        return stage, hamiltonian_from_unitary(stage.sines, stage.generator_error / ARCSIN_GAIN,
-                                               DELTA_MARGIN)
+        return stage, _stage_encoding(stage.sines, stage.generator_error)
     # neither this frame nor the oracle holds the old stage while the new one is computed
     del stage
     oracle.__dict__["_stage"] = None
@@ -329,8 +360,7 @@ def _new_stage(oracle: AmplitudeOracle, epsilon: float) -> tuple[_TableStage, Le
     size = oracle.size
     sines = np.sin(np.pi * BETA * levels / 2.0)  # the oracle's diagonal is e^{i pi BETA levels / 2}
     generator_error = GENERATOR_UNIT * eps_poly
-    # the encoding's cut is asked for in the units of arcsin / pi
-    encoding = hamiltonian_from_unitary(sines, generator_error / ARCSIN_GAIN, DELTA_MARGIN)
+    encoding = _stage_encoding(sines, generator_error)
 
     # the encoded generator is diagonal (and real), so its spectral distance
     # to the table is the largest per-index deviation
@@ -544,7 +574,9 @@ def sweep(spec: SweepSpec) -> list[dict]:
 
     Each (n, dist) oracle is built once and held while its rows run, so the
     rows that share it and an epsilon share its table stage and differ only
-    in the amplification at their delta. Every row still calls the module's
+    in the amplification at their delta; the rows of generated oracles of
+    one class profile (every ``indicator`` at one n) share it too. Every row
+    still calls the module's
     ``verify_error_bounds`` once, in grid order; a dist that fails to parse
     gives one error row per (epsilon, delta).
     """

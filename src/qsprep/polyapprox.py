@@ -134,12 +134,13 @@ def lobatto_coefficients(values: np.ndarray) -> np.ndarray:
 
     The inverse of ``lobatto_values``, one DCT-I: ``lobatto_values`` of the
     values with the two end values halved, times 2 / (n - 1), with the two
-    end coefficients halved. Returns a new array.
+    end coefficients halved. Returns a new array. The scale is taken in the
+    values' own precision, so long-double values keep theirs.
     """
     n = values.size
     ends_halved = values.copy()
     ends_halved[[0, -1]] /= 2
-    coefficients = lobatto_values(ends_halved, n) * (2.0 / (n - 1))
+    coefficients = lobatto_values(ends_halved, n) * (values.real.dtype.type(2) / (n - 1))
     coefficients[[0, -1]] /= 2
     return coefficients
 

@@ -67,6 +67,17 @@ def test_lobatto_coefficients_invert_lobatto_values(n, complex_):
     assert np.abs(cheb.chebval(xs, got) - values).max() <= 1e-13 * np.abs(c).sum()
 
 
+@pytest.mark.parametrize("degree", [31, 33, 61, 63])
+def test_lobatto_round_trip_keeps_long_double(degree):
+    # the scale 2 / (n - 1) is taken in the values' precision: as a double
+    # it cost 2.2e-17 at degrees 31 and 33 and 4.4e-17 at 61 and 63
+    c = np.zeros(degree + 1, dtype=np.longdouble)
+    c[1] = np.longdouble("0.8")
+    got = lobatto_coefficients(lobatto_values(c, degree + 1))
+    assert got.dtype == np.longdouble
+    assert np.abs(got - c).max() <= 1e-18
+
+
 @pytest.mark.parametrize("size", [1, 2, 3, 8, 75])
 def test_mulx_matches_chebmulx(size):
     c = _series(np.random.default_rng(size), size, True)

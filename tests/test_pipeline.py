@@ -183,6 +183,15 @@ def test_grover_at_32_qubits_passes_every_check_without_a_table(monkeypatch):
     assert rep.info["gamma"] == 2.0**-32
 
 
+def _kept_stage(oracle, epsilon):
+    """The stage kept for the oracle at epsilon: a generated oracle's in the
+    class-profile memo, a table's on its oracle."""
+    classes = oracle.classes
+    if classes.singles is None:
+        return oracle._stage
+    return pipeline._STAGES.get((classes.values.tobytes(), classes.counts.tobytes(), epsilon))
+
+
 @pytest.mark.parametrize(
     "oracle",
     [AmplitudeOracle.uniform(3, 8), AmplitudeOracle.indicator(20, 5, 8),
@@ -193,7 +202,7 @@ def test_every_report_checks_the_amplification_premise(oracle):
     # the sigma the amplification reads, the norm of the encoded diagonal
     # over sqrt(N), sits at or above the plan's band edge, and the success
     # there is the plan's closed form, in prepare_state's report and
-    # verify_error_bounds' alike, which both amplify the stage the oracle keeps
+    # verify_error_bounds' alike, which both amplify the one kept stage
     cfg = PrepConfig(oracle=oracle, epsilon=0.05, delta=0.1)
     stage, encoding = pipeline._table_stage(oracle, cfg.epsilon)
     plan = pipeline.plan_amplification(pipeline.GENERATOR_UNIT * np.sqrt(stage.gamma_quant), cfg.delta)
@@ -203,7 +212,7 @@ def test_every_report_checks_the_amplification_premise(oracle):
     # the encoded diagonal is GENERATOR_UNIT times the realized amplitudes
     assert sigma == pytest.approx(pipeline.GENERATOR_UNIT * np.sqrt(stage.gamma_realized), rel=1e-15)
     for rep in (prepare_state(cfg), verify_error_bounds(cfg)):
-        assert oracle._stage is stage
+        assert _kept_stage(oracle, cfg.epsilon) is stage
         # the plan's sigma can be read off the report
         info = rep.info
         assert info["sigma"] == info["beta"] * info["arcsin_gain"] / 2 * np.sqrt(info["gamma_quantized"])
@@ -613,20 +622,95 @@ def test_random_n7_tables_and_search_at_n3_run_at_arcsin_degree_5():
         assert rep.info["final_error"] <= 0.014 * eps, rep.info["final_error"] / eps
 
 
-def test_a_failed_stage_is_not_kept_and_fails_again(monkeypatch):
-    stages = []
+def _fail_between_two_runs(monkeypatch, oracle):
+    """Runs at 0.1, twice at the infeasible 0.9, then at 0.1.
+
+    Returns the stage kept at 0.1 after each failure and the epsilons of
+    the stages computed.
+    """
+    stages, kept = [], []
     _counting(monkeypatch, pipeline, "_new_stage", stages)
-    oracle = AmplitudeOracle.uniform(2, 8)
     verify_error_bounds(PrepConfig(oracle=oracle, epsilon=0.1, delta=0.1))
-    assert oracle._stage is not None
-    # the kept stage is dropped before a new one is computed, and the one
-    # that raises is not kept in its place
+    assert _kept_stage(oracle, 0.1) is not None
     for _ in range(2):
         with pytest.raises(InfeasibleError, match="infeasible"):
             verify_error_bounds(PrepConfig(oracle=oracle, epsilon=0.9, delta=0.1))
-        assert oracle._stage is None
+        assert _kept_stage(oracle, 0.9) is None
+        kept.append(_kept_stage(oracle, 0.1))
     verify_error_bounds(PrepConfig(oracle=oracle, epsilon=0.1, delta=0.2))
-    assert [eps for _, eps in stages] == [0.1, 0.9, 0.9, 0.1]
+    return kept, [eps for _, eps in stages]
+
+
+def test_a_failed_stage_is_not_kept_and_fails_again(monkeypatch):
+    # the memo keeps the stage at 0.1 beside no stage at 0.9, so the last
+    # run computes none
+    kept, stages = _fail_between_two_runs(monkeypatch, AmplitudeOracle.uniform(2, 8))
+    assert all(stage is not None for stage in kept)
+    assert stages == [0.1, 0.9, 0.9]
+    assert len(pipeline._STAGES) == 1
+
+
+def test_a_failed_table_stage_is_not_kept_and_fails_again(monkeypatch):
+    # a table's kept stage is dropped before a new one is computed, and the
+    # one that raises is not kept in its place
+    oracle = AmplitudeOracle(2, 8, np.ones(4))
+    kept, stages = _fail_between_two_runs(monkeypatch, oracle)
+    assert kept == [None, None]
+    assert stages == [0.1, 0.9, 0.9, 0.1]
+    assert not pipeline._STAGES
+
+
+@pytest.mark.parametrize("make", [
+    lambda: AmplitudeOracle.indicator(5, 9, 8),
+    lambda: AmplitudeOracle(5, 8, np.random.default_rng(5).uniform(0.1, 1.0, 32)),
+], ids=["generated", "table"])
+def test_every_run_makes_one_encoding_call_and_one_plan(monkeypatch, make):
+    # a first run computes the stage and a repeat finds it kept; each run,
+    # of prepare_state or verify_error_bounds, on a new oracle of the same
+    # table or on the same one, still calls hamiltonian_from_unitary and
+    # plan_amplification once
+    encodings, plans = [], []
+    _counting(monkeypatch, pipeline, "hamiltonian_from_unitary", encodings)
+    _counting(monkeypatch, pipeline, "plan_amplification", plans)
+    oracle = make()
+    for run in (prepare_state, verify_error_bounds):
+        for cfg in (PrepConfig(make(), 0.05, 0.1), PrepConfig(oracle, 0.05, 0.1),
+                    PrepConfig(oracle, 0.05, 0.2)):
+            encodings.clear()
+            plans.clear()
+            run(cfg)
+            assert len(encodings) == len(plans) == 1
+
+
+@pytest.mark.parametrize("delta", [0.1, 0.2])
+def test_every_search_at_one_n_and_epsilon_shares_one_stage(monkeypatch, delta):
+    # the 16 marked items at n = 4 have one class profile, so one stage;
+    # each report equals a cold run's, with an emptied memo, and its state
+    # peaks at its own marked item
+    stages = []
+    _counting(monkeypatch, pipeline, "_new_stage", stages)
+    warm = [grover_case(4, x0, delta, 0.05) for x0 in range(16)]
+    assert len(stages) == 1 and len(pipeline._STAGES) == 1
+    for x0, rep in enumerate(warm):
+        pipeline._STAGES.clear()
+        assert _outcome(rep) == _outcome(grover_case(4, x0, delta, 0.05))
+        assert np.argmax(np.abs(rep.final_state.amplitudes)) == x0
+    assert len(stages) == 1 + 16
+
+
+def test_the_stage_memo_keeps_the_64_most_recently_used(monkeypatch):
+    stages = []
+    _counting(monkeypatch, pipeline, "_new_stage", stages)
+    oracle = AmplitudeOracle.uniform(2, 8)
+    epsilons = [0.05 + 0.001 * k for k in range(65)]
+    for eps in epsilons[:64]:
+        pipeline._table_stage(oracle, eps)
+    pipeline._table_stage(oracle, epsilons[0])  # a hit, now the most recent
+    pipeline._table_stage(oracle, epsilons[64])  # drops the least recent, epsilons[1]
+    assert len(pipeline._STAGES) == pipeline._MEMO_SIZE == 64
+    assert _kept_stage(oracle, epsilons[1]) is None
+    assert all(_kept_stage(oracle, eps) is not None for eps in epsilons[:1] + epsilons[2:])
+    assert [eps for _, eps in stages] == epsilons
 
 
 def test_a_new_epsilon_drops_the_kept_stage_before_computing_its_own():
@@ -697,7 +781,7 @@ def test_final_state_is_the_per_class_expansion_of_the_realized_levels(oracle):
     # the state built when read is each class's realized level at every
     # index of the class, exactly as a per-class state expanded
     rep = verify_error_bounds(PrepConfig(oracle=oracle, epsilon=0.05, delta=0.1))
-    stage = oracle._stage
+    stage = _kept_stage(oracle, 0.05)
     classes = oracle.classes
     _, level_of = np.unique(_quantize(classes.values, stage.m), return_inverse=True)
     want = classes.expand(stage.realized_level[level_of])
