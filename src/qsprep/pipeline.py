@@ -265,10 +265,14 @@ class _TableStage:
         self.checks = tuple(checks)
 
 
-# The table stages of generated oracles, keyed by (the classes' values'
-# bytes, their counts' bytes, epsilon), least recently used first: at most
-# _MEMO_SIZE, of one or two levels each
+# The table stages of generated oracles, keyed by _stage_key, least
+# recently used first: at most _MEMO_SIZE, of one or two levels each
 _STAGES: dict[tuple[bytes, bytes, float], _TableStage] = {}
+
+
+def _stage_key(classes: ValueClasses, epsilon: float) -> tuple[bytes, bytes, float]:
+    # what a stage reads of a generated oracle: its class profile and epsilon
+    return (classes.values.tobytes(), classes.counts.tobytes(), epsilon)
 
 
 def _stage_encoding(sines: np.ndarray, generator_error: float) -> LevelEncoding:
@@ -295,7 +299,7 @@ def _table_stage(oracle: AmplitudeOracle, epsilon: float) -> tuple[_TableStage, 
     """
     classes = oracle.classes
     if classes.singles is not None:
-        key = (classes.values.tobytes(), classes.counts.tobytes(), epsilon)
+        key = _stage_key(classes, epsilon)
         # popped and put back, so the dict's order is least recently used first
         stage = _STAGES.pop(key, None)
         if stage is None:

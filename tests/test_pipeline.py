@@ -189,7 +189,7 @@ def _kept_stage(oracle, epsilon):
     classes = oracle.classes
     if classes.singles is None:
         return oracle._stage
-    return pipeline._STAGES.get((classes.values.tobytes(), classes.counts.tobytes(), epsilon))
+    return pipeline._STAGES.get(pipeline._stage_key(classes, epsilon))
 
 
 @pytest.mark.parametrize(
@@ -403,6 +403,7 @@ def _outcome(rep):
 def _clear_memos():
     blockenc._encoding.cache_clear()
     blockenc._phases_at_cut.cache_clear()
+    pipeline._STAGES.clear()
 
 
 def _cold_then_warm(run):
