@@ -18,21 +18,21 @@ reference the entries are tested against.
 P is G times the arcsin target (``polyapprox.arcsin_target``), so the
 encoded generator is G H: the larger flagged amplitude saves amplification
 rounds. G is the cut's: ``ARCSIN_GAIN`` = 2, or less where that would take
-the target's sup past ``polyapprox.REAL_TARGET_SUP`` = 0.95, which no cut at
-the pipeline's margin does. The target is economized on the sines'
-interval [-(1 - delta), 1 - delta] alone, since outside it the
-transform only needs |P| <= 1. That halves its degree, and so the oracle
-calls, against a target economized on all of [-1, 1]. A target is fixed
-by its cut (Taylor degree, kept length) and delta, so both its angles and
-the encodings built from them are memoized on the cut, not on epsilon.
-The cut is asked for in the units of arcsin / pi, and the encoding misses
-G H by at most G times it. The angles are found in extended precision and
-their series is summed in double, which misses the scaled target by at
-most G ``polyapprox.ARCSIN_ROUNDING`` = G 2^-52; the cut leaves exactly
-that much of epsilon to the rounding, and an epsilon under 2^-51 is
-refused. Of the rest it spends 0.95 on the dropped t-tail, which sets the
-degree, and 0.05 on the Taylor tail, whose terms the economization drops
-again.
+the target's sup past ``polyapprox.REAL_TARGET_SUP`` = 0.95. This module
+alone picks it; callers read it from the encoding's
+``info["arcsin_gain"]``. The target is economized on the sines' interval
+[-(1 - delta), 1 - delta] alone, since outside it the transform only needs
+|P| <= 1. That halves its degree, and so the oracle calls, against a target
+economized on all of [-1, 1]. A target is fixed by its cut (Taylor degree,
+kept length) and delta, so both its angles and the encodings built from
+them are memoized on the cut, not on epsilon. The cut is asked for in the
+units of arcsin / pi, whatever G, and the encoding misses G H by at most G
+times it. The angles are found in extended precision and their series is
+summed in double, which misses the scaled target by at most G
+``polyapprox.ARCSIN_ROUNDING`` = G 2^-52; the cut leaves exactly that much
+of epsilon to the rounding, and an epsilon under 2^-51 is refused. Of the
+rest it spends 0.95 on the dropped t-tail, which sets the degree, and 0.05
+on the Taylor tail, whose terms the economization drops again.
 
 Ancilla registers sit in front of the data register, so an encoded matrix is
 always the literal top-left block. Projector-controlled phases are applied
@@ -69,10 +69,10 @@ from .simulator import (
 # coefficients are non-negative, so its sup is its Chebyshev l1 norm, and a
 # cut takes G = min(ARCSIN_GAIN, ``polyapprox.REAL_TARGET_SUP`` / l1). That
 # l1 approaches arcsin(1) / pi = 1/2 as delta falls; at the pipeline's
-# margin it is at most 0.465, so every run gets the whole cap. Filling 0.95
-# there instead (G up to 2.44) cuts more rounds but leaves the amplification
-# less room: at G = 2.3 the least success over the benchmark's sweep inputs
-# fell from 0.961 to 0.932
+# margin it is at most 0.465, so every cut there takes the whole cap. A
+# higher cap (G up to 2.44 at that margin) cuts more rounds but leaves the
+# amplification less room: at G = 2.3 the least success over the
+# benchmark's sweep inputs fell from 0.961 to 0.932
 ARCSIN_GAIN = 2.0
 
 
@@ -274,7 +274,8 @@ def hamiltonian_from_unitary(sines: np.ndarray, epsilon: float, delta: float) ->
     h} the oracle takes, each listed once (listing one twice only repeats
     its entry); the caller maps every data index to its level. The flagged
     entry of a level's block depends on its entry through the sine alone.
-    A non-finite sine, or one outside [-1, 1], raises InputError. Requires
+    A sine that is not a real number, a non-finite sine, or one outside
+    [-1, 1], raises InputError. Requires
     ||sin(pi H)|| <= 1 - delta so the arcsin approximant's accuracy
     interval covers the spectrum, and raises InfeasibleError otherwise; the
     encoded generator is then within G epsilon of G H, G the cut's gain
@@ -307,9 +308,7 @@ def hamiltonian_from_unitary(sines: np.ndarray, epsilon: float, delta: float) ->
         raise DimensionError(
             f"{sines.size} levels exceed the table limit of {2**oracle.MAX_TABLE_QUBITS} indices"
         )
-    if np.iscomplexobj(sines):
-        raise InputError("the oracle's level sines must be real, not its complex diagonal")
-    sines = sines.astype(float, copy=False)
+    sines = oracle._real_array(sines, "the oracle's level sines")
     epsilon, delta = float(epsilon), float(delta)
     # written so that a NaN fails it, and before the memo sees the key
     if not (0 < epsilon < 1 and 0 < delta < 1):

@@ -58,8 +58,12 @@ def _read(path: str) -> str:
         raise InputError(f"cannot read {path}: {_reason(exc)}") from exc
 
 
-def _write(path: str, text: str) -> None:
-    """Write an output file; a file that cannot be written raises InputError."""
+def _write(path: str | None, text: str) -> None:
+    """Write an output file, or standard output without a path; a file that
+    cannot be written raises InputError."""
+    if not path:
+        sys.stdout.write(text)
+        return
     try:
         Path(path).write_text(text, encoding="utf-8")
     except OSError as exc:
@@ -72,13 +76,8 @@ def _reason(exc: Exception) -> str:
 
 
 def _cmd_phases(args) -> int:
-    poly = poly_from_text(_read(args.poly_file))
-    phi = find_phases(poly)
-    text = phases_to_text(phi)
-    if args.out:
-        _write(args.out, text)
-    else:
-        sys.stdout.write(text)
+    phi = find_phases(poly_from_text(_read(args.poly_file)))
+    _write(args.out, phases_to_text(phi))
     return 0
 
 
@@ -115,18 +114,13 @@ def _cmd_sweep(args) -> int:
     rows = sweep(spec)
     csv_text = sweep_to_csv(rows)
     _write(args.out, csv_text)
-    ok = all(row.get("pass") is True for row in rows) if rows else True
     print(f"wrote {len(rows)} rows to {args.out}")
-    return 0 if ok else 1
+    return 0 if all(row.get("pass") is True for row in rows) else 1
 
 
 def _cmd_make_oracle(args) -> int:
     oracle = AmplitudeOracle.from_dist(args.n, args.m, args.dist)
-    text = oracle_to_text(oracle)
-    if args.out:
-        _write(args.out, text)
-    else:
-        sys.stdout.write(text)
+    _write(args.out, oracle_to_text(oracle))
     return 0
 
 

@@ -14,6 +14,7 @@ via the value register, a ladder of controlled phase rotations onto a
 from __future__ import annotations
 
 import functools
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -81,6 +82,23 @@ def _size(n, limit: int) -> int:
     if not (_is_int(n) and 0 <= n <= limit):
         raise InputError(f"need an integer 0..{limit} data qubits, got n = {n!r}")
     return 2**n
+
+
+def _real_array(values, what: str) -> np.ndarray:
+    """``values`` as an array of doubles, the same array when it is one already.
+
+    numpy drops the imaginary parts of a complex array with only a warning,
+    and refuses a list holding a complex number, or an entry that is not a
+    number, with a bare TypeError or ValueError. Here an entry that is not a
+    real number (a complex or a string included) raises InputError naming
+    the first; every entry of a complex array is a complex number.
+    """
+    arr = np.asarray(values)
+    if arr.dtype.kind not in "biuf":
+        for i, v in enumerate(np.asarray(values, dtype=object).flat):
+            if not isinstance(v, numbers.Real):
+                raise InputError(f"{what} must be real numbers; entry {i} is {v!r}")
+    return arr.astype(float, copy=False)
 
 
 def _register_contents(values: np.ndarray, m: int) -> np.ndarray:
@@ -161,7 +179,7 @@ class AmplitudeOracle:
             raise InputError(f"need a non-negative integer n of data qubits, got n = {n!r}")
         _check_bits(m)
         _check_table_size(n)
-        vals = np.array(values, dtype=float)  # a copy: the caller's array may change
+        vals = _real_array(values, "amplitudes").copy()  # the caller's array may change
         if vals.shape != (2**n,):
             raise DimensionError(f"expected {2**n} amplitudes, got {vals.shape}")
         # written so that a NaN fails it; the entry is looked up only then

@@ -3,13 +3,12 @@ special case, and parameter sweeps.
 
 The pipeline compiles the phase unitary from the quantized amplitude table
 (with the amplitudes internally rescaled by ``BETA``), extracts the generator
-through the sine encoding and an arcsin transform scaled by
-``blockenc.ARCSIN_GAIN``, and amplifies the flagged component, 0.5 times
-each amplitude (``GENERATOR_UNIT``), with a fixed-point plan of
-closed-form angles. The user-facing
-accuracy target is met by aiming the internal generator error at
-epsilon * gamma / 3; that premise is checked against gamma / 4 before any
-circuit is built.
+through the sine encoding and an arcsin transform scaled by the gain G its
+encoding reports (``info["arcsin_gain"]``), and amplifies the flagged
+component, BETA G / 2 times each amplitude, with a fixed-point plan of
+closed-form angles. The user-facing accuracy target is met by aiming the
+realized per-amplitude error at epsilon * gamma / 3; that premise is
+checked against gamma / 4 before any circuit is built.
 
 All reference quantities (gamma, the target state, the error bounds) are
 computed classically from the exact table, as count-weighted sums or maxima
@@ -46,7 +45,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .amplifier import AmplificationPlan, amplify_state, plan_amplification
-from .blockenc import _MEMO_SIZE, ARCSIN_GAIN, LevelEncoding, hamiltonian_from_unitary
+from .blockenc import _MEMO_SIZE, LevelEncoding, hamiltonian_from_unitary
 from .errors import InfeasibleError, InputError, QsprepError
 from .oracle import MAX_BITS, AmplitudeOracle, ValueClasses, _is_int, _register_contents, gamma
 from .polyapprox import ARCSIN_ROUNDING
@@ -75,11 +74,6 @@ SWEEP_COLUMNS = [
 BETA = 0.5
 # margin of the arcsin approximant's interval below 1: 1 - sin(pi BETA / 2)
 DELTA_MARGIN = float(1.0 - np.sin(np.pi * BETA / 2.0))
-# The encoded generator per unit amplitude: the oracle's phase is pi BETA c
-# / 2, and the arcsin transform returns ARCSIN_GAIN times the generator
-# BETA c / 2 (every cut at DELTA_MARGIN takes the whole gain), so the
-# flagged amplitude of an index is 0.5 c, a power of two
-GENERATOR_UNIT = BETA * ARCSIN_GAIN / 2.0
 
 
 @dataclass(frozen=True, slots=True)
@@ -88,7 +82,7 @@ class PrepConfig:
 
     The run quantizes the table at m = ceil(log2(3 / (epsilon * gamma))) + 2
     value bits, capped at ``MAX_BITS``, which keeps the quantization's share
-    of the generator error budget below a quarter.
+    of the amplitude error budget below a quarter.
     """
 
     oracle: AmplitudeOracle
@@ -96,6 +90,8 @@ class PrepConfig:
     delta: float
 
     def __post_init__(self):
+        if not isinstance(self.oracle, AmplitudeOracle):
+            raise InputError(f"oracle must be an AmplitudeOracle, got {type(self.oracle).__name__}")
         if not _is_real(self.delta) or not 0 < self.delta < 1:
             raise InputError(f"delta must lie in (0, 1), got {self.delta!r}")
         if not _is_real(self.epsilon) or not 0 < self.epsilon < np.inf:
@@ -223,12 +219,14 @@ class _TableStage:
     epsilon: float
     m: int
     sines: np.ndarray  # sin(pi BETA level / 2) at each level, the encoding's input
-    generator_error: float  # the encoding's target error, GENERATOR_UNIT times an amplitude's
+    # the encoding's error in its units of arcsin / pi, BETA / 2 times the amplitude's
+    arcsin_epsilon: float
     gamma_exact: float
     gamma_quant: float
     gamma_realized: float
     # C|Psi>'s flagged singular value, the norm of the encoded diagonal over
-    # sqrt(N): GENERATOR_UNIT times sqrt(gamma_realized), up to rounding
+    # sqrt(N): BETA G / 2 times sqrt(gamma_realized), G the encoding's gain,
+    # up to rounding
     sigma: float
     eps_measured: float
     # the realized state's amplitude at each level; post-selection leaves
@@ -275,11 +273,6 @@ def _stage_key(classes: ValueClasses, epsilon: float) -> tuple[bytes, bytes, flo
     return (classes.values.tobytes(), classes.counts.tobytes(), epsilon)
 
 
-def _stage_encoding(sines: np.ndarray, generator_error: float) -> LevelEncoding:
-    # the encoding's cut is asked for in the units of arcsin / pi
-    return hamiltonian_from_unitary(sines, generator_error / ARCSIN_GAIN, DELTA_MARGIN)
-
-
 def _table_stage(oracle: AmplitudeOracle, epsilon: float) -> tuple[_TableStage, LevelEncoding]:
     """The stage of the oracle's table at epsilon, and the sine encoding a run at it amplifies.
 
@@ -305,14 +298,14 @@ def _table_stage(oracle: AmplitudeOracle, epsilon: float) -> tuple[_TableStage, 
         if stage is None:
             stage, encoding = _new_stage(oracle, epsilon)
         else:
-            encoding = _stage_encoding(stage.sines, stage.generator_error)
+            encoding = hamiltonian_from_unitary(stage.sines, stage.arcsin_epsilon, DELTA_MARGIN)
         _STAGES[key] = stage
         if len(_STAGES) > _MEMO_SIZE:
             del _STAGES[next(iter(_STAGES))]
         return stage, encoding
     stage = oracle.__dict__.get("_stage")
     if stage is not None and stage.epsilon == epsilon:
-        return stage, _stage_encoding(stage.sines, stage.generator_error)
+        return stage, hamiltonian_from_unitary(stage.sines, stage.arcsin_epsilon, DELTA_MARGIN)
     # neither this frame nor the oracle holds the old stage while the new one is computed
     del stage
     oracle.__dict__["_stage"] = None
@@ -345,10 +338,9 @@ def _new_stage(oracle: AmplitudeOracle, epsilon: float) -> tuple[_TableStage, Le
     # quantization's share of the amplitude-error budget
     q_part = 2.0**-m
     # with m capped, the quantization must leave the polynomial its least
-    # share: a sixteenth of the aim, and no less than the amplitude of the
-    # least generator error the arcsin cut takes, ARCSIN_GAIN times 2
-    # ARCSIN_ROUNDING
-    least = max(eps_hat_target / 16.0, ARCSIN_GAIN * (2.0 * ARCSIN_ROUNDING) / GENERATOR_UNIT)
+    # share: a sixteenth of the aim, and no less than the amplitude whose
+    # arcsin error is the least the arcsin cut takes, 2 ARCSIN_ROUNDING
+    least = max(eps_hat_target / 16.0, 2.0 * ARCSIN_ROUNDING / (BETA / 2.0))
     if eps_hat_target - q_part < least:
         raise InfeasibleError(
             f"m = {m} value bits leave no room in the error budget; of the aim "
@@ -362,20 +354,22 @@ def _new_stage(oracle: AmplitudeOracle, epsilon: float) -> tuple[_TableStage, Le
     levels, level_of, counts = _levels(classes, m)
     counts = counts.astype(float)  # cast once for the two sums they weight
     size = oracle.size
-    sines = np.sin(np.pi * BETA * levels / 2.0)  # the oracle's diagonal is e^{i pi BETA levels / 2}
-    generator_error = GENERATOR_UNIT * eps_poly
-    encoding = _stage_encoding(sines, generator_error)
+    # the oracle's diagonal is e^{i pi BETA levels / 2}: its generator, which
+    # the arcsin transform returns, is BETA / 2 times the levels
+    sines = np.sin(np.pi * BETA * levels / 2.0)
+    arcsin_epsilon = BETA / 2.0 * eps_poly
+    encoding = hamiltonian_from_unitary(sines, arcsin_epsilon, DELTA_MARGIN)
 
-    # the encoded generator is diagonal (and real), so its spectral distance
-    # to the table is the largest per-index deviation
-    c_level = encoding.diagonal / GENERATOR_UNIT
+    # the encoded generator, G times the generator at the encoding's gain G,
+    # is diagonal (and real), so its spectral distance to the table is the
+    # largest per-index deviation
+    c_level = encoding.diagonal / (BETA * encoding.info["arcsin_gain"] / 2.0)
     deviation = c_level[level_of] - classes.values
     eps_measured = float(np.abs(deviation, out=deviation).max())
     del deviation
     # the flagged sum S = sum of n_k c~_k^2 gives gamma~ = S / N; sigma is
     # read from the encoded diagonal itself, the amplitude C carries: it is
-    # GENERATOR_UNIT sqrt(gamma~) but for the rounding of the division and
-    # the square roots, since scaling by a power of two is exact
+    # BETA G / 2 times sqrt(gamma~) but for rounding
     g_realized = float(counts @ c_level**2) / size
     sigma = math.sqrt(float(counts @ encoding.diagonal**2)) / math.sqrt(size)
     g_quant = float(counts @ levels**2) / size
@@ -395,7 +389,7 @@ def _new_stage(oracle: AmplitudeOracle, epsilon: float) -> tuple[_TableStage, Le
         epsilon=epsilon,
         m=m,
         sines=sines,
-        generator_error=generator_error,
+        arcsin_epsilon=arcsin_epsilon,
         gamma_exact=g_exact,
         gamma_quant=g_quant,
         gamma_realized=g_realized,
@@ -417,7 +411,9 @@ def _final_state(classes: ValueClasses, m: int, realized_level: np.ndarray) -> S
 def _run(cfg: PrepConfig, bounds: bool) -> PrepReport:
     """The table stage, then the amplification at delta; ``bounds`` adds the analysis' checks."""
     stage, encoding = _table_stage(cfg.oracle, cfg.epsilon)
-    plan = plan_amplification(GENERATOR_UNIT * math.sqrt(stage.gamma_quant), cfg.delta)
+    # the flagged amplitude per unit amplitude, G the encoding's gain
+    unit = BETA * encoding.info["arcsin_gain"] / 2.0
+    plan = plan_amplification(unit * math.sqrt(stage.gamma_quant), cfg.delta)
     # the L rounds multiply the flagged part of C|Psi>, the encoded diagonal,
     # by one number, so post-selecting the flag leaves the realized state
     amplitude, applications = amplify_state(stage.sigma, plan)
@@ -425,25 +421,19 @@ def _run(cfg: PrepConfig, bounds: bool) -> PrepReport:
     # queries the controlled phase unitary and its adjoint (both select
     # branches share them); each query is an O_c pair
     oracle_calls = applications * encoding.info["cu_calls"] * 2 * 2
-    report = _report(cfg, stage, encoding.info["arcsin_degree"], plan, abs(amplitude) ** 2,
-                     oracle_calls, bounds)
-    # the arcsin target's cut (Taylor degree, kept length), the Chebyshev
-    # l1 norm of the scaled target the phase iteration was given and its
-    # gain: sigma is beta gain / 2 = 0.5 times sqrt(gamma~)
-    report.info["arcsin_cut"] = encoding.info["arcsin_cut"]
-    report.info["arcsin_l1"] = encoding.info["arcsin_l1"]
-    report.info["arcsin_gain"] = encoding.info["arcsin_gain"]
-    return report
+    return _report(cfg, stage, encoding, plan, abs(amplitude) ** 2, oracle_calls, bounds)
 
 
-def _report(cfg: PrepConfig, stage: _TableStage, d_a: int, plan: AmplificationPlan, success: float,
-            oracle_calls: int, bounds: bool) -> PrepReport:
+def _report(cfg: PrepConfig, stage: _TableStage, encoding: LevelEncoding, plan: AmplificationPlan,
+            success: float, oracle_calls: int, bounds: bool) -> PrepReport:
     """A report with its own check list and ``info``.
 
-    It is read from the stage, the encoding's degree ``d_a`` and what the
-    amplification at delta gave: its success and its counted calls.
+    It is read from the stage, the encoding (its degree d_a, and its cut,
+    the Chebyshev l1 norm of the scaled target the phase iteration was
+    given and its gain) and what the amplification at delta gave: its
+    success and its counted calls.
     """
-    d_s, sigma = plan.rounds, stage.sigma
+    d_a, d_s, sigma = encoding.info["arcsin_degree"], plan.rounds, stage.sigma
     first, *analysis = stage.checks
     checks = [
         first,
@@ -471,6 +461,9 @@ def _report(cfg: PrepConfig, stage: _TableStage, d_a: int, plan: AmplificationPl
         "final_error": stage.final_error,
         "predicted_success": plan.predicted_success(),
         "levels": stage.realized_level.size,
+        "arcsin_cut": encoding.info["arcsin_cut"],
+        "arcsin_l1": encoding.info["arcsin_l1"],
+        "arcsin_gain": encoding.info["arcsin_gain"],
     }
     if bounds:
         checks += analysis

@@ -293,7 +293,7 @@ def arcsin_target(epsilon: float, delta: float) -> Polynomial:
 
 # what the realized arcsin transform may miss by past its polynomial's error,
 # in the units of arcsin / pi (the encoding scales both by its cut's gain G,
-# ``blockenc.ARCSIN_GAIN`` at most): the rounding of the target's doubles, of
+# which ``blockenc`` picks): the rounding of the target's doubles, of
 # the angles' series and of its sum at the sines. In 40-digit checks at
 # errors 2^-8 .. 2^-51 and delta 0.01 .. 0.5 the encoding missed G times the
 # target by at most 1.2e-16, 0.29 of G 2^-52, and G arcsin / pi by at most
@@ -302,7 +302,7 @@ ARCSIN_ROUNDING = 2.0**-52
 
 
 # cuts kept found: every encoding call finds its cut before its memo lookup,
-# and a run's delta rows ask for one generator error in a row
+# and a run's delta rows ask for one arcsin error in a row
 @functools.lru_cache(maxsize=64)
 def _arcsin_cut(epsilon: float, delta: float) -> tuple[int, int]:
     """The target's cut (Taylor degree, kept length in t), by scalar loops over cached series.

@@ -487,3 +487,17 @@ def test_hamiltonian_refuses_budget_outside_unit_interval(which, bad):
     with pytest.raises(InputError, match="must lie in"):
         hamiltonian_from_unitary(np.sin(np.pi * np.array([0.0, 0.1])), **budget)
     assert blockenc._encoding.cache_info().currsize == 0
+
+
+@pytest.mark.parametrize("sines, bad", [
+    (np.exp(1j * np.pi * np.array([0.0, 0.1])), "entry 0 is (1+0j)"),
+    (np.array([0.1, 0.2j], dtype=object), "entry 1 is 0.2j"),
+    (np.array([0.1, "x"], dtype=object), "entry 1 is 'x'"),
+], ids=["complex-diagonal", "complex-entry", "string-entry"])
+def test_hamiltonian_refuses_sines_that_are_not_real_numbers(sines, bad):
+    # numpy's conversion alone would drop the diagonal's imaginary parts
+    # with only a warning, and refuse an object array's entries with a bare
+    # TypeError or ValueError
+    with pytest.raises(InputError, match="level sines must be real numbers") as info:
+        hamiltonian_from_unitary(sines, 1e-3, 0.25)
+    assert str(info.value).endswith(bad)

@@ -254,6 +254,37 @@ def test_prepare_rejects_out_of_range_oracle_header(tmp_path, capsys, header):
     assert len(lines) == 1 and lines[0].startswith("error: oracle table header: need ")
 
 
+def assert_one_error_line(capsys, rc):
+    captured = capsys.readouterr()
+    assert rc == 2
+    assert captured.out == ""
+    assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
+    assert "Traceback" not in captured.err
+    return captured.err
+
+
+@pytest.mark.parametrize("text, message", [
+    ("2\n0.5\n0.25\n0.75\n1\n", "error: malformed oracle table header: "),
+    ("2 6\n0.5\nhalf\n0.75\n1\n", "error: malformed oracle table: could not convert"),
+], ids=["malformed-header", "non-numeric-amplitude"])
+def test_prepare_rejects_an_unparsable_oracle_file(tmp_path, capsys, text, message):
+    oracle_file = tmp_path / "oracle.txt"
+    oracle_file.write_text(text)
+    rc = main(["prepare", "--oracle", str(oracle_file)])
+    assert assert_one_error_line(capsys, rc).startswith(message)
+
+
+@pytest.mark.parametrize("spec, message", [
+    ([{"n": [2]}], "error: a sweep spec must be a JSON object"),
+    ({"n": [2.5], "dist": ["uniform"], "epsilon": [0.1], "delta": [0.1]},
+     "error: sweep spec 'n' has entries of the wrong type: [2.5]"),
+], ids=["not-an-object", "mistyped-grid-entry"])
+def test_sweep_rejects_a_spec_of_the_wrong_shape(tmp_path, capsys, spec, message):
+    rc, out_file = _run_sweep(tmp_path, spec)
+    assert assert_one_error_line(capsys, rc).rstrip("\n") == message
+    assert not out_file.exists()
+
+
 def _run_sweep(tmp_path, spec):
     spec_file = tmp_path / "spec.json"
     spec_file.write_text(json.dumps(spec))

@@ -53,7 +53,6 @@ from qsprep.phases import _top_row
 from qsprep.pipeline import (
     BETA,
     DELTA_MARGIN,
-    GENERATOR_UNIT,
     PrepConfig,
     PrepReport,
     _final_state,
@@ -113,6 +112,11 @@ def oracle_diagonal(run):
     return np.exp(1j * np.pi * BETA * c_q / 2.0)
 
 
+def flagged_unit(encoding):
+    """The flagged amplitude per unit amplitude, BETA G / 2 at the encoding's gain G."""
+    return BETA * encoding.info["arcsin_gain"] / 2.0
+
+
 def value_classes(run):
     """Each index's class (the rank of its quantized value) and the class sizes."""
     _, inverse, counts = np.unique(quantized(run), return_inverse=True, return_counts=True)
@@ -132,7 +136,7 @@ def dense_run(run):
     u = UnitaryMatrix(np.diag(oracle_diagonal(run)))
     be = lcu_real_part(sine_block_encoding(u), run.encoding.phases)
     block = extract_block(be)
-    c_realized = np.real(np.diag(block)) / GENERATOR_UNIT
+    c_realized = np.real(np.diag(block)) / flagged_unit(run.encoding)
     realized = c_realized / np.linalg.norm(c_realized)
 
     s = hadamard_layer(n)
@@ -150,11 +154,11 @@ def dense_run(run):
         run.stage,
         gamma_quant=float(np.mean((quantized(run) + 2.0 ** -(run.stage.m + 1)) ** 2)),
         gamma_realized=float(np.mean(c_realized**2)),
-        eps_measured=spectral_norm(block / GENERATOR_UNIT - np.diag(cfg.oracle.values)),
+        eps_measured=spectral_norm(block / flagged_unit(run.encoding) - np.diag(cfg.oracle.values)),
         fidelity=abs(float(realized @ target)),
         final_error=float(np.linalg.norm(realized - target)),
     )
-    report = _report(cfg, stage, d_a, run.plan, success, 4 * d_a * d_s, bounds=True)
+    report = _report(cfg, stage, run.encoding, run.plan, success, 4 * d_a * d_s, bounds=True)
     return dataclasses.replace(run, stage=stage, report=report), realized, be, data
 
 
@@ -188,7 +192,7 @@ def assert_run_matches_dense(run, success_tol=TOL):
     assert abs(run.stage.gamma_quant - ref.stage.gamma_quant) <= TOL
     assert abs(run.stage.eps_measured - ref.stage.eps_measured) <= TOL
     assert mine.oracle_calls == theirs.oracle_calls
-    assert mine.degrees == theirs.degrees
+    assert mine.degrees == theirs.degrees == (len(run.encoding.phases), run.plan.rounds)
     assert [(c.name, c.passed) for c in mine.bound_checks] == [
         (c.name, c.passed) for c in theirs.bound_checks
     ]
@@ -254,7 +258,7 @@ def per_index_run(run):
     a, _, rounds = _top_row(run.plan.phases.phases, np.array([sigma]))
     flag_row = entry * (a[0] / flagged)
     success = float(np.linalg.norm(flag_row) ** 2)
-    c_realized = entry / GENERATOR_UNIT
+    c_realized = entry / flagged_unit(run.encoding)
     realized = c_realized / np.linalg.norm(c_realized)
     data = flag_row / np.sqrt(success)
     data = data * np.exp(-1j * np.angle(np.vdot(realized, data)))

@@ -369,3 +369,45 @@ def test_oracle_keeps_a_read_only_copy_of_its_table():
     for table in (c.values, c.quantized):
         with pytest.raises(ValueError):
             table[0] = 1.0
+
+
+@pytest.mark.parametrize("values, bad", [
+    (np.array([0.5 + 0.5j, 0.2]), "entry 0 is (0.5+0.5j)"),
+    ([0.5, 0.2 + 0.1j], "entry 1 is (0.2+0.1j)"),
+    ([0.5, "x"], "entry 1 is 'x'"),
+], ids=["complex-array", "list-holding-a-complex", "non-numeric"])
+def test_oracle_refuses_an_entry_that_is_not_a_real_number(values, bad):
+    # numpy alone would drop the imaginary parts of a complex array with
+    # only a warning, and refuse the others with a bare TypeError or ValueError
+    with pytest.raises(InputError, match="amplitudes must be real numbers") as info:
+        AmplitudeOracle(1, 8, values)
+    assert str(info.value).endswith(bad)
+
+
+def test_oracle_copies_a_float_table_once():
+    values = np.random.default_rng(5).uniform(0.0, 1.0, 2**16)
+    tracemalloc.start()
+    try:
+        AmplitudeOracle(16, 8, values)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert values.nbytes <= peak < 1.5 * values.nbytes
+
+
+@pytest.mark.parametrize("sigma", [0.0, -1.0, np.nan])
+def test_gaussian_refuses_a_width_that_is_not_positive(sigma):
+    with pytest.raises(InputError, match="gaussian width must be positive"):
+        AmplitudeOracle.gaussian(3, 1.0, sigma, 8)
+
+
+@pytest.mark.parametrize("text", ["", "2\n0.5\n", "two 6\n0.5\n", "2 6 1\n0.5\n"],
+                         ids=["empty", "one-field", "non-integer", "three-fields"])
+def test_oracle_text_refuses_a_malformed_header(text):
+    with pytest.raises(InputError, match="malformed oracle table header"):
+        oracle_from_text(text)
+
+
+def test_oracle_text_refuses_a_non_numeric_amplitude_line():
+    with pytest.raises(InputError, match="malformed oracle table: could not convert"):
+        oracle_from_text("2 6\n0.5\nhalf\n0.25\n1\n")

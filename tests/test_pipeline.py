@@ -205,12 +205,14 @@ def test_every_report_checks_the_amplification_premise(oracle):
     # verify_error_bounds' alike, which both amplify the one kept stage
     cfg = PrepConfig(oracle=oracle, epsilon=0.05, delta=0.1)
     stage, encoding = pipeline._table_stage(oracle, cfg.epsilon)
-    plan = pipeline.plan_amplification(pipeline.GENERATOR_UNIT * np.sqrt(stage.gamma_quant), cfg.delta)
+    unit = pipeline.BETA * encoding.info["arcsin_gain"] / 2
+    plan = pipeline.plan_amplification(unit * np.sqrt(stage.gamma_quant), cfg.delta)
     _, _, counts = pipeline._levels(oracle.classes, stage.m)
     sigma = stage.sigma
     assert sigma == np.sqrt(encoding.diagonal**2 @ counts) / np.sqrt(oracle.size)
-    # the encoded diagonal is GENERATOR_UNIT times the realized amplitudes
-    assert sigma == pytest.approx(pipeline.GENERATOR_UNIT * np.sqrt(stage.gamma_realized), rel=1e-15)
+    # the encoded diagonal is BETA G / 2 times the realized amplitudes, G
+    # the gain of the encoding's own cut
+    assert sigma == pytest.approx(unit * np.sqrt(stage.gamma_realized), rel=1e-15)
     for rep in (prepare_state(cfg), verify_error_bounds(cfg)):
         assert _kept_stage(oracle, cfg.epsilon) is stage
         # the plan's sigma can be read off the report
@@ -240,6 +242,34 @@ def test_config_refuses_bad_value_bits(m):
         PrepConfig(oracle=AmplitudeOracle.uniform(2, 8), epsilon=0.05, delta=0.1, m=m)
     with pytest.raises(InputError, match="value bits"):
         PrepConfig(oracle=AmplitudeOracle.uniform(2, m), epsilon=0.05, delta=0.1)
+
+
+@pytest.mark.parametrize("delta", [0, 1, -0.1, 1.5, np.nan, np.inf, True, "0.1"])
+def test_config_refuses_a_delta_outside_the_unit_interval(delta):
+    with pytest.raises(InputError, match=r"delta must lie in \(0, 1\)"):
+        PrepConfig(oracle=AmplitudeOracle.uniform(2, 8), epsilon=0.05, delta=delta)
+
+
+@pytest.mark.parametrize("oracle", ["x", None, np.ones(4)], ids=["str", "none", "array"])
+def test_config_refuses_an_oracle_that_is_not_an_amplitude_oracle(oracle):
+    # the run would otherwise fail later, reading the classes of a str
+    with pytest.raises(InputError, match="oracle must be an AmplitudeOracle, got "):
+        PrepConfig(oracle=oracle, epsilon=0.05, delta=0.1)
+
+
+@pytest.mark.parametrize("spec", [[1, 2], "n", None], ids=["list", "str", "null"])
+def test_sweep_spec_refuses_a_spec_that_is_not_an_object(spec):
+    with pytest.raises(InputError, match="a sweep spec must be a JSON object"):
+        SweepSpec.from_dict(spec)
+
+
+@pytest.mark.parametrize("key, entry", [("n", 2.5), ("n", True), ("dist", 3), ("epsilon", "0.1"),
+                                        ("delta", None)])
+def test_sweep_spec_refuses_a_grid_entry_of_the_wrong_type(key, entry):
+    spec = {"n": [2], "dist": ["uniform"], "epsilon": [0.1], "delta": [0.1]}
+    spec[key] = [*spec[key], entry]
+    with pytest.raises(InputError, match=f"sweep spec '{key}' has entries of the wrong type"):
+        SweepSpec.from_dict(spec)
 
 
 def test_sweep_empty_spec():
@@ -304,7 +334,7 @@ def test_gamma_checks_slack_scales_with_gamma():
 
     def passed(g_realized):
         stage = pipeline._TableStage(
-            epsilon=0.05, m=40, sines=np.zeros(1), generator_error=1e-14, gamma_exact=g,
+            epsilon=0.05, m=40, sines=np.zeros(1), arcsin_epsilon=1e-14, gamma_exact=g,
             gamma_quant=g, gamma_realized=g_realized, sigma=0.0, eps_measured=eps,
             realized_level=np.zeros(1), fidelity=1.0, final_error=0.0)
         return {c.name: c.passed for c in stage.checks}
@@ -369,10 +399,10 @@ def test_pipeline_compression_is_rank_one():
 
 
 def test_extraction_error_bounded_by_polynomial_sup_error():
-    # the realized generator error never exceeds ARCSIN_GAIN times the
-    # arcsin target's sup error over the interval containing the sine
-    # spectrum
-    from qsprep.blockenc import ARCSIN_GAIN, hamiltonian_from_unitary
+    # the realized generator error never exceeds G times the arcsin
+    # target's sup error over the interval containing the sine spectrum, G
+    # the gain of the encoding's cut
+    from qsprep.blockenc import hamiltonian_from_unitary
     from qsprep.polyapprox import arcsin_target, evaluate
     from qsprep.simulator import op_dist
 
@@ -383,8 +413,9 @@ def test_extraction_error_bounded_by_polynomial_sup_error():
     ys = np.linspace(-1 + margin, 1 - margin, 20001)
     ref = arcsin_target(eps, margin)
     sup_err = np.abs(evaluate(ref, ys).real - np.arcsin(ys) / np.pi).max()
-    measured = op_dist(np.diag(be.diagonal), ARCSIN_GAIN * np.diag(h))
-    assert measured <= ARCSIN_GAIN * (max(sup_err, 1e-12) * (1 + 1e-6) + 0.05 * eps)
+    gain = be.info["arcsin_gain"]
+    measured = op_dist(np.diag(be.diagonal), gain * np.diag(h))
+    assert measured <= gain * (max(sup_err, 1e-12) * (1 + 1e-6) + 0.05 * eps)
 
 
 def _outcome(rep):
@@ -404,6 +435,26 @@ def _clear_memos():
     blockenc._encoding.cache_clear()
     blockenc._phases_at_cut.cache_clear()
     pipeline._STAGES.clear()
+
+
+def test_the_pipeline_reads_the_gain_from_its_encoding(monkeypatch):
+    # at a cap of 2.4 the cuts at the pipeline's margin take gains of about
+    # 2.07 to 2.4, which differ from cut to cut and from the cap; a pipeline
+    # that took the flagged amplitude per unit amplitude from the cap
+    # instead would miss the realized amplitudes and fail its own aim
+    monkeypatch.setattr(blockenc, "ARCSIN_GAIN", 2.4)
+    _clear_memos()
+    try:
+        reports = [grover_case(n, 5, 0.1, 0.05) for n in (3, 8, 16, 24)]
+        values = np.random.default_rng(39).uniform(0.0, 1.0, 2**7)
+        for eps, delta in itertools.product([0.05, 1e-3], [0.1, 0.2]):
+            cfg = PrepConfig(oracle=AmplitudeOracle(7, 8, values), epsilon=eps, delta=delta)
+            reports.append(verify_error_bounds(cfg))
+        for rep in reports:
+            assert rep.all_passed, [c.name for c in rep.bound_checks if not c.passed]
+            assert 2.0 < rep.info["arcsin_gain"] <= 2.4
+    finally:
+        _clear_memos()
 
 
 def _cold_then_warm(run):
