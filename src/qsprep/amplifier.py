@@ -44,16 +44,25 @@ rounding's radial part, which the factors pile up, drops out: against a
 40-digit product of the exact angles, the success of a search run at n =
 21 (L = 14021) is off by 7e-16, where the whole product in doubles is off
 by 1.05e-12.
+
+A plan is a closed-form function of (sigma, delta), and the amplitude of
+(sigma, plan), so both are memoized, each on the ``_MEMO_SIZE`` most
+recently used keys: a sweep's rows that repeat a (sigma, delta), which
+differ only in the marked item or share a table, plan and amplify once.
+Both check their inputs before the memo sees them, and a hit returns what
+the cold call built, an immutable plan or a (complex, int) pair.
 """
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from .blockenc import BlockEncoding, qsvt_circuit
+from .blockenc import _MEMO_SIZE, BlockEncoding, qsvt_circuit
 from .errors import DegreeOverflowError, DimensionError, InputError
+from .oracle import _is_real
 from .phases import PhaseSequence, palindrome_top_left
 from .simulator import Projector, UnitaryMatrix
 
@@ -67,11 +76,11 @@ MAX_ROUNDS = 2**24
 
 
 def _check_band(sigma: float, delta: float) -> None:
-    """InputError unless sigma lies in (0, 1] and delta in (0, 1); a NaN fails both."""
-    if not 0 < sigma <= 1:
-        raise InputError("sigma must lie in (0, 1]")
-    if not 0 < delta < 1:
-        raise InputError("delta must lie in (0, 1)")
+    """InputError unless sigma is a real number in (0, 1] and delta one in (0, 1); a NaN fails both."""
+    if not (_is_real(sigma) and 0 < sigma <= 1):
+        raise InputError(f"sigma must lie in (0, 1], got {sigma!r}")
+    if not (_is_real(delta) and 0 < delta < 1):
+        raise InputError(f"delta must lie in (0, 1), got {delta!r}")
 
 
 def _lift(delta: float) -> float:
@@ -165,9 +174,16 @@ def plan_amplification(sigma: float, delta: float) -> AmplificationPlan:
     = 1 that can be L = 1, the angle 0 with success sigma^2. An L above
     ``MAX_ROUNDS`` raises DegreeOverflowError with L in ``needed``, or 2^53,
     a lower bound, when L is past what a double counts exactly (it is
-    infinite from sigma ~ 1e-308 on). No angle is computed.
+    infinite from sigma ~ 1e-308 on). No angle is computed. A sigma or a
+    delta that is not a real number in its range raises InputError before
+    the memo sees it; the plan holds both as Python floats.
     """
     _check_band(sigma, delta)
+    return _plan(float(sigma), float(delta))
+
+
+@functools.lru_cache(maxsize=_MEMO_SIZE)
+def _plan(sigma: float, delta: float) -> AmplificationPlan:
     rounds = _lift(delta) / math.atanh(0.9 * sigma)
     if not rounds <= 2**53:
         raise DegreeOverflowError(f"fixed-point amplification needs more than 2^53 rounds (> max {MAX_ROUNDS}) "
@@ -240,6 +256,17 @@ def amplify_state(sigma: float, plan: AmplificationPlan) -> tuple[complex, int]:
     closes the product from the (L - 1) / 2 factors of its first half,
     which ``_fixed_point_factors`` forms one by one from their closed form:
     no angle array and no list of factors is kept. Its count is L. At sigma
-    = 0 an odd L gives M_00 = 0 exactly.
+    = 0 an odd L gives M_00 = 0 exactly. A sigma that is not a real number,
+    or a plan that is not an ``AmplificationPlan``, raises InputError before
+    the memo sees it.
     """
-    return palindrome_top_left(_fixed_point_factors(plan.rounds, plan.band_edge), float(sigma))
+    if not isinstance(plan, AmplificationPlan):
+        raise InputError(f"plan must be an AmplificationPlan, got {type(plan).__name__}")
+    if not _is_real(sigma):
+        raise InputError(f"sigma must be a real number, got {sigma!r}")
+    return _amplified(float(sigma), plan)
+
+
+@functools.lru_cache(maxsize=_MEMO_SIZE)
+def _amplified(sigma: float, plan: AmplificationPlan) -> tuple[complex, int]:
+    return palindrome_top_left(_fixed_point_factors(plan.rounds, plan.band_edge), sigma)

@@ -275,7 +275,8 @@ def hamiltonian_from_unitary(sines: np.ndarray, epsilon: float, delta: float) ->
     its entry); the caller maps every data index to its level. The flagged
     entry of a level's block depends on its entry through the sine alone.
     A sine that is not a real number, a non-finite sine, or one outside
-    [-1, 1], raises InputError. Requires
+    [-1, 1], raises InputError, and so does an epsilon or a delta that is
+    not a real number in (0, 1), before the memo sees it. Requires
     ||sin(pi H)|| <= 1 - delta so the arcsin approximant's accuracy
     interval covers the spectrum, and raises InfeasibleError otherwise; the
     encoded generator is then within G epsilon of G H, G the cut's gain
@@ -301,18 +302,18 @@ def hamiltonian_from_unitary(sines: np.ndarray, epsilon: float, delta: float) ->
     angles still come from the one angle memo, ``_phases_at_cut``, keyed on
     the same cut.
     """
-    sines = np.asarray(sines)
+    sines = oracle._real_array(sines, "the oracle's level sines")
     if sines.ndim != 1 or sines.size < 1:
         raise DimensionError("the oracle's level sines must be a non-empty vector")
     if sines.size > 2**oracle.MAX_TABLE_QUBITS:
         raise DimensionError(
             f"{sines.size} levels exceed the table limit of {2**oracle.MAX_TABLE_QUBITS} indices"
         )
-    sines = oracle._real_array(sines, "the oracle's level sines")
-    epsilon, delta = float(epsilon), float(delta)
     # written so that a NaN fails it, and before the memo sees the key
-    if not (0 < epsilon < 1 and 0 < delta < 1):
+    real = oracle._is_real(epsilon) and oracle._is_real(delta)
+    if not (real and 0 < epsilon < 1 and 0 < delta < 1):
         raise InputError(f"epsilon and delta must lie in (0, 1), got {epsilon!r} and {delta!r}")
+    epsilon, delta = float(epsilon), float(delta)
     degree, keep = _arcsin_cut(epsilon, delta)
     if sines.size > _MEMO_MAX_LEVELS:
         return _encode(sines, degree, keep, delta)

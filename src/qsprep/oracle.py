@@ -67,6 +67,15 @@ def _is_int(value) -> bool:
     return isinstance(value, (int, np.integer)) and not isinstance(value, bool)
 
 
+# what _is_real accepts, bool aside; a tuple built once, since the checks run
+# several times per preparation
+_REAL_TYPES = (float, int, np.floating, np.integer)
+
+
+def _is_real(value) -> bool:
+    return isinstance(value, _REAL_TYPES) and type(value) is not bool
+
+
 def _check_bits(m) -> None:
     if not (_is_int(m) and 1 <= m <= MAX_BITS):
         raise InputError(f"need an integer m of 1..{MAX_BITS} value bits, got {m!r}")
@@ -88,14 +97,19 @@ def _real_array(values, what: str) -> np.ndarray:
     """``values`` as an array of doubles, the same array when it is one already.
 
     numpy drops the imaginary parts of a complex array with only a warning,
-    and refuses a list holding a complex number, or an entry that is not a
-    number, with a bare TypeError or ValueError. Here an entry that is not a
-    real number (a complex or a string included) raises InputError naming
-    the first; every entry of a complex array is a complex number.
+    and refuses a list holding a complex number, an entry that is not a
+    number, or a ragged nesting such as [[0.5], 0.2], with a bare TypeError
+    or ValueError. Here an entry that is not a real number (a complex, a
+    string or a nested list included) raises InputError naming the first;
+    every entry of a complex array is a complex number.
     """
-    arr = np.asarray(values)
-    if arr.dtype.kind not in "biuf":
-        for i, v in enumerate(np.asarray(values, dtype=object).flat):
+    try:
+        arr = np.asarray(values)
+    except ValueError:
+        # a ragged nesting: one of its entries is a sequence, which the loop names
+        arr = None
+    if arr is None or arr.dtype.kind not in "biuf":
+        for i, v in enumerate(values if arr is None else np.asarray(values, dtype=object).flat):
             if not isinstance(v, numbers.Real):
                 raise InputError(f"{what} must be real numbers; entry {i} is {v!r}")
     return arr.astype(float, copy=False)

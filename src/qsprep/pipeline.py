@@ -21,16 +21,20 @@ A run has two stages. The table stage (``_TableStage``) depends on the
 table's class values and counts and epsilon alone: the quantization, the
 grouping into levels, the sine encoding's inputs, gamma, the measured
 error, the distance to the target and the checks on them. It holds
-O(levels) data. A generated oracle's stage is kept per class profile and
-epsilon in one memo, so every search at one (n, epsilon) computes it once,
-whatever its marked item; a table given as values keeps its latest stage
-on its oracle, so runs of one table at one epsilon (a sweep's delta rows)
-compute it once. The amplification at delta reads the encoding through
-``hamiltonian_from_unitary`` (a memo lookup for a kept stage of at most
-``blockenc._MEMO_MAX_LEVELS`` levels), plans the rounds, amplifies and
-checks the amplification's premise. A report's ``final_state`` is built
-from its own oracle's classes, its m and the realized levels when it is
-read.
+O(levels) data. One memo keeps the stages of generated oracles and of
+tables of at most ``blockenc._MEMO_MAX_LEVELS`` entries per class profile
+(a table's by its values) and epsilon, so every search at one (n,
+epsilon) computes its stage once, whatever its marked item, and so does
+every fresh oracle of a table seen before. A table given as values also
+keeps its latest stage on its oracle, so the runs of one oracle at one
+epsilon (a sweep's delta rows) find it without building a key; a larger
+table keeps it there alone. The amplification at delta reads the
+encoding through ``hamiltonian_from_unitary`` (a memo lookup for a kept
+stage of at most ``_MEMO_MAX_LEVELS`` levels), plans the rounds and
+amplifies, which ``amplifier`` memoizes on (sigma, delta), and checks the
+amplification's premise, so a run at a kept stage and a repeated (sigma,
+delta) computes only its report. A report's ``final_state`` is built from
+its own oracle's classes, its m and the realized levels when it is read.
 """
 from __future__ import annotations
 
@@ -45,9 +49,17 @@ from typing import NamedTuple
 import numpy as np
 
 from .amplifier import AmplificationPlan, amplify_state, plan_amplification
-from .blockenc import _MEMO_SIZE, LevelEncoding, hamiltonian_from_unitary
+from .blockenc import _MEMO_MAX_LEVELS, _MEMO_SIZE, LevelEncoding, hamiltonian_from_unitary
 from .errors import InfeasibleError, InputError, QsprepError
-from .oracle import MAX_BITS, AmplitudeOracle, ValueClasses, _is_int, _register_contents, gamma
+from .oracle import (
+    MAX_BITS,
+    AmplitudeOracle,
+    ValueClasses,
+    _is_int,
+    _is_real,
+    _register_contents,
+    gamma,
+)
 from .polyapprox import ARCSIN_ROUNDING
 from .simulator import StateVector
 
@@ -98,10 +110,6 @@ class PrepConfig:
             raise InputError(f"epsilon must be positive, got {self.epsilon!r}")
         object.__setattr__(self, "epsilon", float(self.epsilon))
         object.__setattr__(self, "delta", float(self.delta))
-
-
-def _is_real(value) -> bool:
-    return isinstance(value, (int, float, np.integer, np.floating)) and not isinstance(value, bool)
 
 
 class BoundCheck(NamedTuple):
@@ -206,14 +214,16 @@ class _TableStage:
     The quantization, the grouping into levels, the sine encoding's inputs,
     gamma with its quantized and realized values, the measured error, the
     distance to the target and the checks on them (``checks``, built with
-    the stage) read no delta, nor does sigma, all the amplification reads.
-    A stage holds two reals per level and no array per index: each class's
-    level, the level counts, the final state and the target at every class
-    exist only while the stage is computed. It keeps the encoding's inputs,
-    not the encoding: ``hamiltonian_from_unitary`` keeps encodings of few
-    levels in its memo, and builds one of more levels again on each call.
-    Nothing changes a stage once built (it is not frozen only because a
-    frozen dataclass takes twice as long to build, a few us of a search run).
+    the stage) read no delta, nor does sigma, all the amplification reads,
+    nor do all but two entries of a report's ``info``, which the stage holds
+    for each report to copy. A stage holds two reals per level and no array
+    per index: each class's level, the level counts, the final state and the
+    target at every class exist only while the stage is computed. It keeps
+    the encoding's inputs, not the encoding: ``hamiltonian_from_unitary``
+    keeps encodings of few levels in its memo, and builds one of more levels
+    again on each call. Nothing changes a stage once built (it is not
+    frozen only because a frozen dataclass takes twice as long to build, a
+    few us of a search run).
     """
 
     epsilon: float
@@ -234,6 +244,9 @@ class _TableStage:
     realized_level: np.ndarray
     fidelity: float
     final_error: float
+    # a report's info in its order, but for the two entries that its plan
+    # at delta gives, "sigma" and "predicted_success", which are None here
+    info: dict
     # 3 eps / gamma, the error analysis' bound on the distance to the target
     bound: float = field(init=False)
     # final_error_le_epsilon, then the error analysis' checks
@@ -263,13 +276,18 @@ class _TableStage:
         self.checks = tuple(checks)
 
 
-# The table stages of generated oracles, keyed by _stage_key, least
-# recently used first: at most _MEMO_SIZE, of one or two levels each
-_STAGES: dict[tuple[bytes, bytes, float], _TableStage] = {}
+# The table stages of generated oracles and of tables of at most
+# _MEMO_MAX_LEVELS entries, keyed by _stage_key, least recently used first:
+# at most _MEMO_SIZE, each of at most _MEMO_MAX_LEVELS levels, two reals per
+# level, under a key of at most 8 B per level, so at most 6 MiB in all
+_STAGES: dict[tuple, _TableStage] = {}
 
 
-def _stage_key(classes: ValueClasses, epsilon: float) -> tuple[bytes, bytes, float]:
-    # what a stage reads of a generated oracle: its class profile and epsilon
+def _stage_key(classes: ValueClasses, epsilon: float) -> tuple:
+    # what a stage reads: the class profile and epsilon. A table's counts
+    # are all one, so its values' bytes say the whole profile
+    if classes.singles is None:
+        return (classes.values.tobytes(), epsilon)
     return (classes.values.tobytes(), classes.counts.tobytes(), epsilon)
 
 
@@ -277,21 +295,34 @@ def _table_stage(oracle: AmplitudeOracle, epsilon: float) -> tuple[_TableStage, 
     """The stage of the oracle's table at epsilon, and the sine encoding a run at it amplifies.
 
     A stage reads the classes' values and counts and epsilon, never which
-    index is in which class. So a generated oracle's stage is looked up in
-    ``_STAGES`` by its class profile and epsilon: every search at one (n,
-    epsilon), whatever its marked item, shares one stage. A table given as
-    values keeps its one latest stage in its ``__dict__`` beside
-    ``classes`` and ``values`` instead (a key of its bytes would copy and
-    hash the whole table), so the rows of a sweep that differ only in delta
-    share it; the kept stage is dropped before a new one is computed, so two
-    never coexist. A stage that raises is kept by neither: the next call
+    index is in which class. So it is looked up in ``_STAGES`` by its class
+    profile and epsilon: every search at one (n, epsilon), whatever its
+    marked item, shares one stage, and so do the oracles of one table of at
+    most ``_MEMO_MAX_LEVELS`` entries, keyed by its values' bytes (32 KB at
+    most), the encoding memo's own bound. A table given as values also
+    keeps its one latest stage in its ``__dict__`` beside ``classes`` and
+    ``values``, which it reads first, so the rows of a sweep that differ
+    only in delta find it without building a key. A larger table keeps its
+    stage there alone (a key of its bytes would copy and hash the whole
+    table), and its kept stage is dropped before a new one is computed, so
+    two never coexist. A stage that raises is kept nowhere: the next call
     raises again. Every call reads its encoding from one call of
     ``hamiltonian_from_unitary``, a memo lookup when the stage has at most
     ``_MEMO_MAX_LEVELS`` levels, so each run's degree comes from an encoding
     call of its own.
     """
     classes = oracle.classes
-    if classes.singles is not None:
+    table = classes.singles is None
+    if table:
+        stage = oracle.__dict__.get("_stage")
+        if stage is not None and stage.epsilon == epsilon:
+            return stage, hamiltonian_from_unitary(stage.sines, stage.arcsin_epsilon, DELTA_MARGIN)
+        # neither this frame nor the oracle holds the old stage while the new one is computed
+        del stage
+        oracle.__dict__["_stage"] = None
+    if table and classes.values.size > _MEMO_MAX_LEVELS:
+        stage, encoding = _new_stage(oracle, epsilon)
+    else:
         key = _stage_key(classes, epsilon)
         # popped and put back, so the dict's order is least recently used first
         stage = _STAGES.pop(key, None)
@@ -302,15 +333,8 @@ def _table_stage(oracle: AmplitudeOracle, epsilon: float) -> tuple[_TableStage, 
         _STAGES[key] = stage
         if len(_STAGES) > _MEMO_SIZE:
             del _STAGES[next(iter(_STAGES))]
-        return stage, encoding
-    stage = oracle.__dict__.get("_stage")
-    if stage is not None and stage.epsilon == epsilon:
-        return stage, hamiltonian_from_unitary(stage.sines, stage.arcsin_epsilon, DELTA_MARGIN)
-    # neither this frame nor the oracle holds the old stage while the new one is computed
-    del stage
-    oracle.__dict__["_stage"] = None
-    stage, encoding = _new_stage(oracle, epsilon)
-    oracle.__dict__["_stage"] = stage
+    if table:
+        oracle.__dict__["_stage"] = stage
     return stage, encoding
 
 
@@ -398,6 +422,22 @@ def _new_stage(oracle: AmplitudeOracle, epsilon: float) -> tuple[_TableStage, Le
         realized_level=realized_level,
         fidelity=fidelity,
         final_error=final_error,
+        info={
+            "n": oracle.n,
+            "m": m,
+            "beta": BETA,
+            "gamma": g_exact,
+            "gamma_quantized": g_quant,
+            "gamma_realized": g_realized,
+            "eps_measured": eps_measured,
+            "sigma": None,
+            "final_error": final_error,
+            "predicted_success": None,
+            "levels": levels.size,
+            "arcsin_cut": encoding.info["arcsin_cut"],
+            "arcsin_l1": encoding.info["arcsin_l1"],
+            "arcsin_gain": encoding.info["arcsin_gain"],
+        },
     )
     return stage, encoding
 
@@ -428,10 +468,12 @@ def _report(cfg: PrepConfig, stage: _TableStage, encoding: LevelEncoding, plan: 
             success: float, oracle_calls: int, bounds: bool) -> PrepReport:
     """A report with its own check list and ``info``.
 
-    It is read from the stage, the encoding (its degree d_a, and its cut,
-    the Chebyshev l1 norm of the scaled target the phase iteration was
-    given and its gain) and what the amplification at delta gave: its
-    success and its counted calls.
+    It is read from the stage, which holds the checks and the ``info``
+    entries that read no delta (the encoding's cut, the Chebyshev l1 norm
+    of the scaled target the phase iteration was given and its gain among
+    them), the encoding's degree d_a, and what the amplification at delta
+    gave: its plan, its success and its counted calls. Only the four
+    checks of the amplification and the plan's two entries are built here.
     """
     d_a, d_s, sigma = encoding.info["arcsin_degree"], plan.rounds, stage.sigma
     first, *analysis = stage.checks
@@ -449,22 +491,9 @@ def _report(cfg: PrepConfig, stage: _TableStage, encoding: LevelEncoding, plan: 
             1e-10,
         ),
     ]
-    info = {
-        "n": cfg.oracle.n,
-        "m": stage.m,
-        "beta": BETA,
-        "gamma": stage.gamma_exact,
-        "gamma_quantized": stage.gamma_quant,
-        "gamma_realized": stage.gamma_realized,
-        "eps_measured": stage.eps_measured,
-        "sigma": plan.sigma,
-        "final_error": stage.final_error,
-        "predicted_success": plan.predicted_success(),
-        "levels": stage.realized_level.size,
-        "arcsin_cut": encoding.info["arcsin_cut"],
-        "arcsin_l1": encoding.info["arcsin_l1"],
-        "arcsin_gain": encoding.info["arcsin_gain"],
-    }
+    info = stage.info.copy()
+    info["sigma"] = plan.sigma
+    info["predicted_success"] = plan.predicted_success()
     if bounds:
         checks += analysis
         info["bound_3eps_over_gamma"] = stage.bound
@@ -572,8 +601,10 @@ def sweep(spec: SweepSpec) -> list[dict]:
     Each (n, dist) oracle is built once and held while its rows run, so the
     rows that share it and an epsilon share its table stage and differ only
     in the amplification at their delta; the rows of generated oracles of
-    one class profile (every ``indicator`` at one n) share it too. Every row
-    still calls the module's
+    one class profile (every ``indicator`` at one n) share it too, and so
+    do the rows of a table of at most ``_MEMO_MAX_LEVELS`` entries that an
+    earlier sweep in the process ran. Rows that repeat a (sigma, delta)
+    reuse its plan and amplitude. Every row still calls the module's
     ``verify_error_bounds`` once, in grid order; a dist that fails to parse
     gives one error row per (epsilon, delta).
     """

@@ -145,6 +145,40 @@ def test_plan_refuses_sigma_or_delta_out_of_range(sigma, delta):
         plan_amplification(sigma, delta)
 
 
+@pytest.mark.parametrize("sigma, delta", [("0.5", 0.1), (np.array([0.5]), 0.1), (None, 0.1),
+                                          (0.5, "0.1"), (0.5, np.array([0.1])), (True, 0.1)])
+def test_plan_refuses_sigma_or_delta_that_is_not_a_real_number(sigma, delta):
+    # a string raised a bare TypeError from the range check; each input,
+    # an unhashable one-element array included, is refused before the memo
+    # sees it, so the memo records nothing
+    with pytest.raises(InputError, match="must lie in"):
+        plan_amplification(sigma, delta)
+    assert amplifier._plan.cache_info().currsize == 0
+
+
+@pytest.mark.parametrize("sigma, plan", [(0.5, None), (0.5, (0.3, 0.1, 17)), ("0.5", "plan"),
+                                         (np.array([0.5]), "plan"), (None, "plan")])
+def test_amplify_state_refuses_a_sigma_or_plan_of_the_wrong_type(sigma, plan):
+    # a plan that is not an AmplificationPlan raised a bare AttributeError;
+    # each input is refused before the memo sees it
+    if plan == "plan":
+        plan = plan_amplification(0.3, 0.1)
+    with pytest.raises(InputError, match="must be"):
+        amplify_state(sigma, plan)
+    assert amplifier._amplified.cache_info().currsize == 0
+
+
+def test_plan_and_amplitude_memos_return_what_a_cold_call_built():
+    # a repeated (sigma, delta) returns the plan the first call built, and a
+    # repeated (sigma, plan) the same amplitude, without running the loop
+    plan = plan_amplification(0.3, 0.1)
+    assert plan_amplification(np.float64(0.3), 0.1) is plan and type(plan.sigma) is float
+    cold = amplify_state(0.3, plan)
+    assert amplify_state(np.float64(0.3), plan) is cold
+    assert amplifier._amplified.cache_info()[:2] == (1, 1)
+    assert cold == amplifier._amplified.__wrapped__(0.3, plan)
+
+
 # a hand-built plan takes no field plan_amplification would not give: before
 # it checked them, delta = 2 gave band edge 0 and success 1.0, delta = 5 and
 # rounds = -1 a bare math domain error, delta = 0 ZeroDivisionError, a NaN

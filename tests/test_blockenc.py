@@ -493,11 +493,24 @@ def test_hamiltonian_refuses_budget_outside_unit_interval(which, bad):
     (np.exp(1j * np.pi * np.array([0.0, 0.1])), "entry 0 is (1+0j)"),
     (np.array([0.1, 0.2j], dtype=object), "entry 1 is 0.2j"),
     (np.array([0.1, "x"], dtype=object), "entry 1 is 'x'"),
-], ids=["complex-diagonal", "complex-entry", "string-entry"])
+    ([[0.1], 0.2], "entry 0 is [0.1]"),
+], ids=["complex-diagonal", "complex-entry", "string-entry", "ragged"])
 def test_hamiltonian_refuses_sines_that_are_not_real_numbers(sines, bad):
     # numpy's conversion alone would drop the diagonal's imaginary parts
-    # with only a warning, and refuse an object array's entries with a bare
-    # TypeError or ValueError
+    # with only a warning, and refuse an object array's entries, or a
+    # ragged list, with a bare TypeError or ValueError
     with pytest.raises(InputError, match="level sines must be real numbers") as info:
         hamiltonian_from_unitary(sines, 1e-3, 0.25)
     assert str(info.value).endswith(bad)
+
+
+@pytest.mark.parametrize("bad", ["x", "0.01", None, np.array([0.01]), True])
+@pytest.mark.parametrize("which", ["epsilon", "delta"])
+def test_hamiltonian_refuses_a_budget_that_is_not_a_real_number(which, bad):
+    # a string raised a bare ValueError from float(), and a numeric string
+    # ran as its number; each is refused before the memo sees the key
+    blockenc._encoding.cache_clear()
+    budget = {"epsilon": 1e-3, "delta": 0.25, which: bad}
+    with pytest.raises(InputError, match="must lie in"):
+        hamiltonian_from_unitary(np.array([0.1]), **budget)
+    assert blockenc._encoding.cache_info().currsize == 0

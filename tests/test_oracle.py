@@ -375,10 +375,12 @@ def test_oracle_keeps_a_read_only_copy_of_its_table():
     (np.array([0.5 + 0.5j, 0.2]), "entry 0 is (0.5+0.5j)"),
     ([0.5, 0.2 + 0.1j], "entry 1 is (0.2+0.1j)"),
     ([0.5, "x"], "entry 1 is 'x'"),
-], ids=["complex-array", "list-holding-a-complex", "non-numeric"])
+    ([[0.5], 0.2], "entry 0 is [0.5]"),
+], ids=["complex-array", "list-holding-a-complex", "non-numeric", "ragged"])
 def test_oracle_refuses_an_entry_that_is_not_a_real_number(values, bad):
     # numpy alone would drop the imaginary parts of a complex array with
-    # only a warning, and refuse the others with a bare TypeError or ValueError
+    # only a warning, and refuse the others with a bare TypeError or
+    # ValueError (an "inhomogeneous shape" for the ragged list)
     with pytest.raises(InputError, match="amplitudes must be real numbers") as info:
         AmplitudeOracle(1, 8, values)
     assert str(info.value).endswith(bad)

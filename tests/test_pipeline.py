@@ -3,7 +3,7 @@ import itertools
 import numpy as np
 import pytest
 
-from qsprep import blockenc, pipeline
+from qsprep import amplifier, blockenc, pipeline
 from qsprep.errors import DimensionError, InfeasibleError, InputError
 from qsprep.oracle import AmplitudeOracle, ValueClasses, _quantize
 from qsprep.pipeline import (
@@ -184,12 +184,12 @@ def test_grover_at_32_qubits_passes_every_check_without_a_table(monkeypatch):
 
 
 def _kept_stage(oracle, epsilon):
-    """The stage kept for the oracle at epsilon: a generated oracle's in the
-    class-profile memo, a table's on its oracle."""
-    classes = oracle.classes
-    if classes.singles is None:
-        return oracle._stage
-    return pipeline._STAGES.get(pipeline._stage_key(classes, epsilon))
+    """The stage kept for the oracle at epsilon: a table's on its oracle,
+    else the one in the memo by class profile (a table's by its values)."""
+    kept = oracle.__dict__.get("_stage")
+    if kept is not None and kept.epsilon == epsilon:
+        return kept
+    return pipeline._STAGES.get(pipeline._stage_key(oracle.classes, epsilon))
 
 
 @pytest.mark.parametrize(
@@ -336,7 +336,7 @@ def test_gamma_checks_slack_scales_with_gamma():
         stage = pipeline._TableStage(
             epsilon=0.05, m=40, sines=np.zeros(1), arcsin_epsilon=1e-14, gamma_exact=g,
             gamma_quant=g, gamma_realized=g_realized, sigma=0.0, eps_measured=eps,
-            realized_level=np.zeros(1), fidelity=1.0, final_error=0.0)
+            realized_level=np.zeros(1), fidelity=1.0, final_error=0.0, info={})
         return {c.name: c.passed for c in stage.checks}
 
     assert passed(g + 2.0 * eps)["gamma_diff_le_2eps"]
@@ -435,6 +435,8 @@ def _clear_memos():
     blockenc._encoding.cache_clear()
     blockenc._phases_at_cut.cache_clear()
     pipeline._STAGES.clear()
+    amplifier._plan.cache_clear()
+    amplifier._amplified.cache_clear()
 
 
 def test_the_pipeline_reads_the_gain_from_its_encoding(monkeypatch):
@@ -618,9 +620,10 @@ def test_an_oracle_keeps_one_stage_and_recomputes_it_at_a_new_epsilon(monkeypatc
     reports = [verify_error_bounds(PrepConfig(oracle=oracle, epsilon=eps, delta=delta))
                for eps, delta in [(0.05, 0.1), (0.05, 0.2), (0.1, 0.1), (0.05, 0.3), (0.05, 0.1),
                                   (0.5, 0.1), (np.float32(0.5), 0.1)]]
-    # a new epsilon replaces the kept stage; an equal one of another type is
-    # the same Python float in its config, and reuses it
-    assert [eps for _, eps in stages] == [0.05, 0.1, 0.05, 0.5]
+    # a new epsilon replaces the stage kept on the oracle, and a return to
+    # 0.05 finds the table's stage in the memo; an equal one of another type
+    # is the same Python float in its config, and reuses it
+    assert [eps for _, eps in stages] == [0.05, 0.1, 0.5]
     assert all(type(eps) is float for _, eps in stages)
     assert oracle._stage is pipeline._table_stage(oracle, 0.5)[0]
     assert _outcome(reports[-1]) == _outcome(reports[-2])
@@ -703,13 +706,14 @@ def test_a_failed_stage_is_not_kept_and_fails_again(monkeypatch):
 
 
 def test_a_failed_table_stage_is_not_kept_and_fails_again(monkeypatch):
-    # a table's kept stage is dropped before a new one is computed, and the
-    # one that raises is not kept in its place
+    # the stage kept on a table's oracle is dropped before a new one is
+    # computed, and the one that raises is kept nowhere; the table's stage
+    # at 0.1 stays in the memo, so the last run computes none
     oracle = AmplitudeOracle(2, 8, np.ones(4))
     kept, stages = _fail_between_two_runs(monkeypatch, oracle)
-    assert kept == [None, None]
-    assert stages == [0.1, 0.9, 0.9, 0.1]
-    assert not pipeline._STAGES
+    [stage] = pipeline._STAGES.values()
+    assert kept == [stage, stage] and oracle._stage is stage
+    assert stages == [0.1, 0.9, 0.9]
 
 
 @pytest.mark.parametrize("make", [
@@ -719,19 +723,64 @@ def test_a_failed_table_stage_is_not_kept_and_fails_again(monkeypatch):
 def test_every_run_makes_one_encoding_call_and_one_plan(monkeypatch, make):
     # a first run computes the stage and a repeat finds it kept; each run,
     # of prepare_state or verify_error_bounds, on a new oracle of the same
-    # table or on the same one, still calls hamiltonian_from_unitary and
-    # plan_amplification once
-    encodings, plans = [], []
+    # table or on the same one, still calls hamiltonian_from_unitary,
+    # plan_amplification and amplify_state once, also when it repeats a
+    # (sigma, delta) whose plan and amplitude the memos hold
+    encodings, plans, amplified = [], [], []
     _counting(monkeypatch, pipeline, "hamiltonian_from_unitary", encodings)
     _counting(monkeypatch, pipeline, "plan_amplification", plans)
+    _counting(monkeypatch, pipeline, "amplify_state", amplified)
     oracle = make()
     for run in (prepare_state, verify_error_bounds):
         for cfg in (PrepConfig(make(), 0.05, 0.1), PrepConfig(oracle, 0.05, 0.1),
                     PrepConfig(oracle, 0.05, 0.2)):
             encodings.clear()
             plans.clear()
+            amplified.clear()
             run(cfg)
-            assert len(encodings) == len(plans) == 1
+            assert len(encodings) == len(plans) == len(amplified) == 1
+
+    def memo_hits():
+        return amplifier._plan.cache_info().hits, amplifier._amplified.cache_info().hits
+
+    hits = memo_hits()
+    encodings.clear()
+    plans.clear()
+    amplified.clear()
+    verify_error_bounds(PrepConfig(oracle, 0.05, 0.2))
+    assert len(encodings) == len(plans) == len(amplified) == 1
+    # the repeat found its plan and its amplitude in the memos
+    assert memo_hits() == (hits[0] + 1, hits[1] + 1)
+
+
+def test_a_fresh_oracle_of_a_table_seen_before_computes_no_stage(monkeypatch):
+    # a table of at most _MEMO_MAX_LEVELS entries is kept in the stage memo
+    # by its values, so a new oracle of it finds its stage; its report
+    # equals a cold run's, the final state's bytes included
+    values = np.random.default_rng(40).uniform(0.0, 1.0, 2**6)
+
+    def run():
+        return verify_error_bounds(PrepConfig(AmplitudeOracle(6, 8, values), 0.05, 0.1))
+
+    _clear_memos()
+    cold = run()
+    stages = []
+    _counting(monkeypatch, pipeline, "_new_stage", stages)
+    warm = run()
+    assert stages == []
+    assert _outcome(warm) == _outcome(cold)
+    assert warm.final_state.amplitudes.tobytes() == cold.final_state.amplitudes.tobytes()
+
+
+def test_a_table_of_2_to_the_13_entries_adds_nothing_to_the_stage_memo():
+    # past _MEMO_MAX_LEVELS entries a key would copy and hash the whole
+    # table, so the stage is kept on the oracle alone
+    n = 13
+    assert 2**n > pipeline._MEMO_MAX_LEVELS
+    oracle = AmplitudeOracle(n, 8, np.random.default_rng(41).uniform(0.0, 1.0, 2**n))
+    verify_error_bounds(PrepConfig(oracle, 0.05, 0.1))
+    assert not pipeline._STAGES
+    assert oracle._stage is not None and oracle._stage.epsilon == 0.05
 
 
 @pytest.mark.parametrize("delta", [0.1, 0.2])
